@@ -14,12 +14,7 @@ import numpy as np
 
 from kgt.accel import NUMBA_ENABLED, python_impl
 from kgt.graph import KnowledgeGraph
-from kgt.sampling import (
-    _frontier_counts_kernel,
-    _induced_positions_kernel,
-    _meta_tree_kernel,
-    _rwr_kernel,
-)
+from kgt.sampling import _frontier_counts_kernel, _induced_positions_kernel, _meta_tree_kernel
 
 
 def build_graph(entities: int, triples: int, rng: np.random.Generator) -> KnowledgeGraph:
@@ -58,15 +53,6 @@ def main() -> None:
     member_flag = np.zeros(n, dtype=np.uint8)
     member_flag[members] = 1
 
-    def rwr(kernel):
-        def run():
-            visited = np.zeros(n, dtype=np.uint8)
-            out = np.zeros(target, dtype=np.int64)
-            count = kernel(indptr_u, nbrs_u, 0, 0.15, target, uniforms, visited, out)
-            return count, out
-
-        return run
-
     def meta_tree(kernel):
         def run():
             visited = np.zeros(n, dtype=np.uint8)
@@ -95,18 +81,17 @@ def main() -> None:
         return run
 
     cases = [
-        ("random walk with restart", rwr),
-        ("meta-tree growth", meta_tree),
-        ("frontier edge counts", frontier),
-        ("induced edge positions", induced),
+        ("meta-tree growth", meta_tree, _meta_tree_kernel),
+        ("frontier edge counts", frontier, _frontier_counts_kernel),
+        ("induced edge positions", induced, _induced_positions_kernel),
     ]
 
     backend = "numba" if NUMBA_ENABLED else "python (numba disabled)"
-    print(f"graph: {n} entities, {len(graph.triples)} triples; primary backend: {backend}")
+    print(f"graph: {n} entities, {len(graph)} triples; primary backend: {backend}")
     print(f"{'kernel':<26} {'primary':>10} {'python':>10} {'speedup':>8}")
-    for name, make in cases:
-        compiled = make(globals_lookup(name))
-        plain = make(python_impl(globals_lookup(name)))
+    for name, make, kernel in cases:
+        compiled = make(kernel)
+        plain = make(python_impl(kernel))
         got = compiled()
         want = plain()
         for a, b in zip(got, want):
@@ -115,15 +100,6 @@ def main() -> None:
         t_compiled = best_of(compiled, args.repeats)
         t_plain = best_of(plain, args.repeats)
         print(f"{name:<26} {t_compiled * 1e3:>8.2f}ms {t_plain * 1e3:>8.2f}ms {t_plain / t_compiled:>7.1f}x")
-
-
-def globals_lookup(name: str):
-    return {
-        "random walk with restart": _rwr_kernel,
-        "meta-tree growth": _meta_tree_kernel,
-        "frontier edge counts": _frontier_counts_kernel,
-        "induced edge positions": _induced_positions_kernel,
-    }[name]
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is the optional ``accel`` extra
     njit = None
     HAS_NUMBA = False
 

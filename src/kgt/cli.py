@@ -24,7 +24,7 @@ from .config import PipelineConfig, load_config
 from .errors import ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
-from .graph import SplitDataset, build_split, load_split, write_token_triples, write_vocab
+from .graph import SPLITS, SplitDataset, build_split, load_split, write_token_triples, write_vocab
 from .model import Model
 from .queries import (
     EVAL_ONLY_TYPES,
@@ -96,6 +96,14 @@ def _read_raw_tokens(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_ingest(args) -> int:
     data_dir = Path(args.data) if args.data else Path(args.resolved_config.data_dir)
     out_dir = Path(args.out) / "dataset"
@@ -104,9 +112,11 @@ def cmd_ingest(args) -> int:
         split = load_split(data_dir)
     except ParseError:
         # token-valued triples without vocabulary files: build one
-        raw = {name: _read_raw_tokens(data_dir / f"{name}.txt") for name in ("train", "valid", "test")}
+        raw = {name: _read_raw_tokens(data_dir / f"{name}.txt") for name in SPLITS}
         entity_tokens = sorted({tok for rows in raw.values() for h, _, t in rows for tok in (h, t)})
         relation_tokens = sorted({r for rows in raw.values() for _, r, _ in rows})
+        if all(_is_int(tok) for tok in entity_tokens + relation_tokens):
+            raise  # an id file: the error is about the ids, not about missing vocabularies
         ent_map = {tok: i for i, tok in enumerate(entity_tokens)}
         rel_map = {tok: i for i, tok in enumerate(relation_tokens)}
         parts = {
@@ -119,11 +129,7 @@ def cmd_ingest(args) -> int:
     write_vocab(out_dir / "entities.txt", entities)
     write_vocab(out_dir / "relations.txt", relations)
     # normalized layout: token triples next to their vocabularies, disjoint increments
-    train = split.train.triples
-    train_set = set(train)
-    valid_inc = [t for t in split.valid.triples if t not in train_set]
-    valid_set = set(split.valid.triples)
-    test_inc = [t for t in split.test.triples if t not in valid_set]
+    train, valid_inc, test_inc = split.increments()
     write_token_triples(out_dir / "train.txt", train, entities, relations)
     write_token_triples(out_dir / "valid.txt", valid_inc, entities, relations)
     write_token_triples(out_dir / "test.txt", test_inc, entities, relations)

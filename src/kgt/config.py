@@ -19,20 +19,8 @@ from .queries import TRAINABLE_TYPES, QueryType
 from .train import Stage, TrainConfig
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_optional_int(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+def _optional(parse):
+    return lambda text: None if text == "" else parse(text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -64,10 +52,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(int(p) for p in parts)
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 @dataclass
@@ -215,58 +199,30 @@ class PipelineConfig:
         return out
 
 
-_PARSERS = {
-    "seed": _parse_int,
-    "threads": _parse_int,
-    "data.dir": _parse_str,
-    "model.layers": _parse_int,
-    "model.hidden": _parse_int,
-    "model.heads": _parse_int,
-    "model.experts": _parse_int,
-    "model.top_k": _parse_int,
-    "model.expert_hidden": _parse_optional_int,
-    "model.dropout": _parse_float,
-    "model.tie_decoder": _parse_bool,
-    "optimizer.lr": _parse_float,
-    "optimizer.beta1": _parse_float,
-    "optimizer.beta2": _parse_float,
-    "optimizer.eps": _parse_float,
-    "optimizer.weight_decay": _parse_float,
-    "optimizer.lr_decay": _parse_float,
-    "stage1.epochs": _parse_int,
-    "stage1.batch_size": _parse_int,
-    "stage1.label_smoothing": _parse_float,
-    "stage1.mask_rate": _parse_float,
-    "stage1.method_mix": _parse_ratio,
-    "stage1.budget_min": _parse_int,
-    "stage1.budget_max": _parse_int,
-    "stage1.edge_keep": _parse_float,
-    "stage1.ladies_per_layer": _parse_int,
-    "stage1.ladies_depth": _parse_int,
-    "stage1.steps_per_epoch": _parse_optional_int,
-    "stage1.lr": _parse_optional_float,
-    "stage2.epochs": _parse_int,
-    "stage2.batch_size": _parse_int,
-    "stage2.label_smoothing": _parse_float,
-    "stage2.pattern_mix": _parse_ratio,
-    "stage2.steps_per_epoch": _parse_optional_int,
-    "stage2.lr": _parse_optional_float,
-    "finetune.epochs": _parse_int,
-    "finetune.batch_size": _parse_int,
-    "finetune.lr": _parse_optional_float,
-    "finetune.combos": _parse_str,
-    "grad_clip": _parse_float,
-    "queries.train_count": _parse_int,
-    "queries.valid_count": _parse_int,
-    "queries.test_count": _parse_int,
-    "queries.max_answers": _parse_int,
-    "eval.ks": _parse_int_list,
+_SECTIONS = ("data", "model", "optimizer", "stage1", "stage2", "finetune", "queries", "eval")
+_RATIOS = ("stage1.method_mix", "stage2.pattern_mix")
+_TYPE_PARSERS = {
+    "int": int,
+    "int | None": _optional(int),
+    "float": float,
+    "float | None": _optional(float),
+    "bool": _parse_bool,
+    "str": str,
+    "tuple[int, ...]": _parse_int_list,
 }
 
-_ATTRS = {key: key.replace(".", "_") for key in _PARSERS}
 
-# every parser key must land on a real dataclass field
-assert set(_ATTRS.values()) == {f.name for f in fields(PipelineConfig)}
+def _key(name: str) -> str:
+    """Config key of a field: ``model_top_k`` -> ``model.top_k``, ``grad_clip`` stays."""
+    section, _, rest = name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else name
+
+
+_ATTRS = {_key(f.name): f.name for f in fields(PipelineConfig)}
+_PARSERS = {
+    key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[f.type]
+    for key, f in zip(_ATTRS, fields(PipelineConfig))
+}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:

@@ -104,112 +104,124 @@ def triple_transform(triples: Sequence[Triple], extra_entities: Iterable[int] = 
     return LeviGraph(nodes=nodes, edges=edges, entity_node_count=len(ordered))
 
 
-def neighborhood(levi: LeviGraph, node: int) -> frozenset[int]:
-    """Indexes adjacent to ``node`` ignoring edge direction (self excluded)."""
-    if not 0 <= node < levi.node_count:
-        raise IndexError(f"node {node} out of range for {levi.node_count} nodes")
-    adjacent = set()
-    for u, v in levi.edges:
-        if u == node:
-            adjacent.add(v)
-        elif v == node:
-            adjacent.add(u)
-    return frozenset(adjacent)
-
-
 class KnowledgeGraph:
-    """A directed multigraph of (head, relation, tail) triples with adjacency indexes."""
+    """A directed multigraph of (head, relation, tail) triples in one int64 array.
 
-    def __init__(self, entity_count: int, relation_count: int, triples: Iterable[Triple]):
+    ``hrt`` is a read-only ``[T, 3]`` array, one row per triple in the order
+    given; it may be a view that shares memory with a larger store. Lookups go
+    through CSR indexes derived from it on first use. ``validate=False`` skips
+    the id-range and duplicate checks, for arrays already checked.
+    """
+
+    def __init__(
+        self,
+        entity_count: int,
+        relation_count: int,
+        triples: Iterable[Triple] | np.ndarray,
+        *,
+        validate: bool = True,
+    ):
         self.entity_count = int(entity_count)
         self.relation_count = int(relation_count)
-        self.triples: list[Triple] = [(int(h), int(r), int(t)) for h, r, t in triples]
-        seen: set[Triple] = set()
-        for i, (h, r, t) in enumerate(self.triples):
-            if not (0 <= h < self.entity_count and 0 <= t < self.entity_count):
-                raise IntegrityError(f"triple {i}: entity id out of range in {(h, r, t)}")
-            if not 0 <= r < self.relation_count:
-                raise IntegrityError(f"triple {i}: relation id out of range in {(h, r, t)}")
-            if (h, r, t) in seen:
-                raise IntegrityError(f"duplicate triple {(h, r, t)}")
-            seen.add((h, r, t))
-        self._triple_set = seen
-        self.out_index: list[list[int]] = [[] for _ in range(self.entity_count)]
-        self.in_index: list[list[int]] = [[] for _ in range(self.entity_count)]
-        for i, (h, _, t) in enumerate(self.triples):
-            self.out_index[h].append(i)
-            self.in_index[t].append(i)
+        self.hrt = _triple_array(triples).view()
+        self.hrt.flags.writeable = False
+        if validate:
+            fault = _first_fault(self.hrt, self.entity_count, self.relation_count)
+            if fault is not None:
+                raise IntegrityError(f"triple {fault[0]}: {fault[1]}")
         self._csr: dict[str, tuple[np.ndarray, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.hrt)
+
+    @property
+    def triples(self) -> list[Triple]:
+        """The triples as ``(h, r, t)`` int tuples, built on each call."""
+        return [tuple(row) for row in self.hrt.tolist()]
 
     def has_triple(self, h: int, r: int, t: int) -> bool:
-        return (h, r, t) in self._triple_set
+        indptr, tails, rels = self.csr_out()
+        lo, hi = indptr[h], indptr[h + 1]
+        return bool(((tails[lo:hi] == t) & (rels[lo:hi] == r)).any())
 
     def successors(self, head: int, relation: int) -> set[int]:
-        return {self.triples[i][2] for i in self.out_index[head] if self.triples[i][1] == relation}
+        indptr, tails, rels = self.csr_out()
+        lo, hi = indptr[head], indptr[head + 1]
+        return set(tails[lo:hi][rels[lo:hi] == relation].tolist())
 
-    def predecessors(self, tail: int, relation: int) -> set[int]:
-        return {self.triples[i][0] for i in self.in_index[tail] if self.triples[i][1] == relation}
+    def in_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """Heads and relations of the triples ending at ``node``, in triple order."""
+        indptr, heads, rels = self.csr_in()
+        lo, hi = indptr[node], indptr[node + 1]
+        return heads[lo:hi], rels[lo:hi]
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if "hrt" not in self._csr:
-            if self.triples:
-                arr = np.asarray(self.triples, dtype=np.int64)
-            else:
-                arr = np.zeros((0, 3), dtype=np.int64)
-            self._csr["hrt"] = (arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
-        return self._csr["hrt"]
-
-    @staticmethod
-    def _build_csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _group(self, sources: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """CSR: ``columns`` grouped by source entity, in the given order within a group."""
         order = np.argsort(sources, kind="stable")
-        counts = np.bincount(sources, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, targets[order].astype(np.int64)
+        indptr = np.zeros(self.entity_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=self.entity_count), out=indptr[1:])
+        return (indptr, *(c[order] for c in columns))
+
+    def _cached(self, key: str, build) -> tuple[np.ndarray, ...]:
+        if key not in self._csr:
+            self._csr[key] = build()
+        return self._csr[key]
+
+    def _both_directions(self) -> tuple[np.ndarray, np.ndarray]:
+        heads, tails = self.hrt[:, 0], self.hrt[:, 2]
+        return np.concatenate([heads, tails]), np.concatenate([tails, heads])
+
+    def _unique_pairs(self) -> tuple[np.ndarray, ...]:
+        src, dst = self._both_directions()
+        pairs = np.unique(src * self.entity_count + dst)
+        return self._group(pairs // self.entity_count, pairs % self.entity_count)
 
     def csr_undirected(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR over unique undirected neighbors (for uniform-neighbor walks)."""
-        if "und_unique" not in self._csr:
-            heads, _, tails = self._arrays()
-            src = np.concatenate([heads, tails])
-            dst = np.concatenate([tails, heads])
-            pairs = np.unique(np.stack([src, dst], axis=1), axis=0) if src.size else np.zeros((0, 2), dtype=np.int64)
-            self._csr["und_unique"] = self._build_csr(pairs[:, 0], pairs[:, 1], self.entity_count)
-        return self._csr["und_unique"]
+        return self._cached("und_unique", self._unique_pairs)
 
     def csr_undirected_multi(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR over undirected incidences with multiplicity (for edge counting)."""
-        if "und_multi" not in self._csr:
-            heads, _, tails = self._arrays()
-            src = np.concatenate([heads, tails])
-            dst = np.concatenate([tails, heads])
-            self._csr["und_multi"] = self._build_csr(src, dst, self.entity_count)
-        return self._csr["und_multi"]
+        return self._cached("und_multi", lambda: self._group(*self._both_directions()))
 
     def csr_in(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR over incoming triples grouped by tail: (indptr, heads, relations)."""
-        if "in" not in self._csr:
-            heads, rels, tails = self._arrays()
-            order = np.argsort(tails, kind="stable")
-            counts = np.bincount(tails, minlength=self.entity_count)
-            indptr = np.zeros(self.entity_count + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr["in"] = (indptr, heads[order].astype(np.int64), rels[order].astype(np.int64))
-        return self._csr["in"]
+        return self._cached("in", lambda: self._group(self.hrt[:, 2], self.hrt[:, 0], self.hrt[:, 1]))
 
     def csr_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR over outgoing triples grouped by head: (indptr, tails, relations)."""
-        if "out" not in self._csr:
-            heads, rels, tails = self._arrays()
-            order = np.argsort(heads, kind="stable")
-            counts = np.bincount(heads, minlength=self.entity_count)
-            indptr = np.zeros(self.entity_count + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr["out"] = (indptr, tails[order].astype(np.int64), rels[order].astype(np.int64))
-        return self._csr["out"]
+        return self._cached("out", lambda: self._group(self.hrt[:, 0], self.hrt[:, 2], self.hrt[:, 1]))
+
+
+def _triple_array(triples: Iterable[Triple] | np.ndarray) -> np.ndarray:
+    rows = triples if isinstance(triples, np.ndarray) else list(triples)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _triple_keys(hrt: np.ndarray, entity_count: int, relation_count: int) -> np.ndarray:
+    """One int64 per in-range triple, ``(h * R + r) * E + t``; equal keys mean equal triples."""
+    return (hrt[:, 0] * relation_count + hrt[:, 1]) * entity_count + hrt[:, 2]
+
+
+def _first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
+    """Row and description of the first out-of-range id, else of the first repeated triple."""
+    h, r, t = hrt[:, 0], hrt[:, 1], hrt[:, 2]
+    bad_entity = (h < 0) | (h >= entity_count) | (t < 0) | (t >= entity_count)
+    bad = np.flatnonzero(bad_entity | (r < 0) | (r >= relation_count))
+    if bad.size:
+        i = int(bad[0])
+        kind = "entity" if bad_entity[i] else "relation"
+        return i, f"{kind} id out of range in {tuple(hrt[i].tolist())}"
+    _, first = np.unique(_triple_keys(hrt, entity_count, relation_count), return_index=True)
+    if first.size < len(hrt):
+        repeated = np.ones(len(hrt), dtype=bool)
+        repeated[first] = False
+        i = int(np.flatnonzero(repeated)[0])
+        return i, f"duplicate triple {tuple(hrt[i].tolist())}"
+    return None
+
+
+SPLITS = ("train", "valid", "test")
 
 
 @dataclass
@@ -217,7 +229,9 @@ class SplitDataset:
     """Cumulative train/valid/test graphs over one vocabulary.
 
     ``valid`` contains every train triple plus the validation increment;
-    ``test`` contains everything. Vocabularies are optional (id-only datasets).
+    ``test`` contains everything. The three graphs are prefix views of one
+    triple store ordered train, new valid, new test. Vocabularies are
+    optional (id-only datasets).
     """
 
     train: KnowledgeGraph
@@ -233,6 +247,12 @@ class SplitDataset:
     @property
     def relation_count(self) -> int:
         return self.train.relation_count
+
+    def increments(self) -> tuple[list[Triple], list[Triple], list[Triple]]:
+        """Train triples, then the triples valid adds, then those test adds."""
+        triples = self.test.triples
+        n_train, n_valid = len(self.train), len(self.valid)
+        return triples[:n_train], triples[n_train:n_valid], triples[n_valid:]
 
 
 def read_vocab(path: Path) -> list[str]:
@@ -254,11 +274,12 @@ def read_triples(
     path: Path,
     entity_ids: dict[str, int] | None = None,
     relation_ids: dict[str, int] | None = None,
-) -> list[Triple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Parse a head<TAB>relation<TAB>tail file.
 
     Tokens are looked up in the vocabularies when given, otherwise they must be
-    integer literals.
+    integer literals. Returns the int64 ``[n, 3]`` triples and the line number
+    of each.
     """
 
     def resolve(token: str, table: dict[str, int] | None, kind: str, lineno: int) -> int:
@@ -272,6 +293,7 @@ def read_triples(
             raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
 
     triples = []
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -284,47 +306,52 @@ def read_triples(
             r = resolve(fields[1], relation_ids, "relation", lineno)
             t = resolve(fields[2], entity_ids, "entity", lineno)
             triples.append((h, r, t))
-    return triples
+            lines.append(lineno)
+    return _triple_array(triples), np.array(lines, dtype=np.int64)
 
 
 def build_split(
-    parts: dict[str, list[Triple]],
+    parts: dict[str, Sequence[Triple] | np.ndarray],
     entity_count: int,
     relation_count: int,
     entities: list[str] | None = None,
     relations: list[str] | None = None,
+    sources: dict[str, tuple[Path, np.ndarray]] | None = None,
 ) -> SplitDataset:
     """Assemble cumulative graphs from train/valid/test triple lists.
 
     Accepts either disjoint increments (each split adds new triples) or
     already-cumulative lists (train subset of valid subset of test); anything
-    else raises :class:`IntegrityError`.
+    else raises :class:`IntegrityError`. ``sources`` maps a split to its file
+    and per-triple line numbers, so a bad triple raises :class:`ParseError`
+    naming its line instead.
     """
-    train_set = set(parts["train"])
-    valid_set = set(parts["valid"])
-    test_set = set(parts["test"])
-    if train_set <= valid_set <= test_set:
-        cumulative = {
-            "train": parts["train"],
-            "valid": parts["valid"],
-            "test": parts["test"],
-        }
-    elif not (train_set & valid_set) and not (train_set & test_set) and not (valid_set & test_set):
-        cumulative = {
-            "train": parts["train"],
-            "valid": parts["train"] + parts["valid"],
-            "test": parts["train"] + parts["valid"] + parts["test"],
-        }
-    else:
+    arrays = {name: _triple_array(parts[name]) for name in SPLITS}
+    for name, hrt in arrays.items():
+        fault = _first_fault(hrt, entity_count, relation_count)
+        if fault is None:
+            continue
+        row, message = fault
+        if sources is not None:
+            path, lines = sources[name]
+            raise ParseError(path, int(lines[row]), message)
+        raise IntegrityError(f"{name} triple {row}: {message}")
+
+    train, valid, test = (_triple_keys(arrays[name], entity_count, relation_count) for name in SPLITS)
+    valid_new = ~np.isin(valid, train)
+    test_new = ~np.isin(test, valid)
+    cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
+    disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
+    if not (cumulative or disjoint):
         raise IntegrityError("split files are neither cumulative nor disjoint increments")
 
-    return SplitDataset(
-        train=KnowledgeGraph(entity_count, relation_count, cumulative["train"]),
-        valid=KnowledgeGraph(entity_count, relation_count, cumulative["valid"]),
-        test=KnowledgeGraph(entity_count, relation_count, cumulative["test"]),
-        entities=entities,
-        relations=relations,
-    )
+    # either way the new triples of a split are those its predecessor lacks
+    store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
+    store.flags.writeable = False
+    ends = (len(train), len(train) + int(valid_new.sum()), len(store))
+    # the parts were checked above, so the prefixes need no second check
+    graphs = (KnowledgeGraph(entity_count, relation_count, store[:n], validate=False) for n in ends)
+    return SplitDataset(*graphs, entities=entities, relations=relations)
 
 
 def load_split(directory: str | Path) -> SplitDataset:
@@ -340,26 +367,27 @@ def load_split(directory: str | Path) -> SplitDataset:
         rel_map = {tok: i for i, tok in enumerate(relations)}
 
     parts = {}
-    for name in ("train", "valid", "test"):
+    sources = {}
+    for name in SPLITS:
         path = d / f"{name}.txt"
         if not path.exists():
             raise FileNotFoundError(f"missing split file {path}")
-        parts[name] = read_triples(path, ent_map, rel_map)
+        parts[name], lines = read_triples(path, ent_map, rel_map)
+        sources[name] = (path, lines)
 
+    stacked = np.concatenate(list(parts.values()))
     if entities is not None:
         entity_count = len(entities)
     else:
-        ids = [e for tri in parts.values() for h, _, t in tri for e in (h, t)]
-        if not ids:
+        if not len(stacked):
             raise IntegrityError("dataset has no triples and no entity vocabulary")
-        entity_count = max(ids) + 1
+        entity_count = int(stacked[:, [0, 2]].max()) + 1
     if relations is not None:
         relation_count = len(relations)
     else:
-        ids = [r for tri in parts.values() for _, r, _ in tri]
-        relation_count = (max(ids) + 1) if ids else 0
+        relation_count = int(stacked[:, 1].max()) + 1 if len(stacked) else 0
 
-    return build_split(parts, entity_count, relation_count, entities, relations)
+    return build_split(parts, entity_count, relation_count, entities, relations, sources)
 
 
 def write_vocab(path: Path, tokens: Sequence[str]) -> None:

@@ -271,12 +271,11 @@ def read_queries(path: str | Path) -> list[QueryInstance]:
 
 def _pick_in_edge(graph: KnowledgeGraph, node: int, rng: np.random.Generator) -> tuple[int, int] | None:
     """Uniform incoming (head, relation) of ``node``, or None if it has none."""
-    edges = graph.in_index[node]
-    if not edges:
+    heads, rels = graph.in_edges(node)
+    if not len(heads):
         return None
-    idx = edges[int(rng.integers(len(edges)))]
-    h, r, _ = graph.triples[idx]
-    return h, r
+    j = int(rng.integers(len(heads)))
+    return int(heads[j]), int(rels[j])
 
 
 def _instantiate(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> QueryGraph | None:
@@ -368,24 +367,25 @@ def _instantiate(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generat
 
 
 def _distinct_in_edges(
-    graph: KnowledgeGraph, node: int, width: int, rng: np.random.Generator
+    graph: KnowledgeGraph, node: int, width: int, rng: np.random.Generator, least: int | None = None
 ) -> list[tuple[int, int]] | None:
-    """``width`` incoming (head, relation) pairs with pairwise-distinct heads."""
-    edges = graph.in_index[node]
-    if len(edges) < width:
+    """Up to ``width`` incoming (head, relation) pairs with pairwise-distinct heads,
+    first in a random order; None when fewer than ``least`` (default ``width``)."""
+    least = width if least is None else least
+    heads, rels = graph.in_edges(node)
+    if len(heads) < least:
         return None
-    order = rng.permutation(len(edges))
+    order = rng.permutation(len(heads))
     picked: list[tuple[int, int]] = []
-    heads: set[int] = set()
-    for pos in order:
-        h, r, _ = graph.triples[edges[int(pos)]]
-        if h in heads:
+    seen: set[int] = set()
+    for h, r in zip(heads[order].tolist(), rels[order].tolist()):
+        if h in seen:
             continue
-        heads.add(h)
+        seen.add(h)
         picked.append((h, r))
         if len(picked) == width:
-            return picked
-    return None
+            break
+    return picked if len(picked) >= least else None
 
 
 def generate_queries(

@@ -24,45 +24,9 @@ import numpy as np
 from .accel import maybe_njit
 from .errors import SamplingExhausted
 from .graph import EntityNode, KnowledgeGraph, LeviGraph, RelationNode, Triple, triple_transform
-from .queries import NodeRole
+from .queries import NodeRole, _distinct_in_edges, _pick_in_edge
 
 MAX_START_RETRIES = 20
-
-
-@maybe_njit
-def _rwr_kernel(indptr, nbrs, start, restart_p, target, uniforms, visited, out_nodes):
-    """Random walk with restart; returns how many distinct nodes were collected.
-
-    Each step teleports back to ``start`` with probability ``restart_p`` and
-    then moves to a uniformly random neighbor, collecting unseen nodes.
-    Consumes two uniforms per step.
-    """
-    count = 1
-    out_nodes[0] = start
-    visited[start] = 1
-    cur = start
-    steps = uniforms.shape[0] // 2
-    for step in range(steps):
-        if count >= target:
-            break
-        if uniforms[2 * step] < restart_p:
-            cur = start
-        lo = indptr[cur]
-        hi = indptr[cur + 1]
-        degree = hi - lo
-        if degree == 0:
-            cur = start
-            continue
-        j = lo + int(uniforms[2 * step + 1] * degree)
-        if j >= hi:
-            j = hi - 1
-        nxt = nbrs[j]
-        if visited[nxt] == 0:
-            visited[nxt] = 1
-            out_nodes[count] = nxt
-            count += 1
-        cur = nxt
-    return count
 
 
 @maybe_njit
@@ -132,26 +96,6 @@ class SampleResult:
     nodes: list[int]
     undersized: bool
     tree_edges: list[tuple[int, int]] | None = None
-
-
-def rwr_sample(
-    graph: KnowledgeGraph,
-    start: int,
-    restart_p: float,
-    target_size: int,
-    rng: np.random.Generator,
-) -> SampleResult:
-    if not 0.0 <= restart_p <= 1.0:
-        raise ValueError(f"restart probability must be in [0, 1], got {restart_p}")
-    if target_size < 1:
-        raise ValueError("target_size must be at least 1")
-    indptr, nbrs = graph.csr_undirected()
-    steps = 40 * target_size + 200
-    uniforms = rng.random(2 * steps)
-    visited = np.zeros(graph.entity_count, dtype=np.uint8)
-    out_nodes = np.zeros(target_size, dtype=np.int64)
-    count = _rwr_kernel(indptr, nbrs, start, restart_p, target_size, uniforms, visited, out_nodes)
-    return SampleResult(nodes=[int(v) for v in out_nodes[:count]], undersized=count < target_size)
 
 
 def meta_tree_sample(
@@ -397,10 +341,10 @@ def _chain_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> Sample
     relations = []
     cur = target
     for _ in range(length):
-        edges = graph.in_index[cur]
-        if not edges:
+        picked = _pick_in_edge(graph, cur, rng)
+        if picked is None:
             return None
-        h, r, _ = graph.triples[edges[int(rng.integers(len(edges)))]]
+        h, r = picked
         entities.append(h)
         relations.append(r)
         cur = h
@@ -433,18 +377,8 @@ def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> Sampl
     """2i/3i-shaped example: a target with 2..3 distinct in-neighbors."""
     width = int(rng.integers(2, 4))
     target = int(rng.integers(graph.entity_count))
-    edges = graph.in_index[target]
-    picked = []
-    heads = set()
-    for pos in rng.permutation(len(edges)):
-        h, r, _ = graph.triples[edges[int(pos)]]
-        if h in heads:
-            continue
-        heads.add(h)
-        picked.append((h, r))
-        if len(picked) == width:
-            break
-    if len(picked) < 2:
+    picked = _distinct_in_edges(graph, target, width, rng, least=2)
+    if picked is None:
         return None  # degenerate: fewer than two distinct in-neighbors
     width = len(picked)
 

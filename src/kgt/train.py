@@ -127,7 +127,7 @@ def pretrain(
     sample_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
     optimizer = AdamW(model.params, config.optimizer)
-    steps = config.steps_per_epoch or max(1, math.ceil(len(graph.triples) / config.batch_size))
+    steps = config.steps_per_epoch or max(1, math.ceil(len(graph) / config.batch_size))
     records: list[dict] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()

@@ -67,12 +67,7 @@ def toy_split(
 def write_toy_dataset(directory: Path, split: SplitDataset, tokens: bool = True) -> Path:
     """Write a split as disjoint increment files, with vocabularies by default."""
     directory.mkdir(parents=True, exist_ok=True)
-    train = split.train.triples
-    train_set = set(train)
-    valid_inc = [t for t in split.valid.triples if t not in train_set]
-    valid_set = set(split.valid.triples)
-    test_inc = [t for t in split.test.triples if t not in valid_set]
-    parts = {"train.txt": train, "valid.txt": valid_inc, "test.txt": test_inc}
+    parts = dict(zip(("train.txt", "valid.txt", "test.txt"), split.increments()))
     if tokens:
         write_vocab(directory / "entities.txt", [f"e{i}" for i in range(split.entity_count)])
         write_vocab(directory / "relations.txt", [f"r{i}" for i in range(split.relation_count)])
@@ -89,3 +84,24 @@ def write_toy_dataset(directory: Path, split: SplitDataset, tokens: bool = True)
 def small_graph(seed: int = 3, entities: int = 12, relations: int = 3, total: int = 30) -> KnowledgeGraph:
     triples = toy_triples(seed, entities, relations, total)
     return KnowledgeGraph(entities, relations, triples)
+
+
+class ListGraph:
+    """Test oracle: the former list-backed store, triple indexes per entity in triple order."""
+
+    def __init__(self, entity_count: int, triples: list[Triple]):
+        self.triples = list(triples)
+        self.out_index: list[list[int]] = [[] for _ in range(entity_count)]
+        self.in_index: list[list[int]] = [[] for _ in range(entity_count)]
+        for i, (h, _, t) in enumerate(self.triples):
+            self.out_index[h].append(i)
+            self.in_index[t].append(i)
+
+    def successors(self, head: int, relation: int) -> set[int]:
+        return {self.triples[i][2] for i in self.out_index[head] if self.triples[i][1] == relation}
+
+    def has_triple(self, h: int, r: int, t: int) -> bool:
+        return any(self.triples[i] == (h, r, t) for i in self.out_index[h])
+
+    def in_edges(self, node: int) -> list[tuple[int, int]]:
+        return [self.triples[i][:2] for i in self.in_index[node]]

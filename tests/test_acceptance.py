@@ -481,11 +481,8 @@ def test_10_run_determinism(tmp_path):
     split = structured_toy_split()
     data = tmp_path / "data"
     data.mkdir()
-    write_triples(data / "train.txt", split.train.triples)
-    train_set = set(split.train.triples)
-    write_triples(data / "valid.txt", [t for t in split.valid.triples if t not in train_set])
-    valid_set = set(split.valid.triples)
-    write_triples(data / "test.txt", [t for t in split.test.triples if t not in valid_set])
+    for name, triples in zip(("train", "valid", "test"), split.increments()):
+        write_triples(data / f"{name}.txt", triples)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CONFIG)
 

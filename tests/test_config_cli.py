@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgt.cli import _resolve_threads, main
-from kgt.config import load_config, parse_config_text
+from kgt.config import _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
 from kgt.queries import QueryType
 
@@ -122,6 +122,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="empty"):
             load_config(path)
 
+    def test_accepted_keys_are_pinned(self):
+        sections = {
+            "model": "layers hidden heads experts top_k expert_hidden dropout tie_decoder",
+            "optimizer": "lr beta1 beta2 eps weight_decay lr_decay",
+            "stage1": "epochs batch_size label_smoothing mask_rate method_mix budget_min budget_max "
+            "edge_keep ladies_per_layer ladies_depth steps_per_epoch lr",
+            "stage2": "epochs batch_size label_smoothing pattern_mix steps_per_epoch lr",
+            "finetune": "epochs batch_size lr combos",
+            "queries": "train_count valid_count test_count max_answers",
+            "data": "dir",
+            "eval": "ks",
+        }
+        keys = {f"{section}.{name}" for section, names in sections.items() for name in names.split()}
+        keys |= {"seed", "threads", "grad_clip"}
+        assert len(keys) == 45
+        assert set(_PARSERS) == keys
+
     def test_stage_seed_offsets_disjoint(self):
         cfg = load_config(None, {"seed": "5"})
         seeds = {cfg.stage1_config().seed, cfg.stage2_config().seed, cfg.finetune_config().seed}
@@ -188,12 +205,7 @@ queries.test_count = 3
 def write_token_dataset(directory, split):
     """Token triples without vocabularies, exercising ingest's token path."""
     directory.mkdir(parents=True, exist_ok=True)
-    train = split.train.triples
-    train_set = set(train)
-    valid_inc = [t for t in split.valid.triples if t not in train_set]
-    valid_set = set(split.valid.triples)
-    test_inc = [t for t in split.test.triples if t not in valid_set]
-    for name, triples in (("train", train), ("valid", valid_inc), ("test", test_inc)):
+    for name, triples in zip(("train", "valid", "test"), split.increments()):
         with open(directory / f"{name}.txt", "w", encoding="utf-8") as fh:
             for h, r, t in triples:
                 fh.write(f"ent{h:03d}\trel{r}\tent{t:03d}\n")

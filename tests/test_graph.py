@@ -3,19 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgt.cli import main
 from kgt.errors import IntegrityError, ParseError
 from kgt.graph import (
     EntityNode,
     KnowledgeGraph,
     RelationNode,
+    build_split,
     load_split,
-    neighborhood,
     triple_transform,
     write_triples,
     write_vocab,
 )
 
-from helpers import toy_split, write_toy_dataset
+from helpers import ListGraph, toy_split, write_toy_dataset
 
 
 def triple_sets(max_entities=8, max_relations=4, max_triples=12):
@@ -60,7 +61,7 @@ class TestLeviTransform:
     def test_extra_entities_stay_isolated(self):
         levi = triple_transform([(0, 0, 1)], extra_entities=[7, 1])
         assert [n.entity for n in levi.nodes[: levi.entity_node_count]] == [0, 1, 7]
-        assert neighborhood(levi, 2) == frozenset()
+        assert all(2 not in edge for edge in levi.edges)
 
     @given(triple_sets())
     @settings(max_examples=100, deadline=None)
@@ -87,14 +88,6 @@ class TestLeviTransform:
             expected[u, v] = expected[v, u] = True
         assert np.array_equal(mask, expected)
 
-    def test_neighborhood_matches_edge_scan(self):
-        levi = triple_transform([(0, 0, 1), (1, 1, 2)])
-        # entity nodes: 0,1,2 then relation nodes 3,4
-        assert neighborhood(levi, 1) == frozenset({3, 4})
-        assert neighborhood(levi, 3) == frozenset({0, 1})
-        with pytest.raises(IndexError):
-            neighborhood(levi, 99)
-
 
 class TestKnowledgeGraph:
     def test_rejects_out_of_range_ids(self):
@@ -111,7 +104,6 @@ class TestKnowledgeGraph:
         g = KnowledgeGraph(3, 2, [(0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 0, 2)])
         assert g.successors(0, 0) == {1, 2}
         assert g.successors(0, 1) == {1}
-        assert g.predecessors(2, 0) == {0, 1}
         assert g.successors(2, 0) == set()
 
     def test_csr_views_agree_with_indexes(self):
@@ -131,6 +123,29 @@ class TestKnowledgeGraph:
             expected = sorted((h, r) for h, r, t in g.triples if t == v)
             assert got == expected
 
+    @given(triple_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_lookups_match_list_reference(self, case):
+        # bit-exact: the same sets, and in-edges in the same per-entity order
+        n, r, triples = case
+        g = KnowledgeGraph(n, r, triples)
+        ref = ListGraph(n, triples)
+        indptr, heads, rels = g.csr_in()
+        for e in range(n):
+            got = list(zip(heads[indptr[e] : indptr[e + 1]].tolist(), rels[indptr[e] : indptr[e + 1]].tolist()))
+            assert got == ref.in_edges(e)
+            for rel in range(r):
+                assert g.successors(e, rel) == ref.successors(e, rel)
+                for t in range(n):
+                    assert g.has_triple(e, rel, t) == ref.has_triple(e, rel, t)
+
+    def test_triples_read_only(self):
+        g = KnowledgeGraph(3, 1, [(0, 0, 1), (1, 0, 2)])
+        assert g.triples == [(0, 0, 1), (1, 0, 2)]
+        assert len(g) == 2
+        with pytest.raises(ValueError):
+            g.hrt[0, 0] = 2
+
     def test_multigraph_multiplicity_kept_in_multi_csr(self):
         g = KnowledgeGraph(2, 2, [(0, 0, 1), (0, 1, 1)])
         indptr, nbrs = g.csr_undirected_multi()
@@ -148,6 +163,37 @@ class TestLoadSplit:
         assert len(loaded.valid) == len(split.train) + 20
         assert len(loaded.test) == len(split.train) + 40
         assert set(loaded.train.triples) <= set(loaded.valid.triples) <= set(loaded.test.triples)
+
+    def test_split_views_share_one_read_only_store(self):
+        split = toy_split(seed=6)
+        store = split.test.hrt
+        assert not store.flags.writeable
+        for graph in (split.train, split.valid):
+            assert np.shares_memory(graph.hrt, store)
+            assert not graph.hrt.flags.writeable
+            assert np.array_equal(graph.hrt, store[: len(graph)])
+        train, valid_inc, test_inc = split.increments()
+        assert (len(train), len(valid_inc), len(test_inc)) == (200, 20, 20)
+        assert train + valid_inc + test_inc == split.test.triples
+
+    def test_ingest_writes_same_increments_for_cumulative_and_disjoint(self, tmp_path):
+        train, valid_inc, test_inc = toy_split(seed=7).increments()
+        layouts = {
+            "disjoint": (train, valid_inc, test_inc),
+            # earlier splits' lines may come in any order and at any position
+            "cumulative": (train, valid_inc + train[::-1], test_inc[:5] + valid_inc + train + test_inc[5:]),
+        }
+        written = {}
+        for layout, files in layouts.items():
+            raw = tmp_path / layout / "raw"
+            raw.mkdir(parents=True)
+            for name, triples in zip(("train", "valid", "test"), files):
+                write_triples(raw / f"{name}.txt", triples)
+            out = tmp_path / layout / "out"
+            assert main(["--out", str(out), "ingest", "--data", str(raw)]) == 0
+            written[layout] = {p.name: p.read_bytes() for p in sorted((out / "dataset").glob("*.txt"))}
+        assert len(written["disjoint"]) == 5
+        assert written["cumulative"] == written["disjoint"]
 
     def test_cumulative_files_verified(self, tmp_path):
         write_triples(tmp_path / "train.txt", [(0, 0, 1)])
@@ -190,6 +236,39 @@ class TestLoadSplit:
         with pytest.raises(ParseError) as excinfo:
             load_split(tmp_path)
         assert excinfo.value.line == 2
+
+    def test_duplicate_line_reports_path_and_line(self, tmp_path):
+        (tmp_path / "train.txt").write_text("0\t0\t1\n1\t0\t2\n\n0\t0\t1\n")
+        (tmp_path / "valid.txt").write_text("")
+        (tmp_path / "test.txt").write_text("")
+        with pytest.raises(ParseError) as excinfo:
+            load_split(tmp_path)
+        assert excinfo.value.path == str(tmp_path / "train.txt")
+        assert excinfo.value.line == 4
+
+    def test_negative_id_reports_path_and_line(self, tmp_path):
+        (tmp_path / "train.txt").write_text("0\t0\t1\n")
+        (tmp_path / "valid.txt").write_text("1\t0\t2\n2\t0\t-1\n")
+        (tmp_path / "test.txt").write_text("")
+        with pytest.raises(ParseError) as excinfo:
+            load_split(tmp_path)
+        assert excinfo.value.path == str(tmp_path / "valid.txt")
+        assert excinfo.value.line == 2
+
+    def test_ingest_rejects_bad_ids_instead_of_reading_tokens(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "train.txt").write_text("0\t0\t1\n-1\t0\t1\n")
+        (raw / "valid.txt").write_text("")
+        (raw / "test.txt").write_text("")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        assert "train.txt:2:" in capsys.readouterr().err
+
+    def test_build_split_keeps_integrity_errors(self):
+        with pytest.raises(IntegrityError):
+            build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)
+        with pytest.raises(IntegrityError):
+            build_split({"train": [(0, 0, 1)], "valid": [(0, 0, 9)], "test": []}, 2, 1)
 
     def test_missing_file_raises(self, tmp_path):
         write_triples(tmp_path / "train.txt", [(0, 0, 1)])

@@ -13,12 +13,10 @@ from kgt.sampling import (
     _frontier_counts_kernel,
     _induced_positions_kernel,
     _meta_tree_kernel,
-    _rwr_kernel,
     corrupt_masks,
     induce_subgraph,
     layer_dependent_sample,
     meta_tree_sample,
-    rwr_sample,
     sample_meta_graph,
     sample_stage1_batch,
 )
@@ -82,30 +80,6 @@ class TestMetaTree:
         g = small_graph()
         with pytest.raises(ValueError):
             meta_tree_sample(g, 0, 0, np.random.default_rng(0))
-
-
-class TestRwr:
-    def test_full_restart_stays_in_ego_net(self):
-        g = small_graph(seed=4)
-        indptr, nbrs = g.csr_undirected()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            start = int(rng.integers(g.entity_count))
-            allowed = {start} | {int(v) for v in nbrs[indptr[start] : indptr[start + 1]]}
-            result = rwr_sample(g, start, 1.0, 12, rng)
-            assert set(result.nodes) <= allowed
-
-    def test_no_restart_collects_connected_nodes(self):
-        g = toy_split(seed=5).train
-        rng = np.random.default_rng(4)
-        result = rwr_sample(g, 0, 0.0, 16, rng)
-        assert len(result.nodes) == 16
-        assert len(set(result.nodes)) == 16
-
-    def test_rejects_bad_restart(self):
-        g = small_graph()
-        with pytest.raises(ValueError):
-            rwr_sample(g, 0, 1.5, 4, np.random.default_rng(0))
 
 
 class TestLayerDependent:
@@ -339,22 +313,6 @@ class TestMetaGraphs:
 class TestKernelBackends:
     """Compiled and pure-python kernels must agree bit for bit on shared draws."""
 
-    def test_rwr_kernel(self):
-        g = small_graph(seed=21)
-        indptr, nbrs = g.csr_undirected()
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            uniforms = rng.random(200)
-            a_visited = np.zeros(g.entity_count, dtype=np.uint8)
-            b_visited = np.zeros(g.entity_count, dtype=np.uint8)
-            a_nodes = np.zeros(10, dtype=np.int64)
-            b_nodes = np.zeros(10, dtype=np.int64)
-            ca = _rwr_kernel(indptr, nbrs, 0, 0.3, 10, uniforms, a_visited, a_nodes)
-            cb = python_impl(_rwr_kernel)(indptr, nbrs, 0, 0.3, 10, uniforms, b_visited, b_nodes)
-            assert ca == cb
-            assert np.array_equal(a_nodes, b_nodes)
-            assert np.array_equal(a_visited, b_visited)
-
     def test_meta_tree_kernel(self):
         g = small_graph(seed=22)
         indptr, nbrs = g.csr_undirected()
@@ -391,8 +349,8 @@ class TestKernelBackends:
         members = np.array(sorted({0, 2, 4, 6, 8}), dtype=np.int64)
         member_flag = np.zeros(g.entity_count, dtype=np.uint8)
         member_flag[members] = 1
-        a = np.zeros(len(g.triples), dtype=np.int64)
-        b = np.zeros(len(g.triples), dtype=np.int64)
+        a = np.zeros(len(g), dtype=np.int64)
+        b = np.zeros(len(g), dtype=np.int64)
         ca = _induced_positions_kernel(indptr, tails, members, member_flag, a)
         cb = python_impl(_induced_positions_kernel)(indptr, tails, members, member_flag, b)
         assert ca == cb
