@@ -111,6 +111,8 @@ def cmd_ingest(args) -> int:
     try:
         split = load_split(data_dir)
     except ParseError:
+        if (data_dir / "entities.txt").exists() or (data_dir / "relations.txt").exists():
+            raise  # a token the given vocabulary lacks
         # token-valued triples without vocabulary files: build one
         raw = {name: _read_raw_tokens(data_dir / f"{name}.txt") for name in SPLITS}
         entity_tokens = sorted({tok for rows in raw.values() for h, _, t in rows for tok in (h, t)})

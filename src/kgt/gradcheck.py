@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .model import Model, ModelConfig, encode_subgraphs, forward, init_parameters
+from .model import Model, ModelConfig, encode_subgraphs, forward, init_parameters, moe_ffn, parameter_shapes
 from .sampling import sample_stage1_batch
 from .tensor import Tape, Tensor
 
@@ -128,6 +128,15 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
             tolerance,
         )
     )
+    rows = np.array([3, 0, 4], dtype=np.int64)
+    results.append(
+        check_function(
+            "scatter_add_rows",
+            lambda p: _weighted(T.scatter_add_rows(p["base"], p["src"], rows), np.random.default_rng(14)),
+            {"base": _p(rng, 5, 4), "src": _p(rng, 3, 4)},
+            tolerance,
+        )
+    )
     results.append(
         check_function(
             "slice_last",
@@ -196,7 +205,29 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
             tolerance,
         )
     )
+    results.append(moe_check(tolerance))
     return results
+
+
+def moe_check(tolerance: float = 1e-4) -> CheckResult:
+    """Top-2-of-4 routed MoE block on a padded batch of graphs with 3 and 1 real nodes."""
+    rng = np.random.default_rng(15)
+    config = ModelConfig(
+        entity_count=2, relation_count=1, layers=1, hidden=4, heads=2, experts=4, top_k=2, expert_hidden=6
+    )
+    moe_params = {
+        name: _p(rng, *shape)
+        for name, shape in parameter_shapes(config).items()
+        if name.startswith(("layer0.ln2", "layer0.gate", "layer0.expert"))
+    }
+    real = np.array([0, 1, 2, 3], dtype=np.int64)
+
+    def f(p):
+        model = Model(config=config, params=p)
+        out = moe_ffn(model, 0, p["x"], training=True, rng=np.random.default_rng(16), rows=real)
+        return _weighted(out, np.random.default_rng(17))
+
+    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 2, 3, 4)}, tolerance)
 
 
 def model_check(tolerance: float = 1e-3) -> CheckResult:

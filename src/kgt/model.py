@@ -5,12 +5,13 @@ there are no positional encodings, the graph structure is the only geometry.
 Each layer is Pre-LN residual: ``x + Drop(Attn(LN(x)))`` then
 ``x + Drop(MoE(LN(x)))``. The MoE block routes every node through its top-2
 experts during training (softmax renormalized over the selected logits) and
-through the full softmax mixture of all experts at inference.
+through the full softmax mixture of all experts at inference; experts run on
+real nodes only, never on padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -167,7 +168,7 @@ class Batch:
     attn_mask: np.ndarray  # [B, 1, N, N] bool
     positions: np.ndarray  # [P] int64 flat prediction slots
     targets: np.ndarray  # [P] int64 true entity ids at those slots
-    sizes: list[int] = field(default_factory=list)
+    sizes: list[int]  # real nodes per graph; the rest of each row is padding
     answer_sets: list[np.ndarray] | None = None
 
     @property
@@ -312,7 +313,7 @@ def moe_ffn(
     x: Tensor,
     training: bool,
     rng: np.random.Generator | None,
-    probes: list | None = None,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """Mixture-of-experts feed-forward block.
 
@@ -320,6 +321,10 @@ def moe_ffn(
     toward the lower expert index) with the softmax renormalized over the
     selected logits; inference mixes all experts under the full softmax. With
     two experts the two paths coincide exactly.
+
+    ``rows`` are the flat indexes of the real nodes in the [B * N] grid (all
+    of them when None). Each expert runs only on the real nodes routed to it,
+    so the block adds exactly 0 at padding slots.
     """
     cfg = model.config
     p = model.params
@@ -328,7 +333,10 @@ def moe_ffn(
     h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
     flat = T.reshape(h, (b * n, d))
     gate_logits = T.matmul(flat, p[prefix + "gate"])
+    if rows is None:
+        rows = np.arange(b * n)
 
+    selected = None
     if training and cfg.top_k < cfg.experts:
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
@@ -337,16 +345,23 @@ def moe_ffn(
     else:
         weights = T.softmax(gate_logits)
 
-    combined: Tensor | None = None
+    # Experts run in index order and each adds into the rows it serves, so a
+    # node sums exactly the terms of a dense mix whose unselected terms are 0.
+    # An expert with no rows still runs, on an empty batch, so that each of
+    # its parameters gets a zero gradient and AdamW keeps decaying it.
+    combined = Tensor(np.zeros((b * n, d), dtype=flat.dtype))
     for j in range(cfg.experts):
         eprefix = f"{prefix}expert{j}."
-        pre = T.add(T.matmul(flat, p[eprefix + "w1"]), p[eprefix + "b1"])
-        if probes is not None:
-            probes.append(pre.data)
-        act = T.gelu(pre)
-        out_j = T.add(T.matmul(act, p[eprefix + "w2"]), p[eprefix + "b2"])
-        term = T.mul(out_j, T.slice_last(weights, j, j + 1))
-        combined = term if combined is None else T.add(combined, term)
+        rows_j = rows if selected is None else rows[selected[rows, j]]
+        # numpy sends a one-row product to BLAS gemv, which rounds differently
+        # from gemm; a doubled row keeps every product on gemm
+        take = np.repeat(rows_j, 2) if rows_j.size == 1 else rows_j
+        pre = T.add(T.matmul(T.gather_rows(flat, take), p[eprefix + "w1"]), p[eprefix + "b1"])
+        out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
+        if take is not rows_j:
+            out_j = T.gather_rows(out_j, np.zeros(1, dtype=np.int64))
+        term = T.mul(out_j, T.gather_rows(T.slice_last(weights, j, j + 1), rows_j))
+        combined = T.scatter_add_rows(combined, term, rows_j)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
 
@@ -363,7 +378,6 @@ def forward(
     batch: Batch,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    probes: list[list] | None = None,
 ) -> Tensor:
     """Run the transformer and score entities at the batch's prediction slots.
 
@@ -382,29 +396,13 @@ def forward(
     x = T.add(x, T.gather_rows(p["node_type"], flat_is_entity.astype(np.int64)))
     x = T.reshape(x, (b, n, cfg.hidden))
 
+    # padding slots attend only to themselves and are never scored
+    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
     for layer in range(cfg.layers):
         x = attention_layer(model, layer, x, batch.attn_mask, training, rng)
-        layer_probes = None
-        if probes is not None:
-            layer_probes = []
-            probes.append(layer_probes)
-        x = moe_ffn(model, layer, x, training, rng, probes=layer_probes)
+        x = moe_ffn(model, layer, x, training, rng, real_rows)
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
     states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions)
     return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
 
-
-def activation_sparsity(model: Model, batch: Batch) -> list[float]:
-    """Per-layer fraction of non-positive expert hidden pre-activations.
-
-    Diagnostic for how specialized the expert inputs are; computed in eval
-    mode over all experts and nodes.
-    """
-    probes: list[list] = []
-    forward(model, batch, training=False, probes=probes)
-    fractions = []
-    for layer_probes in probes:
-        stacked = np.concatenate([a.reshape(-1) for a in layer_probes])
-        fractions.append(float((stacked <= 0.0).mean()))
-    return fractions

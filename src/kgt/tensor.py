@@ -193,6 +193,23 @@ def gather_rows(a: Tensor, indexes: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
+def scatter_add_rows(base: Tensor, src: Tensor, indexes: np.ndarray) -> Tensor:
+    """``base`` with row i of ``src`` added to row ``indexes[i]``; the inverse of gather_rows.
+
+    ``indexes`` must not repeat, so the backward is a plain gather.
+    """
+    idx = np.asarray(indexes, dtype=np.int64)
+    data = base.data.copy()
+    data[idx] += src.data
+    out = Tensor(data, requires_grad=base.requires_grad or src.requires_grad)
+
+    def backward(g):
+        _accumulate(base, g)
+        _accumulate(src, g[idx])
+
+    return _record(out, backward)
+
+
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[..., start:stop], requires_grad=a.requires_grad)
 

@@ -105,3 +105,35 @@ class ListGraph:
 
     def in_edges(self, node: int) -> list[tuple[int, int]]:
         return [self.triples[i][:2] for i in self.in_index[node]]
+
+
+def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
+    """Test oracle: the former dense expert loop, every expert on every slot, padding included.
+
+    Unselected experts enter the mix with a routing weight of exactly 0.
+    """
+    from kgt import tensor as T
+
+    cfg = model.config
+    p = model.params
+    prefix = f"layer{layer}."
+    b, n, d = x.shape
+    h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
+    flat = T.reshape(h, (b * n, d))
+    gate_logits = T.matmul(flat, p[prefix + "gate"])
+    if training and cfg.top_k < cfg.experts:
+        order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
+        selected = np.zeros_like(gate_logits.data, dtype=bool)
+        np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
+        weights = T.masked_softmax(gate_logits, selected)
+    else:
+        weights = T.softmax(gate_logits)
+    combined = None
+    for j in range(cfg.experts):
+        eprefix = f"{prefix}expert{j}."
+        pre = T.add(T.matmul(flat, p[eprefix + "w1"]), p[eprefix + "b1"])
+        out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
+        term = T.mul(out_j, T.slice_last(weights, j, j + 1))
+        combined = term if combined is None else T.add(combined, term)
+    out = T.reshape(combined, (b, n, d))
+    return T.add(x, T.dropout(out, cfg.dropout, rng, training))

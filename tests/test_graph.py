@@ -264,6 +264,18 @@ class TestLoadSplit:
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
         assert "train.txt:2:" in capsys.readouterr().err
 
+    def test_ingest_keeps_existing_vocabulary(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "entities.txt").write_text("alice\nbob\n")
+        (raw / "train.txt").write_text("alice\tknows\tmallory\n")
+        (raw / "valid.txt").write_text("")
+        (raw / "test.txt").write_text("")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) != 0
+        assert "train.txt:1:" in capsys.readouterr().err
+        for vocab in (raw / "entities.txt", tmp_path / "out" / "dataset" / "entities.txt"):
+            assert not vocab.exists() or "mallory" not in vocab.read_text()
+
     def test_build_split_keeps_integrity_errors(self):
         with pytest.raises(IntegrityError):
             build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)

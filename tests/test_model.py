@@ -9,7 +9,6 @@ from kgt.model import (
     Batch,
     Model,
     ModelConfig,
-    activation_sparsity,
     decoder_matrix,
     encode_queries,
     encode_subgraphs,
@@ -26,9 +25,11 @@ from kgt.sampling import (
     SampledSubgraph,
     sample_stage1_batch,
 )
+from kgt import tensor as T
+from kgt.optim import AdamW, AdamWConfig
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from helpers import toy_split
+from helpers import dense_moe_ffn, toy_split
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -196,6 +197,108 @@ class TestMoe:
         assert not np.allclose(train_out, eval_out, atol=1e-7)
 
 
+def padded_rows(sizes, width) -> np.ndarray:
+    """Flat indexes of the real slots of a [len(sizes), width] grid."""
+    return np.flatnonzero(np.arange(width) < np.asarray(sizes)[:, None])
+
+
+def moe_grads(moe, model: Model, x: np.ndarray, real: np.ndarray, weights: np.ndarray, **kw) -> dict:
+    """Gradients of a fixed weighted sum of the block's output at the real rows."""
+    model = model.clone()
+    xt = Tensor(x.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = moe(model, 0, xt, True, np.random.default_rng(5), **kw)
+        picked = T.gather_rows(T.reshape(out, (-1, x.shape[-1])), real)
+        loss = sum_all(T.mul(picked, Tensor(weights)))
+    tape.backward(loss)
+    grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+    grads["x"] = xt.grad
+    return grads
+
+
+class TestSparseDispatch:
+    """The routed expert loop against the dense every-expert-on-every-slot loop."""
+
+    # graphs of 7, 1, 12 and 3 real nodes padded to 12, and a lone one-node graph
+    CASES = (((7, 1, 12, 3), 12), ((1,), 3))
+
+    def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
+        # width 64: a one-row product there rounds differently under BLAS gemv
+        cfg = tiny_config(hidden=64, dropout=0.1)
+        for tied in (False, True):
+            model = Model.init(cfg, seed=11)
+            if tied:
+                model.params["layer0.gate"].data[:] = 0.0  # every node picks experts 0 and 1
+            for sizes, width in self.CASES:
+                real = padded_rows(sizes, width)
+                pad = np.setdiff1d(np.arange(len(sizes) * width), real)
+                x = np.random.default_rng(12).normal(size=(len(sizes), width, cfg.hidden)).astype(np.float32)
+                for training in (True, False):
+                    got = moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13), real).data
+                    want = dense_moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13)).data
+                    got, want = got.reshape(-1, cfg.hidden), want.reshape(-1, cfg.hidden)
+                    assert np.array_equal(got[real], want[real]), (tied, sizes, training)
+                    # the block adds exactly 0 at padding, dropout or not
+                    assert np.array_equal(got[pad], x.reshape(-1, cfg.hidden)[pad])
+
+    def test_gradients_match_dense_loop_within_float32_bound(self):
+        # weight gradients sum over fewer rows in another order: bound each
+        # array by 1e-5 of its largest magnitude (about 84 float32 ulps)
+        cfg = tiny_config(hidden=64, dropout=0.1)
+        sizes = np.random.default_rng(14).integers(1, 31, size=16)
+        real = padded_rows(sizes, 30)
+        x = np.random.default_rng(15).normal(size=(16, 30, cfg.hidden)).astype(np.float32)
+        weights = np.random.default_rng(16).normal(size=(real.size, cfg.hidden)).astype(np.float32)
+        for tied in (False, True):
+            model = Model.init(cfg, seed=17)
+            if tied:
+                model.params["layer0.gate"].data[:] = 0.0
+            got = moe_grads(moe_ffn, model, x, real, weights, rows=real)
+            want = moe_grads(dense_moe_ffn, model, x, real, weights)
+            assert got.keys() == want.keys()
+            for name in want:
+                bound = 1e-5 * np.abs(want[name]).max()
+                assert np.abs(got[name] - want[name]).max() <= bound, (tied, name)
+
+    def test_padding_slots_run_no_expert(self, monkeypatch):
+        cfg = tiny_config()
+        model = Model.init(cfg, seed=20)
+        queries = [build_query(QueryType.P1, (1,), (0,)), build_query(QueryType.P3, (2,), (0, 1, 2))]
+        batch = encode_queries(queries, cfg)
+        assert batch.sizes == [3, 7] and batch.entity_ids.shape[1] == 7
+        real = {0, 1, 2, 7, 8, 9, 10, 11, 12, 13}
+        gelu_rows, routed = [], []
+        gelu, scatter = T.gelu, T.scatter_add_rows
+        monkeypatch.setattr(T, "gelu", lambda a: gelu_rows.append(a.shape[0]) or gelu(a))
+        monkeypatch.setattr(T, "scatter_add_rows", lambda b, s, i: routed.append(i) or scatter(b, s, i))
+        forward(model, batch)
+        assert gelu_rows == [len(real)] * cfg.experts * cfg.layers  # every expert, real nodes only
+        routed.clear()
+        forward(model, batch, training=True, rng=np.random.default_rng(0))
+        for layer in range(cfg.layers):
+            per_expert = routed[layer * cfg.experts : (layer + 1) * cfg.experts]
+            assert sorted(np.concatenate(per_expert).tolist()) == sorted(list(real) * cfg.top_k)
+
+    def test_unrouted_expert_still_gets_zero_gradient(self):
+        cfg = tiny_config(dropout=0.1)
+        model = Model.init(cfg, seed=18)
+        for layer in range(cfg.layers):
+            model.params[f"layer{layer}.gate"].data[:] = 0.0  # ties: experts 2 and 3 get no node
+        batch = encode_queries([build_query(QueryType.P2, (1,), (0, 1)), build_query(QueryType.P1, (3,), (2,))], cfg)
+        with Tape() as tape:
+            loss = sum_all(cross_entropy(forward(model, batch, True, np.random.default_rng(19)), np.array([4, 5])))
+        tape.backward(loss)
+        for layer in range(cfg.layers):
+            for name in ("w1", "b1", "w2", "b2"):
+                t = model.params[f"layer{layer}.expert3.{name}"]
+                assert t.grad is not None and t.grad.shape == t.data.shape
+                assert not t.grad.any()
+        # so AdamW still applies weight decay to the idle expert
+        before = model.params["layer0.expert3.w1"].data.copy()
+        AdamW(model.params, AdamWConfig(lr=0.1, weight_decay=0.5)).step()
+        np.testing.assert_allclose(model.params["layer0.expert3.w1"].data, before * (1 - 0.1 * 0.5), rtol=1e-6)
+
+
 class TestEncoding:
     def make_sub(self, corruption_kind) -> SampledSubgraph:
         from kgt.graph import triple_transform
@@ -343,14 +446,6 @@ class TestForward:
         # gradient reaches entity rows that never appeared as inputs
         assert model.params["entity_in"].grad is not None
         assert np.abs(model.params["entity_in"].grad[12]).max() > 0.0
-
-    def test_activation_sparsity_shape(self):
-        cfg = tiny_config()
-        model = Model.init(cfg, seed=5)
-        batch = self.query_batch(cfg, [build_query(QueryType.P2, (1,), (0, 1))])
-        fractions = activation_sparsity(model, batch)
-        assert len(fractions) == cfg.layers
-        assert all(0.0 <= f <= 1.0 for f in fractions)
 
 
 class TestCheckpoint:
