@@ -465,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         args.resolved_config = load_config(args.config, overrides)
         args.resolved_threads = _resolve_threads(args.threads, args.resolved_config)
         return args.func(args)
-    except (KgtError, FileNotFoundError, ValueError) as exc:
+    except (KgtError, FileNotFoundError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -205,6 +205,32 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
             tolerance,
         )
     )
+    results.append(
+        check_function(
+            "gelu_wide",
+            lambda p: _weighted(T.gelu(p["a"]), np.random.default_rng(18)),
+            {"a": Tensor(rng.uniform(-6.0, 6.0, size=(4, 6)), requires_grad=True, dtype=np.float64)},
+            tolerance,
+        )
+    )
+    # one row where every class is an answer, one with a single non-answer
+    edge_sets = [np.arange(5), np.array([0, 1, 3, 4])]
+    results.append(
+        check_function(
+            "answer_masked_cross_entropy_all_answers",
+            lambda p: _weighted(T.answer_masked_cross_entropy(p["z"], edge_sets), np.random.default_rng(19)),
+            {"z": _p(rng, 2, 5)},
+            tolerance,
+        )
+    )
+    results.append(
+        check_function(
+            "cross_entropy_hard",
+            lambda p: _weighted(T.cross_entropy(p["z"], targets, alpha=0.0), np.random.default_rng(20)),
+            {"z": _p(rng, 3, 4)},
+            tolerance,
+        )
+    )
     results.append(moe_check(tolerance))
     return results
 

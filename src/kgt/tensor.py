@@ -100,8 +100,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a private C-ordered copy: g may be a view of another tensor's grad or
+        # a transposed view, and AdamW runs twice as slow on F-ordered arrays
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,6 +154,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
+        if b.data.ndim == 2:
+            # a 2-D weight: fold any batch axes of a into the rows, so each
+            # gradient is one GEMM rather than a stack of small products
+            k, n = b.data.shape
+            g2 = g.reshape(-1, n)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            return
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
@@ -186,9 +197,9 @@ def gather_rows(a: Tensor, indexes: np.ndarray) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accumulate(a, ga)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
 
     return _record(out, backward)
 
@@ -248,13 +259,13 @@ _GELU_COEFF = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = a.data
-    inner = _GELU_COEFF * (x + 0.044715 * x**3)
-    th = np.tanh(inner)
+    x2 = x * x  # not x**3: numpy sends float32 powers to powf, 200x slower
+    th = np.tanh(_GELU_COEFF * (x + 0.044715 * (x2 * x)))
     out = Tensor(0.5 * x * (1.0 + th), requires_grad=a.requires_grad)
 
     def backward(g):
         sech2 = 1.0 - th * th
-        d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x * x)
+        d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x2)
         _accumulate(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner))
 
     return _record(out, backward)
@@ -327,13 +338,18 @@ def softmax(a: Tensor) -> Tensor:
     return masked_softmax(a, np.ones(a.data.shape[-1], dtype=bool))
 
 
-def smoothed_labels(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:
-    """Mix one-hot targets with the uniform distribution: (1-a)*onehot + a/K."""
+def _check_targets(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {alpha}")
     idx = np.asarray(targets, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= classes):
         raise ValueError("target id out of range")
+    return idx
+
+
+def smoothed_labels(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:
+    """Mix one-hot targets with the uniform distribution: (1-a)*onehot + a/K."""
+    idx = _check_targets(targets, classes, alpha)
     y = np.full((idx.size, classes), alpha / classes, dtype=np.float64)
     y[np.arange(idx.size), idx] += 1.0 - alpha
     return y
@@ -342,25 +358,36 @@ def smoothed_labels(targets: np.ndarray, classes: int, alpha: float) -> np.ndarr
 def cross_entropy(logits: Tensor, targets: np.ndarray, alpha: float = 0.0) -> Tensor:
     """Per-row cross entropy against label-smoothed targets.
 
-    ``logits`` is [P, C]; returns a [P] tensor of losses. With alpha 0 the
-    smoothed target is exactly one-hot, so the loss and gradient are bitwise
-    identical to hard cross entropy.
+    ``logits`` is [P, C]; returns a [P] tensor of losses
+    ``-((1-alpha) * logp[target] + (alpha/C) * sum(logp))``, the cross entropy
+    against :func:`smoothed_labels` without building that [P, C] matrix. With
+    alpha 0 the loss and gradient are bitwise identical to hard cross entropy.
     """
     z = logits.data
     if z.ndim != 2:
         raise ValueError(f"cross_entropy expects [P, C] logits, got shape {z.shape}")
-    y = smoothed_labels(targets, z.shape[1], alpha).astype(z.dtype)
+    classes = z.shape[1]
+    idx = _check_targets(targets, classes, alpha)
+    if idx.size != z.shape[0]:
+        raise ValueError("one target per logit row required")
+    rows = np.arange(idx.size)
     zmax = z.max(axis=-1, keepdims=True)
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
     logp = z - lse
-    loss = -(y * logp).sum(axis=-1)
+    if alpha:
+        loss = -((1.0 - alpha) * logp[rows, idx] + (alpha / classes) * logp.sum(axis=-1))
+    else:
+        loss = -logp[rows, idx]
     if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite cross-entropy loss")
     out = Tensor(loss, requires_grad=logits.requires_grad)
 
     def backward(g):
-        p = np.exp(logp)
-        _accumulate(logits, (p - y) * g[:, None])
+        gz = np.exp(logp)
+        gz -= alpha / classes
+        gz[rows, idx] -= 1.0 - alpha
+        gz *= g[:, None]
+        _accumulate(logits, gz)
 
     return _record(out, backward)
 
@@ -376,50 +403,51 @@ def answer_masked_cross_entropy(logits: Tensor, answer_sets: Sequence[np.ndarray
     z = logits.data
     if z.ndim != 2:
         raise ValueError(f"answer_masked_cross_entropy expects [Q, V] logits, got {z.shape}")
-    n_classes = z.shape[1]
-    sets = []
-    for i, answers in enumerate(answer_sets):
-        a = np.asarray(answers, dtype=np.int64).reshape(-1)
-        if a.size == 0:
-            raise ValueError(f"query {i} has an empty answer set")
-        if a.size != np.unique(a).size:
-            raise ValueError(f"query {i} has duplicate answers")
-        if a.min() < 0 or a.max() >= n_classes:
-            raise ValueError(f"query {i} has an answer id out of range")
-        sets.append(a)
-    if len(sets) != z.shape[0]:
+    n_rows, n_classes = z.shape
+    sets = [np.asarray(answers, dtype=np.int64).reshape(-1) for answers in answer_sets]
+    if len(sets) != n_rows:
         raise ValueError("one answer set per logit row required")
+    sizes = np.array([a.size for a in sets], dtype=np.int64)
+    if n_rows and sizes.min() == 0:
+        raise ValueError(f"query {int(sizes.argmin())} has an empty answer set")
+    # the answers flattened row by row: answer j of the whole batch is logit
+    # [rows[j], cols[j]], and row i's answers start at offsets[i]
+    rows = np.repeat(np.arange(n_rows), sizes)
+    cols = np.concatenate(sets) if sets else np.zeros(0, dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    bad = (cols < 0) | (cols >= n_classes)
+    if bad.any():
+        raise ValueError(f"query {int(rows[bad.argmax()])} has an answer id out of range")
+    keys = np.sort(rows * n_classes + cols)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        raise ValueError(f"query {int(repeated[0] // n_classes)} has duplicate answers")
 
-    losses = np.zeros(z.shape[0], dtype=z.dtype)
-    denoms = []
-    for i, answers in enumerate(sets):
-        row = z[i]
-        neg_mask = np.ones(n_classes, dtype=bool)
-        neg_mask[answers] = False
-        negs = row[neg_mask]
-        if negs.size:
-            nmax = negs.max()
-            lse_neg = nmax + np.log(np.exp(negs - nmax).sum())
-        else:
-            lse_neg = -np.inf
-        denom = np.logaddexp(row[answers], lse_neg)
-        losses[i] = (denom - row[answers]).mean()
-        denoms.append((neg_mask, denom))
+    # non-answer log-sum-exp per row; -inf for a row whose every class is an answer
+    negs = z.copy()
+    negs[rows, cols] = -np.inf
+    nmax = negs.max(axis=1, keepdims=True)
+    shift = np.where(np.isneginf(nmax), 0.0, nmax).astype(z.dtype)
+    with np.errstate(divide="ignore"):
+        lse_neg = (shift + np.log(np.exp(negs - shift).sum(axis=1, keepdims=True)))[:, 0]
+    z_ans = z[rows, cols]
+    denom = np.logaddexp(z_ans, lse_neg[rows])
+    k = sizes.astype(z.dtype)
+    losses = np.add.reduceat(denom - z_ans, offsets) / k
     if not np.isfinite(losses).all():
         raise FloatingPointError("non-finite fine-tune loss")
     out = Tensor(losses, requires_grad=logits.requires_grad)
 
     def backward(g):
-        gz = np.zeros_like(z)
-        for i, answers in enumerate(sets):
-            neg_mask, denom = denoms[i]
-            k = answers.size
-            # [A, V] responsibilities under each answer's restricted softmax
-            p = np.exp(z[i][None, :] - denom[:, None])
-            p[:, ~neg_mask] = 0.0
-            gz[i] += p.sum(axis=0) * (g[i] / k)
-            p_self = np.exp(z[i][answers] - denom)
-            gz[i, answers] += (p_self - 1.0) * (g[i] / k)
+        # non-answer e: sum over a of exp(z_e - denom_a) * g/k, taken around
+        # c = min(denom) so that no exponent is positive (z_e <= lse_neg <= c)
+        scale = g / k
+        c = np.minimum.reduceat(denom, offsets)
+        spread = np.add.reduceat(np.exp(c[rows] - denom), offsets)
+        gz = np.exp(negs - c[:, None])
+        gz *= (spread * scale)[:, None]
+        # answer a: only its own term holds it, with weight p_self - 1
+        gz[rows, cols] = (np.exp(z_ans - denom) - 1.0) * scale[rows]
         _accumulate(logits, gz)
 
     return _record(out, backward)

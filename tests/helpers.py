@@ -137,3 +137,61 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
         combined = term if combined is None else T.add(combined, term)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+
+
+def dense_cross_entropy(logits, targets: np.ndarray, alpha: float = 0.0) -> "Tensor":
+    """Test oracle: the former cross entropy against the dense [P, C] smoothed-label matrix."""
+    from kgt.tensor import Tensor, _accumulate, _record, smoothed_labels
+
+    z = logits.data
+    y = smoothed_labels(targets, z.shape[1], alpha).astype(z.dtype)
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
+    logp = z - lse
+    out = Tensor(-(y * logp).sum(axis=-1), requires_grad=logits.requires_grad)
+
+    def backward(g):
+        p = np.exp(logp)
+        _accumulate(logits, (p - y) * g[:, None])
+
+    return _record(out, backward)
+
+
+def loop_answer_masked_cross_entropy(logits, answer_sets) -> "Tensor":
+    """Test oracle: the former per-row loop, with an [A, V] responsibility matrix per row."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    z = logits.data
+    n_classes = z.shape[1]
+    sets = [np.asarray(a, dtype=np.int64).reshape(-1) for a in answer_sets]
+    losses = np.zeros(z.shape[0], dtype=z.dtype)
+    denoms = []
+    for i, answers in enumerate(sets):
+        row = z[i]
+        neg_mask = np.ones(n_classes, dtype=bool)
+        neg_mask[answers] = False
+        negs = row[neg_mask]
+        if negs.size:
+            nmax = negs.max()
+            lse_neg = nmax + np.log(np.exp(negs - nmax).sum())
+        else:
+            lse_neg = -np.inf
+        denom = np.logaddexp(row[answers], lse_neg)
+        losses[i] = (denom - row[answers]).mean()
+        denoms.append((neg_mask, denom))
+    out = Tensor(losses, requires_grad=logits.requires_grad)
+
+    def backward(g):
+        gz = np.zeros_like(z)
+        for i, answers in enumerate(sets):
+            neg_mask, denom = denoms[i]
+            k = answers.size
+            with np.errstate(over="ignore"):  # overflowing answer columns are zeroed next
+                p = np.exp(z[i][None, :] - denom[:, None])
+            p[:, ~neg_mask] = 0.0
+            gz[i] += p.sum(axis=0) * (g[i] / k)
+            p_self = np.exp(z[i][answers] - denom)
+            gz[i, answers] += (p_self - 1.0) * (g[i] / k)
+        _accumulate(logits, gz)
+
+    return _record(out, backward)

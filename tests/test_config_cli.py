@@ -351,6 +351,23 @@ class TestCliErrors:
         assert rc == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    def test_non_finite_gradient_is_reported(self, pipeline, tmp_path, capsys, monkeypatch):
+        import kgt.train
+
+        clip = kgt.train.clip_global_norm
+
+        def poisoned_clip(params, max_norm):
+            next(iter(params.values())).grad[...] = np.inf
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(kgt.train, "clip_global_norm", poisoned_clip)
+        out = tmp_path / "inf_out"
+        shutil.copytree(pipeline["out"] / "dataset", out / "dataset")
+        rc = main(["--config", str(pipeline["config"]), "--out", str(out), "pretrain", "--stage", "1"])
+        assert rc == 1
+        assert "error: non-finite gradient norm" in capsys.readouterr().err
+        assert not list(out.rglob("*.kgtc"))
+
     def test_missing_queries(self, pipeline, tmp_path, capsys):
         out = tmp_path / "no_queries"
         rc = main(["--config", str(pipeline["config"]), "--out", str(out), "evaluate", "--split", "valid"])

@@ -23,6 +23,21 @@ def reference_adamw(theta, grads, cfg: AdamWConfig, epochs):
     return theta
 
 
+def former_adamw_step(p, g, m, v, cfg: AdamWConfig, step: int, epoch: int) -> None:
+    """The former out-of-place update expression, applied in place to numpy arrays."""
+    lr_t = cfg.lr_at(epoch)
+    bias1 = 1.0 - cfg.beta1**step
+    bias2 = 1.0 - cfg.beta2**step
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+    if cfg.weight_decay:
+        update = update + cfg.weight_decay * p
+    p -= (lr_t * update).astype(p.dtype)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = AdamWConfig()
@@ -63,6 +78,26 @@ class TestAdamW:
             opt.step(epoch)
         want = reference_adamw(0.7, grads, cfg, epochs)
         assert np.allclose(p.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_exact_against_former_expression(self, dtype):
+        # bit-exact: the in-place update keeps every operation and its order
+        cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
+        rng = np.random.default_rng(4)
+        shapes = {"w": (6, 5), "b": (5,)}
+        params = {name: Tensor(rng.normal(size=shape).astype(dtype)) for name, shape in shapes.items()}
+        want = {name: t.data.copy() for name, t in params.items()}
+        moments = {name: (np.zeros(shape, dtype), np.zeros(shape, dtype)) for name, shape in shapes.items()}
+        opt = AdamW(params, cfg)
+        for step, epoch in enumerate([0, 0, 0, 1, 1], start=1):
+            for name, t in params.items():
+                g = rng.normal(scale=3.0, size=t.data.shape).astype(dtype)
+                t.grad = g.copy()
+                former_adamw_step(want[name], g, *moments[name], cfg, step, epoch)
+            opt.step(epoch)
+            for name, t in params.items():
+                assert t.data.dtype == dtype
+                assert t.data.tobytes() == want[name].tobytes()
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes the very first unit-gradient step ~ lr
@@ -156,6 +191,23 @@ class TestClip:
         norm = clip_global_norm({"a": a, "b": b}, 5.0)
         assert norm == pytest.approx(10.0)
         assert b.grad is None
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_norm_raises_before_touching_anything(self, bad):
+        # an infinite gradient used to be scaled to NaN, and a NaN norm
+        # skipped clipping; either way AdamW then wrote NaN into the weights
+        a = Tensor(np.ones(2))
+        b = Tensor(np.ones(3))
+        a.grad = np.array([30.0, 40.0])
+        b.grad = np.array([1.0, bad, 2.0])
+        opt = AdamW({"a": a, "b": b}, AdamWConfig(lr=0.1))
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            clip_global_norm({"a": a, "b": b}, 1.0)
+            opt.step(0)
+        assert np.array_equal(a.grad, [30.0, 40.0])
+        assert np.array_equal(b.grad, [1.0, bad, 2.0], equal_nan=True)
+        assert np.array_equal(a.data, np.ones(2))
+        assert np.array_equal(b.data, np.ones(3))
 
     def test_bad_max_norm(self):
         p = Tensor(np.zeros(1))

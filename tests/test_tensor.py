@@ -3,18 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_cross_entropy, loop_answer_masked_cross_entropy
 from kgt.tensor import (
     Tape,
     Tensor,
+    _unbroadcast,
     answer_masked_cross_entropy,
     cross_entropy,
     dropout,
     gather_rows,
+    gelu,
     masked_softmax,
+    matmul,
+    mul,
+    reshape,
     smoothed_labels,
     softmax,
     sum_all,
+    transpose,
 )
+
+
+def run_op(op, x: np.ndarray, upstream: np.ndarray, *args):
+    """Forward ``op`` on a leaf holding x, backpropagate ``upstream``; return (output, grad)."""
+    t = Tensor(x.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = op(t, *args)
+        loss = sum_all(mul(out, Tensor(upstream.astype(x.dtype))))
+    tape.backward(loss)
+    return out.data, t.grad
+
+
+def scaled_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference over the reference's largest magnitude (at least 1e-30)."""
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
 
 
 class TestTensorBasics:
@@ -69,12 +91,74 @@ class TestTensorBasics:
         assert b.grad.shape == (4,)
         assert np.allclose(b.grad, 3.0)
 
+    def test_grad_does_not_alias_upstream(self):
+        # reshape hands a view of the upstream gradient down; the leaf must
+        # keep its own copy
+        a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            out = reshape(a, (4, 3))
+        tape.backward(out)
+        before = a.grad.copy()
+        out.grad += 5.0
+        assert np.array_equal(a.grad, before)
+
+    def test_grad_is_c_ordered(self):
+        # transpose hands down an F-ordered view; AdamW wants C order
+        a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            out = sum_all(mul(transpose(a, (1, 0)), Tensor(np.ones((4, 3)))))
+        tape.backward(out)
+        assert a.grad.flags.c_contiguous
+
     def test_gather_rows_repeats_sum(self):
         a = Tensor(np.eye(3), requires_grad=True)
         with Tape() as tape:
             out = sum_all(gather_rows(a, np.array([0, 0, 2])))
         tape.backward(out)
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+
+
+class TestGelu:
+    def test_float32_matches_float64_formula(self):
+        # tolerance-bounded: float32 against the tanh formula and its
+        # derivative written out in float64, errors over max(1, |reference|);
+        # forward 4 float32 ulps, backward 64 ulps (1 - tanh^2 cancels for
+        # |x| past 3; measured 1.5e-7 and 3.1e-6 at |x| <= 8)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-8.0, 8.0, size=(200, 300)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        out, grad = run_op(gelu, x, g)
+        x64 = x.astype(np.float64)
+        c = np.sqrt(2.0 / np.pi)
+        th = np.tanh(c * (x64 + 0.044715 * x64**3))
+        want_out = 0.5 * x64 * (1.0 + th)
+        want_grad = g * (0.5 * (1.0 + th) + 0.5 * x64 * (1.0 - th**2) * c * (1.0 + 3 * 0.044715 * x64**2))
+        eps = np.finfo(np.float32).eps
+        assert out.dtype == grad.dtype == np.float32
+        assert (np.abs(out - want_out) / np.maximum(1.0, np.abs(want_out))).max() <= 4 * eps
+        assert (np.abs(grad - want_grad) / np.maximum(1.0, np.abs(want_grad))).max() <= 64 * eps
+
+
+class TestMatmulWeightGradient:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_stacked_product(self, dtype):
+        # oracle: the former per-batch products summed by _unbroadcast. The
+        # weight gradient sums in another order (tolerance-bounded: 16 ulps of
+        # the largest entry); the input gradient is bit-exact
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 7, 16)).astype(dtype)
+        w = rng.normal(size=(16, 9)).astype(dtype)
+        g = rng.normal(size=(5, 7, 9)).astype(dtype)
+        ta = Tensor(a, requires_grad=True)
+        tw = Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(matmul(ta, tw), Tensor(g)))
+        tape.backward(loss)
+        want_w = _unbroadcast(np.swapaxes(a, -1, -2) @ g, w.shape)
+        want_a = _unbroadcast(g @ np.swapaxes(w, -1, -2), a.shape)
+        assert tw.grad.shape == w.shape and tw.grad.dtype == dtype
+        assert scaled_error(tw.grad, want_w) <= 16 * np.finfo(dtype).eps
+        assert np.array_equal(ta.grad, want_a)
 
 
 class TestMaskedSoftmax:
@@ -226,6 +310,34 @@ class TestCrossEntropy:
         assert np.allclose(z.grad, p - y, atol=1e-12)
 
 
+class TestCrossEntropyOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_dense_labels(self, dtype):
+        # oracle: the former dense [P, C] smoothed-label version. Bit-exact at
+        # alpha 0; otherwise tolerance-bounded, 64 ulps of the largest value
+        eps = np.finfo(dtype).eps
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            classes = int(rng.integers(2, 60))
+            z = rng.normal(scale=3.0, size=(7, classes)).astype(dtype)
+            z[0, :2] = [80.0, -80.0]
+            targets = rng.integers(classes, size=7)
+            g = rng.normal(size=7)
+            for alpha in (0.0, 0.1, 0.3):
+                loss, grad = run_op(cross_entropy, z, g, targets, alpha)
+                want_loss, want_grad = run_op(dense_cross_entropy, z, g, targets, alpha)
+                assert loss.dtype == grad.dtype == dtype
+                if alpha == 0.0:
+                    assert loss.tobytes() == want_loss.tobytes()
+                    assert grad.tobytes() == want_grad.tobytes()
+                assert scaled_error(loss, want_loss) <= 64 * eps
+                assert scaled_error(grad, want_grad) <= 64 * eps
+
+    def test_one_target_per_row(self):
+        with pytest.raises(ValueError):
+            cross_entropy(Tensor(np.zeros((3, 4))), np.array([0, 1]))
+
+
 class TestAnswerMaskedCrossEntropy:
     def brute_force(self, z: np.ndarray, answer_sets) -> np.ndarray:
         out = np.zeros(z.shape[0])
@@ -287,10 +399,37 @@ class TestAnswerMaskedCrossEntropy:
         loss = answer_masked_cross_entropy(Tensor(z), [np.array([0, 1])]).data
         assert np.allclose(loss, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_row_loop(self, dtype):
+        # oracle: the former per-row loop with [A, V] temporaries. Tolerance-
+        # bounded (sums reordered, closed-form backward): 64 ulps of the
+        # largest value. Row 1 is all answers, row 2 has one non-answer, and
+        # row 0 holds logits of +80 and -80
+        eps = np.finfo(dtype).eps
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            classes = int(rng.integers(2, 40))
+            z = rng.normal(scale=3.0, size=(6, classes)).astype(dtype)
+            z[0, :2] = [80.0, -80.0]
+            sets = [np.sort(rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)) for _ in range(6)]
+            sets[1] = np.arange(classes)
+            sets[2] = np.delete(np.arange(classes), int(rng.integers(classes)))
+            g = rng.normal(size=6)
+            loss, grad = run_op(answer_masked_cross_entropy, z, g, sets)
+            want_loss, want_grad = run_op(loop_answer_masked_cross_entropy, z, g, sets)
+            assert loss.dtype == grad.dtype == dtype
+            assert np.isfinite(grad).all()
+            assert scaled_error(loss, want_loss) <= 64 * eps
+            assert scaled_error(grad, want_grad) <= 64 * eps
+
     def test_validation(self):
         z = Tensor(np.zeros((2, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="query 1 has an empty"):
             answer_masked_cross_entropy(z, [np.array([0]), np.array([], dtype=np.int64)])
+        with pytest.raises(ValueError, match="query 1 has duplicate"):
+            answer_masked_cross_entropy(z, [np.array([2]), np.array([1, 3, 1])])
+        with pytest.raises(ValueError, match="query 1 has an answer id out of range"):
+            answer_masked_cross_entropy(z, [np.array([0]), np.array([-1])])
         with pytest.raises(ValueError):
             answer_masked_cross_entropy(z, [np.array([0, 0]), np.array([1])])
         with pytest.raises(ValueError):
