@@ -1,9 +1,8 @@
 """Command-line pipeline: ingest, gen-queries, pretrain, finetune, evaluate,
 interpret, gradcheck.
 
-Every command reads the same flat config (``--config``), honors ``--seed``,
-``--out``, and ``--threads`` (flag beats the ``KGT_THREADS`` env var, which
-beats the config), and writes a manifest (config hash, seed, library versions,
+Every command reads the same flat config (``--config``), honors ``--seed``
+and ``--out``, and writes a manifest (config hash, seed, library versions,
 inputs/outputs) next to whatever it produces.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import PipelineConfig, load_config
-from .errors import ConfigError, KgtError, ParseError
+from .config import load_config
+from .errors import KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
 from .graph import SPLITS, SplitDataset, build_split, load_split, write_token_triples, write_vocab
@@ -35,18 +33,6 @@ from .queries import (
     write_queries,
 )
 from .train import combinatorial_finetune, finetune, pretrain
-
-
-def _resolve_threads(flag: int | None, config: PipelineConfig) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("KGT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"KGT_THREADS must be an integer, got {env!r}") from None
-    return config.threads
 
 
 def _config_digest(path: str | None) -> str | None:
@@ -67,7 +53,6 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
         "config": args.config,
         "config_sha256": _config_digest(args.config),
         "seed": args.resolved_config.seed,
-        "threads": args.resolved_threads,
         "versions": {"kgt": __version__, "numpy": np.__version__, "numba": numba_version},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
@@ -272,9 +257,7 @@ def cmd_finetune(args) -> int:
         eval_types = sorted(valid_sets.keys(), key=lambda t: t.value)
 
         def validate(candidate: Model, qtype: QueryType) -> float:
-            table = evaluate(
-                candidate, {qtype: valid_sets[qtype]}, "valid", ks=(3,), threads=args.resolved_threads
-            )
+            table = evaluate(candidate, {qtype: valid_sets[qtype]}, "valid", ks=(3,))
             row = table.rows.get(qtype.value)
             return row["hits@3"] if row else 0.0
 
@@ -351,7 +334,6 @@ def cmd_evaluate(args) -> int:
                 {qtype: datasets[qtype]},
                 args.split,
                 ks=config.eval_ks,
-                threads=args.resolved_threads,
                 rank_dump=rank_dump,
             )
         )
@@ -413,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key=value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--threads", type=int, help="worker threads (beats KGT_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize a raw triple dataset")
@@ -463,7 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
         args.resolved_config = load_config(args.config, overrides)
-        args.resolved_threads = _resolve_threads(args.threads, args.resolved_config)
         return args.func(args)
     except (KgtError, FileNotFoundError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    threads: int = 1
     data_dir: str = "data"
 
     model_layers: int = 4
@@ -266,7 +265,6 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
 
 def _validate(config: PipelineConfig) -> None:
     checks = [
-        (config.threads >= 1, "threads must be at least 1"),
         (config.stage1_budget_min >= 1, "stage1.budget_min must be at least 1"),
         (config.stage1_budget_min <= config.stage1_budget_max, "stage1 budget bounds out of order"),
         (0.0 < config.stage1_mask_rate <= 1.0, "stage1.mask_rate must be in (0, 1]"),

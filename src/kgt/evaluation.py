@@ -6,12 +6,15 @@ answers never crowd out the one being scored. Union queries are scored per DNF
 branch: each branch gets its own optimistic rank vector, the element-wise
 minimum combines them, and the negated combined rank re-enters the standard
 filtered-rank routine as a score. Branch probabilities are never averaged.
+
+``evaluate`` scores each query shape in chunks of ``EVAL_CHUNK`` queries with
+one forward per chunk. Queries of one shape flatten to Levi graphs of the same
+width (so do the branches of union shapes), so a chunk's batch has no padding.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -55,16 +58,29 @@ def union_combine(branch_scores: Sequence[np.ndarray]) -> np.ndarray:
     return combined
 
 
+EVAL_CHUNK = 128  # queries per forward in evaluate
+
+
+def score_chunk(model: Model, queries: Sequence[QueryGraph]) -> list[list[np.ndarray]]:
+    """Entity score vectors for each DNF branch of each query, from one forward (eval mode).
+
+    Every branch of every query goes into one batch; ``owner`` maps each
+    branch row back to its query.
+    """
+    branches = [dnf_decompose(q) for q in queries]
+    owner = np.repeat(np.arange(len(queries)), [len(b) for b in branches])
+    batch = encode_queries([b for bs in branches for b in bs], model.config)
+    logits = forward(model, batch, training=False).data
+    return [list(logits[owner == i]) for i in range(len(queries))]
+
+
 def score_query(model: Model, query: QueryGraph) -> list[np.ndarray]:
-    """Entity score vectors for each DNF branch of a query (eval mode)."""
-    branches = dnf_decompose(query)
-    batch = encode_queries(branches, model.config)
-    logits = forward(model, batch, training=False)
-    return [logits.data[i].copy() for i in range(len(branches))]
+    """Entity score vectors for each DNF branch of one query (eval mode)."""
+    return score_chunk(model, [query])[0]
 
 
-def _query_scores_for_ranking(model: Model, query: QueryGraph) -> np.ndarray:
-    branch_scores = score_query(model, query)
+def _ranking_scores(branch_scores: Sequence[np.ndarray]) -> np.ndarray:
+    """One branch's scores as they are; the negated min-of-branch ranks for unions."""
     if len(branch_scores) == 1:
         return branch_scores[0]
     return -union_combine(branch_scores).astype(np.float64)
@@ -112,44 +128,37 @@ class MetricsTable:
         return "\n".join(rendered) + "\n"
 
 
-def _rank_query(model: Model, inst: QueryInstance, split: str) -> list[int]:
-    hard = sorted(inst.hard_answers(split))
-    if not hard:
-        return []
-    scores = _query_scores_for_ranking(model, inst.query)
-    filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
-    return [filtered_rank(scores, answer, filter_ids) for answer in hard]
-
-
 def evaluate(
     model: Model,
     datasets: dict[QueryType, list[QueryInstance]],
     split: str,
     ks: tuple[int, ...] = (1, 3, 10),
-    threads: int = 1,
     rank_dump: list | None = None,
 ) -> MetricsTable:
     """Filtered Hits@k and MRR per query type plus their macro mean.
 
     ``split`` picks which hard answers are scored ("valid" or "test" for held
     out evaluation, "train" for overfit checks); the filter always removes
-    every known answer across all splits. Thread count only affects wall
-    time, never results.
+    every known answer across all splits. Queries without hard answers are
+    neither scored nor counted.
     """
     if split not in ("train", "valid", "test"):
         raise ValueError(f"unknown split {split!r}")
     rows: dict[str, dict[str, float]] = {}
     for qtype in sorted(datasets.keys(), key=lambda t: t.value):
-        instances = datasets[qtype]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rank_lists = list(pool.map(lambda inst: _rank_query(model, inst, split), instances))
-        else:
-            rank_lists = [_rank_query(model, inst, split) for inst in instances]
-        kept = [(inst, ranks) for inst, ranks in zip(instances, rank_lists) if ranks]
+        kept = [(inst, sorted(inst.hard_answers(split))) for inst in datasets[qtype]]
+        kept = [(inst, hard) for inst, hard in kept if hard]
+        lists = []
+        for start in range(0, len(kept), EVAL_CHUNK):
+            chunk = kept[start : start + EVAL_CHUNK]
+            scored = score_chunk(model, [inst.query for inst, _ in chunk])
+            for (inst, hard), branch_scores in zip(chunk, scored):
+                scores = _ranking_scores(branch_scores)
+                filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
+                lists.append([filtered_rank(scores, answer, filter_ids) for answer in hard])
         if rank_dump is not None:
-            for inst, ranks in kept:
-                for answer, rank in zip(sorted(inst.hard_answers(split)), ranks):
+            for (inst, hard), ranks in zip(kept, lists):
+                for answer, rank in zip(hard, ranks):
                     rank_dump.append(
                         {
                             "type": inst.query.query_type.value,
@@ -161,7 +170,6 @@ def evaluate(
                     )
         if not kept:
             continue
-        lists = [ranks for _, ranks in kept]
         row = {f"hits@{k}": hits_at_k(lists, k) for k in ks}
         row["mrr"] = mean_reciprocal_rank(lists)
         row["queries"] = float(len(lists))

@@ -231,6 +231,15 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
             tolerance,
         )
     )
+    distinct = np.array([2, 0, 3], dtype=np.int64)  # row 1 is never gathered
+    results.append(
+        check_function(
+            "gather_rows_unique",
+            lambda p: _weighted(T.gather_rows(p["a"], distinct, unique=True), np.random.default_rng(21)),
+            {"a": _p(rng, 4, 5)},
+            tolerance,
+        )
+    )
     results.append(moe_check(tolerance))
     return results
 

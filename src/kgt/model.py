@@ -356,11 +356,12 @@ def moe_ffn(
         # numpy sends a one-row product to BLAS gemv, which rounds differently
         # from gemm; a doubled row keeps every product on gemm
         take = np.repeat(rows_j, 2) if rows_j.size == 1 else rows_j
-        pre = T.add(T.matmul(T.gather_rows(flat, take), p[eprefix + "w1"]), p[eprefix + "b1"])
+        inputs = T.gather_rows(flat, take, unique=take is rows_j)
+        pre = T.add(T.matmul(inputs, p[eprefix + "w1"]), p[eprefix + "b1"])
         out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
         if take is not rows_j:
             out_j = T.gather_rows(out_j, np.zeros(1, dtype=np.int64))
-        term = T.mul(out_j, T.gather_rows(T.slice_last(weights, j, j + 1), rows_j))
+        term = T.mul(out_j, T.gather_rows(T.slice_last(weights, j, j + 1), rows_j, unique=True))
         combined = T.scatter_add_rows(combined, term, rows_j)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
@@ -403,6 +404,13 @@ def forward(
         x = moe_ffn(model, layer, x, training, rng, real_rows)
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions)
-    return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
+    # a one-position product would go to gemv (see moe_ffn): score the slot
+    # twice and keep the first row
+    positions = batch.positions
+    take = np.repeat(positions, 2) if positions.size == 1 else positions
+    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), take)
+    logits = T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
+    if take is not positions:
+        logits = T.gather_rows(logits, np.zeros(1, dtype=np.int64))
+    return logits
 

@@ -189,8 +189,12 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _record(out, backward)
 
 
-def gather_rows(a: Tensor, indexes: np.ndarray) -> Tensor:
-    """Fancy-index the first axis; gradients scatter-add back (repeats sum)."""
+def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
+    """Fancy-index the first axis; gradients scatter-add back (repeats sum).
+
+    ``unique`` promises that no index repeats, so the backward can use a plain
+    indexed add (the same sums as ``np.add.at``, without its per-element cost).
+    """
     idx = np.asarray(indexes, dtype=np.int64)
     out = Tensor(a.data[idx], requires_grad=a.requires_grad)
 
@@ -199,7 +203,10 @@ def gather_rows(a: Tensor, indexes: np.ndarray) -> Tensor:
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        if unique:
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
     return _record(out, backward)
 

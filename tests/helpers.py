@@ -195,3 +195,64 @@ def loop_answer_masked_cross_entropy(logits, answer_sets) -> "Tensor":
         _accumulate(logits, gz)
 
     return _record(out, backward)
+
+
+def per_query_scores(model, query) -> list[np.ndarray]:
+    """Test oracle: entity scores for each DNF branch of one query, from its own forward."""
+    from kgt.model import encode_queries, forward
+    from kgt.queries import dnf_decompose
+
+    branches = dnf_decompose(query)
+    logits = forward(model, encode_queries(branches, model.config), training=False)
+    return [logits.data[i].copy() for i in range(len(branches))]
+
+
+def per_query_evaluate(model, datasets, split: str, ks=(1, 3, 10), rank_dump: list | None = None):
+    """Test oracle: the former ``evaluate``, one forward per query with hard answers."""
+    from kgt.evaluation import MetricsTable, filtered_rank, hits_at_k, mean_reciprocal_rank, union_combine
+
+    def rank_query(inst) -> list[int]:
+        hard = sorted(inst.hard_answers(split))
+        if not hard:
+            return []
+        branch_scores = per_query_scores(model, inst.query)
+        if len(branch_scores) == 1:
+            scores = branch_scores[0]
+        else:
+            scores = -union_combine(branch_scores).astype(np.float64)
+        filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
+        return [filtered_rank(scores, answer, filter_ids) for answer in hard]
+
+    rows: dict[str, dict[str, float]] = {}
+    for qtype in sorted(datasets.keys(), key=lambda t: t.value):
+        instances = datasets[qtype]
+        rank_lists = [rank_query(inst) for inst in instances]
+        kept = [(inst, ranks) for inst, ranks in zip(instances, rank_lists) if ranks]
+        if rank_dump is not None:
+            for inst, ranks in kept:
+                for answer, rank in zip(sorted(inst.hard_answers(split)), ranks):
+                    rank_dump.append(
+                        {
+                            "type": inst.query.query_type.value,
+                            "anchors": list(inst.query.anchors),
+                            "relations": list(inst.query.relations),
+                            "answer": int(answer),
+                            "rank": int(rank),
+                        }
+                    )
+        if not kept:
+            continue
+        lists = [ranks for _, ranks in kept]
+        row = {f"hits@{k}": hits_at_k(lists, k) for k in ks}
+        row["mrr"] = mean_reciprocal_rank(lists)
+        row["queries"] = float(len(lists))
+        rows[qtype.value] = row
+    if rows:
+        mean_row = {}
+        for metric in list(next(iter(rows.values())).keys()):
+            if metric == "queries":
+                mean_row[metric] = float(sum(r[metric] for r in rows.values()))
+            else:
+                mean_row[metric] = float(np.mean([r[metric] for r in rows.values()]))
+        rows["mean"] = mean_row
+    return MetricsTable(split=split, ks=tuple(ks), rows=rows)

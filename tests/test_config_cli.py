@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kgt.cli import _resolve_threads, main
+from kgt.cli import main
 from kgt.config import _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
 from kgt.queries import QueryType
@@ -69,6 +69,9 @@ class TestConfigParsing:
         path.write_text("model.depth = 4\n")
         with pytest.raises(ConfigError, match="model.depth"):
             load_config(path)
+        path.write_text("threads = 2\n")  # evaluation has no worker threads to set
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            load_config(path)
 
     def test_bad_value_names_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -83,12 +86,12 @@ class TestConfigParsing:
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_config_text("seed = 1\nthreads\n")
+            parse_config_text("seed = 1\ngrad_clip\n")
         assert excinfo.value.line == 2
 
     def test_validation_errors(self, tmp_path):
         bad = [
-            "threads = 0\n",
+            "queries.max_answers = 0\n",
             "stage1.budget_min = 9\nstage1.budget_max = 8\n",
             "stage1.mask_rate = 0\n",
             "grad_clip = 0\n",
@@ -135,8 +138,8 @@ class TestConfigParsing:
             "eval": "ks",
         }
         keys = {f"{section}.{name}" for section, names in sections.items() for name in names.split()}
-        keys |= {"seed", "threads", "grad_clip"}
-        assert len(keys) == 45
+        keys |= {"seed", "grad_clip"}
+        assert len(keys) == 44
         assert set(_PARSERS) == keys
 
     def test_stage_seed_offsets_disjoint(self):
@@ -156,24 +159,6 @@ class TestConfigParsing:
     def test_finetune_config_never_smooths(self):
         cfg = load_config(None)
         assert cfg.finetune_config().label_smoothing == 0.0
-
-
-class TestThreadResolution:
-    def test_flag_beats_env_beats_config(self, monkeypatch, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("threads = 2\n")
-        cfg = load_config(path)
-        monkeypatch.delenv("KGT_THREADS", raising=False)
-        assert _resolve_threads(None, cfg) == 2
-        monkeypatch.setenv("KGT_THREADS", "3")
-        assert _resolve_threads(None, cfg) == 3
-        assert _resolve_threads(4, cfg) == 4
-
-    def test_bad_env_value(self, monkeypatch):
-        cfg = load_config(None)
-        monkeypatch.setenv("KGT_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            _resolve_threads(None, cfg)
 
 
 PIPELINE_CONFIG = """\

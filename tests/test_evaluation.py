@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,11 @@ from kgt.evaluation import (
     score_query,
     union_combine,
 )
-from kgt.model import Model, ModelConfig
+import kgt.evaluation as ev
+from kgt.model import Model, ModelConfig, encode_queries, forward
 from kgt.queries import QueryType, build_query, generate_queries
 
-from helpers import toy_split
+from helpers import per_query_evaluate, per_query_scores, toy_split
 
 
 def rank_by_sort(scores: np.ndarray, answer: int, filter_out) -> int:
@@ -165,14 +169,6 @@ class TestEvaluate:
             assert mean[metric] == pytest.approx(want)
         assert mean["queries"] == sum(table.rows[t]["queries"] for t in ("1p", "2p", "2u"))
 
-    def test_threads_do_not_change_results(self):
-        split = toy_split(seed=21)
-        model = tiny_model(split)
-        data = sample_datasets(split, [QueryType.P1, QueryType.UP], 5, 2)
-        serial = evaluate(model, data, "valid", threads=1)
-        threaded = evaluate(model, data, "valid", threads=4)
-        assert serial.rows == threaded.rows
-
     def test_union_scoring_uses_min_rank(self):
         split = toy_split(seed=22)
         model = tiny_model(split)
@@ -183,10 +179,10 @@ class TestEvaluate:
         combined = -union_combine(branch_scores).astype(np.float64)
         filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
         hard = sorted(inst.hard_answers("valid"))
-        from kgt.evaluation import _rank_query
-
         want = [filtered_rank(combined, a, filter_ids) for a in hard]
-        assert _rank_query(model, inst, "valid") == want
+        dump = []
+        evaluate(model, {QueryType.U2: [inst]}, "valid", rank_dump=dump)
+        assert [rec["rank"] for rec in dump] == want
 
     def test_rank_dump_records(self):
         split = toy_split(seed=23)
@@ -218,25 +214,139 @@ class TestEvaluate:
             config = tiny_model(split).config
 
         model = tiny_model(split)
-        import kgt.evaluation as ev
+        original = ev.score_chunk
 
-        original = ev._query_scores_for_ranking
-
-        def oracle(model_arg, query):
-            scores = np.zeros(split.entity_count)
+        def oracle(model_arg, queries):
             from kgt.queries import ground_answers
 
-            for e in ground_answers(split.test, query):
-                scores[e] = 1.0
-            return scores
+            out = []
+            for query in queries:
+                scores = np.zeros(split.entity_count)
+                for e in ground_answers(split.test, query):
+                    scores[e] = 1.0
+                out.append([scores])
+            return out
 
-        ev._query_scores_for_ranking = oracle
+        ev.score_chunk = oracle
         try:
             table = evaluate(model, data, "valid")
         finally:
-            ev._query_scores_for_ranking = original
+            ev.score_chunk = original
         assert table.rows["1p"]["hits@1"] == pytest.approx(1.0)
         assert table.rows["1p"]["mrr"] == pytest.approx(1.0)
+
+
+def chunk_model(split, hidden, seed=0):
+    cfg = ModelConfig(
+        entity_count=split.entity_count,
+        relation_count=split.relation_count,
+        layers=2,
+        hidden=hidden,
+        heads=2,
+        experts=4,
+        top_k=2,
+        dropout=0.0,
+    )
+    return Model.init(cfg, seed=seed)
+
+
+def all_shapes(split):
+    """Every shape: valid queries, plus train queries that mostly lack hard valid answers."""
+    valid = sample_datasets(split, list(QueryType), 5, 40)
+    train = sample_datasets(split, list(QueryType), 3, 41, split_for="train")
+    data = {t: valid[t] + train[t] for t in QueryType}
+    assert any(not inst.hard_answers("valid") for insts in data.values() for inst in insts)
+    return data
+
+
+def dump_bytes(table, dump) -> bytes:
+    lines = [json.dumps(row, sort_keys=True) for row in dump]
+    return (table.to_json() + table.to_text() + "\n".join(lines)).encode()
+
+
+class TestChunkedEvaluation:
+    """Chunked ``evaluate`` against the former one-forward-per-query code in tests/helpers.py.
+
+    Scores are bit-exact only while every product row is independent of the
+    row count. With OpenBLAS 0.3.31 that holds at width 16 over 50 entities,
+    but not at the toy pipeline's width 64, where the [M, 64] x [64, 50]
+    decoder product takes a small-matrix kernel whose rows depend on M (and
+    at fb15k sizes, 14,505 x 128, only M = 1 differs).
+    """
+
+    def test_matches_per_query_oracle(self):
+        split = toy_split(seed=40)
+        model = chunk_model(split, hidden=16)
+        data = all_shapes(split)
+        dump, want_dump = [], []
+        table = evaluate(model, data, "valid", rank_dump=dump)
+        want = per_query_evaluate(model, data, "valid", rank_dump=want_dump)
+        assert table.rows == want.rows
+        assert len(table.rows) == len(QueryType) + 1
+        assert dump == want_dump
+        for insts in data.values():
+            scored = ev.score_chunk(model, [inst.query for inst in insts])
+            for inst, branch_scores in zip(insts, scored):
+                oracle = per_query_scores(model, inst.query)
+                assert len(branch_scores) == len(oracle)
+                for got, exp in zip(branch_scores, oracle):
+                    assert got.dtype == exp.dtype and np.array_equal(got, exp)
+
+    def test_toy_width_scores_within_bound(self):
+        # measured at most 8 ulps of each row's largest magnitude (width 64, 4 layers, 3 seeds)
+        split = toy_split(seed=41)
+        model = chunk_model(split, hidden=64)
+        data = all_shapes(split)
+        for insts in data.values():
+            scored = ev.score_chunk(model, [inst.query for inst in insts])
+            for inst, branch_scores in zip(insts, scored):
+                for got, exp in zip(branch_scores, per_query_scores(model, inst.query)):
+                    bound = 64 * np.spacing(np.abs(exp).max())
+                    assert np.abs(got.astype(np.float64) - exp).max() <= bound
+
+    @pytest.mark.parametrize("chunk", [3, 128])
+    def test_chunk_size_does_not_change_outputs(self, chunk, monkeypatch):
+        split = toy_split(seed=42)
+        model = chunk_model(split, hidden=16)
+        data = all_shapes(split)
+        want_dump = []
+        want = per_query_evaluate(model, data, "valid", rank_dump=want_dump)
+        monkeypatch.setattr(ev, "EVAL_CHUNK", chunk)
+        dump = []
+        table = evaluate(model, data, "valid", rank_dump=dump)
+        assert dump_bytes(table, dump) == dump_bytes(want, want_dump)
+
+    def test_one_forward_per_chunk_per_shape(self, monkeypatch):
+        split = toy_split(seed=43)
+        model = chunk_model(split, hidden=16)
+        data = all_shapes(split)
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[1].graph_count)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "EVAL_CHUNK", 3)
+        monkeypatch.setattr(ev, "forward", counting_forward)
+        evaluate(model, data, "valid")
+        want = []
+        for qtype in sorted(data, key=lambda t: t.value):
+            kept = sum(1 for inst in data[qtype] if inst.hard_answers("valid"))
+            branches = 2 if qtype.is_union else 1
+            want += [min(3, kept - start) * branches for start in range(0, kept, 3)]
+        assert calls == want
+
+    def test_one_position_row_matches_two_position_batch(self):
+        # numpy sends a one-row product to gemv, which rounds differently from gemm
+        split = toy_split(seed=44)
+        model = chunk_model(split, hidden=64)
+        query = build_query(QueryType.P2, (3,), (0, 1))
+        one = encode_queries([query], model.config)
+        other = one.positions[0] - 1
+        two = dataclasses.replace(one, positions=np.array([one.positions[0], other]), targets=np.zeros(2, dtype=np.int64))
+        row = forward(model, one).data
+        assert row.shape == (1, split.entity_count)
+        assert np.array_equal(row[0], forward(model, two).data[0])
 
 
 class TestMergeAndFormat:

@@ -8,6 +8,7 @@ from kgt.tensor import (
     Tape,
     Tensor,
     _unbroadcast,
+    add,
     answer_masked_cross_entropy,
     cross_entropy,
     dropout,
@@ -116,6 +117,22 @@ class TestTensorBasics:
             out = sum_all(gather_rows(a, np.array([0, 0, 2])))
         tape.backward(out)
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+
+    def test_gather_rows_unique_matches_add_at(self):
+        # bit-exact: each row gets one addition either way, here onto a gradient
+        # that an earlier use of ``a`` already wrote
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(6, 4)).astype(np.float32)
+        idx = np.array([4, 1, 5, 0])
+        weights = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
+        grads = []
+        for unique in (False, True):
+            a = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                out = add(sum_all(mul(gather_rows(a, idx, unique=unique), weights)), sum_all(mul(a, a)))
+            tape.backward(out)
+            grads.append(a.grad)
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestGelu:
