@@ -25,7 +25,6 @@ from .gradcheck import run_all
 from .graph import SPLITS, SplitDataset, build_split, load_split, write_token_triples, write_vocab
 from .model import Model
 from .queries import (
-    EVAL_ONLY_TYPES,
     TRAINABLE_TYPES,
     QueryType,
     generate_queries,
@@ -42,18 +41,12 @@ def _config_digest(path: str | None) -> str | None:
 
 
 def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: list, outputs: list) -> None:
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:  # pragma: no cover
-        numba_version = None
     manifest = {
         "command": command,
         "config": args.config,
         "config_sha256": _config_digest(args.config),
         "seed": args.resolved_config.seed,
-        "versions": {"kgt": __version__, "numpy": np.__version__, "numba": numba_version},
+        "versions": {"kgt": __version__, "numpy": np.__version__},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
@@ -428,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill", type=int, help="clamp the target slot to this entity id")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--checkpoint", help="checkpoint to interpret with")
-    p.add_argument("--queries", help="unused; kept for uniformity", default=None)
     p.set_defaults(func=cmd_interpret)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -241,6 +241,13 @@ def write_queries(path: str | Path, instances: Iterable[QueryInstance]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _int_list(record: dict, key: str) -> list[int]:
+    values = record[key]
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError(f"{key} must be a list of integers")
+    return values
+
+
 def read_queries(path: str | Path) -> list[QueryInstance]:
     instances = []
     by_value = {qt.value: qt for qt in QueryType}
@@ -253,19 +260,25 @@ def read_queries(path: str | Path) -> list[QueryInstance]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, lineno, f"bad JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ParseError(path, lineno, "record must be a JSON object")
             try:
-                qt = by_value[record["type"]]
-                query = build_query(qt, record["anchors"], record["relations"])
+                kind = record["type"]
+                if not isinstance(kind, str) or kind not in by_value:
+                    raise ValueError(f"unknown query type {kind!r}")
+                query = build_query(by_value[kind], _int_list(record, "anchors"), _int_list(record, "relations"))
                 instances.append(
                     QueryInstance(
                         query=query,
-                        answers_train=frozenset(record["answers_train"]),
-                        answers_valid=frozenset(record["answers_valid"]),
-                        answers_test=frozenset(record["answers_test"]),
+                        answers_train=frozenset(_int_list(record, "answers_train")),
+                        answers_valid=frozenset(_int_list(record, "answers_valid")),
+                        answers_test=frozenset(_int_list(record, "answers_test")),
                     )
                 )
             except KeyError as exc:
                 raise ParseError(path, lineno, f"missing field {exc}") from None
+            except (ArityError, ValueError) as exc:
+                raise ParseError(path, lineno, str(exc)) from None
     return instances
 
 

@@ -8,9 +8,9 @@ sampled nodes with a keep ratio, then masks a fraction of entity nodes with
 (chains and branches) directly from graph edges, masking intermediates and
 target but supervising only the target.
 
-The per-step loops run as numba kernels (see :mod:`kgt.accel`); all randomness
-is pre-drawn by the caller so the compiled and pure-python paths match bit for
-bit.
+Frontier counting and edge induction are numpy over the members' CSR slices.
+The meta-tree walk is a plain loop; it draws all of its uniforms up front, two
+per step, so its random stream does not depend on how many steps it takes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from .accel import maybe_njit
 from .errors import SamplingExhausted
 from .graph import EntityNode, KnowledgeGraph, LeviGraph, RelationNode, Triple, triple_transform
 from .queries import NodeRole, _distinct_in_edges, _pick_in_edge
@@ -29,64 +28,11 @@ from .queries import NodeRole, _distinct_in_edges, _pick_in_edge
 MAX_START_RETRIES = 20
 
 
-@maybe_njit
-def _meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes, out_parent):
-    """Restart-1.0 walk: jump to a random sampled node, step once, keep if new.
-
-    Because no node is added twice and every added node records the node it
-    was reached from, the collected edges form a tree. Two uniforms per step.
-    """
-    count = 1
-    out_nodes[0] = start
-    out_parent[0] = -1
-    visited[start] = 1
-    steps = uniforms.shape[0] // 2
-    for step in range(steps):
-        if count >= target:
-            break
-        pick = int(uniforms[2 * step] * count)
-        if pick >= count:
-            pick = count - 1
-        cur = out_nodes[pick]
-        lo = indptr[cur]
-        hi = indptr[cur + 1]
-        degree = hi - lo
-        if degree == 0:
-            continue
-        j = lo + int(uniforms[2 * step + 1] * degree)
-        if j >= hi:
-            j = hi - 1
-        nxt = nbrs[j]
-        if visited[nxt] == 0:
-            visited[nxt] = 1
-            out_nodes[count] = nxt
-            out_parent[count] = cur
-            count += 1
-    return count
-
-
-@maybe_njit
-def _frontier_counts_kernel(indptr, nbrs, members, member_flag, counts):
-    """Count, for every non-member, its incident edges into the member set."""
-    for idx in range(members.shape[0]):
-        v = members[idx]
-        for j in range(indptr[v], indptr[v + 1]):
-            w = nbrs[j]
-            if member_flag[w] == 0:
-                counts[w] += 1
-
-
-@maybe_njit
-def _induced_positions_kernel(indptr, tails, members, member_flag, out_positions):
-    """Collect csr positions of triples with both endpoints in the member set."""
-    count = 0
-    for idx in range(members.shape[0]):
-        h = members[idx]
-        for j in range(indptr[h], indptr[h + 1]):
-            if member_flag[tails[j]] == 1:
-                out_positions[count] = j
-                count += 1
-    return count
+def _slice_positions(indptr: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """CSR positions of every member's slice, concatenated in member order."""
+    starts = indptr[members]
+    lengths = indptr[members + 1] - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 @dataclass
@@ -109,16 +55,25 @@ def meta_tree_sample(
     indptr, nbrs = graph.csr_undirected()
     steps = 40 * target_size + 200
     uniforms = rng.random(2 * steps)
-    visited = np.zeros(graph.entity_count, dtype=np.uint8)
-    out_nodes = np.zeros(target_size, dtype=np.int64)
-    out_parent = np.zeros(target_size, dtype=np.int64)
-    count = _meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes, out_parent)
-    edges = [(int(out_parent[i]), int(out_nodes[i])) for i in range(1, count)]
-    return SampleResult(
-        nodes=[int(v) for v in out_nodes[:count]],
-        undersized=count < target_size,
-        tree_edges=edges,
-    )
+    # Restart-1.0 walk: jump to a random sampled node, step once, keep the
+    # neighbor if new. Every added node records the node it was reached from,
+    # so the collected edges form a tree.
+    nodes = [int(start)]
+    seen = {nodes[0]}
+    edges = []
+    for step in range(steps):
+        if len(nodes) >= target_size:
+            break
+        cur = nodes[min(int(uniforms[2 * step] * len(nodes)), len(nodes) - 1)]
+        lo, hi = int(indptr[cur]), int(indptr[cur + 1])
+        if lo == hi:
+            continue
+        nxt = int(nbrs[min(lo + int(uniforms[2 * step + 1] * (hi - lo)), hi - 1)])
+        if nxt not in seen:
+            seen.add(nxt)
+            nodes.append(nxt)
+            edges.append((cur, nxt))
+    return SampleResult(nodes=nodes, undersized=len(nodes) < target_size, tree_edges=edges)
 
 
 def layer_dependent_sample(
@@ -138,10 +93,9 @@ def layer_dependent_sample(
     if per_layer < 1 or depth < 1:
         raise ValueError("per_layer and depth must be at least 1")
     indptr, nbrs = graph.csr_undirected_multi()
-    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
+    member_flag = np.zeros(graph.entity_count, dtype=bool)
     sampled = list(dict.fromkeys(int(s) for s in seeds))
-    for s in sampled:
-        member_flag[s] = 1
+    member_flag[sampled] = True
     undersized = False
     for _ in range(depth):
         budget = per_layer
@@ -149,9 +103,9 @@ def layer_dependent_sample(
             budget = min(budget, max_total - len(sampled))
         if budget <= 0:
             break
-        counts = np.zeros(graph.entity_count, dtype=np.int64)
-        members = np.asarray(sampled, dtype=np.int64)
-        _frontier_counts_kernel(indptr, nbrs, members, member_flag, counts)
+        # each non-member's incident edges into the member set
+        reached = nbrs[_slice_positions(indptr, np.asarray(sampled, dtype=np.int64))]
+        counts = np.bincount(reached[~member_flag[reached]])
         candidates = np.nonzero(counts)[0]
         if candidates.size == 0:
             undersized = True
@@ -167,7 +121,7 @@ def layer_dependent_sample(
                 k = candidates.size - 1
             chosen = int(candidates[k])
             sampled.append(chosen)
-            member_flag[chosen] = 1
+            member_flag[chosen] = True
             weights[k] = 0.0
         if picks < budget:
             undersized = True
@@ -184,13 +138,13 @@ def induce_subgraph(
     if not 0.0 <= edge_keep <= 1.0:
         raise ValueError(f"edge_keep must be in [0, 1], got {edge_keep}")
     indptr, tails, rels = graph.csr_out()
-    members = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
-    member_flag[members] = 1
-    capacity = int(sum(indptr[v + 1] - indptr[v] for v in members))
-    positions = np.zeros(max(capacity, 1), dtype=np.int64)
-    found = _induced_positions_kernel(indptr, tails, members, member_flag, positions)
-    positions = positions[:found]
+    members = np.unique(np.asarray(nodes, dtype=np.int64))
+    member_flag = np.zeros(graph.entity_count, dtype=bool)
+    member_flag[members] = True
+    # sorted members keep the positions in csr order, one slice per head
+    positions = _slice_positions(indptr, members)
+    positions = positions[member_flag[tails[positions]]]
+    found = positions.size
     if found == 0:
         return []
     keep = rng.random(found) < edge_keep

@@ -107,6 +107,127 @@ class ListGraph:
         return [self.triples[i][:2] for i in self.in_index[node]]
 
 
+def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes, out_parent):
+    """Test oracle: the former meta-tree loop kernel, two uniforms per step into out buffers."""
+    count = 1
+    out_nodes[0] = start
+    out_parent[0] = -1
+    visited[start] = 1
+    steps = uniforms.shape[0] // 2
+    for step in range(steps):
+        if count >= target:
+            break
+        pick = int(uniforms[2 * step] * count)
+        if pick >= count:
+            pick = count - 1
+        cur = out_nodes[pick]
+        lo = indptr[cur]
+        hi = indptr[cur + 1]
+        degree = hi - lo
+        if degree == 0:
+            continue
+        j = lo + int(uniforms[2 * step + 1] * degree)
+        if j >= hi:
+            j = hi - 1
+        nxt = nbrs[j]
+        if visited[nxt] == 0:
+            visited[nxt] = 1
+            out_nodes[count] = nxt
+            out_parent[count] = cur
+            count += 1
+    return count
+
+
+def frontier_counts_kernel(indptr, nbrs, members, member_flag, counts):
+    """Test oracle: the former loop counting each non-member's edges into the member set."""
+    for idx in range(members.shape[0]):
+        v = members[idx]
+        for j in range(indptr[v], indptr[v + 1]):
+            w = nbrs[j]
+            if member_flag[w] == 0:
+                counts[w] += 1
+
+
+def induced_positions_kernel(indptr, tails, members, member_flag, out_positions):
+    """Test oracle: the former loop collecting csr positions of triples inside the member set."""
+    count = 0
+    for idx in range(members.shape[0]):
+        h = members[idx]
+        for j in range(indptr[h], indptr[h + 1]):
+            if member_flag[tails[j]] == 1:
+                out_positions[count] = j
+                count += 1
+    return count
+
+
+def loop_meta_tree_sample(graph, start, target_size, rng):
+    """Test oracle: ``sampling.meta_tree_sample`` as it ran on the loop kernel."""
+    from kgt.sampling import SampleResult
+
+    indptr, nbrs = graph.csr_undirected()
+    steps = 40 * target_size + 200
+    uniforms = rng.random(2 * steps)
+    visited = np.zeros(graph.entity_count, dtype=np.uint8)
+    out_nodes = np.zeros(target_size, dtype=np.int64)
+    out_parent = np.zeros(target_size, dtype=np.int64)
+    count = meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes, out_parent)
+    edges = [(int(out_parent[i]), int(out_nodes[i])) for i in range(1, count)]
+    return SampleResult(nodes=[int(v) for v in out_nodes[:count]], undersized=count < target_size, tree_edges=edges)
+
+
+def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=None):
+    """Test oracle: ``sampling.layer_dependent_sample`` as it ran on the loop kernel."""
+    from kgt.sampling import SampleResult
+
+    indptr, nbrs = graph.csr_undirected_multi()
+    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
+    sampled = list(dict.fromkeys(int(s) for s in seeds))
+    for s in sampled:
+        member_flag[s] = 1
+    undersized = False
+    for _ in range(depth):
+        budget = per_layer
+        if max_total is not None:
+            budget = min(budget, max_total - len(sampled))
+        if budget <= 0:
+            break
+        counts = np.zeros(graph.entity_count, dtype=np.int64)
+        frontier_counts_kernel(indptr, nbrs, np.asarray(sampled, dtype=np.int64), member_flag, counts)
+        candidates = np.nonzero(counts)[0]
+        if candidates.size == 0:
+            undersized = True
+            break
+        weights = counts[candidates].astype(np.float64)
+        picks = min(budget, candidates.size)
+        for _ in range(picks):
+            cumulative = np.cumsum(weights)
+            r = rng.random() * cumulative[-1]
+            k = min(int(np.searchsorted(cumulative, r, side="right")), candidates.size - 1)
+            sampled.append(int(candidates[k]))
+            member_flag[candidates[k]] = 1
+            weights[k] = 0.0
+        if picks < budget:
+            undersized = True
+    return SampleResult(nodes=sampled, undersized=undersized)
+
+
+def loop_induce_subgraph(graph, nodes, edge_keep, rng):
+    """Test oracle: ``sampling.induce_subgraph`` as it ran on the loop kernel."""
+    indptr, tails, rels = graph.csr_out()
+    members = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
+    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
+    member_flag[members] = 1
+    positions = np.zeros(max(len(graph), 1), dtype=np.int64)
+    found = induced_positions_kernel(indptr, tails, members, member_flag, positions)
+    if found == 0:
+        return []
+    keep = rng.random(found) < edge_keep
+    heads = np.searchsorted(indptr, positions[:found], side="right") - 1
+    return [
+        (int(heads[i]), int(rels[positions[i]]), int(tails[positions[i]])) for i in range(found) if keep[i]
+    ]
+
+
 def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
     """Test oracle: the former dense expert loop, every expert on every slot, padding included.
 

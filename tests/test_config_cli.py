@@ -359,6 +359,17 @@ class TestCliErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_query_record(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "bad_queries"
+        (out / "queries").mkdir(parents=True)
+        path = out / "queries" / "valid_1p.jsonl"
+        path.write_text('{"type": "1p", "anchors": [null], "relations": [0], "answers_train": [], "answers_valid": [0], "answers_test": [0]}\n')
+        rc = main(["--config", str(pipeline["config"]), "--out", str(out), "evaluate", "--split", "valid"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1:")
+        assert "Traceback" not in err
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.width = 3\n")

@@ -211,6 +211,24 @@ class TestQueryIO:
         with pytest.raises(ParseError):
             read_queries(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type": "1p", "anchors": [null], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}',
+            '["1p", [0], [0]]',
+            '{"type": "1p", "anchors": [0, 1], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}',
+            '{"type": "1p", "anchors": [0], "relations": [0], "answers_train": ["x"], "answers_valid": [], "answers_test": []}',
+        ],
+        ids=["null_anchor", "list_record", "arity", "string_answer"],
+    )
+    def test_malformed_record_reports_line(self, tmp_path, record):
+        good = '{"type": "1p", "anchors": [0], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}'
+        path = tmp_path / "q.jsonl"
+        path.write_text(good + "\n" + record + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_queries(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+
     def test_answers_stored_sorted(self, tmp_path):
         q = build_query(QueryType.P1, (0,), (0,))
         inst = QueryInstance(q, frozenset({5, 1}), frozenset({5, 1, 3}), frozenset({5, 1, 3}))

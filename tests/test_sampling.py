@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgt.accel import python_impl
+from kgt import sampling
 from kgt.errors import SamplingExhausted
 from kgt.graph import KnowledgeGraph
 from kgt.queries import NodeRole
 from kgt.sampling import (
     CorruptionKind,
     SampledSubgraph,
-    _frontier_counts_kernel,
-    _induced_positions_kernel,
-    _meta_tree_kernel,
     corrupt_masks,
     induce_subgraph,
     layer_dependent_sample,
@@ -21,7 +20,13 @@ from kgt.sampling import (
     sample_stage1_batch,
 )
 
-from helpers import small_graph, toy_split
+from helpers import (
+    loop_induce_subgraph,
+    loop_layer_dependent_sample,
+    loop_meta_tree_sample,
+    small_graph,
+    toy_split,
+)
 
 
 def dense_graph(entities: int = 10) -> KnowledgeGraph:
@@ -310,48 +315,84 @@ class TestMetaGraphs:
         assert saw_revisit
 
 
-class TestKernelBackends:
-    """Compiled and pure-python kernels must agree bit for bit on shared draws."""
+@st.composite
+def hub_multigraphs(draw):
+    """Small multigraphs: entity 0 is a hub, the last entities are isolated, and
+    (h, t) pairs repeat under different relations."""
+    linked = draw(st.integers(2, 10))
+    isolated = draw(st.integers(0, 3))
+    relations = 3
+    ends = st.integers(0, linked - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=20))
+    pairs += [(0, t) if out else (t, 0) for t, out in draw(st.lists(st.tuples(ends, st.booleans()), max_size=15))]
+    multiplicity = draw(st.lists(st.integers(1, relations), min_size=len(pairs), max_size=len(pairs)))
+    triples = list(dict.fromkeys((h, r, t) for (h, t), m in zip(pairs, multiplicity) for r in range(m)))
+    graph = KnowledgeGraph(linked + isolated, relations, triples)
+    members = draw(st.lists(st.integers(0, graph.entity_count - 1), min_size=1, max_size=8))
+    return graph, members
 
-    def test_meta_tree_kernel(self):
-        g = small_graph(seed=22)
-        indptr, nbrs = g.csr_undirected()
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            uniforms = rng.random(200)
-            a_visited = np.zeros(g.entity_count, dtype=np.uint8)
-            b_visited = np.zeros(g.entity_count, dtype=np.uint8)
-            a_nodes = np.zeros(8, dtype=np.int64)
-            b_nodes = np.zeros(8, dtype=np.int64)
-            a_parent = np.zeros(8, dtype=np.int64)
-            b_parent = np.zeros(8, dtype=np.int64)
-            ca = _meta_tree_kernel(indptr, nbrs, 1, 8, uniforms, a_visited, a_nodes, a_parent)
-            cb = python_impl(_meta_tree_kernel)(indptr, nbrs, 1, 8, uniforms, b_visited, b_nodes, b_parent)
-            assert ca == cb
-            assert np.array_equal(a_nodes, b_nodes)
-            assert np.array_equal(a_parent, b_parent)
 
-    def test_frontier_counts_kernel(self):
-        g = small_graph(seed=23)
-        indptr, nbrs = g.csr_undirected_multi()
-        members = np.array([0, 3, 5], dtype=np.int64)
-        member_flag = np.zeros(g.entity_count, dtype=np.uint8)
-        member_flag[members] = 1
-        a = np.zeros(g.entity_count, dtype=np.int64)
-        b = np.zeros(g.entity_count, dtype=np.int64)
-        _frontier_counts_kernel(indptr, nbrs, members, member_flag, a)
-        python_impl(_frontier_counts_kernel)(indptr, nbrs, members, member_flag, b)
-        assert np.array_equal(a, b)
+def hub_graph(entities: int = 200, triples: int = 1500, seed: int = 31) -> KnowledgeGraph:
+    """Zipf-like heads and tails: a few hubs carry most edges."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, entities + 1) ** 1.1
+    weights /= weights.sum()
+    heads = rng.choice(entities, size=triples, p=weights)
+    tails = rng.permutation(entities)[rng.choice(entities, size=triples, p=weights)]
+    rels = rng.integers(4, size=triples)
+    rows = dict.fromkeys((int(h), int(r), int(t)) for h, r, t in zip(heads, rels, tails))
+    return KnowledgeGraph(entities, 4, list(rows))
 
-    def test_induced_positions_kernel(self):
-        g = small_graph(seed=24)
-        indptr, tails, _ = g.csr_out()
-        members = np.array(sorted({0, 2, 4, 6, 8}), dtype=np.int64)
-        member_flag = np.zeros(g.entity_count, dtype=np.uint8)
-        member_flag[members] = 1
-        a = np.zeros(len(g), dtype=np.int64)
-        b = np.zeros(len(g), dtype=np.int64)
-        ca = _induced_positions_kernel(indptr, tails, members, member_flag, a)
-        cb = python_impl(_induced_positions_kernel)(indptr, tails, members, member_flag, b)
-        assert ca == cb
-        assert np.array_equal(a, b)
+
+def subgraph_fields(sub: SampledSubgraph) -> tuple:
+    return (
+        sub.levi.nodes,
+        sub.levi.edges,
+        sub.roles,
+        sub.original_entities.tolist(),
+        sub.mask_positions,
+        sub.prediction_targets,
+        sub.corruption,
+    )
+
+
+class TestLoopOracles:
+    """The numpy samplers match the former per-node loops bit for bit, random stream included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hub_multigraphs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_layer_dependent_matches_loop(self, case, per_layer, depth, seed):
+        graph, seeds = case
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = layer_dependent_sample(graph, seeds, per_layer, depth, rng_a)
+        want = loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng_b)
+        assert (got.nodes, got.undersized) == (want.nodes, want.undersized)
+        assert rng_a.random() == rng_b.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(hub_multigraphs(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    def test_induce_matches_loop(self, case, edge_keep, seed):
+        graph, nodes = case
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert induce_subgraph(graph, nodes, edge_keep, rng_a) == loop_induce_subgraph(graph, nodes, edge_keep, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(hub_multigraphs(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_meta_tree_matches_loop(self, case, target, seed):
+        graph, members = case
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = meta_tree_sample(graph, members[0], target, rng_a)
+        want = loop_meta_tree_sample(graph, members[0], target, rng_b)
+        assert (got.nodes, got.tree_edges, got.undersized) == (want.nodes, want.tree_edges, want.undersized)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("method_mix", [0.0, math.inf], ids=["ladies", "meta_tree"])
+    def test_stage1_batch_matches_loops(self, monkeypatch, method_mix):
+        graph = hub_graph()
+        got = sample_stage1_batch(graph, np.random.default_rng(32), 24, method_mix=method_mix)
+        monkeypatch.setattr(sampling, "meta_tree_sample", loop_meta_tree_sample)
+        monkeypatch.setattr(sampling, "layer_dependent_sample", loop_layer_dependent_sample)
+        monkeypatch.setattr(sampling, "induce_subgraph", loop_induce_subgraph)
+        want = sample_stage1_batch(graph, np.random.default_rng(32), 24, method_mix=method_mix)
+        assert [subgraph_fields(sub) for sub in got] == [subgraph_fields(sub) for sub in want]
