@@ -198,16 +198,18 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_query_dir(args, split_name: str, types) -> dict[QueryType, list]:
+def _query_paths(args, split_name: str, types) -> dict[QueryType, Path]:
     queries_dir = Path(args.queries) if args.queries else Path(args.out) / "queries"
-    datasets = {}
-    for qtype in types:
-        path = queries_dir / f"{split_name}_{qtype.value}.jsonl"
-        if path.exists():
-            datasets[qtype] = read_queries(path)
-    if not datasets:
+    paths = {qtype: queries_dir / f"{split_name}_{qtype.value}.jsonl" for qtype in types}
+    paths = {qtype: path for qtype, path in paths.items() if path.exists()}
+    if not paths:
         raise FileNotFoundError(f"no {split_name} query files under {queries_dir}")
-    return datasets
+    return paths
+
+
+def _load_query_dir(args, split_name: str, types, split: SplitDataset) -> dict[QueryType, list]:
+    paths = _query_paths(args, split_name, types)
+    return {qtype: read_queries(path, split.entity_count, split.relation_count) for qtype, path in paths.items()}
 
 
 def cmd_finetune(args) -> int:
@@ -233,7 +235,7 @@ def cmd_finetune(args) -> int:
         model = load_checkpoint(source)
         inputs = [source]
 
-    train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES)
+    train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES, split)
     train_config = config.finetune_config()
     records = finetune(model, train_sets, train_config, log=_epoch_printer("finetune", train_config.epochs))
     multi_path = ckpt_dir / "finetune_multi.kgtc"
@@ -246,7 +248,7 @@ def cmd_finetune(args) -> int:
 
         combos = dc_replace(config, finetune_combos=args.combos).combos()
     if combos:
-        valid_sets = _load_query_dir(args, "valid", tuple(QueryType))
+        valid_sets = _load_query_dir(args, "valid", tuple(QueryType), split)
         eval_types = sorted(valid_sets.keys(), key=lambda t: t.value)
 
         def validate(candidate: Model, qtype: QueryType) -> float:
@@ -313,23 +315,16 @@ def _models_for_evaluation(args, types) -> dict[QueryType, Model]:
 
 def cmd_evaluate(args) -> int:
     config = args.resolved_config
-    datasets = _load_query_dir(args, args.split, tuple(QueryType))
-    types = sorted(datasets.keys(), key=lambda t: t.value)
+    paths = _query_paths(args, args.split, tuple(QueryType))
+    types = sorted(paths, key=lambda t: t.value)
+    for path in paths.values():
+        read_queries(path)  # a malformed file is reported before the checkpoint lookup
     models = _models_for_evaluation(args, types)
     rank_dump: list | None = [] if args.dump_ranks else None
     tables = []
-    for qtype in types:
-        if qtype not in models:
-            continue
-        tables.append(
-            evaluate(
-                models[qtype],
-                {qtype: datasets[qtype]},
-                args.split,
-                ks=config.eval_ks,
-                rank_dump=rank_dump,
-            )
-        )
+    for qtype, model in models.items():
+        queries = read_queries(paths[qtype], model.config.entity_count, model.config.relation_count)
+        tables.append(evaluate(model, {qtype: queries}, args.split, ks=config.eval_ks, rank_dump=rank_dump))
     table = merge_metrics(tables)
     metrics_dir = Path(args.out) / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
@@ -351,6 +346,9 @@ def cmd_evaluate(args) -> int:
 def cmd_interpret(args) -> int:
     instances = read_queries(args.query_file)
     models = _models_for_evaluation(args, [inst.query.query_type for inst in instances])
+    if instances:  # again, with the checkpoint's vocabulary sizes
+        config = next(iter(models.values())).config
+        instances = read_queries(args.query_file, config.entity_count, config.relation_count)
     for inst in instances:
         assignments = interpret(
             models[inst.query.query_type], inst.query, fill=args.fill, top=args.top

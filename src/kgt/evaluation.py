@@ -128,6 +128,19 @@ class MetricsTable:
         return "\n".join(rendered) + "\n"
 
 
+def _with_mean(rows: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+    """Per-type rows sorted by type, then their macro mean (query counts summed)."""
+    if not rows:
+        return rows
+    mean = {
+        metric: float(sum(r[metric] for r in rows.values()))
+        if metric == "queries"
+        else float(np.mean([r[metric] for r in rows.values()]))
+        for metric in next(iter(rows.values()))
+    }
+    return {**{k: rows[k] for k in sorted(rows)}, "mean": mean}
+
+
 def evaluate(
     model: Model,
     datasets: dict[QueryType, list[QueryInstance]],
@@ -174,15 +187,7 @@ def evaluate(
         row["mrr"] = mean_reciprocal_rank(lists)
         row["queries"] = float(len(lists))
         rows[qtype.value] = row
-    if rows:
-        mean_row = {}
-        for metric in list(next(iter(rows.values())).keys()):
-            if metric == "queries":
-                mean_row[metric] = float(sum(r[metric] for r in rows.values()))
-            else:
-                mean_row[metric] = float(np.mean([r[metric] for r in rows.values()]))
-        rows["mean"] = mean_row
-    return MetricsTable(split=split, ks=tuple(ks), rows=rows)
+    return MetricsTable(split=split, ks=tuple(ks), rows=_with_mean(rows))
 
 
 def merge_metrics(tables: Sequence[MetricsTable]) -> MetricsTable:
@@ -198,16 +203,7 @@ def merge_metrics(tables: Sequence[MetricsTable]) -> MetricsTable:
         for qtype, row in table.rows.items():
             if qtype != "mean":
                 rows[qtype] = row
-    if rows:
-        mean_row = {}
-        for metric in list(next(iter(rows.values())).keys()):
-            if metric == "queries":
-                mean_row[metric] = float(sum(r[metric] for r in rows.values()))
-            else:
-                mean_row[metric] = float(np.mean([r[metric] for r in rows.values()]))
-        rows = {k: rows[k] for k in sorted(rows)}
-        rows["mean"] = mean_row
-    return MetricsTable(split=split, ks=ks, rows=rows)
+    return MetricsTable(split=split, ks=ks, rows=_with_mean(rows))
 
 
 def write_metrics(table: MetricsTable, json_path: str | Path, text_path: str | Path) -> None:

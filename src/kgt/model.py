@@ -169,7 +169,6 @@ class Batch:
     positions: np.ndarray  # [P] int64 flat prediction slots
     targets: np.ndarray  # [P] int64 true entity ids at those slots
     sizes: list[int]  # real nodes per graph; the rest of each row is padding
-    answer_sets: list[np.ndarray] | None = None
 
     @property
     def graph_count(self) -> int:

@@ -4,6 +4,11 @@ Nine first-order query shapes over a knowledge graph: projection chains
 (1p/2p/3p), intersections (2i/3i), compositions (ip/pi), and unions (2u/up).
 A query is a small Levi graph whose anchor slots carry concrete entities and
 whose intermediate/target slots are free variables.
+
+Each shape is one row of ``_TEMPLATES`` (its slots and triples), and the code
+reads that row rather than naming shapes: ``template_levi`` builds the Levi
+graph, ``walk_back`` draws slot entities backward from a random target, and
+``ground_answers`` chains answer sets forward along the triples.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,11 +39,7 @@ class QueryType(Enum):
 
     @property
     def is_union(self) -> bool:
-        return self in (QueryType.U2, QueryType.UP)
-
-    @property
-    def trainable(self) -> bool:
-        return self in TRAINABLE_TYPES
+        return _TEMPLATES[self].union
 
     @property
     def anchor_count(self) -> int:
@@ -46,10 +48,6 @@ class QueryType(Enum):
     @property
     def relation_count(self) -> int:
         return _TEMPLATES[self].relation_count
-
-    @property
-    def intermediate_count(self) -> int:
-        return _TEMPLATES[self].intermediate_count
 
 
 TRAINABLE_TYPES = (QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2, QueryType.I3)
@@ -69,13 +67,42 @@ class _Template:
 
     Entity slots are numbered anchors first, then intermediates, target last.
     ``triples`` are (head_slot, relation_index, tail_slot) with relation_index
-    pointing into the instance's relation tuple.
+    pointing into the instance's relation tuple. A slot with several in-edges
+    is their intersection, or their union when ``union`` is set.
     """
 
     anchor_count: int
     relation_count: int
     intermediate_count: int
     triples: tuple[tuple[int, int, int], ...]
+    union: bool = False
+
+    @property
+    def slot_count(self) -> int:
+        return self.anchor_count + self.intermediate_count + 1
+
+    @cached_property
+    def roles(self) -> tuple[NodeRole, ...]:
+        """Role of each Levi node: the entity slots, then one relation node per triple."""
+        return (
+            (NodeRole.SOURCE,) * self.anchor_count
+            + (NodeRole.INTERMEDIATE,) * self.intermediate_count
+            + (NodeRole.TARGET,)
+            + (NodeRole.RELATION,) * len(self.triples)
+        )
+
+    @cached_property
+    def levi_edges(self) -> tuple[tuple[int, int], ...]:
+        """head slot -> relation node -> tail slot for each triple."""
+        return tuple(edge for j, (h, _, t) in enumerate(self.triples, self.slot_count) for edge in ((h, j), (j, t)))
+
+    @cached_property
+    def in_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(head_slot, relation_index) pairs into each non-anchor slot, in triple order."""
+        return tuple(
+            tuple((head, rel) for head, rel, tail in self.triples if tail == slot)
+            for slot in range(self.anchor_count, self.slot_count)
+        )
 
 
 _TEMPLATES: dict[QueryType, _Template] = {
@@ -86,20 +113,30 @@ _TEMPLATES: dict[QueryType, _Template] = {
     QueryType.I3: _Template(3, 3, 0, ((0, 0, 3), (1, 1, 3), (2, 2, 3))),
     QueryType.IP: _Template(2, 3, 1, ((0, 0, 2), (1, 1, 2), (2, 2, 3))),
     QueryType.PI: _Template(2, 3, 1, ((0, 0, 2), (2, 1, 3), (1, 2, 3))),
-    QueryType.U2: _Template(2, 2, 0, ((0, 0, 2), (1, 1, 2))),
-    QueryType.UP: _Template(2, 3, 1, ((0, 0, 2), (1, 1, 2), (2, 2, 3))),
+    QueryType.U2: _Template(2, 2, 0, ((0, 0, 2), (1, 1, 2)), union=True),
+    QueryType.UP: _Template(2, 3, 1, ((0, 0, 2), (1, 1, 2), (2, 2, 3)), union=True),
 }
 
 FREE_SLOT = -1  # entity id placeholder for variable slots
+
+
+def template_levi(
+    qtype: QueryType, slot_entities: Sequence[int], relations: Sequence[int]
+) -> tuple[LeviGraph, tuple[NodeRole, ...]]:
+    """Levi graph of one shape and the role of each node: the entity slots in
+    template order, then one relation node per template triple."""
+    tpl = _TEMPLATES[qtype]
+    nodes: list = [EntityNode(e) for e in slot_entities]
+    nodes += [RelationNode(relations[k]) for _, k, _ in tpl.triples]
+    return LeviGraph(nodes=nodes, edges=list(tpl.levi_edges), entity_node_count=tpl.slot_count), tpl.roles
 
 
 @dataclass(frozen=True)
 class QueryGraph:
     """One instantiated query: concrete anchors/relations over a shape template.
 
-    ``levi`` lists entity slots in template order (anchors, intermediates,
-    target) followed by one relation node per template triple; ``roles`` is
-    aligned with ``levi.nodes``.
+    ``levi`` and ``roles`` come from ``template_levi`` with the anchors in
+    place and ``FREE_SLOT`` at the intermediate and target slots.
     """
 
     query_type: QueryType
@@ -110,13 +147,11 @@ class QueryGraph:
 
     @property
     def target_index(self) -> int:
-        tpl = _TEMPLATES[self.query_type]
-        return tpl.anchor_count + tpl.intermediate_count
+        return _TEMPLATES[self.query_type].slot_count - 1
 
     @property
     def intermediate_indexes(self) -> tuple[int, ...]:
-        tpl = _TEMPLATES[self.query_type]
-        return tuple(range(tpl.anchor_count, tpl.anchor_count + tpl.intermediate_count))
+        return tuple(range(self.query_type.anchor_count, self.target_index))
 
 
 def build_query(query_type: QueryType, anchors: Sequence[int], relations: Sequence[int]) -> QueryGraph:
@@ -127,23 +162,9 @@ def build_query(query_type: QueryType, anchors: Sequence[int], relations: Sequen
         raise ArityError(f"{query_type.value} takes {tpl.anchor_count} anchors, got {len(anchors)}")
     if len(relations) != tpl.relation_count:
         raise ArityError(f"{query_type.value} takes {tpl.relation_count} relations, got {len(relations)}")
-
-    slot_count = tpl.anchor_count + tpl.intermediate_count + 1
-    nodes: list = [
-        EntityNode(anchors[i] if i < tpl.anchor_count else FREE_SLOT) for i in range(slot_count)
-    ]
-    roles = [NodeRole.SOURCE] * tpl.anchor_count
-    roles += [NodeRole.INTERMEDIATE] * tpl.intermediate_count
-    roles.append(NodeRole.TARGET)
-    edges = []
-    for head_slot, rel_index, tail_slot in tpl.triples:
-        j = len(nodes)
-        nodes.append(RelationNode(relations[rel_index]))
-        roles.append(NodeRole.RELATION)
-        edges.append((head_slot, j))
-        edges.append((j, tail_slot))
-    levi = LeviGraph(nodes=nodes, edges=edges, entity_node_count=slot_count)
-    return QueryGraph(query_type, anchors, relations, levi, tuple(roles))
+    slots = anchors + (FREE_SLOT,) * (tpl.slot_count - tpl.anchor_count)
+    levi, roles = template_levi(query_type, slots, relations)
+    return QueryGraph(query_type, anchors, relations, levi, roles)
 
 
 def dnf_decompose(query: QueryGraph) -> list[QueryGraph]:
@@ -172,35 +193,23 @@ def _project(graph: KnowledgeGraph, sources: set[int], relation: int) -> set[int
 
 
 def ground_answers(graph: KnowledgeGraph, query: QueryGraph) -> frozenset[int]:
-    """Exact answer set of a query on a graph, by set chaining."""
-    qt = query.query_type
-    a = query.anchors
-    r = query.relations
-    if qt is QueryType.P1:
-        return frozenset(graph.successors(a[0], r[0]))
-    if qt is QueryType.P2:
-        return frozenset(_project(graph, graph.successors(a[0], r[0]), r[1]))
-    if qt is QueryType.P3:
-        frontier = graph.successors(a[0], r[0])
-        frontier = _project(graph, frontier, r[1])
-        return frozenset(_project(graph, frontier, r[2]))
-    if qt is QueryType.I2:
-        return frozenset(graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]))
-    if qt is QueryType.I3:
-        return frozenset(
-            graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]) & graph.successors(a[2], r[2])
-        )
-    if qt is QueryType.IP:
-        middle = graph.successors(a[0], r[0]) & graph.successors(a[1], r[1])
-        return frozenset(_project(graph, middle, r[2]))
-    if qt is QueryType.PI:
-        middle = graph.successors(a[0], r[0])
-        return frozenset(_project(graph, middle, r[1]) & graph.successors(a[1], r[2]))
-    # unions: answer set is the union over DNF branches
-    answers: set[int] = set()
-    for branch in dnf_decompose(query):
-        answers |= ground_answers(graph, branch)
-    return frozenset(answers)
+    """Exact answer set of a query on a graph, by forward set chaining over its template.
+
+    Each non-anchor slot is the intersection (for unions: the union) of the
+    projections along its in-edges. Projection distributes over union, so the
+    up shape grounds to the union of its two 2p branches.
+    """
+    tpl = _TEMPLATES[query.query_type]
+    rels = query.relations
+    join = set.union if tpl.union else set.intersection
+    values: list = list(query.anchors)  # anchor slots hold an entity, later slots a set
+    for in_edges in tpl.in_edges:
+        parts = [
+            graph.successors(values[h], rels[k]) if h < tpl.anchor_count else _project(graph, values[h], rels[k])
+            for h, k in in_edges
+        ]
+        values.append(parts[0] if len(parts) == 1 else join(*parts))
+    return frozenset(values[-1])
 
 
 @dataclass(frozen=True)
@@ -241,14 +250,21 @@ def write_queries(path: str | Path, instances: Iterable[QueryInstance]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _int_list(record: dict, key: str) -> list[int]:
+def _int_list(record: dict, key: str, bound: int | None) -> list[int]:
     values = record[key]
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ValueError(f"{key} must be a list of integers")
+    for v in values:
+        if v < 0 or (bound is not None and v >= bound):
+            raise ValueError(f"{key}: id {v} is out of range")
     return values
 
 
-def read_queries(path: str | Path) -> list[QueryInstance]:
+def read_queries(
+    path: str | Path, entity_count: int | None = None, relation_count: int | None = None
+) -> list[QueryInstance]:
+    """Query instances from a jsonl file; ids are checked against the given
+    vocabulary sizes, and must be non-negative either way."""
     instances = []
     by_value = {qt.value: qt for qt in QueryType}
     with open(path, encoding="utf-8") as fh:
@@ -266,15 +282,10 @@ def read_queries(path: str | Path) -> list[QueryInstance]:
                 kind = record["type"]
                 if not isinstance(kind, str) or kind not in by_value:
                     raise ValueError(f"unknown query type {kind!r}")
-                query = build_query(by_value[kind], _int_list(record, "anchors"), _int_list(record, "relations"))
-                instances.append(
-                    QueryInstance(
-                        query=query,
-                        answers_train=frozenset(_int_list(record, "answers_train")),
-                        answers_valid=frozenset(_int_list(record, "answers_valid")),
-                        answers_test=frozenset(_int_list(record, "answers_test")),
-                    )
-                )
+                anchors = _int_list(record, "anchors", entity_count)
+                relations = _int_list(record, "relations", relation_count)
+                answers = [frozenset(_int_list(record, f"answers_{s}", entity_count)) for s in ("train", "valid", "test")]
+                instances.append(QueryInstance(build_query(by_value[kind], anchors, relations), *answers))
             except KeyError as exc:
                 raise ParseError(path, lineno, f"missing field {exc}") from None
             except (ArityError, ValueError) as exc:
@@ -289,94 +300,6 @@ def _pick_in_edge(graph: KnowledgeGraph, node: int, rng: np.random.Generator) ->
         return None
     j = int(rng.integers(len(heads)))
     return int(heads[j]), int(rels[j])
-
-
-def _instantiate(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> QueryGraph | None:
-    """Draw one query of the given shape backward from a random target.
-
-    Returns None when the draw hits a dead end (no incoming edges, or not
-    enough distinct anchors); callers retry.
-    """
-    n = graph.entity_count
-    target = int(rng.integers(n))
-
-    if qtype in (QueryType.P1, QueryType.P2, QueryType.P3):
-        length = {QueryType.P1: 1, QueryType.P2: 2, QueryType.P3: 3}[qtype]
-        rels: list[int] = []
-        cur = target
-        for _ in range(length):
-            picked = _pick_in_edge(graph, cur, rng)
-            if picked is None:
-                return None
-            cur, r = picked
-            rels.append(r)
-        return build_query(qtype, (cur,), tuple(reversed(rels)))
-
-    if qtype in (QueryType.I2, QueryType.I3):
-        width = 2 if qtype is QueryType.I2 else 3
-        pairs = _distinct_in_edges(graph, target, width, rng)
-        if pairs is None:
-            return None
-        anchors, rels = zip(*pairs)
-        return build_query(qtype, anchors, rels)
-
-    if qtype is QueryType.IP:
-        picked = _pick_in_edge(graph, target, rng)
-        if picked is None:
-            return None
-        middle, r2 = picked
-        pairs = _distinct_in_edges(graph, middle, 2, rng)
-        if pairs is None:
-            return None
-        (a0, r0), (a1, r1) = pairs
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    if qtype is QueryType.PI:
-        pairs = _distinct_in_edges(graph, target, 2, rng)
-        if pairs is None:
-            return None
-        (middle, r1), (a1, r2) = pairs
-        picked = _pick_in_edge(graph, middle, rng)
-        if picked is None:
-            return None
-        a0, r0 = picked
-        if a0 == a1:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    if qtype is QueryType.U2:
-        first = _pick_in_edge(graph, target, rng)
-        if first is None:
-            return None
-        a0, r0 = first
-        other = int(rng.integers(n))
-        second = _pick_in_edge(graph, other, rng)
-        if second is None:
-            return None
-        a1, r1 = second
-        if a1 == a0:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1))
-
-    if qtype is QueryType.UP:
-        picked = _pick_in_edge(graph, target, rng)
-        if picked is None:
-            return None
-        m0, r2 = picked
-        first = _pick_in_edge(graph, m0, rng)
-        if first is None:
-            return None
-        a0, r0 = first
-        other = int(rng.integers(n))
-        second = _pick_in_edge(graph, other, rng)
-        if second is None:
-            return None
-        a1, r1 = second
-        if a1 == a0:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    raise ValueError(f"unknown query type {qtype}")
 
 
 def _distinct_in_edges(
@@ -399,6 +322,50 @@ def _distinct_in_edges(
         if len(picked) == width:
             break
     return picked if len(picked) >= least else None
+
+
+def walk_back(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> tuple[list[int], list[int]] | None:
+    """Fill a shape's slots backward from a uniformly drawn target.
+
+    Each slot's in-edges are drawn from the slot's entity: one in-edge by a
+    uniform pick, several by distinct in-neighbors; a union's first in-edge is
+    picked from the slot's entity and each other one from a fresh random
+    entity. Returns the slot entities and the relations, or None on a dead
+    end (no incoming edge, too few distinct in-neighbors, or two equal
+    anchors); callers retry.
+    """
+    tpl = _TEMPLATES[qtype]
+    slots = [FREE_SLOT] * tpl.slot_count
+    relations = [0] * tpl.relation_count
+    slots[-1] = int(rng.integers(graph.entity_count))
+    for slot, in_edges in zip(reversed(range(tpl.anchor_count, tpl.slot_count)), reversed(tpl.in_edges)):
+        if len(in_edges) > 1 and not tpl.union:
+            picked = _distinct_in_edges(graph, slots[slot], len(in_edges), rng)
+            if picked is None:
+                return None
+        else:
+            picked = []
+            for _ in in_edges:
+                node = int(rng.integers(graph.entity_count)) if picked else slots[slot]
+                pick = _pick_in_edge(graph, node, rng)
+                if pick is None:
+                    return None
+                picked.append(pick)
+        for (head, k), (entity, relation) in zip(in_edges, picked):
+            slots[head] = entity
+            relations[k] = relation
+    if len(set(slots[: tpl.anchor_count])) < tpl.anchor_count:
+        return None
+    return slots, relations
+
+
+def _instantiate(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> QueryGraph | None:
+    """Draw one query of the given shape backward from a random target, or None."""
+    walked = walk_back(graph, qtype, rng)
+    if walked is None:
+        return None
+    slots, relations = walked
+    return build_query(qtype, slots[: qtype.anchor_count], relations)
 
 
 def generate_queries(

@@ -4,9 +4,12 @@ Stage 1 draws node sets with meta-tree growth (restart-1.0 random walk that
 jumps to a uniformly random already-sampled node before every step) or
 simplified layer-dependent frontier sampling, induces edges between the
 sampled nodes with a keep ratio, then masks a fraction of entity nodes with
-80/10/10 corruption. Stage 2 instantiates small query-shaped meta-graphs
-(chains and branches) directly from graph edges, masking intermediates and
-target but supervising only the target.
+80/10/10 corruption. Stage 2 meta-graphs are the 1p/2p/3p (chain) and 2i/3i
+(branch) query templates filled with true entities: ``queries.walk_back``
+draws a chain backward from a random target, a branch takes 2..3 distinct
+in-neighbors of one, and ``queries.template_levi`` builds the Levi graph the
+queries use. Intermediates and target are masked; only the target is
+supervised.
 
 Frontier counting and edge induction are numpy over the members' CSR slices.
 The meta-tree walk is a plain loop; it draws all of its uniforms up front, two
@@ -22,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import SamplingExhausted
-from .graph import EntityNode, KnowledgeGraph, LeviGraph, RelationNode, Triple, triple_transform
-from .queries import NodeRole, _distinct_in_edges, _pick_in_edge
+from .graph import EntityNode, KnowledgeGraph, LeviGraph, Triple, triple_transform
+from .queries import NodeRole, QueryType, _distinct_in_edges, template_levi, walk_back
 
 MAX_START_RETRIES = 20
 
@@ -284,47 +287,30 @@ def sample_stage1_batch(
     return out
 
 
+def _meta_graph(graph: KnowledgeGraph, qtype: QueryType, slots: list[int], relations: list[int]) -> SampledSubgraph:
+    """A shape's template filled with true entities: non-anchor slots masked,
+    only the target supervised."""
+    levi, roles = template_levi(qtype, slots, relations)
+    mask_positions = tuple(range(qtype.anchor_count, len(slots)))
+    return SampledSubgraph(
+        levi=levi,
+        roles=roles,
+        original_entities=_entity_array(levi),
+        mask_positions=mask_positions,
+        prediction_targets=(len(slots) - 1,),
+        corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
+        entity_count=graph.entity_count,
+    )
+
+
 def _chain_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
     """1p/2p/3p-shaped example walked backward from a random target.
 
     Entity revisits are allowed (Markov walk), each occupying its own slot.
     """
-    length = int(rng.integers(1, 4))
-    target = int(rng.integers(graph.entity_count))
-    entities = [target]
-    relations = []
-    cur = target
-    for _ in range(length):
-        picked = _pick_in_edge(graph, cur, rng)
-        if picked is None:
-            return None
-        h, r = picked
-        entities.append(h)
-        relations.append(r)
-        cur = h
-    entities.reverse()
-    relations.reverse()
-
-    nodes: list = [EntityNode(e) for e in entities]
-    roles = [NodeRole.SOURCE] + [NodeRole.INTERMEDIATE] * (length - 1) + [NodeRole.TARGET]
-    edges_out = []
-    for i, r in enumerate(relations):
-        j = len(nodes)
-        nodes.append(RelationNode(r))
-        roles.append(NodeRole.RELATION)
-        edges_out.append((i, j))
-        edges_out.append((j, i + 1))
-    levi = LeviGraph(nodes=nodes, edges=edges_out, entity_node_count=length + 1)
-    mask_positions = tuple(range(1, length + 1))
-    return SampledSubgraph(
-        levi=levi,
-        roles=tuple(roles),
-        original_entities=_entity_array(levi),
-        mask_positions=mask_positions,
-        prediction_targets=(length,),
-        corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
-        entity_count=graph.entity_count,
-    )
+    qtype = (QueryType.P1, QueryType.P2, QueryType.P3)[int(rng.integers(1, 4)) - 1]
+    walked = walk_back(graph, qtype, rng)
+    return None if walked is None else _meta_graph(graph, qtype, *walked)
 
 
 def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
@@ -334,29 +320,8 @@ def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> Sampl
     picked = _distinct_in_edges(graph, target, width, rng, least=2)
     if picked is None:
         return None  # degenerate: fewer than two distinct in-neighbors
-    width = len(picked)
-
-    nodes: list = [EntityNode(h) for h, _ in picked]
-    roles = [NodeRole.SOURCE] * width
-    nodes.append(EntityNode(int(target)))
-    roles.append(NodeRole.TARGET)
-    edges_out = []
-    for i, (_, r) in enumerate(picked):
-        j = len(nodes)
-        nodes.append(RelationNode(r))
-        roles.append(NodeRole.RELATION)
-        edges_out.append((i, j))
-        edges_out.append((j, width))
-    levi = LeviGraph(nodes=nodes, edges=edges_out, entity_node_count=width + 1)
-    return SampledSubgraph(
-        levi=levi,
-        roles=tuple(roles),
-        original_entities=_entity_array(levi),
-        mask_positions=(width,),
-        prediction_targets=(width,),
-        corruption={width: Corruption(CorruptionKind.MASK)},
-        entity_count=graph.entity_count,
-    )
+    heads, relations = map(list, zip(*picked))
+    return _meta_graph(graph, (QueryType.I2, QueryType.I3)[len(picked) - 2], heads + [target], relations)
 
 
 def sample_meta_graph(

@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .model import Batch, Model, encode_queries, encode_subgraphs, forward
 from .optim import AdamW, AdamWConfig, clip_global_norm
 from .queries import TRAINABLE_TYPES, QueryInstance, QueryType
 from .sampling import sample_meta_graph, sample_stage1_batch
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 
 class Stage(Enum):
@@ -94,22 +95,21 @@ def _train_step(
     model: Model,
     optimizer: AdamW,
     batch: Batch,
-    alpha: float,
+    loss: Callable[[Tensor], Tensor],
     clip: float,
     epoch: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """One masked-prediction update. Returns (loss, lr used)."""
+    """One update on the mean over graphs of ``loss``'s per-row terms. Returns (loss, lr used)."""
     with Tape() as tape:
         logits = forward(model, batch, training=True, rng=rng)
-        per_position = T.cross_entropy(logits, batch.targets, alpha)
         # mean over graphs of the per-graph sums = sum / batch size
-        loss = T.mul(T.sum_all(per_position), 1.0 / batch.graph_count)
-        value = loss.item()
+        total = T.mul(T.sum_all(loss(logits)), 1.0 / batch.graph_count)
+        value = total.item()
         if not math.isfinite(value):
             raise FloatingPointError(f"training loss diverged (loss={value})")
         optimizer.zero_grad()
-        tape.backward(loss)
+        tape.backward(total)
     clip_global_norm(model.params, clip)
     lr = optimizer.step(epoch)
     return value, lr
@@ -152,9 +152,8 @@ def pretrain(
                     for _ in range(config.batch_size)
                 ]
             batch = encode_subgraphs(subs, model.config)
-            value, lr = _train_step(
-                model, optimizer, batch, config.label_smoothing, config.grad_clip, epoch, dropout_rng
-            )
+            loss = partial(T.cross_entropy, targets=batch.targets, alpha=config.label_smoothing)
+            value, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
             losses.append(value)
         _finish_epoch(records, log, config.stage, epoch, losses, lr, started)
     return records
@@ -168,30 +167,6 @@ def _query_batches(
     order = rng.permutation(len(instances))
     shuffled = [instances[i] for i in order]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
-
-def _finetune_step(
-    model: Model,
-    optimizer: AdamW,
-    chunk: Sequence[QueryInstance],
-    clip: float,
-    epoch: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    batch = encode_queries([inst.query for inst in chunk], model.config)
-    answer_sets = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in chunk]
-    with Tape() as tape:
-        logits = forward(model, batch, training=True, rng=rng)
-        per_query = T.answer_masked_cross_entropy(logits, answer_sets)
-        loss = T.mul(T.sum_all(per_query), 1.0 / len(chunk))
-        value = loss.item()
-        if not math.isfinite(value):
-            raise FloatingPointError(f"fine-tune loss diverged (loss={value})")
-        optimizer.zero_grad()
-        tape.backward(loss)
-    clip_global_norm(model.params, clip)
-    lr = optimizer.step(epoch)
-    return value, lr
 
 
 def finetune(
@@ -226,7 +201,10 @@ def finetune(
         while remaining:
             for qtype in list(remaining):
                 chunk = queues[qtype].pop(0)
-                value, lr = _finetune_step(model, optimizer, chunk, config.grad_clip, epoch, dropout_rng)
+                batch = encode_queries([inst.query for inst in chunk], model.config)
+                answer_sets = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in chunk]
+                loss = partial(T.answer_masked_cross_entropy, answer_sets=answer_sets)
+                value, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
                 losses.append(value)
                 if not queues[qtype]:
                     remaining.remove(qtype)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kgt.graph import KnowledgeGraph, SplitDataset, Triple, build_split, write_triples, write_vocab
 
@@ -105,6 +106,23 @@ class ListGraph:
 
     def in_edges(self, node: int) -> list[tuple[int, int]]:
         return [self.triples[i][:2] for i in self.in_index[node]]
+
+
+@st.composite
+def hub_multigraphs(draw):
+    """Small multigraphs: entity 0 is a hub, the last entities are isolated, and
+    (h, t) pairs repeat under different relations."""
+    linked = draw(st.integers(2, 10))
+    isolated = draw(st.integers(0, 3))
+    relations = 3
+    ends = st.integers(0, linked - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=20))
+    pairs += [(0, t) if out else (t, 0) for t, out in draw(st.lists(st.tuples(ends, st.booleans()), max_size=15))]
+    multiplicity = draw(st.lists(st.integers(1, relations), min_size=len(pairs), max_size=len(pairs)))
+    triples = list(dict.fromkeys((h, r, t) for (h, t), m in zip(pairs, multiplicity) for r in range(m)))
+    graph = KnowledgeGraph(linked + isolated, relations, triples)
+    members = draw(st.lists(st.integers(0, graph.entity_count - 1), min_size=1, max_size=8))
+    return graph, members
 
 
 def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes, out_parent):
@@ -377,3 +395,184 @@ def per_query_evaluate(model, datasets, split: str, ks=(1, 3, 10), rank_dump: li
                 mean_row[metric] = float(np.mean([r[metric] for r in rows.values()]))
         rows["mean"] = mean_row
     return MetricsTable(split=split, ks=tuple(ks), rows=rows)
+
+
+def per_shape_ground_answers(graph, query) -> frozenset[int]:
+    """Test oracle: the former per-shape grounding, unions via their DNF branches."""
+    from kgt.queries import QueryType, _project, dnf_decompose
+
+    qt = query.query_type
+    a = query.anchors
+    r = query.relations
+    if qt is QueryType.P1:
+        return frozenset(graph.successors(a[0], r[0]))
+    if qt is QueryType.P2:
+        return frozenset(_project(graph, graph.successors(a[0], r[0]), r[1]))
+    if qt is QueryType.P3:
+        frontier = graph.successors(a[0], r[0])
+        frontier = _project(graph, frontier, r[1])
+        return frozenset(_project(graph, frontier, r[2]))
+    if qt is QueryType.I2:
+        return frozenset(graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]))
+    if qt is QueryType.I3:
+        return frozenset(
+            graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]) & graph.successors(a[2], r[2])
+        )
+    if qt is QueryType.IP:
+        middle = graph.successors(a[0], r[0]) & graph.successors(a[1], r[1])
+        return frozenset(_project(graph, middle, r[2]))
+    if qt is QueryType.PI:
+        middle = graph.successors(a[0], r[0])
+        return frozenset(_project(graph, middle, r[1]) & graph.successors(a[1], r[2]))
+    answers: set[int] = set()
+    for branch in dnf_decompose(query):
+        answers |= per_shape_ground_answers(graph, branch)
+    return frozenset(answers)
+
+
+def per_shape_instantiate(graph, qtype, rng):
+    """Test oracle: the former per-shape backward draw of one query, or None."""
+    from kgt.queries import QueryType, _distinct_in_edges, _pick_in_edge, build_query
+
+    n = graph.entity_count
+    target = int(rng.integers(n))
+
+    if qtype in (QueryType.P1, QueryType.P2, QueryType.P3):
+        length = {QueryType.P1: 1, QueryType.P2: 2, QueryType.P3: 3}[qtype]
+        rels: list[int] = []
+        cur = target
+        for _ in range(length):
+            picked = _pick_in_edge(graph, cur, rng)
+            if picked is None:
+                return None
+            cur, r = picked
+            rels.append(r)
+        return build_query(qtype, (cur,), tuple(reversed(rels)))
+
+    if qtype in (QueryType.I2, QueryType.I3):
+        width = 2 if qtype is QueryType.I2 else 3
+        pairs = _distinct_in_edges(graph, target, width, rng)
+        if pairs is None:
+            return None
+        anchors, rels = zip(*pairs)
+        return build_query(qtype, anchors, rels)
+
+    if qtype is QueryType.IP:
+        picked = _pick_in_edge(graph, target, rng)
+        if picked is None:
+            return None
+        middle, r2 = picked
+        pairs = _distinct_in_edges(graph, middle, 2, rng)
+        if pairs is None:
+            return None
+        (a0, r0), (a1, r1) = pairs
+        return build_query(qtype, (a0, a1), (r0, r1, r2))
+
+    if qtype is QueryType.PI:
+        pairs = _distinct_in_edges(graph, target, 2, rng)
+        if pairs is None:
+            return None
+        (middle, r1), (a1, r2) = pairs
+        picked = _pick_in_edge(graph, middle, rng)
+        if picked is None:
+            return None
+        a0, r0 = picked
+        if a0 == a1:
+            return None
+        return build_query(qtype, (a0, a1), (r0, r1, r2))
+
+    if qtype is QueryType.U2:
+        first = _pick_in_edge(graph, target, rng)
+        if first is None:
+            return None
+        a0, r0 = first
+        second = _pick_in_edge(graph, int(rng.integers(n)), rng)
+        if second is None:
+            return None
+        a1, r1 = second
+        if a1 == a0:
+            return None
+        return build_query(qtype, (a0, a1), (r0, r1))
+
+    if qtype is QueryType.UP:
+        picked = _pick_in_edge(graph, target, rng)
+        if picked is None:
+            return None
+        m0, r2 = picked
+        first = _pick_in_edge(graph, m0, rng)
+        if first is None:
+            return None
+        a0, r0 = first
+        second = _pick_in_edge(graph, int(rng.integers(n)), rng)
+        if second is None:
+            return None
+        a1, r1 = second
+        if a1 == a0:
+            return None
+        return build_query(qtype, (a0, a1), (r0, r1, r2))
+
+    raise ValueError(f"unknown query type {qtype}")
+
+
+def _hand_built_meta_graph(graph, entities, relations, heads_into, roles, mask_positions):
+    """Levi graph with one relation node per (head slot, relation, tail slot) triple."""
+    from kgt.graph import EntityNode, LeviGraph, RelationNode
+    from kgt.queries import NodeRole
+    from kgt.sampling import Corruption, CorruptionKind, SampledSubgraph, _entity_array
+
+    nodes: list = [EntityNode(e) for e in entities]
+    roles = list(roles)
+    edges = []
+    for (head, tail), r in zip(heads_into, relations):
+        j = len(nodes)
+        nodes.append(RelationNode(r))
+        roles.append(NodeRole.RELATION)
+        edges += [(head, j), (j, tail)]
+    levi = LeviGraph(nodes=nodes, edges=edges, entity_node_count=len(entities))
+    return SampledSubgraph(
+        levi=levi,
+        roles=tuple(roles),
+        original_entities=_entity_array(levi),
+        mask_positions=mask_positions,
+        prediction_targets=(len(entities) - 1,),
+        corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
+        entity_count=graph.entity_count,
+    )
+
+
+def hand_built_chain_meta_graph(graph, rng):
+    """Test oracle: the former 1p/2p/3p meta-graph walk with its own Levi graph."""
+    from kgt.queries import NodeRole, _pick_in_edge
+
+    length = int(rng.integers(1, 4))
+    cur = int(rng.integers(graph.entity_count))
+    entities = [cur]
+    relations = []
+    for _ in range(length):
+        picked = _pick_in_edge(graph, cur, rng)
+        if picked is None:
+            return None
+        cur, r = picked
+        entities.append(cur)
+        relations.append(r)
+    entities.reverse()
+    relations.reverse()
+    roles = [NodeRole.SOURCE] + [NodeRole.INTERMEDIATE] * (length - 1) + [NodeRole.TARGET]
+    links = [(i, i + 1) for i in range(length)]
+    return _hand_built_meta_graph(graph, entities, relations, links, roles, tuple(range(1, length + 1)))
+
+
+def hand_built_branch_meta_graph(graph, rng):
+    """Test oracle: the former 2i/3i meta-graph draw with its own Levi graph."""
+    from kgt.queries import NodeRole, _distinct_in_edges
+
+    width = int(rng.integers(2, 4))
+    target = int(rng.integers(graph.entity_count))
+    picked = _distinct_in_edges(graph, target, width, rng, least=2)
+    if picked is None:
+        return None
+    width = len(picked)
+    entities = [h for h, _ in picked] + [target]
+    roles = [NodeRole.SOURCE] * width + [NodeRole.TARGET]
+    links = [(i, width) for i in range(width)]
+    return _hand_built_meta_graph(graph, entities, [r for _, r in picked], links, roles, (width,))

@@ -304,6 +304,14 @@ class TestPipeline:
             assert len(record["intermediates"]) == 1
             assert len(record["intermediates"][0]) == 3
 
+    def test_interpret_empty_query_file(self, pipeline, tmp_path, capsys):
+        base = ["--config", str(pipeline["config"]), "--out", str(pipeline["out"])]
+        qfile = tmp_path / "empty.jsonl"
+        qfile.write_text("")
+        ckpt = pipeline["out"] / "checkpoints" / "stage2.kgtc"
+        assert main(base + ["interpret", "--query-file", str(qfile), "--checkpoint", str(ckpt)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_interpret_rejects_union_file(self, pipeline, capsys):
         base = ["--config", str(pipeline["config"]), "--out", str(pipeline["out"])]
         qfile = pipeline["out"] / "queries" / "valid_2u.jsonl"
@@ -369,6 +377,27 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:1:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "interpret"])
+    def test_out_of_range_query_id(self, pipeline, tmp_path, capsys, command):
+        # anchor 50 is the mask-token id of the 50-entity model
+        path = tmp_path / "queries" / "valid_2p.jsonl"
+        path.parent.mkdir()
+        path.write_text(
+            '{"type": "2p", "anchors": [0], "relations": [0, 0], "answers_train": [], "answers_valid": [1], "answers_test": [1]}\n'
+            '{"type": "2p", "anchors": [50], "relations": [0, 0], "answers_train": [], "answers_valid": [1], "answers_test": [1]}\n'
+        )
+        ckpt = pipeline["out"] / "checkpoints" / "stage2.kgtc"
+        args = {
+            "evaluate": ["evaluate", "--split", "valid", "--queries", str(path.parent)],
+            "interpret": ["interpret", "--query-file", str(path)],
+        }[command]
+        rc = main(["--config", str(pipeline["config"]), "--out", str(tmp_path / "out")] + args + ["--checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "metrics").exists()
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

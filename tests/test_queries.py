@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt.errors import ArityError, ParseError, SamplingExhausted
 from kgt.graph import EntityNode, KnowledgeGraph
@@ -12,6 +14,7 @@ from kgt.queries import (
     NodeRole,
     QueryInstance,
     QueryType,
+    _instantiate,
     build_query,
     dnf_decompose,
     generate_queries,
@@ -20,7 +23,7 @@ from kgt.queries import (
     write_queries,
 )
 
-from helpers import small_graph, toy_split
+from helpers import hub_multigraphs, per_shape_ground_answers, per_shape_instantiate, small_graph, toy_split
 
 
 def brute_force_answers(g: KnowledgeGraph, qtype: QueryType, anchors, rels) -> set[int]:
@@ -155,6 +158,35 @@ class TestGrounding:
                 assert a_train <= a_valid <= a_test
 
 
+class TestTemplateOracles:
+    """The template walk and evaluator match the former per-shape code, random stream included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hub_multigraphs(), st.integers(0, 2**32 - 1))
+    def test_instantiate_matches_per_shape(self, case, seed):
+        graph, _ = case
+        for index, qtype in enumerate(QueryType):
+            rng_a, rng_b = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
+            for _ in range(15):
+                got = _instantiate(graph, qtype, rng_a)
+                assert got == per_shape_instantiate(graph, qtype, rng_b)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                if got is not None:
+                    assert ground_answers(graph, got) == per_shape_ground_answers(graph, got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hub_multigraphs(), st.integers(0, 2**32 - 1))
+    def test_grounding_matches_per_shape(self, case, seed):
+        graph, _ = case
+        rng = np.random.default_rng(seed)
+        for qtype in QueryType:
+            for _ in range(5):
+                anchors = rng.integers(graph.entity_count, size=qtype.anchor_count)
+                relations = rng.integers(graph.relation_count, size=qtype.relation_count)
+                q = build_query(qtype, anchors, relations)
+                assert ground_answers(graph, q) == per_shape_ground_answers(graph, q)
+
+
 class TestDnf:
     def test_conjunctive_is_single_branch(self):
         q = build_query(QueryType.I2, (0, 1), (0, 1))
@@ -228,6 +260,29 @@ class TestQueryIO:
         with pytest.raises(ParseError) as excinfo:
             read_queries(path)
         assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type": "1p", "anchors": [50], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}',
+            '{"type": "1p", "anchors": [20], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}',
+            '{"type": "1p", "anchors": [0], "relations": [-1], "answers_train": [], "answers_valid": [], "answers_test": []}',
+            '{"type": "1p", "anchors": [0], "relations": [0], "answers_train": [], "answers_valid": [-2], "answers_test": []}',
+        ],
+        ids=["anchor_past_vocabulary", "anchor_is_mask_id", "negative_relation", "negative_answer"],
+    )
+    def test_out_of_range_id_reports_line(self, tmp_path, record):
+        good = '{"type": "1p", "anchors": [19], "relations": [2], "answers_train": [0], "answers_valid": [], "answers_test": []}'
+        path = tmp_path / "q.jsonl"
+        path.write_text(good + "\n" + record + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_queries(path, entity_count=20, relation_count=3)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+
+    def test_ids_unbounded_without_vocabulary(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"type": "1p", "anchors": [50], "relations": [7], "answers_train": [90], "answers_valid": [], "answers_test": []}\n')
+        assert read_queries(path)[0].query.anchors == (50,)
 
     def test_answers_stored_sorted(self, tmp_path):
         q = build_query(QueryType.P1, (0,), (0,))

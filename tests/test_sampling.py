@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from kgt.sampling import (
 )
 
 from helpers import (
+    hand_built_branch_meta_graph,
+    hand_built_chain_meta_graph,
+    hub_multigraphs,
     loop_induce_subgraph,
     loop_layer_dependent_sample,
     loop_meta_tree_sample,
@@ -315,23 +319,6 @@ class TestMetaGraphs:
         assert saw_revisit
 
 
-@st.composite
-def hub_multigraphs(draw):
-    """Small multigraphs: entity 0 is a hub, the last entities are isolated, and
-    (h, t) pairs repeat under different relations."""
-    linked = draw(st.integers(2, 10))
-    isolated = draw(st.integers(0, 3))
-    relations = 3
-    ends = st.integers(0, linked - 1)
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=20))
-    pairs += [(0, t) if out else (t, 0) for t, out in draw(st.lists(st.tuples(ends, st.booleans()), max_size=15))]
-    multiplicity = draw(st.lists(st.integers(1, relations), min_size=len(pairs), max_size=len(pairs)))
-    triples = list(dict.fromkeys((h, r, t) for (h, t), m in zip(pairs, multiplicity) for r in range(m)))
-    graph = KnowledgeGraph(linked + isolated, relations, triples)
-    members = draw(st.lists(st.integers(0, graph.entity_count - 1), min_size=1, max_size=8))
-    return graph, members
-
-
 def hub_graph(entities: int = 200, triples: int = 1500, seed: int = 31) -> KnowledgeGraph:
     """Zipf-like heads and tails: a few hubs carry most edges."""
     rng = np.random.default_rng(seed)
@@ -396,3 +383,46 @@ class TestLoopOracles:
         monkeypatch.setattr(sampling, "induce_subgraph", loop_induce_subgraph)
         want = sample_stage1_batch(graph, np.random.default_rng(32), 24, method_mix=method_mix)
         assert [subgraph_fields(sub) for sub in got] == [subgraph_fields(sub) for sub in want]
+
+
+class TestMetaGraphOracles:
+    """Stage-2 meta-graphs built from the query templates match the former
+    hand-built chain and branch graphs, random stream included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hub_multigraphs(), st.integers(0, 2**32 - 1))
+    def test_builders_match_hand_built(self, case, seed):
+        graph, _ = case
+        builders = [
+            (sampling._chain_meta_graph, hand_built_chain_meta_graph),
+            (sampling._branch_meta_graph, hand_built_branch_meta_graph),
+        ]
+        for build, oracle in builders:
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                got, want = build(graph, rng_a), oracle(graph, rng_b)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert subgraph_fields(got) == subgraph_fields(want)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(hub_multigraphs(), st.sampled_from([0.0, 1.0, 4.0, math.inf]), st.integers(0, 2**32 - 1))
+    def test_sample_meta_graph_matches_hand_built(self, case, pattern_mix, seed):
+        graph, _ = case
+
+        def draws(rng):
+            out = []
+            for _ in range(10):
+                try:
+                    out.append(subgraph_fields(sample_meta_graph(graph, rng, pattern_mix, max_attempts=20)))
+                except SamplingExhausted:
+                    out.append(None)
+            return out, rng.bit_generator.state
+
+        got = draws(np.random.default_rng(seed))
+        with mock.patch.object(sampling, "_chain_meta_graph", hand_built_chain_meta_graph), mock.patch.object(
+            sampling, "_branch_meta_graph", hand_built_branch_meta_graph
+        ):
+            want = draws(np.random.default_rng(seed))
+        assert got == want

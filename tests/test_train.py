@@ -173,17 +173,17 @@ class TestFinetune:
         steps = []
         import kgt.train as train_mod
 
-        original = train_mod._finetune_step
+        original = train_mod._train_step
 
-        def counting(model, optimizer, chunk, clip, epoch, rng):
-            steps.append(len(chunk))
-            return original(model, optimizer, chunk, clip, epoch, rng)
+        def counting(model, optimizer, batch, loss, clip, epoch, rng):
+            steps.append(batch.graph_count)
+            return original(model, optimizer, batch, loss, clip, epoch, rng)
 
-        train_mod._finetune_step = counting
+        train_mod._train_step = counting
         try:
             finetune(model, data, cfg)
         finally:
-            train_mod._finetune_step = original
+            train_mod._train_step = original
         # 6 queries -> 3 batches, 5 queries -> 3 batches (2+2+1)
         assert len(steps) == 6
         assert sorted(steps) == [1, 2, 2, 2, 2, 2]
