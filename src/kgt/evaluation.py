@@ -41,11 +41,27 @@ def filtered_rank(scores: np.ndarray, answer: int, filter_out: Iterable[int]) ->
 
 
 def optimistic_ranks(scores: np.ndarray) -> np.ndarray:
-    """Unfiltered rank of every entity: 1 + count of strictly greater scores."""
+    """Unfiltered rank of every entity: 1 + count of strictly greater scores.
+
+    One ascending argsort: the entities of a tied group all rank
+    ``n - (index of the group's last member)``. NaN sorts last, and NaNs tie
+    with one another.
+    """
     scores = np.asarray(scores)
-    ordered = np.sort(scores)
-    greater = scores.shape[0] - np.searchsorted(ordered, scores, side="right")
-    return (greater + 1).astype(np.int64)
+    n = scores.shape[0]
+    order = np.argsort(scores)
+    ordered = scores[order]
+    last = np.ones(n, dtype=bool)  # last member of its tied group
+    last[:-1] = ordered[1:] != ordered[:-1]
+    if n and np.isnan(ordered[-1]):
+        nan = np.isnan(ordered)
+        last[:-1] &= ~(nan[1:] & nan[:-1])
+    # each sorted slot takes the index of the first group end at or after it
+    ends = np.flatnonzero(last)
+    group_end = np.repeat(ends, np.diff(ends, prepend=-1))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = n - group_end
+    return ranks
 
 
 def union_combine(branch_scores: Sequence[np.ndarray]) -> np.ndarray:

@@ -270,6 +270,31 @@ def read_vocab(path: Path) -> list[str]:
     return tokens
 
 
+def _read_id_triples(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse a file of integer ids straight into int64 arrays, or None if it cannot.
+
+    Any file this rejects (a bad line, a carriage return, no triples) goes to
+    the line-by-line parser, which finds the failing line or gives the same
+    arrays.
+    """
+    raw = path.read_bytes()
+    if b"\r" in raw:  # universal newlines would number the lines differently
+        return None
+    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    # line i runs from breaks[i - 1] + 1 to breaks[i]; empty lines are skipped
+    lengths = np.diff(breaks, prepend=-1, append=len(raw)) - 1
+    lines = np.flatnonzero(lengths > 0) + 1
+    if not lines.size:
+        return None
+    try:
+        hrt = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if hrt.shape != (lines.size, 3):
+        return None
+    return hrt, lines
+
+
 def read_triples(
     path: Path,
     entity_ids: dict[str, int] | None = None,
@@ -279,8 +304,21 @@ def read_triples(
 
     Tokens are looked up in the vocabularies when given, otherwise they must be
     integer literals. Returns the int64 ``[n, 3]`` triples and the line number
-    of each.
+    of each. A file without vocabularies is parsed by ``np.loadtxt`` first.
     """
+    if entity_ids is None and relation_ids is None:
+        parsed = _read_id_triples(path)
+        if parsed is not None:
+            return parsed
+    return _parse_lines(path, entity_ids, relation_ids)
+
+
+def _parse_lines(
+    path: Path,
+    entity_ids: dict[str, int] | None,
+    relation_ids: dict[str, int] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``read_triples`` one line at a time; raises ``ParseError`` at the first bad line."""
 
     def resolve(token: str, table: dict[str, int] | None, kind: str, lineno: int) -> int:
         if table is not None:

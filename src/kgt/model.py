@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .graph import EntityNode
+from .graph import EntityNode, LeviGraph
 from .queries import FREE_SLOT, NodeRole, QueryGraph
 from .sampling import Corruption, CorruptionKind, SampledSubgraph
 from .tensor import Tensor
@@ -155,24 +155,87 @@ class Model:
 
 @dataclass
 class Batch:
-    """Padded model input for a list of graphs.
+    """Model input: graphs packed into the rows of a [R, N] node grid.
 
-    ``positions`` are flat indexes into the [B * N] node grid; padding nodes
-    attend only to themselves and never appear in ``positions``, so they touch
-    neither the loss nor any gradient.
+    A row holds one or more whole graphs end to end, so its real slots are a
+    prefix of the row. ``attn_mask`` is block diagonal over the graphs of a
+    row, and padding slots attend only to themselves. ``positions`` are flat
+    indexes into the [R * N] grid, in graph order; padding never appears in
+    them, so it touches neither the loss nor any gradient.
     """
 
-    entity_ids: np.ndarray  # [B, N] int64, mask token at masked/padded slots
-    relation_ids: np.ndarray  # [B, N] int64, zero at non-relation slots
-    is_entity: np.ndarray  # [B, N] bool, padding counts as entity
-    attn_mask: np.ndarray  # [B, 1, N, N] bool
+    entity_ids: np.ndarray  # [R, N] int64, mask token at masked/padded slots
+    relation_ids: np.ndarray  # [R, N] int64, zero at non-relation slots
+    is_entity: np.ndarray  # [R, N] bool, padding counts as entity
+    attn_mask: np.ndarray  # [R, 1, N, N] bool
     positions: np.ndarray  # [P] int64 flat prediction slots
     targets: np.ndarray  # [P] int64 true entity ids at those slots
-    sizes: list[int]  # real nodes per graph; the rest of each row is padding
+    sizes: list[int]  # real slots per grid row; the rest of each row is padding
+    graph_count: int  # graphs in the batch; a row may hold several
 
-    @property
-    def graph_count(self) -> int:
-        return self.entity_ids.shape[0]
+
+def _pack(
+    levis: Sequence[LeviGraph],
+    inputs: Sequence[dict[int, int]],
+    slots: Sequence[Sequence[int]],
+    targets: Sequence[int],
+    mask_id: int,
+) -> Batch:
+    """Lay graphs out in a grid as rows of whole graphs.
+
+    Graphs go first-fit decreasing by node count (a stable order, so graphs of
+    equal size keep theirs) into rows as wide as the widest graph; each graph
+    takes the slots right after the previous one in its row. Graphs of equal
+    width therefore get one row each, in order.
+
+    Entity nodes enter as their ids, variable slots and padding as the mask
+    token, and relation nodes as their relation ids. ``inputs[g]`` overrides
+    the input id of some of graph g's nodes; ``slots[g]`` are its prediction
+    nodes, whose true ids ``targets`` lists in graph order.
+    """
+    if not levis:
+        raise ValueError("empty batch")
+    counts = [levi.node_count for levi in levis]
+    width = max(counts)
+    used: list[int] = []  # filled slots per row
+    starts = [0] * len(levis)  # flat index of each graph's first slot
+    for g in sorted(range(len(levis)), key=lambda i: -counts[i]):
+        row = next((r for r, n in enumerate(used) if n + counts[g] <= width), len(used))
+        if row == len(used):
+            used.append(0)
+        starts[g] = row * width + used[row]
+        used[row] += counts[g]
+
+    rows = len(used)
+    entity_ids = np.full(rows * width, mask_id, dtype=np.int64)
+    relation_ids = np.zeros(rows * width, dtype=np.int64)
+    is_entity = np.ones(rows * width, dtype=bool)
+    attn = np.zeros((rows, 1, width, width), dtype=bool)
+    attn[:, 0] |= np.eye(width, dtype=bool)
+    positions = []
+    for levi, start, n, overrides, predict in zip(levis, starts, counts, inputs, slots):
+        row, col = divmod(start, width)
+        attn[row, 0, col : col + n, col : col + n] = levi.attention_mask()
+        for i, node in enumerate(levi.nodes):
+            if isinstance(node, EntityNode):
+                if node.entity != FREE_SLOT:
+                    entity_ids[start + i] = node.entity
+            else:
+                is_entity[start + i] = False
+                relation_ids[start + i] = node.relation
+        for i, value in overrides.items():
+            entity_ids[start + i] = value
+        positions.extend(start + i for i in predict)
+    return Batch(
+        entity_ids=entity_ids.reshape(rows, width),
+        relation_ids=relation_ids.reshape(rows, width),
+        is_entity=is_entity.reshape(rows, width),
+        attn_mask=attn,
+        positions=np.asarray(positions, dtype=np.int64),
+        targets=np.asarray(targets, dtype=np.int64),
+        sizes=used,
+        graph_count=len(levis),
+    )
 
 
 def _masked_input_id(original: int, corruption: Corruption, mask_id: int) -> int:
@@ -184,42 +247,14 @@ def _masked_input_id(original: int, corruption: Corruption, mask_id: int) -> int
 
 
 def encode_subgraphs(subs: Sequence[SampledSubgraph], config: ModelConfig) -> Batch:
-    """Pack masked subgraphs into one padded batch."""
-    if not subs:
-        raise ValueError("empty batch")
-    width = max(s.levi.node_count for s in subs)
-    b = len(subs)
-    entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    relation_ids = np.zeros((b, width), dtype=np.int64)
-    is_entity = np.ones((b, width), dtype=bool)
-    attn = np.zeros((b, 1, width, width), dtype=bool)
-    attn[:, 0] |= np.eye(width, dtype=bool)
-    positions = []
-    targets = []
-    for gi, sub in enumerate(subs):
-        n = sub.levi.node_count
-        attn[gi, 0, :n, :n] = sub.levi.attention_mask()
-        for i, node in enumerate(sub.levi.nodes):
-            if isinstance(node, EntityNode):
-                if i in sub.corruption:
-                    entity_ids[gi, i] = _masked_input_id(node.entity, sub.corruption[i], config.mask_id)
-                else:
-                    entity_ids[gi, i] = node.entity
-            else:
-                is_entity[gi, i] = False
-                relation_ids[gi, i] = node.relation
-        for pos in sub.prediction_targets:
-            positions.append(gi * width + pos)
-            targets.append(int(sub.original_entities[pos]))
-    return Batch(
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-        is_entity=is_entity,
-        attn_mask=attn,
-        positions=np.asarray(positions, dtype=np.int64),
-        targets=np.asarray(targets, dtype=np.int64),
-        sizes=[s.levi.node_count for s in subs],
-    )
+    """Pack masked subgraphs into one batch."""
+    inputs = [
+        {i: _masked_input_id(sub.levi.nodes[i].entity, c, config.mask_id) for i, c in sub.corruption.items()}
+        for sub in subs
+    ]
+    slots = [sub.prediction_targets for sub in subs]
+    targets = [int(sub.original_entities[i]) for sub in subs for i in sub.prediction_targets]
+    return _pack([s.levi for s in subs], inputs, slots, targets, config.mask_id)
 
 
 def encode_queries(
@@ -228,52 +263,25 @@ def encode_queries(
     predict: str = "target",
     fill: int | None = None,
 ) -> Batch:
-    """Pack query graphs into one padded batch.
+    """Pack query graphs into one batch.
 
     Anchors enter as their entity ids; intermediates and the target enter as
     mask tokens. ``predict`` chooses the scored slots: the target node
     ("target") or every intermediate node ("intermediates"). ``fill`` clamps
     the target slot to a concrete entity instead of the mask token.
     """
-    if not queries:
-        raise ValueError("empty batch")
     if predict not in ("target", "intermediates"):
         raise ValueError(f"unknown predict mode {predict!r}")
-    width = max(q.levi.node_count for q in queries)
-    b = len(queries)
-    entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    relation_ids = np.zeros((b, width), dtype=np.int64)
-    is_entity = np.ones((b, width), dtype=bool)
-    attn = np.zeros((b, 1, width, width), dtype=bool)
-    attn[:, 0] |= np.eye(width, dtype=bool)
-    positions = []
-    for qi, q in enumerate(queries):
-        n = q.levi.node_count
-        attn[qi, 0, :n, :n] = q.levi.attention_mask()
-        for i, node in enumerate(q.levi.nodes):
-            if isinstance(node, EntityNode):
-                if node.entity != FREE_SLOT:
-                    entity_ids[qi, i] = node.entity
-            else:
-                is_entity[qi, i] = False
-                relation_ids[qi, i] = node.relation
-        if fill is not None:
-            entity_ids[qi, q.target_index] = int(fill)
-        if predict == "target":
-            positions.append(qi * width + q.target_index)
-        else:
+    if predict == "target":
+        slots = [(q.target_index,) for q in queries]
+    else:
+        slots = [q.intermediate_indexes for q in queries]
+        for q in queries:
             if not q.intermediate_indexes:
                 raise ValueError(f"{q.query_type.value} query has no intermediate nodes")
-            positions.extend(qi * width + i for i in q.intermediate_indexes)
-    return Batch(
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-        is_entity=is_entity,
-        attn_mask=attn,
-        positions=np.asarray(positions, dtype=np.int64),
-        targets=np.zeros(len(positions), dtype=np.int64),
-        sizes=[q.levi.node_count for q in queries],
-    )
+    inputs = [{} if fill is None else {q.target_index: int(fill)} for q in queries]
+    targets = np.zeros(sum(len(s) for s in slots), dtype=np.int64)
+    return _pack([q.levi for q in queries], inputs, slots, targets, config.mask_id)
 
 
 def attention_layer(

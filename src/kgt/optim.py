@@ -104,13 +104,23 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     any gradient when that norm is not finite: scaling an infinite gradient
     gives NaN, and a NaN norm would skip clipping, so either way the next
     AdamW step would write NaN into the weights.
+
+    The squares are summed in float64, ``_BLOCK`` elements at a time through
+    one block-sized scratch array, so no temporary the size of a gradient is
+    built.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     total = 0.0
+    scratch = np.empty(_BLOCK, dtype=np.float64)
     for t in params.values():
-        if t.grad is not None:
-            total += float(np.sum(t.grad.astype(np.float64) ** 2))
+        if t.grad is None:
+            continue
+        flat = t.grad.reshape(-1)
+        for i in range(0, flat.size, _BLOCK):
+            block = scratch[: min(_BLOCK, flat.size - i)]
+            block[:] = flat[i : i + _BLOCK]
+            total += float(np.dot(block, block))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm ({norm})")

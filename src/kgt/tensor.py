@@ -96,13 +96,21 @@ def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    ``owned`` says that the backward has just built ``g`` and hands it over,
+    so a first gradient can keep it instead of copying it. Otherwise a first
+    gradient is a private C-ordered copy: g may be a view of another tensor's
+    grad or a transposed view, and AdamW runs twice as slow on F-ordered arrays.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a private C-ordered copy: g may be a view of another tensor's grad or
-        # a transposed view, and AdamW runs twice as slow on F-ordered arrays
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+        if owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, order="C")
     else:
         t.grad += g
 
@@ -142,8 +150,8 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -159,11 +167,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # gradient is one GEMM rather than a stack of small products
             k, n = b.data.shape
             g2 = g.reshape(-1, n)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), owned=True)
+            _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
             return
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -223,7 +231,7 @@ def scatter_add_rows(base: Tensor, src: Tensor, indexes: np.ndarray) -> Tensor:
 
     def backward(g):
         _accumulate(base, g)
-        _accumulate(src, g[idx])
+        _accumulate(src, g[idx], owned=True)
 
     return _record(out, backward)
 
@@ -234,7 +242,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[..., start:stop] = g
-        _accumulate(a, ga)
+        _accumulate(a, ga, owned=True)
 
     return _record(out, backward)
 
@@ -245,8 +253,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape))
-        _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape))
+        _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -255,7 +263,7 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype), requires_grad=a.requires_grad)
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        _accumulate(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _record(out, backward)
 
@@ -273,7 +281,7 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g):
         sech2 = 1.0 - th * th
         d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x2)
-        _accumulate(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner))
+        _accumulate(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner), owned=True)
 
     return _record(out, backward)
 
@@ -292,12 +300,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat)
-        _accumulate(bias, g.sum(axis=reduce_axes) if reduce_axes else g)
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat, owned=True)
+        # without batch axes the bias gradient is g itself, a view it must not keep
+        _accumulate(bias, g.sum(axis=reduce_axes) if reduce_axes else g, owned=bool(reduce_axes))
         gx = g * gain.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv_std * (gx - mean_gx - xhat * mean_gx_xhat))
+        _accumulate(a, inv_std * (gx - mean_gx - xhat * mean_gx_xhat), owned=True)
 
     return _record(out, backward)
 
@@ -314,7 +323,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None, training: bool
     out = Tensor(a.data * keep, requires_grad=a.requires_grad)
 
     def backward(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * keep, owned=True)
 
     return _record(out, backward)
 
@@ -336,7 +345,7 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         # p is zero at masked slots, so the usual softmax backward stays exact
-        _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True)
 
     return _record(out, backward)
 
@@ -394,7 +403,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, alpha: float = 0.0) -> Te
         gz -= alpha / classes
         gz[rows, idx] -= 1.0 - alpha
         gz *= g[:, None]
-        _accumulate(logits, gz)
+        _accumulate(logits, gz, owned=True)
 
     return _record(out, backward)
 
@@ -455,6 +464,6 @@ def answer_masked_cross_entropy(logits: Tensor, answer_sets: Sequence[np.ndarray
         gz *= (spread * scale)[:, None]
         # answer a: only its own term holds it, with weight p_self - 1
         gz[rows, cols] = (np.exp(z_ans - denom) - 1.0) * scale[rows]
-        _accumulate(logits, gz)
+        _accumulate(logits, gz, owned=True)
 
     return _record(out, backward)

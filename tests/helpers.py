@@ -278,6 +278,82 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
 
 
+def padded_encode_subgraphs(subs, config) -> "Batch":
+    """Test oracle: the former stage-1/stage-2 encoder, one graph per row padded to the widest."""
+    from kgt.graph import EntityNode
+    from kgt.model import Batch, _masked_input_id
+
+    width = max(s.levi.node_count for s in subs)
+    b = len(subs)
+    entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
+    relation_ids = np.zeros((b, width), dtype=np.int64)
+    is_entity = np.ones((b, width), dtype=bool)
+    attn = np.zeros((b, 1, width, width), dtype=bool)
+    attn[:, 0] |= np.eye(width, dtype=bool)
+    positions = []
+    targets = []
+    for gi, sub in enumerate(subs):
+        n = sub.levi.node_count
+        attn[gi, 0, :n, :n] = sub.levi.attention_mask()
+        for i, node in enumerate(sub.levi.nodes):
+            if isinstance(node, EntityNode):
+                if i in sub.corruption:
+                    entity_ids[gi, i] = _masked_input_id(node.entity, sub.corruption[i], config.mask_id)
+                else:
+                    entity_ids[gi, i] = node.entity
+            else:
+                is_entity[gi, i] = False
+                relation_ids[gi, i] = node.relation
+        for pos in sub.prediction_targets:
+            positions.append(gi * width + pos)
+            targets.append(int(sub.original_entities[pos]))
+    return Batch(
+        entity_ids=entity_ids,
+        relation_ids=relation_ids,
+        is_entity=is_entity,
+        attn_mask=attn,
+        positions=np.asarray(positions, dtype=np.int64),
+        targets=np.asarray(targets, dtype=np.int64),
+        sizes=[s.levi.node_count for s in subs],
+        graph_count=b,
+    )
+
+
+def padded_encode_queries(queries, config) -> "Batch":
+    """Test oracle: the former query encoder (target slots), one graph per row padded to the widest."""
+    from kgt.graph import EntityNode
+    from kgt.model import Batch
+    from kgt.queries import FREE_SLOT
+
+    width = max(q.levi.node_count for q in queries)
+    b = len(queries)
+    entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
+    relation_ids = np.zeros((b, width), dtype=np.int64)
+    is_entity = np.ones((b, width), dtype=bool)
+    attn = np.zeros((b, 1, width, width), dtype=bool)
+    attn[:, 0] |= np.eye(width, dtype=bool)
+    for qi, q in enumerate(queries):
+        n = q.levi.node_count
+        attn[qi, 0, :n, :n] = q.levi.attention_mask()
+        for i, node in enumerate(q.levi.nodes):
+            if isinstance(node, EntityNode):
+                if node.entity != FREE_SLOT:
+                    entity_ids[qi, i] = node.entity
+            else:
+                is_entity[qi, i] = False
+                relation_ids[qi, i] = node.relation
+    return Batch(
+        entity_ids=entity_ids,
+        relation_ids=relation_ids,
+        is_entity=is_entity,
+        attn_mask=attn,
+        positions=np.asarray([qi * width + q.target_index for qi, q in enumerate(queries)], dtype=np.int64),
+        targets=np.zeros(b, dtype=np.int64),
+        sizes=[q.levi.node_count for q in queries],
+        graph_count=b,
+    )
+
+
 def dense_cross_entropy(logits, targets: np.ndarray, alpha: float = 0.0) -> "Tensor":
     """Test oracle: the former cross entropy against the dense [P, C] smoothed-label matrix."""
     from kgt.tensor import Tensor, _accumulate, _record, smoothed_labels

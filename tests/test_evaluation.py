@@ -82,6 +82,28 @@ class TestOptimisticRanks:
         ranks = optimistic_ranks(np.array([0.1, 0.4, 0.2, 0.9]))
         assert ranks.tolist() == [4, 2, 3, 1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tie_heavy_scores_match_per_entity_count(self, dtype):
+        inf = np.inf
+        rng = np.random.default_rng(7)
+        cases = [
+            np.zeros(9),
+            np.full(4, inf),
+            np.array([inf, -inf, inf, 0.0, -inf, -0.0]),
+            np.array([3.0]),
+            rng.integers(0, 3, size=200).astype(np.float64),
+            np.where(rng.random(300) < 0.5, inf, -inf),
+        ]
+        for scores in cases:
+            scores = scores.astype(dtype)
+            ranks = optimistic_ranks(scores)
+            want = [1 + int((scores > s).sum()) for s in scores]
+            assert ranks.dtype == np.int64 and ranks.tolist() == want
+
+    def test_nan_sorts_last_and_ties_with_nan(self):
+        ranks = optimistic_ranks(np.array([np.nan, 1.0, np.nan, 2.0, np.inf]))
+        assert ranks.tolist() == [1, 5, 1, 4, 3]
+
 
 class TestUnionCombine:
     def test_takes_elementwise_min(self):

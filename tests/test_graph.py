@@ -276,6 +276,45 @@ class TestLoadSplit:
         for vocab in (raw / "entities.txt", tmp_path / "out" / "dataset" / "entities.txt"):
             assert not vocab.exists() or "mallory" not in vocab.read_text()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\t0\t1\n1\t0\t2\n",
+            "0\t0\t1\n\n\n1\t0\t2",  # blank lines skipped, no final newline
+            "\n0\t0\t1\n",
+            "0\t0\t1\r\n1\t0\t2\r\n",
+            "0\t0\t1\r1\t0\t2\n",
+            " 0\t+0\t1 \n",
+            "0\t0\t1\n   \n1\t0\t2\n",
+            "0\t0\t1\n1\t0\n",
+            "0\t0\t1\t\n",
+            "0\t0\t1.0\n",
+            "0\t0\t1e3\n",
+            "0\t0\t99999999999999999999\n",
+            "0\t0\t\u0661\n",
+            "",
+            "\n\n",
+        ],
+    )
+    def test_id_file_fast_path_matches_line_parser(self, tmp_path, text):
+        # the loadtxt path must give the line parser's arrays and line numbers
+        # exactly, or fall back to it, so errors still name the line
+        from kgt.graph import _parse_lines, read_triples
+
+        path = tmp_path / "train.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(parse):
+            try:
+                hrt, lines = parse()
+            except ParseError as err:
+                return ("error", err.path, err.line)
+            except OverflowError:
+                return ("overflow",)
+            return (hrt.dtype, hrt.shape, hrt.tolist(), lines.dtype, lines.tolist())
+
+        assert outcome(lambda: read_triples(path)) == outcome(lambda: _parse_lines(path, None, None))
+
     def test_build_split_keeps_integrity_errors(self):
         with pytest.raises(IntegrityError):
             build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)

@@ -23,13 +23,14 @@ from kgt.sampling import (
     Corruption,
     CorruptionKind,
     SampledSubgraph,
+    sample_meta_graph,
     sample_stage1_batch,
 )
 from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from helpers import dense_moe_ffn, toy_split
+from helpers import dense_moe_ffn, padded_encode_queries, padded_encode_subgraphs, toy_split
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -263,10 +264,17 @@ class TestSparseDispatch:
     def test_padding_slots_run_no_expert(self, monkeypatch):
         cfg = tiny_config()
         model = Model.init(cfg, seed=20)
-        queries = [build_query(QueryType.P1, (1,), (0,)), build_query(QueryType.P3, (2,), (0, 1, 2))]
+        queries = [
+            build_query(QueryType.P1, (1,), (0,)),
+            build_query(QueryType.P3, (2,), (0, 1, 2)),
+            build_query(QueryType.P1, (4,), (3,)),
+        ]
         batch = encode_queries(queries, cfg)
-        assert batch.sizes == [3, 7] and batch.entity_ids.shape[1] == 7
-        real = {0, 1, 2, 7, 8, 9, 10, 11, 12, 13}
+        # the 7-node graph fills row 0; both 3-node graphs share row 1
+        assert batch.graph_count == 3 and batch.entity_ids.shape == (2, 7) and batch.sizes == [7, 6]
+        starts = check_packed_layout(batch, [q.levi for q in queries], [q.target_index for q in queries], cfg)
+        assert starts == [7, 0, 10]
+        real = set(range(13))
         gelu_rows, routed = [], []
         gelu, scatter = T.gelu, T.scatter_add_rows
         monkeypatch.setattr(T, "gelu", lambda a: gelu_rows.append(a.shape[0]) or gelu(a))
@@ -297,6 +305,61 @@ class TestSparseDispatch:
         before = model.params["layer0.expert3.w1"].data.copy()
         AdamW(model.params, AdamWConfig(lr=0.1, weight_decay=0.5)).step()
         np.testing.assert_allclose(model.params["layer0.expert3.w1"].data, before * (1 - 0.1 * 0.5), rtol=1e-6)
+
+
+def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
+    """Assert the packed-grid invariants; returns each graph's first flat slot.
+
+    A graph's first slot comes from its first prediction position, which is
+    ``start + first_slots[g]``. Each graph must sit whole in one row, the
+    graphs of a row must fill its prefix without overlap, attention must stay
+    inside each graph, and padding must be an inert mask token that attends
+    only to itself.
+    """
+    rows, width = batch.entity_ids.shape
+    sizes = [levi.node_count for levi in levis]
+    # positions list each graph's prediction slots in graph order; recover the
+    # starts by walking them graph by graph
+    starts, cursor = [], 0
+    for levi, first in zip(levis, first_slots):
+        start = int(batch.positions[cursor]) - first
+        starts.append(start)
+        while cursor < len(batch.positions) and start <= batch.positions[cursor] < start + levi.node_count:
+            cursor += 1
+    assert cursor == len(batch.positions)
+
+    owner = np.full(rows * width, -1)
+    for g, (start, n) in enumerate(zip(starts, sizes)):
+        assert start // width == (start + n - 1) // width, "graph split across rows"
+        assert np.all(owner[start : start + n] == -1), "graphs overlap"
+        owner[start : start + n] = g
+    owner = owner.reshape(rows, width)
+    for r in range(rows):
+        real = owner[r] >= 0
+        assert real.sum() == batch.sizes[r]
+        assert real[: batch.sizes[r]].all(), "real slots are not a prefix of the row"
+    assert sum(batch.sizes) == sum(sizes)
+
+    entity_ids = batch.entity_ids.reshape(-1)
+    is_entity = batch.is_entity.reshape(-1)
+    relation_ids = batch.relation_ids.reshape(-1)
+    pad = owner.reshape(-1) < 0
+    assert np.all(entity_ids[pad] == cfg.mask_id) and np.all(is_entity[pad]) and not relation_ids[pad].any()
+    for levi, start, n in zip(levis, starts, sizes):
+        r, c = divmod(start, width)
+        assert np.array_equal(batch.attn_mask[r, 0, c : c + n, c : c + n], levi.attention_mask())
+        for i, node in enumerate(levi.nodes):
+            assert bool(is_entity[start + i]) == hasattr(node, "entity")
+            if not hasattr(node, "entity"):
+                assert relation_ids[start + i] == node.relation
+    # no attention across graphs, and padding attends only to itself
+    for r in range(rows):
+        same = (owner[r][:, None] == owner[r][None, :]) & (owner[r][:, None] >= 0)
+        allowed = same | np.eye(width, dtype=bool)
+        assert not (batch.attn_mask[r, 0] & ~allowed).any()
+        for i in np.flatnonzero(owner[r] < 0):
+            assert batch.attn_mask[r, 0, i].tolist() == np.eye(width, dtype=bool)[i].tolist()
+    return starts
 
 
 class TestEncoding:
@@ -330,29 +393,18 @@ class TestEncoding:
             assert batch.targets.tolist() == [3]
 
     def test_padding_slots_are_inert_mask_tokens(self):
-        cfg = tiny_config()
         g = toy_split(seed=1).train
-        subs = sample_stage1_batch(g, np.random.default_rng(2), batch_size=3, budget=(3, 8))
+        subs = sample_stage1_batch(g, np.random.default_rng(2), batch_size=12, budget=(3, 12))
         cfg = ModelConfig(
             entity_count=g.entity_count, relation_count=g.relation_count, layers=1,
             hidden=8, heads=2, experts=2, top_k=2, dropout=0.0,
         )
         batch = encode_subgraphs(subs, cfg)
-        width = batch.entity_ids.shape[1]
-        for gi, sub in enumerate(subs):
-            n = sub.levi.node_count
-            assert batch.sizes[gi] == n
-            assert np.all(batch.entity_ids[gi, n:] == cfg.mask_id)
-            assert np.all(batch.is_entity[gi, n:])
-            pad = batch.attn_mask[gi, 0, n:, :]
-            for row_offset in range(width - n):
-                row = pad[row_offset]
-                assert row[n + row_offset]
-                assert row.sum() == 1  # self only
-            # prediction slots never land on padding
-            for pos in batch.positions:
-                if pos // width == gi:
-                    assert pos % width < n
+        assert batch.graph_count == len(subs) and len(batch.sizes) < len(subs)  # some rows are shared
+        first = [sub.prediction_targets[0] for sub in subs]
+        check_packed_layout(batch, [sub.levi for sub in subs], first, cfg)
+        targets = [int(sub.original_entities[i]) for sub in subs for i in sub.prediction_targets]
+        assert batch.targets.tolist() == targets
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -446,6 +498,92 @@ class TestForward:
         # gradient reaches entity rows that never appeared as inputs
         assert model.params["entity_in"].grad is not None
         assert np.abs(model.params["entity_in"].grad[12]).max() > 0.0
+
+
+def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Training-mode logits (top-2 routing) and every parameter's gradient of the mean graph loss."""
+    model = model.clone()
+    with Tape() as tape:
+        logits = forward(model, batch, training=True)
+        loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
+    tape.backward(loss)
+    return logits.data, {name: t.grad for name, t in model.params.items()}
+
+
+class TestPacking:
+    """Packed batches against the former one-graph-per-row padded encoders (tests/helpers.py).
+
+    At dropout 0 only the summation order changes, so logits and gradients
+    match within 1e-5 of each array's largest magnitude (about 84 float32
+    ulps); batches of one width pack one graph per row and are bit-identical.
+    """
+
+    def assert_close(self, got, want, what):
+        bound = 1e-5 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound, what
+
+    def check_against_padded(self, cfg, packed, padded):
+        assert packed.graph_count == padded.graph_count
+        assert packed.entity_ids.size < padded.entity_ids.size  # the case really packs
+        model = Model.init(cfg, seed=31)
+        got_logits, got = logits_and_grads(model, packed)
+        want_logits, want = logits_and_grads(model, padded)
+        self.assert_close(got_logits, want_logits, "logits")
+        for name in want:
+            assert (got[name] is None) == (want[name] is None), name
+            if want[name] is not None:
+                self.assert_close(got[name], want[name], name)
+
+    def graph_config(self, g):
+        return ModelConfig(
+            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
+            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0,
+        )
+
+    def test_stage1_batches_match_padded(self):
+        g = toy_split(seed=4).train
+        cfg = self.graph_config(g)
+        subs = sample_stage1_batch(g, np.random.default_rng(5), batch_size=16, budget=(3, 14))
+        self.check_against_padded(cfg, encode_subgraphs(subs, cfg), padded_encode_subgraphs(subs, cfg))
+
+    def test_stage2_batches_match_padded(self):
+        g = toy_split(seed=6).train
+        cfg = self.graph_config(g)
+        rng = np.random.default_rng(7)
+        subs = [sample_meta_graph(g, rng, pattern_mix=1.0) for _ in range(16)]
+        self.check_against_padded(cfg, encode_subgraphs(subs, cfg), padded_encode_subgraphs(subs, cfg))
+
+    def test_mixed_width_query_batches_match_padded(self):
+        cfg = tiny_config(hidden=32, heads=4)
+        queries = [
+            build_query(QueryType.P1, (1,), (0,)),
+            build_query(QueryType.P3, (2,), (0, 1, 2)),
+            build_query(QueryType.I2, (3, 4), (1, 2)),
+            build_query(QueryType.P2, (5,), (2, 3)),
+            build_query(QueryType.P1, (6,), (3,)),
+            build_query(QueryType.I3, (7, 8, 9), (0, 1, 2)),
+            build_query(QueryType.P1, (10,), (1,)),
+        ]
+        packed = encode_queries(queries, cfg)
+        padded = padded_encode_queries(queries, cfg)
+        packed.targets = padded.targets = np.arange(len(queries), dtype=np.int64)
+        self.check_against_padded(cfg, packed, padded)
+
+    def test_same_width_query_batches_are_bit_identical(self):
+        cfg = tiny_config(hidden=32, heads=4)
+        model = Model.init(cfg, seed=32)
+        for qtype, anchors, relations in [
+            (QueryType.P2, (1,), (0, 1)),
+            (QueryType.I3, (1, 2, 3), (0, 1, 2)),
+        ]:
+            queries = [build_query(qtype, tuple(a + k for a in anchors), relations) for k in range(5)]
+            packed = encode_queries(queries, cfg)
+            padded = padded_encode_queries(queries, cfg)
+            for field in ("entity_ids", "relation_ids", "is_entity", "attn_mask", "positions", "targets"):
+                got, want = getattr(packed, field), getattr(padded, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            assert packed.sizes == padded.sizes and packed.graph_count == padded.graph_count
+            assert forward(model, packed).data.tobytes() == forward(model, padded).data.tobytes()
 
 
 class TestCheckpoint:

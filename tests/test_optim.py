@@ -209,6 +209,20 @@ class TestClip:
         assert np.array_equal(a.data, np.ones(2))
         assert np.array_equal(b.data, np.ones(3))
 
+    def test_blocked_norm_matches_full_float64_sum(self):
+        # the blocked float64 sum adds in another order than the former
+        # full-array sum; bound the relative difference by 1e-12
+        rng = np.random.default_rng(5)
+        shapes = [(14506, 128), (128,), (3, 70001), (1,)]
+        params = {}
+        for i, shape in enumerate(shapes):
+            t = Tensor(np.zeros(shape, dtype=np.float32))
+            t.grad = (rng.standard_normal(shape) * 10.0 ** int(rng.integers(-4, 3))).astype(np.float32)
+            params[str(i)] = t
+        want = math.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
+        got = clip_global_norm(params, 1e30)
+        assert abs(got - want) <= 1e-12 * want
+
     def test_bad_max_norm(self):
         p = Tensor(np.zeros(1))
         with pytest.raises(ValueError):

@@ -111,6 +111,34 @@ class TestTensorBasics:
         tape.backward(out)
         assert a.grad.flags.c_contiguous
 
+    def test_model_backward_grads_share_no_memory(self):
+        # backward ops hand over the arrays they build instead of copying them;
+        # each parameter must still end up with a private C-ordered gradient
+        from kgt.model import Model, ModelConfig, encode_subgraphs, forward
+        from kgt.sampling import sample_stage1_batch
+
+        from helpers import toy_split
+
+        g = toy_split(seed=2).train
+        subs = sample_stage1_batch(g, np.random.default_rng(3), batch_size=6, budget=(3, 10))
+        for tie in (False, True):
+            cfg = ModelConfig(
+                entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
+                hidden=16, heads=2, experts=4, top_k=2, dropout=0.1, tie_decoder=tie,
+            )
+            model = Model.init(cfg, seed=4)
+            batch = encode_subgraphs(subs, cfg)
+            with Tape() as tape:
+                logits = forward(model, batch, training=True, rng=np.random.default_rng(5))
+                loss = sum_all(cross_entropy(logits, batch.targets, alpha=0.1))
+            tape.backward(loss)
+            named = [(name, t.grad) for name, t in model.params.items()]
+            assert all(grad is not None and grad.flags.c_contiguous for _, grad in named)
+            arrays = named + [(name + " data", t.data) for name, t in model.params.items()]
+            for i, (name_a, a) in enumerate(named):
+                for name_b, b in arrays[i + 1 :]:
+                    assert not np.shares_memory(a, b), (name_a, name_b)
+
     def test_gather_rows_repeats_sum(self):
         a = Tensor(np.eye(3), requires_grad=True)
         with Tape() as tape:
