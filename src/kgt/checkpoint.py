@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .model import Model, ModelConfig, parameter_shapes
-from .tensor import Tensor
+from .optim import parameter_arena
 
 MAGIC = b"KGTC"
 VERSION = 1
@@ -67,7 +67,10 @@ def load_checkpoint(path: str | Path) -> Model:
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad config block: {exc}") from None
 
-        params: dict[str, Tensor] = {}
+        expected = parameter_shapes(config)
+        params = parameter_arena(expected)
+        seen: set[str] = set()
+        wrong_shapes: dict[str, tuple[int, ...]] = {}
         while True:
             head = fh.read(8)
             if not head:
@@ -76,23 +79,26 @@ def load_checkpoint(path: str | Path) -> Model:
                 raise CheckpointError(f"{path}: truncated record header")
             (name_len,) = struct.unpack("<Q", head)
             name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            if name in params:
+            if name in seen:
                 raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            seen.add(name)
             (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"{name} rank"))
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, f"{name} dims")) if rank else ()
             size = int(np.prod(shape, dtype=np.int64)) if rank else 1
             payload = _read_exact(fh, 4 * size, path, f"{name} payload")
-            data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-            params[name] = Tensor(data, requires_grad=True)
+            if name not in params:
+                continue
+            if shape != params[name].shape:
+                wrong_shapes[name] = shape
+                continue
+            # one tensor at a time into the arena, so no second copy of the model is held
+            params[name].data[...] = np.frombuffer(payload, dtype="<f4").reshape(shape)
 
-    expected = parameter_shapes(config)
-    missing = sorted(set(expected) - set(params))
-    extra = sorted(set(params) - set(expected))
+    missing = sorted(set(expected) - seen)
+    extra = sorted(seen - set(expected))
     if missing or extra:
         raise CheckpointError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
     for name, shape in expected.items():
-        if params[name].data.shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {params[name].data.shape}, config implies {shape}"
-            )
+        if name in wrong_shapes:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {wrong_shapes[name]}, config implies {shape}")
     return Model(config=config, params=params)

@@ -150,7 +150,8 @@ def _epoch_printer(stage: str, total: int):
     def log(record: dict) -> None:
         print(
             f"[{stage}] epoch {record['epoch'] + 1}/{total} "
-            f"loss {record['loss']:.4f} lr {record['lr']:.2e} ({record['seconds']:.1f}s)"
+            f"loss {record['loss']:.4f} grad norm {record['grad_norm']:.3f} "
+            f"lr {record['lr']:.2e} ({record['seconds']:.1f}s)"
         )
 
     return log

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import EntityNode, LeviGraph
+from .optim import parameter_arena
 from .queries import FREE_SLOT, NodeRole, QueryGraph
 from .sampling import Corruption, CorruptionKind, SampledSubgraph
 from .tensor import Tensor
@@ -87,7 +88,7 @@ def truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.n
         bad = np.abs(out) > 2.0 * std
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return out.astype(dtype)
+            return out.astype(dtype, copy=False)
         out[bad] = rng.normal(0.0, std, size=n_bad)
 
 
@@ -123,16 +124,15 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Truncated-normal weights (std 0.02), unit LN gains, zero biases."""
-    params: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(config).items():
+    """Truncated-normal weights (std 0.02), unit LN gains, zero biases, in one parameter arena."""
+    params = parameter_arena(parameter_shapes(config), dtype)
+    for name, t in params.items():
         if name.endswith("gain"):
-            data = np.ones(shape, dtype=dtype)
+            t.data.fill(1)
         elif name.endswith(("bias", "b1", "b2")):
-            data = np.zeros(shape, dtype=dtype)
+            t.data.fill(0)
         else:
-            data = truncated_normal(rng, shape, 0.02, dtype)
-        params[name] = Tensor(data, requires_grad=True)
+            t.data[...] = truncated_normal(rng, t.shape, 0.02, np.float64)  # cast on the write
     return params
 
 
@@ -147,9 +147,13 @@ class Model:
         return cls(config=config, params=init_parameters(config, rng, dtype))
 
     def clone(self) -> "Model":
-        params = {
-            name: Tensor(t.data.copy(), requires_grad=t.requires_grad) for name, t in self.params.items()
-        }
+        """A copy in a new parameter arena, written one tensor at a time."""
+        dtype = next(iter(self.params.values())).dtype
+        params = parameter_arena({name: t.shape for name, t in self.params.items()}, dtype)
+        for name, t in params.items():
+            source = self.params[name]
+            t.data[...] = source.data
+            t.requires_grad = source.requires_grad
         return Model(config=self.config, params=params)
 
 
@@ -415,7 +419,7 @@ def forward(
     # twice and keep the first row
     positions = batch.positions
     take = np.repeat(positions, 2) if positions.size == 1 else positions
-    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), take)
+    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), take, unique=take is positions)
     logits = T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
     if take is not positions:
         logits = T.gather_rows(logits, np.zeros(1, dtype=np.int64))

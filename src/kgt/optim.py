@@ -1,15 +1,17 @@
-"""AdamW with decoupled weight decay and a per-epoch exponential lr schedule."""
+"""The parameter arena, global-norm clipping, and AdamW with decoupled weight decay
+and a per-epoch exponential lr schedule."""
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor
 
-_BLOCK = 1 << 15  # elements per AdamW block: six float32 blocks take 768 KiB and stay in L2 cache
+_BLOCK = 1 << 15  # elements per clip and AdamW block: six float32 blocks take 768 KiB and stay in L2 cache
 
 
 @dataclass
@@ -37,15 +39,100 @@ class AdamWConfig:
         return self.lr * self.lr_decay**epoch
 
 
+def _mapped_zeros(size: int, dtype) -> np.ndarray:
+    """A zero array in its own anonymous memory map.
+
+    The kernel supplies its zero pages on first write, so an allocation that
+    is never written costs no memory. Unlike a large ``np.zeros``, it never
+    clears a reused heap block, and freeing it does not raise malloc's
+    threshold for serving later large temporaries from the heap.
+    """
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize), dtype=dtype)
+
+
+def parameter_arena(shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> dict[str, Tensor]:
+    """Parameter tensors laid end to end, in ``shapes`` order, in one flat data array.
+
+    Each tensor's ``data`` is a view of its span of that array, and its
+    ``grad_view`` a view of the same span of one flat gradient array, so a
+    touched gradient never leaves the arena. The caller writes the data;
+    building a model touches no page of the gradient array.
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    data = _mapped_zeros(sum(sizes), dtype)
+    grad = _mapped_zeros(sum(sizes), dtype)
+    params: dict[str, Tensor] = {}
+    offset = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        t = Tensor(data[offset : offset + size].reshape(shape), requires_grad=True)
+        t.grad_view = grad[offset : offset + size].reshape(shape)
+        t.offset = offset
+        params[name] = t
+        offset += size
+    return params
+
+
+def _arena(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat data and gradient arrays of which ``params`` are, in order, all the views.
+
+    Raises ``ValueError`` naming the first parameter that is not the next view
+    of the first parameter's arena.
+    """
+    data = grad = None
+    end = 0
+    for name, t in params.items():
+        if data is None and t.grad_view is not None:
+            data, grad = t.data.base, t.grad_view.base
+        viewed = data is not None and t.data.base is data and t.grad_view is not None and t.grad_view.base is grad
+        if not viewed or t.offset != end or (t.data.ctypes.data - data.ctypes.data) // data.itemsize != end:
+            raise ValueError(f"parameter {name!r} is not the next view of one parameter arena")
+        end += t.data.size
+    if data is None:
+        raise ValueError("no parameters to optimize")
+    if end != data.size:
+        raise ValueError(f"the parameters cover {end} of their arena's {data.size} elements")
+    return data, grad
+
+
+def _touched_spans(params: dict[str, Tensor]) -> tuple[np.ndarray | None, list[list[int]]]:
+    """The gradient arena and the merged spans of its touched parameters.
+
+    Parameters whose ``grad`` is None are skipped. Touched parameters that sit
+    next to each other in the arena share a span, given as the offsets where
+    each of its parameters starts followed by where the last one stops. Raises
+    ``ValueError`` naming a parameter whose gradient is not in the arena.
+    """
+    arena = None
+    spans: list[list[int]] = []
+    for name, t in params.items():
+        g = t.grad
+        if g is None:
+            continue
+        if g is not t.grad_view or (arena is not None and g.base is not arena):
+            raise ValueError(f"parameter {name!r} has a gradient outside the parameter arena")
+        arena = g.base
+        if spans and spans[-1][-1] == t.offset:
+            spans[-1].append(t.offset + g.size)
+        else:
+            spans.append([t.offset, t.offset + g.size])
+    return arena, spans
+
+
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict."""
+    """Decoupled-weight-decay Adam over the parameters of one arena.
+
+    ``params`` must be exactly the tensors of one :func:`parameter_arena`, in
+    its order; the moments are two flat arrays laid out like the arena.
+    """
 
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig):
         self.params = params
         self.config = config
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._data, self._grad = _arena(params)
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._scratch = np.empty((2, min(_BLOCK, self._data.size)), dtype=self._data.dtype)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -57,10 +144,10 @@ class AdamW:
         Decay is decoupled: it scales the parameter directly by the scheduled
         learning rate, outside the moment estimates. Returns the lr used.
 
-        The update runs in place, block by block along each parameter's first
-        axis, through two block-sized scratch arrays, so a block's arrays stay
-        in cache across the dozen passes. Element by element it applies the
-        same operations in the same order as
+        The update runs in place over each merged span of touched parameters,
+        ``_BLOCK`` elements at a time through two block-sized scratch arrays,
+        so a block's arrays stay in cache across the dozen passes. Element by
+        element it applies the same operations in the same order as
         ``p -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * p)``.
         """
         self.step_count += 1
@@ -68,15 +155,15 @@ class AdamW:
         lr_t = cfg.lr_at(epoch)
         bias1 = 1.0 - cfg.beta1**self.step_count
         bias2 = 1.0 - cfg.beta2**self.step_count
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            arrays = np.atleast_1d(t.data, t.grad, self._m[name], self._v[name])
-            rows = max(1, _BLOCK // max(1, math.prod(arrays[0].shape[1:])))
-            scratch = np.empty((2, rows) + arrays[0].shape[1:], dtype=t.data.dtype)
-            for i in range(0, len(arrays[0]), rows):
-                p, g, m, v = (a[i : i + rows] for a in arrays)
-                s, u = scratch[:, : len(p)]
+        grad, spans = _touched_spans(self.params)
+        if spans and grad is not self._grad:
+            raise ValueError("the parameters' gradients are not in this optimizer's arena")
+        for bounds in spans:
+            stop = bounds[-1]
+            for i in range(bounds[0], stop, _BLOCK):
+                j = min(i + _BLOCK, stop)
+                p, g, m, v = self._data[i:j], grad[i:j], self._m[i:j], self._v[i:j]
+                s, u = self._scratch[:, : j - i]
                 np.multiply(g, 1.0 - cfg.beta1, out=s)
                 m *= cfg.beta1
                 m += s
@@ -105,28 +192,35 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     gives NaN, and a NaN norm would skip clipping, so either way the next
     AdamW step would write NaN into the weights.
 
-    The squares are summed in float64, ``_BLOCK`` elements at a time through
-    one block-sized scratch array, so no temporary the size of a gradient is
-    built.
+    The gradients must lie in a :func:`parameter_arena`. The squares are
+    summed in float64, one dot product per block of at most ``_BLOCK``
+    elements, with blocks starting at each parameter's own offset: the sum
+    adds the same terms in the same order as one parameter at a time would.
+    Each merged span of touched gradients is cast to float64 ``_BLOCK``
+    elements at a time through one scratch array, so no temporary the size of
+    a gradient is built, and is scaled with one ``*=``.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    grad, spans = _touched_spans(params)
     total = 0.0
     scratch = np.empty(_BLOCK, dtype=np.float64)
-    for t in params.values():
-        if t.grad is None:
-            continue
-        flat = t.grad.reshape(-1)
-        for i in range(0, flat.size, _BLOCK):
-            block = scratch[: min(_BLOCK, flat.size - i)]
-            block[:] = flat[i : i + _BLOCK]
-            total += float(np.dot(block, block))
+    for bounds in spans:
+        stop = bounds[-1]
+        chunk = filled = bounds[0]  # scratch[k] holds grad[chunk + k] for chunk + k < filled
+        for first, last in zip(bounds, bounds[1:]):
+            for i in range(first, last, _BLOCK):
+                j = min(i + _BLOCK, last)
+                if j > filled:
+                    chunk, filled = i, min(i + _BLOCK, stop)
+                    scratch[: filled - chunk] = grad[chunk:filled]
+                block = scratch[i - chunk : j - chunk]
+                total += float(np.dot(block, block))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm ({norm})")
     if norm > max_norm:
         scale = max_norm / norm
-        for t in params.values():
-            if t.grad is not None:
-                t.grad *= scale
+        for bounds in spans:
+            grad[bounds[0] : bounds[-1]] *= scale
     return norm

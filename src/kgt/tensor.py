@@ -16,9 +16,15 @@ import numpy as np
 
 
 class Tensor:
-    """A numpy array plus an accumulated gradient."""
+    """A numpy array plus an accumulated gradient.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    A parameter built by :func:`kgt.optim.parameter_arena` also has a
+    ``grad_view``, its span of the arena's gradient array, which starts
+    ``offset`` elements into that array: its first gradient is written there.
+    Every other tensor has None for both.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "grad_view", "offset")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -27,6 +33,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.grad_view: np.ndarray | None = None
+        self.offset: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,12 +90,19 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(input) into every reachable tensor's ``grad``."""
+        """Accumulate d(loss)/d(input) into the ``grad`` of every reachable leaf tensor.
+
+        An op output's gradient is dropped once its backward has passed it on,
+        so the backward reuses that memory instead of growing the heap; only
+        the loss and the leaves (parameters and inputs) keep theirs.
+        """
         loss.grad = np.ones_like(loss.data)
         for out, backward in reversed(self._records):
             if out.grad is None:
                 continue  # not on any path to the loss
             backward(out.grad)
+            if out is not loss:
+                out.grad = None
 
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -99,15 +114,19 @@ def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``.
 
-    ``owned`` says that the backward has just built ``g`` and hands it over,
-    so a first gradient can keep it instead of copying it. Otherwise a first
-    gradient is a private C-ordered copy: g may be a view of another tensor's
-    grad or a transposed view, and AdamW runs twice as slow on F-ordered arrays.
+    A parameter's first gradient is copied into its ``grad_view``. For other
+    tensors, ``owned`` says that the backward has just built ``g`` and hands it
+    over, so a first gradient can keep it instead of copying it. Otherwise a
+    first gradient is a private C-ordered copy: g may be a view of another
+    tensor's grad or a transposed view.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        if owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype and g.flags.c_contiguous:
+        if t.grad_view is not None:
+            np.copyto(t.grad_view, g)
+            t.grad = t.grad_view
+        elif owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
         else:
             t.grad = np.array(g, dtype=t.data.dtype, order="C")
@@ -210,7 +229,11 @@ def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
         if not a.requires_grad:
             return
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            if a.grad_view is None:
+                a.grad = np.zeros_like(a.data)
+            else:
+                a.grad = a.grad_view
+                a.grad.fill(0)
         if unique:
             a.grad[idx] += g
         else:

@@ -76,13 +76,18 @@ def _finish_epoch(
     stage: Stage,
     epoch: int,
     losses: list[float],
+    norms: list[float],
+    clip: float,
     lr: float,
     started: float,
 ) -> None:
+    """Log one epoch: mean loss, mean pre-clip gradient norm and the share of clipped steps."""
     record = {
         "stage": stage.value,
         "epoch": epoch,
         "loss": float(np.mean(losses)),
+        "grad_norm": float(np.mean(norms)),
+        "clip_rate": sum(norm > clip for norm in norms) / len(norms),
         "lr": lr,
         "seconds": time.perf_counter() - started,
     }
@@ -99,8 +104,11 @@ def _train_step(
     clip: float,
     epoch: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One update on the mean over graphs of ``loss``'s per-row terms. Returns (loss, lr used)."""
+) -> tuple[float, float, float]:
+    """One update on the mean over graphs of ``loss``'s per-row terms.
+
+    Returns the loss, the pre-clip gradient norm and the lr used.
+    """
     with Tape() as tape:
         logits = forward(model, batch, training=True, rng=rng)
         # mean over graphs of the per-graph sums = sum / batch size
@@ -110,9 +118,9 @@ def _train_step(
             raise FloatingPointError(f"training loss diverged (loss={value})")
         optimizer.zero_grad()
         tape.backward(total)
-    clip_global_norm(model.params, clip)
+    norm = clip_global_norm(model.params, clip)
     lr = optimizer.step(epoch)
-    return value, lr
+    return value, norm, lr
 
 
 def pretrain(
@@ -131,7 +139,7 @@ def pretrain(
     records: list[dict] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        losses = []
+        losses, norms = [], []
         lr = config.optimizer.lr_at(epoch)
         for _ in range(steps):
             if config.stage is Stage.STAGE1:
@@ -153,9 +161,10 @@ def pretrain(
                 ]
             batch = encode_subgraphs(subs, model.config)
             loss = partial(T.cross_entropy, targets=batch.targets, alpha=config.label_smoothing)
-            value, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
+            value, norm, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
             losses.append(value)
-        _finish_epoch(records, log, config.stage, epoch, losses, lr, started)
+            norms.append(norm)
+        _finish_epoch(records, log, config.stage, epoch, losses, norms, config.grad_clip, lr, started)
     return records
 
 
@@ -194,7 +203,7 @@ def finetune(
     records: list[dict] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        losses = []
+        losses, norms = [], []
         lr = config.optimizer.lr_at(epoch)
         queues = {t: _query_batches(datasets[t], config.batch_size, shuffle_rng) for t in types}
         remaining = [t for t in types if queues[t]]
@@ -204,11 +213,12 @@ def finetune(
                 batch = encode_queries([inst.query for inst in chunk], model.config)
                 answer_sets = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in chunk]
                 loss = partial(T.answer_masked_cross_entropy, answer_sets=answer_sets)
-                value, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
+                value, norm, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
                 losses.append(value)
+                norms.append(norm)
                 if not queues[qtype]:
                     remaining.remove(qtype)
-        _finish_epoch(records, log, Stage.FINETUNE, epoch, losses, lr, started)
+        _finish_epoch(records, log, Stage.FINETUNE, epoch, losses, norms, config.grad_clip, lr, started)
     return records
 
 

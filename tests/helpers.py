@@ -652,3 +652,105 @@ def hand_built_branch_meta_graph(graph, rng):
     roles = [NodeRole.SOURCE] * width + [NodeRole.TARGET]
     links = [(i, width) for i in range(width)]
     return _hand_built_meta_graph(graph, entities, [r for _, r in picked], links, roles, (width,))
+
+
+LOOP_BLOCK = 1 << 15  # the block size of kgt.optim, fixed here so the oracles stay independent of it
+
+
+class LoopAdamW:
+    """Test oracle: the former AdamW, one parameter tensor at a time with its own moments.
+
+    Takes any dict of tensors; each parameter is updated in place, block by
+    block along its first axis.
+    """
+
+    def __init__(self, params, config):
+        self.params = params
+        self.config = config
+        self.step_count = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+
+    def step(self, epoch: int = 0) -> float:
+        import math
+
+        self.step_count += 1
+        cfg = self.config
+        lr_t = cfg.lr_at(epoch)
+        bias1 = 1.0 - cfg.beta1**self.step_count
+        bias2 = 1.0 - cfg.beta2**self.step_count
+        for name, t in self.params.items():
+            if t.grad is None:
+                continue
+            arrays = np.atleast_1d(t.data, t.grad, self.m[name], self.v[name])
+            rows = max(1, LOOP_BLOCK // max(1, math.prod(arrays[0].shape[1:])))
+            scratch = np.empty((2, rows) + arrays[0].shape[1:], dtype=t.data.dtype)
+            for i in range(0, len(arrays[0]), rows):
+                p, g, m, v = (a[i : i + rows] for a in arrays)
+                s, u = scratch[:, : len(p)]
+                np.multiply(g, 1.0 - cfg.beta1, out=s)
+                m *= cfg.beta1
+                m += s
+                np.multiply(g, g, out=s)
+                s *= 1.0 - cfg.beta2
+                v *= cfg.beta2
+                v += s
+                np.divide(v, bias2, out=s)
+                np.sqrt(s, out=s)
+                s += cfg.eps
+                np.divide(m, bias1, out=u)
+                np.divide(u, s, out=s)
+                if cfg.weight_decay:
+                    np.multiply(p, cfg.weight_decay, out=u)
+                    s += u
+                s *= lr_t
+                p -= s
+        return lr_t
+
+
+def loop_clip_global_norm(params, max_norm: float) -> float:
+    """Test oracle: the former clip, one gradient tensor at a time.
+
+    Sums squares in float64 through a block-sized scratch array, one dot
+    product per block of each tensor, then scales each tensor's gradient.
+    """
+    import math
+
+    if max_norm <= 0:
+        raise ValueError("max_norm must be positive")
+    total = 0.0
+    scratch = np.empty(LOOP_BLOCK, dtype=np.float64)
+    for t in params.values():
+        if t.grad is None:
+            continue
+        flat = t.grad.reshape(-1)
+        for i in range(0, flat.size, LOOP_BLOCK):
+            block = scratch[: min(LOOP_BLOCK, flat.size - i)]
+            block[:] = flat[i : i + LOOP_BLOCK]
+            total += float(np.dot(block, block))
+    norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"non-finite gradient norm ({norm})")
+    if norm > max_norm:
+        scale = max_norm / norm
+        for t in params.values():
+            if t.grad is not None:
+                t.grad *= scale
+    return norm
+
+
+def arena_params(arrays: dict, dtype=None) -> dict:
+    """Parameters in one arena (kgt.optim.parameter_arena) holding copies of ``arrays``."""
+    from kgt.optim import parameter_arena
+
+    arrays = {name: np.asarray(a, dtype=dtype) for name, a in arrays.items()}
+    params = parameter_arena({name: a.shape for name, a in arrays.items()}, next(iter(arrays.values())).dtype)
+    for name, t in params.items():
+        t.data[...] = arrays[name]
+    return params
+
+
+def set_grad(t, g) -> None:
+    """Give an arena parameter the gradient ``g``, in its span of the gradient arena."""
+    np.copyto(t.grad_view, g)
+    t.grad = t.grad_view

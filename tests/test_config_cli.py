@@ -264,7 +264,7 @@ class TestPipeline:
             lines = (logs / name).read_text().splitlines()
             assert len(lines) == 1  # one epoch each
             record = json.loads(lines[0])
-            assert set(record) == {"stage", "epoch", "loss", "lr", "seconds"}
+            assert set(record) == {"stage", "epoch", "loss", "grad_norm", "clip_rate", "lr", "seconds"}
 
     def test_stage2_starts_from_stage1(self, pipeline):
         manifest = json.loads((pipeline["out"] / "checkpoints" / "stage2.manifest.json").read_text())

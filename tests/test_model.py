@@ -27,7 +27,7 @@ from kgt.sampling import (
     sample_stage1_batch,
 )
 from kgt import tensor as T
-from kgt.optim import AdamW, AdamWConfig
+from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
 from helpers import dense_moe_ffn, padded_encode_queries, padded_encode_subgraphs, toy_split
@@ -508,6 +508,142 @@ def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, 
         loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
     tape.backward(loss)
     return logits.data, {name: t.grad for name, t in model.params.items()}
+
+
+class TestStatesGather:
+    """The final ``states`` gather is flagged unique unless a one-position batch is doubled.
+
+    Bit-exact: for distinct indexes ``grad[idx] += g`` adds the same values
+    as ``np.add.at``. The reference run turns every gather's flag off.
+    """
+
+    def run(self, monkeypatch, model, batch, flag: bool):
+        original = T.gather_rows
+        calls = []
+
+        def spy(a, indexes, unique=False):
+            calls.append((np.asarray(indexes).copy(), unique))
+            return original(a, indexes, unique=unique and flag)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "gather_rows", spy)
+            logits, grads = logits_and_grads(model, batch)
+        return logits, grads, calls
+
+    @pytest.mark.parametrize("one_position", [False, True])
+    def test_flag_on_and_off_match(self, monkeypatch, one_position):
+        g = toy_split(seed=4).train
+        cfg = ModelConfig(
+            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
+            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0,
+        )
+        if one_position:
+            batch = encode_queries([build_query(QueryType.P1, (1,), (0,))], cfg)
+        else:
+            subs = sample_stage1_batch(g, np.random.default_rng(5), batch_size=8, budget=(3, 10))
+            batch = encode_subgraphs(subs, cfg)
+        assert (batch.positions.size == 1) == one_position
+        model = Model.init(cfg, seed=6)
+        on_logits, on, calls = self.run(monkeypatch, model, batch, flag=True)
+        off_logits, off, _ = self.run(monkeypatch, model, batch, flag=False)
+        # the states gather is the last one, but for the one-position row pick after it
+        idx, unique = calls[-2] if one_position else calls[-1]
+        assert np.array_equal(idx, np.repeat(batch.positions, 2) if one_position else batch.positions)
+        assert unique is not one_position
+        assert on_logits.tobytes() == off_logits.tobytes()
+        for name in off:
+            assert on[name].tobytes() == off[name].tobytes(), name
+
+
+class TestArena:
+    """Parameters are consecutive views of one data arena; gradients land in one gradient arena."""
+
+    @staticmethod
+    def assert_one_arena(model: Model) -> None:
+        first = next(iter(model.params.values()))
+        data, grad = first.data.base, first.grad_view.base
+        assert data.ndim == 1 and grad.shape == data.shape and not np.shares_memory(data, grad)
+        end = 0
+        for name, t in model.params.items():
+            size = t.data.size
+            assert t.data.base is data and t.grad_view.base is grad, name
+            assert t.offset == end, name
+            assert np.shares_memory(t.data, data[end : end + size]), name
+            assert np.shares_memory(t.grad_view, grad[end : end + size]), name
+            assert np.array_equal(data[end : end + size], t.data.reshape(-1)), name
+            end += size
+        assert end == data.size
+        AdamW(model.params, AdamWConfig())  # the optimizer accepts it
+
+    def test_init_clone_and_load_fill_one_arena(self, tmp_path):
+        for tie in (False, True):
+            model = Model.init(tiny_config(tie_decoder=tie), seed=21)
+            save_checkpoint(model, tmp_path / "m.kgtc")
+            for copy in (model, model.clone(), load_checkpoint(tmp_path / "m.kgtc")):
+                self.assert_one_arena(copy)
+                assert list(copy.params) == list(parameter_shapes(copy.config))
+                for name, t in copy.params.items():
+                    assert t.data.tobytes() == model.params[name].data.tobytes(), name
+
+    def test_clone_shares_no_memory(self):
+        model = Model.init(tiny_config(), seed=22)
+        copy = model.clone()
+        mine = [a for t in model.params.values() for a in (t.data, t.grad_view)]
+        for t in copy.params.values():
+            for a in (t.data, t.grad_view):
+                assert not any(np.shares_memory(a, b) for b in mine)
+
+    def test_backward_grads_are_disjoint_views_of_the_gradient_arena(self):
+        g = toy_split(seed=2).train
+        subs = sample_stage1_batch(g, np.random.default_rng(3), batch_size=6, budget=(3, 10))
+        for tie in (False, True):
+            cfg = ModelConfig(
+                entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
+                hidden=16, heads=2, experts=4, top_k=2, dropout=0.1, tie_decoder=tie,
+            )
+            model = Model.init(cfg, seed=4)
+            grad = next(iter(model.params.values())).grad_view.base
+            with Tape() as tape:
+                logits = forward(model, encode_subgraphs(subs, cfg), training=True, rng=np.random.default_rng(5))
+                loss = sum_all(cross_entropy(logits, encode_subgraphs(subs, cfg).targets, alpha=0.1))
+            tape.backward(loss)
+            touched = [(name, t.grad) for name, t in model.params.items() if t.grad is not None]
+            assert len(touched) == len(model.params)
+            for i, (name, a) in enumerate(touched):
+                assert a is model.params[name].grad_view and a.base is grad, name
+                for other, b in touched[i + 1 :]:
+                    assert not np.shares_memory(a, b), (name, other)
+
+    def test_adamw_rejects_what_is_not_one_arena_in_order(self):
+        model = Model.init(tiny_config(), seed=23)
+        names = list(model.params)
+        cfg = AdamWConfig()
+
+        stray = dict(model.params)
+        stray["decoder"] = Tensor(model.params["decoder"].data.copy(), requires_grad=True)
+        with pytest.raises(ValueError, match="'decoder'"):
+            AdamW(stray, cfg)
+
+        swapped = {name: model.params[name] for name in [names[1], names[0]] + names[2:]}
+        with pytest.raises(ValueError, match=repr(names[1])):
+            AdamW(swapped, cfg)
+
+        other = model.clone()
+        mixed = {name: (other if name == names[3] else model).params[name] for name in names}
+        with pytest.raises(ValueError, match=repr(names[3])):
+            AdamW(mixed, cfg)
+
+        with pytest.raises(ValueError, match="cover"):
+            AdamW({name: model.params[name] for name in names[:-1]}, cfg)
+
+    def test_gradient_outside_the_arena_is_rejected(self):
+        model = Model.init(tiny_config(), seed=24)
+        opt = AdamW(model.params, AdamWConfig())
+        model.params["node_type"].grad = np.ones(model.params["node_type"].shape, dtype=np.float32)
+        with pytest.raises(ValueError, match="'node_type'"):
+            clip_global_norm(model.params, 1.0)
+        with pytest.raises(ValueError, match="'node_type'"):
+            opt.step()
 
 
 class TestPacking:

@@ -6,6 +6,8 @@ import pytest
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tensor
 
+from helpers import LoopAdamW, arena_params, loop_clip_global_norm, set_grad
+
 
 def reference_adamw(theta, grads, cfg: AdamWConfig, epochs):
     """Textbook AdamW, one parameter, one grad per step."""
@@ -71,10 +73,11 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         grads = rng.normal(size=6)
         epochs = [0, 0, 1, 1, 2, 2]
-        p = Tensor(np.array([0.7], dtype=np.float64))
-        opt = AdamW({"p": p}, cfg)
+        params = arena_params({"p": [0.7]}, np.float64)
+        p = params["p"]
+        opt = AdamW(params, cfg)
         for epoch, g in zip(epochs, grads):
-            p.grad = np.array([g])
+            set_grad(p, [g])
             opt.step(epoch)
         want = reference_adamw(0.7, grads, cfg, epochs)
         assert np.allclose(p.data, want, atol=1e-12)
@@ -85,14 +88,14 @@ class TestAdamW:
         cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
         rng = np.random.default_rng(4)
         shapes = {"w": (6, 5), "b": (5,)}
-        params = {name: Tensor(rng.normal(size=shape).astype(dtype)) for name, shape in shapes.items()}
+        params = arena_params({name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()})
         want = {name: t.data.copy() for name, t in params.items()}
         moments = {name: (np.zeros(shape, dtype), np.zeros(shape, dtype)) for name, shape in shapes.items()}
         opt = AdamW(params, cfg)
         for step, epoch in enumerate([0, 0, 0, 1, 1], start=1):
             for name, t in params.items():
                 g = rng.normal(scale=3.0, size=t.data.shape).astype(dtype)
-                t.grad = g.copy()
+                set_grad(t, g)
                 former_adamw_step(want[name], g, *moments[name], cfg, step, epoch)
             opt.step(epoch)
             for name, t in params.items():
@@ -102,81 +105,87 @@ class TestAdamW:
     def test_first_step_moves_by_lr(self):
         # bias correction makes the very first unit-gradient step ~ lr
         cfg = AdamWConfig(lr=1e-3, weight_decay=0.0)
-        p = Tensor(np.zeros(4, dtype=np.float64))
-        opt = AdamW({"p": p}, cfg)
-        p.grad = np.ones(4)
+        params = arena_params({"p": np.zeros(4)})
+        p = params["p"]
+        opt = AdamW(params, cfg)
+        set_grad(p, np.ones(4))
         opt.step(0)
         assert np.allclose(p.data, -1e-3, atol=1e-9)
 
     def test_decay_is_decoupled(self):
         # with zero gradient the moments stay zero and only decay acts
         cfg = AdamWConfig(lr=0.1, weight_decay=0.5)
-        p = Tensor(np.array([2.0], dtype=np.float64))
-        opt = AdamW({"p": p}, cfg)
-        p.grad = np.zeros(1)
+        params = arena_params({"p": [2.0]}, np.float64)
+        p = params["p"]
+        opt = AdamW(params, cfg)
+        set_grad(p, np.zeros(1))
         opt.step(0)
         assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
 
     def test_none_grads_skipped(self):
         cfg = AdamWConfig()
-        p = Tensor(np.ones(3))
-        q = Tensor(np.ones(3))
-        opt = AdamW({"p": p, "q": q}, cfg)
-        p.grad = np.ones(3)
+        params = arena_params({"p": np.ones(3), "q": np.ones(3)})
+        p, q = params["p"], params["q"]
+        opt = AdamW(params, cfg)
+        set_grad(p, np.ones(3))
         opt.step(0)
         assert np.array_equal(q.data, np.ones(3))
         assert not np.array_equal(p.data, np.ones(3))
 
     def test_step_returns_scheduled_lr(self):
         cfg = AdamWConfig(lr=0.2, lr_decay=0.5)
-        p = Tensor(np.ones(1))
-        opt = AdamW({"p": p}, cfg)
-        p.grad = np.ones(1)
+        params = arena_params({"p": np.ones(1)})
+        opt = AdamW(params, cfg)
+        set_grad(params["p"], np.ones(1))
         assert opt.step(epoch=2) == pytest.approx(0.05)
 
     def test_bias_correction_uses_global_step(self):
         # two optimizers, same grads, different epoch labels: moments identical
         cfg = AdamWConfig(lr=0.01, lr_decay=1.0, weight_decay=0.0)
-        a = Tensor(np.array([1.0], dtype=np.float64))
-        b = Tensor(np.array([1.0], dtype=np.float64))
-        oa = AdamW({"p": a}, cfg)
-        ob = AdamW({"p": b}, cfg)
+        pa = arena_params({"p": [1.0]}, np.float64)
+        pb = arena_params({"p": [1.0]}, np.float64)
+        a, b = pa["p"], pb["p"]
+        oa = AdamW(pa, cfg)
+        ob = AdamW(pb, cfg)
         for i in range(5):
-            a.grad = np.array([0.3])
-            b.grad = np.array([0.3])
+            set_grad(a, [0.3])
+            set_grad(b, [0.3])
             oa.step(epoch=0)
             ob.step(epoch=i)  # lr_decay=1.0 so schedule is flat anyway
         assert np.allclose(a.data, b.data)
 
     def test_zero_grad(self):
-        p = Tensor(np.ones(2))
-        opt = AdamW({"p": p}, AdamWConfig())
-        p.grad = np.ones(2)
+        params = arena_params({"p": np.ones(2)})
+        p = params["p"]
+        opt = AdamW(params, AdamWConfig())
+        set_grad(p, np.ones(2))
         opt.zero_grad()
         assert p.grad is None
 
     def test_float32_params_stay_float32(self):
-        p = Tensor(np.ones(3, dtype=np.float32))
-        opt = AdamW({"p": p}, AdamWConfig())
-        p.grad = np.ones(3, dtype=np.float32)
+        params = arena_params({"p": np.ones(3, dtype=np.float32)})
+        p = params["p"]
+        opt = AdamW(params, AdamWConfig())
+        set_grad(p, np.ones(3, dtype=np.float32))
         opt.step(0)
         assert p.data.dtype == np.float32
 
 
 class TestClip:
     def test_under_threshold_untouched(self):
-        p = Tensor(np.zeros(3))
-        p.grad = np.array([0.3, 0.0, 0.4])
-        norm = clip_global_norm({"p": p}, 1.0)
+        params = arena_params({"p": np.zeros(3)})
+        p = params["p"]
+        set_grad(p, [0.3, 0.0, 0.4])
+        norm = clip_global_norm(params, 1.0)
         assert norm == pytest.approx(0.5)
         assert np.allclose(p.grad, [0.3, 0.0, 0.4])
 
     def test_over_threshold_scaled_jointly(self):
-        a = Tensor(np.zeros(2))
-        b = Tensor(np.zeros(2))
-        a.grad = np.array([3.0, 0.0])
-        b.grad = np.array([0.0, 4.0])
-        norm = clip_global_norm({"a": a, "b": b}, 1.0)
+        params = arena_params({"a": np.zeros(2), "b": np.zeros(2)})
+        a, b = params["a"], params["b"]
+        set_grad(a, [3.0, 0.0])
+        set_grad(b, [0.0, 4.0])
+        norm = clip_global_norm(params, 1.0)
         assert norm == pytest.approx(5.0)
         joint = math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum()))
         assert joint == pytest.approx(1.0)
@@ -185,10 +194,10 @@ class TestClip:
         assert np.allclose(b.grad, [0.0, 4.0 / 5.0])
 
     def test_none_grads_ignored(self):
-        a = Tensor(np.zeros(2))
-        b = Tensor(np.zeros(2))
-        a.grad = np.array([6.0, 8.0])
-        norm = clip_global_norm({"a": a, "b": b}, 5.0)
+        params = arena_params({"a": np.zeros(2), "b": np.zeros(2)})
+        a, b = params["a"], params["b"]
+        set_grad(a, [6.0, 8.0])
+        norm = clip_global_norm(params, 5.0)
         assert norm == pytest.approx(10.0)
         assert b.grad is None
 
@@ -196,13 +205,13 @@ class TestClip:
     def test_non_finite_norm_raises_before_touching_anything(self, bad):
         # an infinite gradient used to be scaled to NaN, and a NaN norm
         # skipped clipping; either way AdamW then wrote NaN into the weights
-        a = Tensor(np.ones(2))
-        b = Tensor(np.ones(3))
-        a.grad = np.array([30.0, 40.0])
-        b.grad = np.array([1.0, bad, 2.0])
-        opt = AdamW({"a": a, "b": b}, AdamWConfig(lr=0.1))
+        params = arena_params({"a": np.ones(2), "b": np.ones(3)})
+        a, b = params["a"], params["b"]
+        set_grad(a, [30.0, 40.0])
+        set_grad(b, [1.0, bad, 2.0])
+        opt = AdamW(params, AdamWConfig(lr=0.1))
         with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
-            clip_global_norm({"a": a, "b": b}, 1.0)
+            clip_global_norm(params, 1.0)
             opt.step(0)
         assert np.array_equal(a.grad, [30.0, 40.0])
         assert np.array_equal(b.grad, [1.0, bad, 2.0], equal_nan=True)
@@ -214,16 +223,85 @@ class TestClip:
         # full-array sum; bound the relative difference by 1e-12
         rng = np.random.default_rng(5)
         shapes = [(14506, 128), (128,), (3, 70001), (1,)]
-        params = {}
-        for i, shape in enumerate(shapes):
-            t = Tensor(np.zeros(shape, dtype=np.float32))
-            t.grad = (rng.standard_normal(shape) * 10.0 ** int(rng.integers(-4, 3))).astype(np.float32)
-            params[str(i)] = t
+        params = arena_params({str(i): np.zeros(shape, dtype=np.float32) for i, shape in enumerate(shapes)})
+        for t in params.values():
+            set_grad(t, (rng.standard_normal(t.shape) * 10.0 ** int(rng.integers(-4, 3))).astype(np.float32))
         want = math.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
         got = clip_global_norm(params, 1e30)
         assert abs(got - want) <= 1e-12 * want
 
     def test_bad_max_norm(self):
-        p = Tensor(np.zeros(1))
+        params = arena_params({"p": np.zeros(1)})
         with pytest.raises(ValueError):
-            clip_global_norm({"p": p}, 0.0)
+            clip_global_norm(params, 0.0)
+
+
+class TestArenaAgainstLoop:
+    """The span-merged clip and AdamW against the former per-tensor loops (tests/helpers.py).
+
+    Bit-exact: the norm adds the same float64 block sums in the same order,
+    and the update applies the same elementwise operations in the same order.
+    """
+
+    # (300, 130) spans two blocks; the small ones share blocks of the cast
+    SHAPES = {"w": (6, 5), "b": (5,), "big": (300, 130), "g": (7,), "e": (4, 3, 2)}
+    # parameters left untouched (grad None) at each of the 5 steps
+    UNTOUCHED = [(), ("b",), ("big", "g"), ("w", "e"), ("b", "e")]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
+    def test_bit_exact_over_five_steps(self, dtype, max_norm):
+        cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
+        rng = np.random.default_rng(8)
+        start = {name: rng.normal(size=shape).astype(dtype) for name, shape in self.SHAPES.items()}
+        params = arena_params(start)
+        loop_params = {name: Tensor(a.copy()) for name, a in start.items()}
+        opt, loop = AdamW(params, cfg), LoopAdamW(loop_params, cfg)
+        for step, (epoch, untouched) in enumerate(zip([0, 0, 1, 1, 2], self.UNTOUCHED)):
+            opt.zero_grad()
+            for t in loop_params.values():
+                t.grad = None
+            for name, shape in self.SHAPES.items():
+                if name not in untouched:
+                    g = (rng.normal(size=shape) * 10.0 ** int(rng.integers(-2, 3))).astype(dtype)
+                    set_grad(params[name], g)
+                    loop_params[name].grad = g.copy()
+            before = {name: (t.data.copy(), self.moments(opt, t)) for name, t in params.items()}
+            norm = clip_global_norm(params, max_norm)
+            assert norm == loop_clip_global_norm(loop_params, max_norm)
+            assert (norm > max_norm) == (max_norm == 1e-3)
+            assert opt.step(epoch) == loop.step(epoch)
+            for name, t in params.items():
+                ref = loop_params[name]
+                assert t.data.dtype == dtype
+                assert t.data.tobytes() == ref.data.tobytes(), (step, name)
+                m, v = self.moments(opt, t)
+                assert m.tobytes() == loop.m[name].tobytes() and v.tobytes() == loop.v[name].tobytes(), (step, name)
+                if name in untouched:
+                    assert t.grad is None
+                    assert t.data.tobytes() == before[name][0].tobytes()
+                    assert m.tobytes() == before[name][1][0].tobytes() and v.tobytes() == before[name][1][1].tobytes()
+                else:
+                    assert t.grad.tobytes() == ref.grad.tobytes(), (step, name)
+
+    @staticmethod
+    def moments(opt: AdamW, t: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        span = slice(t.offset, t.offset + t.data.size)
+        return opt._m[span].copy(), opt._v[span].copy()
+
+    def test_non_finite_norm_writes_nothing(self):
+        rng = np.random.default_rng(9)
+        params = arena_params({name: rng.normal(size=shape).astype(np.float32) for name, shape in self.SHAPES.items()})
+        opt = AdamW(params, AdamWConfig(lr=0.1))
+        for t in params.values():
+            set_grad(t, rng.normal(size=t.shape))
+        clip_global_norm(params, 1.0)
+        opt.step(0)  # so the moments are not zero
+        for t in params.values():
+            set_grad(t, rng.normal(size=t.shape))
+        params["big"].grad[123, 7] = np.inf
+        arenas = (opt._data, opt._grad, opt._m, opt._v)
+        before = [a.tobytes() for a in arenas]
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            clip_global_norm(params, 1.0)
+        assert [a.tobytes() for a in arenas] == before

@@ -73,6 +73,19 @@ class TestTensorBasics:
         tape.backward(out)
         assert np.allclose(a.grad, [2.0, 2.0])
 
+    def test_only_leaves_and_loss_keep_grads(self):
+        # an op output's gradient is dropped once its backward has used it
+        a = Tensor([2.0, 3.0], requires_grad=True)
+        b = Tensor([1.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            ab = a * b
+            twice = ab + ab
+            out = sum_all(twice)
+        tape.backward(out)
+        assert ab.grad is None and twice.grad is None
+        assert np.allclose(a.grad, [2.0, 8.0]) and np.allclose(b.grad, [4.0, 6.0])
+        assert out.grad == 1.0
+
     def test_constant_branch_gets_no_grad(self):
         a = Tensor([1.0], requires_grad=True)
         c = Tensor([5.0])

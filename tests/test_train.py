@@ -88,6 +88,24 @@ class TestPretrain:
             assert rec["lr"] > 0
             assert rec["seconds"] >= 0
 
+    def test_grad_norm_telemetry_is_deterministic(self):
+        split = toy_split(seed=2)
+        runs = []
+        for _ in range(2):
+            runs.append(pretrain(small_model(split), split.train, stage_config(Stage.STAGE1)))
+        assert [r["grad_norm"] for r in runs[0]] == [r["grad_norm"] for r in runs[1]]
+        assert [r["clip_rate"] for r in runs[0]] == [r["clip_rate"] for r in runs[1]]
+        for rec in runs[0]:
+            assert rec["grad_norm"] > 0
+            assert rec["clip_rate"] in (0.0, 1 / 3, 2 / 3, 1.0)  # 3 steps per epoch
+
+    def test_clip_rate_counts_clipped_steps(self):
+        split = toy_split(seed=2)
+        tiny = pretrain(small_model(split), split.train, stage_config(Stage.STAGE1, grad_clip=1e-9))
+        huge = pretrain(small_model(split), split.train, stage_config(Stage.STAGE1, grad_clip=1e9))
+        assert [r["clip_rate"] for r in tiny] == [1.0, 1.0]
+        assert [r["clip_rate"] for r in huge] == [0.0, 0.0]
+
     def test_lr_follows_schedule(self):
         split = toy_split(seed=3)
         model = small_model(split)
