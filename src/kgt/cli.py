@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,6 @@ def cmd_finetune(args) -> int:
 
     combos = config.combos()
     if args.combos is not None:
-        from dataclasses import replace as dc_replace
-
         combos = dc_replace(config, finetune_combos=args.combos).combos()
     if combos:
         valid_sets = _load_query_dir(args, "valid", tuple(QueryType), split)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -13,41 +13,33 @@ from .errors import IntegrityError, ParseError
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class EntityNode:
-    entity: int
-
-
-@dataclass(frozen=True)
-class RelationNode:
-    relation: int
-
-
-LeviNode = Union[EntityNode, RelationNode]
-
-
-@dataclass
+@dataclass(eq=False)
 class LeviGraph:
     """Rewrite of a triple set where every triple becomes its own relation node.
 
-    A triple (h, r, t) contributes one relation node with exactly two directed
-    edges, head -> relation and relation -> tail, so ``node_count`` is the
-    number of distinct entities plus the number of triples and ``edge_count``
-    is twice the number of triples. Entity nodes occupy indexes
-    ``[0, entity_node_count)``; relation nodes follow in triple order.
+    ``entities[i]`` is the entity id of entity node ``i``. ``triples`` holds
+    one ``(head node, relation id, tail node)`` row per triple, the form of
+    ``KnowledgeGraph.hrt`` with entity nodes in place of entity ids; relation
+    node ``j`` is node ``entity_node_count + j``, with the two directed edges
+    head -> relation node -> tail. So ``node_count`` is the number of entity
+    nodes plus the number of triples and ``edge_count`` is twice the number
+    of triples.
     """
 
-    nodes: list[LeviNode]
-    edges: list[tuple[int, int]]
-    entity_node_count: int
+    entities: np.ndarray  # [k] int64
+    triples: np.ndarray  # [T, 3] int64
+
+    @property
+    def entity_node_count(self) -> int:
+        return len(self.entities)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.entities) + len(self.triples)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return 2 * len(self.triples)
 
     def attention_mask(self) -> np.ndarray:
         """Boolean [n, n] mask: symmetrized adjacency plus the diagonal.
@@ -55,53 +47,34 @@ class LeviGraph:
         The diagonal is included so every node (isolated entities included)
         attends at least to itself.
         """
-        n = len(self.nodes)
+        k, n = self.entity_node_count, self.node_count
         mask = np.eye(n, dtype=bool)
-        for u, v in self.edges:
-            mask[u, v] = True
-            mask[v, u] = True
+        relation_nodes = np.arange(k, n)[:, None]
+        ends = self.triples[:, 0::2]  # head and tail node of each relation node
+        mask[relation_nodes, ends] = True
+        mask[ends, relation_nodes] = True
         return mask
 
     def to_triples(self) -> list[Triple]:
-        """Recover the original triples from relation-node incidence."""
-        incoming: dict[int, list[int]] = {}
-        outgoing: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            outgoing.setdefault(u, []).append(v)
-            incoming.setdefault(v, []).append(u)
-        triples = []
-        for j in range(self.entity_node_count, len(self.nodes)):
-            node = self.nodes[j]
-            heads = incoming.get(j, [])
-            tails = outgoing.get(j, [])
-            if len(heads) != 1 or len(tails) != 1:
-                raise ValueError(f"relation node {j} is not incident to exactly one head and one tail")
-            h = self.nodes[heads[0]]
-            t = self.nodes[tails[0]]
-            if not isinstance(h, EntityNode) or not isinstance(t, EntityNode):
-                raise ValueError(f"relation node {j} touches a non-entity node")
-            triples.append((h.entity, node.relation, t.entity))
-        return triples
+        """The original ``(h, r, t)`` triples, in relation-node order."""
+        hrt = self.triples.copy()
+        hrt[:, 0::2] = self.entities[self.triples[:, 0::2]]
+        return [tuple(row) for row in hrt.tolist()]
 
 
-def triple_transform(triples: Sequence[Triple], extra_entities: Iterable[int] = ()) -> LeviGraph:
+def triple_transform(triples: Sequence[Triple] | np.ndarray, extra_entities: Iterable[int] = ()) -> LeviGraph:
     """Build the Levi graph of a triple set.
 
     Entity nodes are ordered by ascending entity id; relation nodes follow in
     the order the triples were given. ``extra_entities`` adds isolated entity
     nodes (sampled nodes whose induced edges were dropped must stay present).
     """
-    ids = {h for h, _, _ in triples} | {t for _, _, t in triples} | set(extra_entities)
-    ordered = sorted(ids)
-    index = {e: i for i, e in enumerate(ordered)}
-    nodes: list[LeviNode] = [EntityNode(e) for e in ordered]
-    edges: list[tuple[int, int]] = []
-    for h, r, t in triples:
-        j = len(nodes)
-        nodes.append(RelationNode(r))
-        edges.append((index[h], j))
-        edges.append((j, index[t]))
-    return LeviGraph(nodes=nodes, edges=edges, entity_node_count=len(ordered))
+    hrt = _triple_array(triples)
+    extra = np.fromiter(extra_entities, dtype=np.int64)
+    entities = np.unique(np.concatenate([hrt[:, 0], hrt[:, 2], extra]))
+    nodes = hrt.copy()
+    nodes[:, 0::2] = np.searchsorted(entities, hrt[:, 0::2])
+    return LeviGraph(entities, nodes)
 
 
 class KnowledgeGraph:

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .graph import EntityNode, LeviGraph
+from .graph import LeviGraph
 from .optim import parameter_arena
-from .queries import FREE_SLOT, NodeRole, QueryGraph
+from .queries import FREE_SLOT, QueryGraph
 from .sampling import Corruption, CorruptionKind, SampledSubgraph
 from .tensor import Tensor
 
@@ -220,13 +220,10 @@ def _pack(
     for levi, start, n, overrides, predict in zip(levis, starts, counts, inputs, slots):
         row, col = divmod(start, width)
         attn[row, 0, col : col + n, col : col + n] = levi.attention_mask()
-        for i, node in enumerate(levi.nodes):
-            if isinstance(node, EntityNode):
-                if node.entity != FREE_SLOT:
-                    entity_ids[start + i] = node.entity
-            else:
-                is_entity[start + i] = False
-                relation_ids[start + i] = node.relation
+        k = start + levi.entity_node_count
+        np.copyto(entity_ids[start:k], levi.entities, where=levi.entities != FREE_SLOT)
+        relation_ids[k : start + n] = levi.triples[:, 1]
+        is_entity[k : start + n] = False
         for i, value in overrides.items():
             entity_ids[start + i] = value
         positions.extend(start + i for i in predict)
@@ -253,11 +250,11 @@ def _masked_input_id(original: int, corruption: Corruption, mask_id: int) -> int
 def encode_subgraphs(subs: Sequence[SampledSubgraph], config: ModelConfig) -> Batch:
     """Pack masked subgraphs into one batch."""
     inputs = [
-        {i: _masked_input_id(sub.levi.nodes[i].entity, c, config.mask_id) for i, c in sub.corruption.items()}
+        {i: _masked_input_id(int(sub.levi.entities[i]), c, config.mask_id) for i, c in sub.corruption.items()}
         for sub in subs
     ]
     slots = [sub.prediction_targets for sub in subs]
-    targets = [int(sub.original_entities[i]) for sub in subs for i in sub.prediction_targets]
+    targets = [int(sub.levi.entities[i]) for sub in subs for i in sub.prediction_targets]
     return _pack([s.levi for s in subs], inputs, slots, targets, config.mask_id)
 
 

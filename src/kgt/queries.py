@@ -14,7 +14,7 @@ graph, ``walk_back`` draws slot entities backward from a random target, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, ParseError, SamplingExhausted
-from .graph import EntityNode, KnowledgeGraph, LeviGraph, RelationNode, SplitDataset
+from .graph import KnowledgeGraph, LeviGraph, SplitDataset
 
 
 class QueryType(Enum):
@@ -92,11 +92,6 @@ class _Template:
         )
 
     @cached_property
-    def levi_edges(self) -> tuple[tuple[int, int], ...]:
-        """head slot -> relation node -> tail slot for each triple."""
-        return tuple(edge for j, (h, _, t) in enumerate(self.triples, self.slot_count) for edge in ((h, j), (j, t)))
-
-    @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """(head_slot, relation_index) pairs into each non-anchor slot, in triple order."""
         return tuple(
@@ -126,9 +121,9 @@ def template_levi(
     """Levi graph of one shape and the role of each node: the entity slots in
     template order, then one relation node per template triple."""
     tpl = _TEMPLATES[qtype]
-    nodes: list = [EntityNode(e) for e in slot_entities]
-    nodes += [RelationNode(relations[k]) for _, k, _ in tpl.triples]
-    return LeviGraph(nodes=nodes, edges=list(tpl.levi_edges), entity_node_count=tpl.slot_count), tpl.roles
+    triples = np.array(tpl.triples, dtype=np.int64)
+    triples[:, 1] = np.asarray(relations, dtype=np.int64)[triples[:, 1]]
+    return LeviGraph(np.asarray(slot_entities, dtype=np.int64), triples), tpl.roles
 
 
 @dataclass(frozen=True)
@@ -136,14 +131,15 @@ class QueryGraph:
     """One instantiated query: concrete anchors/relations over a shape template.
 
     ``levi`` and ``roles`` come from ``template_levi`` with the anchors in
-    place and ``FREE_SLOT`` at the intermediate and target slots.
+    place and ``FREE_SLOT`` at the intermediate and target slots. They follow
+    from the other three fields, so queries compare and hash by those alone.
     """
 
     query_type: QueryType
     anchors: tuple[int, ...]
     relations: tuple[int, ...]
-    levi: LeviGraph
-    roles: tuple[NodeRole, ...]
+    levi: LeviGraph = field(compare=False)
+    roles: tuple[NodeRole, ...] = field(compare=False)
 
     @property
     def target_index(self) -> int:

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SamplingExhausted
-from .graph import EntityNode, KnowledgeGraph, LeviGraph, Triple, triple_transform
+from .graph import KnowledgeGraph, LeviGraph, triple_transform
 from .queries import NodeRole, QueryType, _distinct_in_edges, template_levi, walk_back
 
 MAX_START_RETRIES = 20
@@ -136,8 +136,8 @@ def induce_subgraph(
     nodes: list[int],
     edge_keep: float,
     rng: np.random.Generator,
-) -> list[Triple]:
-    """Triples with both endpoints in ``nodes``, each kept with prob ``edge_keep``."""
+) -> np.ndarray:
+    """Int64 ``[T, 3]`` triples with both endpoints in ``nodes``, each kept with prob ``edge_keep``."""
     if not 0.0 <= edge_keep <= 1.0:
         raise ValueError(f"edge_keep must be in [0, 1], got {edge_keep}")
     indptr, tails, rels = graph.csr_out()
@@ -147,16 +147,11 @@ def induce_subgraph(
     # sorted members keep the positions in csr order, one slice per head
     positions = _slice_positions(indptr, members)
     positions = positions[member_flag[tails[positions]]]
-    found = positions.size
-    if found == 0:
-        return []
-    keep = rng.random(found) < edge_keep
+    if positions.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    positions = positions[rng.random(positions.size) < edge_keep]
     heads = np.searchsorted(indptr, positions, side="right") - 1
-    return [
-        (int(heads[i]), int(rels[positions[i]]), int(tails[positions[i]]))
-        for i in range(found)
-        if keep[i]
-    ]
+    return np.column_stack([heads, rels[positions], tails[positions]])
 
 
 class CorruptionKind(Enum):
@@ -175,15 +170,14 @@ class Corruption:
 class SampledSubgraph:
     """One masked training example.
 
-    ``original_entities`` holds the true entity id per Levi node (-1 at
-    relation nodes). ``mask_positions`` are the hidden entity nodes;
-    ``prediction_targets`` is the subset that carries a loss term.
-    ``corruption`` says what each masked node presents as input.
+    ``levi.entities`` holds the true entity id of each entity node.
+    ``mask_positions`` are the hidden entity nodes; ``prediction_targets`` is
+    the subset that carries a loss term. ``corruption`` says what each masked
+    node presents as input.
     """
 
     levi: LeviGraph
     roles: tuple[NodeRole, ...]
-    original_entities: np.ndarray
     mask_positions: tuple[int, ...]
     prediction_targets: tuple[int, ...]
     corruption: dict[int, Corruption]
@@ -212,14 +206,6 @@ def _mix_probability(ratio: float) -> float:
     if ratio < 0:
         raise ValueError(f"mix ratio must be non-negative, got {ratio}")
     return ratio / (1.0 + ratio)
-
-
-def _entity_array(levi: LeviGraph) -> np.ndarray:
-    out = np.full(levi.node_count, -1, dtype=np.int64)
-    for i, node in enumerate(levi.nodes):
-        if isinstance(node, EntityNode):
-            out[i] = node.entity
-    return out
 
 
 def sample_stage1_batch(
@@ -277,7 +263,6 @@ def sample_stage1_batch(
         sub = SampledSubgraph(
             levi=levi,
             roles=roles,
-            original_entities=_entity_array(levi),
             mask_positions=mask_positions,
             prediction_targets=mask_positions,
             corruption={},
@@ -295,7 +280,6 @@ def _meta_graph(graph: KnowledgeGraph, qtype: QueryType, slots: list[int], relat
     return SampledSubgraph(
         levi=levi,
         roles=roles,
-        original_entities=_entity_array(levi),
         mask_positions=mask_positions,
         prediction_targets=(len(slots) - 1,),
         corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},

@@ -238,12 +238,13 @@ def loop_induce_subgraph(graph, nodes, edge_keep, rng):
     positions = np.zeros(max(len(graph), 1), dtype=np.int64)
     found = induced_positions_kernel(indptr, tails, members, member_flag, positions)
     if found == 0:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     keep = rng.random(found) < edge_keep
     heads = np.searchsorted(indptr, positions[:found], side="right") - 1
-    return [
+    kept = [
         (int(heads[i]), int(rels[positions[i]]), int(tails[positions[i]])) for i in range(found) if keep[i]
     ]
+    return np.array(kept, dtype=np.int64).reshape(-1, 3)
 
 
 def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
@@ -280,7 +281,6 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
 
 def padded_encode_subgraphs(subs, config) -> "Batch":
     """Test oracle: the former stage-1/stage-2 encoder, one graph per row padded to the widest."""
-    from kgt.graph import EntityNode
     from kgt.model import Batch, _masked_input_id
 
     width = max(s.levi.node_count for s in subs)
@@ -293,20 +293,22 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
     positions = []
     targets = []
     for gi, sub in enumerate(subs):
-        n = sub.levi.node_count
-        attn[gi, 0, :n, :n] = sub.levi.attention_mask()
-        for i, node in enumerate(sub.levi.nodes):
-            if isinstance(node, EntityNode):
+        levi = sub.levi
+        n, k = levi.node_count, levi.entity_node_count
+        attn[gi, 0, :n, :n] = levi.attention_mask()
+        for i in range(n):
+            if i < k:
+                entity = int(levi.entities[i])
                 if i in sub.corruption:
-                    entity_ids[gi, i] = _masked_input_id(node.entity, sub.corruption[i], config.mask_id)
+                    entity_ids[gi, i] = _masked_input_id(entity, sub.corruption[i], config.mask_id)
                 else:
-                    entity_ids[gi, i] = node.entity
+                    entity_ids[gi, i] = entity
             else:
                 is_entity[gi, i] = False
-                relation_ids[gi, i] = node.relation
+                relation_ids[gi, i] = levi.triples[i - k, 1]
         for pos in sub.prediction_targets:
             positions.append(gi * width + pos)
-            targets.append(int(sub.original_entities[pos]))
+            targets.append(int(levi.entities[pos]))
     return Batch(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
@@ -321,7 +323,6 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
 
 def padded_encode_queries(queries, config) -> "Batch":
     """Test oracle: the former query encoder (target slots), one graph per row padded to the widest."""
-    from kgt.graph import EntityNode
     from kgt.model import Batch
     from kgt.queries import FREE_SLOT
 
@@ -333,15 +334,16 @@ def padded_encode_queries(queries, config) -> "Batch":
     attn = np.zeros((b, 1, width, width), dtype=bool)
     attn[:, 0] |= np.eye(width, dtype=bool)
     for qi, q in enumerate(queries):
-        n = q.levi.node_count
-        attn[qi, 0, :n, :n] = q.levi.attention_mask()
-        for i, node in enumerate(q.levi.nodes):
-            if isinstance(node, EntityNode):
-                if node.entity != FREE_SLOT:
-                    entity_ids[qi, i] = node.entity
+        levi = q.levi
+        n, k = levi.node_count, levi.entity_node_count
+        attn[qi, 0, :n, :n] = levi.attention_mask()
+        for i in range(n):
+            if i < k:
+                if levi.entities[i] != FREE_SLOT:
+                    entity_ids[qi, i] = levi.entities[i]
             else:
                 is_entity[qi, i] = False
-                relation_ids[qi, i] = node.relation
+                relation_ids[qi, i] = levi.triples[i - k, 1]
     return Batch(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
@@ -592,23 +594,19 @@ def per_shape_instantiate(graph, qtype, rng):
 
 def _hand_built_meta_graph(graph, entities, relations, heads_into, roles, mask_positions):
     """Levi graph with one relation node per (head slot, relation, tail slot) triple."""
-    from kgt.graph import EntityNode, LeviGraph, RelationNode
+    from kgt.graph import LeviGraph
     from kgt.queries import NodeRole
-    from kgt.sampling import Corruption, CorruptionKind, SampledSubgraph, _entity_array
+    from kgt.sampling import Corruption, CorruptionKind, SampledSubgraph
 
-    nodes: list = [EntityNode(e) for e in entities]
     roles = list(roles)
-    edges = []
+    triples = []
     for (head, tail), r in zip(heads_into, relations):
-        j = len(nodes)
-        nodes.append(RelationNode(r))
+        triples.append((head, r, tail))
         roles.append(NodeRole.RELATION)
-        edges += [(head, j), (j, tail)]
-    levi = LeviGraph(nodes=nodes, edges=edges, entity_node_count=len(entities))
+    levi = LeviGraph(np.array(entities, dtype=np.int64), np.array(triples, dtype=np.int64).reshape(-1, 3))
     return SampledSubgraph(
         levi=levi,
         roles=tuple(roles),
-        original_entities=_entity_array(levi),
         mask_positions=mask_positions,
         prediction_targets=(len(entities) - 1,),
         corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},

@@ -27,11 +27,20 @@ def _digest(records) -> str:
 
 
 def _subgraph_record(sub) -> dict:
+    """The record the digests were taken of, written out from the Levi arrays.
+
+    It keeps the shape the former node objects gave it: one ``[class, id]``
+    pair per node, two ``[u, v]`` edges per relation node, and -1 as the
+    entity of each relation node.
+    """
+    entities = sub.levi.entities.tolist()
+    triples = sub.levi.triples.tolist()
+    k = len(entities)
     return {
-        "nodes": [[type(n).__name__, getattr(n, "entity", getattr(n, "relation", None))] for n in sub.levi.nodes],
-        "edges": [list(e) for e in sub.levi.edges],
+        "nodes": [["EntityNode", e] for e in entities] + [["RelationNode", r] for _, r, _ in triples],
+        "edges": [edge for j, (h, _, t) in enumerate(triples, k) for edge in ([h, j], [j, t])],
         "roles": [role.value for role in sub.roles],
-        "entities": sub.original_entities.tolist(),
+        "entities": entities + [-1] * len(triples),
         "masked": list(sub.mask_positions),
         "targets": list(sub.prediction_targets),
         "corruption": [[pos, c.kind.value, c.replacement] for pos, c in sorted(sub.corruption.items())],

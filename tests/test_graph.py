@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from kgt.cli import main
 from kgt.errors import IntegrityError, ParseError
 from kgt.graph import (
-    EntityNode,
     KnowledgeGraph,
-    RelationNode,
     build_split,
     load_split,
     triple_transform,
@@ -42,10 +40,9 @@ class TestLeviTransform:
         levi = triple_transform([(0, 5, 1)])
         assert levi.node_count == 3
         assert levi.edge_count == 2
-        assert levi.nodes[0] == EntityNode(0)
-        assert levi.nodes[1] == EntityNode(1)
-        assert levi.nodes[2] == RelationNode(5)
-        assert levi.edges == [(0, 2), (2, 1)]
+        assert levi.entities.tolist() == [0, 1]
+        assert levi.triples.tolist() == [[0, 5, 1]]  # node 0 -> relation node 2 -> node 1
+        assert levi.entities.dtype == levi.triples.dtype == np.int64
 
     def test_self_loop_keeps_one_entity_node(self):
         levi = triple_transform([(3, 1, 3)])
@@ -55,13 +52,13 @@ class TestLeviTransform:
 
     def test_entity_nodes_sorted_then_relations_in_triple_order(self):
         levi = triple_transform([(9, 0, 2), (2, 1, 5)])
-        assert [n.entity for n in levi.nodes[: levi.entity_node_count]] == [2, 5, 9]
-        assert [n.relation for n in levi.nodes[levi.entity_node_count :]] == [0, 1]
+        assert levi.entities.tolist() == [2, 5, 9]
+        assert levi.triples.tolist() == [[2, 0, 0], [0, 1, 1]]
 
     def test_extra_entities_stay_isolated(self):
         levi = triple_transform([(0, 0, 1)], extra_entities=[7, 1])
-        assert [n.entity for n in levi.nodes[: levi.entity_node_count]] == [0, 1, 7]
-        assert all(2 not in edge for edge in levi.edges)
+        assert levi.entities.tolist() == [0, 1, 7]
+        assert levi.triples.tolist() == [[0, 0, 1]]  # entity node 2 (id 7) touches no relation node
 
     @given(triple_sets())
     @settings(max_examples=100, deadline=None)
@@ -72,6 +69,12 @@ class TestLeviTransform:
         assert levi.node_count == len(distinct) + len(triples)
         assert levi.edge_count == 2 * len(triples)
         assert levi.to_triples() == list(triples)
+        # an int64 array gives the same two arrays as the list
+        from_array = triple_transform(np.array(triples, dtype=np.int64).reshape(-1, 3))
+        assert from_array.entities.dtype == from_array.triples.dtype == np.int64
+        assert np.array_equal(from_array.entities, levi.entities)
+        assert np.array_equal(from_array.triples, levi.triples)
+        assert from_array.triples.shape == levi.triples.shape == (len(triples), 3)
 
     @given(triple_sets())
     @settings(max_examples=50, deadline=None)
@@ -82,10 +85,13 @@ class TestLeviTransform:
         assert mask.shape == (levi.node_count, levi.node_count)
         assert np.array_equal(mask, mask.T)
         assert mask.diagonal().all()
-        # off-diagonal truth matches the undirected edge set exactly
+        # off-diagonal truth matches the undirected edge set exactly: relation
+        # node k + j joins the head and the tail of triple j
+        k = levi.entity_node_count
         expected = np.eye(levi.node_count, dtype=bool)
-        for u, v in levi.edges:
-            expected[u, v] = expected[v, u] = True
+        for j, (head, _, tail) in enumerate(levi.triples.tolist()):
+            for u in (head, tail):
+                expected[u, k + j] = expected[k + j, u] = True
         assert np.array_equal(mask, expected)
 
 

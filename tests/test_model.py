@@ -348,10 +348,11 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
     for levi, start, n in zip(levis, starts, sizes):
         r, c = divmod(start, width)
         assert np.array_equal(batch.attn_mask[r, 0, c : c + n, c : c + n], levi.attention_mask())
-        for i, node in enumerate(levi.nodes):
-            assert bool(is_entity[start + i]) == hasattr(node, "entity")
-            if not hasattr(node, "entity"):
-                assert relation_ids[start + i] == node.relation
+        k = levi.entity_node_count
+        for i in range(n):
+            assert bool(is_entity[start + i]) == (i < k)
+            if i >= k:
+                assert relation_ids[start + i] == levi.triples[i - k, 1]
     # no attention across graphs, and padding attends only to itself
     for r in range(rows):
         same = (owner[r][:, None] == owner[r][None, :]) & (owner[r][:, None] >= 0)
@@ -372,7 +373,6 @@ class TestEncoding:
         return SampledSubgraph(
             levi=levi,
             roles=(NodeRole.TARGET, NodeRole.SOURCE, NodeRole.RELATION),
-            original_entities=np.array([3, 7, -1]),
             mask_positions=(0,),
             prediction_targets=(0,),
             corruption=corruption,
@@ -403,7 +403,7 @@ class TestEncoding:
         assert batch.graph_count == len(subs) and len(batch.sizes) < len(subs)  # some rows are shared
         first = [sub.prediction_targets[0] for sub in subs]
         check_packed_layout(batch, [sub.levi for sub in subs], first, cfg)
-        targets = [int(sub.original_entities[i]) for sub in subs for i in sub.prediction_targets]
+        targets = [int(sub.levi.entities[i]) for sub in subs for i in sub.prediction_targets]
         assert batch.targets.tolist() == targets
 
     def test_empty_batch_rejected(self):

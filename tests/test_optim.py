@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ class TestClip:
         want = math.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
         got = clip_global_norm(params, 1e30)
         assert abs(got - want) <= 1e-12 * want
+
+    def test_second_call_allocates_no_scratch(self):
+        # the 256 KiB float64 scratch is made once per process, not per call
+        params = arena_params({"w": np.ones((300, 300), dtype=np.float32)})
+        set_grad(params["w"], np.ones((300, 300), dtype=np.float32))
+        clip_global_norm(params, 1.0)
+        tracemalloc.start()
+        try:
+            clip_global_norm(params, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_bad_max_norm(self):
         params = arena_params({"p": np.zeros(1)})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgt.errors import ArityError, ParseError, SamplingExhausted
-from kgt.graph import EntityNode, KnowledgeGraph
+from kgt.graph import KnowledgeGraph
 from kgt.queries import (
     EVAL_ONLY_TYPES,
     FREE_SLOT,
@@ -120,17 +120,26 @@ class TestQueryShapes:
             NodeRole.RELATION,
             NodeRole.RELATION,
         )
-        assert q.levi.nodes[0] == EntityNode(4)
-        assert q.levi.nodes[1].entity == FREE_SLOT
+        assert q.levi.entities.tolist() == [4, FREE_SLOT, FREE_SLOT]
         assert q.target_index == 2
         assert q.intermediate_indexes == (1,)
-        assert q.levi.edges == [(0, 3), (3, 1), (1, 4), (4, 2)]
+        # node 0 -> relation node 3 -> node 1 -> relation node 4 -> node 2
+        assert q.levi.triples.tolist() == [[0, 1, 1], [1, 2, 2]]
 
     def test_pi_wiring(self):
         q = build_query(QueryType.PI, (7, 8), (0, 1, 2))
         # a0 -r0-> M, M -r1-> T, a1 -r2-> T
-        assert q.levi.edges == [(0, 4), (4, 2), (2, 5), (5, 3), (1, 6), (6, 3)]
-        assert [n.relation for n in q.levi.nodes[4:]] == [0, 1, 2]
+        assert q.levi.triples.tolist() == [[0, 0, 2], [2, 1, 3], [1, 2, 3]]
+
+    def test_equal_queries_compare_and_hash_equal(self):
+        a = build_query(QueryType.P2, (5,), (1, 2))
+        b = build_query(QueryType.P2, (5,), (1, 2))
+        assert a.levi is not b.levi
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_query(QueryType.P2, (5,), (1, 3))
+        answers = (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3}))
+        assert QueryInstance(a, *answers) == QueryInstance(b, *answers)
+        assert hash(QueryInstance(a, *answers)) == hash(QueryInstance(b, *answers))
 
 
 class TestGrounding:

@@ -137,14 +137,15 @@ class TestInduce:
         for _ in range(50):
             size = int(rng.integers(2, g.entity_count + 1))
             nodes = [int(v) for v in rng.choice(g.entity_count, size=size, replace=False)]
-            got = induce_subgraph(g, nodes, 1.0, rng)
+            got = [tuple(row) for row in induce_subgraph(g, nodes, 1.0, rng).tolist()]
             assert set(got) == self.brute_force(g, set(nodes))
             assert len(got) == len(set(got))
 
     def test_keep_none_is_empty(self):
         g = small_graph(seed=9)
         nodes = list(range(g.entity_count))
-        assert induce_subgraph(g, nodes, 0.0, np.random.default_rng(0)) == []
+        got = induce_subgraph(g, nodes, 0.0, np.random.default_rng(0))
+        assert got.shape == (0, 3) and got.dtype == np.int64
 
     def test_keep_rate_statistics(self):
         g = toy_split(seed=10).train
@@ -190,10 +191,11 @@ class TestStage1Batch:
         g = toy_split(seed=13).train
         rng = np.random.default_rng(12)
         for sub in sample_stage1_batch(g, rng, batch_size=16):
-            n = sub.levi.entity_node_count
-            for i in range(n):
-                assert sub.original_entities[i] == sub.levi.nodes[i].entity
-            assert all(sub.original_entities[n:] == -1)
+            entities = sub.levi.entities.tolist()
+            assert entities == sorted(set(entities))
+            assert all(0 <= e < g.entity_count for e in entities)
+            for h, r, t in sub.levi.to_triples():
+                assert g.has_triple(h, r, t)
 
     def test_method_mix_zero_never_uses_tree(self):
         # ratio 0:1 means pure layer-dependent; a star graph then caps at depth
@@ -219,7 +221,6 @@ class TestCorruption:
         return SampledSubgraph(
             levi=levi,
             roles=(NodeRole.SOURCE, NodeRole.TARGET, NodeRole.RELATION),
-            original_entities=np.array([0, 1, -1]),
             mask_positions=tuple(range(count)),
             prediction_targets=tuple(range(count)),
             corruption={},
@@ -273,7 +274,7 @@ class TestMetaGraphs:
             else:
                 width = n - 1
                 assert 2 <= width <= 3
-                heads = [sub.levi.nodes[i].entity for i in range(width)]
+                heads = sub.levi.entities[:width].tolist()
                 assert len(set(heads)) == width
                 assert sub.mask_positions == (width,)
                 assert sub.prediction_targets == (width,)
@@ -313,7 +314,7 @@ class TestMetaGraphs:
         for _ in range(100):
             sub = sample_meta_graph(g, rng, pattern_mix=float("inf"))
             n = sub.levi.entity_node_count
-            entities = [sub.levi.nodes[i].entity for i in range(n)]
+            entities = sub.levi.entities.tolist()
             if len(set(entities)) < n:
                 saw_revisit = True
         assert saw_revisit
@@ -333,10 +334,9 @@ def hub_graph(entities: int = 200, triples: int = 1500, seed: int = 31) -> Knowl
 
 def subgraph_fields(sub: SampledSubgraph) -> tuple:
     return (
-        sub.levi.nodes,
-        sub.levi.edges,
+        sub.levi.entities.tolist(),
+        sub.levi.triples.tolist(),
         sub.roles,
-        sub.original_entities.tolist(),
         sub.mask_positions,
         sub.prediction_targets,
         sub.corruption,
@@ -361,7 +361,10 @@ class TestLoopOracles:
     def test_induce_matches_loop(self, case, edge_keep, seed):
         graph, nodes = case
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert induce_subgraph(graph, nodes, edge_keep, rng_a) == loop_induce_subgraph(graph, nodes, edge_keep, rng_b)
+        got = induce_subgraph(graph, nodes, edge_keep, rng_a)
+        want = loop_induce_subgraph(graph, nodes, edge_keep, rng_b)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
         assert rng_a.random() == rng_b.random()
 
     @settings(max_examples=150, deadline=None)
