@@ -287,30 +287,31 @@ def cmd_finetune(args) -> int:
 
 
 def _models_for_evaluation(args, types) -> dict[QueryType, Model]:
-    ckpt_dir = Path(args.out) / "checkpoints"
+    """One model per query shape: ``--checkpoint`` for every shape, else the
+    shape's pick in ``selection.json``, else the first checkpoint found of
+    ``finetune_multi.kgtc`` (the candidate every selection starts from),
+    ``stage2.kgtc`` and ``stage1.kgtc``."""
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
         return {qtype: model for qtype in types}
+    ckpt_dir = Path(args.out) / "checkpoints"
     selection_path = ckpt_dir / "selection.json"
+    chosen = {}
     if selection_path.exists():
-        selection = json.loads(selection_path.read_text(encoding="utf-8"))
-        cache: dict[str, Model] = {}
-        models = {}
-        for qtype in types:
-            name = selection.get("checkpoints", {}).get(qtype.value)
-            if name is None:
-                continue
-            if name not in cache:
-                cache[name] = load_checkpoint(ckpt_dir / name)
-            models[qtype] = cache[name]
-        if models:
-            return models
-    for candidate in ("finetune_multi.kgtc", "stage2.kgtc", "stage1.kgtc"):
-        path = ckpt_dir / candidate
-        if path.exists():
-            model = load_checkpoint(path)
-            return {qtype: model for qtype in types}
-    raise FileNotFoundError(f"no checkpoint found under {ckpt_dir}; pass --checkpoint")
+        chosen = json.loads(selection_path.read_text(encoding="utf-8")).get("checkpoints", {})
+    fallback = next(
+        (name for name in ("finetune_multi.kgtc", "stage2.kgtc", "stage1.kgtc") if (ckpt_dir / name).exists()), None
+    )
+    cache: dict[str, Model] = {}
+    models = {}
+    for qtype in types:
+        name = chosen.get(qtype.value, fallback)
+        if name is None:
+            raise FileNotFoundError(f"no checkpoint found under {ckpt_dir}; pass --checkpoint")
+        if name not in cache:
+            cache[name] = load_checkpoint(ckpt_dir / name)
+        models[qtype] = cache[name]
+    return models
 
 
 def cmd_evaluate(args) -> int:

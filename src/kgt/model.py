@@ -217,16 +217,23 @@ def _pack(
     attn = np.zeros((rows, 1, width, width), dtype=bool)
     attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
+    link_nodes, link_ends = [], []  # flat index of each relation node and of its head and tail
     for levi, start, n, overrides, predict in zip(levis, starts, counts, inputs, slots):
-        row, col = divmod(start, width)
-        attn[row, 0, col : col + n, col : col + n] = levi.attention_mask()
         k = start + levi.entity_node_count
+        link_nodes.append(np.arange(k, start + n))
+        link_ends.append(start + levi.triples[:, 0::2])
         np.copyto(entity_ids[start:k], levi.entities, where=levi.entities != FREE_SLOT)
         relation_ids[k : start + n] = levi.triples[:, 1]
         is_entity[k : start + n] = False
         for i, value in overrides.items():
             entity_ids[start + i] = value
         positions.extend(start + i for i in predict)
+    # each relation node and its two ends attend to each other, as in LeviGraph.attention_mask
+    nodes = np.concatenate(link_nodes)[:, None]
+    ends = np.concatenate(link_ends) % width
+    row, col = nodes // width, nodes % width
+    attn[row, 0, col, ends] = True
+    attn[row, 0, ends, col] = True
     return Batch(
         entity_ids=entity_ids.reshape(rows, width),
         relation_ids=relation_ids.reshape(rows, width),

@@ -54,13 +54,6 @@ TRAINABLE_TYPES = (QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2, Query
 EVAL_ONLY_TYPES = (QueryType.IP, QueryType.PI, QueryType.U2, QueryType.UP)
 
 
-class NodeRole(Enum):
-    SOURCE = "source"
-    INTERMEDIATE = "intermediate"
-    TARGET = "target"
-    RELATION = "relation"
-
-
 @dataclass(frozen=True)
 class _Template:
     """Slot layout of one query shape.
@@ -80,16 +73,6 @@ class _Template:
     @property
     def slot_count(self) -> int:
         return self.anchor_count + self.intermediate_count + 1
-
-    @cached_property
-    def roles(self) -> tuple[NodeRole, ...]:
-        """Role of each Levi node: the entity slots, then one relation node per triple."""
-        return (
-            (NodeRole.SOURCE,) * self.anchor_count
-            + (NodeRole.INTERMEDIATE,) * self.intermediate_count
-            + (NodeRole.TARGET,)
-            + (NodeRole.RELATION,) * len(self.triples)
-        )
 
     @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -115,31 +98,27 @@ _TEMPLATES: dict[QueryType, _Template] = {
 FREE_SLOT = -1  # entity id placeholder for variable slots
 
 
-def template_levi(
-    qtype: QueryType, slot_entities: Sequence[int], relations: Sequence[int]
-) -> tuple[LeviGraph, tuple[NodeRole, ...]]:
-    """Levi graph of one shape and the role of each node: the entity slots in
-    template order, then one relation node per template triple."""
-    tpl = _TEMPLATES[qtype]
-    triples = np.array(tpl.triples, dtype=np.int64)
+def template_levi(qtype: QueryType, slot_entities: Sequence[int], relations: Sequence[int]) -> LeviGraph:
+    """Levi graph of one shape: the entity slots in template order, then one
+    relation node per template triple."""
+    triples = np.array(_TEMPLATES[qtype].triples, dtype=np.int64)
     triples[:, 1] = np.asarray(relations, dtype=np.int64)[triples[:, 1]]
-    return LeviGraph(np.asarray(slot_entities, dtype=np.int64), triples), tpl.roles
+    return LeviGraph(np.asarray(slot_entities, dtype=np.int64), triples)
 
 
 @dataclass(frozen=True)
 class QueryGraph:
     """One instantiated query: concrete anchors/relations over a shape template.
 
-    ``levi`` and ``roles`` come from ``template_levi`` with the anchors in
-    place and ``FREE_SLOT`` at the intermediate and target slots. They follow
-    from the other three fields, so queries compare and hash by those alone.
+    ``levi`` comes from ``template_levi`` with the anchors in place and
+    ``FREE_SLOT`` at the intermediate and target slots. It follows from the
+    other three fields, so queries compare and hash by those alone.
     """
 
     query_type: QueryType
     anchors: tuple[int, ...]
     relations: tuple[int, ...]
     levi: LeviGraph = field(compare=False)
-    roles: tuple[NodeRole, ...] = field(compare=False)
 
     @property
     def target_index(self) -> int:
@@ -159,8 +138,7 @@ def build_query(query_type: QueryType, anchors: Sequence[int], relations: Sequen
     if len(relations) != tpl.relation_count:
         raise ArityError(f"{query_type.value} takes {tpl.relation_count} relations, got {len(relations)}")
     slots = anchors + (FREE_SLOT,) * (tpl.slot_count - tpl.anchor_count)
-    levi, roles = template_levi(query_type, slots, relations)
-    return QueryGraph(query_type, anchors, relations, levi, roles)
+    return QueryGraph(query_type, anchors, relations, template_levi(query_type, slots, relations))
 
 
 def dnf_decompose(query: QueryGraph) -> list[QueryGraph]:
@@ -191,20 +169,17 @@ def _project(graph: KnowledgeGraph, sources: set[int], relation: int) -> set[int
 def ground_answers(graph: KnowledgeGraph, query: QueryGraph) -> frozenset[int]:
     """Exact answer set of a query on a graph, by forward set chaining over its template.
 
-    Each non-anchor slot is the intersection (for unions: the union) of the
+    Each slot holds an entity set, an anchor slot its one entity. Each
+    non-anchor slot is the intersection (for unions: the union) of the
     projections along its in-edges. Projection distributes over union, so the
     up shape grounds to the union of its two 2p branches.
     """
     tpl = _TEMPLATES[query.query_type]
     rels = query.relations
     join = set.union if tpl.union else set.intersection
-    values: list = list(query.anchors)  # anchor slots hold an entity, later slots a set
+    values = [{a} for a in query.anchors]
     for in_edges in tpl.in_edges:
-        parts = [
-            graph.successors(values[h], rels[k]) if h < tpl.anchor_count else _project(graph, values[h], rels[k])
-            for h, k in in_edges
-        ]
-        values.append(parts[0] if len(parts) == 1 else join(*parts))
+        values.append(join(*(_project(graph, values[h], rels[k]) for h, k in in_edges)))
     return frozenset(values[-1])
 
 

@@ -19,14 +19,15 @@ per step, so its random stream does not depend on how many steps it takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import SamplingExhausted
 from .graph import KnowledgeGraph, LeviGraph, triple_transform
-from .queries import NodeRole, QueryType, _distinct_in_edges, template_levi, walk_back
+from .queries import QueryType, _distinct_in_edges, template_levi, walk_back
 
 MAX_START_RETRIES = 20
 
@@ -43,7 +44,6 @@ class SampleResult:
     """Node set from one sampler run, in sampled order."""
 
     nodes: list[int]
-    undersized: bool
     tree_edges: list[tuple[int, int]] | None = None
 
 
@@ -76,7 +76,7 @@ def meta_tree_sample(
             seen.add(nxt)
             nodes.append(nxt)
             edges.append((cur, nxt))
-    return SampleResult(nodes=nodes, undersized=len(nodes) < target_size, tree_edges=edges)
+    return SampleResult(nodes=nodes, tree_edges=edges)
 
 
 def layer_dependent_sample(
@@ -99,7 +99,6 @@ def layer_dependent_sample(
     member_flag = np.zeros(graph.entity_count, dtype=bool)
     sampled = list(dict.fromkeys(int(s) for s in seeds))
     member_flag[sampled] = True
-    undersized = False
     for _ in range(depth):
         budget = per_layer
         if max_total is not None:
@@ -111,7 +110,6 @@ def layer_dependent_sample(
         counts = np.bincount(reached[~member_flag[reached]])
         candidates = np.nonzero(counts)[0]
         if candidates.size == 0:
-            undersized = True
             break
         weights = counts[candidates].astype(np.float64)
         picks = min(budget, candidates.size)
@@ -126,9 +124,7 @@ def layer_dependent_sample(
             sampled.append(chosen)
             member_flag[chosen] = True
             weights[k] = 0.0
-        if picks < budget:
-            undersized = True
-    return SampleResult(nodes=sampled, undersized=undersized)
+    return SampleResult(nodes=sampled)
 
 
 def induce_subgraph(
@@ -170,33 +166,36 @@ class Corruption:
 class SampledSubgraph:
     """One masked training example.
 
-    ``levi.entities`` holds the true entity id of each entity node.
-    ``mask_positions`` are the hidden entity nodes; ``prediction_targets`` is
-    the subset that carries a loss term. ``corruption`` says what each masked
-    node presents as input.
+    ``levi.entities`` holds the true entity id of each entity node. The keys
+    of ``corruption`` are the masked entity nodes, each mapped to what it
+    presents as input; ``prediction_targets`` are the masked nodes that carry
+    a loss term.
     """
 
     levi: LeviGraph
-    roles: tuple[NodeRole, ...]
-    mask_positions: tuple[int, ...]
-    prediction_targets: tuple[int, ...]
     corruption: dict[int, Corruption]
+    prediction_targets: tuple[int, ...]
     entity_count: int
 
 
-def corrupt_masks(sub: SampledSubgraph, rng: np.random.Generator) -> SampledSubgraph:
-    """Redraw input corruption for every masked node: 80% mask token, 10%
-    unchanged, 10% replaced by a uniformly random entity."""
+def _draw_corruption(positions: Iterable[int], entity_count: int, rng: np.random.Generator) -> dict[int, Corruption]:
+    """80% mask token, 10% unchanged, 10% a uniformly random entity, drawn in position order."""
     corruption = {}
-    for pos in sorted(sub.mask_positions):
+    for pos in positions:
         u = rng.random()
         if u < 0.8:
             corruption[pos] = Corruption(CorruptionKind.MASK)
         elif u < 0.9:
             corruption[pos] = Corruption(CorruptionKind.KEEP)
         else:
-            corruption[pos] = Corruption(CorruptionKind.RANDOM, int(rng.integers(sub.entity_count)))
-    return replace(sub, corruption=corruption)
+            corruption[pos] = Corruption(CorruptionKind.RANDOM, int(rng.integers(entity_count)))
+    return corruption
+
+
+def corrupt_masks(sub: SampledSubgraph, rng: np.random.Generator) -> SampledSubgraph:
+    """``sub`` with the 80/10/10 input corruption of every masked node redrawn."""
+    corruption = _draw_corruption(sorted(sub.corruption), sub.entity_count, rng)
+    return SampledSubgraph(sub.levi, corruption, sub.prediction_targets, sub.entity_count)
 
 
 def _mix_probability(ratio: float) -> float:
@@ -222,9 +221,9 @@ def sample_stage1_batch(
     """Draw a batch of randomly masked subgraphs for dense pre-training.
 
     ``method_mix`` is the meta-tree : layer-dependent ratio. Node budgets are
-    drawn uniformly from ``budget`` inclusive; undersized draws retry from a
-    fresh start node and are accepted as-is only when the graph is too sparse
-    to do better.
+    drawn uniformly from ``budget`` inclusive; a draw with fewer nodes than
+    the budget's lower end retries from a fresh start node and is accepted
+    as-is only when the graph is too sparse to do better.
     """
     lo, hi = budget
     if not 1 <= lo <= hi:
@@ -252,37 +251,19 @@ def sample_stage1_batch(
         levi = triple_transform(triples, extra_entities=nodes)
         n_entities = levi.entity_node_count
         n_mask = max(1, math.ceil(mask_rate * n_entities))
-        mask_positions = tuple(sorted(int(i) for i in rng.choice(n_entities, size=n_mask, replace=False)))
-        masked = set(mask_positions)
-        roles = tuple(
-            NodeRole.RELATION
-            if i >= n_entities
-            else (NodeRole.TARGET if i in masked else NodeRole.SOURCE)
-            for i in range(levi.node_count)
-        )
-        sub = SampledSubgraph(
-            levi=levi,
-            roles=roles,
-            mask_positions=mask_positions,
-            prediction_targets=mask_positions,
-            corruption={},
-            entity_count=graph.entity_count,
-        )
-        out.append(corrupt_masks(sub, rng))
+        masked = tuple(sorted(int(i) for i in rng.choice(n_entities, size=n_mask, replace=False)))
+        corruption = _draw_corruption(masked, graph.entity_count, rng)
+        out.append(SampledSubgraph(levi, corruption, masked, graph.entity_count))
     return out
 
 
 def _meta_graph(graph: KnowledgeGraph, qtype: QueryType, slots: list[int], relations: list[int]) -> SampledSubgraph:
     """A shape's template filled with true entities: non-anchor slots masked,
     only the target supervised."""
-    levi, roles = template_levi(qtype, slots, relations)
-    mask_positions = tuple(range(qtype.anchor_count, len(slots)))
     return SampledSubgraph(
-        levi=levi,
-        roles=roles,
-        mask_positions=mask_positions,
+        levi=template_levi(qtype, slots, relations),
+        corruption={pos: Corruption(CorruptionKind.MASK) for pos in range(qtype.anchor_count, len(slots))},
         prediction_targets=(len(slots) - 1,),
-        corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
         entity_count=graph.entity_count,
     )
 

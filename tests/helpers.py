@@ -190,7 +190,7 @@ def loop_meta_tree_sample(graph, start, target_size, rng):
     out_parent = np.zeros(target_size, dtype=np.int64)
     count = meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes, out_parent)
     edges = [(int(out_parent[i]), int(out_nodes[i])) for i in range(1, count)]
-    return SampleResult(nodes=[int(v) for v in out_nodes[:count]], undersized=count < target_size, tree_edges=edges)
+    return SampleResult(nodes=[int(v) for v in out_nodes[:count]], tree_edges=edges)
 
 
 def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=None):
@@ -202,7 +202,6 @@ def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=N
     sampled = list(dict.fromkeys(int(s) for s in seeds))
     for s in sampled:
         member_flag[s] = 1
-    undersized = False
     for _ in range(depth):
         budget = per_layer
         if max_total is not None:
@@ -213,20 +212,16 @@ def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=N
         frontier_counts_kernel(indptr, nbrs, np.asarray(sampled, dtype=np.int64), member_flag, counts)
         candidates = np.nonzero(counts)[0]
         if candidates.size == 0:
-            undersized = True
             break
         weights = counts[candidates].astype(np.float64)
-        picks = min(budget, candidates.size)
-        for _ in range(picks):
+        for _ in range(min(budget, candidates.size)):
             cumulative = np.cumsum(weights)
             r = rng.random() * cumulative[-1]
             k = min(int(np.searchsorted(cumulative, r, side="right")), candidates.size - 1)
             sampled.append(int(candidates[k]))
             member_flag[candidates[k]] = 1
             weights[k] = 0.0
-        if picks < budget:
-            undersized = True
-    return SampleResult(nodes=sampled, undersized=undersized)
+    return SampleResult(nodes=sampled)
 
 
 def loop_induce_subgraph(graph, nodes, edge_keep, rng):
@@ -475,9 +470,17 @@ def per_query_evaluate(model, datasets, split: str, ks=(1, 3, 10), rank_dump: li
     return MetricsTable(split=split, ks=tuple(ks), rows=rows)
 
 
+def per_entity_project(graph, sources, relation) -> set[int]:
+    """Test oracle: projection of an entity set, one ``successors`` lookup per entity."""
+    out = set()
+    for e in sources:
+        out |= graph.successors(e, relation)
+    return out
+
+
 def per_shape_ground_answers(graph, query) -> frozenset[int]:
     """Test oracle: the former per-shape grounding, unions via their DNF branches."""
-    from kgt.queries import QueryType, _project, dnf_decompose
+    from kgt.queries import QueryType, dnf_decompose
 
     qt = query.query_type
     a = query.anchors
@@ -485,11 +488,11 @@ def per_shape_ground_answers(graph, query) -> frozenset[int]:
     if qt is QueryType.P1:
         return frozenset(graph.successors(a[0], r[0]))
     if qt is QueryType.P2:
-        return frozenset(_project(graph, graph.successors(a[0], r[0]), r[1]))
+        return frozenset(per_entity_project(graph, graph.successors(a[0], r[0]), r[1]))
     if qt is QueryType.P3:
         frontier = graph.successors(a[0], r[0])
-        frontier = _project(graph, frontier, r[1])
-        return frozenset(_project(graph, frontier, r[2]))
+        frontier = per_entity_project(graph, frontier, r[1])
+        return frozenset(per_entity_project(graph, frontier, r[2]))
     if qt is QueryType.I2:
         return frozenset(graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]))
     if qt is QueryType.I3:
@@ -498,10 +501,10 @@ def per_shape_ground_answers(graph, query) -> frozenset[int]:
         )
     if qt is QueryType.IP:
         middle = graph.successors(a[0], r[0]) & graph.successors(a[1], r[1])
-        return frozenset(_project(graph, middle, r[2]))
+        return frozenset(per_entity_project(graph, middle, r[2]))
     if qt is QueryType.PI:
         middle = graph.successors(a[0], r[0])
-        return frozenset(_project(graph, middle, r[1]) & graph.successors(a[1], r[2]))
+        return frozenset(per_entity_project(graph, middle, r[1]) & graph.successors(a[1], r[2]))
     answers: set[int] = set()
     for branch in dnf_decompose(query):
         answers |= per_shape_ground_answers(graph, branch)
@@ -592,22 +595,15 @@ def per_shape_instantiate(graph, qtype, rng):
     raise ValueError(f"unknown query type {qtype}")
 
 
-def _hand_built_meta_graph(graph, entities, relations, heads_into, roles, mask_positions):
+def _hand_built_meta_graph(graph, entities, relations, heads_into, mask_positions):
     """Levi graph with one relation node per (head slot, relation, tail slot) triple."""
     from kgt.graph import LeviGraph
-    from kgt.queries import NodeRole
     from kgt.sampling import Corruption, CorruptionKind, SampledSubgraph
 
-    roles = list(roles)
-    triples = []
-    for (head, tail), r in zip(heads_into, relations):
-        triples.append((head, r, tail))
-        roles.append(NodeRole.RELATION)
+    triples = [(head, r, tail) for (head, tail), r in zip(heads_into, relations)]
     levi = LeviGraph(np.array(entities, dtype=np.int64), np.array(triples, dtype=np.int64).reshape(-1, 3))
     return SampledSubgraph(
         levi=levi,
-        roles=tuple(roles),
-        mask_positions=mask_positions,
         prediction_targets=(len(entities) - 1,),
         corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
         entity_count=graph.entity_count,
@@ -616,7 +612,7 @@ def _hand_built_meta_graph(graph, entities, relations, heads_into, roles, mask_p
 
 def hand_built_chain_meta_graph(graph, rng):
     """Test oracle: the former 1p/2p/3p meta-graph walk with its own Levi graph."""
-    from kgt.queries import NodeRole, _pick_in_edge
+    from kgt.queries import _pick_in_edge
 
     length = int(rng.integers(1, 4))
     cur = int(rng.integers(graph.entity_count))
@@ -631,14 +627,13 @@ def hand_built_chain_meta_graph(graph, rng):
         relations.append(r)
     entities.reverse()
     relations.reverse()
-    roles = [NodeRole.SOURCE] + [NodeRole.INTERMEDIATE] * (length - 1) + [NodeRole.TARGET]
     links = [(i, i + 1) for i in range(length)]
-    return _hand_built_meta_graph(graph, entities, relations, links, roles, tuple(range(1, length + 1)))
+    return _hand_built_meta_graph(graph, entities, relations, links, tuple(range(1, length + 1)))
 
 
 def hand_built_branch_meta_graph(graph, rng):
     """Test oracle: the former 2i/3i meta-graph draw with its own Levi graph."""
-    from kgt.queries import NodeRole, _distinct_in_edges
+    from kgt.queries import _distinct_in_edges
 
     width = int(rng.integers(2, 4))
     target = int(rng.integers(graph.entity_count))
@@ -647,9 +642,8 @@ def hand_built_branch_meta_graph(graph, rng):
         return None
     width = len(picked)
     entities = [h for h, _ in picked] + [target]
-    roles = [NodeRole.SOURCE] * width + [NodeRole.TARGET]
     links = [(i, width) for i in range(width)]
-    return _hand_built_meta_graph(graph, entities, [r for _, r in picked], links, roles, (width,))
+    return _hand_built_meta_graph(graph, entities, [r for _, r in picked], links, (width,))
 
 
 LOOP_BLOCK = 1 << 15  # the block size of kgt.optim, fixed here so the oracles stay independent of it

@@ -18,7 +18,7 @@ from kgt.gradcheck import run_all
 from kgt.graph import KnowledgeGraph, build_split, triple_transform, write_triples
 from kgt.model import Model, ModelConfig, init_parameters, moe_ffn
 from kgt.optim import AdamWConfig
-from kgt.queries import NodeRole, QueryType, build_query, dnf_decompose, generate_queries, ground_answers
+from kgt.queries import QueryType, build_query, dnf_decompose, generate_queries, ground_answers
 from kgt.sampling import CorruptionKind, corrupt_masks, meta_tree_sample, sample_meta_graph, sample_stage1_batch
 from kgt.tensor import Tensor, cross_entropy, smoothed_labels
 from kgt.train import Stage, TrainConfig, finetune, pretrain
@@ -359,7 +359,7 @@ def test_06_sampling_statistics(toy):
     chains = 0
     for _ in range(trials):
         meta = sample_meta_graph(dense, meta_rng, pattern_mix=4.0)
-        chains += sum(1 for r in meta.roles if r is NodeRole.SOURCE) == 1
+        chains += meta.levi.entity_node_count - len(meta.corruption) == 1
     p = 0.8
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(chains / trials - p) < 3 * sigma

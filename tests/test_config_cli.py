@@ -325,6 +325,25 @@ class TestPipeline:
         assert rc == 0
         assert "mean" in capsys.readouterr().out
 
+    def test_shapes_missing_from_selection_use_multi_task_checkpoint(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "partial_selection"
+        shutil.copytree(pipeline["out"] / "checkpoints", out / "checkpoints")
+        selection = {"checkpoints": {"1p": "finetune_best_1p.kgtc"}}  # every other shape is left out
+        (out / "checkpoints" / "selection.json").write_text(json.dumps(selection))
+        queries = pipeline["out"] / "queries"
+        base = ["--config", str(pipeline["config"]), "--out", str(out)]
+        assert main(base + ["evaluate", "--split", "valid", "--queries", str(queries)]) == 0
+        rows = json.loads((out / "metrics" / "valid.json").read_text())["rows"]
+        assert set(rows) == {"1p", "2p", "3p", "2i", "3i", "ip", "pi", "2u", "up", "mean"}
+        multi = out / "checkpoints" / "finetune_multi.kgtc"
+        explicit = tmp_path / "explicit"
+        assert main(["--config", str(pipeline["config"]), "--out", str(explicit), "evaluate", "--split", "valid",
+                     "--queries", str(queries), "--checkpoint", str(multi)]) == 0
+        assert rows["2p"] == json.loads((explicit / "metrics" / "valid.json").read_text())["rows"]["2p"]
+        capsys.readouterr()
+        assert main(base + ["interpret", "--query-file", str(queries / "valid_2p.jsonl"), "--top", "2"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
     def test_seed_flag_overrides_config(self, pipeline, tmp_path):
         out = tmp_path / "out_seed"
         base = ["--config", str(pipeline["config"]), "--seed", "99", "--out", str(out)]

@@ -31,17 +31,27 @@ def _subgraph_record(sub) -> dict:
 
     It keeps the shape the former node objects gave it: one ``[class, id]``
     pair per node, two ``[u, v]`` edges per relation node, and -1 as the
-    entity of each relation node.
+    entity of each relation node. The former node roles follow from the
+    masks: relation nodes past the entity nodes, targets where a loss term
+    sits, intermediates at the other masked nodes, sources elsewhere.
     """
     entities = sub.levi.entities.tolist()
     triples = sub.levi.triples.tolist()
     k = len(entities)
+
+    def role(i: int) -> str:
+        if i >= k:
+            return "relation"
+        if i in sub.prediction_targets:
+            return "target"
+        return "intermediate" if i in sub.corruption else "source"
+
     return {
         "nodes": [["EntityNode", e] for e in entities] + [["RelationNode", r] for _, r, _ in triples],
         "edges": [edge for j, (h, _, t) in enumerate(triples, k) for edge in ([h, j], [j, t])],
-        "roles": [role.value for role in sub.roles],
+        "roles": [role(i) for i in range(k + len(triples))],
         "entities": entities + [-1] * len(triples),
-        "masked": list(sub.mask_positions),
+        "masked": sorted(sub.corruption),
         "targets": list(sub.prediction_targets),
         "corruption": [[pos, c.kind.value, c.replacement] for pos, c in sorted(sub.corruption.items())],
     }

@@ -366,18 +366,10 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
 class TestEncoding:
     def make_sub(self, corruption_kind) -> SampledSubgraph:
         from kgt.graph import triple_transform
-        from kgt.queries import NodeRole
 
         levi = triple_transform([(3, 1, 7)])
         corruption = {0: Corruption(*corruption_kind)}
-        return SampledSubgraph(
-            levi=levi,
-            roles=(NodeRole.TARGET, NodeRole.SOURCE, NodeRole.RELATION),
-            mask_positions=(0,),
-            prediction_targets=(0,),
-            corruption=corruption,
-            entity_count=20,
-        )
+        return SampledSubgraph(levi=levi, corruption=corruption, prediction_targets=(0,), entity_count=20)
 
     def test_corruption_kinds_map_to_input_ids(self):
         cfg = tiny_config()

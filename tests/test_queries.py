@@ -11,7 +11,6 @@ from kgt.queries import (
     EVAL_ONLY_TYPES,
     FREE_SLOT,
     TRAINABLE_TYPES,
-    NodeRole,
     QueryInstance,
     QueryType,
     _instantiate,
@@ -113,13 +112,6 @@ class TestQueryShapes:
         q = build_query(QueryType.P2, (4,), (1, 2))
         assert q.levi.entity_node_count == 3
         assert q.levi.node_count == 5
-        assert q.roles == (
-            NodeRole.SOURCE,
-            NodeRole.INTERMEDIATE,
-            NodeRole.TARGET,
-            NodeRole.RELATION,
-            NodeRole.RELATION,
-        )
         assert q.levi.entities.tolist() == [4, FREE_SLOT, FREE_SLOT]
         assert q.target_index == 2
         assert q.intermediate_indexes == (1,)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from kgt import sampling
 from kgt.errors import SamplingExhausted
 from kgt.graph import KnowledgeGraph
-from kgt.queries import NodeRole
 from kgt.sampling import (
+    Corruption,
     CorruptionKind,
     SampledSubgraph,
     corrupt_masks,
@@ -76,14 +76,12 @@ class TestMetaTree:
         rng = np.random.default_rng(2)
         for _ in range(100):
             result = meta_tree_sample(g, int(rng.integers(g.entity_count)), 16, rng)
-            assert not result.undersized
             assert len(result.nodes) == 16
 
     def test_isolated_start_stays_put(self):
         g = KnowledgeGraph(4, 1, [(1, 0, 2)])
         result = meta_tree_sample(g, 0, 5, np.random.default_rng(0))
         assert result.nodes == [0]
-        assert result.undersized
 
     def test_rejects_bad_target(self):
         g = small_graph()
@@ -113,13 +111,11 @@ class TestLayerDependent:
         result = layer_dependent_sample(g, [0], per_layer=8, depth=2, rng=rng, max_total=12)
         assert len(result.nodes) == 12
         assert len(set(result.nodes)) == 12
-        assert not result.undersized
 
-    def test_disconnected_marks_undersized(self):
+    def test_disconnected_stops_at_component(self):
         g = KnowledgeGraph(5, 1, [(0, 0, 1)])
         result = layer_dependent_sample(g, [0], per_layer=4, depth=2, rng=np.random.default_rng(7))
         assert set(result.nodes) == {0, 1}
-        assert result.undersized
 
     def test_rejects_bad_arguments(self):
         g = small_graph()
@@ -170,22 +166,16 @@ class TestStage1Batch:
         for sub in sample_stage1_batch(g, rng, batch_size=64):
             assert 8 <= sub.levi.entity_node_count <= 16
 
-    def test_mask_count_and_roles(self):
+    def test_mask_count_and_targets(self):
         g = toy_split(seed=12).train
         rng = np.random.default_rng(11)
         for sub in sample_stage1_batch(g, rng, batch_size=32, mask_rate=0.25):
             n = sub.levi.entity_node_count
             expected = max(1, math.ceil(0.25 * n))
-            assert len(sub.mask_positions) == expected
-            assert sub.prediction_targets == sub.mask_positions
-            assert set(sub.corruption) == set(sub.mask_positions)
-            for i, role in enumerate(sub.roles):
-                if i >= n:
-                    assert role is NodeRole.RELATION
-                elif i in sub.mask_positions:
-                    assert role is NodeRole.TARGET
-                else:
-                    assert role is NodeRole.SOURCE
+            assert len(sub.corruption) == expected
+            # every masked node is a supervised entity node
+            assert sub.prediction_targets == tuple(sorted(sub.corruption))
+            assert all(0 <= i < n for i in sub.prediction_targets)
 
     def test_original_entities_recoverable(self):
         g = toy_split(seed=13).train
@@ -218,12 +208,11 @@ class TestCorruption:
         from kgt.graph import triple_transform
 
         levi = triple_transform([(0, 0, 1)])
+        placeholder = Corruption(CorruptionKind.MASK)
         return SampledSubgraph(
             levi=levi,
-            roles=(NodeRole.SOURCE, NodeRole.TARGET, NodeRole.RELATION),
-            mask_positions=tuple(range(count)),
+            corruption={pos: placeholder for pos in range(count)},
             prediction_targets=tuple(range(count)),
-            corruption={},
             entity_count=50,
         )
 
@@ -249,7 +238,7 @@ class TestCorruption:
 
 class TestMetaGraphs:
     def classify(self, sub: SampledSubgraph) -> str:
-        sources = sum(1 for r in sub.roles if r is NodeRole.SOURCE)
+        sources = sub.levi.entity_node_count - len(sub.corruption)
         return "chain" if sources == 1 else "branch"
 
     def test_shapes_are_valid(self):
@@ -263,20 +252,17 @@ class TestMetaGraphs:
             seen.add((kind, n))
             # every masked slot enters as a plain mask token
             assert all(c.kind is CorruptionKind.MASK for c in sub.corruption.values())
-            assert set(sub.corruption) == set(sub.mask_positions)
             if kind == "chain":
                 length = n - 1
                 assert 1 <= length <= 3
-                assert sub.mask_positions == tuple(range(1, n))
+                assert sorted(sub.corruption) == list(range(1, n))
                 assert sub.prediction_targets == (n - 1,)
-                assert sub.roles[0] is NodeRole.SOURCE
-                assert sub.roles[n - 1] is NodeRole.TARGET
             else:
                 width = n - 1
                 assert 2 <= width <= 3
                 heads = sub.levi.entities[:width].tolist()
                 assert len(set(heads)) == width
-                assert sub.mask_positions == (width,)
+                assert sorted(sub.corruption) == [width]
                 assert sub.prediction_targets == (width,)
             # meta-graph edges must be real graph triples
             for h, r, t in sub.levi.to_triples():
@@ -336,8 +322,6 @@ def subgraph_fields(sub: SampledSubgraph) -> tuple:
     return (
         sub.levi.entities.tolist(),
         sub.levi.triples.tolist(),
-        sub.roles,
-        sub.mask_positions,
         sub.prediction_targets,
         sub.corruption,
     )
@@ -353,7 +337,7 @@ class TestLoopOracles:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = layer_dependent_sample(graph, seeds, per_layer, depth, rng_a)
         want = loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng_b)
-        assert (got.nodes, got.undersized) == (want.nodes, want.undersized)
+        assert got.nodes == want.nodes
         assert rng_a.random() == rng_b.random()
 
     @settings(max_examples=150, deadline=None)
@@ -374,7 +358,7 @@ class TestLoopOracles:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_tree_sample(graph, members[0], target, rng_a)
         want = loop_meta_tree_sample(graph, members[0], target, rng_b)
-        assert (got.nodes, got.tree_edges, got.undersized) == (want.nodes, want.tree_edges, want.undersized)
+        assert (got.nodes, got.tree_edges) == (want.nodes, want.tree_edges)
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("method_mix", [0.0, math.inf], ids=["ladies", "meta_tree"])
