@@ -256,27 +256,22 @@ def cmd_finetune(args) -> int:
             row = table.rows.get(qtype.value)
             return row["hits@3"] if row else 0.0
 
-        candidates, report = combinatorial_finetune(
+        candidates, selection = combinatorial_finetune(
             model, train_sets, combos, train_config, validate, eval_types
         )
         checkpoints = {}
         for qtype in eval_types:
-            label = report.chosen[qtype.value]
+            label = selection["chosen"][qtype.value]
             path = ckpt_dir / f"finetune_best_{qtype.value}.kgtc"
             save_checkpoint(candidates[label], path)
             checkpoints[qtype.value] = path.name
             outputs.append(path)
-        selection = {
-            "candidates": report.candidates,
-            "scores": report.scores,
-            "chosen": report.chosen,
-            "checkpoints": checkpoints,
-        }
+        selection["checkpoints"] = checkpoints
         selection_path = ckpt_dir / "selection.json"
         selection_path.write_text(json.dumps(selection, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         outputs.append(selection_path)
         for qtype in eval_types:
-            print(f"best for {qtype.value}: {report.chosen[qtype.value]}")
+            print(f"best for {qtype.value}: {selection['chosen'][qtype.value]}")
 
     log_path = Path(args.out) / "logs" / "finetune.jsonl"
     _write_log(log_path, records)

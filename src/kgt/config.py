@@ -56,6 +56,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 @dataclass
 class PipelineConfig:
+    """Every config key as one field, ``section.key`` as ``section_key``.
+
+    The ``model``, ``optimizer`` and stage sections build ``ModelConfig``,
+    ``AdamWConfig`` and ``TrainConfig`` by field name.
+    """
+
     seed: int = 0
     data_dir: str = "data"
 
@@ -108,72 +114,38 @@ class PipelineConfig:
 
     eval_ks: tuple[int, ...] = (1, 3, 10)
 
-    def model_config(self, entity_count: int, relation_count: int) -> ModelConfig:
-        return ModelConfig(
-            entity_count=entity_count,
-            relation_count=relation_count,
-            layers=self.model_layers,
-            hidden=self.model_hidden,
-            heads=self.model_heads,
-            experts=self.model_experts,
-            top_k=self.model_top_k,
-            expert_hidden=self.model_expert_hidden,
-            dropout=self.model_dropout,
-            tie_decoder=self.model_tie_decoder,
-        )
+    def _section(self, prefix: str) -> dict:
+        """The fields named ``prefix`` + key, as {key: value}."""
+        return {f.name[len(prefix) :]: getattr(self, f.name) for f in fields(self) if f.name.startswith(prefix)}
 
-    def _optimizer(self, lr_override: float | None) -> AdamWConfig:
-        return AdamWConfig(
-            lr=lr_override if lr_override is not None else self.optimizer_lr,
-            beta1=self.optimizer_beta1,
-            beta2=self.optimizer_beta2,
-            eps=self.optimizer_eps,
-            weight_decay=self.optimizer_weight_decay,
-            lr_decay=self.optimizer_lr_decay,
+    def model_config(self, entity_count: int, relation_count: int) -> ModelConfig:
+        return ModelConfig(entity_count, relation_count, **self._section("model_"))
+
+    def _train_config(self, stage: Stage, seed_offset: int, **fixed) -> TrainConfig:
+        """A stage's section; its ``lr``, when set, overrides ``optimizer.lr``."""
+        values = self._section(stage.value + "_")
+        values.pop("combos", None)
+        optimizer = self._section("optimizer_")
+        lr = values.pop("lr")
+        if lr is not None:
+            optimizer["lr"] = lr
+        return TrainConfig(
+            stage=stage,
+            grad_clip=self.grad_clip,
+            seed=self.seed + seed_offset,
+            optimizer=AdamWConfig(**optimizer),
+            **values,
+            **fixed,
         )
 
     def stage1_config(self) -> TrainConfig:
-        return TrainConfig(
-            stage=Stage.STAGE1,
-            epochs=self.stage1_epochs,
-            batch_size=self.stage1_batch_size,
-            label_smoothing=self.stage1_label_smoothing,
-            mask_rate=self.stage1_mask_rate,
-            method_mix=self.stage1_method_mix,
-            budget_min=self.stage1_budget_min,
-            budget_max=self.stage1_budget_max,
-            edge_keep=self.stage1_edge_keep,
-            ladies_per_layer=self.stage1_ladies_per_layer,
-            ladies_depth=self.stage1_ladies_depth,
-            grad_clip=self.grad_clip,
-            seed=self.seed + 101,
-            steps_per_epoch=self.stage1_steps_per_epoch,
-            optimizer=self._optimizer(self.stage1_lr),
-        )
+        return self._train_config(Stage.STAGE1, 101)
 
     def stage2_config(self) -> TrainConfig:
-        return TrainConfig(
-            stage=Stage.STAGE2,
-            epochs=self.stage2_epochs,
-            batch_size=self.stage2_batch_size,
-            label_smoothing=self.stage2_label_smoothing,
-            pattern_mix=self.stage2_pattern_mix,
-            grad_clip=self.grad_clip,
-            seed=self.seed + 202,
-            steps_per_epoch=self.stage2_steps_per_epoch,
-            optimizer=self._optimizer(self.stage2_lr),
-        )
+        return self._train_config(Stage.STAGE2, 202)
 
     def finetune_config(self) -> TrainConfig:
-        return TrainConfig(
-            stage=Stage.FINETUNE,
-            epochs=self.finetune_epochs,
-            batch_size=self.finetune_batch_size,
-            label_smoothing=0.0,
-            grad_clip=self.grad_clip,
-            seed=self.seed + 303,
-            optimizer=self._optimizer(self.finetune_lr),
-        )
+        return self._train_config(Stage.FINETUNE, 303, label_smoothing=0.0)
 
     def combos(self) -> list[tuple[QueryType, ...]]:
         """Parse ``finetune.combos``: combos split by ``|``, types by ``,``."""
@@ -264,16 +236,21 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
 
 
 def _validate(config: PipelineConfig) -> None:
-    checks = [
-        (config.stage1_budget_min >= 1, "stage1.budget_min must be at least 1"),
-        (config.stage1_budget_min <= config.stage1_budget_max, "stage1 budget bounds out of order"),
-        (0.0 < config.stage1_mask_rate <= 1.0, "stage1.mask_rate must be in (0, 1]"),
-        (0.0 <= config.stage1_edge_keep <= 1.0, "stage1.edge_keep must be in [0, 1]"),
-        (config.queries_max_answers >= 1, "queries.max_answers must be at least 1"),
-        (all(k >= 1 for k in config.eval_ks), "eval.ks must be positive"),
-        (config.grad_clip > 0, "grad_clip must be positive"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
+    """Build every runtime config once, so each setting is checked by the class that uses it."""
+    builds = {
+        "model": lambda: config.model_config(1, 1),
+        "optimizer": lambda: AdamWConfig(**config._section("optimizer_")),
+        "stage1": config.stage1_config,
+        "stage2": config.stage2_config,
+        "finetune": config.finetune_config,
+    }
+    for section, build in builds.items():
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"bad {section} settings: {exc}") from None
+    if config.queries_max_answers < 1:
+        raise ConfigError("queries.max_answers must be at least 1")
+    if not all(k >= 1 for k in config.eval_ks):
+        raise ConfigError("eval.ks must be positive")
     config.combos()  # validates the combo syntax eagerly

@@ -146,7 +146,8 @@ class KnowledgeGraph:
 
     def _unique_pairs(self) -> tuple[np.ndarray, ...]:
         src, dst = self._both_directions()
-        pairs = np.unique(src * self.entity_count + dst)
+        keys = np.sort(src * self.entity_count + dst)
+        pairs = keys[np.diff(keys, prepend=-1) != 0]  # keys are non-negative, so the first stays
         return self._group(pairs // self.entity_count, pairs % self.entity_count)
 
     def csr_undirected(self) -> tuple[np.ndarray, np.ndarray]:

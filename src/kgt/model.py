@@ -11,7 +11,7 @@ real nodes only, never on padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,18 +63,7 @@ class ModelConfig:
         return self.entity_count
 
     def to_dict(self) -> dict:
-        return {
-            "entity_count": self.entity_count,
-            "relation_count": self.relation_count,
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "experts": self.experts,
-            "top_k": self.top_k,
-            "expert_hidden": self.expert_hidden,
-            "dropout": self.dropout,
-            "tie_decoder": self.tie_decoder,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -368,14 +357,9 @@ def moe_ffn(
     for j in range(cfg.experts):
         eprefix = f"{prefix}expert{j}."
         rows_j = rows if selected is None else rows[selected[rows, j]]
-        # numpy sends a one-row product to BLAS gemv, which rounds differently
-        # from gemm; a doubled row keeps every product on gemm
-        take = np.repeat(rows_j, 2) if rows_j.size == 1 else rows_j
-        inputs = T.gather_rows(flat, take, unique=take is rows_j)
+        inputs = T.gather_rows(flat, rows_j, unique=True)
         pre = T.add(T.matmul(inputs, p[eprefix + "w1"]), p[eprefix + "b1"])
         out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
-        if take is not rows_j:
-            out_j = T.gather_rows(out_j, np.zeros(1, dtype=np.int64))
         term = T.mul(out_j, T.gather_rows(T.slice_last(weights, j, j + 1), rows_j, unique=True))
         combined = T.scatter_add_rows(combined, term, rows_j)
     out = T.reshape(combined, (b, n, d))
@@ -419,13 +403,6 @@ def forward(
         x = moe_ffn(model, layer, x, training, rng, real_rows)
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    # a one-position product would go to gemv (see moe_ffn): score the slot
-    # twice and keep the first row
-    positions = batch.positions
-    take = np.repeat(positions, 2) if positions.size == 1 else positions
-    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), take, unique=take is positions)
-    logits = T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
-    if take is not positions:
-        logits = T.gather_rows(logits, np.zeros(1, dtype=np.int64))
-    return logits
+    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions, unique=True)
+    return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
 

@@ -157,10 +157,22 @@ def mul(a: Tensor, b) -> Tensor:
     return _record(out, backward)
 
 
+def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for 2-D operands, a one-row ``x`` included.
+
+    numpy sends a one-row product to BLAS gemv, which rounds differently from
+    gemm; a doubled row keeps it on gemm, and row 0 is the product.
+    """
+    if x.shape[0] == 1:
+        return (np.repeat(x, 2, axis=0) @ w)[:1]
+    return x @ w
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
+    product = _gemm(a.data, b.data) if a.data.ndim == b.data.ndim == 2 else a.data @ b.data
+    out = Tensor(product, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
         if b.data.ndim == 2:
@@ -168,7 +180,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # gradient is one GEMM rather than a stack of small products
             k, n = b.data.shape
             g2 = g.reshape(-1, n)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), owned=True)
+            _accumulate(a, _gemm(g2, b.data.T).reshape(a.data.shape), owned=True)
             _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
             return
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)

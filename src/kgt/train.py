@@ -16,14 +16,15 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .model import Batch, Model, encode_queries, encode_subgraphs, forward
 from .optim import AdamW, AdamWConfig, clip_global_norm
-from .queries import TRAINABLE_TYPES, QueryInstance, QueryType
+from .queries import QueryInstance, QueryType
 from .sampling import sample_meta_graph, sample_stage1_batch
 from .tensor import Tape, Tensor
 
@@ -61,6 +62,10 @@ class TrainConfig:
                 raise ValueError("label smoothing must be 0 during fine-tuning")
         elif not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
+        if not 0.0 < self.mask_rate <= 1.0:
+            raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
+        if not 0.0 <= self.edge_keep <= 1.0:
+            raise ValueError(f"edge_keep must be in [0, 1], got {self.edge_keep}")
         if not 1 <= self.budget_min <= self.budget_max:
             raise ValueError("need 1 <= budget_min <= budget_max")
         if self.grad_clip <= 0:
@@ -68,39 +73,14 @@ class TrainConfig:
 
 
 LogCallback = Callable[[dict], None]
-
-
-def _finish_epoch(
-    records: list[dict],
-    log: LogCallback | None,
-    stage: Stage,
-    epoch: int,
-    losses: list[float],
-    norms: list[float],
-    clip: float,
-    lr: float,
-    started: float,
-) -> None:
-    """Log one epoch: mean loss, mean pre-clip gradient norm and the share of clipped steps."""
-    record = {
-        "stage": stage.value,
-        "epoch": epoch,
-        "loss": float(np.mean(losses)),
-        "grad_norm": float(np.mean(norms)),
-        "clip_rate": sum(norm > clip for norm in norms) / len(norms),
-        "lr": lr,
-        "seconds": time.perf_counter() - started,
-    }
-    records.append(record)
-    if log is not None:
-        log(record)
+Loss = Callable[[Tensor], Tensor]
 
 
 def _train_step(
     model: Model,
     optimizer: AdamW,
     batch: Batch,
-    loss: Callable[[Tensor], Tensor],
+    loss: Loss,
     clip: float,
     epoch: int,
     rng: np.random.Generator,
@@ -123,6 +103,45 @@ def _train_step(
     return value, norm, lr
 
 
+def _fit(
+    model: Model,
+    config: TrainConfig,
+    batches: Callable[[np.random.Generator], Iterator[tuple[Batch, Loss]]],
+    log: LogCallback | None,
+) -> list[dict]:
+    """Train in place for ``config.epochs`` epochs of ``batches(data_rng)``.
+
+    The data RNG is seeded with ``seed`` and the dropout RNG with ``seed + 1``.
+    Each epoch's record holds the mean loss, the mean pre-clip gradient norm
+    and the share of clipped steps.
+    """
+    data_rng = np.random.default_rng(config.seed)
+    dropout_rng = np.random.default_rng(config.seed + 1)
+    optimizer = AdamW(model.params, config.optimizer)
+    records: list[dict] = []
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        losses, norms = [], []
+        lr = config.optimizer.lr_at(epoch)
+        for batch, loss in batches(data_rng):
+            value, norm, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
+            losses.append(value)
+            norms.append(norm)
+        record = {
+            "stage": config.stage.value,
+            "epoch": epoch,
+            "loss": float(np.mean(losses)),
+            "grad_norm": float(np.mean(norms)),
+            "clip_rate": sum(norm > config.grad_clip for norm in norms) / len(norms),
+            "lr": lr,
+            "seconds": time.perf_counter() - started,
+        }
+        records.append(record)
+        if log is not None:
+            log(record)
+    return records
+
+
 def pretrain(
     model: Model,
     graph,
@@ -132,20 +151,14 @@ def pretrain(
     """Run one pre-training stage in place; returns per-epoch records."""
     if config.stage not in (Stage.STAGE1, Stage.STAGE2):
         raise ValueError("pretrain requires a pre-training stage config")
-    sample_rng = np.random.default_rng(config.seed)
-    dropout_rng = np.random.default_rng(config.seed + 1)
-    optimizer = AdamW(model.params, config.optimizer)
     steps = config.steps_per_epoch or max(1, math.ceil(len(graph) / config.batch_size))
-    records: list[dict] = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        losses, norms = [], []
-        lr = config.optimizer.lr_at(epoch)
+
+    def batches(rng: np.random.Generator):
         for _ in range(steps):
             if config.stage is Stage.STAGE1:
                 subs = sample_stage1_batch(
                     graph,
-                    sample_rng,
+                    rng,
                     config.batch_size,
                     method_mix=config.method_mix,
                     mask_rate=config.mask_rate,
@@ -156,16 +169,13 @@ def pretrain(
                 )
             else:
                 subs = [
-                    sample_meta_graph(graph, sample_rng, pattern_mix=config.pattern_mix)
+                    sample_meta_graph(graph, rng, pattern_mix=config.pattern_mix)
                     for _ in range(config.batch_size)
                 ]
             batch = encode_subgraphs(subs, model.config)
-            loss = partial(T.cross_entropy, targets=batch.targets, alpha=config.label_smoothing)
-            value, norm, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
-            losses.append(value)
-            norms.append(norm)
-        _finish_epoch(records, log, config.stage, epoch, losses, norms, config.grad_clip, lr, started)
-    return records
+            yield batch, partial(T.cross_entropy, targets=batch.targets, alpha=config.label_smoothing)
+
+    return _fit(model, config, batches, log)
 
 
 def _query_batches(
@@ -196,39 +206,20 @@ def finetune(
         for inst in instances:
             if not inst.answers_train:
                 raise ValueError(f"{qtype.value} query with no train answers cannot be fine-tuned on")
-    shuffle_rng = np.random.default_rng(config.seed)
-    dropout_rng = np.random.default_rng(config.seed + 1)
-    optimizer = AdamW(model.params, config.optimizer)
     types = sorted(datasets.keys(), key=lambda t: t.value)
-    records: list[dict] = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        losses, norms = [], []
-        lr = config.optimizer.lr_at(epoch)
-        queues = {t: _query_batches(datasets[t], config.batch_size, shuffle_rng) for t in types}
-        remaining = [t for t in types if queues[t]]
-        while remaining:
-            for qtype in list(remaining):
-                chunk = queues[qtype].pop(0)
+
+    def batches(rng: np.random.Generator):
+        # one shuffle per type, then a round of one batch per type that has any left
+        queues = [_query_batches(datasets[t], config.batch_size, rng) for t in types]
+        for chunks in zip_longest(*queues):
+            for chunk in chunks:
+                if chunk is None:
+                    continue
                 batch = encode_queries([inst.query for inst in chunk], model.config)
                 answer_sets = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in chunk]
-                loss = partial(T.answer_masked_cross_entropy, answer_sets=answer_sets)
-                value, norm, lr = _train_step(model, optimizer, batch, loss, config.grad_clip, epoch, dropout_rng)
-                losses.append(value)
-                norms.append(norm)
-                if not queues[qtype]:
-                    remaining.remove(qtype)
-        _finish_epoch(records, log, Stage.FINETUNE, epoch, losses, norms, config.grad_clip, lr, started)
-    return records
+                yield batch, partial(T.answer_masked_cross_entropy, answer_sets=answer_sets)
 
-
-@dataclass
-class SelectionReport:
-    """Which fine-tuned candidate each evaluation shape should use."""
-
-    candidates: list[str]
-    scores: dict[str, dict[str, float]]  # eval type value -> candidate -> hits
-    chosen: dict[str, str]  # eval type value -> candidate label
+    return _fit(model, config, batches, log)
 
 
 def combinatorial_finetune(
@@ -239,12 +230,14 @@ def combinatorial_finetune(
     validate: Callable[[Model, QueryType], float],
     eval_types: Sequence[QueryType],
     log: LogCallback | None = None,
-) -> tuple[dict[str, Model], SelectionReport]:
+) -> tuple[dict[str, Model], dict]:
     """Fine-tune task combinations on top of ``base`` and pick per-shape winners.
 
     ``base`` is typically the multi-task fine-tuned model. ``validate`` scores
     a candidate on one evaluation shape (validation hits); ties keep the
-    earlier candidate, with the multi-task base first.
+    earlier candidate, with the multi-task base first. Returns the candidates
+    by label and the selection ``{"candidates": labels, "scores": eval type ->
+    label -> score, "chosen": eval type -> label}``.
     """
     candidates: dict[str, Model] = {"multi-task": base}
     for combo in combos:
@@ -264,18 +257,5 @@ def combinatorial_finetune(
             if row[label] == best:
                 chosen[qtype.value] = label
                 break
-    report = SelectionReport(candidates=list(candidates), scores=scores, chosen=chosen)
-    return candidates, report
+    return candidates, {"candidates": list(candidates), "scores": scores, "chosen": chosen}
 
-
-def default_combos() -> list[tuple[QueryType, ...]]:
-    """Task combinations explored after multi-task fine-tuning."""
-    return [
-        (QueryType.P1,),
-        (QueryType.P1, QueryType.P2),
-        (QueryType.P1, QueryType.P2, QueryType.P3),
-        (QueryType.P2, QueryType.P3),
-        (QueryType.I2, QueryType.I3),
-        (QueryType.P1, QueryType.I2),
-        tuple(TRAINABLE_TYPES),
-    ]

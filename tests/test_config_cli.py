@@ -9,7 +9,9 @@ import pytest
 from kgt.cli import main
 from kgt.config import _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
+from kgt.model import ModelConfig
 from kgt.queries import QueryType
+from kgt.train import Stage, TrainConfig
 
 from helpers import toy_split
 
@@ -159,6 +161,63 @@ class TestConfigParsing:
     def test_finetune_config_never_smooths(self):
         cfg = load_config(None)
         assert cfg.finetune_config().label_smoothing == 0.0
+
+    def test_default_builds_match_class_defaults(self):
+        cfg = load_config(None)
+        assert cfg.model_config(5, 3) == ModelConfig(5, 3)
+        assert cfg.stage1_config() == TrainConfig(stage=Stage.STAGE1, seed=101)
+        assert cfg.stage2_config() == TrainConfig(stage=Stage.STAGE2, seed=202)
+        assert cfg.finetune_config() == TrainConfig(stage=Stage.FINETUNE, batch_size=128, label_smoothing=0.0, seed=303)
+
+    @staticmethod
+    def reached(cfg, key: str) -> list:
+        """The values ``key`` gives the objects it configures, one per object."""
+        stages = {"stage1": cfg.stage1_config(), "stage2": cfg.stage2_config(), "finetune": cfg.finetune_config()}
+        section, _, name = key.partition(".")
+        if section == "model":
+            return [getattr(cfg.model_config(5, 3), name)]
+        if section == "optimizer":
+            return [getattr(train.optimizer, name) for train in stages.values()]
+        if key == "grad_clip":
+            return [train.grad_clip for train in stages.values()]
+        if key == "seed":
+            return [train.seed for train in stages.values()]
+        train = stages[section]
+        return [train.optimizer.lr if name == "lr" else getattr(train, name)]
+
+    def test_every_key_reaches_its_object(self):
+        values = {
+            "model.layers": "3", "model.hidden": "96", "model.heads": "8", "model.experts": "5",
+            "model.top_k": "3", "model.expert_hidden": "40", "model.dropout": "0.25", "model.tie_decoder": "true",
+            "optimizer.lr": "2e-3", "optimizer.beta1": "0.8", "optimizer.beta2": "0.99", "optimizer.eps": "1e-6",
+            "optimizer.weight_decay": "0.05", "optimizer.lr_decay": "0.9",
+            "stage1.epochs": "3", "stage1.batch_size": "7", "stage1.label_smoothing": "0.2",
+            "stage1.mask_rate": "0.5", "stage1.method_mix": "3:1", "stage1.budget_min": "4",
+            "stage1.budget_max": "9", "stage1.edge_keep": "0.6", "stage1.ladies_per_layer": "5",
+            "stage1.ladies_depth": "3", "stage1.steps_per_epoch": "11", "stage1.lr": "3e-3",
+            "stage2.epochs": "4", "stage2.batch_size": "9", "stage2.label_smoothing": "0.05",
+            "stage2.pattern_mix": "2:1", "stage2.steps_per_epoch": "13", "stage2.lr": "4e-3",
+            "finetune.epochs": "5", "finetune.batch_size": "17", "finetune.lr": "5e-3",
+            "grad_clip": "2.5",
+        }
+        sections = ("model.", "optimizer.", "stage1.", "stage2.", "finetune.")
+        assert set(values) == {k for k in _PARSERS if k.startswith(sections)} - {"finetune.combos"} | {"grad_clip"}
+        defaults = load_config(None)
+        for key, text in values.items():
+            want = _PARSERS[key](text)
+            before = self.reached(defaults, key)
+            assert want not in before, key  # a default value would prove nothing
+            assert self.reached(load_config(None, {key: text}), key) == [want] * len(before), key
+        assert self.reached(load_config(None, {"seed": "9"}), "seed") == [110, 211, 312]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model.heads", "3"), ("model.top_k", "5"), ("optimizer.lr", "0"), ("optimizer.beta2", "1"),
+         ("stage1.edge_keep", "1.5"), ("stage2.batch_size", "0"), ("finetune.lr", "-1")],
+    )
+    def test_bad_runtime_value_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad {key.partition('.')[0]} settings"):
+            load_config(None, {key: value})
 
 
 PIPELINE_CONFIG = """\

@@ -14,7 +14,7 @@ from kgt.graph import (
     write_vocab,
 )
 
-from helpers import ListGraph, toy_split, write_toy_dataset
+from helpers import ListGraph, hub_multigraphs, toy_split, write_toy_dataset
 
 
 def triple_sets(max_entities=8, max_relations=4, max_triples=12):
@@ -151,6 +151,18 @@ class TestKnowledgeGraph:
         assert len(g) == 2
         with pytest.raises(ValueError):
             g.hrt[0, 0] = 2
+
+    @given(hub_multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_unique_pairs_match_np_unique(self, case):
+        # bit-exact: the same sorted pair keys, so the same CSR
+        g, _ = case
+        src, dst = g._both_directions()
+        pairs = np.unique(src * g.entity_count + dst)
+        indptr, nbrs = g.csr_undirected()
+        want_indptr, want_nbrs = g._group(pairs // g.entity_count, pairs % g.entity_count)
+        assert np.array_equal(indptr, want_indptr) and indptr.dtype == want_indptr.dtype
+        assert np.array_equal(nbrs, want_nbrs) and nbrs.dtype == want_nbrs.dtype
 
     def test_multigraph_multiplicity_kept_in_multi_csr(self):
         g = KnowledgeGraph(2, 2, [(0, 0, 1), (0, 1, 1)])

@@ -503,7 +503,7 @@ def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, 
 
 
 class TestStatesGather:
-    """The final ``states`` gather is flagged unique unless a one-position batch is doubled.
+    """The final ``states`` gather is flagged unique, a one-position batch included.
 
     Bit-exact: for distinct indexes ``grad[idx] += g`` adds the same values
     as ``np.add.at``. The reference run turns every gather's flag off.
@@ -538,10 +538,10 @@ class TestStatesGather:
         model = Model.init(cfg, seed=6)
         on_logits, on, calls = self.run(monkeypatch, model, batch, flag=True)
         off_logits, off, _ = self.run(monkeypatch, model, batch, flag=False)
-        # the states gather is the last one, but for the one-position row pick after it
-        idx, unique = calls[-2] if one_position else calls[-1]
-        assert np.array_equal(idx, np.repeat(batch.positions, 2) if one_position else batch.positions)
-        assert unique is not one_position
+        # the states gather is the last one
+        idx, unique = calls[-1]
+        assert np.array_equal(idx, batch.positions)
+        assert unique
         assert on_logits.tobytes() == off_logits.tobytes()
         for name in off:
             assert on[name].tobytes() == off[name].tobytes(), name

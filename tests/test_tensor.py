@@ -210,6 +210,34 @@ class TestMatmulWeightGradient:
         assert np.array_equal(ta.grad, want_a)
 
 
+class TestOneRowMatmul:
+    """A one-row product stays on BLAS gemm (gemv rounds differently)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_row_zero_of_two_row_product(self, dtype, transposed):
+        # bit-exact: row 0 of the doubled product, with a zero upstream row 1
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(1, 64)).astype(dtype)
+        w = rng.normal(size=(48, 64)).astype(dtype).T if transposed else rng.normal(size=(64, 48)).astype(dtype)
+        g = rng.normal(size=(1, 48)).astype(dtype)
+
+        def run(rows: np.ndarray, upstream: np.ndarray):
+            ta, tw = Tensor(rows, requires_grad=True), Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                out = matmul(ta, tw)
+                loss = sum_all(mul(out, Tensor(upstream)))
+            tape.backward(loss)
+            return out.data, ta.grad, tw.grad
+
+        out, grad_x, grad_w = run(x, g)
+        out2, grad_x2, grad_w2 = run(np.repeat(x, 2, axis=0), np.concatenate([g, np.zeros_like(g)]))
+        assert out.shape == (1, 48) and grad_x.shape == x.shape
+        assert out.tobytes() == out2[:1].tobytes()
+        assert grad_x.tobytes() == grad_x2[:1].tobytes()
+        assert grad_w.tobytes() == grad_w2.tobytes()
+
+
 class TestMaskedSoftmax:
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 9))
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,6 @@ from kgt.train import (
     Stage,
     TrainConfig,
     combinatorial_finetune,
-    default_combos,
     finetune,
     pretrain,
 )
@@ -65,6 +64,13 @@ class TestTrainConfig:
             TrainConfig(stage=Stage.STAGE1, budget_min=9, budget_max=8)
         with pytest.raises(ValueError):
             TrainConfig(stage=Stage.STAGE1, grad_clip=0.0)
+        for mask_rate in (0.0, 1.5):
+            with pytest.raises(ValueError, match="mask_rate"):
+                TrainConfig(stage=Stage.STAGE1, mask_rate=mask_rate)
+        for edge_keep in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="edge_keep"):
+                TrainConfig(stage=Stage.STAGE1, edge_keep=edge_keep)
+        TrainConfig(stage=Stage.STAGE1, mask_rate=1.0, edge_keep=0.0)
 
 
 class TestPretrain:
@@ -255,15 +261,16 @@ class TestCombinatorial:
             return 1.0 if qtype is QueryType.P1 else value
 
         combos = [(QueryType.P1,), (QueryType.P2,)]
-        candidates, report = combinatorial_finetune(
+        candidates, selection = combinatorial_finetune(
             base, data, combos, cfg, validate, eval_types=[QueryType.P1, QueryType.P2]
         )
         assert list(candidates) == ["multi-task", "1p", "2p"]
-        assert report.candidates == ["multi-task", "1p", "2p"]
+        assert set(selection) == {"candidates", "scores", "chosen"}
+        assert selection["candidates"] == ["multi-task", "1p", "2p"]
         # all P1 scores tie at 1.0, so the multi-task base wins
-        assert report.chosen["1p"] == "multi-task"
-        best = max(report.scores["2p"].items(), key=lambda kv: kv[1])
-        assert report.chosen["2p"] == best[0]
+        assert selection["chosen"]["1p"] == "multi-task"
+        best = max(selection["scores"]["2p"].items(), key=lambda kv: kv[1])
+        assert selection["chosen"]["2p"] == best[0]
 
     def test_base_model_not_mutated(self):
         split = toy_split(seed=15)
@@ -276,13 +283,3 @@ class TestCombinatorial:
         )
         for name, data_before in before.items():
             assert np.array_equal(base.params[name].data, data_before)
-
-    def test_default_combos_are_trainable_subsets(self):
-        from kgt.queries import TRAINABLE_TYPES
-
-        combos = default_combos()
-        assert tuple(TRAINABLE_TYPES) in combos
-        for combo in combos:
-            assert combo
-            assert all(t in TRAINABLE_TYPES for t in combo)
-        assert len(set(combos)) == len(combos)
