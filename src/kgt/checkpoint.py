@@ -1,56 +1,62 @@
-"""Binary model checkpoints.
+"""Binary model checkpoints: the parameter arena on disk as one block.
 
 Layout (all integers little-endian):
 
 * magic ``KGTC``
-* u32 format version
-* u64 config length, then that many bytes of UTF-8 JSON (the model config)
-* per-tensor records until EOF: u64 name length, name bytes, u64 rank,
-  rank u64 dims, then the raw little-endian float32 payload
+* u32 format version (2)
+* u64 header length, then that many bytes of UTF-8 JSON with sorted keys:
+  ``{"config": <model config>, "params": [[name, [dims]], ...]}``, where
+  ``params`` lists the parameters in arena order, the order of
+  ``parameter_shapes(config)``
+* the parameter arena: every parameter's little-endian float32 data, end to
+  end, in that order
 
-Records are written in sorted name order, so identical parameters always
-produce identical bytes.
+Identical parameters always produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CheckpointError
 from .model import Model, ModelConfig, parameter_shapes
-from .optim import parameter_arena
+from .optim import _arena, parameter_arena
 
 MAGIC = b"KGTC"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+    data, _ = _arena(model.params)
+    header = {"config": model.config.to_dict(), "params": [[name, list(t.shape)] for name, t in model.params.items()]}
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(config_bytes)))
-        fh.write(config_bytes)
-        for name in sorted(model.params):
-            arr = np.ascontiguousarray(model.params[name].data, dtype="<f4")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<Q", arr.ndim))
-            if arr.ndim:
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes)
+        fh.write(data.astype("<f4", copy=False))
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
+    # a corrupt length must not make read() allocate more than the file holds
+    data = fh.read(min(n, os.fstat(fh.fileno()).st_size))
     if len(data) != n:
         raise CheckpointError(f"{path}: truncated while reading {what}")
     return data
+
+
+def _mismatch(stored: list[tuple], expected: dict[str, tuple[int, ...]]) -> str:
+    """Why the header's parameter list is not ``expected``, in arena order."""
+    names = [name for name, _ in stored]
+    missing = sorted(set(expected) - set(names))
+    extra = sorted(set(names) - set(expected))
+    if missing or extra:
+        return f"parameter set mismatch (missing {missing}, extra {extra})"
+    for name, shape in stored:
+        if shape != expected[name]:
+            return f"tensor {name!r} has shape {shape}, config implies {expected[name]}"
+    return "parameters are not listed once each in arena order"
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -61,44 +67,21 @@ def load_checkpoint(path: str | Path) -> Model:
         (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        (config_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "config length"))
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
         try:
-            config = ModelConfig.from_dict(json.loads(_read_exact(fh, config_len, path, "config")))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            header = json.loads(_read_exact(fh, header_len, path, "header"))
+            config = ModelConfig.from_dict(header["config"])
+            stored = [(str(name), tuple(dims)) for name, dims in header["params"]]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad config block: {exc}") from None
 
         expected = parameter_shapes(config)
-        params = parameter_arena(expected)
-        seen: set[str] = set()
-        wrong_shapes: dict[str, tuple[int, ...]] = {}
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            if len(head) != 8:
-                raise CheckpointError(f"{path}: truncated record header")
-            (name_len,) = struct.unpack("<Q", head)
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            if name in seen:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            seen.add(name)
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, path, f"{name} rank"))
-            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, f"{name} dims")) if rank else ()
-            size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * size, path, f"{name} payload")
-            if name not in params:
-                continue
-            if shape != params[name].shape:
-                wrong_shapes[name] = shape
-                continue
-            # one tensor at a time into the arena, so no second copy of the model is held
-            params[name].data[...] = np.frombuffer(payload, dtype="<f4").reshape(shape)
-
-    missing = sorted(set(expected) - seen)
-    extra = sorted(seen - set(expected))
-    if missing or extra:
-        raise CheckpointError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
-    for name, shape in expected.items():
-        if name in wrong_shapes:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {wrong_shapes[name]}, config implies {shape}")
+        if stored != list(expected.items()):
+            raise CheckpointError(f"{path}: {_mismatch(stored, expected)}")
+        params = parameter_arena(expected, "<f4")
+        data, _ = _arena(params)
+        if fh.readinto(data) != data.nbytes:
+            raise CheckpointError(f"{path}: truncated while reading the parameter arena")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the parameter arena")
     return Model(config=config, params=params)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .errors import KgtError, ParseError
+from .errors import ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
 from .graph import SPLITS, SplitDataset, build_split, load_split, write_token_triples, write_vocab
@@ -238,15 +238,19 @@ def cmd_finetune(args) -> int:
         inputs = [source]
 
     train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES, split)
+    combos = config.combos()
+    if args.combos is not None:
+        combos = dc_replace(config, finetune_combos=args.combos).combos()
+    trained = {t.value for t, queries in train_sets.items() if queries}
+    untrained = sorted({t.value for combo in combos for t in combo} - trained)
+    if untrained:
+        raise ConfigError(f"finetune.combos: no train queries for {', '.join(untrained)}")
     train_config = config.finetune_config()
     records = finetune(model, train_sets, train_config, log=_epoch_printer("finetune", train_config.epochs))
     multi_path = ckpt_dir / "finetune_multi.kgtc"
     save_checkpoint(model, multi_path)
     outputs = [multi_path]
 
-    combos = config.combos()
-    if args.combos is not None:
-        combos = dc_replace(config, finetune_combos=args.combos).combos()
     if combos:
         valid_sets = _load_query_dir(args, "valid", tuple(QueryType), split)
         eval_types = sorted(valid_sets.keys(), key=lambda t: t.value)

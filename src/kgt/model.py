@@ -11,6 +11,7 @@ real nodes only, never on padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import LeviGraph
-from .optim import parameter_arena
+from .optim import _arena, _mapped_zeros, parameter_arena
 from .queries import FREE_SLOT, QueryGraph
 from .sampling import Corruption, CorruptionKind, SampledSubgraph
 from .tensor import Tensor
@@ -71,11 +72,21 @@ class ModelConfig:
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within 2 std."""
-    out = rng.normal(0.0, std, size=shape)
+    """Normal(0, std) resampled until every draw lies within 2 std.
+
+    Draws straight into a memory-mapped float64 array, so no heap block of
+    its size is left behind. ``std * z + 0.0`` is ``rng.normal(0, std)``'s
+    ``0 + std * z`` bit for bit, the sign of a zero draw included.
+    """
+    out = _mapped_zeros(math.prod(shape), np.float64).reshape(shape)
+    rng.standard_normal(out=out)
+    out *= std
+    out += 0.0
+    limit = 2.0 * std
     while True:
-        bad = np.abs(out) > 2.0 * std
-        n_bad = int(bad.sum())
+        bad = out > limit
+        bad |= out < -limit
+        n_bad = np.count_nonzero(bad)
         if n_bad == 0:
             return out.astype(dtype, copy=False)
         out[bad] = rng.normal(0.0, std, size=n_bad)
@@ -136,13 +147,12 @@ class Model:
         return cls(config=config, params=init_parameters(config, rng, dtype))
 
     def clone(self) -> "Model":
-        """A copy in a new parameter arena, written one tensor at a time."""
-        dtype = next(iter(self.params.values())).dtype
-        params = parameter_arena({name: t.shape for name, t in self.params.items()}, dtype)
+        """A copy in a new parameter arena, written with one copy of the flat data."""
+        source, _ = _arena(self.params)
+        params = parameter_arena({name: t.shape for name, t in self.params.items()}, source.dtype)
+        _arena(params)[0][...] = source
         for name, t in params.items():
-            source = self.params[name]
-            t.data[...] = source.data
-            t.requires_grad = source.requires_grad
+            t.requires_grad = self.params[name].requires_grad
         return Model(config=self.config, params=params)
 
 

@@ -202,6 +202,8 @@ def finetune(
     """
     if config.stage is not Stage.FINETUNE:
         raise ValueError("finetune requires a fine-tune stage config")
+    if not any(datasets.values()):
+        raise ValueError("finetune needs at least one query to train on")
     for qtype, instances in datasets.items():
         for inst in instances:
             if not inst.answers_train:

@@ -746,3 +746,18 @@ def set_grad(t, g) -> None:
     """Give an arena parameter the gradient ``g``, in its span of the gradient arena."""
     np.copyto(t.grad_view, g)
     t.grad = t.grad_view
+
+
+def heap_truncated_normal(rng, shape, std: float, dtype) -> np.ndarray:
+    """Test oracle: the former truncated normal, drawn with ``rng.normal`` into heap arrays.
+
+    Out-of-range draws are found with ``np.abs`` and redrawn, in array order,
+    until none is left.
+    """
+    out = rng.normal(0.0, std, size=shape)
+    while True:
+        bad = np.abs(out) > 2.0 * std
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return out.astype(dtype, copy=False)
+        out[bad] = rng.normal(0.0, std, size=n_bad)

@@ -439,6 +439,17 @@ class TestCliErrors:
         assert "error: non-finite gradient norm" in capsys.readouterr().err
         assert not list(out.rglob("*.kgtc"))
 
+    def test_combo_shape_without_train_queries(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "no_2p"
+        shutil.copytree(pipeline["out"] / "dataset", out / "dataset")
+        shutil.copytree(pipeline["out"] / "queries", out / "queries")
+        (out / "queries" / "train_2p.jsonl").unlink()
+        argv = ["--config", str(pipeline["config"]), "--out", str(out), "finetune", "--fresh"]
+        rc = main(argv + ["--combos", "1p|1p,2p"])
+        assert rc == 1
+        assert "error: finetune.combos: no train queries for 2p" in capsys.readouterr().err
+        assert not list(out.rglob("*.kgtc"))  # checked before multi-task training
+
     def test_missing_queries(self, pipeline, tmp_path, capsys):
         out = tmp_path / "no_queries"
         rc = main(["--config", str(pipeline["config"]), "--out", str(out), "evaluate", "--split", "valid"])

@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from helpers import dense_moe_ffn, padded_encode_queries, padded_encode_subgraphs, toy_split
+from helpers import dense_moe_ffn, heap_truncated_normal, padded_encode_queries, padded_encode_subgraphs, toy_split
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -134,6 +137,24 @@ class TestParameters:
         draws = truncated_normal(rng, (200_000,), 0.02, np.float64)
         assert np.abs(draws).max() <= 0.04
         assert abs(draws.mean()) < 1e-3
+
+    def test_truncated_normal_matches_heap_oracle_bit_for_bit(self):
+        for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
+            got = truncated_normal(np.random.default_rng(seed), shape, std, np.float64)
+            want = heap_truncated_normal(np.random.default_rng(seed), shape, std, np.float64)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+
+    def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
+        shape = (20_001, 128)
+        rng = np.random.default_rng(8)
+        tracemalloc.start()
+        try:
+            truncated_normal(rng, shape, 0.02, np.float64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two boolean masks of one byte per element; the former draw held 18 bytes per element
+        assert peak / math.prod(shape) < 2.5
 
     def test_init_deterministic_and_clone_independent(self):
         cfg = tiny_config()
@@ -714,7 +735,24 @@ class TestPacking:
             assert forward(model, packed).data.tobytes() == forward(model, padded).data.tobytes()
 
 
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a saved checkpoint's JSON header and write the file back."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + length])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :])
+
+
 class TestCheckpoint:
+    # every message starts with the path, and tmp_path holds the test's name, so match after the path
+    def saved(self, tmp_path, seed: int):
+        model = Model.init(tiny_config(), seed=seed)
+        path = tmp_path / "m.kgtc"
+        save_checkpoint(model, path)
+        return model, path
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         model = Model.init(tiny_config(), seed=11)
         p1 = tmp_path / "a.kgtc"
@@ -723,9 +761,24 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1)
         assert loaded.config == model.config
         for name, t in model.params.items():
-            assert np.array_equal(loaded.params[name].data, t.data)
+            assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        save_checkpoint(model, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_header_then_arena_in_one_block(self, tmp_path):
+        model, path = self.saved(tmp_path, 17)
+        raw = path.read_bytes()
+        assert struct.unpack("<I", raw[4:8]) == (2,)
+        (length,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + length])
+        assert header == {
+            "config": model.config.to_dict(),
+            "params": [[name, list(shape)] for name, shape in parameter_shapes(model.config).items()],
+        }
+        arena = next(iter(model.params.values())).data.base
+        assert raw[16 + length :] == arena.astype("<f4").tobytes()
 
     def test_magic_is_stable(self, tmp_path):
         model = Model.init(tiny_config(), seed=12)
@@ -736,51 +789,84 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.kgtc"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match=r"\.kgtc: bad magic"):
             load_checkpoint(path)
 
     def test_bad_version_rejected(self, tmp_path):
-        model = Model.init(tiny_config(), seed=13)
-        path = tmp_path / "m.kgtc"
-        save_checkpoint(model, path)
+        _, path = self.saved(tmp_path, 13)
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=r"\.kgtc: unsupported version 99$"):
+            load_checkpoint(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        # a v1 file: the config block, then one record of name, rank, dims and data
+        path = tmp_path / "m.kgtc"
+        config = json.dumps(tiny_config().to_dict(), sort_keys=True).encode("utf-8")
+        record = struct.pack("<Q", 4) + b"bias" + struct.pack("<QQ", 1, 2) + np.zeros(2, "<f4").tobytes()
+        path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(config)) + config + record)
+        with pytest.raises(CheckpointError, match=r"\.kgtc: unsupported version 1$"):
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
-        model = Model.init(tiny_config(), seed=14)
-        path = tmp_path / "m.kgtc"
-        save_checkpoint(model, path)
+        _, path = self.saved(tmp_path, 14)
         raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[8:16])
         path.write_bytes(raw[: len(raw) - 7])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match=r"\.kgtc: truncated while reading the parameter arena"):
+            load_checkpoint(path)
+        path.write_bytes(raw[: 16 + length - 1])
+        with pytest.raises(CheckpointError, match=r"\.kgtc: truncated while reading header"):
+            load_checkpoint(path)
+        path.write_bytes(raw[:8] + struct.pack("<Q", 1 << 62) + raw[16:])  # a corrupt header length
+        with pytest.raises(CheckpointError, match=r"\.kgtc: truncated while reading header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path, 18)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match=r"\.kgtc: trailing bytes after the parameter arena"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        model = Model.init(tiny_config(), seed=15)
-        dropped = dict(model.params)
-        del dropped["decoder"]
-        path = tmp_path / "m.kgtc"
-        save_checkpoint(Model(config=model.config, params=dropped), path)
-        with pytest.raises(CheckpointError, match="mismatch"):
+        _, path = self.saved(tmp_path, 15)
+        rewrite_header(path, lambda h: h["params"].remove(next(p for p in h["params"] if p[0] == "decoder")))
+        with pytest.raises(CheckpointError, match=r"\.kgtc: parameter set mismatch \(missing \['decoder'\], extra \[\]\)"):
+            load_checkpoint(path)
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        _, path = self.saved(tmp_path, 19)
+        rewrite_header(path, lambda h: h["params"].append(["stray", [2]]))
+        with pytest.raises(CheckpointError, match=r"\.kgtc: parameter set mismatch \(missing \[\], extra \['stray'\]\)"):
             load_checkpoint(path)
 
     def test_wrong_shape_rejected(self, tmp_path):
-        model = Model.init(tiny_config(), seed=16)
-        bad = {k: t for k, t in model.params.items()}
-        bad["decoder"] = Tensor(np.zeros((3, 3), dtype=np.float32))
-        path = tmp_path / "m.kgtc"
-        save_checkpoint(Model(config=model.config, params=bad), path)
-        with pytest.raises(CheckpointError, match="shape"):
+        _, path = self.saved(tmp_path, 16)
+
+        def edit(header):
+            for entry in header["params"]:
+                if entry[0] == "decoder":
+                    entry[1] = [3, 3]
+
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=r"\.kgtc: tensor 'decoder' has shape \(3, 3\), config implies \(20, 16\)"):
             load_checkpoint(path)
+
+    def test_misordered_or_repeated_parameters_rejected(self, tmp_path):
+        for edit in (lambda h: h["params"].reverse(), lambda h: h["params"].append(h["params"][0])):
+            _, path = self.saved(tmp_path, 20)
+            rewrite_header(path, edit)
+            with pytest.raises(CheckpointError, match=r"\.kgtc: parameters are not listed once each in arena order"):
+                load_checkpoint(path)
 
     def test_garbage_config_rejected(self, tmp_path):
         path = tmp_path / "m.kgtc"
-        import struct
-
-        blob = b"{not json"
-        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob)
-        with pytest.raises(CheckpointError, match="config"):
+        for blob in (b"{not json", b"[]", b'{"params": []}', b'{"config": {"hidden": 3}, "params": []}'):
+            path.write_bytes(MAGIC + struct.pack("<IQ", 2, len(blob)) + blob)
+            with pytest.raises(CheckpointError, match=r"\.kgtc: bad config block"):
+                load_checkpoint(path)
+        _, path = self.saved(tmp_path, 21)
+        rewrite_header(path, lambda h: h.update(params=[["decoder"]]))
+        with pytest.raises(CheckpointError, match=r"\.kgtc: bad config block"):
             load_checkpoint(path)

@@ -223,6 +223,12 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(model, data, stage_config(Stage.FINETUNE))
 
+    def test_empty_query_set_rejected(self):
+        model = small_model(toy_split(seed=11))
+        for data in ({}, {QueryType.P1: []}):
+            with pytest.raises(ValueError, match="at least one query"):
+                finetune(model, data, stage_config(Stage.FINETUNE, epochs=1))
+
     def test_loss_decreases_when_overfitting(self):
         split = toy_split(seed=12)
         model = small_model(split)
