@@ -23,7 +23,7 @@ from .config import load_config
 from .errors import ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
-from .graph import SPLITS, SplitDataset, build_split, load_split, write_token_triples, write_vocab
+from .graph import SPLITS, SplitDataset, build_split, load_split, read_lines, write_token_triples, write_vocab
 from .model import Model
 from .queries import (
     TRAINABLE_TYPES,
@@ -63,15 +63,13 @@ def _load_dataset(args) -> SplitDataset:
 
 def _read_raw_tokens(path: Path) -> list[tuple[str, str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            rows.append((fields[0], fields[1], fields[2]))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        rows.append((fields[0], fields[1], fields[2]))
     return rows
 
 
@@ -297,7 +295,13 @@ def _models_for_evaluation(args, types) -> dict[QueryType, Model]:
     selection_path = ckpt_dir / "selection.json"
     chosen = {}
     if selection_path.exists():
-        chosen = json.loads(selection_path.read_text(encoding="utf-8")).get("checkpoints", {})
+        try:
+            selection = json.loads("\n".join(read_lines(selection_path)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(selection_path, exc.lineno, f"bad JSON: {exc.msg}") from None
+        chosen = selection.get("checkpoints", {}) if isinstance(selection, dict) else None
+        if not isinstance(chosen, dict) or not all(isinstance(name, str) for name in chosen.values()):
+            raise ParseError(selection_path, 1, 'expected {"checkpoints": {shape: file name}}')
     fallback = next(
         (name for name in ("finetune_multi.kgtc", "stage2.kgtc", "stage1.kgtc") if (ckpt_dir / name).exists()), None
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
+from .graph import read_lines
 from .model import ModelConfig
 from .optim import AdamWConfig
 from .queries import TRAINABLE_TYPES, QueryType
@@ -33,17 +34,17 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_ratio(text: str) -> float:
-    """``a:b`` (a per one b; b may be 0 for "only a") or a plain float."""
+    """``a:b`` (a per one b; b may be 0 for "only a") or a plain float, each finite."""
     if ":" in text:
         left, right = text.split(":", 1)
         a = float(left)
         b = float(right)
-        if a < 0 or b < 0 or (a == 0 and b == 0):
+        if not (0 <= a < math.inf and 0 <= b < math.inf) or (a == 0 and b == 0):
             raise ValueError(f"bad ratio {text!r}")
         return math.inf if b == 0 else a / b
     value = float(text)
-    if value < 0:
-        raise ValueError(f"ratio must be non-negative, got {text!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"ratio must be non-negative and finite, got {text!r}")
     return value
 
 
@@ -218,7 +219,7 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
     """Defaults, then file values, then explicit overrides."""
     merged: dict[str, str] = {}
     if path is not None:
-        merged.update(parse_config_text(Path(path).read_text(encoding="utf-8"), str(path)))
+        merged.update(parse_config_text("\n".join(read_lines(path)), str(path)))
     if overrides:
         merged.update(overrides)
     config = PipelineConfig()

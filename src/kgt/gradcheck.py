@@ -9,7 +9,7 @@ gradients and absolute near zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,170 +76,75 @@ def _p(rng: np.random.Generator, *shape) -> Tensor:
     return Tensor(rng.normal(0.0, 0.5, size=shape), requires_grad=True, dtype=np.float64)
 
 
+def _wide(rng: np.random.Generator, *shape) -> Tensor:
+    return Tensor(rng.uniform(-6.0, 6.0, size=shape), requires_grad=True, dtype=np.float64)
+
+
 def _weighted(out: Tensor, rng: np.random.Generator) -> Tensor:
     """Reduce any tensor to a scalar with fixed random weights."""
     w = Tensor(rng.normal(0.0, 1.0, size=out.data.shape), dtype=np.float64)
     return T.sum_all(T.mul(out, w))
 
 
+class OpCase(NamedTuple):
+    """One op gradcheck: ``op`` takes one tensor per entry of ``shapes``, drawn
+    by ``draw``, and ``_weighted`` reduces its output with weights drawn from
+    ``default_rng(seed)``."""
+
+    name: str
+    op: Callable[..., Tensor]
+    shapes: tuple[tuple[int, ...], ...]
+    seed: int
+    draw: Callable[..., Tensor] = _p
+
+
+_WHERE = np.random.default_rng(6).random((3, 4)) < 0.5
+_ATTN_MASK = (np.random.default_rng(10).random((4, 5)) < 0.5) | (np.arange(5) == 0)  # keep every row alive
+_TARGETS = np.array([1, 0, 3])
+_ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
+_EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
+
+# Parameters are drawn from one shared generator in this order, so adding,
+# removing or reordering a row changes the draws of every row after it.
+OP_CASES = (
+    OpCase("add_broadcast", T.add, ((3, 4), (4,)), 0),
+    OpCase("mul_broadcast", T.mul, ((3, 4), (3, 1)), 1),
+    OpCase("matmul_batched", T.matmul, ((2, 3, 4), (4, 5)), 2),
+    OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
+    OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
+    OpCase("scatter_add_rows", lambda a, b: T.scatter_add_rows(a, b, np.array([3, 0, 4])), ((5, 4), (3, 4)), 14),
+    OpCase("slice_last", lambda a: T.slice_last(a, 1, 3), ((4, 5),), 5),
+    OpCase("where", lambda a, b: T.where(_WHERE, a, b), ((3, 4), (3, 4)), 6),
+    OpCase("gelu", T.gelu, ((5, 6),), 8),
+    OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
+    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_MASK), ((4, 5),), 10),
+    OpCase("dropout", lambda a: T.dropout(a, 0.4, np.random.default_rng(11), training=True), ((6, 5),), 11),
+    OpCase("cross_entropy_smoothed", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.3), ((3, 4),), 12),
+    OpCase("answer_masked_cross_entropy", lambda z: T.answer_masked_cross_entropy(z, _ANSWERS), ((3, 8),), 13),
+    OpCase("gelu_wide", T.gelu, ((4, 6),), 18, _wide),
+    OpCase(
+        "answer_masked_cross_entropy_all_answers",
+        lambda z: T.answer_masked_cross_entropy(z, _EDGE_ANSWERS),
+        ((2, 5),),
+        19,
+    ),
+    OpCase("cross_entropy_hard", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.0), ((3, 4),), 20),
+    # row 1 is never gathered
+    OpCase("gather_rows_unique", lambda a: T.gather_rows(a, np.array([2, 0, 3]), unique=True), ((4, 5),), 21),
+)
+
+
 def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
     """Gradcheck every differentiable op on small random instances."""
     results = []
     rng = np.random.default_rng(7)
+    for case in OP_CASES:
+        params = {str(i): case.draw(rng, *shape) for i, shape in enumerate(case.shapes)}
 
-    results.append(
-        check_function(
-            "add_broadcast",
-            lambda p: _weighted(T.add(p["a"], p["b"]), np.random.default_rng(0)),
-            {"a": _p(rng, 3, 4), "b": _p(rng, 4)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "mul_broadcast",
-            lambda p: _weighted(T.mul(p["a"], p["b"]), np.random.default_rng(1)),
-            {"a": _p(rng, 3, 4), "b": _p(rng, 3, 1)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "matmul_batched",
-            lambda p: _weighted(T.matmul(p["a"], p["b"]), np.random.default_rng(2)),
-            {"a": _p(rng, 2, 3, 4), "b": _p(rng, 4, 5)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "reshape_transpose",
-            lambda p: _weighted(T.transpose(T.reshape(p["a"], (2, 2, 3, 2)), (0, 2, 1, 3)), np.random.default_rng(3)),
-            {"a": _p(rng, 4, 6)},
-            tolerance,
-        )
-    )
-    idx = np.array([0, 2, 2, 1], dtype=np.int64)
-    results.append(
-        check_function(
-            "gather_rows_repeats",
-            lambda p: _weighted(T.gather_rows(p["a"], idx), np.random.default_rng(4)),
-            {"a": _p(rng, 3, 5)},
-            tolerance,
-        )
-    )
-    rows = np.array([3, 0, 4], dtype=np.int64)
-    results.append(
-        check_function(
-            "scatter_add_rows",
-            lambda p: _weighted(T.scatter_add_rows(p["base"], p["src"], rows), np.random.default_rng(14)),
-            {"base": _p(rng, 5, 4), "src": _p(rng, 3, 4)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "slice_last",
-            lambda p: _weighted(T.slice_last(p["a"], 1, 3), np.random.default_rng(5)),
-            {"a": _p(rng, 4, 5)},
-            tolerance,
-        )
-    )
-    cond = np.random.default_rng(6).random((3, 4)) < 0.5
-    results.append(
-        check_function(
-            "where",
-            lambda p: _weighted(T.where(cond, p["a"], p["b"]), np.random.default_rng(6)),
-            {"a": _p(rng, 3, 4), "b": _p(rng, 3, 4)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "gelu",
-            lambda p: _weighted(T.gelu(p["a"]), np.random.default_rng(8)),
-            {"a": _p(rng, 5, 6)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "layer_norm",
-            lambda p: _weighted(T.layer_norm(p["a"], p["gain"], p["bias"]), np.random.default_rng(9)),
-            {"a": _p(rng, 4, 6), "gain": _p(rng, 6), "bias": _p(rng, 6)},
-            tolerance,
-        )
-    )
-    attn_mask = np.random.default_rng(10).random((4, 5)) < 0.5
-    attn_mask[:, 0] = True  # keep every row alive
-    results.append(
-        check_function(
-            "masked_softmax",
-            lambda p: _weighted(T.masked_softmax(p["a"], attn_mask), np.random.default_rng(10)),
-            {"a": _p(rng, 4, 5)},
-            tolerance,
-        )
-    )
+        def f(p, case=case):
+            return _weighted(case.op(*p.values()), np.random.default_rng(case.seed))
 
-    def dropout_case(p):
-        out = T.dropout(p["a"], 0.4, np.random.default_rng(11), training=True)
-        return _weighted(out, np.random.default_rng(11))
-
-    results.append(check_function("dropout", dropout_case, {"a": _p(rng, 6, 5)}, tolerance))
-
-    targets = np.array([1, 0, 3], dtype=np.int64)
-    results.append(
-        check_function(
-            "cross_entropy_smoothed",
-            lambda p: _weighted(T.cross_entropy(p["z"], targets, alpha=0.3), np.random.default_rng(12)),
-            {"z": _p(rng, 3, 4)},
-            tolerance,
-        )
-    )
-    answer_sets = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
-    results.append(
-        check_function(
-            "answer_masked_cross_entropy",
-            lambda p: _weighted(T.answer_masked_cross_entropy(p["z"], answer_sets), np.random.default_rng(13)),
-            {"z": _p(rng, 3, 8)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "gelu_wide",
-            lambda p: _weighted(T.gelu(p["a"]), np.random.default_rng(18)),
-            {"a": Tensor(rng.uniform(-6.0, 6.0, size=(4, 6)), requires_grad=True, dtype=np.float64)},
-            tolerance,
-        )
-    )
-    # one row where every class is an answer, one with a single non-answer
-    edge_sets = [np.arange(5), np.array([0, 1, 3, 4])]
-    results.append(
-        check_function(
-            "answer_masked_cross_entropy_all_answers",
-            lambda p: _weighted(T.answer_masked_cross_entropy(p["z"], edge_sets), np.random.default_rng(19)),
-            {"z": _p(rng, 2, 5)},
-            tolerance,
-        )
-    )
-    results.append(
-        check_function(
-            "cross_entropy_hard",
-            lambda p: _weighted(T.cross_entropy(p["z"], targets, alpha=0.0), np.random.default_rng(20)),
-            {"z": _p(rng, 3, 4)},
-            tolerance,
-        )
-    )
-    distinct = np.array([2, 0, 3], dtype=np.int64)  # row 1 is never gathered
-    results.append(
-        check_function(
-            "gather_rows_unique",
-            lambda p: _weighted(T.gather_rows(p["a"], distinct, unique=True), np.random.default_rng(21)),
-            {"a": _p(rng, 4, 5)},
-            tolerance,
-        )
-    )
+        results.append(check_function(case.name, f, params, tolerance))
     results.append(moe_check(tolerance))
     return results
 

@@ -229,18 +229,33 @@ class SplitDataset:
         return triples[:n_train], triples[n_train:n_valid], triples[n_valid:]
 
 
+def read_lines(path: str | Path) -> list[str]:
+    r"""The lines of a UTF-8 text file without their line ends, split and
+    numbered as universal newlines split them (at ``\n``, ``\r\n`` or a lone
+    ``\r``). Bytes that are not UTF-8 raise ``ParseError`` at their line."""
+    data = Path(path).read_bytes()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), exc.start
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if bad is not None:
+        raise ParseError(path, len(lines), f"not UTF-8: byte 0x{data[bad]:02x}")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def read_vocab(path: Path) -> list[str]:
     tokens = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            token = raw.rstrip("\n")
-            if not token:
-                raise ParseError(path, lineno, "empty vocabulary token")
-            if token in seen:
-                raise ParseError(path, lineno, f"duplicate vocabulary token {token!r}")
-            seen.add(token)
-            tokens.append(token)
+    for lineno, token in enumerate(read_lines(path), start=1):
+        if not token:
+            raise ParseError(path, lineno, "empty vocabulary token")
+        if token in seen:
+            raise ParseError(path, lineno, f"duplicate vocabulary token {token!r}")
+        seen.add(token)
+        tokens.append(token)
     return tokens
 
 
@@ -306,19 +321,17 @@ def _parse_lines(
 
     triples = []
     lines = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            h = resolve(fields[0], entity_ids, "entity", lineno)
-            r = resolve(fields[1], relation_ids, "relation", lineno)
-            t = resolve(fields[2], entity_ids, "entity", lineno)
-            triples.append((h, r, t))
-            lines.append(lineno)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        h = resolve(fields[0], entity_ids, "entity", lineno)
+        r = resolve(fields[1], relation_ids, "relation", lineno)
+        t = resolve(fields[2], entity_ids, "entity", lineno)
+        triples.append((h, r, t))
+        lines.append(lineno)
     return _triple_array(triples), np.array(lines, dtype=np.int64)
 
 

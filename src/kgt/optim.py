@@ -25,14 +25,15 @@ class AdamWConfig:
     lr_decay: float = 0.997  # per-epoch multiplicative decay
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, ParseError, SamplingExhausted
-from .graph import KnowledgeGraph, LeviGraph, SplitDataset
+from .graph import KnowledgeGraph, LeviGraph, SplitDataset, read_lines
 
 
 class QueryType(Enum):
@@ -238,29 +238,28 @@ def read_queries(
     vocabulary sizes, and must be non-negative either way."""
     instances = []
     by_value = {qt.value: qt for qt in QueryType}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"bad JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise ParseError(path, lineno, "record must be a JSON object")
-            try:
-                kind = record["type"]
-                if not isinstance(kind, str) or kind not in by_value:
-                    raise ValueError(f"unknown query type {kind!r}")
-                anchors = _int_list(record, "anchors", entity_count)
-                relations = _int_list(record, "relations", relation_count)
-                answers = [frozenset(_int_list(record, f"answers_{s}", entity_count)) for s in ("train", "valid", "test")]
-                instances.append(QueryInstance(build_query(by_value[kind], anchors, relations), *answers))
-            except KeyError as exc:
-                raise ParseError(path, lineno, f"missing field {exc}") from None
-            except (ArityError, ValueError) as exc:
-                raise ParseError(path, lineno, str(exc)) from None
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, lineno, f"bad JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ParseError(path, lineno, "record must be a JSON object")
+        try:
+            kind = record["type"]
+            if not isinstance(kind, str) or kind not in by_value:
+                raise ValueError(f"unknown query type {kind!r}")
+            anchors = _int_list(record, "anchors", entity_count)
+            relations = _int_list(record, "relations", relation_count)
+            answers = [frozenset(_int_list(record, f"answers_{s}", entity_count)) for s in ("train", "valid", "test")]
+            instances.append(QueryInstance(build_query(by_value[kind], anchors, relations), *answers))
+        except KeyError as exc:
+            raise ParseError(path, lineno, f"missing field {exc}") from None
+        except (ArityError, ValueError) as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return instances
 
 

@@ -61,15 +61,18 @@ class TrainConfig:
             if self.label_smoothing != 0.0:
                 raise ValueError("label smoothing must be 0 during fine-tuning")
         elif not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
+            raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if not 0.0 < self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
         if not 0.0 <= self.edge_keep <= 1.0:
             raise ValueError(f"edge_keep must be in [0, 1], got {self.edge_keep}")
         if not 1 <= self.budget_min <= self.budget_max:
             raise ValueError("need 1 <= budget_min <= budget_max")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
+        if not 0 < self.grad_clip < math.inf:
+            raise ValueError(f"grad_clip must be positive and finite, got {self.grad_clip}")
+        for name in ("method_mix", "pattern_mix"):  # inf means "only the first kind"
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 LogCallback = Callable[[dict], None]
@@ -241,6 +244,9 @@ def combinatorial_finetune(
     by label and the selection ``{"candidates": labels, "scores": eval type ->
     label -> score, "chosen": eval type -> label}``.
     """
+    missing = sorted({t.value for combo in combos for t in combo if not datasets.get(t)})
+    if missing:
+        raise ValueError(f"combos name shapes with no fine-tune queries: {', '.join(missing)}")
     candidates: dict[str, Model] = {"multi-task": base}
     for combo in combos:
         label = ",".join(t.value for t in combo)

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from kgt.cli import main
-from kgt.config import _PARSERS, load_config, parse_config_text
+from kgt.config import _ATTRS, _PARSERS, PipelineConfig, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
 from kgt.model import ModelConfig
 from kgt.queries import QueryType
 from kgt.train import Stage, TrainConfig
 
 from helpers import toy_split
+
+
+FLOAT_KEYS = [key for key, attr in _ATTRS.items() if "float" in PipelineConfig.__dataclass_fields__[attr].type]
 
 
 class TestConfigParsing:
@@ -104,6 +107,23 @@ class TestConfigParsing:
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")]
+        + [(key, value) for key in ("stage1.method_mix", "stage2.pattern_mix") for value in ("nan:1", "1:nan", "inf:1")],
+    )
+    def test_non_finite_value_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(None, {key: value})
+        assert all(part in str(excinfo.value) for part in key.split(".")), str(excinfo.value)
+
+    def test_non_utf8_config_reports_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\r# caf\xe9\rmodel.layers = 2\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_config(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
 
     def test_combo_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -449,6 +469,21 @@ class TestCliErrors:
         assert rc == 1
         assert "error: finetune.combos: no train queries for 2p" in capsys.readouterr().err
         assert not list(out.rglob("*.kgtc"))  # checked before multi-task training
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [(b'{"checkpoints":\n  {"1p": x}}\n', 2), (b"[]\n", 1), (b'{"checkpoints": {"1p": 3}}\n', 1), (b"{}\n\xff\n", 2)],
+        ids=["bad_json", "not_an_object", "name_not_a_string", "not_utf8"],
+    )
+    def test_malformed_selection_json(self, pipeline, tmp_path, capsys, text, line):
+        out = tmp_path / "bad_selection"
+        shutil.copytree(pipeline["out"] / "queries", out / "queries")
+        path = out / "checkpoints" / "selection.json"
+        path.parent.mkdir()
+        path.write_bytes(text)
+        rc = main(["--config", str(pipeline["config"]), "--out", str(out), "evaluate", "--split", "valid"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}:")
 
     def test_missing_queries(self, pipeline, tmp_path, capsys):
         out = tmp_path / "no_queries"

@@ -333,6 +333,39 @@ class TestLoadSplit:
 
         assert outcome(lambda: read_triples(path)) == outcome(lambda: _parse_lines(path, None, None))
 
+    @pytest.mark.parametrize("vocab", [False, True], ids=["ids", "tokens"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_triple_file_reports_line(self, tmp_path, vocab, newline):
+        if vocab:
+            write_vocab(tmp_path / "entities.txt", ["0", "1", "2"])
+            write_vocab(tmp_path / "relations.txt", ["0"])
+        end = newline.encode()
+        (tmp_path / "train.txt").write_bytes(b"0\t0\t1" + end + end + b"1\t0\t\xff2" + end)
+        (tmp_path / "valid.txt").write_text("")
+        (tmp_path / "test.txt").write_text("")
+        with pytest.raises(ParseError) as excinfo:
+            load_split(tmp_path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(tmp_path / "train.txt"), 3)
+
+    def test_non_utf8_vocabulary_reports_line(self, tmp_path):
+        (tmp_path / "entities.txt").write_bytes(b"alice\r\nbob\r\ncar\xe9ol\r\n")
+        write_vocab(tmp_path / "relations.txt", ["knows"])
+        (tmp_path / "train.txt").write_text("alice\tknows\tbob\n")
+        (tmp_path / "valid.txt").write_text("")
+        (tmp_path / "test.txt").write_text("")
+        with pytest.raises(ParseError) as excinfo:
+            load_split(tmp_path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(tmp_path / "entities.txt"), 3)
+
+    def test_ingest_reports_non_utf8_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "train.txt").write_bytes(b"alice\tknows\tbob\r\xffbob\tknows\talice\n")
+        (raw / "valid.txt").write_text("")
+        (raw / "test.txt").write_text("")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {raw / 'train.txt'}:2: not UTF-8")
+
     def test_build_split_keeps_integrity_errors(self):
         with pytest.raises(IntegrityError):
             build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)

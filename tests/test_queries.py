@@ -238,6 +238,14 @@ class TestQueryIO:
             read_queries(path)
         assert excinfo.value.line == 2
 
+    def test_non_utf8_reports_line(self, tmp_path):
+        good = b'{"type": "1p", "anchors": [0], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}'
+        path = tmp_path / "q.jsonl"
+        path.write_bytes(good + b"\r\n\r\n" + good.replace(b"1p", b"1p\xff") + b"\r\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_queries(path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text('{"type": "1p", "anchors": [0]}\n')

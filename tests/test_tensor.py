@@ -533,3 +533,32 @@ class TestAnswerMaskedCrossEntropy:
                 fm = answer_masked_cross_entropy(Tensor(zm), sets).data.sum()
                 numeric[i, j] = (fp - fm) / (2 * h)
         assert np.allclose(z.grad, numeric, atol=1e-7)
+
+
+class TestGradcheckCoverage:
+    def test_every_tape_op_has_a_gradcheck_row(self):
+        # a recorder is a kgt.tensor function that calls _record; a row covers
+        # each op whose backward it puts on the tape, so sum_all and mul are
+        # covered through the _weighted reduction
+        import ast
+        import inspect
+
+        import kgt.tensor
+        from kgt.gradcheck import OP_CASES, _weighted
+
+        tree = ast.parse(inspect.getsource(kgt.tensor))
+        recorders = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_record" for n in ast.walk(node))
+        }
+        assert {"add", "gelu", "answer_masked_cross_entropy"} <= recorders
+        covered = set()
+        rng = np.random.default_rng(0)
+        for case in OP_CASES:
+            params = [case.draw(rng, *shape) for shape in case.shapes]
+            with Tape() as tape:
+                _weighted(case.op(*params), rng)
+            covered |= {backward.__qualname__.split(".")[0] for _, backward in tape._records}
+        assert sorted(recorders - covered) == []

@@ -72,6 +72,12 @@ class TestTrainConfig:
                 TrainConfig(stage=Stage.STAGE1, edge_keep=edge_keep)
         TrainConfig(stage=Stage.STAGE1, mask_rate=1.0, edge_keep=0.0)
 
+    def test_mix_ratios_reject_nan_and_keep_inf(self):
+        for name in ("method_mix", "pattern_mix"):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(stage=Stage.STAGE1, **{name: float("nan")})
+            TrainConfig(stage=Stage.STAGE1, **{name: float("inf")})  # only the first kind
+
 
 class TestPretrain:
     def test_stage_guard(self):
@@ -289,3 +295,18 @@ class TestCombinatorial:
         )
         for name, data_before in before.items():
             assert np.array_equal(base.params[name].data, data_before)
+
+    @pytest.mark.parametrize("p2", [None, []], ids=["missing", "empty"])
+    def test_combo_shape_without_queries_rejected_before_training(self, p2):
+        split = toy_split(seed=16)
+        data = query_sets(split, [QueryType.P1], 4, 6)
+        if p2 is not None:
+            data[QueryType.P2] = p2
+        epochs = []
+        combos = [(QueryType.P1,), (QueryType.P1, QueryType.P2)]
+        with pytest.raises(ValueError, match="no fine-tune queries: 2p$"):
+            combinatorial_finetune(
+                small_model(split), data, combos, stage_config(Stage.FINETUNE, epochs=1), lambda m, t: 0.0,
+                eval_types=[QueryType.P1], log=epochs.append,
+            )
+        assert epochs == []
