@@ -23,7 +23,16 @@ from .config import load_config
 from .errors import ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
-from .graph import SPLITS, SplitDataset, build_split, load_split, read_lines, write_token_triples, write_vocab
+from .graph import (
+    SPLITS,
+    SplitDataset,
+    build_split,
+    load_split,
+    read_lines,
+    triple_fields,
+    write_token_triples,
+    write_vocab,
+)
 from .model import Model
 from .queries import (
     TRAINABLE_TYPES,
@@ -62,15 +71,7 @@ def _load_dataset(args) -> SplitDataset:
 
 
 def _read_raw_tokens(path: Path) -> list[tuple[str, str, str]]:
-    rows = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        rows.append((fields[0], fields[1], fields[2]))
-    return rows
+    return [(h, r, t) for _, (h, r, t) in triple_fields(path)]
 
 
 def _is_int(token: str) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
-from .graph import read_lines
+from .graph import read_lines, split_lines
 from .model import ModelConfig
 from .optim import AdamWConfig
 from .queries import TRAINABLE_TYPES, QueryType
@@ -198,9 +198,12 @@ _PARSERS = {
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
-    """Raw key -> value strings from config text; duplicates are errors."""
+    """Raw key -> value strings from config text; duplicates are errors.
+
+    Lines are split and numbered as :func:`kgt.graph.read_lines` numbers them.
+    """
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -100,6 +100,7 @@ class OpCase(NamedTuple):
 
 _WHERE = np.random.default_rng(6).random((3, 4)) < 0.5
 _ATTN_MASK = (np.random.default_rng(10).random((4, 5)) < 0.5) | (np.arange(5) == 0)  # keep every row alive
+_ATTN_BIAS = T.mask_bias(_ATTN_MASK)  # -inf at the masked entries
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
@@ -117,7 +118,7 @@ OP_CASES = (
     OpCase("where", lambda a, b: T.where(_WHERE, a, b), ((3, 4), (3, 4)), 6),
     OpCase("gelu", T.gelu, ((5, 6),), 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
-    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_MASK), ((4, 5),), 10),
+    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_BIAS, 0.7), ((4, 5),), 10),
     OpCase("dropout", lambda a: T.dropout(a, 0.4, np.random.default_rng(11), training=True), ((6, 5),), 11),
     OpCase("cross_entropy_smoothed", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.3), ((3, 4),), 12),
     OpCase("answer_masked_cross_entropy", lambda z: T.answer_masked_cross_entropy(z, _ANSWERS), ((3, 8),), 13),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,16 +229,23 @@ class SplitDataset:
         return triples[:n_train], triples[n_train:n_valid], triples[n_valid:]
 
 
+def split_lines(text: str) -> list[str]:
+    r"""``text`` split as universal newlines split it: at ``\n``, ``\r\n`` or a
+    lone ``\r``, and nowhere else (``str.splitlines`` also splits at form
+    feeds and other separators). A final line end leaves an empty last line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_lines(path: str | Path) -> list[str]:
-    r"""The lines of a UTF-8 text file without their line ends, split and
-    numbered as universal newlines split them (at ``\n``, ``\r\n`` or a lone
-    ``\r``). Bytes that are not UTF-8 raise ``ParseError`` at their line."""
+    """The lines of a UTF-8 text file without their line ends, split and
+    numbered by :func:`split_lines`. Bytes that are not UTF-8 raise
+    ``ParseError`` at their line."""
     data = Path(path).read_bytes()
     try:
         text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         text, bad = data[: exc.start].decode("utf-8"), exc.start
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = split_lines(text)
     if bad is not None:
         raise ParseError(path, len(lines), f"not UTF-8: byte 0x{data[bad]:02x}")
     if lines[-1] == "":
@@ -302,6 +309,18 @@ def read_triples(
     return _parse_lines(path, entity_ids, relation_ids)
 
 
+def triple_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The line number and the three tab-separated fields of each non-empty
+    line of a triple file; any other field count raises ``ParseError``."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        yield lineno, fields
+
+
 def _parse_lines(
     path: Path,
     entity_ids: dict[str, int] | None,
@@ -321,12 +340,7 @@ def _parse_lines(
 
     triples = []
     lines = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+    for lineno, fields in triple_fields(path):
         h = resolve(fields[0], entity_ids, "entity", lineno)
         r = resolve(fields[1], relation_ids, "relation", lineno)
         t = resolve(fields[2], entity_ids, "entity", lineno)

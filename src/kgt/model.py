@@ -295,11 +295,14 @@ def attention_layer(
     model: Model,
     layer: int,
     x: Tensor,
-    attn_mask: np.ndarray,
+    attn_bias: np.ndarray,
     training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
-    """Pre-LN multi-head attention restricted to graph neighbors."""
+    """Pre-LN multi-head attention restricted to graph neighbors.
+
+    ``attn_bias`` is the batch's attention mask as a :func:`kgt.tensor.mask_bias`.
+    """
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
@@ -313,8 +316,8 @@ def attention_layer(
     q = split_heads(T.matmul(h, p[prefix + "wq"]))
     k = split_heads(T.matmul(h, p[prefix + "wk"]))
     v = split_heads(T.matmul(h, p[prefix + "wv"]))
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(cfg.head_dim))
-    probs = T.masked_softmax(scores, attn_mask)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    probs = T.masked_softmax(scores, attn_bias, 1.0 / np.sqrt(cfg.head_dim))
     context = T.matmul(probs, v)
     context = T.reshape(T.transpose(context, (0, 2, 1, 3)), (b, n, d))
     out = T.matmul(context, p[prefix + "wo"])
@@ -355,7 +358,7 @@ def moe_ffn(
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        weights = T.masked_softmax(gate_logits, selected)
+        weights = T.masked_softmax(gate_logits, T.mask_bias(selected))
     else:
         weights = T.softmax(gate_logits)
 
@@ -408,8 +411,9 @@ def forward(
 
     # padding slots attend only to themselves and are never scored
     real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
+    attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
-        x = attention_layer(model, layer, x, batch.attn_mask, training, rng)
+        x = attention_layer(model, layer, x, attn_bias, training, rng)
         x = moe_ffn(model, layer, x, training, rng, real_rows)
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])

@@ -3,6 +3,7 @@ and a per-epoch exponential lr schedule."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 from dataclasses import dataclass
@@ -50,6 +51,29 @@ def _mapped_zeros(size: int, dtype) -> np.ndarray:
     threshold for serving later large temporaries from the heap.
     """
     return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize), dtype=dtype)
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+def keep_freed_heap() -> bool:
+    """Make glibc's malloc keep freed memory for reuse instead of returning it
+    to the kernel; process-wide, and a no-op returning False without glibc.
+
+    By default glibc maps every block above its (adaptive) threshold afresh
+    and gives the top of the heap back once more than twice that threshold
+    lies free there. A training step frees all its activations at its end, so
+    the next step faulted every page back in: 5-10k minor faults per toy
+    stage-1 step, a fifth of its time on a 2-vCPU VM. Blocks up to 32 MiB now
+    come from the heap, and the heap is trimmed only past 256 MiB free.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 256 << 20) == 1
 
 
 def parameter_arena(shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> dict[str, Tensor]:

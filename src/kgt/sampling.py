@@ -112,17 +112,19 @@ def layer_dependent_sample(
         if candidates.size == 0:
             break
         weights = counts[candidates].astype(np.float64)
+        # the weights are integer counts, so every cumulative value is exact
+        # and taking a pick's weight off the tail equals a fresh cumsum
+        cumulative = np.cumsum(weights)
         picks = min(budget, candidates.size)
         for _ in range(picks):
-            cumulative = np.cumsum(weights)
-            total = cumulative[-1]
-            r = rng.random() * total
+            r = rng.random() * cumulative[-1]
             k = int(np.searchsorted(cumulative, r, side="right"))
             if k >= candidates.size:
                 k = candidates.size - 1
             chosen = int(candidates[k])
             sampled.append(chosen)
             member_flag[chosen] = True
+            cumulative[k:] -= weights[k]
             weights[k] = 0.0
     return SampleResult(nodes=sampled)
 

@@ -140,8 +140,10 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _record(out, backward)
 
@@ -151,8 +153,10 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -180,11 +184,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # gradient is one GEMM rather than a stack of small products
             k, n = b.data.shape
             g2 = g.reshape(-1, n)
-            _accumulate(a, _gemm(g2, b.data.T).reshape(a.data.shape), owned=True)
-            _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
+            if a.requires_grad:
+                _accumulate(a, _gemm(g2, b.data.T).reshape(a.data.shape), owned=True)
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
             return
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -270,8 +278,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
 
     return _record(out, backward)
 
@@ -289,41 +299,78 @@ _GELU_COEFF = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``, rounded in that order.
+    The passes write into as few buffers as they can; products and sums are
+    only commuted, which rounds the same.
+    """
     x = a.data
     x2 = x * x  # not x**3: numpy sends float32 powers to powf, 200x slower
-    th = np.tanh(_GELU_COEFF * (x + 0.044715 * (x2 * x)))
-    out = Tensor(0.5 * x * (1.0 + th), requires_grad=a.requires_grad)
+    th = x2 * x
+    th *= 0.044715
+    th += x
+    th *= _GELU_COEFF
+    np.tanh(th, out=th)
+    y = x * 0.5
+    y *= th + 1.0
+    out = Tensor(y, requires_grad=a.requires_grad)
 
     def backward(g):
-        sech2 = 1.0 - th * th
-        d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x2)
-        _accumulate(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner), owned=True)
+        # g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner), with
+        # sech2 = 1 - th * th and d_inner = c * (1 + 3 * 0.044715 * x2)
+        sech2 = th * th
+        np.subtract(1.0, sech2, out=sech2)
+        d_inner = x2 * (3 * 0.044715)
+        d_inner += 1.0
+        d_inner *= _GELU_COEFF
+        slope = x * 0.5
+        slope *= sech2
+        slope *= d_inner
+        gx = np.add(th, 1.0, out=sech2)
+        gx *= 0.5
+        gx += slope
+        gx *= g
+        _accumulate(a, gx, owned=True)
 
     return _record(out, backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+    """Normalize the last axis to zero mean and unit variance, then affine.
+
+    The variance is numpy's ``x.var(axis=-1)`` step for step (square, sum,
+    divide by the item count as ``np.intp``), with ``x - mean`` computed once
+    and shared with ``xhat``.
+    """
     x = a.data
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    out = Tensor(
-        xhat * gain.data + bias.data,
-        requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad,
-    )
+    centered = x - mean
+    xhat = np.square(centered)
+    var = xhat.sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
+    var += eps
+    inv_std = np.sqrt(var, out=var)
+    np.divide(1.0, inv_std, out=inv_std)
+    np.multiply(centered, inv_std, out=xhat)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat, owned=True)
-        # without batch axes the bias gradient is g itself, a view it must not keep
-        _accumulate(bias, g.sum(axis=reduce_axes) if reduce_axes else g, owned=bool(reduce_axes))
+        scratch = g * xhat
+        _accumulate(gain, scratch.sum(axis=reduce_axes), owned=True)
+        _accumulate(bias, g.sum(axis=reduce_axes), owned=True)
+        # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), with gx = g * gain
         gx = g * gain.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
-        mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv_std * (gx - mean_gx - xhat * mean_gx_xhat), owned=True)
+        np.multiply(gx, xhat, out=scratch)
+        mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
+        gx -= mean_gx
+        gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
+        gx *= inv_std
+        _accumulate(a, gx, owned=True)
 
     return _record(out, backward)
 
@@ -345,30 +392,61 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None, training: bool
     return _record(out, backward)
 
 
-def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to positions where mask is True.
+def mask_bias(mask: np.ndarray) -> np.ndarray:
+    """The additive float32 form of a boolean softmax mask: 0 where True, -inf where False.
 
-    Masked positions come out exactly zero; each row must keep at least one
-    unmasked position.
+    Raises ``ValueError`` if a row (the last axis) has every position masked,
+    since its softmax would be 0/0.
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    if not m.any(axis=-1).all():
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax row with every position masked")
-    x = np.where(m, a.data, -np.inf)
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    p = e / e.sum(axis=-1, keepdims=True)
+    return np.where(mask, np.float32(0.0), np.float32(-np.inf))
+
+
+def _softmax_shifted(a: Tensor, shifted: np.ndarray, scale: float = 1.0) -> Tensor:
+    """Finish the softmax of ``a``'s last axis from ``shifted``, a fresh array
+    of its (scaled, biased) logits minus their row maximum, in place.
+
+    The backward takes d/d(scaled logits) and multiplies by ``scale`` last.
+    """
+    p = np.exp(shifted, out=shifted)
+    p /= p.sum(axis=-1, keepdims=True)
     out = Tensor(p, requires_grad=a.requires_grad)
 
     def backward(g):
         # p is zero at masked slots, so the usual softmax backward stays exact
-        _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True)
+        gx = g * p
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= p
+        if scale != 1.0:
+            gx *= scale
+        _accumulate(a, gx, owned=True)
 
     return _record(out, backward)
 
 
+def masked_softmax(a: Tensor, bias: np.ndarray, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``a * scale + bias``.
+
+    ``bias`` is a :func:`mask_bias`, broadcast against ``a``: positions where
+    it is -inf come out exactly zero. ``scale`` is rounded to ``a``'s dtype and
+    the product is rounded before the bias is added, as ``mul`` then softmax
+    would round.
+    """
+    if scale == 1.0:
+        x = a.data + bias
+    else:
+        scale = a.data.dtype.type(scale)
+        x = a.data * scale
+        x += bias
+    x -= x.max(axis=-1, keepdims=True)
+    return _softmax_shifted(a, x, scale)
+
+
 def softmax(a: Tensor) -> Tensor:
-    return masked_softmax(a, np.ones(a.data.shape[-1], dtype=bool))
+    """Softmax over the last axis."""
+    return _softmax_shifted(a, a.data - a.data.max(axis=-1, keepdims=True))
 
 
 def _check_targets(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import Batch, Model, encode_queries, encode_subgraphs, forward
-from .optim import AdamW, AdamWConfig, clip_global_norm
+from .optim import AdamW, AdamWConfig, clip_global_norm, keep_freed_heap
 from .queries import QueryInstance, QueryType
 from .sampling import sample_meta_graph, sample_stage1_batch
 from .tensor import Tape, Tensor
@@ -116,8 +116,10 @@ def _fit(
 
     The data RNG is seeded with ``seed`` and the dropout RNG with ``seed + 1``.
     Each epoch's record holds the mean loss, the mean pre-clip gradient norm
-    and the share of clipped steps.
+    and the share of clipped steps. Steps reuse each other's freed memory
+    (:func:`kgt.optim.keep_freed_heap`).
     """
+    keep_freed_heap()
     data_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
     optimizer = AdamW(model.params, config.optimizer)

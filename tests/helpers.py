@@ -260,7 +260,7 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        weights = T.masked_softmax(gate_logits, selected)
+        weights = T.masked_softmax(gate_logits, T.mask_bias(selected))
     else:
         weights = T.softmax(gate_logits)
     combined = None
@@ -761,3 +761,115 @@ def heap_truncated_normal(rng, shape, std: float, dtype) -> np.ndarray:
         if n_bad == 0:
             return out.astype(dtype, copy=False)
         out[bad] = rng.normal(0.0, std, size=n_bad)
+
+
+def former_add(a, b) -> "Tensor":
+    """Test oracle: the former ``add``, which reduced a gradient for a constant operand too."""
+    from kgt.tensor import Tensor, _accumulate, _coerce, _record, _unbroadcast
+
+    b = _coerce(b, a)
+    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _record(out, backward)
+
+
+def former_mul(a, b) -> "Tensor":
+    """Test oracle: the former ``mul``, which built a gradient for a constant operand too."""
+    from kgt.tensor import Tensor, _accumulate, _coerce, _record, _unbroadcast
+
+    b = _coerce(b, a)
+    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+
+    return _record(out, backward)
+
+
+def former_gelu(a) -> "Tensor":
+    """Test oracle: the former GELU, one temporary per operation."""
+    from kgt.tensor import _GELU_COEFF, Tensor, _accumulate, _record
+
+    x = a.data
+    x2 = x * x
+    th = np.tanh(_GELU_COEFF * (x + 0.044715 * (x2 * x)))
+    out = Tensor(0.5 * x * (1.0 + th), requires_grad=a.requires_grad)
+
+    def backward(g):
+        sech2 = 1.0 - th * th
+        d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x2)
+        _accumulate(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner), owned=True)
+
+    return _record(out, backward)
+
+
+def former_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
+    """Test oracle: the former layer norm, with ``x.var`` and one temporary per operation."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    x = a.data
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    out = Tensor(
+        xhat * gain.data + bias.data,
+        requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad,
+    )
+
+    def backward(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat, owned=True)
+        _accumulate(bias, g.sum(axis=reduce_axes) if reduce_axes else g, owned=bool(reduce_axes))
+        gx = g * gain.data
+        mean_gx = gx.mean(axis=-1, keepdims=True)
+        mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(a, inv_std * (gx - mean_gx - xhat * mean_gx_xhat), owned=True)
+
+    return _record(out, backward)
+
+
+def former_masked_softmax(a, mask: np.ndarray) -> "Tensor":
+    """Test oracle: the former boolean-mask softmax, ``np.where`` and a row check on every call."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
+    if not m.any(axis=-1).all():
+        raise ValueError("masked_softmax row with every position masked")
+    x = np.where(m, a.data, -np.inf)
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(p, requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True)
+
+    return _record(out, backward)
+
+
+def former_softmax(a) -> "Tensor":
+    """Test oracle: the former softmax, a masked softmax with nothing masked."""
+    return former_masked_softmax(a, np.ones(a.data.shape[-1], dtype=bool))
+
+
+def former_scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
+    """``masked_softmax``'s signature over the former ops: ``mul`` by the scale
+    (skipped at 1, as the gate skipped it), then the boolean-mask softmax."""
+    scaled = a if scale == 1.0 else former_mul(a, scale)
+    return former_masked_softmax(scaled, bias == 0)
+
+
+FORMER_OPS = {
+    "add": former_add,
+    "mul": former_mul,
+    "gelu": former_gelu,
+    "layer_norm": former_layer_norm,
+    "masked_softmax": former_scaled_masked_softmax,
+    "softmax": former_softmax,
+}

@@ -13,7 +13,7 @@ from kgt.model import ModelConfig
 from kgt.queries import QueryType
 from kgt.train import Stage, TrainConfig
 
-from helpers import toy_split
+from helpers import toy_split, write_toy_dataset
 
 
 FLOAT_KEYS = [key for key, attr in _ATTRS.items() if "float" in PipelineConfig.__dataclass_fields__[attr].type]
@@ -92,6 +92,19 @@ class TestConfigParsing:
     def test_missing_equals_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
             parse_config_text("seed = 1\ngrad_clip\n")
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_line_numbers_follow_universal_newlines(self, tmp_path, separator):
+        # only \n, \r\n and a lone \r end a line, as in every other reader
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(f"seed = 1 # a{separator}b\nbad line\n".encode())
+        with pytest.raises(ParseError) as excinfo:
+            load_config(path)
+        assert excinfo.value.line == 2
+        assert "'bad line'" in str(excinfo.value)
+        with pytest.raises(ParseError) as excinfo:
+            parse_config_text(f"seed = 1{separator}\rgrad_clip\n")
         assert excinfo.value.line == 2
 
     def test_validation_errors(self, tmp_path):
@@ -433,6 +446,22 @@ class TestPipeline:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("vocabulary", [False, True])
+    def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary):
+        # token triples (no vocabulary files) and id triples share one field splitter
+        raw = tmp_path / "raw"
+        if vocabulary:
+            write_toy_dataset(raw, toy_split(seed=30))
+        else:
+            write_token_dataset(raw, toy_split(seed=30))
+        path = raw / "valid.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("\t", " ", 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: expected 3 tab-separated fields, got 2")
+
     def test_evaluate_without_checkpoint(self, pipeline, tmp_path, capsys):
         out = tmp_path / "empty_out"
         (out / "queries").mkdir(parents=True)

@@ -33,7 +33,14 @@ from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from helpers import dense_moe_ffn, heap_truncated_normal, padded_encode_queries, padded_encode_subgraphs, toy_split
+from helpers import (
+    FORMER_OPS,
+    dense_moe_ffn,
+    heap_truncated_normal,
+    padded_encode_queries,
+    padded_encode_subgraphs,
+    toy_split,
+)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -521,6 +528,43 @@ def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, 
         loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
     tape.backward(loss)
     return logits.data, {name: t.grad for name, t in model.params.items()}
+
+
+def stage1_step(model: Model, batch: Batch) -> tuple[bytes, dict[str, bytes], int]:
+    """One stage-1 training step's loss, parameter gradients and tape records, as ``train._train_step`` runs it."""
+    model = model.clone()
+    with Tape() as tape:
+        logits = forward(model, batch, training=True, rng=np.random.default_rng(5))
+        loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
+    tape.backward(loss)
+    return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in model.params.items()}, len(tape)
+
+
+class TestFewerPasses:
+    """Bit-exact: a toy stage-1 step on the ops with fewer passes against the
+    same step on their former bodies (``helpers.FORMER_OPS``)."""
+
+    @pytest.fixture(scope="class")
+    def toy_step(self):
+        cfg = ModelConfig(entity_count=50, relation_count=5, layers=4, hidden=64, heads=4, experts=4, top_k=2)
+        subs = sample_stage1_batch(toy_split(seed=0).train, np.random.default_rng(3), batch_size=32)
+        return Model.init(cfg, seed=7), encode_subgraphs(subs, cfg)
+
+    def test_step_matches_former_ops(self, toy_step, monkeypatch):
+        model, batch = toy_step
+        loss, grads, records = stage1_step(model, batch)
+        for name, op in FORMER_OPS.items():
+            monkeypatch.setattr(T, name, op)
+        former_loss, former_grads, former_records = stage1_step(model, batch)
+        assert loss == former_loss
+        assert grads.keys() == former_grads.keys()
+        assert [name for name in grads if grads[name] != former_grads[name]] == []
+        # the attention scale folds into the softmax: one record fewer per layer
+        assert former_records - records == model.config.layers
+
+    def test_stage1_step_tape_records(self, toy_step):
+        model, batch = toy_step
+        assert stage1_step(model, batch)[2] == 278
 
 
 class TestStatesGather:

@@ -1,10 +1,11 @@
 import math
+import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kgt.optim import AdamW, AdamWConfig, clip_global_norm
+from kgt.optim import AdamW, AdamWConfig, clip_global_norm, keep_freed_heap
 from kgt.tensor import Tensor
 
 from helpers import LoopAdamW, arena_params, loop_clip_global_norm, set_grad
@@ -319,3 +320,14 @@ class TestArenaAgainstLoop:
         with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
             clip_global_norm(params, 1.0)
         assert [a.tobytes() for a in arenas] == before
+
+
+class TestKeepFreedHeap:
+    def test_a_freed_block_is_reused_without_page_faults(self):
+        if not keep_freed_heap():
+            pytest.skip("the C library has no glibc mallopt")
+        size = 24 << 20  # 6144 pages, below the 32 MiB that still come from the heap
+        np.ones(size // 8).sum()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(size // 8).sum()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64  # 511 under the default policy

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_cross_entropy, loop_answer_masked_cross_entropy
+from helpers import (
+    dense_cross_entropy,
+    former_add,
+    former_gelu,
+    former_layer_norm,
+    former_masked_softmax,
+    former_mul,
+    former_softmax,
+    loop_answer_masked_cross_entropy,
+)
 from kgt.tensor import (
     Tape,
     Tensor,
@@ -14,6 +23,8 @@ from kgt.tensor import (
     dropout,
     gather_rows,
     gelu,
+    layer_norm,
+    mask_bias,
     masked_softmax,
     matmul,
     mul,
@@ -246,22 +257,31 @@ class TestMaskedSoftmax:
         x = Tensor(rng.normal(size=(rows, cols)).astype(np.float64))
         mask = rng.random((rows, cols)) < 0.5
         mask[np.arange(rows), rng.integers(cols, size=rows)] = True  # keep rows alive
-        p = masked_softmax(x, mask).data
+        p = masked_softmax(x, mask_bias(mask)).data
         assert np.all(p[~mask] == 0.0)
         assert np.all(p[mask] > 0.0)
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_fully_masked_row_raises(self):
-        x = Tensor(np.zeros((2, 3)))
         mask = np.array([[True, False, False], [False, False, False]])
         with pytest.raises(ValueError):
-            masked_softmax(x, mask)
+            mask_bias(mask)
+        grid = np.ones((2, 1, 3, 3), dtype=bool)
+        grid[1, 0, 2] = False  # one dead row in the second graph's grid
+        with pytest.raises(ValueError):
+            mask_bias(grid)
+
+    def test_bias_is_zero_where_linked_and_minus_inf_elsewhere(self):
+        mask = np.array([[True, False, True], [False, True, False]])
+        bias = mask_bias(mask)
+        assert bias.dtype == np.float32
+        assert bias.tolist() == [[0.0, -np.inf, 0.0], [-np.inf, 0.0, -np.inf]]
 
     def test_matches_plain_softmax_when_unmasked(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 7)))
         full = softmax(x).data
-        masked = masked_softmax(x, np.ones(7, dtype=bool)).data
+        masked = masked_softmax(x, mask_bias(np.ones(7, dtype=bool))).data
         assert np.array_equal(full, masked)
 
     def test_huge_logits_stay_finite(self):
@@ -269,6 +289,87 @@ class TestMaskedSoftmax:
         p = softmax(x).data
         assert np.isfinite(p).all()
         assert np.allclose(p[0, 0], 1.0)
+
+
+def grads_of(op, inputs: list[np.ndarray], upstream: np.ndarray, *args):
+    """Output and input gradients of ``op`` on leaves holding ``inputs``, under a fixed upstream gradient."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    with Tape() as tape:
+        out = op(*leaves, *args)
+        loss = sum_all(mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def same_bytes(got: list[np.ndarray], want: list[np.ndarray]) -> bool:
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestFormerOps:
+    """Bit-exact: the ops with fewer passes against their former bodies in
+    ``helpers``, outputs and gradients byte for byte, at the toy (64) and
+    fb15k (128) widths and at 48, where 1/width does not divide exactly, in
+    float32 and float64."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_gelu(self, seed, hidden, dtype, rows):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(rows, 2 * hidden)) * rng.choice([0.02, 1.0, 4.0])).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        assert same_bytes(grads_of(gelu, [x], g), grads_of(former_gelu, [x], g))
+
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_layer_norm(self, seed, hidden, dtype, rows):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(rows, 7, hidden)) * 3.0 + rng.normal()).astype(dtype)
+        gain = rng.normal(1.0, 0.1, size=hidden).astype(dtype)
+        bias = rng.normal(0.0, 0.1, size=hidden).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        inputs = [x, gain, bias]
+        assert same_bytes(grads_of(layer_norm, inputs, g), grads_of(former_layer_norm, inputs, g))
+
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_attention_softmax_folds_the_scale(self, seed, hidden, dtype, width):
+        # the former attention: mul by 1/sqrt(head_dim), then the boolean-mask softmax
+        rng = np.random.default_rng(seed)
+        scores = (rng.normal(size=(3, 4, width, width)) * 4.0).astype(dtype)
+        mask = (rng.random((3, 1, width, width)) < 0.3) | np.eye(width, dtype=bool)
+        g = rng.normal(size=scores.shape).astype(dtype)
+        scale = 1.0 / np.sqrt(hidden // 4)
+        got = grads_of(masked_softmax, [scores], g, mask_bias(mask), scale)
+        want = grads_of(lambda a: former_masked_softmax(former_mul(a, scale), mask), [scores], g)
+        assert same_bytes(got, want)
+
+    @given(st.integers(0, 10_000), st.sampled_from([np.float32, np.float64]), st.integers(1, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_gate_softmaxes(self, seed, dtype, rows):
+        # top-2 of 4 routing weights in training, the full mixture at inference
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(rows, 4)).astype(dtype)
+        selected = np.zeros(logits.shape, dtype=bool)
+        np.put_along_axis(selected, np.argsort(-logits, axis=-1, kind="stable")[:, :2], True, axis=-1)
+        g = rng.normal(size=logits.shape).astype(dtype)
+        got = grads_of(masked_softmax, [logits], g, mask_bias(selected))
+        assert same_bytes(got, grads_of(former_masked_softmax, [logits], g, selected))
+        assert same_bytes(grads_of(softmax, [logits], g), grads_of(former_softmax, [logits], g))
+
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=30, deadline=None)
+    def test_add_and_mul(self, seed, hidden, dtype):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(5, hidden)).astype(dtype)
+        y = rng.normal(size=(hidden,)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        for new, former in ((add, former_add), (mul, former_mul)):
+            assert same_bytes(grads_of(new, [x, y], g), grads_of(former, [x, y], g))
+            # a constant operand gets no gradient either way; the other one is unchanged
+            for const in (y, 0.125):
+                got = grads_of(lambda a: new(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
+                want = grads_of(lambda a: former(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
+                assert same_bytes(got, want)
 
 
 class TestDropout:
