@@ -41,7 +41,7 @@ from .queries import (
     read_queries,
     write_queries,
 )
-from .train import combinatorial_finetune, finetune, pretrain
+from .train import Stage, combinatorial_finetune, finetune, pretrain
 
 
 def _config_digest(path: str | None) -> str | None:
@@ -174,7 +174,7 @@ def cmd_pretrain(args) -> int:
 
     if args.stage == 1:
         model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
-        train_config = config.stage1_config()
+        train_config = config.train_config(Stage.STAGE1)
         out_path = stage1_path
         inputs = []
     else:
@@ -186,7 +186,7 @@ def cmd_pretrain(args) -> int:
         else:
             model = load_checkpoint(stage1_path)
             inputs = [stage1_path]
-        train_config = config.stage2_config()
+        train_config = config.train_config(Stage.STAGE2)
         out_path = stage2_path
 
     stage_name = f"stage{args.stage}"
@@ -244,7 +244,7 @@ def cmd_finetune(args) -> int:
     untrained = sorted({t.value for combo in combos for t in combo} - trained)
     if untrained:
         raise ConfigError(f"finetune.combos: no train queries for {', '.join(untrained)}")
-    train_config = config.finetune_config()
+    train_config = config.train_config(Stage.FINETUNE)
     records = finetune(model, train_sets, train_config, log=_epoch_printer("finetune", train_config.epochs))
     multi_path = ckpt_dir / "finetune_multi.kgtc"
     save_checkpoint(model, multi_path)
@@ -440,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed"] = str(args.seed)
         args.resolved_config = load_config(args.config, overrides)
         return args.func(args)
-    except (KgtError, FileNotFoundError, ValueError, FloatingPointError) as exc:
+    except (KgtError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,8 @@ float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
@@ -55,98 +56,58 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _stage_keys(names: str) -> dict[str, str]:
+    """The ``TrainConfig`` fields a stage section accepts, plus the stage's ``lr``."""
+    return {**{f.name: f.type for f in fields(TrainConfig) if f.name in names.split()}, "lr": "float | None"}
+
+
+# Each section builds one class by field name; a key's type is its field's annotation.
+_SECTIONS = {
+    "model": {f.name: f.type for f in fields(ModelConfig)[2:]},  # all but the vocabulary sizes
+    "optimizer": {f.name: f.type for f in fields(AdamWConfig)},
+    "stage1": _stage_keys(
+        "epochs batch_size label_smoothing mask_rate method_mix budget_min budget_max "
+        "edge_keep ladies_per_layer ladies_depth steps_per_epoch"
+    ),
+    "stage2": _stage_keys("epochs batch_size label_smoothing pattern_mix steps_per_epoch"),
+    "finetune": _stage_keys("epochs batch_size"),
+}
+# Per stage: the offset of its seed from ``seed``, and the defaults that differ from TrainConfig's.
+_STAGES = {Stage.STAGE1: (101, {}), Stage.STAGE2: (202, {}), Stage.FINETUNE: (303, {"batch_size": 128, "label_smoothing": 0.0})}
+
+
 @dataclass
 class PipelineConfig:
-    """Every config key as one field, ``section.key`` as ``section_key``.
-
-    The ``model``, ``optimizer`` and stage sections build ``ModelConfig``,
-    ``AdamWConfig`` and ``TrainConfig`` by field name.
-    """
+    """The pipeline's own keys as fields, ``section.key`` as ``section_key``, and the values
+    set in each ``_SECTIONS`` section; a key left out takes its class's default."""
 
     seed: int = 0
     data_dir: str = "data"
-
-    model_layers: int = 4
-    model_hidden: int = 128
-    model_heads: int = 4
-    model_experts: int = 4
-    model_top_k: int = 2
-    model_expert_hidden: int | None = None
-    model_dropout: float = 0.1
-    model_tie_decoder: bool = False
-
-    optimizer_lr: float = 1e-4
-    optimizer_beta1: float = 0.9
-    optimizer_beta2: float = 0.999
-    optimizer_eps: float = 1e-8
-    optimizer_weight_decay: float = 0.01
-    optimizer_lr_decay: float = 0.997
-
-    stage1_epochs: int = 10
-    stage1_batch_size: int = 32
-    stage1_label_smoothing: float = 0.1
-    stage1_mask_rate: float = 0.25
-    stage1_method_mix: float = 1.0
-    stage1_budget_min: int = 8
-    stage1_budget_max: int = 16
-    stage1_edge_keep: float = 0.8
-    stage1_ladies_per_layer: int = 8
-    stage1_ladies_depth: int = 2
-    stage1_steps_per_epoch: int | None = None
-    stage1_lr: float | None = None
-
-    stage2_epochs: int = 10
-    stage2_batch_size: int = 32
-    stage2_label_smoothing: float = 0.1
-    stage2_pattern_mix: float = 4.0
-    stage2_steps_per_epoch: int | None = None
-    stage2_lr: float | None = None
-
-    finetune_epochs: int = 10
-    finetune_batch_size: int = 128
-    finetune_lr: float | None = None
-    finetune_combos: str = ""
     grad_clip: float = 1.0
-
+    finetune_combos: str = ""
     queries_train_count: int = 500
     queries_valid_count: int = 100
     queries_test_count: int = 100
     queries_max_answers: int = 100
-
     eval_ks: tuple[int, ...] = (1, 3, 10)
-
-    def _section(self, prefix: str) -> dict:
-        """The fields named ``prefix`` + key, as {key: value}."""
-        return {f.name[len(prefix) :]: getattr(self, f.name) for f in fields(self) if f.name.startswith(prefix)}
+    sections: dict[str, dict] = field(default_factory=dict)
 
     def model_config(self, entity_count: int, relation_count: int) -> ModelConfig:
-        return ModelConfig(entity_count, relation_count, **self._section("model_"))
+        return ModelConfig(entity_count, relation_count, **self.sections.get("model", {}))
 
-    def _train_config(self, stage: Stage, seed_offset: int, **fixed) -> TrainConfig:
-        """A stage's section; its ``lr``, when set, overrides ``optimizer.lr``."""
-        values = self._section(stage.value + "_")
-        values.pop("combos", None)
-        optimizer = self._section("optimizer_")
-        lr = values.pop("lr")
+    def optimizer_config(self) -> AdamWConfig:
+        return AdamWConfig(**self.sections.get("optimizer", {}))
+
+    def train_config(self, stage: Stage) -> TrainConfig:
+        """A stage's section over its ``_STAGES`` defaults; its ``lr``, when set, overrides ``optimizer.lr``."""
+        seed_offset, defaults = _STAGES[stage]
+        values = {**defaults, **self.sections.get(stage.value, {})}
+        optimizer = self.optimizer_config()
+        lr = values.pop("lr", None)
         if lr is not None:
-            optimizer["lr"] = lr
-        return TrainConfig(
-            stage=stage,
-            grad_clip=self.grad_clip,
-            seed=self.seed + seed_offset,
-            optimizer=AdamWConfig(**optimizer),
-            **values,
-            **fixed,
-        )
-
-    def stage1_config(self) -> TrainConfig:
-        return self._train_config(Stage.STAGE1, 101)
-
-    def stage2_config(self) -> TrainConfig:
-        return self._train_config(Stage.STAGE2, 202)
-
-    def finetune_config(self) -> TrainConfig:
-        return self._train_config(Stage.FINETUNE, 303, label_smoothing=0.0)
+            optimizer = replace(optimizer, lr=lr)
+        seed = self.seed + seed_offset
+        return TrainConfig(stage=stage, grad_clip=self.grad_clip, seed=seed, optimizer=optimizer, **values)
 
     def combos(self) -> list[tuple[QueryType, ...]]:
         """Parse ``finetune.combos``: combos split by ``|``, types by ``,``."""
@@ -171,7 +132,6 @@ class PipelineConfig:
         return out
 
 
-_SECTIONS = ("data", "model", "optimizer", "stage1", "stage2", "finetune", "queries", "eval")
 _RATIOS = ("stage1.method_mix", "stage2.pattern_mix")
 _TYPE_PARSERS = {
     "int": int,
@@ -184,17 +144,13 @@ _TYPE_PARSERS = {
 }
 
 
-def _key(name: str) -> str:
-    """Config key of a field: ``model_top_k`` -> ``model.top_k``, ``grad_clip`` stays."""
-    section, _, rest = name.partition("_")
-    return f"{section}.{rest}" if section in _SECTIONS else name
-
-
-_ATTRS = {_key(f.name): f.name for f in fields(PipelineConfig)}
-_PARSERS = {
-    key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[f.type]
-    for key, f in zip(_ATTRS, fields(PipelineConfig))
-}
+# A pipeline field is its key with the dot as "_": ``queries.train_count`` is ``queries_train_count``.
+_KEY_TYPES = {
+    f.name.replace("_", ".", 1) if f.name.startswith(("data_", "finetune_", "queries_", "eval_")) else f.name: f.type
+    for f in fields(PipelineConfig)
+    if f.name != "sections"
+} | {f"{section}.{name}": kind for section, keys in _SECTIONS.items() for name, kind in keys.items()}
+_PARSERS = {key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[kind] for key, kind in _KEY_TYPES.items()}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
@@ -220,21 +176,23 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
 
 def load_config(path: str | Path | None = None, overrides: dict[str, str] | None = None) -> PipelineConfig:
     """Defaults, then file values, then explicit overrides."""
-    merged: dict[str, str] = {}
-    if path is not None:
-        merged.update(parse_config_text("\n".join(read_lines(path)), str(path)))
-    if overrides:
-        merged.update(overrides)
-    config = PipelineConfig()
-    updates = {}
+    merged = parse_config_text("\n".join(read_lines(path)), str(path)) if path is not None else {}
+    merged.update(overrides or {})
+    own: dict = {}
+    sections: dict[str, dict] = {}
     for key, text in merged.items():
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            updates[_ATTRS[key]] = _PARSERS[key](text)
+            value = _PARSERS[key](text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    config = replace(config, **updates)
+        section, _, name = key.partition(".")
+        if name in _SECTIONS.get(section, ()):
+            sections.setdefault(section, {})[name] = value
+        else:
+            own[key.replace(".", "_")] = value
+    config = PipelineConfig(**own, sections=sections)
     _validate(config)
     return config
 
@@ -243,16 +201,17 @@ def _validate(config: PipelineConfig) -> None:
     """Build every runtime config once, so each setting is checked by the class that uses it."""
     builds = {
         "model": lambda: config.model_config(1, 1),
-        "optimizer": lambda: AdamWConfig(**config._section("optimizer_")),
-        "stage1": config.stage1_config,
-        "stage2": config.stage2_config,
-        "finetune": config.finetune_config,
+        "optimizer": config.optimizer_config,
+        **{stage.value: partial(config.train_config, stage) for stage in Stage},
     }
     for section, build in builds.items():
         try:
             build()
         except ValueError as exc:
             raise ConfigError(f"bad {section} settings: {exc}") from None
+    for key in ("queries.train_count", "queries.valid_count", "queries.test_count"):
+        if getattr(config, key.replace(".", "_")) < 0:
+            raise ConfigError(f"{key} must be non-negative")
     if config.queries_max_answers < 1:
         raise ConfigError("queries.max_answers must be at least 1")
     if not all(k >= 1 for k in config.eval_ks):

@@ -114,7 +114,6 @@ OP_CASES = (
     OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("scatter_add_rows", lambda a, b: T.scatter_add_rows(a, b, np.array([3, 0, 4])), ((5, 4), (3, 4)), 14),
-    OpCase("slice_last", lambda a: T.slice_last(a, 1, 3), ((4, 5),), 5),
     OpCase("where", lambda a, b: T.where(_WHERE, a, b), ((3, 4), (3, 4)), 6),
     OpCase("gelu", T.gelu, ((5, 6),), 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),

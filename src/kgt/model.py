@@ -365,15 +365,17 @@ def moe_ffn(
     # Experts run in index order and each adds into the rows it serves, so a
     # node sums exactly the terms of a dense mix whose unselected terms are 0.
     # An expert with no rows still runs, on an empty batch, so that each of
-    # its parameters gets a zero gradient and AdamW keeps decaying it.
+    # its parameters gets a zero gradient and AdamW keeps decaying it. Row
+    # r's weight for expert j is row r * E + j of the flattened weights.
     combined = Tensor(np.zeros((b * n, d), dtype=flat.dtype))
+    flat_weights = T.reshape(weights, (b * n * cfg.experts, 1))
     for j in range(cfg.experts):
         eprefix = f"{prefix}expert{j}."
         rows_j = rows if selected is None else rows[selected[rows, j]]
         inputs = T.gather_rows(flat, rows_j, unique=True)
         pre = T.add(T.matmul(inputs, p[eprefix + "w1"]), p[eprefix + "b1"])
         out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
-        term = T.mul(out_j, T.gather_rows(T.slice_last(weights, j, j + 1), rows_j, unique=True))
+        term = T.mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
         combined = T.scatter_add_rows(combined, term, rows_j)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))

@@ -357,6 +357,8 @@ def generate_queries(
     """
     if split_for not in ("train", "valid", "test"):
         raise ValueError(f"unknown split {split_for!r}")
+    if count < 0:
+        raise ValueError(f"query count must be non-negative, got {count}")
     graph = {"train": split.train, "valid": split.valid, "test": split.test}[split_for]
     budget = max_attempts if max_attempts is not None else max(2000, count * 400)
     out: list[QueryInstance] = []

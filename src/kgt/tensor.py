@@ -261,17 +261,6 @@ def scatter_add_rows(base: Tensor, src: Tensor, indexes: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[..., start:stop], requires_grad=a.requires_grad)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[..., start:stop] = g
-        _accumulate(a, ga, owned=True)
-
-    return _record(out, backward)
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select with a constant boolean condition."""
     cond = np.asarray(condition, dtype=bool)

@@ -68,6 +68,10 @@ class TrainConfig:
             raise ValueError(f"edge_keep must be in [0, 1], got {self.edge_keep}")
         if not 1 <= self.budget_min <= self.budget_max:
             raise ValueError("need 1 <= budget_min <= budget_max")
+        for name in ("ladies_per_layer", "ladies_depth", "steps_per_epoch"):  # steps_per_epoch may be None
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if not 0 < self.grad_clip < math.inf:
             raise ValueError(f"grad_clip must be positive and finite, got {self.grad_clip}")
         for name in ("method_mix", "pattern_mix"):  # inf means "only the first kind"
@@ -156,7 +160,9 @@ def pretrain(
     """Run one pre-training stage in place; returns per-epoch records."""
     if config.stage not in (Stage.STAGE1, Stage.STAGE2):
         raise ValueError("pretrain requires a pre-training stage config")
-    steps = config.steps_per_epoch or max(1, math.ceil(len(graph) / config.batch_size))
+    steps = config.steps_per_epoch
+    if steps is None:
+        steps = max(1, math.ceil(len(graph) / config.batch_size))
 
     def batches(rng: np.random.Generator):
         for _ in range(steps):

@@ -242,10 +242,25 @@ def loop_induce_subgraph(graph, nodes, edge_keep, rng):
     return np.array(kept, dtype=np.int64).reshape(-1, 3)
 
 
+def slice_last(a, start: int, stop: int) -> "Tensor":
+    """Test oracle op: ``a[..., start:stop]``; the gradient is zero outside the slice."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    out = Tensor(a.data[..., start:stop], requires_grad=a.requires_grad)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[..., start:stop] = g
+        _accumulate(a, ga, owned=True)
+
+    return _record(out, backward)
+
+
 def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
     """Test oracle: the former dense expert loop, every expert on every slot, padding included.
 
     Unselected experts enter the mix with a routing weight of exactly 0.
+    Expert j's weights are column j of the gate weights (``slice_last``).
     """
     from kgt import tensor as T
 
@@ -268,7 +283,7 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
         eprefix = f"{prefix}expert{j}."
         pre = T.add(T.matmul(flat, p[eprefix + "w1"]), p[eprefix + "b1"])
         out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
-        term = T.mul(out_j, T.slice_last(weights, j, j + 1))
+        term = T.mul(out_j, slice_last(weights, j, j + 1))
         combined = term if combined is None else T.add(combined, term)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgt.cli import main
-from kgt.config import _ATTRS, _PARSERS, PipelineConfig, load_config, parse_config_text
+from kgt.config import _KEY_TYPES, _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
 from kgt.model import ModelConfig
 from kgt.queries import QueryType
@@ -16,18 +16,19 @@ from kgt.train import Stage, TrainConfig
 from helpers import toy_split, write_toy_dataset
 
 
-FLOAT_KEYS = [key for key, attr in _ATTRS.items() if "float" in PipelineConfig.__dataclass_fields__[attr].type]
+FLOAT_KEYS = [key for key, kind in _KEY_TYPES.items() if "float" in kind]
 
 
 class TestConfigParsing:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg.seed == 0
-        assert cfg.model_hidden == 128
-        assert cfg.model_layers == 4
-        assert cfg.optimizer_lr == 1e-4
-        assert cfg.optimizer_lr_decay == 0.997
-        assert cfg.stage1_budget_min == 8 and cfg.stage1_budget_max == 16
+        assert cfg.model_config(5, 3).hidden == 128
+        assert cfg.model_config(5, 3).layers == 4
+        assert cfg.optimizer_config().lr == 1e-4
+        assert cfg.optimizer_config().lr_decay == 0.997
+        stage1 = cfg.train_config(Stage.STAGE1)
+        assert stage1.budget_min == 8 and stage1.budget_max == 16
         assert cfg.eval_ks == (1, 3, 10)
         assert cfg.finetune_combos == ""
         assert cfg.combos() == []
@@ -47,19 +48,19 @@ class TestConfigParsing:
         )
         cfg = load_config(path)
         assert cfg.seed == 42
-        assert cfg.model_hidden == 64
-        assert cfg.model_expert_hidden is None
-        assert cfg.stage1_method_mix == 1.0
-        assert cfg.stage2_pattern_mix == 10.0
+        assert cfg.model_config(5, 3).hidden == 64
+        assert cfg.model_config(5, 3).expert_hidden == 128  # empty: 2 * hidden
+        assert cfg.train_config(Stage.STAGE1).method_mix == 1.0
+        assert cfg.train_config(Stage.STAGE2).pattern_mix == 10.0
         assert cfg.eval_ks == (1, 5, 20)
-        assert cfg.model_tie_decoder is True
+        assert cfg.model_config(5, 3).tie_decoder is True
 
     def test_ratio_forms(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("stage2.pattern_mix = 4:0\n")
-        assert math.isinf(load_config(path).stage2_pattern_mix)
+        assert math.isinf(load_config(path).train_config(Stage.STAGE2).pattern_mix)
         path.write_text("stage2.pattern_mix = 2.5\n")
-        assert load_config(path).stage2_pattern_mix == 2.5
+        assert load_config(path).train_config(Stage.STAGE2).pattern_mix == 2.5
         path.write_text("stage2.pattern_mix = 0:0\n")
         with pytest.raises(ConfigError):
             load_config(path)
@@ -131,6 +132,18 @@ class TestConfigParsing:
             load_config(None, {key: value})
         assert all(part in str(excinfo.value) for part in key.split(".")), str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("stage1.steps_per_epoch", "-1"), ("stage1.steps_per_epoch", "0"), ("stage2.steps_per_epoch", "0"),
+         ("stage1.ladies_depth", "0"), ("stage1.ladies_per_layer", "-3"),
+         ("queries.train_count", "-5"), ("queries.valid_count", "-1"), ("queries.test_count", "-1")],
+    )
+    def test_count_below_its_minimum_fails_at_load(self, key, value):
+        # meta-tree sampling only: the layer-dependent sampler settings are still checked
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(None, {key: value, "stage1.method_mix": "1:0"})
+        assert all(part in str(excinfo.value) for part in key.split(".")), str(excinfo.value)
+
     def test_non_utf8_config_reports_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 1\r# caf\xe9\rmodel.layers = 2\n")
@@ -179,7 +192,7 @@ class TestConfigParsing:
 
     def test_stage_seed_offsets_disjoint(self):
         cfg = load_config(None, {"seed": "5"})
-        seeds = {cfg.stage1_config().seed, cfg.stage2_config().seed, cfg.finetune_config().seed}
+        seeds = {cfg.train_config(stage).seed for stage in Stage}
         assert len(seeds) == 3
         assert 5 not in seeds
 
@@ -187,25 +200,26 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text("optimizer.lr = 1e-4\nstage2.lr = 5e-4\n")
         cfg = load_config(path)
-        assert cfg.stage1_config().optimizer.lr == 1e-4
-        assert cfg.stage2_config().optimizer.lr == 5e-4
-        assert cfg.finetune_config().optimizer.lr == 1e-4
+        assert cfg.train_config(Stage.STAGE1).optimizer.lr == 1e-4
+        assert cfg.train_config(Stage.STAGE2).optimizer.lr == 5e-4
+        assert cfg.train_config(Stage.FINETUNE).optimizer.lr == 1e-4
 
     def test_finetune_config_never_smooths(self):
         cfg = load_config(None)
-        assert cfg.finetune_config().label_smoothing == 0.0
+        assert cfg.train_config(Stage.FINETUNE).label_smoothing == 0.0
 
     def test_default_builds_match_class_defaults(self):
         cfg = load_config(None)
         assert cfg.model_config(5, 3) == ModelConfig(5, 3)
-        assert cfg.stage1_config() == TrainConfig(stage=Stage.STAGE1, seed=101)
-        assert cfg.stage2_config() == TrainConfig(stage=Stage.STAGE2, seed=202)
-        assert cfg.finetune_config() == TrainConfig(stage=Stage.FINETUNE, batch_size=128, label_smoothing=0.0, seed=303)
+        assert cfg.train_config(Stage.STAGE1) == TrainConfig(stage=Stage.STAGE1, seed=101)
+        assert cfg.train_config(Stage.STAGE2) == TrainConfig(stage=Stage.STAGE2, seed=202)
+        finetune = TrainConfig(stage=Stage.FINETUNE, batch_size=128, label_smoothing=0.0, seed=303)
+        assert cfg.train_config(Stage.FINETUNE) == finetune
 
     @staticmethod
     def reached(cfg, key: str) -> list:
         """The values ``key`` gives the objects it configures, one per object."""
-        stages = {"stage1": cfg.stage1_config(), "stage2": cfg.stage2_config(), "finetune": cfg.finetune_config()}
+        stages = {stage.value: cfg.train_config(stage) for stage in Stage}
         section, _, name = key.partition(".")
         if section == "model":
             return [getattr(cfg.model_config(5, 3), name)]
@@ -551,6 +565,19 @@ class TestCliErrors:
         assert err.startswith(f"error: {path}:2:")
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics").exists()
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out"), "gen-queries"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_out_that_is_a_file(self, tmp_path, capsys):
+        raw = write_toy_dataset(tmp_path / "raw", toy_split(seed=30))
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["--out", str(out), "ingest", "--data", str(raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -564,7 +564,7 @@ class TestFewerPasses:
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 278
+        assert stage1_step(model, batch)[2] == 266
 
 
 class TestStatesGather:

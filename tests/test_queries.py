@@ -341,6 +341,10 @@ class TestGeneration:
         for inst in instances:
             assert len(inst.answers_test) <= 5
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_queries(toy_split(seed=1), QueryType.P1, -1, np.random.default_rng(0))
+
     def test_exhaustion_raises(self):
         # a graph with a single edge cannot yield 50 distinct 1p queries
         split = toy_split(seed=10)

@@ -72,6 +72,13 @@ class TestTrainConfig:
                 TrainConfig(stage=Stage.STAGE1, edge_keep=edge_keep)
         TrainConfig(stage=Stage.STAGE1, mask_rate=1.0, edge_keep=0.0)
 
+    @pytest.mark.parametrize("name", ["ladies_per_layer", "ladies_depth", "steps_per_epoch"])
+    def test_counts_below_one_rejected(self, name):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(stage=Stage.STAGE1, **{name: value})
+        TrainConfig(stage=Stage.STAGE1, **{name: 1})
+
     def test_mix_ratios_reject_nan_and_keep_inf(self):
         for name in ("method_mix", "pattern_mix"):
             with pytest.raises(ValueError, match=name):
@@ -161,6 +168,13 @@ class TestPretrain:
         finally:
             train_mod.sample_stage1_batch = original
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_per_epoch_below_one_fails(self, steps):
+        # None, not 0, asks for the default step count
+        split = toy_split(seed=1)
+        with pytest.raises(ValueError, match="steps_per_epoch"):
+            pretrain(small_model(split), split.train, stage_config(Stage.STAGE1, epochs=1, steps_per_epoch=steps))
 
     def test_deterministic_given_seed(self):
         split = toy_split(seed=7)
