@@ -17,6 +17,7 @@ Identical parameters always produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -78,10 +79,15 @@ def load_checkpoint(path: str | Path) -> Model:
         expected = parameter_shapes(config)
         if stored != list(expected.items()):
             raise CheckpointError(f"{path}: {_mismatch(stored, expected)}")
+        # check the size before mapping an arena as large as the header claims
+        declared = 4 * sum(math.prod(shape) for shape in expected.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared > left:
+            raise CheckpointError(f"{path}: truncated while reading the parameter arena")
+        if declared < left:
+            raise CheckpointError(f"{path}: trailing bytes after the parameter arena")
         params = parameter_arena(expected, "<f4")
         data, _ = _arena(params)
         if fh.readinto(data) != data.nbytes:
             raise CheckpointError(f"{path}: truncated while reading the parameter arena")
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the parameter arena")
     return Model(config=config, params=params)

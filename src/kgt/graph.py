@@ -17,13 +17,14 @@ Triple = tuple[int, int, int]
 class LeviGraph:
     """Rewrite of a triple set where every triple becomes its own relation node.
 
-    ``entities[i]`` is the entity id of entity node ``i``. ``triples`` holds
+    ``entities[i]`` is the entity id of entity node ``i``, or
+    ``queries.FREE_SLOT`` (-1) at a query's variable slots; the same value
+    marks the mask token in a sampled example's input ids. ``triples`` holds
     one ``(head node, relation id, tail node)`` row per triple, the form of
     ``KnowledgeGraph.hrt`` with entity nodes in place of entity ids; relation
     node ``j`` is node ``entity_node_count + j``, with the two directed edges
     head -> relation node -> tail. So ``node_count`` is the number of entity
-    nodes plus the number of triples and ``edge_count`` is twice the number
-    of triples.
+    nodes plus the number of triples.
     """
 
     entities: np.ndarray  # [k] int64
@@ -36,10 +37,6 @@ class LeviGraph:
     @property
     def node_count(self) -> int:
         return len(self.entities) + len(self.triples)
-
-    @property
-    def edge_count(self) -> int:
-        return 2 * len(self.triples)
 
     def attention_mask(self) -> np.ndarray:
         """Boolean [n, n] mask: symmetrized adjacency plus the diagonal.

@@ -21,7 +21,7 @@ from . import tensor as T
 from .graph import LeviGraph
 from .optim import _arena, _mapped_zeros, parameter_arena
 from .queries import FREE_SLOT, QueryGraph
-from .sampling import Corruption, CorruptionKind, SampledSubgraph
+from .sampling import SampledSubgraph
 from .tensor import Tensor
 
 
@@ -179,7 +179,7 @@ class Batch:
 
 def _pack(
     levis: Sequence[LeviGraph],
-    inputs: Sequence[dict[int, int]],
+    inputs: Sequence[np.ndarray],
     slots: Sequence[Sequence[int]],
     targets: Sequence[int],
     mask_id: int,
@@ -191,10 +191,10 @@ def _pack(
     takes the slots right after the previous one in its row. Graphs of equal
     width therefore get one row each, in order.
 
-    Entity nodes enter as their ids, variable slots and padding as the mask
-    token, and relation nodes as their relation ids. ``inputs[g]`` overrides
-    the input id of some of graph g's nodes; ``slots[g]`` are its prediction
-    nodes, whose true ids ``targets`` lists in graph order.
+    ``inputs[g]`` holds the input id of each of graph g's entity nodes, with
+    ``FREE_SLOT`` for the mask token; padding enters as the mask token and
+    relation nodes as their relation ids. ``slots[g]`` are graph g's
+    prediction nodes, whose true ids ``targets`` lists in graph order.
     """
     if not levis:
         raise ValueError("empty batch")
@@ -217,15 +217,13 @@ def _pack(
     attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
     link_nodes, link_ends = [], []  # flat index of each relation node and of its head and tail
-    for levi, start, n, overrides, predict in zip(levis, starts, counts, inputs, slots):
+    for levi, start, n, ids, predict in zip(levis, starts, counts, inputs, slots):
         k = start + levi.entity_node_count
         link_nodes.append(np.arange(k, start + n))
         link_ends.append(start + levi.triples[:, 0::2])
-        np.copyto(entity_ids[start:k], levi.entities, where=levi.entities != FREE_SLOT)
+        np.copyto(entity_ids[start:k], ids, where=ids != FREE_SLOT)
         relation_ids[k : start + n] = levi.triples[:, 1]
         is_entity[k : start + n] = False
-        for i, value in overrides.items():
-            entity_ids[start + i] = value
         positions.extend(start + i for i in predict)
     # each relation node and its two ends attend to each other, as in LeviGraph.attention_mask
     nodes = np.concatenate(link_nodes)[:, None]
@@ -245,23 +243,11 @@ def _pack(
     )
 
 
-def _masked_input_id(original: int, corruption: Corruption, mask_id: int) -> int:
-    if corruption.kind is CorruptionKind.MASK:
-        return mask_id
-    if corruption.kind is CorruptionKind.KEEP:
-        return original
-    return int(corruption.replacement)
-
-
 def encode_subgraphs(subs: Sequence[SampledSubgraph], config: ModelConfig) -> Batch:
     """Pack masked subgraphs into one batch."""
-    inputs = [
-        {i: _masked_input_id(int(sub.levi.entities[i]), c, config.mask_id) for i, c in sub.corruption.items()}
-        for sub in subs
-    ]
     slots = [sub.prediction_targets for sub in subs]
     targets = [int(sub.levi.entities[i]) for sub in subs for i in sub.prediction_targets]
-    return _pack([s.levi for s in subs], inputs, slots, targets, config.mask_id)
+    return _pack([s.levi for s in subs], [s.inputs for s in subs], slots, targets, config.mask_id)
 
 
 def encode_queries(
@@ -279,6 +265,8 @@ def encode_queries(
     """
     if predict not in ("target", "intermediates"):
         raise ValueError(f"unknown predict mode {predict!r}")
+    if fill is not None and not 0 <= fill < config.entity_count:
+        raise ValueError(f"fill entity {fill} is outside 0..{config.entity_count - 1}")
     if predict == "target":
         slots = [(q.target_index,) for q in queries]
     else:
@@ -286,7 +274,11 @@ def encode_queries(
         for q in queries:
             if not q.intermediate_indexes:
                 raise ValueError(f"{q.query_type.value} query has no intermediate nodes")
-    inputs = [{} if fill is None else {q.target_index: int(fill)} for q in queries]
+    inputs = [q.levi.entities for q in queries]
+    if fill is not None:
+        inputs = [ids.copy() for ids in inputs]
+        for q, ids in zip(queries, inputs):
+            ids[q.target_index] = fill
     targets = np.zeros(sum(len(s) for s in slots), dtype=np.int64)
     return _pack([q.levi for q in queries], inputs, slots, targets, config.mask_id)
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import SamplingExhausted
 from .graph import KnowledgeGraph, LeviGraph, triple_transform
-from .queries import QueryType, _distinct_in_edges, template_levi, walk_back
+from .queries import FREE_SLOT, QueryType, _distinct_in_edges, template_levi, walk_back
 
 MAX_START_RETRIES = 20
 
@@ -39,31 +38,22 @@ def _slice_positions(indptr: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-@dataclass
-class SampleResult:
-    """Node set from one sampler run, in sampled order."""
-
-    nodes: list[int]
-    tree_edges: list[tuple[int, int]] | None = None
-
-
 def meta_tree_sample(
     graph: KnowledgeGraph,
     start: int,
     target_size: int,
     rng: np.random.Generator,
-) -> SampleResult:
+) -> list[int]:
+    """Node set of one restart-1.0 walk from ``start``, in sampled order."""
     if target_size < 1:
         raise ValueError("target_size must be at least 1")
     indptr, nbrs = graph.csr_undirected()
     steps = 40 * target_size + 200
     uniforms = rng.random(2 * steps)
     # Restart-1.0 walk: jump to a random sampled node, step once, keep the
-    # neighbor if new. Every added node records the node it was reached from,
-    # so the collected edges form a tree.
+    # neighbor if new. Every added node is a neighbor of one added before it.
     nodes = [int(start)]
     seen = {nodes[0]}
-    edges = []
     for step in range(steps):
         if len(nodes) >= target_size:
             break
@@ -75,8 +65,7 @@ def meta_tree_sample(
         if nxt not in seen:
             seen.add(nxt)
             nodes.append(nxt)
-            edges.append((cur, nxt))
-    return SampleResult(nodes=nodes, tree_edges=edges)
+    return nodes
 
 
 def layer_dependent_sample(
@@ -86,12 +75,13 @@ def layer_dependent_sample(
     depth: int,
     rng: np.random.Generator,
     max_total: int | None = None,
-) -> SampleResult:
+) -> list[int]:
     """Grow the seed set ``depth`` times by weighted frontier draws.
 
     Each layer samples up to ``per_layer`` frontier nodes without replacement,
     with probability proportional to each candidate's edge count into the
-    already-sampled set. ``max_total`` caps the final size.
+    already-sampled set. ``max_total`` caps the final size. Returns the
+    sampled nodes, seeds first, in sampled order.
     """
     if per_layer < 1 or depth < 1:
         raise ValueError("per_layer and depth must be at least 1")
@@ -126,7 +116,7 @@ def layer_dependent_sample(
             member_flag[chosen] = True
             cumulative[k:] -= weights[k]
             weights[k] = 0.0
-    return SampleResult(nodes=sampled)
+    return sampled
 
 
 def induce_subgraph(
@@ -152,52 +142,34 @@ def induce_subgraph(
     return np.column_stack([heads, rels[positions], tails[positions]])
 
 
-class CorruptionKind(Enum):
-    MASK = "mask"
-    KEEP = "keep"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class Corruption:
-    kind: CorruptionKind
-    replacement: int | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class SampledSubgraph:
     """One masked training example.
 
-    ``levi.entities`` holds the true entity id of each entity node. The keys
-    of ``corruption`` are the masked entity nodes, each mapped to what it
-    presents as input; ``prediction_targets`` are the masked nodes that carry
-    a loss term.
+    ``levi.entities`` holds the true entity id of each entity node and
+    ``inputs`` the id each one enters the model with, ``FREE_SLOT`` for the
+    mask token, as in a query's Levi graph. ``prediction_targets`` are the
+    masked nodes that carry a loss term.
     """
 
     levi: LeviGraph
-    corruption: dict[int, Corruption]
+    inputs: np.ndarray  # [k] int64
     prediction_targets: tuple[int, ...]
-    entity_count: int
 
 
-def _draw_corruption(positions: Iterable[int], entity_count: int, rng: np.random.Generator) -> dict[int, Corruption]:
-    """80% mask token, 10% unchanged, 10% a uniformly random entity, drawn in position order."""
-    corruption = {}
+def _draw_corruption(
+    entities: np.ndarray, positions: Iterable[int], entity_count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Input ids of ``entities`` with ``positions`` corrupted, drawn in position order:
+    80% mask token, 10% unchanged, 10% a uniformly random entity."""
+    inputs = entities.copy()
     for pos in positions:
         u = rng.random()
         if u < 0.8:
-            corruption[pos] = Corruption(CorruptionKind.MASK)
-        elif u < 0.9:
-            corruption[pos] = Corruption(CorruptionKind.KEEP)
-        else:
-            corruption[pos] = Corruption(CorruptionKind.RANDOM, int(rng.integers(entity_count)))
-    return corruption
-
-
-def corrupt_masks(sub: SampledSubgraph, rng: np.random.Generator) -> SampledSubgraph:
-    """``sub`` with the 80/10/10 input corruption of every masked node redrawn."""
-    corruption = _draw_corruption(sorted(sub.corruption), sub.entity_count, rng)
-    return SampledSubgraph(sub.levi, corruption, sub.prediction_targets, sub.entity_count)
+            inputs[pos] = FREE_SLOT
+        elif u >= 0.9:
+            inputs[pos] = rng.integers(entity_count)
+    return inputs
 
 
 def _mix_probability(ratio: float) -> float:
@@ -237,37 +209,30 @@ def sample_stage1_batch(
     for _ in range(batch_size):
         target = int(rng.integers(lo, hi + 1))
         use_tree = rng.random() < p_tree
-        result = None
         for _ in range(MAX_START_RETRIES):
             start = int(rng.integers(graph.entity_count))
             if use_tree:
-                result = meta_tree_sample(graph, start, target, rng)
+                nodes = meta_tree_sample(graph, start, target, rng)
             else:
-                result = layer_dependent_sample(
-                    graph, [start], ladies_per_layer, ladies_depth, rng, max_total=target
-                )
-            if len(result.nodes) >= lo:
+                nodes = layer_dependent_sample(graph, [start], ladies_per_layer, ladies_depth, rng, max_total=target)
+            if len(nodes) >= lo:
                 break
-        nodes = result.nodes
         triples = induce_subgraph(graph, nodes, edge_keep, rng)
         levi = triple_transform(triples, extra_entities=nodes)
         n_entities = levi.entity_node_count
         n_mask = max(1, math.ceil(mask_rate * n_entities))
         masked = tuple(sorted(int(i) for i in rng.choice(n_entities, size=n_mask, replace=False)))
-        corruption = _draw_corruption(masked, graph.entity_count, rng)
-        out.append(SampledSubgraph(levi, corruption, masked, graph.entity_count))
+        out.append(SampledSubgraph(levi, _draw_corruption(levi.entities, masked, graph.entity_count, rng), masked))
     return out
 
 
-def _meta_graph(graph: KnowledgeGraph, qtype: QueryType, slots: list[int], relations: list[int]) -> SampledSubgraph:
+def _meta_graph(qtype: QueryType, slots: list[int], relations: list[int]) -> SampledSubgraph:
     """A shape's template filled with true entities: non-anchor slots masked,
     only the target supervised."""
-    return SampledSubgraph(
-        levi=template_levi(qtype, slots, relations),
-        corruption={pos: Corruption(CorruptionKind.MASK) for pos in range(qtype.anchor_count, len(slots))},
-        prediction_targets=(len(slots) - 1,),
-        entity_count=graph.entity_count,
-    )
+    levi = template_levi(qtype, slots, relations)
+    inputs = levi.entities.copy()
+    inputs[qtype.anchor_count :] = FREE_SLOT
+    return SampledSubgraph(levi, inputs, (len(slots) - 1,))
 
 
 def _chain_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
@@ -277,7 +242,7 @@ def _chain_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> Sample
     """
     qtype = (QueryType.P1, QueryType.P2, QueryType.P3)[int(rng.integers(1, 4)) - 1]
     walked = walk_back(graph, qtype, rng)
-    return None if walked is None else _meta_graph(graph, qtype, *walked)
+    return None if walked is None else _meta_graph(qtype, *walked)
 
 
 def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
@@ -288,7 +253,7 @@ def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> Sampl
     if picked is None:
         return None  # degenerate: fewer than two distinct in-neighbors
     heads, relations = map(list, zip(*picked))
-    return _meta_graph(graph, (QueryType.I2, QueryType.I3)[len(picked) - 2], heads + [target], relations)
+    return _meta_graph((QueryType.I2, QueryType.I3)[len(picked) - 2], heads + [target], relations)
 
 
 def sample_meta_graph(

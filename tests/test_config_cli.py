@@ -566,6 +566,17 @@ class TestCliErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics").exists()
 
+    @pytest.mark.parametrize("fill", [-1, 50, 55])
+    def test_out_of_range_fill(self, pipeline, capsys, fill):
+        # -1 is FREE_SLOT and 50 the mask-token row of the 50-entity model
+        ckpt = pipeline["out"] / "checkpoints" / "stage2.kgtc"
+        qfile = pipeline["out"] / "queries" / "valid_2p.jsonl"
+        args = ["interpret", "--query-file", str(qfile), "--checkpoint", str(ckpt), "--fill", str(fill)]
+        assert main(["--config", str(pipeline["config"]), "--out", str(pipeline["out"])] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: fill entity {fill} is outside 0..49\n"
+
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out"), "gen-queries"]) == 1
         err = capsys.readouterr().err

@@ -39,7 +39,6 @@ class TestLeviTransform:
     def test_single_triple_shape(self):
         levi = triple_transform([(0, 5, 1)])
         assert levi.node_count == 3
-        assert levi.edge_count == 2
         assert levi.entities.tolist() == [0, 1]
         assert levi.triples.tolist() == [[0, 5, 1]]  # node 0 -> relation node 2 -> node 1
         assert levi.entities.dtype == levi.triples.dtype == np.int64
@@ -67,7 +66,6 @@ class TestLeviTransform:
         levi = triple_transform(triples)
         distinct = {e for h, _, t in triples for e in (h, t)}
         assert levi.node_count == len(distinct) + len(triples)
-        assert levi.edge_count == 2 * len(triples)
         assert levi.to_triples() == list(triples)
         # an int64 array gives the same two arrays as the list
         from_array = triple_transform(np.array(triples, dtype=np.int64).reshape(-1, 3))

@@ -1,18 +1,32 @@
-"""Every module under ``src/kgt`` uses each name it imports, and every
-module-level private name is read somewhere in ``src/kgt``.
+"""Every module under ``src/kgt`` uses each name it imports, every
+module-level private name is read somewhere in ``src/kgt``, and every public
+function, class and method is read somewhere in ``src/kgt`` or ``kgtbench/``.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "kgt"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "kgt"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SOURCE.glob("*.py"))
+BENCH = sorted((ROOT / "kgtbench").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+# Public names that only tests read, each kept for a documented reason.
+TEST_ONLY = {
+    "attention_mask": "the dense [n, n] mask that the packed attention layout of model._pack is checked against",
+    "to_triples": "reads a Levi graph back as (h, r, t) triples, the round-trip oracle of triple_transform",
+    "has_triple": "membership lookup the sampler and query tests check sampled edges with",
+    "write_triples": "writes split files, the fixture behind every dataset a test loads through load_split",
+    "smoothed_labels": "the dense label-smoothing target that the fused cross_entropy is checked against",
+}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -68,4 +82,47 @@ def test_every_private_name_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     read = set().union(*(names_read(source) for source in sources.values()))
     unread = [(name, line, n) for name, source in sources.items() for line, n in private_definitions(source) if n not in read]
+    assert unread == []
+
+
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each public function, class and method, nested classes included."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((node.lineno, prefix + node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, prefix + node.name + ".")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def names_referenced(source: str) -> set[str]:
+    """Names read as a bare name or attribute, plus each part of every string that is a dotted name."""
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value)
+    }
+    return names_read(source) | {part for value in strings for part in value.split(".")}
+
+
+def test_public_finder_sees_definitions_and_references():
+    source = "class A:\n    def f(self):\n        pass\n    def _g(self):\n        pass\ndef h():\n    return 'A.f'\n"
+    assert public_definitions(source) == [(1, "A"), (2, "A.f"), (6, "h")]
+    assert {"A", "f"} <= names_referenced(source) and "h" not in names_referenced(source)
+
+
+def test_every_public_name_is_read():
+    read = set().union(*(names_referenced(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH))
+    unread = [
+        (path.name, line, name)
+        for path in PACKAGE
+        for line, name in public_definitions(path.read_text(encoding="utf-8"))
+        if name.rsplit(".", 1)[-1] not in read | set(TEST_ONLY)
+    ]
     assert unread == []

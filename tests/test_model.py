@@ -21,14 +21,8 @@ from kgt.model import (
     parameter_shapes,
     truncated_normal,
 )
-from kgt.queries import QueryType, build_query
-from kgt.sampling import (
-    Corruption,
-    CorruptionKind,
-    SampledSubgraph,
-    sample_meta_graph,
-    sample_stage1_batch,
-)
+from kgt.queries import FREE_SLOT, QueryType, build_query
+from kgt.sampling import SampledSubgraph, sample_meta_graph, sample_stage1_batch
 from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
@@ -392,22 +386,17 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
 
 
 class TestEncoding:
-    def make_sub(self, corruption_kind) -> SampledSubgraph:
+    def make_sub(self, masked_input: int) -> SampledSubgraph:
         from kgt.graph import triple_transform
 
         levi = triple_transform([(3, 1, 7)])
-        corruption = {0: Corruption(*corruption_kind)}
-        return SampledSubgraph(levi=levi, corruption=corruption, prediction_targets=(0,), entity_count=20)
+        return SampledSubgraph(levi=levi, inputs=np.array([masked_input, 7]), prediction_targets=(0,))
 
     def test_corruption_kinds_map_to_input_ids(self):
         cfg = tiny_config()
-        cases = [
-            ((CorruptionKind.MASK, None), cfg.mask_id),
-            ((CorruptionKind.KEEP, None), 3),
-            ((CorruptionKind.RANDOM, 11), 11),
-        ]
-        for kind, want in cases:
-            batch = encode_subgraphs([self.make_sub(kind)], cfg)
+        cases = [(FREE_SLOT, cfg.mask_id), (3, 3), (11, 11)]  # mask, keep, random
+        for masked_input, want in cases:
+            batch = encode_subgraphs([self.make_sub(masked_input)], cfg)
             assert batch.entity_ids[0, 0] == want
             assert batch.entity_ids[0, 1] == 7  # unmasked node keeps its id
             assert batch.targets.tolist() == [3]
@@ -871,6 +860,17 @@ class TestCheckpoint:
         _, path = self.saved(tmp_path, 18)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match=r"\.kgtc: trailing bytes after the parameter arena"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden", [1 << 20, 1 << 31])
+    def test_huge_declared_arena_rejected_before_mapping(self, tmp_path, hidden):
+        # the params list matches the config, so only the file size tells the arena is missing
+        config = tiny_config(hidden=hidden)
+        header = {"config": config.to_dict(), "params": [[n, list(s)] for n, s in parameter_shapes(config).items()]}
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "m.kgtc"
+        path.write_bytes(MAGIC + struct.pack("<IQ", 2, len(blob)) + blob + bytes(64))
+        with pytest.raises(CheckpointError, match=r"\.kgtc: truncated while reading the parameter arena"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from kgt import sampling
 from kgt.errors import SamplingExhausted
 from kgt.graph import KnowledgeGraph
+from kgt.queries import FREE_SLOT
 from kgt.sampling import (
-    Corruption,
-    CorruptionKind,
     SampledSubgraph,
-    corrupt_masks,
     induce_subgraph,
     layer_dependent_sample,
     meta_tree_sample,
@@ -22,6 +20,7 @@ from kgt.sampling import (
 )
 
 from helpers import (
+    former_corrupted_inputs,
     hand_built_branch_meta_graph,
     hand_built_chain_meta_graph,
     hub_multigraphs,
@@ -39,6 +38,14 @@ def dense_graph(entities: int = 10) -> KnowledgeGraph:
     return KnowledgeGraph(entities, 1, triples)
 
 
+def grows_as_a_tree(graph: KnowledgeGraph, nodes: list[int]) -> bool:
+    """Distinct nodes, each after the first a ``csr_undirected`` neighbor of a node before it."""
+    indptr, nbrs = graph.csr_undirected()
+    return len(set(nodes)) == len(nodes) and all(
+        set(nbrs[indptr[v] : indptr[v + 1]].tolist()) & set(nodes[:i]) for i, v in enumerate(nodes) if i
+    )
+
+
 class TestMetaTree:
     def test_result_is_always_a_tree(self):
         g = small_graph(seed=1)
@@ -46,42 +53,20 @@ class TestMetaTree:
         for trial in range(200):
             start = int(rng.integers(g.entity_count))
             target = int(rng.integers(2, 10))
-            result = meta_tree_sample(g, start, target, rng)
-            nodes = result.nodes
-            assert len(set(nodes)) == len(nodes)
+            nodes = meta_tree_sample(g, start, target, rng)
             assert nodes[0] == start
-            assert len(result.tree_edges) == len(nodes) - 1
-            # each edge attaches one new node to an already collected one
-            seen = {start}
-            for parent, child in result.tree_edges:
-                assert parent in seen
-                assert child not in seen
-                seen.add(child)
-            assert seen == set(nodes)
-
-    def test_tree_edges_exist_in_graph(self):
-        g = small_graph(seed=2)
-        undirected = set()
-        for h, _, t in g.triples:
-            undirected.add((h, t))
-            undirected.add((t, h))
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            result = meta_tree_sample(g, int(rng.integers(g.entity_count)), 8, rng)
-            for parent, child in result.tree_edges:
-                assert (parent, child) in undirected
+            assert grows_as_a_tree(g, nodes)
 
     def test_reaches_target_on_connected_graph(self):
         g = toy_split(seed=3).train
         rng = np.random.default_rng(2)
         for _ in range(100):
-            result = meta_tree_sample(g, int(rng.integers(g.entity_count)), 16, rng)
-            assert len(result.nodes) == 16
+            nodes = meta_tree_sample(g, int(rng.integers(g.entity_count)), 16, rng)
+            assert len(nodes) == 16
 
     def test_isolated_start_stays_put(self):
         g = KnowledgeGraph(4, 1, [(1, 0, 2)])
-        result = meta_tree_sample(g, 0, 5, np.random.default_rng(0))
-        assert result.nodes == [0]
+        assert meta_tree_sample(g, 0, 5, np.random.default_rng(0)) == [0]
 
     def test_rejects_bad_target(self):
         g = small_graph()
@@ -97,9 +82,9 @@ class TestLayerDependent:
         trials = 4000
         first = 0
         for _ in range(trials):
-            result = layer_dependent_sample(g, [0], per_layer=1, depth=1, rng=rng)
-            assert len(result.nodes) == 2
-            if result.nodes[1] == 1:
+            nodes = layer_dependent_sample(g, [0], per_layer=1, depth=1, rng=rng)
+            assert len(nodes) == 2
+            if nodes[1] == 1:
                 first += 1
         p = 0.75
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -108,14 +93,14 @@ class TestLayerDependent:
     def test_without_replacement_and_cap(self):
         g = dense_graph(20)
         rng = np.random.default_rng(6)
-        result = layer_dependent_sample(g, [0], per_layer=8, depth=2, rng=rng, max_total=12)
-        assert len(result.nodes) == 12
-        assert len(set(result.nodes)) == 12
+        nodes = layer_dependent_sample(g, [0], per_layer=8, depth=2, rng=rng, max_total=12)
+        assert len(nodes) == 12
+        assert len(set(nodes)) == 12
 
     def test_disconnected_stops_at_component(self):
         g = KnowledgeGraph(5, 1, [(0, 0, 1)])
-        result = layer_dependent_sample(g, [0], per_layer=4, depth=2, rng=np.random.default_rng(7))
-        assert set(result.nodes) == {0, 1}
+        nodes = layer_dependent_sample(g, [0], per_layer=4, depth=2, rng=np.random.default_rng(7))
+        assert set(nodes) == {0, 1}
 
     def test_rejects_bad_arguments(self):
         g = small_graph()
@@ -172,10 +157,13 @@ class TestStage1Batch:
         for sub in sample_stage1_batch(g, rng, batch_size=32, mask_rate=0.25):
             n = sub.levi.entity_node_count
             expected = max(1, math.ceil(0.25 * n))
-            assert len(sub.corruption) == expected
-            # every masked node is a supervised entity node
-            assert sub.prediction_targets == tuple(sorted(sub.corruption))
+            assert len(sub.prediction_targets) == expected
+            assert sub.prediction_targets == tuple(sorted(set(sub.prediction_targets)))
             assert all(0 <= i < n for i in sub.prediction_targets)
+            # only supervised nodes enter as anything but their own id
+            changed = np.flatnonzero(sub.inputs != sub.levi.entities)
+            assert set(changed.tolist()) <= set(sub.prediction_targets)
+            assert sub.inputs.dtype == np.int64 and sub.inputs.shape == (n,)
 
     def test_original_entities_recoverable(self):
         g = toy_split(seed=13).train
@@ -203,42 +191,52 @@ class TestStage1Batch:
             sample_stage1_batch(g, np.random.default_rng(0), 1, budget=(5, 3))
 
 
-class TestCorruption:
-    def make_stub(self, count: int) -> SampledSubgraph:
-        from kgt.graph import triple_transform
+def input_kinds(entities: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """``mask`` at the mask token, ``keep`` where a node enters as itself, ``random`` elsewhere."""
+    return np.where(inputs == FREE_SLOT, "mask", np.where(inputs == entities, "keep", "random"))
 
-        levi = triple_transform([(0, 0, 1)])
-        placeholder = Corruption(CorruptionKind.MASK)
-        return SampledSubgraph(
-            levi=levi,
-            corruption={pos: placeholder for pos in range(count)},
-            prediction_targets=tuple(range(count)),
-            entity_count=50,
-        )
+
+class TestCorruption:
+    ENTITIES = 50
+
+    def draw(self, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        entities = np.arange(count, dtype=np.int64) % self.ENTITIES
+        inputs = sampling._draw_corruption(entities, range(count), self.ENTITIES, np.random.default_rng(seed))
+        return entities, inputs
 
     def test_distribution_80_10_10(self):
-        n = 100_000
-        sub = corrupt_masks(self.make_stub(n), np.random.default_rng(14))
-        counts = {kind: 0 for kind in CorruptionKind}
-        for c in sub.corruption.values():
-            counts[c.kind] += 1
-        for kind, p in ((CorruptionKind.MASK, 0.8), (CorruptionKind.KEEP, 0.1), (CorruptionKind.RANDOM, 0.1)):
+        # a random replacement that draws the node's own id enters as that id
+        n, e = 100_000, self.ENTITIES
+        kinds = input_kinds(*self.draw(n, 14))
+        for kind, p in (("mask", 0.8), ("keep", 0.1 + 0.1 / e), ("random", 0.1 * (1 - 1 / e))):
             sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(counts[kind] / n - p) < 3 * sigma, kind
+            assert abs(np.count_nonzero(kinds == kind) / n - p) < 3 * sigma, kind
 
     def test_random_replacements_in_range(self):
-        sub = corrupt_masks(self.make_stub(5000), np.random.default_rng(15))
-        replacements = [c.replacement for c in sub.corruption.values() if c.kind is CorruptionKind.RANDOM]
-        assert replacements
-        assert all(0 <= r < 50 for r in replacements)
-        assert all(
-            c.replacement is None for c in sub.corruption.values() if c.kind is not CorruptionKind.RANDOM
-        )
+        entities, inputs = self.draw(5000, 15)
+        replacements = inputs[input_kinds(entities, inputs) == "random"]
+        assert replacements.size
+        assert np.all((0 <= replacements) & (replacements < self.ENTITIES))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 100), st.integers(0, 2**32 - 1))
+    def test_matches_former_draw(self, k, entity_count, seed):
+        """Bit-exact: the same input ids as the former per-node draw, random stream included."""
+        setup = np.random.default_rng(seed)
+        entities = setup.integers(entity_count, size=k)
+        positions = sorted(setup.choice(k, size=int(setup.integers(1, k + 1)), replace=False).tolist())
+        before = entities.copy()
+        rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = sampling._draw_corruption(entities, positions, entity_count, rng_a)
+        want = former_corrupted_inputs(before, positions, entity_count, rng_b)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert np.array_equal(entities, before)  # drawn into a copy
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestMetaGraphs:
     def classify(self, sub: SampledSubgraph) -> str:
-        sources = sub.levi.entity_node_count - len(sub.corruption)
+        sources = np.count_nonzero(sub.inputs != FREE_SLOT)
         return "chain" if sources == 1 else "branch"
 
     def test_shapes_are_valid(self):
@@ -250,19 +248,21 @@ class TestMetaGraphs:
             n = sub.levi.entity_node_count
             kind = self.classify(sub)
             seen.add((kind, n))
-            # every masked slot enters as a plain mask token
-            assert all(c.kind is CorruptionKind.MASK for c in sub.corruption.values())
+            # every masked slot enters as a plain mask token, the others as their own ids
+            masked = np.flatnonzero(sub.inputs == FREE_SLOT).tolist()
+            unmasked = sub.inputs != FREE_SLOT
+            assert np.array_equal(sub.inputs[unmasked], sub.levi.entities[unmasked])
             if kind == "chain":
                 length = n - 1
                 assert 1 <= length <= 3
-                assert sorted(sub.corruption) == list(range(1, n))
+                assert masked == list(range(1, n))
                 assert sub.prediction_targets == (n - 1,)
             else:
                 width = n - 1
                 assert 2 <= width <= 3
                 heads = sub.levi.entities[:width].tolist()
                 assert len(set(heads)) == width
-                assert sorted(sub.corruption) == [width]
+                assert masked == [width]
                 assert sub.prediction_targets == (width,)
             # meta-graph edges must be real graph triples
             for h, r, t in sub.levi.to_triples():
@@ -323,7 +323,7 @@ def subgraph_fields(sub: SampledSubgraph) -> tuple:
         sub.levi.entities.tolist(),
         sub.levi.triples.tolist(),
         sub.prediction_targets,
-        sub.corruption,
+        sub.inputs.tolist(),
     )
 
 
@@ -337,7 +337,7 @@ class TestLoopOracles:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = layer_dependent_sample(graph, seeds, per_layer, depth, rng_a)
         want = loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng_b)
-        assert got.nodes == want.nodes
+        assert got == want
         assert rng_a.random() == rng_b.random()
 
     @settings(max_examples=150, deadline=None)
@@ -358,7 +358,7 @@ class TestLoopOracles:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = meta_tree_sample(graph, members[0], target, rng_a)
         want = loop_meta_tree_sample(graph, members[0], target, rng_b)
-        assert (got.nodes, got.tree_edges) == (want.nodes, want.tree_edges)
+        assert got == want
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("method_mix", [0.0, math.inf], ids=["ladies", "meta_tree"])
