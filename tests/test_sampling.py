@@ -57,6 +57,19 @@ class TestMetaTree:
             assert nodes[0] == start
             assert grows_as_a_tree(g, nodes)
 
+    def test_tree_edges_exist_in_graph(self):
+        # checked against the raw triples, not csr_undirected
+        g = small_graph(seed=2)
+        undirected = set()
+        for h, _, t in g.triples:
+            undirected.add((h, t))
+            undirected.add((t, h))
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            nodes = meta_tree_sample(g, int(rng.integers(g.entity_count)), 8, rng)
+            for i, child in enumerate(nodes[1:], start=1):
+                assert any((parent, child) in undirected for parent in nodes[:i])
+
     def test_reaches_target_on_connected_graph(self):
         g = toy_split(seed=3).train
         rng = np.random.default_rng(2)
