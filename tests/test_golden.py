@@ -8,15 +8,37 @@ The stage-1 digest was taken again when examples came to carry their input
 ids: a random replacement that drew the node's own id now records as ``keep``.
 It equals the digest of the former per-node corruption objects mapped to
 input ids through the former encoder.
+
+``test_training_trace`` pins a short fixed-seed training run: a few steps each
+of stage 1, stage 2 and fine-tuning, then evaluation, at hidden 16 and 64 with
+both ``tie_decoder`` settings. Its pins are each step's loss as ``float.hex``,
+the sha256 of the final parameter arena and the sha256 of the rank dump. They
+hold bit for bit only on the platform they were taken on, ``PLATFORM``: the
+numpy version, the BLAS, and the SIMD extensions numpy found on the CPU. On any
+other platform BLAS may round differently, so the test compares the losses
+within ``LOSS_RTOL`` and does not compare the digests. A change that moves a
+pin says why, and reproduces the old value at its parent with
+``python tests/test_golden.py``, which prints the current values and platform.
 """
 
 import hashlib
 import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+if __name__ == "__main__":  # run as a script, without the package installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from kgt import train
+from kgt.evaluation import evaluate
+from kgt.model import Model, ModelConfig
+from kgt.optim import AdamWConfig, _arena
 from kgt.queries import FREE_SLOT, QueryType, generate_queries
 from kgt.sampling import sample_meta_graph, sample_stage1_batch
+from kgt.train import Stage, TrainConfig
 
 from helpers import toy_split
 
@@ -101,3 +123,188 @@ def golden_digests() -> dict[str, str]:
 
 def test_sampler_and_generator_outputs_match_golden_digests():
     assert golden_digests() == GOLDEN
+
+
+# (hidden, tie_decoder) of each traced run
+TRACE_RUNS = ((16, False), (16, True), (64, False), (64, True))
+LOSS_RTOL = 1e-3  # relative, per step, on a platform other than PLATFORM
+PLATFORM = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "simd": [
+        "AVX512_ICL",
+        "AVX512_SPR",
+        "X86_V3",
+        "X86_V4"
+    ]
+}
+TRACE = {
+    "hidden16-untied": {
+        "losses": [
+            "0x1.a719d00000000p+3",
+            "0x1.5941460000000p+3",
+            "0x1.a512e80000000p+3",
+            "0x1.6763640000000p+3",
+            "0x1.f714dc0000000p+1",
+            "0x1.f5d9e00000000p+1",
+            "0x1.f5b8c60000000p+1",
+            "0x1.f684320000000p+1",
+            "0x1.f637a80000000p+1",
+            "0x1.f06a600000000p+1",
+            "0x1.f25a560000000p+1",
+            "0x1.eab3960000000p+1",
+            "0x1.e841c00000000p+1",
+            "0x1.ec7a5c0000000p+1"
+        ],
+        "arena": "4c469c94671137b277a4e03d7a560dd3e495283a7de3b70d4bcc937cb54e25ca",
+        "ranks": "7fda6298ecb941e0c10265b5d6a6c64f36a834e736f21d8905402640aa8e6fb6"
+    },
+    "hidden16-tied": {
+        "losses": [
+            "0x1.a3ebc60000000p+3",
+            "0x1.56c7e80000000p+3",
+            "0x1.a49bcc0000000p+3",
+            "0x1.640a020000000p+3",
+            "0x1.f1b6640000000p+1",
+            "0x1.f4a0020000000p+1",
+            "0x1.f570800000000p+1",
+            "0x1.fda8c00000000p+1",
+            "0x1.efa7860000000p+1",
+            "0x1.f4bea80000000p+1",
+            "0x1.f2c5e60000000p+1",
+            "0x1.e5295e0000000p+1",
+            "0x1.ec7af40000000p+1",
+            "0x1.ecac9e0000000p+1"
+        ],
+        "arena": "3c52f7345c786aa4211ac40601861b3be2195245114886847acb88a78a7f168c",
+        "ranks": "d4520e3afd276136cbea4dffcea92bb0e4e06e6f283aaeb043a080c3bb534f83"
+    },
+    "hidden64-untied": {
+        "losses": [
+            "0x1.a7d2ea0000000p+3",
+            "0x1.58e26a0000000p+3",
+            "0x1.9e6c720000000p+3",
+            "0x1.6acf340000000p+3",
+            "0x1.f6ddd20000000p+1",
+            "0x1.f95b240000000p+1",
+            "0x1.fbe2480000000p+1",
+            "0x1.fa80160000000p+1",
+            "0x1.edc1f00000000p+1",
+            "0x1.f9151c0000000p+1",
+            "0x1.eb2e760000000p+1",
+            "0x1.b5d4ae0000000p+1",
+            "0x1.cc278e0000000p+1",
+            "0x1.ca30000000000p+1"
+        ],
+        "arena": "4b296131734e3dbe7653229014f7a6675899b4e04814e1c96cf7bbd1a2f6d0cf",
+        "ranks": "2e47742bd2040cf7e6e2fef27473e5717b08df500ea8768d0a21051fc8825c7a"
+    },
+    "hidden64-tied": {
+        "losses": [
+            "0x1.a0f3e20000000p+3",
+            "0x1.5333a60000000p+3",
+            "0x1.a2201c0000000p+3",
+            "0x1.61203c0000000p+3",
+            "0x1.f75d140000000p+1",
+            "0x1.fd62980000000p+1",
+            "0x1.fe87600000000p+1",
+            "0x1.01aaf60000000p+2",
+            "0x1.ef794e0000000p+1",
+            "0x1.0250c60000000p+2",
+            "0x1.f7f5d40000000p+1",
+            "0x1.c4401c0000000p+1",
+            "0x1.e555440000000p+1",
+            "0x1.e0902c0000000p+1"
+        ],
+        "arena": "7365ec1cd861dd6034795495c0001551629996f6d1fd4a3bb4926a1ce96da3a3",
+        "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
+    }
+}
+
+
+def platform() -> dict:
+    """What the pins' rounding depends on: numpy, its BLAS, and the SIMD extensions found."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": sorted(config["SIMD Extensions"]["found"]),
+    }
+
+
+@contextmanager
+def recorded_losses():
+    """Collect the loss of every training step run inside the block."""
+    losses: list[float] = []
+    original = train._train_step
+
+    def step(*args):
+        value, norm, lr = original(*args)
+        losses.append(value)
+        return value, norm, lr
+
+    train._train_step = step
+    try:
+        yield losses
+    finally:
+        train._train_step = original
+
+
+def training_trace(hidden: int, tie_decoder: bool) -> dict:
+    """Two epochs of two steps each of stage 1 and stage 2, two fine-tune epochs
+    over three shapes, then evaluation on four valid shapes, a union included."""
+    split = toy_split(seed=0)
+    config = ModelConfig(
+        entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
+        heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tie_decoder,
+    )
+    model = Model.init(config, seed=11)
+    optimizer = AdamWConfig(lr=1e-3, weight_decay=1e-3, lr_decay=0.9)
+    shapes = (QueryType.P1, QueryType.P2, QueryType.I2)
+    train_q = {t: generate_queries(split, t, 6, np.random.default_rng([12, i])) for i, t in enumerate(shapes)}
+    valid_q = {
+        t: generate_queries(split, t, 5, np.random.default_rng([13, i]), split_for="valid")
+        for i, t in enumerate(shapes + (QueryType.U2,))
+    }
+    with recorded_losses() as losses:
+        for stage, seed in ((Stage.STAGE1, 101), (Stage.STAGE2, 202)):
+            stage_config = TrainConfig(
+                stage=stage, epochs=2, steps_per_epoch=2, batch_size=8, label_smoothing=0.1, seed=seed,
+                optimizer=optimizer,
+            )
+            train.pretrain(model, split.train, stage_config)
+        finetune_config = TrainConfig(
+            stage=Stage.FINETUNE, epochs=2, batch_size=6, label_smoothing=0.0, seed=303, optimizer=optimizer
+        )
+        train.finetune(model, train_q, finetune_config)
+    ranks: list = []
+    evaluate(model, valid_q, split="valid", rank_dump=ranks)
+    return {
+        "losses": [value.hex() for value in losses],
+        "arena": hashlib.sha256(_arena(model.params)[0].tobytes()).hexdigest(),
+        "ranks": _digest(ranks),
+    }
+
+
+def test_training_trace():
+    here = platform()
+    for hidden, tie in TRACE_RUNS:
+        key = f"hidden{hidden}-{'tied' if tie else 'untied'}"
+        got, want = training_trace(hidden, tie), TRACE[key]
+        if here == PLATFORM:
+            assert got == want, key
+        else:
+            assert len(got["losses"]) == len(want["losses"]), key
+            np.testing.assert_allclose(
+                [float.fromhex(v) for v in got["losses"]],
+                [float.fromhex(v) for v in want["losses"]],
+                rtol=LOSS_RTOL,
+                err_msg=key,
+            )
+
+
+if __name__ == "__main__":
+    print("PLATFORM =", json.dumps(platform(), indent=4))
+    traces = {f"hidden{h}-{'tied' if tie else 'untied'}": training_trace(h, tie) for h, tie in TRACE_RUNS}
+    print("TRACE =", json.dumps(traces, indent=4))
