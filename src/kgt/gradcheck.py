@@ -98,7 +98,6 @@ class OpCase(NamedTuple):
     draw: Callable[..., Tensor] = _p
 
 
-_WHERE = np.random.default_rng(6).random((3, 4)) < 0.5
 _ATTN_MASK = (np.random.default_rng(10).random((4, 5)) < 0.5) | (np.arange(5) == 0)  # keep every row alive
 _ATTN_BIAS = T.mask_bias(_ATTN_MASK)  # -inf at the masked entries
 _TARGETS = np.array([1, 0, 3])
@@ -114,7 +113,6 @@ OP_CASES = (
     OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("scatter_add_rows", lambda a, b: T.scatter_add_rows(a, b, np.array([3, 0, 4])), ((5, 4), (3, 4)), 14),
-    OpCase("where", lambda a, b: T.where(_WHERE, a, b), ((3, 4), (3, 4)), 6),
     OpCase("gelu", T.gelu, ((5, 6),), 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
     OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_BIAS, 0.7), ((4, 5),), 10),

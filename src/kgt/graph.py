@@ -38,26 +38,6 @@ class LeviGraph:
     def node_count(self) -> int:
         return len(self.entities) + len(self.triples)
 
-    def attention_mask(self) -> np.ndarray:
-        """Boolean [n, n] mask: symmetrized adjacency plus the diagonal.
-
-        The diagonal is included so every node (isolated entities included)
-        attends at least to itself.
-        """
-        k, n = self.entity_node_count, self.node_count
-        mask = np.eye(n, dtype=bool)
-        relation_nodes = np.arange(k, n)[:, None]
-        ends = self.triples[:, 0::2]  # head and tail node of each relation node
-        mask[relation_nodes, ends] = True
-        mask[ends, relation_nodes] = True
-        return mask
-
-    def to_triples(self) -> list[Triple]:
-        """The original ``(h, r, t)`` triples, in relation-node order."""
-        hrt = self.triples.copy()
-        hrt[:, 0::2] = self.entities[self.triples[:, 0::2]]
-        return [tuple(row) for row in hrt.tolist()]
-
 
 def triple_transform(triples: Sequence[Triple] | np.ndarray, extra_entities: Iterable[int] = ()) -> LeviGraph:
     """Build the Levi graph of a triple set.
@@ -108,11 +88,6 @@ class KnowledgeGraph:
     def triples(self) -> list[Triple]:
         """The triples as ``(h, r, t)`` int tuples, built on each call."""
         return [tuple(row) for row in self.hrt.tolist()]
-
-    def has_triple(self, h: int, r: int, t: int) -> bool:
-        indptr, tails, rels = self.csr_out()
-        lo, hi = indptr[h], indptr[h + 1]
-        return bool(((tails[lo:hi] == t) & (rels[lo:hi] == r)).any())
 
     def successors(self, head: int, relation: int) -> set[int]:
         indptr, tails, rels = self.csr_out()
@@ -430,12 +405,6 @@ def write_vocab(path: Path, tokens: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for token in tokens:
             fh.write(f"{token}\n")
-
-
-def write_triples(path: Path, triples: Sequence[Triple]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{h}\t{r}\t{t}\n")
 
 
 def write_token_triples(

@@ -60,7 +60,7 @@ class ModelConfig:
 
     @property
     def mask_id(self) -> int:
-        """Input id of the mask token (one past the last entity)."""
+        """Input id of the mask token (one past the last entity); relation r enters as ``mask_id + 1 + r``."""
         return self.entity_count
 
     def to_dict(self) -> dict:
@@ -96,9 +96,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape for every parameter tensor, in initialization order."""
     d = config.hidden
     shapes: dict[str, tuple[int, ...]] = {
-        # row entity_count is the mask token
-        "entity_in": (config.entity_count + 1, d),
-        "relation_in": (config.relation_count, d),
+        # one row per input id: the entities, the mask token, then the relations
+        "embedding": (config.mask_id + 1 + config.relation_count, d),
         "node_type": (2, d),  # row 0: relation nodes, row 1: entity nodes
         "final_ln_gain": (d,),
         "final_ln_bias": (d,),
@@ -124,7 +123,13 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Truncated-normal weights (std 0.02), unit LN gains, zero biases, in one parameter arena."""
+    """Truncated-normal weights (std 0.02), unit LN gains, zero biases, in one parameter arena.
+
+    The embedding draws its entity and mask rows, then its relation rows, as
+    two tensors: ``truncated_normal`` redraws out-of-range values per tensor,
+    so one draw over the whole table would take other values than the entity
+    and relation tables it replaced, and change every result.
+    """
     params = parameter_arena(parameter_shapes(config), dtype)
     for name, t in params.items():
         if name.endswith("gain"):
@@ -132,7 +137,9 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.floa
         elif name.endswith(("bias", "b1", "b2")):
             t.data.fill(0)
         else:
-            t.data[...] = truncated_normal(rng, t.shape, 0.02, np.float64)  # cast on the write
+            blocks = np.split(t.data, [config.mask_id + 1]) if name == "embedding" else [t.data]
+            for block in blocks:
+                block[...] = truncated_normal(rng, block.shape, 0.02, np.float64)  # cast on the write
     return params
 
 
@@ -167,9 +174,7 @@ class Batch:
     them, so it touches neither the loss nor any gradient.
     """
 
-    entity_ids: np.ndarray  # [R, N] int64, mask token at masked/padded slots
-    relation_ids: np.ndarray  # [R, N] int64, zero at non-relation slots
-    is_entity: np.ndarray  # [R, N] bool, padding counts as entity
+    entity_ids: np.ndarray  # [R, N] int64 embedding rows, mask token at masked/padded slots
     attn_mask: np.ndarray  # [R, 1, N, N] bool
     positions: np.ndarray  # [P] int64 flat prediction slots
     targets: np.ndarray  # [P] int64 true entity ids at those slots
@@ -192,8 +197,8 @@ def _pack(
     width therefore get one row each, in order.
 
     ``inputs[g]`` holds the input id of each of graph g's entity nodes, with
-    ``FREE_SLOT`` for the mask token; padding enters as the mask token and
-    relation nodes as their relation ids. ``slots[g]`` are graph g's
+    ``FREE_SLOT`` for the mask token; padding enters as the mask token and a
+    node of relation r as ``mask_id + 1 + r``. ``slots[g]`` are graph g's
     prediction nodes, whose true ids ``targets`` lists in graph order.
     """
     if not levis:
@@ -211,8 +216,6 @@ def _pack(
 
     rows = len(used)
     entity_ids = np.full(rows * width, mask_id, dtype=np.int64)
-    relation_ids = np.zeros(rows * width, dtype=np.int64)
-    is_entity = np.ones(rows * width, dtype=bool)
     attn = np.zeros((rows, 1, width, width), dtype=bool)
     attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
@@ -222,10 +225,9 @@ def _pack(
         link_nodes.append(np.arange(k, start + n))
         link_ends.append(start + levi.triples[:, 0::2])
         np.copyto(entity_ids[start:k], ids, where=ids != FREE_SLOT)
-        relation_ids[k : start + n] = levi.triples[:, 1]
-        is_entity[k : start + n] = False
+        entity_ids[k : start + n] = levi.triples[:, 1] + (mask_id + 1)
         positions.extend(start + i for i in predict)
-    # each relation node and its two ends attend to each other, as in LeviGraph.attention_mask
+    # each relation node and its two ends attend to each other
     nodes = np.concatenate(link_nodes)[:, None]
     ends = np.concatenate(link_ends) % width
     row, col = nodes // width, nodes % width
@@ -233,8 +235,6 @@ def _pack(
     attn[row, 0, ends, col] = True
     return Batch(
         entity_ids=entity_ids.reshape(rows, width),
-        relation_ids=relation_ids.reshape(rows, width),
-        is_entity=is_entity.reshape(rows, width),
         attn_mask=attn,
         positions=np.asarray(positions, dtype=np.int64),
         targets=np.asarray(targets, dtype=np.int64),
@@ -374,9 +374,9 @@ def moe_ffn(
 
 
 def decoder_matrix(model: Model) -> Tensor:
-    """The [V, d] output table, either its own parameter or the tied entity rows."""
+    """The [V, d] output table, either its own parameter or the tied entity rows of the embedding."""
     if model.config.tie_decoder:
-        return T.gather_rows(model.params["entity_in"], np.arange(model.config.entity_count))
+        return T.gather_rows(model.params["embedding"], np.arange(model.config.entity_count), unique=True)
     return model.params["decoder"]
 
 
@@ -393,14 +393,9 @@ def forward(
     cfg = model.config
     p = model.params
     b, n = batch.entity_ids.shape
-    flat_entity = batch.entity_ids.reshape(-1)
-    flat_relation = batch.relation_ids.reshape(-1)
-    flat_is_entity = batch.is_entity.reshape(-1)
-
-    ent = T.gather_rows(p["entity_in"], flat_entity)
-    rel = T.gather_rows(p["relation_in"], flat_relation)
-    x = T.where(flat_is_entity[:, None], ent, rel)
-    x = T.add(x, T.gather_rows(p["node_type"], flat_is_entity.astype(np.int64)))
+    ids = batch.entity_ids.reshape(-1)
+    is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's; padding is an entity
+    x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
     x = T.reshape(x, (b, n, cfg.hidden))
 
     # padding slots attend only to themselves and are never scored

@@ -261,20 +261,6 @@ def scatter_add_rows(base: Tensor, src: Tensor, indexes: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with a constant boolean condition."""
-    cond = np.asarray(condition, dtype=bool)
-    out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
-
-    return _record(out, backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype), requires_grad=a.requires_grad)
 
@@ -447,21 +433,14 @@ def _check_targets(targets: np.ndarray, classes: int, alpha: float) -> np.ndarra
     return idx
 
 
-def smoothed_labels(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:
-    """Mix one-hot targets with the uniform distribution: (1-a)*onehot + a/K."""
-    idx = _check_targets(targets, classes, alpha)
-    y = np.full((idx.size, classes), alpha / classes, dtype=np.float64)
-    y[np.arange(idx.size), idx] += 1.0 - alpha
-    return y
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, alpha: float = 0.0) -> Tensor:
     """Per-row cross entropy against label-smoothed targets.
 
     ``logits`` is [P, C]; returns a [P] tensor of losses
     ``-((1-alpha) * logp[target] + (alpha/C) * sum(logp))``, the cross entropy
-    against :func:`smoothed_labels` without building that [P, C] matrix. With
-    alpha 0 the loss and gradient are bitwise identical to hard cross entropy.
+    against the smoothed labels ``(1-alpha) * onehot + alpha/C`` without
+    building that [P, C] matrix. With alpha 0 the loss and gradient are
+    bitwise identical to hard cross entropy.
     """
     z = logits.data
     if z.ndim != 2:

@@ -7,7 +7,53 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from kgt.graph import KnowledgeGraph, SplitDataset, Triple, build_split, write_triples, write_vocab
+from kgt.graph import KnowledgeGraph, LeviGraph, SplitDataset, Triple, build_split, write_vocab
+
+
+def write_triples(path: Path, triples) -> None:
+    """Write triples as integer ids, one ``h<TAB>r<TAB>t`` line each."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for h, r, t in triples:
+            fh.write(f"{h}\t{r}\t{t}\n")
+
+
+def has_triple(graph: KnowledgeGraph, h: int, r: int, t: int) -> bool:
+    """Whether ``graph`` holds the triple, looked up in its out-edge CSR."""
+    indptr, tails, rels = graph.csr_out()
+    lo, hi = indptr[h], indptr[h + 1]
+    return bool(((tails[lo:hi] == t) & (rels[lo:hi] == r)).any())
+
+
+def attention_mask(levi: LeviGraph) -> np.ndarray:
+    """Boolean [n, n] mask of a Levi graph: symmetrized adjacency plus the diagonal.
+
+    The diagonal is included so every node (isolated entities included)
+    attends at least to itself.
+    """
+    k, n = levi.entity_node_count, levi.node_count
+    mask = np.eye(n, dtype=bool)
+    relation_nodes = np.arange(k, n)[:, None]
+    ends = levi.triples[:, 0::2]  # head and tail node of each relation node
+    mask[relation_nodes, ends] = True
+    mask[ends, relation_nodes] = True
+    return mask
+
+
+def to_triples(levi: LeviGraph) -> list[Triple]:
+    """The ``(h, r, t)`` triples a Levi graph was built from, in relation-node order."""
+    hrt = levi.triples.copy()
+    hrt[:, 0::2] = levi.entities[levi.triples[:, 0::2]]
+    return [tuple(row) for row in hrt.tolist()]
+
+
+def smoothed_labels(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:
+    """The dense label-smoothed targets ``(1-a) * onehot + a/K`` that ``cross_entropy`` scores against."""
+    from kgt.tensor import _check_targets
+
+    idx = _check_targets(targets, classes, alpha)
+    y = np.full((idx.size, classes), alpha / classes, dtype=np.float64)
+    y[np.arange(idx.size), idx] += 1.0 - alpha
+    return y
 
 
 def toy_triples(
@@ -324,8 +370,6 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
     width = max(s.levi.node_count for s in subs)
     b = len(subs)
     entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    relation_ids = np.zeros((b, width), dtype=np.int64)
-    is_entity = np.ones((b, width), dtype=bool)
     attn = np.zeros((b, 1, width, width), dtype=bool)
     attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
@@ -333,21 +377,18 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
     for gi, sub in enumerate(subs):
         levi = sub.levi
         n, k = levi.node_count, levi.entity_node_count
-        attn[gi, 0, :n, :n] = levi.attention_mask()
+        attn[gi, 0, :n, :n] = attention_mask(levi)
         for i in range(n):
             if i < k:
                 if sub.inputs[i] != FREE_SLOT:
                     entity_ids[gi, i] = sub.inputs[i]
             else:
-                is_entity[gi, i] = False
-                relation_ids[gi, i] = levi.triples[i - k, 1]
+                entity_ids[gi, i] = config.mask_id + 1 + levi.triples[i - k, 1]
         for pos in sub.prediction_targets:
             positions.append(gi * width + pos)
             targets.append(int(levi.entities[pos]))
     return Batch(
         entity_ids=entity_ids,
-        relation_ids=relation_ids,
-        is_entity=is_entity,
         attn_mask=attn,
         positions=np.asarray(positions, dtype=np.int64),
         targets=np.asarray(targets, dtype=np.int64),
@@ -364,25 +405,20 @@ def padded_encode_queries(queries, config) -> "Batch":
     width = max(q.levi.node_count for q in queries)
     b = len(queries)
     entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    relation_ids = np.zeros((b, width), dtype=np.int64)
-    is_entity = np.ones((b, width), dtype=bool)
     attn = np.zeros((b, 1, width, width), dtype=bool)
     attn[:, 0] |= np.eye(width, dtype=bool)
     for qi, q in enumerate(queries):
         levi = q.levi
         n, k = levi.node_count, levi.entity_node_count
-        attn[qi, 0, :n, :n] = levi.attention_mask()
+        attn[qi, 0, :n, :n] = attention_mask(levi)
         for i in range(n):
             if i < k:
                 if levi.entities[i] != FREE_SLOT:
                     entity_ids[qi, i] = levi.entities[i]
             else:
-                is_entity[qi, i] = False
-                relation_ids[qi, i] = levi.triples[i - k, 1]
+                entity_ids[qi, i] = config.mask_id + 1 + levi.triples[i - k, 1]
     return Batch(
         entity_ids=entity_ids,
-        relation_ids=relation_ids,
-        is_entity=is_entity,
         attn_mask=attn,
         positions=np.asarray([qi * width + q.target_index for qi, q in enumerate(queries)], dtype=np.int64),
         targets=np.zeros(b, dtype=np.int64),
@@ -391,9 +427,80 @@ def padded_encode_queries(queries, config) -> "Batch":
     )
 
 
+def former_where(condition: np.ndarray, a, b) -> "Tensor":
+    """Test oracle: the former ``where`` op, an elementwise select with a constant boolean condition."""
+    from kgt.tensor import Tensor, _accumulate, _record, _unbroadcast
+
+    cond = np.asarray(condition, dtype=bool)
+    out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
+
+    return _record(out, backward)
+
+
+def two_table_model(model) -> "Model":
+    """A copy of ``model`` in the former layout: ``embedding`` split into
+    ``entity_in`` (the entity and mask rows) and ``relation_in`` (the relation
+    rows) at its place in the arena, so the arena holds the same bytes."""
+    from kgt.model import Model
+    from kgt.optim import _arena, parameter_arena
+
+    split = model.config.mask_id + 1
+    shapes = {}
+    for name, t in model.params.items():
+        if name == "embedding":
+            shapes["entity_in"] = (split, t.shape[1])
+            shapes["relation_in"] = (t.shape[0] - split, t.shape[1])
+        else:
+            shapes[name] = t.shape
+    params = parameter_arena(shapes, model.params["embedding"].dtype)
+    _arena(params)[0][...] = _arena(model.params)[0]
+    return Model(config=model.config, params=params)
+
+
+def two_table_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
+    """Test oracle: the former forward of a :func:`two_table_model`.
+
+    Every slot gathers a row of ``entity_in`` (the mask row at relation
+    nodes) and a row of ``relation_in`` (row 0 elsewhere), and
+    :func:`former_where` keeps one of the two; the tied decoder gathers the
+    entity rows without the ``unique`` flag. The rest is ``model.forward``.
+    """
+    from kgt import tensor as T
+    from kgt.model import attention_layer, moe_ffn
+
+    cfg = model.config
+    p = model.params
+    b, n = batch.entity_ids.shape
+    ids = batch.entity_ids.reshape(-1)
+    is_entity = ids <= cfg.mask_id
+    ent = T.gather_rows(p["entity_in"], np.where(is_entity, ids, cfg.mask_id))
+    rel = T.gather_rows(p["relation_in"], np.where(is_entity, 0, ids - (cfg.mask_id + 1)))
+    x = former_where(is_entity[:, None], ent, rel)
+    x = T.add(x, T.gather_rows(p["node_type"], is_entity.astype(np.int64)))
+    x = T.reshape(x, (b, n, cfg.hidden))
+    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
+    attn_bias = T.mask_bias(batch.attn_mask)
+    for layer in range(cfg.layers):
+        x = attention_layer(model, layer, x, attn_bias, training, rng)
+        x = moe_ffn(model, layer, x, training, rng, real_rows)
+    x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
+    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions, unique=True)
+    if cfg.tie_decoder:
+        decoder = T.gather_rows(p["entity_in"], np.arange(cfg.entity_count))
+    else:
+        decoder = p["decoder"]
+    return T.matmul(states, T.transpose(decoder, (1, 0)))
+
+
 def dense_cross_entropy(logits, targets: np.ndarray, alpha: float = 0.0) -> "Tensor":
     """Test oracle: the former cross entropy against the dense [P, C] smoothed-label matrix."""
-    from kgt.tensor import Tensor, _accumulate, _record, smoothed_labels
+    from kgt.tensor import Tensor, _accumulate, _record
 
     z = logits.data
     y = smoothed_labels(targets, z.shape[1], alpha).astype(z.dtype)

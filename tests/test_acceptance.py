@@ -15,13 +15,15 @@ import pytest
 from kgt.cli import main
 from kgt.evaluation import evaluate, filtered_rank, hits_at_k, mean_reciprocal_rank, optimistic_ranks, union_combine
 from kgt.gradcheck import run_all
-from kgt.graph import KnowledgeGraph, build_split, triple_transform, write_triples
+from kgt.graph import KnowledgeGraph, build_split, triple_transform
 from kgt.model import Model, ModelConfig, init_parameters, moe_ffn
 from kgt.optim import AdamWConfig
 from kgt.queries import FREE_SLOT, QueryType, build_query, dnf_decompose, generate_queries, ground_answers
 from kgt.sampling import meta_tree_sample, sample_meta_graph, sample_stage1_batch
-from kgt.tensor import Tensor, cross_entropy, smoothed_labels
+from kgt.tensor import Tensor, cross_entropy
 from kgt.train import Stage, TrainConfig, finetune, pretrain
+
+from helpers import has_triple, smoothed_labels, to_triples, write_triples
 
 
 def criterion(label):
@@ -180,7 +182,7 @@ def test_02_levi_counts():
         levi = triple_transform(triples)
         appearing = {h for h, _, _ in triples} | {t for _, _, t in triples}
         assert levi.node_count == len(appearing) + len(triples)
-        assert levi.to_triples() == triples
+        assert to_triples(levi) == triples
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def test_04_filtered_ranking():
 
 def brute_branch_answers(graph: KnowledgeGraph, anchors, relations) -> set:
     """Quantifier scan for a conjunctive chain branch (one anchor)."""
-    has = graph.has_triple
+    has = functools.partial(has_triple, graph)
     (a,) = anchors
     nodes = range(graph.entity_count)
     if len(relations) == 1:

@@ -19,15 +19,6 @@ PACKAGE = sorted(SOURCE.glob("*.py"))
 BENCH = sorted((ROOT / "kgtbench").glob("*.py"))
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
-# Public names that only tests read, each kept for a documented reason.
-TEST_ONLY = {
-    "attention_mask": "the dense [n, n] mask that the packed attention layout of model._pack is checked against",
-    "to_triples": "reads a Levi graph back as (h, r, t) triples, the round-trip oracle of triple_transform",
-    "has_triple": "membership lookup the sampler and query tests check sampled edges with",
-    "write_triples": "writes split files, the fixture behind every dataset a test loads through load_split",
-    "smoothed_labels": "the dense label-smoothing target that the fused cross_entropy is checked against",
-}
-
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each imported name that no expression of the module reads."""
@@ -123,6 +114,6 @@ def test_every_public_name_is_read():
         (path.name, line, name)
         for path in PACKAGE
         for line, name in public_definitions(path.read_text(encoding="utf-8"))
-        if name.rsplit(".", 1)[-1] not in read | set(TEST_ONLY)
+        if name.rsplit(".", 1)[-1] not in read
     ]
     assert unread == []

@@ -21,7 +21,7 @@ from kgt.model import (
     parameter_shapes,
     truncated_normal,
 )
-from kgt.queries import FREE_SLOT, QueryType, build_query
+from kgt.queries import FREE_SLOT, QueryType, build_query, generate_queries
 from kgt.sampling import SampledSubgraph, sample_meta_graph, sample_stage1_batch
 from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
@@ -29,11 +29,14 @@ from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
 from helpers import (
     FORMER_OPS,
+    attention_mask,
     dense_moe_ffn,
     heap_truncated_normal,
     padded_encode_queries,
     padded_encode_subgraphs,
     toy_split,
+    two_table_forward,
+    two_table_model,
 )
 
 
@@ -91,8 +94,7 @@ class TestParameters:
     def test_shapes(self):
         cfg = tiny_config()
         shapes = parameter_shapes(cfg)
-        assert shapes["entity_in"] == (21, 16)  # one extra row for the mask token
-        assert shapes["relation_in"] == (4, 16)
+        assert shapes["embedding"] == (25, 16)  # 20 entities, the mask token, 4 relations
         assert shapes["node_type"] == (2, 16)
         assert shapes["decoder"] == (20, 16)
         assert shapes["layer0.gate"] == (16, 4)
@@ -363,18 +365,14 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
     assert sum(batch.sizes) == sum(sizes)
 
     entity_ids = batch.entity_ids.reshape(-1)
-    is_entity = batch.is_entity.reshape(-1)
-    relation_ids = batch.relation_ids.reshape(-1)
     pad = owner.reshape(-1) < 0
-    assert np.all(entity_ids[pad] == cfg.mask_id) and np.all(is_entity[pad]) and not relation_ids[pad].any()
+    assert np.all(entity_ids[pad] == cfg.mask_id)
     for levi, start, n in zip(levis, starts, sizes):
         r, c = divmod(start, width)
-        assert np.array_equal(batch.attn_mask[r, 0, c : c + n, c : c + n], levi.attention_mask())
+        assert np.array_equal(batch.attn_mask[r, 0, c : c + n, c : c + n], attention_mask(levi))
         k = levi.entity_node_count
-        for i in range(n):
-            assert bool(is_entity[start + i]) == (i < k)
-            if i >= k:
-                assert relation_ids[start + i] == levi.triples[i - k, 1]
+        assert np.all(entity_ids[start : start + k] <= cfg.mask_id)
+        assert entity_ids[start + k : start + n].tolist() == (levi.triples[:, 1] + cfg.mask_id + 1).tolist()
     # no attention across graphs, and padding attends only to itself
     for r in range(rows):
         same = (owner[r][:, None] == owner[r][None, :]) & (owner[r][:, None] >= 0)
@@ -428,8 +426,7 @@ class TestEncoding:
         assert batch.entity_ids[0, 0] == 5  # anchor visible
         assert batch.entity_ids[0, 1] == cfg.mask_id  # intermediate hidden
         assert batch.entity_ids[0, 2] == cfg.mask_id  # target hidden
-        assert not batch.is_entity[0, 3] and not batch.is_entity[0, 4]
-        assert batch.relation_ids[0, 3] == 1 and batch.relation_ids[0, 4] == 2
+        assert batch.entity_ids[0, 3] == cfg.mask_id + 2 and batch.entity_ids[0, 4] == cfg.mask_id + 3  # relations 1, 2
         assert batch.positions.tolist() == [2]
 
     def test_query_fill_clamps_target(self):
@@ -498,15 +495,15 @@ class TestForward:
         model = Model.init(cfg, seed=4)
         assert "decoder" not in model.params
         dec = decoder_matrix(model).data
-        assert np.array_equal(dec, model.params["entity_in"].data[: cfg.entity_count])
+        assert np.array_equal(dec, model.params["embedding"].data[: cfg.entity_count])
         batch = self.query_batch(cfg, [build_query(QueryType.P1, (0,), (0,))])
         with Tape() as tape:
             logits = forward(model, batch)
             loss = sum_all(cross_entropy(logits, np.array([5])))
         tape.backward(loss)
         # gradient reaches entity rows that never appeared as inputs
-        assert model.params["entity_in"].grad is not None
-        assert np.abs(model.params["entity_in"].grad[12]).max() > 0.0
+        assert model.params["embedding"].grad is not None
+        assert np.abs(model.params["embedding"].grad[12]).max() > 0.0
 
 
 def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -553,7 +550,23 @@ class TestFewerPasses:
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 266
+        assert stage1_step(model, batch)[2] == 264
+
+
+def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
+    """``logits_and_grads`` with every ``gather_rows`` call recorded as (indexes,
+    unique flag); with ``flag`` False, every gather runs with its flag off."""
+    original = T.gather_rows
+    calls = []
+
+    def spy(a, indexes, unique=False):
+        calls.append((np.asarray(indexes).copy(), unique))
+        return original(a, indexes, unique=unique and flag)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "gather_rows", spy)
+        logits, grads = logits_and_grads(model, batch)
+    return logits, grads, calls
 
 
 class TestStatesGather:
@@ -562,19 +575,6 @@ class TestStatesGather:
     Bit-exact: for distinct indexes ``grad[idx] += g`` adds the same values
     as ``np.add.at``. The reference run turns every gather's flag off.
     """
-
-    def run(self, monkeypatch, model, batch, flag: bool):
-        original = T.gather_rows
-        calls = []
-
-        def spy(a, indexes, unique=False):
-            calls.append((np.asarray(indexes).copy(), unique))
-            return original(a, indexes, unique=unique and flag)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(T, "gather_rows", spy)
-            logits, grads = logits_and_grads(model, batch)
-        return logits, grads, calls
 
     @pytest.mark.parametrize("one_position", [False, True])
     def test_flag_on_and_off_match(self, monkeypatch, one_position):
@@ -590,8 +590,8 @@ class TestStatesGather:
             batch = encode_subgraphs(subs, cfg)
         assert (batch.positions.size == 1) == one_position
         model = Model.init(cfg, seed=6)
-        on_logits, on, calls = self.run(monkeypatch, model, batch, flag=True)
-        off_logits, off, _ = self.run(monkeypatch, model, batch, flag=False)
+        on_logits, on, calls = spied_gathers(monkeypatch, model, batch, flag=True)
+        off_logits, off, _ = spied_gathers(monkeypatch, model, batch, flag=False)
         # the states gather is the last one
         idx, unique = calls[-1]
         assert np.array_equal(idx, batch.positions)
@@ -599,6 +599,89 @@ class TestStatesGather:
         assert on_logits.tobytes() == off_logits.tobytes()
         for name in off:
             assert on[name].tobytes() == off[name].tobytes(), name
+
+
+class TestTiedDecoderGather:
+    """With ``tie_decoder``, the decoder's gather of the entity rows is flagged
+    unique, so its backward makes no ``np.add.at`` pass over all V rows.
+
+    Bit-exact: the indexes are ``arange(V)`` and never repeat. The reference
+    run turns every gather's flag off.
+    """
+
+    def test_flag_on_and_off_match(self, monkeypatch):
+        g = toy_split(seed=4).train
+        cfg = ModelConfig(
+            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
+            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0, tie_decoder=True,
+        )
+        batch = encode_subgraphs(sample_stage1_batch(g, np.random.default_rng(5), batch_size=8, budget=(3, 10)), cfg)
+        model = Model.init(cfg, seed=6)
+        on_logits, on, calls = spied_gathers(monkeypatch, model, batch, flag=True)
+        off_logits, off, _ = spied_gathers(monkeypatch, model, batch, flag=False)
+        # the decoder gather is the last one, after the states gather
+        idx, unique = calls[-1]
+        assert np.array_equal(idx, np.arange(cfg.entity_count))
+        assert unique
+        assert on_logits.tobytes() == off_logits.tobytes()
+        assert on.keys() == off.keys()
+        for name in off:
+            assert on[name].tobytes() == off[name].tobytes(), name
+
+
+class TestOneTableLookup:
+    """Bit-exact: ``forward``'s one-table input lookup against the former
+    lookup, which gathered every slot from ``entity_in`` and ``relation_in``
+    and kept one row with ``where`` (``helpers.two_table_forward``), on a model
+    with the same arena bytes. The former ``entity_in`` and ``relation_in``
+    gradients, end to end, are ``embedding``'s."""
+
+    def cases(self, cfg):
+        split = toy_split(seed=9)
+        rng = np.random.default_rng(10)
+        stage1 = encode_subgraphs(sample_stage1_batch(split.train, rng, batch_size=8, budget=(3, 12)), cfg)
+        stage2 = encode_subgraphs([sample_meta_graph(split.train, rng, pattern_mix=1.0) for _ in range(8)], cfg)
+        instances = [
+            inst
+            for i, qtype in enumerate((QueryType.P1, QueryType.P2, QueryType.I2))
+            for inst in generate_queries(split, qtype, 3, np.random.default_rng([11, i]))
+        ]
+        finetune = encode_queries([inst.query for inst in instances], cfg)
+        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+        return [
+            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
+            ("stage2", stage2, lambda z: cross_entropy(z, stage2.targets, alpha=0.1)),
+            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
+        ]
+
+    @staticmethod
+    def step(run, model: Model, batch: Batch, loss) -> tuple[bytes, dict[str, bytes]]:
+        """Training-mode logits (dropout and top-2 routing) and every parameter's gradient, as bytes."""
+        for t in model.params.values():
+            t.grad = None
+        with Tape() as tape:
+            logits = run(model, batch, training=True, rng=np.random.default_rng(12))
+            total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
+        tape.backward(total)
+        return logits.data.tobytes(), {name: t.grad.tobytes() for name, t in model.params.items()}
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_logits_and_gradients_match_two_table_oracle(self, tie):
+        cfg = ModelConfig(
+            entity_count=50, relation_count=5, layers=2, hidden=16, heads=4, experts=4, top_k=2,
+            dropout=0.1, tie_decoder=tie,
+        )
+        model = Model.init(cfg, seed=13)
+        former = two_table_model(model)
+        assert list(former.params)[:3] == ["entity_in", "relation_in", "node_type"]
+        for label, batch, loss in self.cases(cfg):
+            logits, grads = self.step(forward, model, batch, loss)
+            want_logits, want = self.step(two_table_forward, former, batch, loss)
+            assert logits == want_logits, label
+            assert grads.pop("embedding") == want.pop("entity_in") + want.pop("relation_in"), label
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert grads[name] == want[name], (label, name)
 
 
 class TestArena:
@@ -761,7 +844,7 @@ class TestPacking:
             queries = [build_query(qtype, tuple(a + k for a in anchors), relations) for k in range(5)]
             packed = encode_queries(queries, cfg)
             padded = padded_encode_queries(queries, cfg)
-            for field in ("entity_ids", "relation_ids", "is_entity", "attn_mask", "positions", "targets"):
+            for field in ("entity_ids", "attn_mask", "positions", "targets"):
                 got, want = getattr(packed, field), getattr(padded, field)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
             assert packed.sizes == padded.sizes and packed.graph_count == padded.graph_count

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -22,12 +23,12 @@ from kgt.queries import (
     write_queries,
 )
 
-from helpers import hub_multigraphs, per_shape_ground_answers, per_shape_instantiate, small_graph, toy_split
+from helpers import has_triple, hub_multigraphs, per_shape_ground_answers, per_shape_instantiate, small_graph, toy_split
 
 
 def brute_force_answers(g: KnowledgeGraph, qtype: QueryType, anchors, rels) -> set[int]:
     """Independent oracle: evaluate the first-order definition by quantifier scan."""
-    has = g.has_triple
+    has = functools.partial(has_triple, g)
     V = range(g.entity_count)
     if qtype is QueryType.P1:
         return {x for x in V if has(anchors[0], rels[0], x)}

@@ -23,11 +23,13 @@ from helpers import (
     former_corrupted_inputs,
     hand_built_branch_meta_graph,
     hand_built_chain_meta_graph,
+    has_triple,
     hub_multigraphs,
     loop_induce_subgraph,
     loop_layer_dependent_sample,
     loop_meta_tree_sample,
     small_graph,
+    to_triples,
     toy_split,
 )
 
@@ -185,8 +187,8 @@ class TestStage1Batch:
             entities = sub.levi.entities.tolist()
             assert entities == sorted(set(entities))
             assert all(0 <= e < g.entity_count for e in entities)
-            for h, r, t in sub.levi.to_triples():
-                assert g.has_triple(h, r, t)
+            for h, r, t in to_triples(sub.levi):
+                assert has_triple(g, h, r, t)
 
     def test_method_mix_zero_never_uses_tree(self):
         # ratio 0:1 means pure layer-dependent; a star graph then caps at depth
@@ -278,8 +280,8 @@ class TestMetaGraphs:
                 assert masked == [width]
                 assert sub.prediction_targets == (width,)
             # meta-graph edges must be real graph triples
-            for h, r, t in sub.levi.to_triples():
-                assert g.has_triple(h, r, t)
+            for h, r, t in to_triples(sub.levi):
+                assert has_triple(g, h, r, t)
         assert {kind for kind, _ in seen} == {"chain", "branch"}
 
     def test_chain_fraction_matches_ratio(self):

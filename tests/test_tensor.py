@@ -12,6 +12,7 @@ from helpers import (
     former_mul,
     former_softmax,
     loop_answer_masked_cross_entropy,
+    smoothed_labels,
 )
 from kgt.tensor import (
     Tape,
@@ -29,7 +30,6 @@ from kgt.tensor import (
     matmul,
     mul,
     reshape,
-    smoothed_labels,
     softmax,
     sum_all,
     transpose,
