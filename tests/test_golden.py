@@ -287,10 +287,14 @@ def training_trace(hidden: int, tie_decoder: bool) -> dict:
     }
 
 
+def trace_key(hidden: int, tie_decoder: bool) -> str:
+    return f"hidden{hidden}-{'tied' if tie_decoder else 'untied'}"
+
+
 def test_training_trace():
     here = platform()
     for hidden, tie in TRACE_RUNS:
-        key = f"hidden{hidden}-{'tied' if tie else 'untied'}"
+        key = trace_key(hidden, tie)
         got, want = training_trace(hidden, tie), TRACE[key]
         if here == PLATFORM:
             assert got == want, key
@@ -306,5 +310,5 @@ def test_training_trace():
 
 if __name__ == "__main__":
     print("PLATFORM =", json.dumps(platform(), indent=4))
-    traces = {f"hidden{h}-{'tied' if tie else 'untied'}": training_trace(h, tie) for h, tie in TRACE_RUNS}
+    traces = {trace_key(h, tie): training_trace(h, tie) for h, tie in TRACE_RUNS}
     print("TRACE =", json.dumps(traces, indent=4))
