@@ -103,23 +103,25 @@ _ATTN_BIAS = T.mask_bias(_ATTN_MASK)  # -inf at the masked entries
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
+_ROUTES = [np.array([0, 2, 3]), np.array([], dtype=np.int64), np.array([1, 2, 4])]  # expert 1 serves no row
+_MOE_SHAPES = ((5, 3), (5, 3), (3, 3, 4), (3, 4), (3, 4, 3), (3, 3))  # x, weights, w1, b1, w2, b2
 
 # Parameters are drawn from one shared generator in this order, so adding,
 # removing or reordering a row changes the draws of every row after it.
 OP_CASES = (
-    OpCase("add_broadcast", T.add, ((3, 4), (4,)), 0),
-    OpCase("mul_broadcast", T.mul, ((3, 4), (3, 1)), 1),
+    OpCase("add", T.add, ((3, 4), (3, 4)), 0),
+    OpCase("mul", T.mul, ((3, 4), (3, 4)), 1),
     OpCase("matmul_batched", T.matmul, ((2, 3, 4), (4, 5)), 2),
     OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
-    OpCase("scatter_add_rows", lambda a, b: T.scatter_add_rows(a, b, np.array([3, 0, 4])), ((5, 4), (3, 4)), 14),
-    OpCase("gelu", T.gelu, ((5, 6),), 8),
+    OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
     OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_BIAS, 0.7), ((4, 5),), 10),
     OpCase("dropout", lambda a: T.dropout(a, 0.4, np.random.default_rng(11), training=True), ((6, 5),), 11),
     OpCase("cross_entropy_smoothed", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.3), ((3, 4),), 12),
     OpCase("answer_masked_cross_entropy", lambda z: T.answer_masked_cross_entropy(z, _ANSWERS), ((3, 8),), 13),
-    OpCase("gelu_wide", T.gelu, ((4, 6),), 18, _wide),
+    # inputs spread wide enough to saturate the tanh of the GELU
+    OpCase("moe_experts_wide", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 18, _wide),
     OpCase(
         "answer_masked_cross_entropy_all_answers",
         lambda z: T.answer_masked_cross_entropy(z, _EDGE_ANSWERS),
@@ -156,7 +158,7 @@ def moe_check(tolerance: float = 1e-4) -> CheckResult:
     moe_params = {
         name: _p(rng, *shape)
         for name, shape in parameter_shapes(config).items()
-        if name.startswith(("layer0.ln2", "layer0.gate", "layer0.expert"))
+        if name.startswith(("layer0.ln2", "layer0.gate", "layer0.experts"))
     }
     real = np.array([0, 1, 2, 3], dtype=np.int64)
 

@@ -43,8 +43,8 @@ class ModelConfig:
             raise ValueError("entity and relation counts must be positive")
         if self.layers < 1:
             raise ValueError("layers must be at least 1")
-        if self.hidden < 1 or self.hidden % self.heads != 0:
-            raise ValueError(f"hidden ({self.hidden}) must be a positive multiple of heads ({self.heads})")
+        if self.heads < 1 or self.hidden < 1 or self.hidden % self.heads != 0:
+            raise ValueError(f"need heads >= 1 and hidden a positive multiple of heads, got {self.heads} and {self.hidden}")
         if not 1 <= self.top_k <= self.experts:
             raise ValueError(f"need experts >= top_k >= 1, got {self.experts} and {self.top_k}")
         if not 0.0 <= self.dropout < 1.0:
@@ -113,31 +113,29 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[prefix + "ln2_gain"] = (d,)
         shapes[prefix + "ln2_bias"] = (d,)
         shapes[prefix + "gate"] = (d, config.experts)
-        for j in range(config.experts):
-            eprefix = f"{prefix}expert{j}."
-            shapes[eprefix + "w1"] = (d, config.expert_hidden)
-            shapes[eprefix + "b1"] = (config.expert_hidden,)
-            shapes[eprefix + "w2"] = (config.expert_hidden, d)
-            shapes[eprefix + "b2"] = (d,)
+        h = config.expert_hidden
+        for name, shape in (("w1", (d, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,))):
+            shapes[prefix + "experts." + name] = (config.experts, *shape)  # expert j at index j
     return shapes
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
     """Truncated-normal weights (std 0.02), unit LN gains, zero biases, in one parameter arena.
 
-    The embedding draws its entity and mask rows, then its relation rows, as
-    two tensors: ``truncated_normal`` redraws out-of-range values per tensor,
-    so one draw over the whole table would take other values than the entity
-    and relation tables it replaced, and change every result.
+    ``truncated_normal`` redraws out-of-range values per tensor, so a table
+    that replaced several tensors draws them as blocks, in their former order,
+    to keep every result: the embedding draws its entity and mask rows, then
+    its relation rows, and a layer's experts draw ``w1[0], w2[0], w1[1], ...``
+    when ``experts.w1`` comes up.
     """
     params = parameter_arena(parameter_shapes(config), dtype)
     for name, t in params.items():
         if name.endswith("gain"):
             t.data.fill(1)
-        elif name.endswith(("bias", "b1", "b2")):
-            t.data.fill(0)
-        else:
+        elif not name.endswith(("bias", "b1", "b2", "experts.w2")):  # biases stay 0; experts.w2 is drawn with w1
             blocks = np.split(t.data, [config.mask_id + 1]) if name == "embedding" else [t.data]
+            if name.endswith("experts.w1"):
+                blocks = [w for pair in zip(t.data, params[name[:-1] + "2"].data) for w in pair]
             for block in blocks:
                 block[...] = truncated_normal(rng, block.shape, 0.02, np.float64)  # cast on the write
     return params
@@ -354,21 +352,11 @@ def moe_ffn(
     else:
         weights = T.softmax(gate_logits)
 
-    # Experts run in index order and each adds into the rows it serves, so a
-    # node sums exactly the terms of a dense mix whose unselected terms are 0.
-    # An expert with no rows still runs, on an empty batch, so that each of
-    # its parameters gets a zero gradient and AdamW keeps decaying it. Row
-    # r's weight for expert j is row r * E + j of the flattened weights.
-    combined = Tensor(np.zeros((b * n, d), dtype=flat.dtype))
-    flat_weights = T.reshape(weights, (b * n * cfg.experts, 1))
-    for j in range(cfg.experts):
-        eprefix = f"{prefix}expert{j}."
-        rows_j = rows if selected is None else rows[selected[rows, j]]
-        inputs = T.gather_rows(flat, rows_j, unique=True)
-        pre = T.add(T.matmul(inputs, p[eprefix + "w1"]), p[eprefix + "b1"])
-        out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
-        term = T.mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
-        combined = T.scatter_add_rows(combined, term, rows_j)
+    # Expert j serves the real rows whose routing weight for it is live; an
+    # expert with no rows still takes part, so that it gets zero gradients
+    routes = [rows if selected is None else rows[selected[rows, j]] for j in range(cfg.experts)]
+    stacked = (p[prefix + "experts." + name] for name in ("w1", "b1", "w2", "b2"))
+    combined = T.moe_experts(flat, weights, *stacked, routes)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
 

@@ -116,19 +116,6 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` along the axes numpy broadcast it over."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _coerce(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -137,26 +124,29 @@ def _coerce(x, like: Tensor) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add operands differ in shape: {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record(out, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product; ``b`` has ``a``'s shape, or is a constant scalar."""
     b = _coerce(b, a)
+    if a.data.shape != b.data.shape and (b.data.ndim or b.requires_grad):
+        raise ValueError(f"mul operands differ in shape: {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            _accumulate(a, g * b.data, owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+            _accumulate(b, g * a.data, owned=True)
 
     return _record(out, backward)
 
@@ -175,6 +165,8 @@ def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
+    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ValueError(f"batched matmul operands differ in batch axes: {a.data.shape} and {b.data.shape}")
     product = _gemm(a.data, b.data) if a.data.ndim == b.data.ndim == 2 else a.data @ b.data
     out = Tensor(product, requires_grad=a.requires_grad or b.requires_grad)
 
@@ -190,9 +182,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
             return
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
     return _record(out, backward)
 
@@ -244,23 +236,6 @@ def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
     return _record(out, backward)
 
 
-def scatter_add_rows(base: Tensor, src: Tensor, indexes: np.ndarray) -> Tensor:
-    """``base`` with row i of ``src`` added to row ``indexes[i]``; the inverse of gather_rows.
-
-    ``indexes`` must not repeat, so the backward is a plain gather.
-    """
-    idx = np.asarray(indexes, dtype=np.int64)
-    data = base.data.copy()
-    data[idx] += src.data
-    out = Tensor(data, requires_grad=base.requires_grad or src.requires_grad)
-
-    def backward(g):
-        _accumulate(base, g)
-        _accumulate(src, g[idx], owned=True)
-
-    return _record(out, backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype), requires_grad=a.requires_grad)
 
@@ -273,14 +248,14 @@ def sum_all(a: Tensor) -> Tensor:
 _GELU_COEFF = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian error linear unit, tanh approximation, of an array.
 
     ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``, rounded in that order.
+    Returns the activation and the tanh term, which :func:`_gelu_grad` reuses.
     The passes write into as few buffers as they can; products and sums are
     only commuted, which rounds the same.
     """
-    x = a.data
     x2 = x * x  # not x**3: numpy sends float32 powers to powf, 200x slower
     th = x2 * x
     th *= 0.044715
@@ -289,24 +264,67 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(th, out=th)
     y = x * 0.5
     y *= th + 1.0
-    out = Tensor(y, requires_grad=a.requires_grad)
+    return y, th
+
+
+def _gelu_grad(x: np.ndarray, th: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times :func:`gelu`'s slope at ``x``, given its tanh term ``th``:
+    ``g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner)``, ``sech2 = 1 - th * th``, ``d_inner = c * (1 + 3 * 0.044715 * x * x)``."""
+    sech2 = th * th
+    np.subtract(1.0, sech2, out=sech2)
+    d_inner = x * x
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _GELU_COEFF
+    slope = x * 0.5
+    slope *= sech2
+    slope *= d_inner
+    gx = np.add(th, 1.0, out=sech2)
+    gx *= 0.5
+    gx += slope
+    gx *= g
+    return gx
+
+
+def moe_experts(x: Tensor, weights: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, routes: Sequence[np.ndarray]) -> Tensor:
+    """The experts of a mixture-of-experts block, as one op over stacked weights.
+
+    ``x`` is [M, d] and ``weights`` [M, E]. Expert j runs on the ascending rows
+    ``routes[j]`` alone, and row r of the output sums ``weights[r, j] *
+    (gelu(x[r] @ w1[j] + b1[j]) @ w2[j] + b2[j])`` over its experts, in expert
+    order. Each expert's products keep its own row count, so BLAS rounds them
+    as for that expert alone. An expert with no rows gets zero gradients.
+    """
+    out = np.zeros_like(x.data)
+    saved = []
+    for j, rows in enumerate(routes):
+        inputs = x.data[rows]
+        pre = _gemm(inputs, w1.data[j])
+        pre += b1.data[j]
+        hidden, th = gelu(pre)
+        y = _gemm(hidden, w2.data[j])
+        y += b2.data[j]
+        out[rows] += y * weights.data[rows, j, None]
+        saved.append((rows, inputs, pre, th, hidden, y))
+    out = Tensor(out, requires_grad=any(t.requires_grad for t in (x, weights, w1, b1, w2, b2)))
 
     def backward(g):
-        # g * (0.5 * (1 + th) + 0.5 * x * sech2 * d_inner), with
-        # sech2 = 1 - th * th and d_inner = c * (1 + 3 * 0.044715 * x2)
-        sech2 = th * th
-        np.subtract(1.0, sech2, out=sech2)
-        d_inner = x2 * (3 * 0.044715)
-        d_inner += 1.0
-        d_inner *= _GELU_COEFF
-        slope = x * 0.5
-        slope *= sech2
-        slope *= d_inner
-        gx = np.add(th, 1.0, out=sech2)
-        gx *= 0.5
-        gx += slope
-        gx *= g
-        _accumulate(a, gx, owned=True)
+        # experts last to first: a row of gx sums its experts' terms in that order
+        gx, gweights = np.zeros_like(x.data), np.zeros_like(weights.data)
+        gw1, gb1, gw2, gb2 = (np.zeros_like(t.data) for t in (w1, b1, w2, b2))
+        for j in reversed(range(len(saved))):
+            rows, inputs, pre, th, hidden, y = saved[j]
+            g_term = g[rows]
+            gweights[rows, j] += (g_term * y).sum(axis=1)
+            g_y = g_term * weights.data[rows, j, None]
+            gb2[j] = g_y.sum(axis=0)
+            gw2[j] = hidden.T @ g_y
+            g_pre = _gelu_grad(pre, th, _gemm(g_y, w2.data[j].T))
+            gb1[j] = g_pre.sum(axis=0)
+            gw1[j] = inputs.T @ g_pre
+            gx[rows] += _gemm(g_pre, w1.data[j].T)
+        for t, grad in ((x, gx), (weights, gweights), (w1, gw1), (b1, gb1), (w2, gw2), (b2, gb2)):
+            _accumulate(t, grad, owned=True)
 
     return _record(out, backward)
 

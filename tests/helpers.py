@@ -329,12 +329,58 @@ def slice_last(a, start: int, stop: int) -> "Tensor":
     return _record(out, backward)
 
 
-def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
-    """Test oracle: the former dense expert loop, every expert on every slot, padding included.
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` along the axes numpy broadcast it over (the former ``kgt.tensor`` helper)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
-    Unselected experts enter the mix with a routing weight of exactly 0.
-    Expert j's weights are column j of the gate weights (``slice_last``).
-    """
+
+def scatter_add_rows(base, src, indexes: np.ndarray) -> "Tensor":
+    """Test oracle op, the former ``kgt.tensor.scatter_add_rows``: a copy of
+    ``base`` with row i of ``src`` added to row ``indexes[i]``, which must not repeat."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    idx = np.asarray(indexes, dtype=np.int64)
+    data = base.data.copy()
+    data[idx] += src.data
+    out = Tensor(data, requires_grad=base.requires_grad or src.requires_grad)
+
+    def backward(g):
+        _accumulate(base, g)
+        _accumulate(src, g[idx], owned=True)
+
+    return _record(out, backward)
+
+
+EXPERT_WEIGHTS = ("w1", "b1", "w2", "b2")
+
+
+def expert_leaves(model, layer: int) -> list[dict]:
+    """Expert j's slices of a layer's stacked expert weights, each copied into
+    a leaf tensor of its own, as ``leaves[j]["w1"]`` and so on."""
+    from kgt.tensor import Tensor
+
+    stacked = {name: model.params[f"layer{layer}.experts.{name}"].data for name in EXPERT_WEIGHTS}
+    return [
+        {name: Tensor(w[j].copy(), requires_grad=True) for name, w in stacked.items()}
+        for j in range(model.config.experts)
+    ]
+
+
+def stacked_grads(leaves: list[dict], layer: int) -> dict[str, np.ndarray]:
+    """The gradients of :func:`expert_leaves` stacked under the layer's parameter names."""
+    return {f"layer{layer}.experts.{name}": np.stack([e[name].grad for e in leaves]) for name in EXPERT_WEIGHTS}
+
+
+def _moe_gate(model, layer: int, x, training: bool):
+    """``moe_ffn``'s gate: the normed rows [B * N, d], their routing weights, and the top-k choice (None when every expert mixes)."""
     from kgt import tensor as T
 
     cfg = model.config
@@ -348,15 +394,58 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng) -> "Tensor":
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        weights = T.masked_softmax(gate_logits, T.mask_bias(selected))
-    else:
-        weights = T.softmax(gate_logits)
+        return flat, T.masked_softmax(gate_logits, T.mask_bias(selected)), selected
+    return flat, T.softmax(gate_logits), None
+
+
+def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts=None) -> "Tensor":
+    """Test oracle: the former routed expert loop, ten tape ops per expert.
+
+    Expert j runs on the leaves ``experts[j]`` (fresh :func:`expert_leaves`
+    when None): the input rows routed to it are gathered, its biases added by
+    the broadcasting ``former_add``, its output scaled by ``former_mul`` with
+    its ``[rows, 1]`` gate weights, and scattered into the output by
+    ``scatter_add_rows``, in expert order.
+    """
+    from kgt import tensor as T
+    from kgt.tensor import Tensor
+
+    cfg = model.config
+    b, n, d = x.shape
+    flat, weights, selected = _moe_gate(model, layer, x, training)
+    rows = np.arange(b * n) if rows is None else rows
+    experts = expert_leaves(model, layer) if experts is None else experts
+    combined = Tensor(np.zeros((b * n, d), dtype=flat.dtype))
+    flat_weights = T.reshape(weights, (b * n * cfg.experts, 1))
+    for j, e in enumerate(experts):
+        rows_j = rows if selected is None else rows[selected[rows, j]]
+        inputs = T.gather_rows(flat, rows_j, unique=True)
+        pre = former_add(T.matmul(inputs, e["w1"]), e["b1"])
+        out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
+        term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
+        combined = scatter_add_rows(combined, term, rows_j)
+    out = T.reshape(combined, (b, n, d))
+    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+
+
+def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "Tensor":
+    """Test oracle: the former dense expert loop, every expert on every slot, padding included.
+
+    Unselected experts enter the mix with a routing weight of exactly 0.
+    Expert j runs on the leaves ``experts[j]`` (fresh :func:`expert_leaves`
+    when None), and its weights are column j of the gate weights (``slice_last``).
+    """
+    from kgt import tensor as T
+
+    cfg = model.config
+    b, n, d = x.shape
+    flat, weights, _ = _moe_gate(model, layer, x, training)
+    experts = expert_leaves(model, layer) if experts is None else experts
     combined = None
-    for j in range(cfg.experts):
-        eprefix = f"{prefix}expert{j}."
-        pre = T.add(T.matmul(flat, p[eprefix + "w1"]), p[eprefix + "b1"])
-        out_j = T.add(T.matmul(T.gelu(pre), p[eprefix + "w2"]), p[eprefix + "b2"])
-        term = T.mul(out_j, slice_last(weights, j, j + 1))
+    for j, e in enumerate(experts):
+        pre = former_add(T.matmul(flat, e["w1"]), e["b1"])
+        out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
+        term = former_mul(out_j, slice_last(weights, j, j + 1))
         combined = term if combined is None else T.add(combined, term)
     out = T.reshape(combined, (b, n, d))
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
@@ -429,7 +518,7 @@ def padded_encode_queries(queries, config) -> "Batch":
 
 def former_where(condition: np.ndarray, a, b) -> "Tensor":
     """Test oracle: the former ``where`` op, an elementwise select with a constant boolean condition."""
-    from kgt.tensor import Tensor, _accumulate, _record, _unbroadcast
+    from kgt.tensor import Tensor, _accumulate, _record
 
     cond = np.asarray(condition, dtype=bool)
     out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
@@ -910,7 +999,7 @@ def heap_truncated_normal(rng, shape, std: float, dtype) -> np.ndarray:
 
 def former_add(a, b) -> "Tensor":
     """Test oracle: the former ``add``, which reduced a gradient for a constant operand too."""
-    from kgt.tensor import Tensor, _accumulate, _coerce, _record, _unbroadcast
+    from kgt.tensor import Tensor, _accumulate, _coerce, _record
 
     b = _coerce(b, a)
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
@@ -924,7 +1013,7 @@ def former_add(a, b) -> "Tensor":
 
 def former_mul(a, b) -> "Tensor":
     """Test oracle: the former ``mul``, which built a gradient for a constant operand too."""
-    from kgt.tensor import Tensor, _accumulate, _coerce, _record, _unbroadcast
+    from kgt.tensor import Tensor, _accumulate, _coerce, _record
 
     b = _coerce(b, a)
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
@@ -1013,7 +1102,6 @@ def former_scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Te
 FORMER_OPS = {
     "add": former_add,
     "mul": former_mul,
-    "gelu": former_gelu,
     "layer_norm": former_layer_norm,
     "masked_softmax": former_scaled_masked_softmax,
     "softmax": former_softmax,

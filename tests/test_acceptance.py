@@ -207,10 +207,9 @@ def moe_reference(x: np.ndarray, model: Model, layer: int) -> np.ndarray:
         weights = exp / exp.sum()
         mix = np.zeros_like(row)
         for w, j in zip(weights, order):
-            e = f"{pre}expert{j}."
-            act = normed @ p[e + "w1"] + p[e + "b1"]
+            act = normed @ p[pre + "experts.w1"][j] + p[pre + "experts.b1"][j]
             act = 0.5 * act * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (act + 0.044715 * act**3)))
-            mix += w * (act @ p[e + "w2"] + p[e + "b2"])
+            mix += w * (act @ p[pre + "experts.w2"][j] + p[pre + "experts.b2"][j])
         out[i] = row + mix
     return out
 

@@ -259,8 +259,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("model.heads", "3"), ("model.top_k", "5"), ("optimizer.lr", "0"), ("optimizer.beta2", "1"),
-         ("stage1.edge_keep", "1.5"), ("stage2.batch_size", "0"), ("finetune.lr", "-1")],
+        [("model.heads", "3"), ("model.heads", "0"), ("model.heads", "-4"), ("model.top_k", "5"), ("optimizer.lr", "0"),
+         ("optimizer.beta2", "1"), ("stage1.edge_keep", "1.5"), ("stage2.batch_size", "0"), ("finetune.lr", "-1")],
     )
     def test_bad_runtime_value_fails_at_load(self, key, value):
         with pytest.raises(ConfigError, match=f"bad {key.partition('.')[0]} settings"):
@@ -596,6 +596,14 @@ class TestCliErrors:
         rc = main(["--config", str(cfg), "gradcheck"])
         assert rc == 1
         assert "model.width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("heads", ["0", "-4"])
+    def test_heads_below_one(self, tmp_path, capsys, heads):
+        cfg = tmp_path / "heads.cfg"
+        cfg.write_text(f"model.heads = {heads}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "gen-queries"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "need heads >= 1" in err
 
     def test_finetune_without_pretrain(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ft_out"

@@ -19,6 +19,10 @@ other platform BLAS may round differently, so the test compares the losses
 within ``LOSS_RTOL`` and does not compare the digests. A change that moves a
 pin says why, and reproduces the old value at its parent with
 ``python tests/test_golden.py``, which prints the current values and platform.
+
+The arena digests were taken again when each layer's experts moved into
+stacked tensors: they are the digests of the former per-expert arena permuted
+into the stacked order. The losses and rank digests did not move.
 """
 
 import hashlib
@@ -156,7 +160,7 @@ TRACE = {
             "0x1.e841c00000000p+1",
             "0x1.ec7a5c0000000p+1"
         ],
-        "arena": "4c469c94671137b277a4e03d7a560dd3e495283a7de3b70d4bcc937cb54e25ca",
+        "arena": "1245742d1a88160c0c84259efcabfa55b30154f213871f4d71aa0d70e2c8455d",
         "ranks": "7fda6298ecb941e0c10265b5d6a6c64f36a834e736f21d8905402640aa8e6fb6"
     },
     "hidden16-tied": {
@@ -176,7 +180,7 @@ TRACE = {
             "0x1.ec7af40000000p+1",
             "0x1.ecac9e0000000p+1"
         ],
-        "arena": "3c52f7345c786aa4211ac40601861b3be2195245114886847acb88a78a7f168c",
+        "arena": "a0e22121a39397ee52c23a9e343deac1a01c33fdef628c2b404009ab54f68d71",
         "ranks": "d4520e3afd276136cbea4dffcea92bb0e4e06e6f283aaeb043a080c3bb534f83"
     },
     "hidden64-untied": {
@@ -196,7 +200,7 @@ TRACE = {
             "0x1.cc278e0000000p+1",
             "0x1.ca30000000000p+1"
         ],
-        "arena": "4b296131734e3dbe7653229014f7a6675899b4e04814e1c96cf7bbd1a2f6d0cf",
+        "arena": "e0f60dac6581a7d1542fa6fd69e4a6da326b1bcaca436e7b9c7957ad95b6713f",
         "ranks": "2e47742bd2040cf7e6e2fef27473e5717b08df500ea8768d0a21051fc8825c7a"
     },
     "hidden64-tied": {
@@ -216,7 +220,7 @@ TRACE = {
             "0x1.e555440000000p+1",
             "0x1.e0902c0000000p+1"
         ],
-        "arena": "7365ec1cd861dd6034795495c0001551629996f6d1fd4a3bb4926a1ce96da3a3",
+        "arena": "5a615246cbb171fd0bbce1e37ed04c924c316ab527bd7e45c2e5fd2fb5749a1f",
         "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
     }
 }

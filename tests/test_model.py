@@ -31,9 +31,12 @@ from helpers import (
     FORMER_OPS,
     attention_mask,
     dense_moe_ffn,
+    expert_leaves,
+    former_moe_ffn,
     heap_truncated_normal,
     padded_encode_queries,
     padded_encode_subgraphs,
+    stacked_grads,
     toy_split,
     two_table_forward,
     two_table_model,
@@ -83,10 +86,10 @@ def moe_oracle(x, model: Model, layer: int, training: bool) -> np.ndarray:
             chosen = list(range(cfg.experts))
         e = np.exp(g[chosen] - np.max(g[chosen]))
         w = e / e.sum()
+        ex = {name: p[f"{prefix}experts.{name}"] for name in ("w1", "b1", "w2", "b2")}
         for weight, j in zip(w, chosen):
-            eprefix = f"{prefix}expert{j}."
-            hidden = np_gelu(flat[node] @ p[eprefix + "w1"] + p[eprefix + "b1"])
-            out[node] += weight * (hidden @ p[eprefix + "w2"] + p[eprefix + "b2"])
+            hidden = np_gelu(flat[node] @ ex["w1"][j] + ex["b1"][j])
+            out[node] += weight * (hidden @ ex["w2"][j] + ex["b2"][j])
     return x + out.reshape(b, n, d)
 
 
@@ -98,10 +101,15 @@ class TestParameters:
         assert shapes["node_type"] == (2, 16)
         assert shapes["decoder"] == (20, 16)
         assert shapes["layer0.gate"] == (16, 4)
-        assert shapes["layer1.expert3.w1"] == (16, 32)
-        assert shapes["layer1.expert3.w2"] == (32, 16)
-        per_layer = {k for k in shapes if k.startswith("layer0.")}
-        assert len(per_layer) == 4 + 4 + 1 + 4 * 4
+        assert shapes["layer1.experts.w1"] == (4, 16, 32)
+        assert shapes["layer1.experts.b1"] == (4, 32)
+        assert shapes["layer1.experts.w2"] == (4, 32, 16)
+        assert shapes["layer1.experts.b2"] == (4, 16)
+        per_layer = [k for k in shapes if k.startswith("layer0.")]
+        assert len(per_layer) == 4 + 4 + 1 + 4
+        # the stacked experts follow the gate
+        assert per_layer[-5:] == ["layer0.gate"] + [f"layer0.experts.{name}" for name in ("w1", "b1", "w2", "b2")]
+        assert len(shapes) == 5 + 2 * 13
 
     def test_tied_decoder_has_no_decoder_param(self):
         shapes = parameter_shapes(tiny_config(tie_decoder=True))
@@ -176,6 +184,9 @@ class TestParameters:
             ModelConfig(entity_count=5, relation_count=1, hidden=10, heads=4)
         with pytest.raises(ValueError):
             ModelConfig(entity_count=5, relation_count=1, experts=2, top_k=3)
+        for heads in (0, -4):
+            with pytest.raises(ValueError, match="need heads >= 1"):
+                ModelConfig(entity_count=5, relation_count=1, hidden=16, heads=heads)
 
     def test_config_round_trip(self):
         cfg = tiny_config(tie_decoder=True)
@@ -279,7 +290,9 @@ class TestSparseDispatch:
             if tied:
                 model.params["layer0.gate"].data[:] = 0.0
             got = moe_grads(moe_ffn, model, x, real, weights, rows=real)
-            want = moe_grads(dense_moe_ffn, model, x, real, weights)
+            leaves = expert_leaves(model, 0)
+            want = moe_grads(dense_moe_ffn, model, x, real, weights, experts=leaves)
+            want.update(stacked_grads(leaves, 0))
             assert got.keys() == want.keys()
             for name in want:
                 bound = 1e-5 * np.abs(want[name]).max()
@@ -300,16 +313,21 @@ class TestSparseDispatch:
         assert starts == [7, 0, 10]
         real = set(range(13))
         gelu_rows, routed = [], []
-        gelu, scatter = T.gelu, T.scatter_add_rows
-        monkeypatch.setattr(T, "gelu", lambda a: gelu_rows.append(a.shape[0]) or gelu(a))
-        monkeypatch.setattr(T, "scatter_add_rows", lambda b, s, i: routed.append(i) or scatter(b, s, i))
+        gelu, moe_experts = T.gelu, T.moe_experts
+        monkeypatch.setattr(T, "gelu", lambda x: gelu_rows.append(x.shape[0]) or gelu(x))
+        monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
         forward(model, batch)
         assert gelu_rows == [len(real)] * cfg.experts * cfg.layers  # every expert, real nodes only
+        assert all(rows.tolist() == sorted(real) for routes in routed for rows in routes)
+        gelu_rows.clear()
         routed.clear()
         forward(model, batch, training=True, rng=np.random.default_rng(0))
-        for layer in range(cfg.layers):
-            per_expert = routed[layer * cfg.experts : (layer + 1) * cfg.experts]
-            assert sorted(np.concatenate(per_expert).tolist()) == sorted(list(real) * cfg.top_k)
+        assert len(routed) == cfg.layers
+        for routes in routed:
+            assert len(routes) == cfg.experts
+            assert sorted(np.concatenate(routes).tolist()) == sorted(list(real) * cfg.top_k)
+        # the kernel runs once per expert, on the rows routed to it
+        assert gelu_rows == [len(rows) for routes in routed for rows in routes]
 
     def test_unrouted_expert_still_gets_zero_gradient(self):
         cfg = tiny_config(dropout=0.1)
@@ -322,13 +340,106 @@ class TestSparseDispatch:
         tape.backward(loss)
         for layer in range(cfg.layers):
             for name in ("w1", "b1", "w2", "b2"):
-                t = model.params[f"layer{layer}.expert3.{name}"]
+                t = model.params[f"layer{layer}.experts.{name}"]
                 assert t.grad is not None and t.grad.shape == t.data.shape
-                assert not t.grad.any()
+                assert not t.grad[2:].any() and t.grad[:2].any()
         # so AdamW still applies weight decay to the idle expert
-        before = model.params["layer0.expert3.w1"].data.copy()
+        before = model.params["layer0.experts.w1"].data[3].copy()
         AdamW(model.params, AdamWConfig(lr=0.1, weight_decay=0.5)).step()
-        np.testing.assert_allclose(model.params["layer0.expert3.w1"].data, before * (1 - 0.1 * 0.5), rtol=1e-6)
+        np.testing.assert_allclose(model.params["layer0.experts.w1"].data[3], before * (1 - 0.1 * 0.5), rtol=1e-6)
+
+
+class TestStackedExperts:
+    """Bit-exact: ``moe_ffn``'s one ``moe_experts`` op over the stacked expert
+    weights against the former loop of ten tape ops per expert on per-expert
+    leaves (``helpers.former_moe_ffn``): the output and the bytes of every
+    gradient, the leaves' gradients stacked."""
+
+    @staticmethod
+    def block(moe, model: Model, x: np.ndarray, training: bool, rows: np.ndarray, **kw):
+        model = model.clone()
+        if moe is former_moe_ffn:
+            kw["experts"] = expert_leaves(model, 0)
+        xt = Tensor(x.copy(), requires_grad=True)
+        upstream = Tensor(np.random.default_rng(31).normal(size=x.shape).astype(x.dtype))
+        with Tape() as tape:
+            out = moe(model, 0, xt, training, np.random.default_rng(32), rows, **kw)
+            loss = sum_all(T.mul(out, upstream))
+        tape.backward(loss)
+        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+        if moe is former_moe_ffn:
+            grads.update(stacked_grads(kw["experts"], 0))
+        grads["x"] = xt.grad
+        return out.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+    # packed graphs of 7, 1, 12 and 3 real nodes in rows of 12; one real node in a row of 3
+    @pytest.mark.parametrize("sizes, width", [((7, 1, 12, 3), 12), ((1,), 3)])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_block_matches_former_loop(self, sizes, width, tied, training, hidden):
+        cfg = tiny_config(hidden=hidden, dropout=0.1)
+        model = Model.init(cfg, seed=33)
+        if tied:
+            model.params["layer0.gate"].data[:] = 0.0  # top-2 routing leaves experts 2 and 3 without rows
+        real = padded_rows(sizes, width)
+        x = np.random.default_rng(34).normal(size=(len(sizes), width, hidden)).astype(np.float32)
+        got = self.block(moe_ffn, model, x, training, real)
+        want = self.block(former_moe_ffn, model, x, training, real)
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        assert [name for name in want[1] if got[1][name] != want[1][name]] == []
+
+    @staticmethod
+    def step(monkeypatch, model: Model, batch: Batch, loss, training: bool, former: bool):
+        import kgt.model
+
+        model = model.clone()
+        leaves = {}
+
+        def former_block(model, layer, x, training, rng, rows=None):
+            leaves[layer] = expert_leaves(model, layer)
+            return former_moe_ffn(model, layer, x, training, rng, rows, experts=leaves[layer])
+
+        with monkeypatch.context() as patch:
+            if former:
+                patch.setattr(kgt.model, "moe_ffn", former_block)
+            with Tape() as tape:
+                logits = forward(model, batch, training, np.random.default_rng(35) if training else None)
+                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
+            tape.backward(total)
+        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+        for layer, layer_leaves in leaves.items():
+            grads.update(stacked_grads(layer_leaves, layer))
+        return total.data.tobytes(), logits.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_step_matches_former_loop(self, monkeypatch, hidden):
+        split = toy_split(seed=36)
+        cfg = ModelConfig(
+            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
+            heads=4, experts=4, top_k=2, dropout=0.1,
+        )
+        model = Model.init(cfg, seed=37)
+        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(38), batch_size=8), cfg)
+        instances = [
+            inst
+            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
+            for inst in generate_queries(split, qtype, 3, np.random.default_rng([39, i]))
+        ]
+        finetune = encode_queries([inst.query for inst in instances], cfg)
+        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+        cases = [
+            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
+            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
+        ]
+        for label, batch, loss in cases:
+            for training in (True, False):
+                got = self.step(monkeypatch, model, batch, loss, training, former=False)
+                want = self.step(monkeypatch, model, batch, loss, training, former=True)
+                assert got[:2] == want[:2], (label, training)
+                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
+                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
 
 
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
@@ -550,7 +661,7 @@ class TestFewerPasses:
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 264
+        assert stage1_step(model, batch)[2] == 120
 
 
 def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
@@ -996,4 +1107,29 @@ class TestCheckpoint:
         _, path = self.saved(tmp_path, 21)
         rewrite_header(path, lambda h: h.update(params=[["decoder"]]))
         with pytest.raises(CheckpointError, match=r"\.kgtc: bad config block"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("heads", [0, -4])
+    def test_heads_below_one_rejected(self, tmp_path, heads):
+        _, path = self.saved(tmp_path, 22)
+        rewrite_header(path, lambda h: h["config"].update(heads=heads))
+        with pytest.raises(CheckpointError, match=r"\.kgtc: bad config block: need heads >= 1"):
+            load_checkpoint(path)
+
+    def test_per_expert_layout_rejected(self, tmp_path):
+        # the former layout named each expert's tensors, layer{i}.expert{j}.w1 and so on
+        model, path = self.saved(tmp_path, 23)
+
+        def per_expert(header):
+            params = []
+            for name, dims in header["params"]:
+                prefix, dot, weight = name.partition(".experts.")
+                if not dot:
+                    params.append([name, dims])
+                    continue
+                params += [[f"{prefix}.expert{j}.{weight}", dims[1:]] for j in range(dims[0])]
+            header["params"] = params
+
+        rewrite_header(path, per_expert)
+        with pytest.raises(CheckpointError, match=r"\.kgtc: parameter set mismatch \(missing \['layer0\.experts\.b1'"):
             load_checkpoint(path)

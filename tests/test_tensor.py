@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _unbroadcast,
     dense_cross_entropy,
     former_add,
     former_gelu,
@@ -17,7 +18,9 @@ from helpers import (
 from kgt.tensor import (
     Tape,
     Tensor,
-    _unbroadcast,
+    _accumulate,
+    _gelu_grad,
+    _record,
     add,
     answer_masked_cross_entropy,
     cross_entropy,
@@ -97,15 +100,26 @@ class TestTensorBasics:
         assert c.grad is None
         assert np.allclose(a.grad, [5.0])
 
-    def test_broadcast_grads_reduce(self):
+    def test_unequal_shapes_raise(self):
+        # no op broadcasts: only a constant scalar may scale a tensor of another shape
         a = Tensor(np.ones((3, 4)), requires_grad=True)
-        b = Tensor(np.ones(4), requires_grad=True)
+        for b in (Tensor(np.ones(4)), Tensor(np.ones((3, 1))), Tensor(np.ones((1, 3, 4)))):
+            with pytest.raises(ValueError, match="add operands differ in shape"):
+                add(a, b)
+            with pytest.raises(ValueError, match="mul operands differ in shape"):
+                mul(a, b)
+        with pytest.raises(ValueError, match="add operands differ in shape"):
+            add(a, 2.0)
+        with pytest.raises(ValueError, match="mul operands differ in shape"):
+            mul(a, Tensor(2.0, requires_grad=True))
         with Tape() as tape:
-            out = sum_all(add(a, b))
+            out = sum_all(mul(a, 2.0))
         tape.backward(out)
-        assert a.grad.shape == (3, 4)
-        assert b.grad.shape == (4,)
-        assert np.allclose(b.grad, 3.0)
+        assert a.grad.tolist() == [[2.0] * 4] * 3
+        with pytest.raises(ValueError, match="batch axes"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 4, 5))))
+        with pytest.raises(ValueError, match="batch axes"):
+            matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_grad_does_not_alias_upstream(self):
         # reshape hands a view of the upstream gradient down; the leaf must
@@ -178,6 +192,17 @@ class TestTensorBasics:
         assert np.array_equal(grads[0], grads[1])
 
 
+def gelu_op(a: Tensor) -> Tensor:
+    """The :func:`gelu` kernel and its backward, :func:`_gelu_grad`, as a tape op."""
+    y, th = gelu(a.data)
+    out = Tensor(y, requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, _gelu_grad(a.data, th, g), owned=True)
+
+    return _record(out, backward)
+
+
 class TestGelu:
     def test_float32_matches_float64_formula(self):
         # tolerance-bounded: float32 against the tanh formula and its
@@ -187,7 +212,7 @@ class TestGelu:
         rng = np.random.default_rng(0)
         x = rng.uniform(-8.0, 8.0, size=(200, 300)).astype(np.float32)
         g = rng.normal(size=x.shape).astype(np.float32)
-        out, grad = run_op(gelu, x, g)
+        out, grad = run_op(gelu_op, x, g)
         x64 = x.astype(np.float64)
         c = np.sqrt(2.0 / np.pi)
         th = np.tanh(c * (x64 + 0.044715 * x64**3))
@@ -317,7 +342,7 @@ class TestFormerOps:
         rng = np.random.default_rng(seed)
         x = (rng.normal(size=(rows, 2 * hidden)) * rng.choice([0.02, 1.0, 4.0])).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
-        assert same_bytes(grads_of(gelu, [x], g), grads_of(former_gelu, [x], g))
+        assert same_bytes(grads_of(gelu_op, [x], g), grads_of(former_gelu, [x], g))
 
     @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -361,12 +386,12 @@ class TestFormerOps:
     def test_add_and_mul(self, seed, hidden, dtype):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(5, hidden)).astype(dtype)
-        y = rng.normal(size=(hidden,)).astype(dtype)
+        y = rng.normal(size=x.shape).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
         for new, former in ((add, former_add), (mul, former_mul)):
             assert same_bytes(grads_of(new, [x, y], g), grads_of(former, [x, y], g))
             # a constant operand gets no gradient either way; the other one is unchanged
-            for const in (y, 0.125):
+            for const in (y, 0.125) if new is mul else (y,):
                 got = grads_of(lambda a: new(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
                 want = grads_of(lambda a: former(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
                 assert same_bytes(got, want)
@@ -654,7 +679,7 @@ class TestGradcheckCoverage:
             if isinstance(node, ast.FunctionDef)
             and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_record" for n in ast.walk(node))
         }
-        assert {"add", "gelu", "answer_masked_cross_entropy"} <= recorders
+        assert {"add", "moe_experts", "answer_masked_cross_entropy"} <= recorders
         covered = set()
         rng = np.random.default_rng(0)
         for case in OP_CASES:
