@@ -98,8 +98,8 @@ class OpCase(NamedTuple):
     draw: Callable[..., Tensor] = _p
 
 
-_ATTN_MASK = (np.random.default_rng(10).random((4, 5)) < 0.5) | (np.arange(5) == 0)  # keep every row alive
-_ATTN_BIAS = T.mask_bias(_ATTN_MASK)  # -inf at the masked entries
+_MASK_BIAS = T.mask_bias((np.random.default_rng(22).random((2, 1, 4, 4)) < 0.5) | np.eye(4, dtype=bool))  # 7 of 8 rows masked in part
+_ATTENTION_SHAPES = ((2, 4, 4), (4, 12), (4, 4))  # h, wqkv, wo
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
@@ -111,12 +111,12 @@ _MOE_SHAPES = ((5, 3), (5, 3), (3, 3, 4), (3, 4), (3, 4, 3), (3, 3))  # x, weigh
 OP_CASES = (
     OpCase("add", T.add, ((3, 4), (3, 4)), 0),
     OpCase("mul", T.mul, ((3, 4), (3, 4)), 1),
-    OpCase("matmul_batched", T.matmul, ((2, 3, 4), (4, 5)), 2),
+    OpCase("matmul", T.matmul, ((3, 4), (4, 5)), 2),
     OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
-    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _ATTN_BIAS, 0.7), ((4, 5),), 10),
+    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _MASK_BIAS), ((2, 3, 4, 4),), 10),
     OpCase("dropout", lambda a: T.dropout(a, 0.4, np.random.default_rng(11), training=True), ((6, 5),), 11),
     OpCase("cross_entropy_smoothed", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.3), ((3, 4),), 12),
     OpCase("answer_masked_cross_entropy", lambda z: T.answer_masked_cross_entropy(z, _ANSWERS), ((3, 8),), 13),
@@ -131,6 +131,8 @@ OP_CASES = (
     OpCase("cross_entropy_hard", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.0), ((3, 4),), 20),
     # row 1 is never gathered
     OpCase("gather_rows_unique", lambda a: T.gather_rows(a, np.array([2, 0, 3]), unique=True), ((4, 5),), 21),
+    OpCase("attention", lambda *t: T.attention(*t, _MASK_BIAS, 2), _ATTENTION_SHAPES, 22),
+    OpCase("attention_one_head", lambda *t: T.attention(*t, _MASK_BIAS, 1), _ATTENTION_SHAPES, 23),
 )
 
 

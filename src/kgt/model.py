@@ -39,6 +39,11 @@ class ModelConfig:
     tie_decoder: bool = False
 
     def __post_init__(self):
+        for name in ("entity_count", "relation_count", "layers", "hidden", "heads", "experts", "top_k", "expert_hidden"):
+            if type(getattr(self, name)) is not int and not (name == "expert_hidden" and self.expert_hidden is None):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")  # a bool is not one
+        if type(self.tie_decoder) is not bool:
+            raise ValueError(f"tie_decoder must be true or false, got {self.tie_decoder!r}")
         if self.entity_count < 1 or self.relation_count < 1:
             raise ValueError("entity and relation counts must be positive")
         if self.layers < 1:
@@ -53,10 +58,6 @@ class ModelConfig:
             self.expert_hidden = 2 * self.hidden
         if self.expert_hidden < 1:
             raise ValueError("expert_hidden must be positive")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
 
     @property
     def mask_id(self) -> int:
@@ -106,8 +107,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["decoder"] = (config.entity_count, d)
     for i in range(config.layers):
         prefix = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            shapes[prefix + name] = (d, d)
+        shapes[prefix + "wqkv"] = (d, 3 * d)  # [wq | wk | wv]
+        shapes[prefix + "wo"] = (d, d)
         shapes[prefix + "ln1_gain"] = (d,)
         shapes[prefix + "ln1_bias"] = (d,)
         shapes[prefix + "ln2_gain"] = (d,)
@@ -125,7 +126,8 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.floa
     ``truncated_normal`` redraws out-of-range values per tensor, so a table
     that replaced several tensors draws them as blocks, in their former order,
     to keep every result: the embedding draws its entity and mask rows, then
-    its relation rows, and a layer's experts draw ``w1[0], w2[0], w1[1], ...``
+    its relation rows, a layer's ``wqkv`` draws its ``wq``, ``wk`` and ``wv``
+    column blocks, and a layer's experts draw ``w1[0], w2[0], w1[1], ...``
     when ``experts.w1`` comes up.
     """
     params = parameter_arena(parameter_shapes(config), dtype)
@@ -134,6 +136,8 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.floa
             t.data.fill(1)
         elif not name.endswith(("bias", "b1", "b2", "experts.w2")):  # biases stay 0; experts.w2 is drawn with w1
             blocks = np.split(t.data, [config.mask_id + 1]) if name == "embedding" else [t.data]
+            if name.endswith("wqkv"):
+                blocks = np.split(t.data, 3, axis=1)
             if name.endswith("experts.w1"):
                 blocks = [w for pair in zip(t.data, params[name[:-1] + "2"].data) for w in pair]
             for block in blocks:
@@ -281,14 +285,7 @@ def encode_queries(
     return _pack([q.levi for q in queries], inputs, slots, targets, config.mask_id)
 
 
-def attention_layer(
-    model: Model,
-    layer: int,
-    x: Tensor,
-    attn_bias: np.ndarray,
-    training: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
+def attention_layer(model: Model, layer: int, x: Tensor, attn_bias: np.ndarray, training: bool, rng: np.random.Generator | None) -> Tensor:
     """Pre-LN multi-head attention restricted to graph neighbors.
 
     ``attn_bias`` is the batch's attention mask as a :func:`kgt.tensor.mask_bias`.
@@ -296,21 +293,8 @@ def attention_layer(
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
-    b, n, d = x.shape
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-
-    def split_heads(m: Tensor) -> Tensor:
-        m = T.reshape(m, (b, n, cfg.heads, cfg.head_dim))
-        return T.transpose(m, (0, 2, 1, 3))
-
-    q = split_heads(T.matmul(h, p[prefix + "wq"]))
-    k = split_heads(T.matmul(h, p[prefix + "wk"]))
-    v = split_heads(T.matmul(h, p[prefix + "wv"]))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    probs = T.masked_softmax(scores, attn_bias, 1.0 / np.sqrt(cfg.head_dim))
-    context = T.matmul(probs, v)
-    context = T.reshape(T.transpose(context, (0, 2, 1, 3)), (b, n, d))
-    out = T.matmul(context, p[prefix + "wo"])
+    out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
 
 

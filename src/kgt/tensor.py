@@ -163,28 +163,16 @@ def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul operands must have at least 2 dimensions")
-    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError(f"batched matmul operands differ in batch axes: {a.data.shape} and {b.data.shape}")
-    product = _gemm(a.data, b.data) if a.data.ndim == b.data.ndim == 2 else a.data @ b.data
-    out = Tensor(product, requires_grad=a.requires_grad or b.requires_grad)
+    """``a @ b`` for 2-D operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul operands must be 2-D, got shapes {a.data.shape} and {b.data.shape}")
+    out = Tensor(_gemm(a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
-        if b.data.ndim == 2:
-            # a 2-D weight: fold any batch axes of a into the rows, so each
-            # gradient is one GEMM rather than a stack of small products
-            k, n = b.data.shape
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                _accumulate(a, _gemm(g2, b.data.T).reshape(a.data.shape), owned=True)
-            if b.requires_grad:
-                _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
-            return
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
+            _accumulate(a, _gemm(g, b.data.T), owned=True)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
+            _accumulate(b, a.data.T @ g, owned=True)
 
     return _record(out, backward)
 
@@ -397,49 +385,80 @@ def mask_bias(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.float32(0.0), np.float32(-np.inf))
 
 
-def _softmax_shifted(a: Tensor, shifted: np.ndarray, scale: float = 1.0) -> Tensor:
-    """Finish the softmax of ``a``'s last axis from ``shifted``, a fresh array
-    of its (scaled, biased) logits minus their row maximum, in place.
-
-    The backward takes d/d(scaled logits) and multiplies by ``scale`` last.
-    """
+def _softmax_rows(shifted: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place, of ``shifted``: logits minus their row maximum."""
     p = np.exp(shifted, out=shifted)
     p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` taken back through a softmax of output ``p``; exact at masked slots, where ``p`` is 0."""
+    gx = g * p
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= p
+    return gx
+
+
+def _softmax_shifted(a: Tensor, shifted: np.ndarray) -> Tensor:
+    """The softmax of ``a``'s last axis, finished in place from ``shifted``: its (biased) logits minus their row maximum."""
+    p = _softmax_rows(shifted)
     out = Tensor(p, requires_grad=a.requires_grad)
 
     def backward(g):
-        # p is zero at masked slots, so the usual softmax backward stays exact
-        gx = g * p
-        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-        gx *= p
-        if scale != 1.0:
-            gx *= scale
-        _accumulate(a, gx, owned=True)
+        _accumulate(a, _softmax_grad(p, g), owned=True)
 
     return _record(out, backward)
 
 
-def masked_softmax(a: Tensor, bias: np.ndarray, scale: float = 1.0) -> Tensor:
-    """Softmax over the last axis of ``a * scale + bias``.
+def masked_softmax(a: Tensor, bias: np.ndarray) -> Tensor:
+    """Softmax over the last axis of ``a + bias``.
 
-    ``bias`` is a :func:`mask_bias`, broadcast against ``a``: positions where
-    it is -inf come out exactly zero. ``scale`` is rounded to ``a``'s dtype and
-    the product is rounded before the bias is added, as ``mul`` then softmax
-    would round.
-    """
-    if scale == 1.0:
-        x = a.data + bias
-    else:
-        scale = a.data.dtype.type(scale)
-        x = a.data * scale
-        x += bias
+    ``bias`` is a :func:`mask_bias`, broadcast against ``a``: where it is -inf the output is exactly 0."""
+    x = a.data + bias
     x -= x.max(axis=-1, keepdims=True)
-    return _softmax_shifted(a, x, scale)
+    return _softmax_shifted(a, x)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     return _softmax_shifted(a, a.data - a.data.max(axis=-1, keepdims=True))
+
+
+def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int) -> Tensor:
+    """Masked multi-head attention over a [B, N, d] grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+
+    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`, and ``scale``
+    ``1/sqrt(d / heads)`` in ``h``'s dtype. Each product rounds as the former per-projection ops' did."""
+    b, n, d = h.shape
+    hd = d // heads
+    scale = h.dtype.type(1.0 / math.sqrt(hd))
+    # one [N, d] @ [d, d] product per grid row and projection: h @ wqkv ran slower on one OpenBLAS thread
+    q, k, v = ((h.data @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
+    x = q @ np.swapaxes(k, -1, -2) * scale
+    x += bias
+    x -= x.max(axis=-1, keepdims=True)
+    p = _softmax_rows(x)
+    context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    out = Tensor(context @ wo.data, requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
+
+    def backward(g):
+        g = g.reshape(b * n, d)
+        _accumulate(wo, context.reshape(b * n, d).T @ g, owned=True)
+        g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
+        g_scores *= scale
+        g_kt = np.swapaxes(q, -1, -2) @ g_scores  # k's gradient, transposed, as the former tape took it
+        g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
+        for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
+            g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)  # not np.stack: 8x slower here
+        _accumulate(wqkv, h.data.reshape(b * n, d).T @ g_qkv, owned=True)
+        gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
+        for i in (1, 0):  # the value, key and query terms, summed in the former tape's order
+            gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)
+        _accumulate(h, gh.reshape(b, n, d), owned=True)
+
+    return _record(out, backward)
 
 
 def _check_targets(targets: np.ndarray, classes: int, alpha: float) -> np.ndarray:

@@ -379,6 +379,85 @@ def stacked_grads(leaves: list[dict], layer: int) -> dict[str, np.ndarray]:
     return {f"layer{layer}.experts.{name}": np.stack([e[name].grad for e in leaves]) for name in EXPERT_WEIGHTS}
 
 
+QKV = ("wq", "wk", "wv")
+
+
+def qkv_leaves(model, layer: int) -> dict:
+    """A layer's ``wq``, ``wk`` and ``wv``, the column blocks of its ``wqkv``,
+    each copied into a leaf tensor of its own."""
+    from kgt.tensor import Tensor
+
+    wqkv = model.params[f"layer{layer}.wqkv"].data
+    d = wqkv.shape[0]
+    return {name: Tensor(wqkv[:, i * d : (i + 1) * d].copy(), requires_grad=True) for i, name in enumerate(QKV)}
+
+
+def fused_grads(leaves: dict, layer: int) -> dict[str, np.ndarray]:
+    """The gradients of :func:`qkv_leaves` side by side under the layer's ``wqkv`` name."""
+    return {f"layer{layer}.wqkv": np.concatenate([leaves[name].grad for name in QKV], axis=1)}
+
+
+def former_matmul(a, b) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.matmul``, which also took stacked
+    operands; with a 2-D ``b``, each gradient folds ``a``'s batch axes into rows."""
+    from kgt.tensor import Tensor, _accumulate, _gemm, _record
+
+    product = _gemm(a.data, b.data) if a.data.ndim == b.data.ndim == 2 else a.data @ b.data
+    out = Tensor(product, requires_grad=a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        if b.data.ndim == 2:
+            k, n = b.data.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                _accumulate(a, _gemm(g2, b.data.T).reshape(a.data.shape), owned=True)
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, k).T @ g2, owned=True)
+            return
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
+
+    return _record(out, backward)
+
+
+def former_attention(q, k, v, wo, bias: np.ndarray, heads: int, softmax=None) -> "Tensor":
+    """Test oracle: the former attention ops after the projections ``q``, ``k``
+    and ``v`` ([B, N, d] each): heads split by ``reshape`` and ``transpose``,
+    products by the former batched ``matmul``, and ``softmax(scores, bias,
+    scale)`` (the former scaled ``masked_softmax``,
+    :func:`scaled_masked_softmax`, when None)."""
+    from kgt import tensor as T
+
+    b, n, d = q.shape
+    softmax = scaled_masked_softmax if softmax is None else softmax
+
+    def split_heads(m):
+        return T.transpose(T.reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    scores = former_matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    probs = softmax(scores, bias, 1.0 / np.sqrt(d // heads))
+    context = T.reshape(T.transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
+    return former_matmul(context, wo)
+
+
+def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights=None, softmax=None) -> "Tensor":
+    """Test oracle: the former attention layer, 19 tape ops: :func:`former_attention`
+    over projections by the leaves ``weights`` (fresh :func:`qkv_leaves` when None)."""
+    from kgt import tensor as T
+
+    cfg = model.config
+    p = model.params
+    prefix = f"layer{layer}."
+    weights = qkv_leaves(model, layer) if weights is None else weights
+    h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
+    q, k, v = (former_matmul(h, weights[name]) for name in QKV)
+    out = former_attention(q, k, v, p[prefix + "wo"], attn_bias, cfg.heads, softmax)
+    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+
+
 def _moe_gate(model, layer: int, x, training: bool):
     """``moe_ffn``'s gate: the normed rows [B * N, d], their routing weights, and the top-k choice (None when every expert mixes)."""
     from kgt import tensor as T
@@ -1092,9 +1171,38 @@ def former_softmax(a) -> "Tensor":
     return former_masked_softmax(a, np.ones(a.data.shape[-1], dtype=bool))
 
 
+def scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.masked_softmax``, the softmax of
+    ``a * scale + bias`` in one buffer, with the scale rounded to ``a``'s
+    dtype and the product rounded before the bias is added."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    if scale == 1.0:
+        x = a.data + bias
+    else:
+        scale = a.data.dtype.type(scale)
+        x = a.data * scale
+        x += bias
+    x -= x.max(axis=-1, keepdims=True)
+    p = np.exp(x, out=x)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(p, requires_grad=a.requires_grad)
+
+    def backward(g):
+        gx = g * p
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= p
+        if scale != 1.0:
+            gx *= scale
+        _accumulate(a, gx, owned=True)
+
+    return _record(out, backward)
+
+
 def former_scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
-    """``masked_softmax``'s signature over the former ops: ``mul`` by the scale
-    (skipped at 1, as the gate skipped it), then the boolean-mask softmax."""
+    """:func:`scaled_masked_softmax`'s signature over the former ops: ``mul`` by
+    the scale (skipped at 1, as the gate skipped it), then the boolean-mask
+    softmax. It stands in for ``masked_softmax`` and for the attention softmax."""
     scaled = a if scale == 1.0 else former_mul(a, scale)
     return former_masked_softmax(scaled, bias == 0)
 

@@ -459,6 +459,18 @@ class TestPipeline:
         assert manifest["seed"] == 99
 
 
+def test_gradcheck_prints_one_line_per_check(capsys):
+    from kgt.gradcheck import OP_CASES
+
+    assert main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[0] for line in lines[:-1]]
+    assert names == [case.name for case in OP_CASES] + ["moe_ffn_top2_padded", "model_end_to_end"]
+    assert {"matmul", "attention", "attention_one_head"} <= set(names) and "matmul_batched" not in names
+    assert all(line.endswith(" PASS") for line in lines[:-1])
+    assert lines[-1] == f"all {len(names)} gradient checks passed"
+
+
 class TestCliErrors:
     @pytest.mark.parametrize("vocabulary", [False, True])
     def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary):

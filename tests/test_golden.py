@@ -22,7 +22,11 @@ pin says why, and reproduces the old value at its parent with
 
 The arena digests were taken again when each layer's experts moved into
 stacked tensors: they are the digests of the former per-expert arena permuted
-into the stacked order. The losses and rank digests did not move.
+into the stacked order. The losses and rank digests did not move. They were
+taken again when each layer's ``wq``, ``wk`` and ``wv`` became the column
+blocks of one ``wqkv``: they are the digests of the former arena with each
+layer's three projections permuted into ``wqkv``. Again no loss or rank
+digest moved.
 """
 
 import hashlib
@@ -160,7 +164,7 @@ TRACE = {
             "0x1.e841c00000000p+1",
             "0x1.ec7a5c0000000p+1"
         ],
-        "arena": "1245742d1a88160c0c84259efcabfa55b30154f213871f4d71aa0d70e2c8455d",
+        "arena": "8bddf924765a29c2787fe501494c37c5bd0463fd68caa0f33faa075daf8c2c19",
         "ranks": "7fda6298ecb941e0c10265b5d6a6c64f36a834e736f21d8905402640aa8e6fb6"
     },
     "hidden16-tied": {
@@ -180,7 +184,7 @@ TRACE = {
             "0x1.ec7af40000000p+1",
             "0x1.ecac9e0000000p+1"
         ],
-        "arena": "a0e22121a39397ee52c23a9e343deac1a01c33fdef628c2b404009ab54f68d71",
+        "arena": "4e50b89393ae234308ff414a128af15cdb732d8a19c5b8c3f5efca44d55f05ad",
         "ranks": "d4520e3afd276136cbea4dffcea92bb0e4e06e6f283aaeb043a080c3bb534f83"
     },
     "hidden64-untied": {
@@ -200,7 +204,7 @@ TRACE = {
             "0x1.cc278e0000000p+1",
             "0x1.ca30000000000p+1"
         ],
-        "arena": "e0f60dac6581a7d1542fa6fd69e4a6da326b1bcaca436e7b9c7957ad95b6713f",
+        "arena": "f964196c56a6a46df317764fbf18bdd102e47b880cef3ae70936090f99693f0b",
         "ranks": "2e47742bd2040cf7e6e2fef27473e5717b08df500ea8768d0a21051fc8825c7a"
     },
     "hidden64-tied": {
@@ -220,7 +224,7 @@ TRACE = {
             "0x1.e555440000000p+1",
             "0x1.e0902c0000000p+1"
         ],
-        "arena": "5a615246cbb171fd0bbce1e37ed04c924c316ab527bd7e45c2e5fd2fb5749a1f",
+        "arena": "1bf107147c1a8810d53ef4815fb2dd887e8a3a8d589f4d86cf907e939f7802f7",
         "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
     }
 }

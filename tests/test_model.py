@@ -32,10 +32,13 @@ from helpers import (
     attention_mask,
     dense_moe_ffn,
     expert_leaves,
+    former_attention_layer,
     former_moe_ffn,
+    fused_grads,
     heap_truncated_normal,
     padded_encode_queries,
     padded_encode_subgraphs,
+    qkv_leaves,
     stacked_grads,
     toy_split,
     two_table_forward,
@@ -105,11 +108,13 @@ class TestParameters:
         assert shapes["layer1.experts.b1"] == (4, 32)
         assert shapes["layer1.experts.w2"] == (4, 32, 16)
         assert shapes["layer1.experts.b2"] == (4, 16)
+        assert shapes["layer1.wqkv"] == (16, 48)
         per_layer = [k for k in shapes if k.startswith("layer0.")]
-        assert len(per_layer) == 4 + 4 + 1 + 4
+        assert len(per_layer) == 2 + 4 + 1 + 4
+        assert per_layer[:2] == ["layer0.wqkv", "layer0.wo"]
         # the stacked experts follow the gate
         assert per_layer[-5:] == ["layer0.gate"] + [f"layer0.experts.{name}" for name in ("w1", "b1", "w2", "b2")]
-        assert len(shapes) == 5 + 2 * 13
+        assert len(shapes) == 5 + 2 * 11
 
     def test_tied_decoder_has_no_decoder_param(self):
         shapes = parameter_shapes(tiny_config(tie_decoder=True))
@@ -442,6 +447,113 @@ class TestStackedExperts:
                 assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
 
 
+def patch_former_attention(patch, softmax=None) -> dict:
+    """Patch ``kgt.model.attention_layer`` with ``helpers.former_attention_layer``;
+    returns the dict that collects each layer's :func:`qkv_leaves`."""
+    import kgt.model
+
+    leaves = {}
+
+    def former_layer(model, layer, x, attn_bias, training, rng):
+        leaves[layer] = qkv_leaves(model, layer)
+        return former_attention_layer(model, layer, x, attn_bias, training, rng, leaves[layer], softmax)
+
+    patch.setattr(kgt.model, "attention_layer", former_layer)
+    return leaves
+
+
+def with_fused_grads(grads: dict, leaves: dict) -> dict:
+    """``grads`` with the gradients of each layer's :func:`qkv_leaves` added under its ``wqkv`` name."""
+    for layer, layer_leaves in leaves.items():
+        grads.update(fused_grads(layer_leaves, layer))
+    return grads
+
+
+class TestFusedAttention:
+    """Bit-exact: ``attention_layer``'s one ``attention`` op over the fused
+    ``wqkv`` against the former 19 tape ops on per-projection leaves
+    (``helpers.former_attention_layer``): the output and the bytes of every
+    gradient, the leaves' gradients side by side."""
+
+    @staticmethod
+    def block(monkeypatch, model: Model, x: np.ndarray, mask: np.ndarray, training: bool, former: bool):
+        import kgt.model
+
+        model = model.clone()
+        xt = Tensor(x.copy(), requires_grad=True)
+        upstream = Tensor(np.random.default_rng(41).normal(size=x.shape).astype(x.dtype))
+        with monkeypatch.context() as patch:
+            leaves = patch_former_attention(patch) if former else {}
+            with Tape() as tape:
+                out = kgt.model.attention_layer(model, 0, xt, T.mask_bias(mask), training, np.random.default_rng(42))
+                loss = sum_all(T.mul(out, upstream))
+            tape.backward(loss)
+        grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves)
+        grads["x"] = xt.grad
+        return out.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+    # a one-node grid (b = n = 1: one-row products), a lone row, and packed rows
+    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 5), (4, 12)])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_block_matches_former_ops(self, monkeypatch, rows, width, heads, training, hidden):
+        model = Model.init(tiny_config(hidden=hidden, heads=heads, dropout=0.1), seed=43)
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(rows, width, hidden)).astype(np.float32)
+        mask = (rng.random((rows, 1, width, width)) < 0.4) | np.eye(width, dtype=bool)
+        got = self.block(monkeypatch, model, x, mask, training, former=False)
+        want = self.block(monkeypatch, model, x, mask, training, former=True)
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        assert [name for name in want[1] if got[1][name] != want[1][name]] == []
+
+    @staticmethod
+    def step(monkeypatch, model: Model, batch: Batch, loss, training: bool, former: bool):
+        model = model.clone()
+        with monkeypatch.context() as patch:
+            leaves = patch_former_attention(patch) if former else {}
+            with Tape() as tape:
+                logits = forward(model, batch, training, np.random.default_rng(45) if training else None)
+                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
+            tape.backward(total)
+        grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves)
+        return total.data.tobytes(), logits.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_step_matches_former_ops(self, monkeypatch, hidden, heads, tied):
+        split = toy_split(seed=46)
+        cfg = ModelConfig(
+            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
+            heads=heads, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
+        )
+        model = Model.init(cfg, seed=47)
+        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(48), batch_size=8), cfg)
+        rng = np.random.default_rng(49)
+        stage2 = encode_subgraphs([sample_meta_graph(split.train, rng) for _ in range(8)], cfg)
+        instances = [
+            inst
+            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
+            for inst in generate_queries(split, qtype, 3, np.random.default_rng([50, i]))
+        ]
+        finetune = encode_queries([inst.query for inst in instances], cfg)
+        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+        cases = [
+            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
+            ("stage2", stage2, lambda z: cross_entropy(z, stage2.targets, alpha=0.1)),
+            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
+        ]
+        for label, batch, loss in cases:
+            for training in (True, False):
+                got = self.step(monkeypatch, model, batch, loss, training, former=False)
+                want = self.step(monkeypatch, model, batch, loss, training, former=True)
+                assert got[:2] == want[:2], (label, training)
+                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
+                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
+
+
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
     """Assert the packed-grid invariants; returns each graph's first flat slot.
 
@@ -627,19 +739,24 @@ def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, 
     return logits.data, {name: t.grad for name, t in model.params.items()}
 
 
-def stage1_step(model: Model, batch: Batch) -> tuple[bytes, dict[str, bytes], int]:
-    """One stage-1 training step's loss, parameter gradients and tape records, as ``train._train_step`` runs it."""
+def stage1_step(model: Model, batch: Batch, leaves: dict | None = None) -> tuple[bytes, dict[str, bytes], int]:
+    """One stage-1 training step's loss, parameter gradients and tape records, as ``train._train_step`` runs it.
+
+    ``leaves`` collects the per-projection leaves of a :func:`patch_former_attention`.
+    """
     model = model.clone()
     with Tape() as tape:
         logits = forward(model, batch, training=True, rng=np.random.default_rng(5))
         loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
     tape.backward(loss)
-    return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in model.params.items()}, len(tape)
+    grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves or {})
+    return loss.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}, len(tape)
 
 
 class TestFewerPasses:
     """Bit-exact: a toy stage-1 step on the ops with fewer passes against the
-    same step on their former bodies (``helpers.FORMER_OPS``)."""
+    same step on their former bodies (``helpers.FORMER_OPS``), attention
+    included (``helpers.former_attention_layer``, its scale a separate ``mul``)."""
 
     @pytest.fixture(scope="class")
     def toy_step(self):
@@ -652,16 +769,17 @@ class TestFewerPasses:
         loss, grads, records = stage1_step(model, batch)
         for name, op in FORMER_OPS.items():
             monkeypatch.setattr(T, name, op)
-        former_loss, former_grads, former_records = stage1_step(model, batch)
+        leaves = patch_former_attention(monkeypatch, FORMER_OPS["masked_softmax"])
+        former_loss, former_grads, former_records = stage1_step(model, batch, leaves)
         assert loss == former_loss
         assert grads.keys() == former_grads.keys()
         assert [name for name in grads if grads[name] != former_grads[name]] == []
-        # the attention scale folds into the softmax: one record fewer per layer
-        assert former_records - records == model.config.layers
+        # attention was 20 records per layer, with its scale as a mul; it is 4
+        assert former_records - records == 16 * model.config.layers
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 120
+        assert stage1_step(model, batch)[2] == 60
 
 
 def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
@@ -1114,6 +1232,36 @@ class TestCheckpoint:
         _, path = self.saved(tmp_path, 22)
         rewrite_header(path, lambda h: h["config"].update(heads=heads))
         with pytest.raises(CheckpointError, match=r"\.kgtc: bad config block: need heads >= 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("hidden", 16.0), ("layers", 2.0), ("experts", 4.0), ("entity_count", 20.0), ("heads", True), ("expert_hidden", "32"),
+         ("tie_decoder", "false"), ("tie_decoder", 0)],
+    )
+    def test_mistyped_config_rejected_by_name(self, tmp_path, key, value):
+        # a float count equal to the saved one used to escape as a bare TypeError, "false" loaded as
+        # tied and failed as a parameter set mismatch, and True passed as one head
+        _, path = self.saved(tmp_path, 24)
+        rewrite_header(path, lambda h: h["config"].update({key: value}))
+        with pytest.raises(CheckpointError, match=rf"\.kgtc: bad config block: {key} must be"):
+            load_checkpoint(path)
+
+    def test_per_qkv_layout_rejected(self, tmp_path):
+        # the former layout named each layer's projections, layer{i}.wq, .wk and .wv
+        model, path = self.saved(tmp_path, 25)
+
+        def per_projection(header):
+            params = []
+            for name, dims in header["params"]:
+                if name.endswith(".wqkv"):
+                    params += [[name[: -len("qkv")] + w, [dims[0], dims[0]]] for w in "qkv"]
+                else:
+                    params.append([name, dims])
+            header["params"] = params
+
+        rewrite_header(path, per_projection)
+        with pytest.raises(CheckpointError, match=r"\.kgtc: parameter set mismatch \(missing \['layer0\.wqkv', 'layer1\.wqkv'\], extra \['layer0\.wk'"):
             load_checkpoint(path)
 
     def test_per_expert_layout_rejected(self, tmp_path):

@@ -7,12 +7,15 @@ from helpers import (
     _unbroadcast,
     dense_cross_entropy,
     former_add,
+    former_attention,
     former_gelu,
     former_layer_norm,
     former_masked_softmax,
+    former_matmul,
     former_mul,
     former_softmax,
     loop_answer_masked_cross_entropy,
+    slice_last,
     smoothed_labels,
 )
 from kgt.tensor import (
@@ -23,6 +26,7 @@ from kgt.tensor import (
     _record,
     add,
     answer_masked_cross_entropy,
+    attention,
     cross_entropy,
     dropout,
     gather_rows,
@@ -116,10 +120,12 @@ class TestTensorBasics:
             out = sum_all(mul(a, 2.0))
         tape.backward(out)
         assert a.grad.tolist() == [[2.0] * 4] * 3
-        with pytest.raises(ValueError, match="batch axes"):
-            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 4, 5))))
-        with pytest.raises(ValueError, match="batch axes"):
-            matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+
+    def test_matmul_is_2d_only(self):
+        # stacked products run inside the ops that need them, such as attention
+        for a, b in (((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 4, 5)), ((4,), (4, 5))):
+            with pytest.raises(ValueError, match="matmul operands must be 2-D"):
+                matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
     def test_grad_does_not_alias_upstream(self):
         # reshape hands a view of the upstream gradient down; the leaf must
@@ -224,26 +230,33 @@ class TestGelu:
         assert (np.abs(grad - want_grad) / np.maximum(1.0, np.abs(want_grad))).max() <= 64 * eps
 
 
-class TestMatmulWeightGradient:
+class TestAttentionWeightGradient:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_stacked_product(self, dtype):
-        # oracle: the former per-batch products summed by _unbroadcast. The
-        # weight gradient sums in another order (tolerance-bounded: 16 ulps of
-        # the largest entry); the input gradient is bit-exact
+        # oracle: the per-row products h[i].T @ g_qkv[i] summed by _unbroadcast,
+        # where g_qkv, the gradient of the projections, comes from the former
+        # ops on a leaf that holds h @ wqkv. The weight gradient is one GEMM
+        # over every grid row and sums in another order (tolerance-bounded:
+        # 16 ulps of the largest entry)
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 7, 16)).astype(dtype)
-        w = rng.normal(size=(16, 9)).astype(dtype)
-        g = rng.normal(size=(5, 7, 9)).astype(dtype)
-        ta = Tensor(a, requires_grad=True)
-        tw = Tensor(w, requires_grad=True)
+        b, n, d, heads = 5, 7, 16, 4
+        h = rng.normal(size=(b, n, d)).astype(dtype)
+        wqkv = rng.normal(size=(d, 3 * d)).astype(dtype)
+        wo = Tensor(rng.normal(size=(d, d)).astype(dtype))
+        bias = mask_bias((rng.random((b, 1, n, n)) < 0.5) | np.eye(n, dtype=bool))
+        g = Tensor(rng.normal(size=(b, n, d)).astype(dtype))
+        tw = Tensor(wqkv, requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(matmul(ta, tw), Tensor(g)))
+            loss = sum_all(mul(attention(Tensor(h), tw, wo, bias, heads), g))
         tape.backward(loss)
-        want_w = _unbroadcast(np.swapaxes(a, -1, -2) @ g, w.shape)
-        want_a = _unbroadcast(g @ np.swapaxes(w, -1, -2), a.shape)
-        assert tw.grad.shape == w.shape and tw.grad.dtype == dtype
-        assert scaled_error(tw.grad, want_w) <= 16 * np.finfo(dtype).eps
-        assert np.array_equal(ta.grad, want_a)
+        qkv = Tensor(h @ wqkv, requires_grad=True)
+        with Tape() as tape:
+            q, k, v = (slice_last(qkv, i * d, (i + 1) * d) for i in range(3))
+            loss = sum_all(mul(former_attention(q, k, v, wo, bias, heads), g))
+        tape.backward(loss)
+        want = _unbroadcast(np.swapaxes(h, -1, -2) @ qkv.grad, wqkv.shape)
+        assert tw.grad.shape == wqkv.shape and tw.grad.dtype == dtype
+        assert scaled_error(tw.grad, want) <= 16 * np.finfo(dtype).eps
 
 
 class TestOneRowMatmul:
@@ -358,15 +371,24 @@ class TestFormerOps:
     @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_attention_softmax_folds_the_scale(self, seed, hidden, dtype, width):
-        # the former attention: mul by 1/sqrt(head_dim), then the boolean-mask softmax
+        # the former attention ops, with a mul by 1/sqrt(head_dim) and then
+        # the boolean-mask softmax, on leaves holding wqkv's column blocks
         rng = np.random.default_rng(seed)
-        scores = (rng.normal(size=(3, 4, width, width)) * 4.0).astype(dtype)
+        x = rng.normal(size=(3, width, hidden)).astype(dtype)
+        wqkv = (rng.normal(size=(hidden, 3 * hidden)) * 0.3).astype(dtype)
+        wo = rng.normal(size=(hidden, hidden)).astype(dtype)
         mask = (rng.random((3, 1, width, width)) < 0.3) | np.eye(width, dtype=bool)
-        g = rng.normal(size=scores.shape).astype(dtype)
-        scale = 1.0 / np.sqrt(hidden // 4)
-        got = grads_of(masked_softmax, [scores], g, mask_bias(mask), scale)
-        want = grads_of(lambda a: former_masked_softmax(former_mul(a, scale), mask), [scores], g)
-        assert same_bytes(got, want)
+        g = rng.normal(size=x.shape).astype(dtype)
+        got = grads_of(attention, [x, wqkv, wo], g, mask_bias(mask), 4)
+
+        def scaled_softmax(a, bias, scale):
+            return former_masked_softmax(former_mul(a, scale), mask)
+
+        def former(h, wq, wk, wv, wo):
+            return former_attention(*(former_matmul(h, w) for w in (wq, wk, wv)), wo, mask_bias(mask), 4, scaled_softmax)
+
+        want = grads_of(former, [x, *np.split(wqkv, 3, axis=1), wo], g)
+        assert same_bytes(got, want[:2] + [np.concatenate(want[2:5], axis=1), want[5]])
 
     @given(st.integers(0, 10_000), st.sampled_from([np.float32, np.float64]), st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
