@@ -102,7 +102,8 @@ class KnowledgeGraph:
 
     def _group(self, sources: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
         """CSR: ``columns`` grouped by source entity, in the given order within a group."""
-        order = np.argsort(sources, kind="stable")
+        # a stable argsort is one permutation for any key type; ids below 2**16 then sort by radix
+        order = np.argsort(sources.astype(np.min_scalar_type(self.entity_count)), kind="stable")
         indptr = np.zeros(self.entity_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(sources, minlength=self.entity_count), out=indptr[1:])
         return (indptr, *(c[order] for c in columns))
@@ -149,8 +150,8 @@ def _triple_keys(hrt: np.ndarray, entity_count: int, relation_count: int) -> np.
     return (hrt[:, 0] * relation_count + hrt[:, 1]) * entity_count + hrt[:, 2]
 
 
-def _first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
-    """Row and description of the first out-of-range id, else of the first repeated triple."""
+def _bad_id(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
+    """Row and description of the first out-of-range id."""
     h, r, t = hrt[:, 0], hrt[:, 1], hrt[:, 2]
     bad_entity = (h < 0) | (h >= entity_count) | (t < 0) | (t >= entity_count)
     bad = np.flatnonzero(bad_entity | (r < 0) | (r >= relation_count))
@@ -158,13 +159,24 @@ def _first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tup
         i = int(bad[0])
         kind = "entity" if bad_entity[i] else "relation"
         return i, f"{kind} id out of range in {tuple(hrt[i].tolist())}"
-    _, first = np.unique(_triple_keys(hrt, entity_count, relation_count), return_index=True)
-    if first.size < len(hrt):
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    """Whether any key occurs twice: one sort and one neighbour compare."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
+    """Row and description of the first out-of-range id, else of the first repeated triple."""
+    fault = _bad_id(hrt, entity_count, relation_count)
+    if fault is None and _repeats(keys := _triple_keys(hrt, entity_count, relation_count)):
+        _, first = np.unique(keys, return_index=True)
         repeated = np.ones(len(hrt), dtype=bool)
         repeated[first] = False
         i = int(np.flatnonzero(repeated)[0])
-        return i, f"duplicate triple {tuple(hrt[i].tolist())}"
-    return None
+        fault = i, f"duplicate triple {tuple(hrt[i].tolist())}"
+    return fault
 
 
 SPLITS = ("train", "valid", "test")
@@ -338,28 +350,30 @@ def build_split(
     naming its line instead.
     """
     arrays = {name: _triple_array(parts[name]) for name in SPLITS}
-    for name, hrt in arrays.items():
-        fault = _first_fault(hrt, entity_count, relation_count)
-        if fault is None:
-            continue
-        row, message = fault
-        if sources is not None:
-            path, lines = sources[name]
-            raise ParseError(path, int(lines[row]), message)
-        raise IntegrityError(f"{name} triple {row}: {message}")
-
-    train, valid, test = (_triple_keys(arrays[name], entity_count, relation_count) for name in SPLITS)
-    valid_new = ~np.isin(valid, train)
-    test_new = ~np.isin(test, valid)
-    cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
-    disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
-    if not (cumulative or disjoint):
-        raise IntegrityError("split files are neither cumulative nor disjoint increments")
-
-    # either way the new triples of a split are those its predecessor lacks
-    store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
+    store = np.concatenate(list(arrays.values()))
+    ends = np.cumsum([len(hrt) for hrt in arrays.values()]).tolist()
+    # in-range ids and no repeated triple mean sound parts that are disjoint increments; else check part by part
+    if _bad_id(store, entity_count, relation_count) is not None or _repeats(_triple_keys(store, entity_count, relation_count)):
+        for name, hrt in arrays.items():
+            fault = _first_fault(hrt, entity_count, relation_count)
+            if fault is None:
+                continue
+            row, message = fault
+            if sources is not None:
+                path, lines = sources[name]
+                raise ParseError(path, int(lines[row]), message)
+            raise IntegrityError(f"{name} triple {row}: {message}")
+        train, valid, test = (_triple_keys(arrays[name], entity_count, relation_count) for name in SPLITS)
+        valid_new = ~np.isin(valid, train)
+        test_new = ~np.isin(test, valid)
+        cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
+        disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
+        if not (cumulative or disjoint):
+            raise IntegrityError("split files are neither cumulative nor disjoint increments")
+        # either way the new triples of a split are those its predecessor lacks
+        store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
+        ends = (len(train), len(train) + int(valid_new.sum()), len(store))
     store.flags.writeable = False
-    ends = (len(train), len(train) + int(valid_new.sum()), len(store))
     # the parts were checked above, so the prefixes need no second check
     graphs = (KnowledgeGraph(entity_count, relation_count, store[:n], validate=False) for n in ends)
     return SplitDataset(*graphs, entities=entities, relations=relations)

@@ -84,13 +84,14 @@ def truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.n
     out *= std
     out += 0.0
     limit = 2.0 * std
-    while True:
-        bad = out > limit
-        bad |= out < -limit
-        n_bad = np.count_nonzero(bad)
-        if n_bad == 0:
-            return out.astype(dtype, copy=False)
-        out[bad] = rng.normal(0.0, std, size=n_bad)
+    bad = out > limit
+    bad |= out < -limit
+    pos = np.flatnonzero(bad)
+    while pos.size:  # only the values just redrawn can be out of range
+        draws = rng.normal(0.0, std, size=pos.size)
+        out.flat[pos] = draws
+        pos = pos[np.abs(draws) > limit]
+    return out.astype(dtype, copy=False)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

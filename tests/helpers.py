@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from kgt.errors import IntegrityError, ParseError
 from kgt.graph import KnowledgeGraph, LeviGraph, SplitDataset, Triple, build_split, write_vocab
 
 
@@ -109,6 +110,91 @@ def toy_split(
         entities,
         relations,
     )
+
+
+def former_group(entity_count: int, sources: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Test oracle: the former ``KnowledgeGraph._group``, a stable argsort of the int64 sources."""
+    order = np.argsort(sources, kind="stable")
+    indptr = np.zeros(entity_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=entity_count), out=indptr[1:])
+    return (indptr, *(c[order] for c in columns))
+
+
+def former_first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
+    """Test oracle: the former per-part check, which ran ``np.unique`` on every part."""
+    h, r, t = hrt[:, 0], hrt[:, 1], hrt[:, 2]
+    bad_entity = (h < 0) | (h >= entity_count) | (t < 0) | (t >= entity_count)
+    bad = np.flatnonzero(bad_entity | (r < 0) | (r >= relation_count))
+    if bad.size:
+        i = int(bad[0])
+        kind = "entity" if bad_entity[i] else "relation"
+        return i, f"{kind} id out of range in {tuple(hrt[i].tolist())}"
+    _, first = np.unique((h * relation_count + r) * entity_count + t, return_index=True)
+    if first.size < len(hrt):
+        repeated = np.ones(len(hrt), dtype=bool)
+        repeated[first] = False
+        i = int(np.flatnonzero(repeated)[0])
+        return i, f"duplicate triple {tuple(hrt[i].tolist())}"
+    return None
+
+
+def former_build_split(parts, entity_count: int, relation_count: int, sources=None) -> SplitDataset:
+    """Test oracle: the former ``build_split``: each part checked in turn, then
+    four ``np.isin`` set tests decide between cumulative and disjoint parts."""
+    arrays = {name: np.asarray(parts[name], dtype=np.int64).reshape(-1, 3) for name in ("train", "valid", "test")}
+    for name, hrt in arrays.items():
+        fault = former_first_fault(hrt, entity_count, relation_count)
+        if fault is None:
+            continue
+        row, message = fault
+        if sources is not None:
+            path, lines = sources[name]
+            raise ParseError(path, int(lines[row]), message)
+        raise IntegrityError(f"{name} triple {row}: {message}")
+
+    train, valid, test = ((a[:, 0] * relation_count + a[:, 1]) * entity_count + a[:, 2] for a in arrays.values())
+    valid_new = ~np.isin(valid, train)
+    test_new = ~np.isin(test, valid)
+    cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
+    disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
+    if not (cumulative or disjoint):
+        raise IntegrityError("split files are neither cumulative nor disjoint increments")
+
+    store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
+    store.flags.writeable = False
+    ends = (len(train), len(train) + int(valid_new.sum()), len(store))
+    graphs = (KnowledgeGraph(entity_count, relation_count, store[:n], validate=False) for n in ends)
+    return SplitDataset(*graphs)
+
+
+@st.composite
+def split_parts(draw):
+    """``(parts, entity_count, relation_count)`` for ``build_split``: disjoint or
+    cumulative parts, parts that overlap or repeat a triple, empty parts, and
+    now and then an out-of-range id."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n - 1), st.integers(0, r - 1), st.integers(0, n - 1))
+    pool = draw(st.lists(triple, unique=True, max_size=12))
+    a, b = sorted(draw(st.lists(st.integers(0, len(pool)), min_size=2, max_size=2)))
+    train, valid, test = pool[:a], pool[a:b], pool[b:]
+    layout = draw(st.sampled_from(("disjoint", "cumulative", "overlapping", "repeating")))
+    if layout == "cumulative":
+        valid = draw(st.permutations(train + valid))
+        test = draw(st.permutations(valid + test))
+    elif layout != "disjoint" and pool:
+        # overlapping parts hold each triple once; repeating parts may hold one twice
+        part = st.lists(st.sampled_from(pool), unique=layout == "overlapping", max_size=6)
+        train, valid, test = (draw(part) for _ in range(3))
+    parts = {"train": list(train), "valid": list(valid), "test": list(test)}
+    if draw(st.booleans()) and any(parts.values()):
+        name = draw(st.sampled_from([name for name, part in parts.items() if part]))
+        row = draw(st.integers(0, len(parts[name]) - 1))
+        column = draw(st.integers(0, 2))
+        bad = list(parts[name][row])
+        bad[column] = draw(st.sampled_from((-1, r if column == 1 else n)))
+        parts[name][row] = tuple(bad)
+    return parts, n, r
 
 
 def write_toy_dataset(directory: Path, split: SplitDataset, tokens: bool = True) -> Path:

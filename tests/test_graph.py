@@ -16,8 +16,11 @@ from kgt.graph import (
 from helpers import (
     ListGraph,
     attention_mask,
+    former_build_split,
+    former_group,
     has_triple,
     hub_multigraphs,
+    split_parts,
     to_triples,
     toy_split,
     write_toy_dataset,
@@ -169,6 +172,29 @@ class TestKnowledgeGraph:
         want_indptr, want_nbrs = g._group(pairs // g.entity_count, pairs % g.entity_count)
         assert np.array_equal(indptr, want_indptr) and indptr.dtype == want_indptr.dtype
         assert np.array_equal(nbrs, want_nbrs) and nbrs.dtype == want_nbrs.dtype
+
+    @pytest.mark.parametrize("entity_count", [1, 255, 256, 257, 65535, 65536, 65537])
+    def test_csr_matches_int64_group_at_every_key_width(self, entity_count):
+        # bit-exact: a stable argsort is one permutation for any key type
+        rng = np.random.default_rng(entity_count)
+        high = [entity_count - 1, entity_count - 2, entity_count // 2, 0]
+        ends = rng.choice([e for e in high if e >= 0], size=(40, 2))
+        triples = sorted({(int(h), int(r), int(t)) for (h, t), r in zip(ends, rng.integers(3, size=40))})
+        g = KnowledgeGraph(entity_count, 3, triples)
+        h, r, t = g.hrt[:, 0], g.hrt[:, 1], g.hrt[:, 2]
+        src, dst = np.concatenate([h, t]), np.concatenate([t, h])
+        pairs = np.unique(src * entity_count + dst)
+        want = {
+            "csr_out": former_group(entity_count, h, t, r),
+            "csr_in": former_group(entity_count, t, h, r),
+            "csr_undirected": former_group(entity_count, pairs // entity_count, pairs % entity_count),
+            "csr_undirected_multi": former_group(entity_count, src, dst),
+        }
+        for name, arrays in want.items():
+            got = getattr(g, name)()
+            assert len(got) == len(arrays), name
+            for a, b in zip(got, arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_multigraph_multiplicity_kept_in_multi_csr(self):
         g = KnowledgeGraph(2, 2, [(0, 0, 1), (0, 1, 1)])
@@ -377,6 +403,39 @@ class TestLoadSplit:
             build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)
         with pytest.raises(IntegrityError):
             build_split({"train": [(0, 0, 1)], "valid": [(0, 0, 9)], "test": []}, 2, 1)
+
+    @given(split_parts(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_build_split_matches_former_checks(self, case, with_sources):
+        # bit-exact: the same store and prefixes, or the same error at the same line
+        parts, n, r = case
+        sources = None
+        if with_sources:
+            sources = {name: (f"{name}.txt", np.arange(len(part), dtype=np.int64) * 2 + 3) for name, part in parts.items()}
+
+        def outcome(build):
+            try:
+                split = build(parts, n, r, sources=sources)
+            except (IntegrityError, ParseError) as err:
+                return type(err), str(err), getattr(err, "path", None), getattr(err, "line", None)
+            store = split.test.hrt
+            assert not store.flags.writeable
+            return store.dtype, store.shape, store.tobytes(), len(split.train), len(split.valid), len(split.test)
+
+        assert outcome(build_split) == outcome(former_build_split)
+
+    def test_normalized_dataset_loads_without_set_tests(self, tmp_path, monkeypatch):
+        # disjoint increments, as ingest writes them, are checked by one sort
+        raw = write_toy_dataset(tmp_path / "raw", toy_split(seed=3))
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_split ran a hash-based set operation")
+
+        monkeypatch.setattr(np, "isin", forbidden)
+        monkeypatch.setattr(np, "unique", forbidden)
+        loaded = load_split(tmp_path / "out" / "dataset")
+        assert (len(loaded.train), len(loaded.valid), len(loaded.test)) == (200, 220, 240)
 
     def test_missing_file_raises(self, tmp_path):
         write_triples(tmp_path / "train.txt", [(0, 0, 1)])

@@ -160,6 +160,25 @@ class TestParameters:
             want = heap_truncated_normal(np.random.default_rng(seed), shape, std, np.float64)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
 
+    def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
+        # after the first scan only the redrawn positions are checked again
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.rounds = np.random.default_rng(seed), 0
+
+            def standard_normal(self, **kwargs):
+                return self.rng.standard_normal(**kwargs)
+
+            def normal(self, *args, **kwargs):
+                self.rounds += 1
+                return self.rng.normal(*args, **kwargs)
+
+        rng = CountingRng(10)
+        got = truncated_normal(rng, (300, 1000), 0.02, np.float64)
+        want = heap_truncated_normal(np.random.default_rng(10), (300, 1000), 0.02, np.float64)
+        assert rng.rounds >= 3
+        assert got.tobytes() == want.tobytes()
+
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         shape = (20_001, 128)
         rng = np.random.default_rng(8)
