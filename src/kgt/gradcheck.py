@@ -99,7 +99,7 @@ class OpCase(NamedTuple):
 
 
 _MASK_BIAS = T.mask_bias((np.random.default_rng(22).random((2, 1, 4, 4)) < 0.5) | np.eye(4, dtype=bool))  # 7 of 8 rows masked in part
-_ATTENTION_SHAPES = ((2, 4, 4), (4, 12), (4, 4))  # h, wqkv, wo
+_ATTENTION_SHAPES = ((8, 4), (4, 12), (4, 4))  # h (a 2 x 4 grid), wqkv, wo
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
@@ -112,7 +112,7 @@ OP_CASES = (
     OpCase("add", T.add, ((3, 4), (3, 4)), 0),
     OpCase("mul", T.mul, ((3, 4), (3, 4)), 1),
     OpCase("matmul", T.matmul, ((3, 4), (4, 5)), 2),
-    OpCase("reshape_transpose", lambda a: T.transpose(T.reshape(a, (2, 2, 3, 2)), (0, 2, 1, 3)), ((4, 6),), 3),
+    OpCase("transpose", lambda a: T.transpose(a, (1, 0)), ((4, 6),), 3),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
@@ -152,7 +152,7 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
 
 
 def moe_check(tolerance: float = 1e-4) -> CheckResult:
-    """Top-2-of-4 routed MoE block on a padded batch of graphs with 3 and 1 real nodes."""
+    """Top-2-of-4 routed MoE block on the 6 rows of a padded 2 x 3 grid holding graphs with 3 and 1 real nodes."""
     rng = np.random.default_rng(15)
     config = ModelConfig(
         entity_count=2, relation_count=1, layers=1, hidden=4, heads=2, experts=4, top_k=2, expert_hidden=6
@@ -169,7 +169,7 @@ def moe_check(tolerance: float = 1e-4) -> CheckResult:
         out = moe_ffn(model, 0, p["x"], training=True, rng=np.random.default_rng(16), rows=real)
         return _weighted(out, np.random.default_rng(17))
 
-    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 2, 3, 4)}, tolerance)
+    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 6, 4)}, tolerance)
 
 
 def model_check(tolerance: float = 1e-3) -> CheckResult:

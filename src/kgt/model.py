@@ -289,7 +289,8 @@ def encode_queries(
 def attention_layer(model: Model, layer: int, x: Tensor, attn_bias: np.ndarray, training: bool, rng: np.random.Generator | None) -> Tensor:
     """Pre-LN multi-head attention restricted to graph neighbors.
 
-    ``attn_bias`` is the batch's attention mask as a :func:`kgt.tensor.mask_bias`.
+    ``x`` holds the [B * N, d] node states of the grid, and ``attn_bias`` is the
+    batch's attention mask as a :func:`kgt.tensor.mask_bias`, which gives the grid's shape.
     """
     cfg = model.config
     p = model.params
@@ -314,19 +315,17 @@ def moe_ffn(
     selected logits; inference mixes all experts under the full softmax. With
     two experts the two paths coincide exactly.
 
-    ``rows`` are the flat indexes of the real nodes in the [B * N] grid (all
-    of them when None). Each expert runs only on the real nodes routed to it,
-    so the block adds exactly 0 at padding slots.
+    ``x`` holds the [B * N, d] node states, and ``rows`` the indexes of its
+    real nodes (all of them when None). Each expert runs only on the real nodes
+    routed to it, so the block adds exactly 0 at padding slots.
     """
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
-    b, n, d = x.shape
     h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-    flat = T.reshape(h, (b * n, d))
-    gate_logits = T.matmul(flat, p[prefix + "gate"])
+    gate_logits = T.matmul(h, p[prefix + "gate"])
     if rows is None:
-        rows = np.arange(b * n)
+        rows = np.arange(x.shape[0])
 
     selected = None
     if training and cfg.top_k < cfg.experts:
@@ -341,9 +340,8 @@ def moe_ffn(
     # expert with no rows still takes part, so that it gets zero gradients
     routes = [rows if selected is None else rows[selected[rows, j]] for j in range(cfg.experts)]
     stacked = (p[prefix + "experts." + name] for name in ("w1", "b1", "w2", "b2"))
-    combined = T.moe_experts(flat, weights, *stacked, routes)
-    out = T.reshape(combined, (b, n, d))
-    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    combined = T.moe_experts(h, weights, *stacked, routes)
+    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
 
 
 def decoder_matrix(model: Model) -> Tensor:
@@ -362,23 +360,23 @@ def forward(
     """Run the transformer and score entities at the batch's prediction slots.
 
     Returns [P, entity_count] logits, one row per entry of ``batch.positions``.
+    The node states are one [B * N, d] array throughout; only attention sees
+    the grid, through the shape of the mask.
     """
     cfg = model.config
     p = model.params
-    b, n = batch.entity_ids.shape
     ids = batch.entity_ids.reshape(-1)
     is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's; padding is an entity
     x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
-    x = T.reshape(x, (b, n, cfg.hidden))
 
     # padding slots attend only to themselves and are never scored
-    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
+    real_rows = np.flatnonzero(np.arange(batch.entity_ids.shape[1]) < np.asarray(batch.sizes)[:, None])
     attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
         x = attention_layer(model, layer, x, attn_bias, training, rng)
         x = moe_ffn(model, layer, x, training, rng, real_rows)
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions, unique=True)
+    states = T.gather_rows(x, batch.positions, unique=True)
     return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
 

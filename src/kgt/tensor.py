@@ -177,16 +177,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _record(out, backward)
-
-
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
@@ -318,13 +308,15 @@ def moe_experts(x: Tensor, weights: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine.
+    """Normalize each row of an [M, d] ``a`` to zero mean and unit variance, then affine.
 
     The variance is numpy's ``x.var(axis=-1)`` step for step (square, sum,
     divide by the item count as ``np.intp``), with ``x - mean`` computed once
     and shared with ``xhat``.
     """
     x = a.data
+    if x.ndim != 2:
+        raise ValueError(f"layer_norm input must be 2-D, got shape {x.shape}")
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     xhat = np.square(centered)
@@ -339,10 +331,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = Tensor(y, requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
         scratch = g * xhat
-        _accumulate(gain, scratch.sum(axis=reduce_axes), owned=True)
-        _accumulate(bias, g.sum(axis=reduce_axes), owned=True)
+        _accumulate(gain, scratch.sum(axis=0), owned=True)
+        _accumulate(bias, g.sum(axis=0), owned=True)
         # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), with gx = g * gain
         gx = g * gain.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
@@ -426,24 +417,24 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int) -> Tensor:
-    """Masked multi-head attention over a [B, N, d] grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+    """Masked multi-head attention over the [B * N, d] rows of a B x N grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
 
-    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`, and ``scale``
+    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`, which gives the grid's shape, and ``scale``
     ``1/sqrt(d / heads)`` in ``h``'s dtype. Each product rounds as the former per-projection ops' did."""
-    b, n, d = h.shape
+    b, n, d = bias.shape[0], bias.shape[-1], h.shape[1]
     hd = d // heads
     scale = h.dtype.type(1.0 / math.sqrt(hd))
     # one [N, d] @ [d, d] product per grid row and projection: h @ wqkv ran slower on one OpenBLAS thread
-    q, k, v = ((h.data @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
+    grid = h.data.reshape(b, n, d)
+    q, k, v = ((grid @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
     x = q @ np.swapaxes(k, -1, -2) * scale
     x += bias
     x -= x.max(axis=-1, keepdims=True)
     p = _softmax_rows(x)
     context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-    out = Tensor(context @ wo.data, requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
+    out = Tensor((context @ wo.data).reshape(b * n, d), requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
 
     def backward(g):
-        g = g.reshape(b * n, d)
         _accumulate(wo, context.reshape(b * n, d).T @ g, owned=True)
         g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
         g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
@@ -452,11 +443,11 @@ def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int)
         g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
         for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
             g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)  # not np.stack: 8x slower here
-        _accumulate(wqkv, h.data.reshape(b * n, d).T @ g_qkv, owned=True)
+        _accumulate(wqkv, h.data.T @ g_qkv, owned=True)
         gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
         for i in (1, 0):  # the value, key and query terms, summed in the former tape's order
             gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)
-        _accumulate(h, gh.reshape(b, n, d), owned=True)
+        _accumulate(h, gh, owned=True)
 
     return _record(out, backward)
 

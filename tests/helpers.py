@@ -483,6 +483,127 @@ def fused_grads(leaves: dict, layer: int) -> dict[str, np.ndarray]:
     return {f"layer{layer}.wqkv": np.concatenate([leaves[name].grad for name in QKV], axis=1)}
 
 
+def former_reshape(a, shape) -> "Tensor":
+    """Test oracle op: the former ``kgt.tensor.reshape``; the backward hands down a view of the upstream gradient."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    out = Tensor(a.data.reshape(tuple(shape)), requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _record(out, backward)
+
+
+def grid_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.layer_norm``, which took any rank
+    and summed the gain and bias gradients over every axis but the last."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    x = a.data
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    xhat = np.square(centered)
+    var = xhat.sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
+    var += eps
+    inv_std = np.sqrt(var, out=var)
+    np.divide(1.0, inv_std, out=inv_std)
+    np.multiply(centered, inv_std, out=xhat)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad)
+
+    def backward(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        scratch = g * xhat
+        _accumulate(gain, scratch.sum(axis=reduce_axes), owned=True)
+        _accumulate(bias, g.sum(axis=reduce_axes), owned=True)
+        gx = g * gain.data
+        mean_gx = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=scratch)
+        mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
+        gx -= mean_gx
+        gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
+        gx *= inv_std
+        _accumulate(a, gx, owned=True)
+
+    return _record(out, backward)
+
+
+def grid_attention(h, wqkv, wo, bias: np.ndarray, heads: int) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.attention``, over a [B, N, d] grid ``h``."""
+    import math
+
+    from kgt.tensor import Tensor, _accumulate, _gemm, _record, _softmax_grad, _softmax_rows
+
+    b, n, d = h.shape
+    hd = d // heads
+    scale = h.dtype.type(1.0 / math.sqrt(hd))
+    q, k, v = ((h.data @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
+    x = q @ np.swapaxes(k, -1, -2) * scale
+    x += bias
+    x -= x.max(axis=-1, keepdims=True)
+    p = _softmax_rows(x)
+    context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    out = Tensor(context @ wo.data, requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
+
+    def backward(g):
+        g = g.reshape(b * n, d)
+        _accumulate(wo, context.reshape(b * n, d).T @ g, owned=True)
+        g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
+        g_scores *= scale
+        g_kt = np.swapaxes(q, -1, -2) @ g_scores
+        g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
+        for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
+            g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)
+        _accumulate(wqkv, h.data.reshape(b * n, d).T @ g_qkv, owned=True)
+        gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
+        for i in (1, 0):
+            gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)
+        _accumulate(h, gh.reshape(b, n, d), owned=True)
+
+    return _record(out, backward)
+
+
+def grid_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
+    """Test oracle: the former ``kgt.model.forward``, which carried the node
+    states as a [B, N, d] grid: ``former_reshape`` to the grid after the input
+    lookup, :func:`grid_layer_norm` and :func:`grid_attention` on the grid,
+    and ``former_reshape`` to [B * N, d] rows and back around each MoE block's
+    gate and experts, and again before the final gather. That is 2 + 2 * layers
+    reshape records per step."""
+    from kgt import tensor as T
+    from kgt.model import decoder_matrix
+
+    cfg = model.config
+    p = model.params
+    b, n = batch.entity_ids.shape
+    d = cfg.hidden
+    ids = batch.entity_ids.reshape(-1)
+    is_entity = (ids <= cfg.mask_id).astype(np.int64)
+    x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
+    x = former_reshape(x, (b, n, d))
+    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
+    attn_bias = T.mask_bias(batch.attn_mask)
+    for layer in range(cfg.layers):
+        prefix = f"layer{layer}."
+        h = grid_layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
+        out = grid_attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
+        x = T.add(x, T.dropout(out, cfg.dropout, rng, training))
+        h = grid_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
+        flat = former_reshape(h, (b * n, d))
+        weights, selected = _gate_weights(cfg, T.matmul(flat, p[prefix + "gate"]), training)
+        routes = [real_rows if selected is None else real_rows[selected[real_rows, j]] for j in range(cfg.experts)]
+        stacked = (p[prefix + "experts." + name] for name in EXPERT_WEIGHTS)
+        out = former_reshape(T.moe_experts(flat, weights, *stacked, routes), (b, n, d))
+        x = T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    x = grid_layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
+    states = T.gather_rows(former_reshape(x, (b * n, d)), batch.positions, unique=True)
+    return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
+
+
 def former_matmul(a, b) -> "Tensor":
     """Test oracle: the former ``kgt.tensor.matmul``, which also took stacked
     operands; with a 2-D ``b``, each gradient folds ``a``'s batch axes into rows."""
@@ -520,18 +641,30 @@ def former_attention(q, k, v, wo, bias: np.ndarray, heads: int, softmax=None) ->
     softmax = scaled_masked_softmax if softmax is None else softmax
 
     def split_heads(m):
-        return T.transpose(T.reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
+        return T.transpose(former_reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     scores = former_matmul(q, T.transpose(k, (0, 1, 3, 2)))
     probs = softmax(scores, bias, 1.0 / np.sqrt(d // heads))
-    context = T.reshape(T.transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
+    context = former_reshape(T.transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
     return former_matmul(context, wo)
 
 
+def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int, softmax=None) -> "Tensor":
+    """Test oracle: the former attention ops on [B * N, d] rows ``h``: a
+    ``former_reshape`` to the grid that ``bias`` gives, one product per grid
+    row and projection, :func:`former_attention`, and a ``former_reshape`` back."""
+    b, n = bias.shape[0], bias.shape[-1]
+    d = h.shape[-1]
+    grid = former_reshape(h, (b, n, d))
+    out = former_attention(*(former_matmul(grid, w) for w in (wq, wk, wv)), wo, bias, heads, softmax)
+    return former_reshape(out, (b * n, d))
+
+
 def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights=None, softmax=None) -> "Tensor":
-    """Test oracle: the former attention layer, 19 tape ops: :func:`former_attention`
-    over projections by the leaves ``weights`` (fresh :func:`qkv_leaves` when None)."""
+    """Test oracle: the former attention layer, 19 tape ops and the two
+    ``former_reshape`` records of :func:`former_attention_rows`, over the
+    projections by the leaves ``weights`` (fresh :func:`qkv_leaves` when None)."""
     from kgt import tensor as T
 
     cfg = model.config
@@ -539,28 +672,30 @@ def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng,
     prefix = f"layer{layer}."
     weights = qkv_leaves(model, layer) if weights is None else weights
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-    q, k, v = (former_matmul(h, weights[name]) for name in QKV)
-    out = former_attention(q, k, v, p[prefix + "wo"], attn_bias, cfg.heads, softmax)
+    out = former_attention_rows(h, *(weights[name] for name in QKV), p[prefix + "wo"], attn_bias, cfg.heads, softmax)
     return T.add(x, T.dropout(out, cfg.dropout, rng, training))
 
 
-def _moe_gate(model, layer: int, x, training: bool):
-    """``moe_ffn``'s gate: the normed rows [B * N, d], their routing weights, and the top-k choice (None when every expert mixes)."""
+def _gate_weights(cfg, gate_logits, training: bool):
+    """``moe_ffn``'s routing weights of the gate logits, and the top-k choice (None when every expert mixes)."""
     from kgt import tensor as T
 
-    cfg = model.config
-    p = model.params
-    prefix = f"layer{layer}."
-    b, n, d = x.shape
-    h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-    flat = T.reshape(h, (b * n, d))
-    gate_logits = T.matmul(flat, p[prefix + "gate"])
     if training and cfg.top_k < cfg.experts:
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        return flat, T.masked_softmax(gate_logits, T.mask_bias(selected)), selected
-    return flat, T.softmax(gate_logits), None
+        return T.masked_softmax(gate_logits, T.mask_bias(selected)), selected
+    return T.softmax(gate_logits), None
+
+
+def _moe_gate(model, layer: int, x, training: bool):
+    """``moe_ffn``'s gate on [M, d] rows ``x``: the normed rows, their routing weights, and the top-k choice."""
+    from kgt import tensor as T
+
+    p = model.params
+    prefix = f"layer{layer}."
+    h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
+    return (h, *_gate_weights(model.config, T.matmul(h, p[prefix + "gate"]), training))
 
 
 def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts=None) -> "Tensor":
@@ -576,12 +711,12 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts
     from kgt.tensor import Tensor
 
     cfg = model.config
-    b, n, d = x.shape
+    m = x.shape[0]
     flat, weights, selected = _moe_gate(model, layer, x, training)
-    rows = np.arange(b * n) if rows is None else rows
+    rows = np.arange(m) if rows is None else rows
     experts = expert_leaves(model, layer) if experts is None else experts
-    combined = Tensor(np.zeros((b * n, d), dtype=flat.dtype))
-    flat_weights = T.reshape(weights, (b * n * cfg.experts, 1))
+    combined = Tensor(np.zeros(x.shape, dtype=flat.dtype))
+    flat_weights = former_reshape(weights, (m * cfg.experts, 1))
     for j, e in enumerate(experts):
         rows_j = rows if selected is None else rows[selected[rows, j]]
         inputs = T.gather_rows(flat, rows_j, unique=True)
@@ -589,8 +724,7 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
         term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
         combined = scatter_add_rows(combined, term, rows_j)
-    out = T.reshape(combined, (b, n, d))
-    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
 
 
 def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "Tensor":
@@ -603,7 +737,6 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "T
     from kgt import tensor as T
 
     cfg = model.config
-    b, n, d = x.shape
     flat, weights, _ = _moe_gate(model, layer, x, training)
     experts = expert_leaves(model, layer) if experts is None else experts
     combined = None
@@ -612,8 +745,7 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "T
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
         term = former_mul(out_j, slice_last(weights, j, j + 1))
         combined = term if combined is None else T.add(combined, term)
-    out = T.reshape(combined, (b, n, d))
-    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
 
 
 def padded_encode_subgraphs(subs, config) -> "Batch":
@@ -730,21 +862,19 @@ def two_table_forward(model, batch, training: bool = False, rng=None) -> "Tensor
 
     cfg = model.config
     p = model.params
-    b, n = batch.entity_ids.shape
     ids = batch.entity_ids.reshape(-1)
     is_entity = ids <= cfg.mask_id
     ent = T.gather_rows(p["entity_in"], np.where(is_entity, ids, cfg.mask_id))
     rel = T.gather_rows(p["relation_in"], np.where(is_entity, 0, ids - (cfg.mask_id + 1)))
     x = former_where(is_entity[:, None], ent, rel)
     x = T.add(x, T.gather_rows(p["node_type"], is_entity.astype(np.int64)))
-    x = T.reshape(x, (b, n, cfg.hidden))
-    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
+    real_rows = np.flatnonzero(np.arange(batch.entity_ids.shape[1]) < np.asarray(batch.sizes)[:, None])
     attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
         x = attention_layer(model, layer, x, attn_bias, training, rng)
         x = moe_ffn(model, layer, x, training, rng, real_rows)
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(T.reshape(x, (b * n, cfg.hidden)), batch.positions, unique=True)
+    states = T.gather_rows(x, batch.positions, unique=True)
     if cfg.tie_decoder:
         decoder = T.gather_rows(p["entity_in"], np.arange(cfg.entity_count))
     else:

@@ -141,11 +141,52 @@ def valid_mean_hits(model: Model, toy) -> float:
     return evaluate(model, toy["valid_q"], split="valid", ks=(3,)).rows["mean"]["hits@3"]
 
 
-@pytest.fixture(scope="module")
-def trained(toy):
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+ABLATION_RUNS = ((8, True), (9, True), (7, False), (8, False), (9, False))  # (seed, pretrained) of test_08's runs
+
+
+def trained_run(toy) -> dict:
+    """The pre-trained seed-7 pipeline, and what test_07 and test_08 read of it:
+    its time, its train hits@3 per evaluated shape and its mean valid hits@3."""
     started = time.perf_counter()
     model = run_toy_pipeline(toy, seed=7, pretrained=True)
-    return {"model": model, "elapsed": time.perf_counter() - started}
+    elapsed = time.perf_counter() - started
+    table = evaluate(model, {qt: toy["train_q"][qt] for qt in EVAL_TYPES}, split="train", ks=(3,))
+    return {
+        "elapsed": elapsed,
+        "train_hits": {name: row["hits@3"] for name, row in table.rows.items()},
+        "valid_hits": valid_mean_hits(model, toy),
+    }
+
+
+def ablation_score(toy, seed: int, pretrained: bool) -> float:
+    return valid_mean_hits(run_toy_pipeline(toy, seed, pretrained), toy)
+
+
+@pytest.fixture(scope="module")
+def pipelines(toy):
+    """Every toy pipeline of the suite, the ``trained`` run first, then test_08's.
+
+    The runs are independent and seeded, so they go to two fresh processes,
+    each with one BLAS thread set before it imports numpy: OpenBLAS rounds the
+    width-64 pre-training GEMMs differently at other thread counts, and the
+    scores must not depend on the machine's cores.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in BLAS_THREAD_VARS:
+            patch.setenv(name, "1")
+        pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            trained = pool.submit(trained_run, toy)
+            ablations = [pool.submit(ablation_score, toy, seed, pretrained) for seed, pretrained in ABLATION_RUNS]
+            yield {"trained": trained, "ablations": ablations}
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def trained(pipelines):
+    return pipelines["trained"].result()
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +262,14 @@ def test_03_moe_routing():
     rng = np.random.default_rng(3)
     config = ModelConfig(entity_count=10, relation_count=2, layers=1, hidden=16, heads=2, experts=4, top_k=2, dropout=0.0)
     model = Model(config=config, params=init_parameters(config, rng, dtype=np.float64))
-    x = rng.normal(0.0, 1.0, size=(1, 1000, 16))
-    got = moe_ffn(model, 0, Tensor(x), training=True, rng=None).data.reshape(1000, 16)
-    want = moe_reference(x.reshape(1000, 16), model, 0)
+    x = rng.normal(0.0, 1.0, size=(1000, 16))
+    got = moe_ffn(model, 0, Tensor(x), training=True, rng=None).data
+    want = moe_reference(x, model, 0)
     assert np.abs(got - want).max() <= 1e-5
 
     two = ModelConfig(entity_count=10, relation_count=2, layers=1, hidden=16, heads=2, experts=2, top_k=2, dropout=0.0)
     model2 = Model(config=two, params=init_parameters(two, np.random.default_rng(4)))
-    x2 = Tensor(np.random.default_rng(5).normal(size=(2, 40, 16)).astype(np.float32))
+    x2 = Tensor(np.random.default_rng(5).normal(size=(2 * 40, 16)).astype(np.float32))
     train_out = moe_ffn(model2, 0, x2, training=True, rng=None).data
     eval_out = moe_ffn(model2, 0, x2, training=False, rng=None).data
     assert train_out.tobytes() == eval_out.tobytes()
@@ -385,8 +426,7 @@ def test_06_sampling_statistics(toy):
 def test_07_toy_pipeline_accuracy(toy, trained):
     assert trained["elapsed"] < 300.0, f"pipeline took {trained['elapsed']:.0f}s"
     eval_sets = {qt: toy["train_q"][qt] for qt in EVAL_TYPES}
-    table = evaluate(trained["model"], eval_sets, split="train", ks=(3,))
-    hits = {name: row["hits@3"] for name, row in table.rows.items()}
+    hits = trained["train_hits"]
     assert hits["1p"] >= 0.95, hits
     assert hits["2p"] >= 0.80, hits
     assert hits["2i"] >= 0.80, hits
@@ -412,23 +452,10 @@ def test_07_toy_pipeline_accuracy(toy, trained):
 # ---------------------------------------------------------------------------
 
 
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def ablation_score(toy, seed: int, pretrained: bool) -> float:
-    return valid_mean_hits(run_toy_pipeline(toy, seed, pretrained), toy)
-
-
 @criterion("pretrain+finetune >= finetune-only on mean valid hits@3 over 3 seeds")
-def test_08_pretraining_ablation(toy, trained, monkeypatch):
-    # the five runs are independent and seeded, so they go to two fresh
-    # processes, each with one BLAS thread set before it imports numpy
-    for name in BLAS_THREAD_VARS:
-        monkeypatch.setenv(name, "1")
-    seeds, pretrained = (8, 9, 7, 8, 9), (True, True, False, False, False)
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        scores = list(pool.map(ablation_score, [toy] * len(seeds), seeds, pretrained))
-    pretrained_scores = [valid_mean_hits(trained["model"], toy), *scores[:2]]
+def test_08_pretraining_ablation(pipelines, trained):
+    scores = [future.result() for future in pipelines["ablations"]]
+    pretrained_scores = [trained["valid_hits"], *scores[:2]]
     scratch_scores = scores[2:]
     assert float(np.mean(pretrained_scores)) >= float(np.mean(scratch_scores)), (
         pretrained_scores,

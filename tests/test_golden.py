@@ -27,12 +27,19 @@ taken again when each layer's ``wq``, ``wk`` and ``wv`` became the column
 blocks of one ``wqkv``: they are the digests of the former arena with each
 layer's three projections permuted into ``wqkv``. Again no loss or rank
 digest moved.
+
+Two more runs, ``wide_trace``, pin the fb15k width: hidden 128 on a
+2,000-entity graph, where BLAS rounds the decoder's [P, V] products at other M,
+N and K than at the toy widths. Their steps cover P = 1, an odd P and P >= 100
+prediction slots, and each step's P is pinned too. They were pinned before the
+node states became one flat [B * N, d] array, and that change did not move them.
 """
 
 import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +142,7 @@ def test_sampler_and_generator_outputs_match_golden_digests():
 
 # (hidden, tie_decoder) of each traced run
 TRACE_RUNS = ((16, False), (16, True), (64, False), (64, True))
+WIDE_RUNS = (False, True)  # tie_decoder of each hidden-128 run of ``wide_trace``
 LOSS_RTOL = 1e-3  # relative, per step, on a platform other than PLATFORM
 PLATFORM = {
     "numpy": "2.4.6",
@@ -226,6 +234,42 @@ TRACE = {
         ],
         "arena": "1bf107147c1a8810d53ef4815fb2dd887e8a3a8d589f4d86cf907e939f7802f7",
         "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
+    },
+    "hidden128-untied": {
+        "losses": [
+            "0x1.8bd0340000000p+4",
+            "0x1.905a360000000p+4",
+            "0x1.f1e8f00000000p+2",
+            "0x1.f1f1cc0000000p+2",
+            "0x1.eb21680000000p+2"
+        ],
+        "targets": [
+            130,
+            131,
+            3,
+            3,
+            1
+        ],
+        "arena": "39b359dea8c0ac2c5bcab826dcda032f0f61b9e02a0855fcf9b2e3fb9621d624",
+        "ranks": "8ed013dfc081876586342eed8ab73351b97ef28dfe097392ed2912bb62ed5c7c"
+    },
+    "hidden128-tied": {
+        "losses": [
+            "0x1.88963a0000000p+4",
+            "0x1.8f28900000000p+4",
+            "0x1.e053e00000000p+2",
+            "0x1.de8a600000000p+2",
+            "0x1.f476fe0000000p+2"
+        ],
+        "targets": [
+            130,
+            131,
+            3,
+            3,
+            1
+        ],
+        "arena": "e65b944b786f4742e81815579fcdb0f78d9cb0b7c64384cae2911ec7fc22e972",
+        "ranks": "6ca1f2d94c6840b1b06011aad528217c9d5381baf36b8869d62d0df60fefebb5"
     }
 }
 
@@ -242,14 +286,17 @@ def platform() -> dict:
 
 
 @contextmanager
-def recorded_losses():
-    """Collect the loss of every training step run inside the block."""
+def recorded_losses(targets: list[int] | None = None):
+    """Collect the loss of every training step run inside the block, and its
+    prediction-slot count P into ``targets`` when given."""
     losses: list[float] = []
     original = train._train_step
 
     def step(*args):
         value, norm, lr = original(*args)
         losses.append(value)
+        if targets is not None:
+            targets.append(int(args[2].positions.size))
         return value, norm, lr
 
     train._train_step = step
@@ -295,15 +342,60 @@ def training_trace(hidden: int, tie_decoder: bool) -> dict:
     }
 
 
+def wide_trace(tie_decoder: bool) -> dict:
+    """The fb15k width: hidden 128 over a 2,000-entity graph, so the decoder's
+    [P, V] products run at V = 2000. Two stage-1 steps of 40 graphs (P >= 100
+    each), then one fine-tune epoch of 7 one-hop queries in batches of 3, 3 and
+    1 (P = 3 and P = 1), then evaluation. Also pins each step's P."""
+    split = toy_split(seed=0, entities=2000, relations=20, train=5000, valid=100, test=100)
+    config = ModelConfig(
+        entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=128,
+        heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tie_decoder,
+    )
+    model = Model.init(config, seed=11)
+    optimizer = AdamWConfig(lr=1e-3, weight_decay=1e-3, lr_decay=0.9)
+    train_q = {QueryType.P1: generate_queries(split, QueryType.P1, 7, np.random.default_rng(12))}
+    valid_q = {QueryType.P1: generate_queries(split, QueryType.P1, 4, np.random.default_rng(13), split_for="valid")}
+    targets: list[int] = []
+    with recorded_losses(targets) as losses:
+        stage_config = TrainConfig(
+            stage=Stage.STAGE1, epochs=1, steps_per_epoch=2, batch_size=40, label_smoothing=0.1, seed=101,
+            optimizer=optimizer,
+        )
+        train.pretrain(model, split.train, stage_config)
+        finetune_config = TrainConfig(
+            stage=Stage.FINETUNE, epochs=1, batch_size=3, label_smoothing=0.0, seed=303, optimizer=optimizer
+        )
+        train.finetune(model, train_q, finetune_config)
+    ranks: list = []
+    evaluate(model, valid_q, split="valid", rank_dump=ranks)
+    return {
+        "losses": [value.hex() for value in losses],
+        "targets": targets,
+        "arena": hashlib.sha256(_arena(model.params)[0].tobytes()).hexdigest(),
+        "ranks": _digest(ranks),
+    }
+
+
 def trace_key(hidden: int, tie_decoder: bool) -> str:
     return f"hidden{hidden}-{'tied' if tie_decoder else 'untied'}"
 
 
+def traced_runs():
+    """(key, run) of every traced setting: the toy widths, then the fb15k width."""
+    for hidden, tie in TRACE_RUNS:
+        yield trace_key(hidden, tie), partial(training_trace, hidden, tie)
+    for tie in WIDE_RUNS:
+        yield trace_key(128, tie), partial(wide_trace, tie)
+
+
 def test_training_trace():
     here = platform()
-    for hidden, tie in TRACE_RUNS:
-        key = trace_key(hidden, tie)
-        got, want = training_trace(hidden, tie), TRACE[key]
+    for key, run in traced_runs():
+        got, want = run(), TRACE[key]
+        if "targets" in want:  # the P = 1, odd P and P >= 100 steps
+            assert got["targets"] == want["targets"], key
+            assert {1, 3} <= set(got["targets"]) and max(got["targets"]) >= 100, key
         if here == PLATFORM:
             assert got == want, key
         else:
@@ -318,5 +410,4 @@ def test_training_trace():
 
 if __name__ == "__main__":
     print("PLATFORM =", json.dumps(platform(), indent=4))
-    traces = {trace_key(h, tie): training_trace(h, tie) for h, tie in TRACE_RUNS}
-    print("TRACE =", json.dumps(traces, indent=4))
+    print("TRACE =", json.dumps({key: run() for key, run in traced_runs()}, indent=4))

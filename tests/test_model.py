@@ -35,6 +35,7 @@ from helpers import (
     former_attention_layer,
     former_moe_ffn,
     fused_grads,
+    grid_forward,
     heap_truncated_normal,
     padded_encode_queries,
     padded_encode_subgraphs,
@@ -73,13 +74,11 @@ def np_gelu(x):
 
 
 def moe_oracle(x, model: Model, layer: int, training: bool) -> np.ndarray:
-    """Node-at-a-time reference for the expert block, explicit top-k rule."""
+    """Node-at-a-time reference for the expert block on [M, d] rows, explicit top-k rule."""
     cfg = model.config
     p = {k: t.data for k, t in model.params.items()}
     prefix = f"layer{layer}."
-    b, n, d = x.shape
-    h = np_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-    flat = h.reshape(b * n, d)
+    flat = np_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
     out = np.zeros_like(flat)
     for node in range(flat.shape[0]):
         g = flat[node] @ p[prefix + "gate"]
@@ -93,7 +92,7 @@ def moe_oracle(x, model: Model, layer: int, training: bool) -> np.ndarray:
         for weight, j in zip(w, chosen):
             hidden = np_gelu(flat[node] @ ex["w1"][j] + ex["b1"][j])
             out[node] += weight * (hidden @ ex["w2"][j] + ex["b2"][j])
-    return x + out.reshape(b, n, d)
+    return x + out
 
 
 class TestParameters:
@@ -222,7 +221,7 @@ class TestMoe:
         cfg = tiny_config()
         model = Model.init(cfg, seed=3, dtype=np.float64)
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(scale=0.5, size=(8, 25, cfg.hidden)))  # 200 nodes
+        x = Tensor(rng.normal(scale=0.5, size=(8 * 25, cfg.hidden)))  # 200 nodes
         for training in (True, False):
             got = moe_ffn(model, 0, x, training, None).data
             want = moe_oracle(x.data, model, 0, training)
@@ -233,7 +232,7 @@ class TestMoe:
         model = Model.init(cfg, seed=5, dtype=np.float64)
         model.params["layer0.gate"].data[:] = 0.0  # every expert ties at logit 0
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 5, cfg.hidden)))
+        x = Tensor(rng.normal(size=(2 * 5, cfg.hidden)))
         got = moe_ffn(model, 0, x, True, None).data
         want = moe_oracle(x.data, model, 0, True)  # oracle picks experts 0 and 1
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -242,7 +241,7 @@ class TestMoe:
         cfg = tiny_config(experts=2, top_k=2)
         model = Model.init(cfg, seed=7)
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(3, 6, cfg.hidden)).astype(np.float32))
+        x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
         train_out = moe_ffn(model, 1, x, True, None).data
         eval_out = moe_ffn(model, 1, x, False, None).data
         assert train_out.tobytes() == eval_out.tobytes()
@@ -251,7 +250,7 @@ class TestMoe:
         cfg = tiny_config(experts=4, top_k=2)
         model = Model.init(cfg, seed=9)
         rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(3, 6, cfg.hidden)).astype(np.float32))
+        x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
         train_out = moe_ffn(model, 0, x, True, None).data
         eval_out = moe_ffn(model, 0, x, False, None).data
         assert not np.allclose(train_out, eval_out, atol=1e-7)
@@ -268,7 +267,7 @@ def moe_grads(moe, model: Model, x: np.ndarray, real: np.ndarray, weights: np.nd
     xt = Tensor(x.copy(), requires_grad=True)
     with Tape() as tape:
         out = moe(model, 0, xt, True, np.random.default_rng(5), **kw)
-        picked = T.gather_rows(T.reshape(out, (-1, x.shape[-1])), real)
+        picked = T.gather_rows(out, real)
         loss = sum_all(T.mul(picked, Tensor(weights)))
     tape.backward(loss)
     grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
@@ -292,14 +291,13 @@ class TestSparseDispatch:
             for sizes, width in self.CASES:
                 real = padded_rows(sizes, width)
                 pad = np.setdiff1d(np.arange(len(sizes) * width), real)
-                x = np.random.default_rng(12).normal(size=(len(sizes), width, cfg.hidden)).astype(np.float32)
+                x = np.random.default_rng(12).normal(size=(len(sizes) * width, cfg.hidden)).astype(np.float32)
                 for training in (True, False):
                     got = moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13), real).data
                     want = dense_moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13)).data
-                    got, want = got.reshape(-1, cfg.hidden), want.reshape(-1, cfg.hidden)
                     assert np.array_equal(got[real], want[real]), (tied, sizes, training)
                     # the block adds exactly 0 at padding, dropout or not
-                    assert np.array_equal(got[pad], x.reshape(-1, cfg.hidden)[pad])
+                    assert np.array_equal(got[pad], x[pad])
 
     def test_gradients_match_dense_loop_within_float32_bound(self):
         # weight gradients sum over fewer rows in another order: bound each
@@ -307,7 +305,7 @@ class TestSparseDispatch:
         cfg = tiny_config(hidden=64, dropout=0.1)
         sizes = np.random.default_rng(14).integers(1, 31, size=16)
         real = padded_rows(sizes, 30)
-        x = np.random.default_rng(15).normal(size=(16, 30, cfg.hidden)).astype(np.float32)
+        x = np.random.default_rng(15).normal(size=(16 * 30, cfg.hidden)).astype(np.float32)
         weights = np.random.default_rng(16).normal(size=(real.size, cfg.hidden)).astype(np.float32)
         for tied in (False, True):
             model = Model.init(cfg, seed=17)
@@ -407,7 +405,7 @@ class TestStackedExperts:
         if tied:
             model.params["layer0.gate"].data[:] = 0.0  # top-2 routing leaves experts 2 and 3 without rows
         real = padded_rows(sizes, width)
-        x = np.random.default_rng(34).normal(size=(len(sizes), width, hidden)).astype(np.float32)
+        x = np.random.default_rng(34).normal(size=(len(sizes) * width, hidden)).astype(np.float32)
         got = self.block(moe_ffn, model, x, training, real)
         want = self.block(former_moe_ffn, model, x, training, real)
         assert got[0] == want[0]
@@ -519,7 +517,7 @@ class TestFusedAttention:
     def test_block_matches_former_ops(self, monkeypatch, rows, width, heads, training, hidden):
         model = Model.init(tiny_config(hidden=hidden, heads=heads, dropout=0.1), seed=43)
         rng = np.random.default_rng(44)
-        x = rng.normal(size=(rows, width, hidden)).astype(np.float32)
+        x = rng.normal(size=(rows * width, hidden)).astype(np.float32)
         mask = (rng.random((rows, 1, width, width)) < 0.4) | np.eye(width, dtype=bool)
         got = self.block(monkeypatch, model, x, mask, training, former=False)
         want = self.block(monkeypatch, model, x, mask, training, former=True)
@@ -793,12 +791,13 @@ class TestFewerPasses:
         assert loss == former_loss
         assert grads.keys() == former_grads.keys()
         assert [name for name in grads if grads[name] != former_grads[name]] == []
-        # attention was 20 records per layer, with its scale as a mul; it is 4
-        assert former_records - records == 16 * model.config.layers
+        # attention was 20 records per layer on the grid, with its scale as a
+        # mul, and 22 with the reshapes to and from it; it is 4
+        assert former_records - records == 18 * model.config.layers
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 60
+        assert stage1_step(model, batch)[2] == 50
 
 
 def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
@@ -930,6 +929,57 @@ class TestOneTableLookup:
             assert grads.keys() == want.keys()
             for name in want:
                 assert grads[name] == want[name], (label, name)
+
+
+class TestFlatLayout:
+    """Bit-exact: ``forward`` on one flat [B * N, d] array of node states
+    against the former grid layout (``helpers.grid_forward``: [B, N, d] states,
+    the former rank-generic ``layer_norm`` and grid ``attention``, and a
+    reshape record at each change of layout). The logits, the loss and the
+    bytes of every parameter gradient are equal, and the flat step records
+    2 + 2 * layers fewer tape ops."""
+
+    @staticmethod
+    def step(run, model: Model, batch: Batch, loss, training: bool):
+        model = model.clone()
+        with Tape() as tape:
+            logits = run(model, batch, training, np.random.default_rng(61) if training else None)
+            total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
+        tape.backward(total)
+        grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
+        return logits.data.tobytes(), total.data.tobytes(), grads, len(tape)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_logits_and_gradients_match_grid_oracle(self, hidden, tied):
+        split = toy_split(seed=62)
+        cfg = ModelConfig(
+            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
+            heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
+        )
+        model = Model.init(cfg, seed=63)
+        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(64), batch_size=16), cfg)
+        # graphs share rows, and the rows end in padding
+        assert len(stage1.sizes) < stage1.graph_count and sum(stage1.sizes) < stage1.entity_ids.size
+        instances = [
+            inst
+            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2, QueryType.U2))
+            for inst in generate_queries(split, qtype, 3, np.random.default_rng([65, i]))
+        ]
+        finetune = encode_queries([inst.query for inst in instances], cfg)
+        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+        cases = [
+            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
+            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
+        ]
+        for label, batch, loss in cases:
+            for training in (True, False):
+                got = self.step(forward, model, batch, loss, training)
+                want = self.step(grid_forward, model, batch, loss, training)
+                assert got[:2] == want[:2], (label, training)
+                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
+                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
+                assert want[3] - got[3] == 2 + 2 * cfg.layers, (label, training)
 
 
 class TestArena:

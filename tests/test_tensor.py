@@ -8,10 +8,10 @@ from helpers import (
     dense_cross_entropy,
     former_add,
     former_attention,
+    former_attention_rows,
     former_gelu,
     former_layer_norm,
     former_masked_softmax,
-    former_matmul,
     former_mul,
     former_softmax,
     loop_answer_masked_cross_entropy,
@@ -36,7 +36,6 @@ from kgt.tensor import (
     masked_softmax,
     matmul,
     mul,
-    reshape,
     softmax,
     sum_all,
     transpose,
@@ -127,12 +126,18 @@ class TestTensorBasics:
             with pytest.raises(ValueError, match="matmul operands must be 2-D"):
                 matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
+    def test_layer_norm_is_2d_only(self):
+        # the node states are [B * N, d] rows; only attention sees the grid
+        for shape in ((2, 3, 4), (4,)):
+            with pytest.raises(ValueError, match="layer_norm input must be 2-D"):
+                layer_norm(Tensor(np.ones(shape)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
     def test_grad_does_not_alias_upstream(self):
-        # reshape hands a view of the upstream gradient down; the leaf must
-        # keep its own copy
+        # add hands the upstream gradient itself down; the leaf must keep its
+        # own copy
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            out = reshape(a, (4, 3))
+            out = add(a, Tensor(np.zeros((3, 4))))
         tape.backward(out)
         before = a.grad.copy()
         out.grad += 5.0
@@ -238,21 +243,22 @@ class TestAttentionWeightGradient:
         # ops on a leaf that holds h @ wqkv. The weight gradient is one GEMM
         # over every grid row and sums in another order (tolerance-bounded:
         # 16 ulps of the largest entry)
+        # (the op takes the grid's [B * N, d] rows; the oracle runs on the grid)
         rng = np.random.default_rng(3)
         b, n, d, heads = 5, 7, 16, 4
         h = rng.normal(size=(b, n, d)).astype(dtype)
         wqkv = rng.normal(size=(d, 3 * d)).astype(dtype)
         wo = Tensor(rng.normal(size=(d, d)).astype(dtype))
         bias = mask_bias((rng.random((b, 1, n, n)) < 0.5) | np.eye(n, dtype=bool))
-        g = Tensor(rng.normal(size=(b, n, d)).astype(dtype))
+        g = rng.normal(size=(b, n, d)).astype(dtype)
         tw = Tensor(wqkv, requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(attention(Tensor(h), tw, wo, bias, heads), g))
+            loss = sum_all(mul(attention(Tensor(h.reshape(b * n, d)), tw, wo, bias, heads), Tensor(g.reshape(b * n, d))))
         tape.backward(loss)
         qkv = Tensor(h @ wqkv, requires_grad=True)
         with Tape() as tape:
             q, k, v = (slice_last(qkv, i * d, (i + 1) * d) for i in range(3))
-            loss = sum_all(mul(former_attention(q, k, v, wo, bias, heads), g))
+            loss = sum_all(mul(former_attention(q, k, v, wo, bias, heads), Tensor(g)))
         tape.backward(loss)
         want = _unbroadcast(np.swapaxes(h, -1, -2) @ qkv.grad, wqkv.shape)
         assert tw.grad.shape == wqkv.shape and tw.grad.dtype == dtype
@@ -361,7 +367,7 @@ class TestFormerOps:
     @settings(max_examples=30, deadline=None)
     def test_layer_norm(self, seed, hidden, dtype, rows):
         rng = np.random.default_rng(seed)
-        x = (rng.normal(size=(rows, 7, hidden)) * 3.0 + rng.normal()).astype(dtype)
+        x = (rng.normal(size=(rows * 7, hidden)) * 3.0 + rng.normal()).astype(dtype)
         gain = rng.normal(1.0, 0.1, size=hidden).astype(dtype)
         bias = rng.normal(0.0, 0.1, size=hidden).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
@@ -374,7 +380,7 @@ class TestFormerOps:
         # the former attention ops, with a mul by 1/sqrt(head_dim) and then
         # the boolean-mask softmax, on leaves holding wqkv's column blocks
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(3, width, hidden)).astype(dtype)
+        x = rng.normal(size=(3 * width, hidden)).astype(dtype)
         wqkv = (rng.normal(size=(hidden, 3 * hidden)) * 0.3).astype(dtype)
         wo = rng.normal(size=(hidden, hidden)).astype(dtype)
         mask = (rng.random((3, 1, width, width)) < 0.3) | np.eye(width, dtype=bool)
@@ -385,7 +391,7 @@ class TestFormerOps:
             return former_masked_softmax(former_mul(a, scale), mask)
 
         def former(h, wq, wk, wv, wo):
-            return former_attention(*(former_matmul(h, w) for w in (wq, wk, wv)), wo, mask_bias(mask), 4, scaled_softmax)
+            return former_attention_rows(h, wq, wk, wv, wo, mask_bias(mask), 4, scaled_softmax)
 
         want = grads_of(former, [x, *np.split(wqkv, 3, axis=1), wo], g)
         assert same_bytes(got, want[:2] + [np.concatenate(want[2:5], axis=1), want[5]])
