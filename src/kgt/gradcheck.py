@@ -112,7 +112,9 @@ OP_CASES = (
     OpCase("add", T.add, ((3, 4), (3, 4)), 0),
     OpCase("mul", T.mul, ((3, 4), (3, 4)), 1),
     OpCase("matmul", T.matmul, ((3, 4), (4, 5)), 2),
-    OpCase("transpose", lambda a: T.transpose(a, (1, 0)), ((4, 6),), 3),
+    OpCase("decode", T.decode, ((3, 4), (6, 4)), 3),
+    # the tied decoder: the first 5 of 7 embedding rows
+    OpCase("decode_gathered", lambda s, e: T.decode(s, T.gather_rows(e, np.arange(5), unique=True)), ((3, 4), (7, 4)), 24),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),

@@ -378,5 +378,5 @@ def forward(
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
     states = T.gather_rows(x, batch.positions, unique=True)
-    return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
+    return T.decode(states, decoder_matrix(model))
 

@@ -148,7 +148,8 @@ class AdamW:
     """Decoupled-weight-decay Adam over the parameters of one arena.
 
     ``params`` must be exactly the tensors of one :func:`parameter_arena`, in
-    its order; the moments are two flat arrays laid out like the arena.
+    its order; the moments are two flat arrays laid out like the arena. They
+    start unwritten: the first step writes them, zeros outside its spans.
     """
 
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig):
@@ -156,27 +157,33 @@ class AdamW:
         self.config = config
         self.step_count = 0
         self._data, self._grad = _arena(params)
-        self._m = np.zeros_like(self._data)
-        self._v = np.zeros_like(self._data)
+        self._m = np.empty_like(self._data)
+        self._v = np.empty_like(self._data)
         self._scratch = np.empty((2, min(_BLOCK, self._data.size)), dtype=self._data.dtype)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
 
-    def step(self, epoch: int = 0) -> float:
-        """Apply one update using each parameter's accumulated gradient.
+    def step(self, epoch: int = 0, scale: float = 1.0) -> float:
+        """Apply one update using each parameter's accumulated gradient times ``scale``.
 
         Decay is decoupled: it scales the parameter directly by the scheduled
         learning rate, outside the moment estimates. Returns the lr used.
+        ``scale`` is the clip factor (see :func:`clip_global_norm`); the
+        gradients themselves are left as they are.
 
         The update runs in place over each merged span of touched parameters,
         ``_BLOCK`` elements at a time through two block-sized scratch arrays,
         so a block's arrays stay in cache across the dozen passes. Element by
         element it applies the same operations in the same order as
-        ``p -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * p)``.
+        ``g *= scale`` followed by
+        ``p -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * p)``. The
+        first step writes the moments as ``0 * beta + s`` rounds, and zeroes
+        them outside its spans.
         """
         self.step_count += 1
+        first = self.step_count == 1
         cfg = self.config
         lr_t = cfg.lr_at(epoch)
         bias1 = 1.0 - cfg.beta1**self.step_count
@@ -184,19 +191,32 @@ class AdamW:
         grad, spans = _touched_spans(self.params)
         if spans and grad is not self._grad:
             raise ValueError("the parameters' gradients are not in this optimizer's arena")
+        if first:
+            untouched = zip([0] + [bounds[-1] for bounds in spans], [bounds[0] for bounds in spans] + [self._data.size])
+            for i, j in untouched:
+                self._m[i:j] = 0.0
+                self._v[i:j] = 0.0
         for bounds in spans:
             stop = bounds[-1]
             for i in range(bounds[0], stop, _BLOCK):
                 j = min(i + _BLOCK, stop)
                 p, g, m, v = self._data[i:j], grad[i:j], self._m[i:j], self._v[i:j]
                 s, u = self._scratch[:, : j - i]
-                np.multiply(g, 1.0 - cfg.beta1, out=s)
-                m *= cfg.beta1
-                m += s
-                np.multiply(g, g, out=s)
-                s *= 1.0 - cfg.beta2
-                v *= cfg.beta2
-                v += s
+                if scale != 1.0:
+                    g = np.multiply(g, scale, out=u)  # rounds as the gradient's own *= scale
+                if first:
+                    np.multiply(g, 1.0 - cfg.beta1, out=m)
+                    m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0
+                    np.multiply(g, g, out=v)
+                    v *= 1.0 - cfg.beta2
+                else:
+                    np.multiply(g, 1.0 - cfg.beta1, out=s)
+                    m *= cfg.beta1
+                    m += s
+                    np.multiply(g, g, out=s)
+                    s *= 1.0 - cfg.beta2
+                    v *= cfg.beta2
+                    v += s
                 np.divide(v, bias2, out=s)
                 np.sqrt(s, out=s)
                 s += cfg.eps
@@ -211,12 +231,14 @@ class AdamW:
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+    """The joint L2 norm of all gradients, before clipping to ``max_norm``.
 
-    Returns the pre-clip norm. Raises ``FloatingPointError`` before touching
-    any gradient when that norm is not finite: scaling an infinite gradient
-    gives NaN, and a NaN norm would skip clipping, so either way the next
-    AdamW step would write NaN into the weights.
+    The caller clips by passing ``max_norm / norm``, when the norm exceeds
+    ``max_norm``, as :meth:`AdamW.step`'s ``scale``; no gradient is written
+    here. Raises ``ValueError`` unless ``max_norm`` is positive and finite, and
+    ``FloatingPointError`` when the norm is not finite: scaling an infinite
+    gradient gives NaN, and a NaN norm would skip clipping, so either way the
+    next AdamW step would write NaN into the weights.
 
     The gradients must lie in a :func:`parameter_arena`. The squares are
     summed in float64, one dot product per block of at most ``_BLOCK``
@@ -224,11 +246,10 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     adds the same terms in the same order as one parameter at a time would.
     Each merged span of touched gradients is cast to float64 ``_BLOCK``
     elements at a time through one scratch array, made once per process, so
-    no temporary the size of a gradient is built, and is scaled with one
-    ``*=``.
+    no temporary the size of a gradient is built.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    if not 0 < max_norm < math.inf:
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     grad, spans = _touched_spans(params)
     total = 0.0
     scratch = _CLIP_SCRATCH
@@ -246,8 +267,4 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm ({norm})")
-    if norm > max_norm:
-        scale = max_norm / norm
-        for bounds in spans:
-            grad[bounds[0] : bounds[-1]] *= scale
     return norm

@@ -93,20 +93,30 @@ def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
     return out
 
 
+def _grad_out(t: Tensor) -> np.ndarray | None:
+    """Where a backward may write ``t``'s gradient with ``out=``: a parameter's
+    ``grad_view`` while it holds no gradient yet, else None (a new array)."""
+    if t.requires_grad and t.grad is None:
+        return t.grad_view
+    return None
+
+
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``.
 
-    A parameter's first gradient is copied into its ``grad_view``. For other
-    tensors, ``owned`` says that the backward has just built ``g`` and hands it
-    over, so a first gradient can keep it instead of copying it. Otherwise a
-    first gradient is a private C-ordered copy: g may be a view of another
-    tensor's grad or a transposed view.
+    A parameter's first gradient is copied into its ``grad_view``, unless the
+    backward already wrote it there (:func:`_grad_out`). For other tensors,
+    ``owned`` says that the backward has just built ``g`` and hands it over, so
+    a first gradient can keep it instead of copying it. Otherwise a first
+    gradient is a private C-ordered copy: g may be a view of another tensor's
+    grad or a transposed view.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
         if t.grad_view is not None:
-            np.copyto(t.grad_view, g)
+            if g is not t.grad_view:
+                np.copyto(t.grad_view, g)
             t.grad = t.grad_view
         elif owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
@@ -172,18 +182,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _gemm(g, b.data.T), owned=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g, owned=True)
+            _accumulate(b, np.matmul(a.data.T, g, out=_grad_out(b)), owned=True)
 
     return _record(out, backward)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes), requires_grad=a.requires_grad)
+def decode(states: Tensor, table: Tensor) -> Tensor:
+    """``states @ table.T``: [P, d] states scored against the rows of a [V, d] table.
+
+    The table's gradient ``g.T @ states`` is built [V, d] and, for a
+    parameter, written straight into its ``grad_view``; it rounds as the
+    former ``(states.T @ g).T`` of ``matmul(states, transpose(table))``.
+    """
+    if states.data.ndim != 2 or table.data.ndim != 2:
+        raise ValueError(f"decode operands must be 2-D, got shapes {states.data.shape} and {table.data.shape}")
+    out = Tensor(_gemm(states.data, table.data.T), requires_grad=states.requires_grad or table.requires_grad)
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse))
+        if states.requires_grad:
+            _accumulate(states, _gemm(g, table.data), owned=True)
+        if table.requires_grad:
+            _accumulate(table, np.matmul(g.T, states.data, out=_grad_out(table)), owned=True)
 
     return _record(out, backward)
 
@@ -273,6 +292,8 @@ def moe_experts(x: Tensor, weights: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     order. Each expert's products keep its own row count, so BLAS rounds them
     as for that expert alone. An expert with no rows gets zero gradients.
     """
+    if len(routes) != w1.data.shape[0]:
+        raise ValueError(f"moe_experts needs one route per expert: {len(routes)} routes for {w1.data.shape[0]} experts")
     out = np.zeros_like(x.data)
     saved = []
     for j, rows in enumerate(routes):
@@ -287,19 +308,21 @@ def moe_experts(x: Tensor, weights: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     out = Tensor(out, requires_grad=any(t.requires_grad for t in (x, weights, w1, b1, w2, b2)))
 
     def backward(g):
-        # experts last to first: a row of gx sums its experts' terms in that order
+        # experts last to first: a row of gx sums its experts' terms in that
+        # order; each expert writes its slice of every weight gradient, first
+        # gradients straight into the parameters' grad_view
         gx, gweights = np.zeros_like(x.data), np.zeros_like(weights.data)
-        gw1, gb1, gw2, gb2 = (np.zeros_like(t.data) for t in (w1, b1, w2, b2))
+        gw1, gb1, gw2, gb2 = (np.zeros_like(t.data) if _grad_out(t) is None else t.grad_view for t in (w1, b1, w2, b2))
         for j in reversed(range(len(saved))):
             rows, inputs, pre, th, hidden, y = saved[j]
             g_term = g[rows]
             gweights[rows, j] += (g_term * y).sum(axis=1)
             g_y = g_term * weights.data[rows, j, None]
-            gb2[j] = g_y.sum(axis=0)
-            gw2[j] = hidden.T @ g_y
+            g_y.sum(axis=0, out=gb2[j])
+            np.matmul(hidden.T, g_y, out=gw2[j])
             g_pre = _gelu_grad(pre, th, _gemm(g_y, w2.data[j].T))
-            gb1[j] = g_pre.sum(axis=0)
-            gw1[j] = inputs.T @ g_pre
+            g_pre.sum(axis=0, out=gb1[j])
+            np.matmul(inputs.T, g_pre, out=gw1[j])
             gx[rows] += _gemm(g_pre, w1.data[j].T)
         for t, grad in ((x, gx), (weights, gweights), (w1, gw1), (b1, gb1), (w2, gw2), (b2, gb2)):
             _accumulate(t, grad, owned=True)
@@ -435,7 +458,7 @@ def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int)
     out = Tensor((context @ wo.data).reshape(b * n, d), requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
 
     def backward(g):
-        _accumulate(wo, context.reshape(b * n, d).T @ g, owned=True)
+        _accumulate(wo, np.matmul(context.reshape(b * n, d).T, g, out=_grad_out(wo)), owned=True)
         g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
         g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
         g_scores *= scale
@@ -443,7 +466,7 @@ def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int)
         g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
         for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
             g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)  # not np.stack: 8x slower here
-        _accumulate(wqkv, h.data.T @ g_qkv, owned=True)
+        _accumulate(wqkv, np.matmul(h.data.T, g_qkv, out=_grad_out(wqkv)), owned=True)
         gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
         for i in (1, 0):  # the value, key and query terms, summed in the former tape's order
             gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)

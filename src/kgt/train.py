@@ -106,7 +106,7 @@ def _train_step(
         optimizer.zero_grad()
         tape.backward(total)
     norm = clip_global_norm(model.params, clip)
-    lr = optimizer.step(epoch)
+    lr = optimizer.step(epoch, clip / norm if norm > clip else 1.0)
     return value, norm, lr
 
 

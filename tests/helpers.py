@@ -495,6 +495,28 @@ def former_reshape(a, shape) -> "Tensor":
     return _record(out, backward)
 
 
+def former_transpose(a, axes) -> "Tensor":
+    """Test oracle op: the former ``kgt.tensor.transpose``; the backward hands down a transposed (F-ordered) view."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    out = Tensor(a.data.transpose(axes), requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, g.transpose(inverse))
+
+    return _record(out, backward)
+
+
+def former_decode(states, table) -> "Tensor":
+    """Test oracle: the former decoder head, ``matmul(states, transpose(table))``:
+    two tape records, the table gradient built [d, V] and copied back transposed."""
+    from kgt import tensor as T
+
+    return T.matmul(states, former_transpose(table, (1, 0)))
+
+
 def grid_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
     """Test oracle: the former ``kgt.tensor.layer_norm``, which took any rank
     and summed the gain and bias gradients over every axis but the last."""
@@ -573,7 +595,7 @@ def grid_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
     lookup, :func:`grid_layer_norm` and :func:`grid_attention` on the grid,
     and ``former_reshape`` to [B * N, d] rows and back around each MoE block's
     gate and experts, and again before the final gather. That is 2 + 2 * layers
-    reshape records per step."""
+    reshape records per step, and the decoder is :func:`former_decode`."""
     from kgt import tensor as T
     from kgt.model import decoder_matrix
 
@@ -601,7 +623,7 @@ def grid_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
         x = T.add(x, T.dropout(out, cfg.dropout, rng, training))
     x = grid_layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
     states = T.gather_rows(former_reshape(x, (b * n, d)), batch.positions, unique=True)
-    return T.matmul(states, T.transpose(decoder_matrix(model), (1, 0)))
+    return former_decode(states, decoder_matrix(model))
 
 
 def former_matmul(a, b) -> "Tensor":
@@ -635,18 +657,16 @@ def former_attention(q, k, v, wo, bias: np.ndarray, heads: int, softmax=None) ->
     products by the former batched ``matmul``, and ``softmax(scores, bias,
     scale)`` (the former scaled ``masked_softmax``,
     :func:`scaled_masked_softmax`, when None)."""
-    from kgt import tensor as T
-
     b, n, d = q.shape
     softmax = scaled_masked_softmax if softmax is None else softmax
 
     def split_heads(m):
-        return T.transpose(former_reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
+        return former_transpose(former_reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
-    scores = former_matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = former_matmul(q, former_transpose(k, (0, 1, 3, 2)))
     probs = softmax(scores, bias, 1.0 / np.sqrt(d // heads))
-    context = former_reshape(T.transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
+    context = former_reshape(former_transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
     return former_matmul(context, wo)
 
 
@@ -879,7 +899,7 @@ def two_table_forward(model, batch, training: bool = False, rng=None) -> "Tensor
         decoder = T.gather_rows(p["entity_in"], np.arange(cfg.entity_count))
     else:
         decoder = p["decoder"]
-    return T.matmul(states, T.transpose(decoder, (1, 0)))
+    return former_decode(states, decoder)
 
 
 def dense_cross_entropy(logits, targets: np.ndarray, alpha: float = 0.0) -> "Tensor":

@@ -33,6 +33,7 @@ from helpers import (
     dense_moe_ffn,
     expert_leaves,
     former_attention_layer,
+    former_decode,
     former_moe_ffn,
     fused_grads,
     grid_forward,
@@ -571,6 +572,83 @@ class TestFusedAttention:
                 assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
 
 
+class TestDecoderOp:
+    """Bit-exact: the decoder head as one ``decode`` op against the former
+    ``matmul(states, transpose(table))`` (``helpers.former_decode``): the
+    logits and the bytes of the states' and the table's gradients. An untied
+    table's gradient is written into its ``grad_view``; a tied one is the
+    gathered entity rows of ``embedding``, whose gradient the gather adds in.
+    The former head recorded one more tape op."""
+
+    @staticmethod
+    def block(model: Model, states: np.ndarray, former: bool):
+        model = model.clone()
+        st = Tensor(states.copy(), requires_grad=True)
+        upstream = Tensor(np.random.default_rng(52).normal(size=(len(states), model.config.entity_count)).astype(states.dtype))
+        with Tape() as tape:
+            logits = (former_decode if former else T.decode)(st, decoder_matrix(model))
+            loss = sum_all(T.mul(logits, upstream))
+        tape.backward(loss)
+        table = model.params["embedding" if model.config.tie_decoder else "decoder"]
+        assert table.grad is table.grad_view
+        return logits.data.tobytes(), st.grad.tobytes(), table.grad.tobytes(), len(tape)
+
+    # one target (a doubled-row gemm), an odd count, and an fb15k-sized count
+    @pytest.mark.parametrize("targets", [1, 7, 131])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_block_matches_former_ops(self, targets, tied, hidden):
+        model = Model.init(tiny_config(entity_count=2000, hidden=hidden, layers=1, tie_decoder=tied), seed=53)
+        states = np.random.default_rng(54).normal(size=(targets, hidden)).astype(np.float32)
+        got = self.block(model, states, former=False)
+        want = self.block(model, states, former=True)
+        assert got[:3] == want[:3]
+        assert want[3] - got[3] == 1
+
+    @staticmethod
+    def step(monkeypatch, model: Model, batch: Batch, loss, former: bool):
+        model = model.clone()
+        with monkeypatch.context() as patch:
+            if former:
+                patch.setattr(T, "decode", former_decode)
+            with Tape() as tape:
+                logits = forward(model, batch, True, np.random.default_rng(55))
+                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
+            tape.backward(total)
+        grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
+        return total.data.tobytes(), logits.data.tobytes(), grads, len(tape)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_step_matches_former_ops(self, monkeypatch, hidden, tied):
+        split = toy_split(seed=56, entities=300, relations=8, train=900)
+        cfg = ModelConfig(
+            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
+            heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
+        )
+        model = Model.init(cfg, seed=57)
+        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(58), batch_size=32), cfg)
+        instances = [
+            inst
+            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
+            for inst in generate_queries(split, qtype, 3, np.random.default_rng([59, i]))
+        ]
+        finetune = encode_queries([inst.query for inst in instances], cfg)
+        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+        cases = [
+            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
+            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
+        ]
+        assert stage1.positions.size >= 100
+        for label, batch, loss in cases:
+            got = self.step(monkeypatch, model, batch, loss, former=False)
+            want = self.step(monkeypatch, model, batch, loss, former=True)
+            assert got[:2] == want[:2], label
+            assert got[2].keys() == want[2].keys() == set(model.params), label
+            assert [name for name in want[2] if got[2][name] != want[2][name]] == [], label
+            assert want[3] - got[3] == 1, label
+
+
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
     """Assert the packed-grid invariants; returns each graph's first flat slot.
 
@@ -797,7 +875,7 @@ class TestFewerPasses:
 
     def test_stage1_step_tape_records(self, toy_step):
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 50
+        assert stage1_step(model, batch)[2] == 49
 
 
 def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
@@ -935,9 +1013,10 @@ class TestFlatLayout:
     """Bit-exact: ``forward`` on one flat [B * N, d] array of node states
     against the former grid layout (``helpers.grid_forward``: [B, N, d] states,
     the former rank-generic ``layer_norm`` and grid ``attention``, and a
-    reshape record at each change of layout). The logits, the loss and the
-    bytes of every parameter gradient are equal, and the flat step records
-    2 + 2 * layers fewer tape ops."""
+    reshape record at each change of layout, and the former decoder's
+    ``transpose`` record). The logits, the loss and the bytes of every
+    parameter gradient are equal, and the flat step records 3 + 2 * layers
+    fewer tape ops."""
 
     @staticmethod
     def step(run, model: Model, batch: Batch, loss, training: bool):
@@ -979,7 +1058,7 @@ class TestFlatLayout:
                 assert got[:2] == want[:2], (label, training)
                 assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
                 assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
-                assert want[3] - got[3] == 2 + 2 * cfg.layers, (label, training)
+                assert want[3] - got[3] == 3 + 2 * cfg.layers, (label, training)
 
 
 class TestArena:

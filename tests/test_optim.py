@@ -183,17 +183,45 @@ class TestClip:
         assert np.allclose(p.grad, [0.3, 0.0, 0.4])
 
     def test_over_threshold_scaled_jointly(self):
+        # the clip returns the norm and leaves the gradients as they are;
+        # AdamW.step scales them jointly as it reads them
         params = arena_params({"a": np.zeros(2), "b": np.zeros(2)})
         a, b = params["a"], params["b"]
         set_grad(a, [3.0, 0.0])
         set_grad(b, [0.0, 4.0])
         norm = clip_global_norm(params, 1.0)
         assert norm == pytest.approx(5.0)
-        joint = math.sqrt(float((a.grad**2).sum() + (b.grad**2).sum()))
-        assert joint == pytest.approx(1.0)
-        # direction preserved
-        assert np.allclose(a.grad, [3.0 / 5.0, 0.0])
-        assert np.allclose(b.grad, [0.0, 4.0 / 5.0])
+        assert np.array_equal(a.grad, [3.0, 0.0]) and np.array_equal(b.grad, [0.0, 4.0])
+        cfg = AdamWConfig(beta1=0.5)
+        opt = AdamW(params, cfg)
+        opt.step(0, 1.0 / norm)
+        # the first moment is (1 - beta1) times the scaled gradient: joint norm 1, direction kept
+        scaled = opt._m / (1.0 - cfg.beta1)
+        assert math.sqrt(float((scaled**2).sum())) == pytest.approx(1.0)
+        assert np.allclose(scaled, [3.0 / 5.0, 0.0, 0.0, 4.0 / 5.0])
+        assert np.array_equal(a.grad, [3.0, 0.0]) and np.array_equal(b.grad, [0.0, 4.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_in_the_step_matches_scaling_the_gradient_first(self, dtype):
+        # bit-exact: np.multiply(g, scale, out=u) rounds as g *= scale
+        rng = np.random.default_rng(6)
+        start = {"w": rng.normal(size=(40, 9)).astype(dtype), "b": rng.normal(size=9).astype(dtype)}
+        folded, former = arena_params(start), arena_params(start)
+        opts = AdamW(folded, AdamWConfig(lr=0.01)), AdamW(former, AdamWConfig(lr=0.01))
+        for _ in range(3):
+            for name, t in folded.items():
+                g = (rng.normal(size=t.shape) * 30.0).astype(dtype)
+                set_grad(t, g)
+                set_grad(former[name], g)
+            norm = clip_global_norm(folded, 1.0)
+            assert norm > 1.0
+            opts[0].step(0, 1.0 / norm)
+            for t in former.values():
+                t.grad *= 1.0 / norm
+            opts[1].step(0)
+            for name, t in folded.items():
+                assert t.data.tobytes() == former[name].data.tobytes(), name
+            assert opts[0]._m.tobytes() == opts[1]._m.tobytes() and opts[0]._v.tobytes() == opts[1]._v.tobytes()
 
     def test_none_grads_ignored(self):
         params = arena_params({"a": np.zeros(2), "b": np.zeros(2)})
@@ -246,9 +274,12 @@ class TestClip:
         assert peak < 64 * 1024
 
     def test_bad_max_norm(self):
+        # a NaN max_norm used to pass: nan <= 0 is false and norm > nan never holds
         params = arena_params({"p": np.zeros(1)})
-        with pytest.raises(ValueError):
-            clip_global_norm(params, 0.0)
+        set_grad(params["p"], [2.0])
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="max_norm must be positive and finite"):
+                clip_global_norm(params, bad)
 
 
 class TestArenaAgainstLoop:
@@ -256,12 +287,16 @@ class TestArenaAgainstLoop:
 
     Bit-exact: the norm adds the same float64 block sums in the same order,
     and the update applies the same elementwise operations in the same order.
+    The clip scale, folded into the step, rounds as the former clip's
+    in-place scaling, and the first step's moments, written into unwritten
+    arrays, as the former zero moments' update.
     """
 
     # (300, 130) spans two blocks; the small ones share blocks of the cast
     SHAPES = {"w": (6, 5), "b": (5,), "big": (300, 130), "g": (7,), "e": (4, 3, 2)}
-    # parameters left untouched (grad None) at each of the 5 steps
-    UNTOUCHED = [(), ("b",), ("big", "g"), ("w", "e"), ("b", "e")]
+    # parameters left untouched (grad None) at each of the 5 steps; the first
+    # step leaves the arena's start and a middle span, all touched later
+    UNTOUCHED = [("w", "b", "g"), ("b",), ("big", "g"), ("w", "e"), ("e",)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
@@ -272,20 +307,26 @@ class TestArenaAgainstLoop:
         params = arena_params(start)
         loop_params = {name: Tensor(a.copy()) for name, a in start.items()}
         opt, loop = AdamW(params, cfg), LoopAdamW(loop_params, cfg)
+        # the moments start unwritten: the first step must not read them
+        opt._m.fill(np.nan)
+        opt._v.fill(np.nan)
         for step, (epoch, untouched) in enumerate(zip([0, 0, 1, 1, 2], self.UNTOUCHED)):
             opt.zero_grad()
             for t in loop_params.values():
                 t.grad = None
+            raw = {}
             for name, shape in self.SHAPES.items():
                 if name not in untouched:
                     g = (rng.normal(size=shape) * 10.0 ** int(rng.integers(-2, 3))).astype(dtype)
+                    g.reshape(-1)[:2] = -0.0  # the former zero moments turned -0.0 into +0.0
                     set_grad(params[name], g)
                     loop_params[name].grad = g.copy()
+                    raw[name] = g
             before = {name: (t.data.copy(), self.moments(opt, t)) for name, t in params.items()}
             norm = clip_global_norm(params, max_norm)
             assert norm == loop_clip_global_norm(loop_params, max_norm)
             assert (norm > max_norm) == (max_norm == 1e-3)
-            assert opt.step(epoch) == loop.step(epoch)
+            assert opt.step(epoch, max_norm / norm if norm > max_norm else 1.0) == loop.step(epoch)
             for name, t in params.items():
                 ref = loop_params[name]
                 assert t.data.dtype == dtype
@@ -295,9 +336,12 @@ class TestArenaAgainstLoop:
                 if name in untouched:
                     assert t.grad is None
                     assert t.data.tobytes() == before[name][0].tobytes()
-                    assert m.tobytes() == before[name][1][0].tobytes() and v.tobytes() == before[name][1][1].tobytes()
+                    if step:
+                        assert m.tobytes() == before[name][1][0].tobytes()
+                        assert v.tobytes() == before[name][1][1].tobytes()
                 else:
-                    assert t.grad.tobytes() == ref.grad.tobytes(), (step, name)
+                    # the gradient stays as the backward left it
+                    assert t.grad.tobytes() == raw[name].tobytes(), (step, name)
 
     @staticmethod
     def moments(opt: AdamW, t: Tensor) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _unbroadcast,
+    arena_params,
     dense_cross_entropy,
     former_add,
     former_attention,
@@ -14,6 +15,7 @@ from helpers import (
     former_masked_softmax,
     former_mul,
     former_softmax,
+    former_transpose,
     loop_answer_masked_cross_entropy,
     slice_last,
     smoothed_labels,
@@ -28,6 +30,7 @@ from kgt.tensor import (
     answer_masked_cross_entropy,
     attention,
     cross_entropy,
+    decode,
     dropout,
     gather_rows,
     gelu,
@@ -35,10 +38,10 @@ from kgt.tensor import (
     mask_bias,
     masked_softmax,
     matmul,
+    moe_experts,
     mul,
     softmax,
     sum_all,
-    transpose,
 )
 
 
@@ -126,6 +129,29 @@ class TestTensorBasics:
             with pytest.raises(ValueError, match="matmul operands must be 2-D"):
                 matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
+    def test_decode_is_2d_only(self):
+        with pytest.raises(ValueError, match="decode operands must be 2-D"):
+            decode(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 4))))
+
+    def test_moe_experts_needs_one_route_per_expert(self):
+        # each expert writes its slice of the weight gradients, so none may be left out
+        t = [Tensor(np.ones(shape)) for shape in ((5, 3), (5, 3), (3, 3, 4), (3, 4), (3, 4, 3), (3, 3))]
+        with pytest.raises(ValueError, match="one route per expert: 2 routes for 3 experts"):
+            moe_experts(*t, [np.arange(5), np.arange(5)])
+
+    def test_weight_used_twice_writes_then_accumulates(self):
+        # bit-exact: the first product writes into the arena span, the second adds
+        rng = np.random.default_rng(6)
+        w0 = rng.normal(size=(4, 5)).astype(np.float32)
+        xs = [Tensor(rng.normal(size=(n, 4)).astype(np.float32)) for n in (3, 7)]
+        weights = arena_params({"w": w0})["w"], Tensor(w0.copy(), requires_grad=True)
+        for w in weights:
+            with Tape() as tape:
+                out = add(sum_all(mul(matmul(xs[0], w), Tensor(np.full((3, 5), 2.0)))), sum_all(matmul(xs[1], w)))
+            tape.backward(out)
+        assert weights[0].grad is weights[0].grad_view
+        assert weights[0].grad.tobytes() == weights[1].grad.tobytes()
+
     def test_layer_norm_is_2d_only(self):
         # the node states are [B * N, d] rows; only attention sees the grid
         for shape in ((2, 3, 4), (4,)):
@@ -147,7 +173,7 @@ class TestTensorBasics:
         # transpose hands down an F-ordered view; AdamW wants C order
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(mul(transpose(a, (1, 0)), Tensor(np.ones((4, 3)))))
+            out = sum_all(mul(former_transpose(a, (1, 0)), Tensor(np.ones((4, 3)))))
         tape.backward(out)
         assert a.grad.flags.c_contiguous
 
