@@ -161,8 +161,6 @@ class Model:
         source, _ = _arena(self.params)
         params = parameter_arena({name: t.shape for name, t in self.params.items()}, source.dtype)
         _arena(params)[0][...] = source
-        for name, t in params.items():
-            t.requires_grad = self.params[name].requires_grad
         return Model(config=self.config, params=params)
 
 

@@ -81,7 +81,7 @@ def parameter_arena(shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> dic
 
     Each tensor's ``data`` is a view of its span of that array, and its
     ``grad_view`` a view of the same span of one flat gradient array, so a
-    touched gradient never leaves the arena. The caller writes the data;
+    gradient never leaves the arena. The caller writes the data;
     building a model touches no page of the gradient array.
     """
     sizes = [math.prod(shape) for shape in shapes.values()]
@@ -120,28 +120,30 @@ def _arena(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
     return data, grad
 
 
-def _touched_spans(params: dict[str, Tensor]) -> tuple[np.ndarray | None, list[list[int]]]:
-    """The gradient arena and the merged spans of its touched parameters.
+def _grad_arena(params: dict[str, Tensor]) -> np.ndarray:
+    """The gradient array of which the parameters' gradients are, in order, all the views.
 
-    Parameters whose ``grad`` is None are skipped. Touched parameters that sit
-    next to each other in the arena share a span, given as the offsets where
-    each of its parameters starts followed by where the last one stops. Raises
-    ``ValueError`` naming a parameter whose gradient is not in the arena.
+    Every step writes every parameter's gradient (an expert that got no rows
+    gets a zero one), so this raises ``ValueError`` naming the first parameter
+    whose ``grad`` is not its own ``grad_view`` in one arena: None, or an array
+    outside the arena. It compares identities and offsets only, unlike
+    :func:`_arena`'s pointer arithmetic, so it is cheap enough for every step.
     """
     arena = None
-    spans: list[list[int]] = []
+    end = 0
     for name, t in params.items():
         g = t.grad
         if g is None:
-            continue
-        if g is not t.grad_view or (arena is not None and g.base is not arena):
-            raise ValueError(f"parameter {name!r} has a gradient outside the parameter arena")
+            raise ValueError(f"parameter {name!r} has no gradient")
+        if g is not t.grad_view or t.offset != end or (arena is not None and g.base is not arena):
+            raise ValueError(f"parameter {name!r} has a gradient outside its span of one parameter arena")
         arena = g.base
-        if spans and spans[-1][-1] == t.offset:
-            spans[-1].append(t.offset + g.size)
-        else:
-            spans.append([t.offset, t.offset + g.size])
-    return arena, spans
+        end += g.size
+    if arena is None:
+        raise ValueError("no parameters to optimize")
+    if end != arena.size:
+        raise ValueError(f"the parameters cover {end} of their arena's {arena.size} elements")
+    return arena
 
 
 class AdamW:
@@ -149,7 +151,7 @@ class AdamW:
 
     ``params`` must be exactly the tensors of one :func:`parameter_arena`, in
     its order; the moments are two flat arrays laid out like the arena. They
-    start unwritten: the first step writes them, zeros outside its spans.
+    start unwritten: the first step writes every element.
     """
 
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig):
@@ -171,62 +173,54 @@ class AdamW:
         Decay is decoupled: it scales the parameter directly by the scheduled
         learning rate, outside the moment estimates. Returns the lr used.
         ``scale`` is the clip factor (see :func:`clip_global_norm`); the
-        gradients themselves are left as they are.
+        gradients themselves are left as they are. Raises ``ValueError``,
+        writing nothing, naming a parameter without its gradient in the arena.
 
-        The update runs in place over each merged span of touched parameters,
-        ``_BLOCK`` elements at a time through two block-sized scratch arrays,
-        so a block's arrays stay in cache across the dozen passes. Element by
-        element it applies the same operations in the same order as
-        ``g *= scale`` followed by
+        The update runs in place over the whole arena, ``_BLOCK`` elements at a
+        time through two block-sized scratch arrays, so a block's arrays stay
+        in cache across the dozen passes. Element by element it applies the
+        same operations in the same order as ``g *= scale`` followed by
         ``p -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * p)``. The
-        first step writes the moments as ``0 * beta + s`` rounds, and zeroes
-        them outside its spans.
+        first step writes the moments as ``0 * beta + s`` rounds.
         """
+        if _grad_arena(self.params) is not self._grad:
+            raise ValueError("the parameters' gradients are not in this optimizer's arena")
         self.step_count += 1
         first = self.step_count == 1
         cfg = self.config
         lr_t = cfg.lr_at(epoch)
         bias1 = 1.0 - cfg.beta1**self.step_count
         bias2 = 1.0 - cfg.beta2**self.step_count
-        grad, spans = _touched_spans(self.params)
-        if spans and grad is not self._grad:
-            raise ValueError("the parameters' gradients are not in this optimizer's arena")
-        if first:
-            untouched = zip([0] + [bounds[-1] for bounds in spans], [bounds[0] for bounds in spans] + [self._data.size])
-            for i, j in untouched:
-                self._m[i:j] = 0.0
-                self._v[i:j] = 0.0
-        for bounds in spans:
-            stop = bounds[-1]
-            for i in range(bounds[0], stop, _BLOCK):
-                j = min(i + _BLOCK, stop)
-                p, g, m, v = self._data[i:j], grad[i:j], self._m[i:j], self._v[i:j]
-                s, u = self._scratch[:, : j - i]
-                if scale != 1.0:
-                    g = np.multiply(g, scale, out=u)  # rounds as the gradient's own *= scale
-                if first:
-                    np.multiply(g, 1.0 - cfg.beta1, out=m)
-                    m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0
-                    np.multiply(g, g, out=v)
-                    v *= 1.0 - cfg.beta2
-                else:
-                    np.multiply(g, 1.0 - cfg.beta1, out=s)
-                    m *= cfg.beta1
-                    m += s
-                    np.multiply(g, g, out=s)
-                    s *= 1.0 - cfg.beta2
-                    v *= cfg.beta2
-                    v += s
-                np.divide(v, bias2, out=s)
-                np.sqrt(s, out=s)
-                s += cfg.eps
-                np.divide(m, bias1, out=u)
-                np.divide(u, s, out=s)
-                if cfg.weight_decay:
-                    np.multiply(p, cfg.weight_decay, out=u)
-                    s += u
-                s *= lr_t
-                p -= s
+        size = self._data.size
+        for i in range(0, size, _BLOCK):
+            j = min(i + _BLOCK, size)
+            p, g, m, v = self._data[i:j], self._grad[i:j], self._m[i:j], self._v[i:j]
+            s, u = self._scratch[:, : j - i]
+            if scale != 1.0:
+                g = np.multiply(g, scale, out=u)  # rounds as the gradient's own *= scale
+            if first:
+                np.multiply(g, 1.0 - cfg.beta1, out=m)
+                m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0
+                np.multiply(g, g, out=v)
+                v *= 1.0 - cfg.beta2
+            else:
+                np.multiply(g, 1.0 - cfg.beta1, out=s)
+                m *= cfg.beta1
+                m += s
+                np.multiply(g, g, out=s)
+                s *= 1.0 - cfg.beta2
+                v *= cfg.beta2
+                v += s
+            np.divide(v, bias2, out=s)
+            np.sqrt(s, out=s)
+            s += cfg.eps
+            np.divide(m, bias1, out=u)
+            np.divide(u, s, out=s)
+            if cfg.weight_decay:
+                np.multiply(p, cfg.weight_decay, out=u)
+                s += u
+            s *= lr_t
+            p -= s
         return lr_t
 
 
@@ -240,30 +234,29 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     gradient gives NaN, and a NaN norm would skip clipping, so either way the
     next AdamW step would write NaN into the weights.
 
-    The gradients must lie in a :func:`parameter_arena`. The squares are
-    summed in float64, one dot product per block of at most ``_BLOCK``
-    elements, with blocks starting at each parameter's own offset: the sum
-    adds the same terms in the same order as one parameter at a time would.
-    Each merged span of touched gradients is cast to float64 ``_BLOCK``
-    elements at a time through one scratch array, made once per process, so
-    no temporary the size of a gradient is built.
+    Every parameter's gradient must be its view of one :func:`parameter_arena`
+    (``ValueError`` naming the first that is not). The squares are summed in
+    float64, one dot product per block of at most ``_BLOCK`` elements, with
+    blocks starting at each parameter's own offset: the sum adds the same
+    terms in the same order as one parameter at a time would. The arena is
+    cast to float64 ``_BLOCK`` elements at a time through one scratch array,
+    made once per process, so no temporary the size of a gradient is built.
     """
     if not 0 < max_norm < math.inf:
         raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
-    grad, spans = _touched_spans(params)
+    grad = _grad_arena(params)
+    bounds = [t.offset for t in params.values()] + [grad.size]
     total = 0.0
     scratch = _CLIP_SCRATCH
-    for bounds in spans:
-        stop = bounds[-1]
-        chunk = filled = bounds[0]  # scratch[k] holds grad[chunk + k] for chunk + k < filled
-        for first, last in zip(bounds, bounds[1:]):
-            for i in range(first, last, _BLOCK):
-                j = min(i + _BLOCK, last)
-                if j > filled:
-                    chunk, filled = i, min(i + _BLOCK, stop)
-                    scratch[: filled - chunk] = grad[chunk:filled]
-                block = scratch[i - chunk : j - chunk]
-                total += float(np.dot(block, block))
+    chunk = filled = 0  # scratch[k] holds grad[chunk + k] for chunk + k < filled
+    for first, last in zip(bounds, bounds[1:]):
+        for i in range(first, last, _BLOCK):
+            j = min(i + _BLOCK, last)
+            if j > filled:
+                chunk, filled = i, min(i + _BLOCK, grad.size)
+                scratch[: filled - chunk] = grad[chunk:filled]
+            block = scratch[i - chunk : j - chunk]
+            total += float(np.dot(block, block))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise FloatingPointError(f"non-finite gradient norm ({norm})")

@@ -1142,9 +1142,53 @@ class TestArena:
         with pytest.raises(ValueError, match="cover"):
             AdamW({name: model.params[name] for name in names[:-1]}, cfg)
 
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "finetune"])
+    def test_every_backward_writes_every_gradient(self, monkeypatch, stage, tie):
+        # the clip and AdamW raise on a missing gradient, so a training
+        # backward must write every parameter's, a zero one for an expert
+        # that got no rows
+        cfg = ModelConfig(
+            entity_count=50, relation_count=5, layers=2, hidden=16, heads=4, experts=4, top_k=1,
+            dropout=0.1, tie_decoder=tie,
+        )
+        split = toy_split(seed=9)
+        rng = np.random.default_rng(10)
+        if stage == "finetune":
+            instances = [
+                inst
+                for i, qtype in enumerate((QueryType.P1, QueryType.I2))
+                for inst in generate_queries(split, qtype, 1, np.random.default_rng([11, i]))
+            ]
+            batch = encode_queries([inst.query for inst in instances], cfg)
+            answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
+            loss = lambda z: T.answer_masked_cross_entropy(z, answers)
+        else:
+            if stage == "stage1":
+                graphs = sample_stage1_batch(split.train, rng, batch_size=1, budget=(3, 6))
+            else:
+                graphs = [sample_meta_graph(split.train, rng, pattern_mix=1.0) for _ in range(2)]
+            batch = encode_subgraphs(graphs, cfg)
+            loss = lambda z: cross_entropy(z, batch.targets, alpha=0.1)
+        routes = []
+        moe_experts = T.moe_experts
+        monkeypatch.setattr(T, "moe_experts", lambda *args: routes.append(args[-1]) or moe_experts(*args))
+        model = Model.init(cfg, seed=13)
+        TestOneTableLookup.step(forward, model, batch, loss)
+        empty = [(layer, j) for layer, per_expert in enumerate(routes) for j, rows in enumerate(per_expert) if rows.size == 0]
+        assert empty, "every expert got rows"
+        for name, t in model.params.items():
+            assert t.grad is t.grad_view, name
+        for layer, j in empty:
+            for part in ("w1", "b1", "w2", "b2"):
+                grad = model.params[f"layer{layer}.experts.{part}"].grad
+                assert not grad[j].any(), (layer, j, part)
+
     def test_gradient_outside_the_arena_is_rejected(self):
         model = Model.init(tiny_config(), seed=24)
         opt = AdamW(model.params, AdamWConfig())
+        for t in model.params.values():
+            t.grad = t.grad_view
         model.params["node_type"].grad = np.ones(model.params["node_type"].shape, dtype=np.float32)
         with pytest.raises(ValueError, match="'node_type'"):
             clip_global_norm(model.params, 1.0)

@@ -124,16 +124,6 @@ class TestAdamW:
         opt.step(0)
         assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
 
-    def test_none_grads_skipped(self):
-        cfg = AdamWConfig()
-        params = arena_params({"p": np.ones(3), "q": np.ones(3)})
-        p, q = params["p"], params["q"]
-        opt = AdamW(params, cfg)
-        set_grad(p, np.ones(3))
-        opt.step(0)
-        assert np.array_equal(q.data, np.ones(3))
-        assert not np.array_equal(p.data, np.ones(3))
-
     def test_step_returns_scheduled_lr(self):
         cfg = AdamWConfig(lr=0.2, lr_decay=0.5)
         params = arena_params({"p": np.ones(1)})
@@ -223,14 +213,6 @@ class TestClip:
                 assert t.data.tobytes() == former[name].data.tobytes(), name
             assert opts[0]._m.tobytes() == opts[1]._m.tobytes() and opts[0]._v.tobytes() == opts[1]._v.tobytes()
 
-    def test_none_grads_ignored(self):
-        params = arena_params({"a": np.zeros(2), "b": np.zeros(2)})
-        a, b = params["a"], params["b"]
-        set_grad(a, [6.0, 8.0])
-        norm = clip_global_norm(params, 5.0)
-        assert norm == pytest.approx(10.0)
-        assert b.grad is None
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_norm_raises_before_touching_anything(self, bad):
         # an infinite gradient used to be scaled to NaN, and a NaN norm
@@ -282,8 +264,58 @@ class TestClip:
                 clip_global_norm(params, bad)
 
 
+class TestGradientContract:
+    """Every parameter needs its own gradient view; otherwise the clip and the step raise, writing nothing."""
+
+    @staticmethod
+    def break_grads(params, opt: AdamW, case: str) -> str:
+        """Leave the arena's gradients faulty as ``case`` says, and return the parameter to be named."""
+        for t in params.values():
+            set_grad(t, np.full(t.shape, 0.5))
+        if case == "none":
+            params["b"].grad = None
+            return "b"
+        if case == "outside":
+            params["b"].grad = params["b"].grad_view.copy()
+            return "b"
+        opt.zero_grad()  # a fresh optimizer, before any backward
+        return "a"
+
+    @pytest.mark.parametrize("case", ["none", "outside", "no-backward"])
+    @pytest.mark.parametrize("call", ["step", "clip"])
+    def test_raises_naming_the_parameter_and_writes_nothing(self, call, case):
+        rng = np.random.default_rng(11)
+        params = arena_params({name: rng.normal(size=shape) for name, shape in {"a": (3,), "b": (2, 4), "c": (5,)}.items()})
+        opt = AdamW(params, AdamWConfig(lr=0.1))
+        if case != "no-backward":
+            for t in params.values():
+                set_grad(t, rng.normal(size=t.shape))
+            opt.step(0)  # so the moments are written
+        steps = opt.step_count
+        name = self.break_grads(params, opt, case)
+        arenas = (opt._data, opt._grad, opt._m, opt._v)
+        before = [a.tobytes() for a in arenas]
+        with pytest.raises(ValueError, match=repr(name)):
+            if call == "step":
+                opt.step(0)
+            else:
+                clip_global_norm(params, 1.0)
+        assert [a.tobytes() for a in arenas] == before
+        assert opt.step_count == steps
+
+    def test_clip_of_part_of_an_arena_raises(self):
+        # the clip walks the arena as one span, so its parameters must cover it in order
+        params = arena_params({"a": np.ones(3), "b": np.ones(8), "c": np.ones(5)})
+        for t in params.values():
+            set_grad(t, np.ones(t.shape))
+        with pytest.raises(ValueError, match="'c'"):
+            clip_global_norm({"a": params["a"], "c": params["c"]}, 1.0)
+        with pytest.raises(ValueError, match="cover 11 of their arena's 16"):
+            clip_global_norm({"a": params["a"], "b": params["b"]}, 1.0)
+
+
 class TestArenaAgainstLoop:
-    """The span-merged clip and AdamW against the former per-tensor loops (tests/helpers.py).
+    """The whole-arena clip and AdamW against the former per-tensor loops (tests/helpers.py).
 
     Bit-exact: the norm adds the same float64 block sums in the same order,
     and the update applies the same elementwise operations in the same order.
@@ -294,9 +326,6 @@ class TestArenaAgainstLoop:
 
     # (300, 130) spans two blocks; the small ones share blocks of the cast
     SHAPES = {"w": (6, 5), "b": (5,), "big": (300, 130), "g": (7,), "e": (4, 3, 2)}
-    # parameters left untouched (grad None) at each of the 5 steps; the first
-    # step leaves the arena's start and a middle span, all touched later
-    UNTOUCHED = [("w", "b", "g"), ("b",), ("big", "g"), ("w", "e"), ("e",)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
@@ -310,19 +339,14 @@ class TestArenaAgainstLoop:
         # the moments start unwritten: the first step must not read them
         opt._m.fill(np.nan)
         opt._v.fill(np.nan)
-        for step, (epoch, untouched) in enumerate(zip([0, 0, 1, 1, 2], self.UNTOUCHED)):
-            opt.zero_grad()
-            for t in loop_params.values():
-                t.grad = None
+        for step, epoch in enumerate([0, 0, 1, 1, 2]):
             raw = {}
             for name, shape in self.SHAPES.items():
-                if name not in untouched:
-                    g = (rng.normal(size=shape) * 10.0 ** int(rng.integers(-2, 3))).astype(dtype)
-                    g.reshape(-1)[:2] = -0.0  # the former zero moments turned -0.0 into +0.0
-                    set_grad(params[name], g)
-                    loop_params[name].grad = g.copy()
-                    raw[name] = g
-            before = {name: (t.data.copy(), self.moments(opt, t)) for name, t in params.items()}
+                g = (rng.normal(size=shape) * 10.0 ** int(rng.integers(-2, 3))).astype(dtype)
+                g.reshape(-1)[:2] = -0.0  # the former zero moments turned -0.0 into +0.0
+                set_grad(params[name], g)
+                loop_params[name].grad = g.copy()
+                raw[name] = g
             norm = clip_global_norm(params, max_norm)
             assert norm == loop_clip_global_norm(loop_params, max_norm)
             assert (norm > max_norm) == (max_norm == 1e-3)
@@ -333,15 +357,8 @@ class TestArenaAgainstLoop:
                 assert t.data.tobytes() == ref.data.tobytes(), (step, name)
                 m, v = self.moments(opt, t)
                 assert m.tobytes() == loop.m[name].tobytes() and v.tobytes() == loop.v[name].tobytes(), (step, name)
-                if name in untouched:
-                    assert t.grad is None
-                    assert t.data.tobytes() == before[name][0].tobytes()
-                    if step:
-                        assert m.tobytes() == before[name][1][0].tobytes()
-                        assert v.tobytes() == before[name][1][1].tobytes()
-                else:
-                    # the gradient stays as the backward left it
-                    assert t.grad.tobytes() == raw[name].tobytes(), (step, name)
+                # the gradient stays as the backward left it
+                assert t.grad.tobytes() == raw[name].tobytes(), (step, name)
 
     @staticmethod
     def moments(opt: AdamW, t: Tensor) -> tuple[np.ndarray, np.ndarray]:
