@@ -118,8 +118,8 @@ OP_CASES = (
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
-    OpCase("masked_softmax", lambda a: T.masked_softmax(a, _MASK_BIAS), ((2, 3, 4, 4),), 10),
-    OpCase("dropout", lambda a: T.dropout(a, 0.4, np.random.default_rng(11), training=True), ((6, 5),), 11),
+    OpCase("softmax_masked", lambda a: T.softmax(a, _MASK_BIAS), ((2, 3, 4, 4),), 10),
+    OpCase("dropout", lambda x, a: T.dropout(x, a, 0.4, np.random.default_rng(11), training=True), ((6, 5), (6, 5)), 11),
     OpCase("cross_entropy_smoothed", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.3), ((3, 4),), 12),
     OpCase("answer_masked_cross_entropy", lambda z: T.answer_masked_cross_entropy(z, _ANSWERS), ((3, 8),), 13),
     # inputs spread wide enough to saturate the tanh of the GELU

@@ -295,7 +295,7 @@ def attention_layer(model: Model, layer: int, x: Tensor, attn_bias: np.ndarray, 
     prefix = f"layer{layer}."
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
     out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
-    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    return T.dropout(x, out, cfg.dropout, rng, training)
 
 
 def moe_ffn(
@@ -325,21 +325,20 @@ def moe_ffn(
     if rows is None:
         rows = np.arange(x.shape[0])
 
-    selected = None
+    selected = bias = None
     if training and cfg.top_k < cfg.experts:
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        weights = T.masked_softmax(gate_logits, T.mask_bias(selected))
-    else:
-        weights = T.softmax(gate_logits)
+        bias = T.mask_bias(selected)
+    weights = T.softmax(gate_logits, bias)
 
     # Expert j serves the real rows whose routing weight for it is live; an
     # expert with no rows still takes part, so that it gets zero gradients
     routes = [rows if selected is None else rows[selected[rows, j]] for j in range(cfg.experts)]
     stacked = (p[prefix + "experts." + name] for name in ("w1", "b1", "w2", "b2"))
     combined = T.moe_experts(h, weights, *stacked, routes)
-    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
+    return T.dropout(x, combined, cfg.dropout, rng, training)
 
 
 def decoder_matrix(model: Model) -> Tensor:

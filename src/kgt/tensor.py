@@ -370,18 +370,25 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout(x: Tensor, a: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """The residual ``x + Drop(a)`` as one op. Inverted dropout zeroes ``a`` with probability p and scales survivors by 1/(1-p).
+
+    Without dropout (eval mode, or p = 0) it is :func:`add`. Otherwise it rounds
+    as ``x + a * keep``, and the backward hands ``x`` its gradient before ``a``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return a
+        return add(x, a)
     if rng is None:
         raise ValueError("training-mode dropout needs a random generator")
+    if x.data.shape != a.data.shape:
+        raise ValueError(f"dropout operands differ in shape: {x.data.shape} and {a.data.shape}")
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    out = Tensor(a.data * keep, requires_grad=a.requires_grad)
+    out = Tensor(x.data + a.data * keep, requires_grad=x.requires_grad or a.requires_grad)
 
     def backward(g):
+        _accumulate(x, g)
         _accumulate(a, g * keep, owned=True)
 
     return _record(out, backward)
@@ -399,11 +406,19 @@ def mask_bias(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.float32(0.0), np.float32(-np.inf))
 
 
-def _softmax_rows(shifted: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place, of ``shifted``: logits minus their row maximum."""
-    p = np.exp(shifted, out=shifted)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+def masked_softmax(x: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis of ``x + bias``, written into ``x``'s buffer.
+
+    ``bias`` is a :func:`mask_bias` broadcast against ``x``, or None for none:
+    where it is -inf the output is exactly 0. The bias is added, the row
+    maximum subtracted, and the rows exponentiated and normalized in place.
+    """
+    if bias is not None:
+        x += bias
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -414,29 +429,15 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gx
 
 
-def _softmax_shifted(a: Tensor, shifted: np.ndarray) -> Tensor:
-    """The softmax of ``a``'s last axis, finished in place from ``shifted``: its (biased) logits minus their row maximum."""
-    p = _softmax_rows(shifted)
+def softmax(a: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of ``a + bias``, by :func:`masked_softmax` on a copy of ``a``."""
+    p = masked_softmax(a.data.copy(), bias)
     out = Tensor(p, requires_grad=a.requires_grad)
 
     def backward(g):
         _accumulate(a, _softmax_grad(p, g), owned=True)
 
     return _record(out, backward)
-
-
-def masked_softmax(a: Tensor, bias: np.ndarray) -> Tensor:
-    """Softmax over the last axis of ``a + bias``.
-
-    ``bias`` is a :func:`mask_bias`, broadcast against ``a``: where it is -inf the output is exactly 0."""
-    x = a.data + bias
-    x -= x.max(axis=-1, keepdims=True)
-    return _softmax_shifted(a, x)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    return _softmax_shifted(a, a.data - a.data.max(axis=-1, keepdims=True))
 
 
 def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int) -> Tensor:
@@ -450,10 +451,7 @@ def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int)
     # one [N, d] @ [d, d] product per grid row and projection: h @ wqkv ran slower on one OpenBLAS thread
     grid = h.data.reshape(b, n, d)
     q, k, v = ((grid @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
-    x = q @ np.swapaxes(k, -1, -2) * scale
-    x += bias
-    x -= x.max(axis=-1, keepdims=True)
-    p = _softmax_rows(x)
+    p = masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, bias)
     context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
     out = Tensor((context @ wo.data).reshape(b * n, d), requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
 

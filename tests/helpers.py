@@ -553,11 +553,19 @@ def grid_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
     return _record(out, backward)
 
 
+def former_softmax_rows(shifted: np.ndarray) -> np.ndarray:
+    """Test oracle: the former ``kgt.tensor._softmax_rows``, the softmax over
+    the last axis, in place, of ``shifted``: logits minus their row maximum."""
+    p = np.exp(shifted, out=shifted)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def grid_attention(h, wqkv, wo, bias: np.ndarray, heads: int) -> "Tensor":
     """Test oracle: the former ``kgt.tensor.attention``, over a [B, N, d] grid ``h``."""
     import math
 
-    from kgt.tensor import Tensor, _accumulate, _gemm, _record, _softmax_grad, _softmax_rows
+    from kgt.tensor import Tensor, _accumulate, _gemm, _record, _softmax_grad
 
     b, n, d = h.shape
     hd = d // heads
@@ -566,7 +574,7 @@ def grid_attention(h, wqkv, wo, bias: np.ndarray, heads: int) -> "Tensor":
     x = q @ np.swapaxes(k, -1, -2) * scale
     x += bias
     x -= x.max(axis=-1, keepdims=True)
-    p = _softmax_rows(x)
+    p = former_softmax_rows(x)
     context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
     out = Tensor(context @ wo.data, requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
 
@@ -613,14 +621,14 @@ def grid_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
         prefix = f"layer{layer}."
         h = grid_layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
         out = grid_attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
-        x = T.add(x, T.dropout(out, cfg.dropout, rng, training))
+        x = T.add(x, former_dropout(out, cfg.dropout, rng, training))
         h = grid_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
         flat = former_reshape(h, (b * n, d))
         weights, selected = _gate_weights(cfg, T.matmul(flat, p[prefix + "gate"]), training)
         routes = [real_rows if selected is None else real_rows[selected[real_rows, j]] for j in range(cfg.experts)]
         stacked = (p[prefix + "experts." + name] for name in EXPERT_WEIGHTS)
         out = former_reshape(T.moe_experts(flat, weights, *stacked, routes), (b, n, d))
-        x = T.add(x, T.dropout(out, cfg.dropout, rng, training))
+        x = T.add(x, former_dropout(out, cfg.dropout, rng, training))
     x = grid_layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
     states = T.gather_rows(former_reshape(x, (b * n, d)), batch.positions, unique=True)
     return former_decode(states, decoder_matrix(model))
@@ -682,9 +690,10 @@ def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int, softm
 
 
 def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights=None, softmax=None) -> "Tensor":
-    """Test oracle: the former attention layer, 19 tape ops and the two
-    ``former_reshape`` records of :func:`former_attention_rows`, over the
-    projections by the leaves ``weights`` (fresh :func:`qkv_leaves` when None)."""
+    """Test oracle: the former attention layer, 19 tape ops (its residual an
+    ``add`` of a :func:`former_dropout`) and the two ``former_reshape`` records
+    of :func:`former_attention_rows`, over the projections by the leaves
+    ``weights`` (fresh :func:`qkv_leaves` when None)."""
     from kgt import tensor as T
 
     cfg = model.config
@@ -693,7 +702,7 @@ def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng,
     weights = qkv_leaves(model, layer) if weights is None else weights
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
     out = former_attention_rows(h, *(weights[name] for name in QKV), p[prefix + "wo"], attn_bias, cfg.heads, softmax)
-    return T.add(x, T.dropout(out, cfg.dropout, rng, training))
+    return T.add(x, former_dropout(out, cfg.dropout, rng, training))
 
 
 def _gate_weights(cfg, gate_logits, training: bool):
@@ -704,8 +713,8 @@ def _gate_weights(cfg, gate_logits, training: bool):
         order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
         selected = np.zeros_like(gate_logits.data, dtype=bool)
         np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        return T.masked_softmax(gate_logits, T.mask_bias(selected)), selected
-    return T.softmax(gate_logits), None
+        return former_softmax_op(gate_logits, T.mask_bias(selected)), selected
+    return former_softmax_op(gate_logits), None
 
 
 def _moe_gate(model, layer: int, x, training: bool):
@@ -744,7 +753,7 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
         term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
         combined = scatter_add_rows(combined, term, rows_j)
-    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
+    return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
 
 
 def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "Tensor":
@@ -765,7 +774,7 @@ def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "T
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
         term = former_mul(out_j, slice_last(weights, j, j + 1))
         combined = term if combined is None else T.add(combined, term)
-    return T.add(x, T.dropout(combined, cfg.dropout, rng, training))
+    return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
 
 
 def padded_encode_subgraphs(subs, config) -> "Batch":
@@ -1215,14 +1224,15 @@ class LoopAdamW:
     def step(self, epoch: int = 0) -> float:
         import math
 
+        for name, t in self.params.items():
+            if t.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient")
         self.step_count += 1
         cfg = self.config
         lr_t = cfg.lr_at(epoch)
         bias1 = 1.0 - cfg.beta1**self.step_count
         bias2 = 1.0 - cfg.beta2**self.step_count
         for name, t in self.params.items():
-            if t.grad is None:
-                continue
             arrays = np.atleast_1d(t.data, t.grad, self.m[name], self.v[name])
             rows = max(1, LOOP_BLOCK // max(1, math.prod(arrays[0].shape[1:])))
             scratch = np.empty((2, rows) + arrays[0].shape[1:], dtype=t.data.dtype)
@@ -1259,11 +1269,12 @@ def loop_clip_global_norm(params, max_norm: float) -> float:
 
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    for name, t in params.items():
+        if t.grad is None:
+            raise ValueError(f"parameter {name!r} has no gradient")
     total = 0.0
     scratch = np.empty(LOOP_BLOCK, dtype=np.float64)
     for t in params.values():
-        if t.grad is None:
-            continue
         flat = t.grad.reshape(-1)
         for i in range(0, flat.size, LOOP_BLOCK):
             block = scratch[: min(LOOP_BLOCK, flat.size - i)]
@@ -1275,8 +1286,7 @@ def loop_clip_global_norm(params, max_norm: float) -> float:
     if norm > max_norm:
         scale = max_norm / norm
         for t in params.values():
-            if t.grad is not None:
-                t.grad *= scale
+            t.grad *= scale
     return norm
 
 
@@ -1383,6 +1393,52 @@ def former_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
     return _record(out, backward)
 
 
+def former_dropout(a, p: float, rng, training: bool) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.dropout``, inverted dropout alone;
+    the residual was a separate ``add``."""
+    from kgt.tensor import Tensor, _accumulate, _record
+
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return a
+    if rng is None:
+        raise ValueError("training-mode dropout needs a random generator")
+    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    out = Tensor(a.data * keep, requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, g * keep, owned=True)
+
+    return _record(out, backward)
+
+
+def former_residual_dropout(x, a, p: float, rng, training: bool) -> "Tensor":
+    """``kgt.tensor.dropout``'s signature over the former ops: :func:`former_add`
+    of ``x`` and the :func:`former_dropout` of ``a``, two records in training."""
+    return former_add(x, former_dropout(a, p, rng, training))
+
+
+def former_softmax_op(a, bias: np.ndarray | None = None) -> "Tensor":
+    """Test oracle: the former ``kgt.tensor.softmax`` (``bias`` None) and
+    ``masked_softmax`` tape ops, on shifted logits in a new array:
+    ``a - max(a)``, or ``a + bias`` less its row maximum."""
+    from kgt.tensor import Tensor, _accumulate, _record, _softmax_grad
+
+    if bias is None:
+        x = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        x = a.data + bias
+        x -= x.max(axis=-1, keepdims=True)
+    p = former_softmax_rows(x)
+    out = Tensor(p, requires_grad=a.requires_grad)
+
+    def backward(g):
+        _accumulate(a, _softmax_grad(p, g), owned=True)
+
+    return _record(out, backward)
+
+
 def former_masked_softmax(a, mask: np.ndarray) -> "Tensor":
     """Test oracle: the former boolean-mask softmax, ``np.where`` and a row check on every call."""
     from kgt.tensor import Tensor, _accumulate, _record
@@ -1438,15 +1494,21 @@ def scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
 def former_scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
     """:func:`scaled_masked_softmax`'s signature over the former ops: ``mul`` by
     the scale (skipped at 1, as the gate skipped it), then the boolean-mask
-    softmax. It stands in for ``masked_softmax`` and for the attention softmax."""
+    softmax. It stands in for the gate's and the attention's masked softmax."""
     scaled = a if scale == 1.0 else former_mul(a, scale)
     return former_masked_softmax(scaled, bias == 0)
+
+
+def former_gate_softmax(a, bias: np.ndarray | None = None) -> "Tensor":
+    """``kgt.tensor.softmax``'s signature over the former boolean-mask ops:
+    :func:`former_softmax`, or under a bias :func:`former_scaled_masked_softmax`."""
+    return former_softmax(a) if bias is None else former_scaled_masked_softmax(a, bias)
 
 
 FORMER_OPS = {
     "add": former_add,
     "mul": former_mul,
     "layer_norm": former_layer_norm,
-    "masked_softmax": former_scaled_masked_softmax,
-    "softmax": former_softmax,
+    "softmax": former_gate_softmax,
+    "dropout": former_residual_dropout,
 }

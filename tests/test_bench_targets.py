@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from kgt.model import ModelConfig, encode_queries, encode_subgraphs
-from kgt.queries import QueryType, build_query
+from kgt.evaluation import evaluate
+from kgt.model import Model, ModelConfig, encode_queries, encode_subgraphs
+from kgt.queries import QueryType, build_query, generate_queries
 from kgt.sampling import sample_stage1_batch
+from kgt.train import Stage, TrainConfig, finetune, pretrain
 
 from helpers import toy_split
 
@@ -55,3 +57,28 @@ def test_batch_exposes_the_slot_counts_the_trace_reads():
     batch = encode_subgraphs(subs, cfg)
     real = sum(s.levi.node_count for s in subs)
     assert spans._batch_slots((subs, cfg), {}, batch) == (real, batch.entity_ids.size)
+
+
+def test_every_tensor_op_span_wraps_code_that_runs():
+    # a wrapped name that stays defined but is no longer called (a private
+    # kernel in its place, say) still resolves, and reports 0 without this
+    spans = load_spans()
+    split = toy_split(seed=1)
+    cfg = ModelConfig(entity_count=50, relation_count=5, layers=1, hidden=16, heads=2, experts=4, top_k=2)
+    model = Model.init(cfg, seed=2)
+    train = {
+        qtype: generate_queries(split, qtype, 2, np.random.default_rng([3, i]))
+        for i, qtype in enumerate((QueryType.P1, QueryType.I2))
+    }
+    valid = {QueryType.P1: generate_queries(split, QueryType.P1, 2, np.random.default_rng(4), split_for="valid")}
+    recorder = spans.Recorder()
+    recorder.install([target for target in spans.TARGETS if target.span.startswith("tensor.op.")])
+    try:
+        pretrain(model, split.train, TrainConfig(stage=Stage.STAGE1, epochs=1, steps_per_epoch=1, batch_size=4))
+        finetune(model, train, TrainConfig(stage=Stage.FINETUNE, epochs=1, batch_size=4, label_smoothing=0.0))
+        evaluate(model, valid, "valid")
+    finally:
+        recorder.uninstall()
+    assert recorder.absent == []
+    ran = {span[spans.NAME] for span in recorder.spans}
+    assert [op for op in spans.TENSOR_OPS if f"tensor.op.{op}" not in ran] == []

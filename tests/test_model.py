@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -35,6 +36,7 @@ from helpers import (
     former_attention_layer,
     former_decode,
     former_moe_ffn,
+    former_scaled_masked_softmax,
     fused_grads,
     grid_forward,
     heap_truncated_normal,
@@ -864,18 +866,23 @@ class TestFewerPasses:
         loss, grads, records = stage1_step(model, batch)
         for name, op in FORMER_OPS.items():
             monkeypatch.setattr(T, name, op)
-        leaves = patch_former_attention(monkeypatch, FORMER_OPS["masked_softmax"])
+        leaves = patch_former_attention(monkeypatch, former_scaled_masked_softmax)
         former_loss, former_grads, former_records = stage1_step(model, batch, leaves)
         assert loss == former_loss
         assert grads.keys() == former_grads.keys()
         assert [name for name in grads if grads[name] != former_grads[name]] == []
         # attention was 20 records per layer on the grid, with its scale as a
-        # mul, and 22 with the reshapes to and from it; it is 4
-        assert former_records - records == 18 * model.config.layers
+        # mul, and 22 with the reshapes to and from it; it is 4. Each of the
+        # layer's two residuals was a dropout and an add; it is one dropout
+        assert former_records - records == (18 + 2) * model.config.layers
 
-    def test_stage1_step_tape_records(self, toy_step):
+    @pytest.mark.parametrize("tied, records", [(False, 41), (True, 42)], ids=["untied", "tied"])
+    def test_stage1_step_tape_records(self, toy_step, tied, records):
+        # the tied decoder gathers its table from the embedding: one more record
         model, batch = toy_step
-        assert stage1_step(model, batch)[2] == 49
+        if tied:
+            model = Model.init(dataclasses.replace(model.config, tie_decoder=True), seed=7)
+        assert stage1_step(model, batch)[2] == records
 
 
 def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
@@ -1016,7 +1023,8 @@ class TestFlatLayout:
     reshape record at each change of layout, and the former decoder's
     ``transpose`` record). The logits, the loss and the bytes of every
     parameter gradient are equal, and the flat step records 3 + 2 * layers
-    fewer tape ops."""
+    fewer tape ops, 3 + 4 * layers in training, where the oracle's residuals
+    are a dropout and an add each."""
 
     @staticmethod
     def step(run, model: Model, batch: Batch, loss, training: bool):
@@ -1058,7 +1066,8 @@ class TestFlatLayout:
                 assert got[:2] == want[:2], (label, training)
                 assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
                 assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
-                assert want[3] - got[3] == 3 + 2 * cfg.layers, (label, training)
+                # in training, each of a layer's two residuals was a dropout and an add
+                assert want[3] - got[3] == 3 + (4 if training else 2) * cfg.layers, (label, training)
 
 
 class TestArena:

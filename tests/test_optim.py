@@ -327,6 +327,19 @@ class TestArenaAgainstLoop:
     # (300, 130) spans two blocks; the small ones share blocks of the cast
     SHAPES = {"w": (6, 5), "b": (5,), "big": (300, 130), "g": (7,), "e": (4, 3, 2)}
 
+    def test_loops_raise_naming_a_parameter_without_gradient(self):
+        # the oracles keep the arena's contract: every parameter needs a gradient
+        params = {name: Tensor(np.ones(shape)) for name, shape in self.SHAPES.items()}
+        for name, t in params.items():
+            t.grad = None if name == "g" else np.ones(t.shape)
+        loop = LoopAdamW(params, AdamWConfig())
+        with pytest.raises(ValueError, match="'g'"):
+            loop.step(0)
+        with pytest.raises(ValueError, match="'g'"):
+            loop_clip_global_norm(params, 1e-3)
+        assert loop.step_count == 0
+        assert all((t.data == 1).all() and (t.grad is None or (t.grad == 1).all()) for t in params.values())
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
     def test_bit_exact_over_five_steps(self, dtype, max_norm):

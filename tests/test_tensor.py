@@ -10,11 +10,13 @@ from helpers import (
     former_add,
     former_attention,
     former_attention_rows,
+    former_dropout,
     former_gelu,
     former_layer_norm,
     former_masked_softmax,
     former_mul,
     former_softmax,
+    former_softmax_op,
     former_transpose,
     loop_answer_masked_cross_entropy,
     slice_last,
@@ -327,7 +329,7 @@ class TestMaskedSoftmax:
         x = Tensor(rng.normal(size=(rows, cols)).astype(np.float64))
         mask = rng.random((rows, cols)) < 0.5
         mask[np.arange(rows), rng.integers(cols, size=rows)] = True  # keep rows alive
-        p = masked_softmax(x, mask_bias(mask)).data
+        p = softmax(x, mask_bias(mask)).data
         assert np.all(p[~mask] == 0.0)
         assert np.all(p[mask] > 0.0)
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
@@ -348,11 +350,15 @@ class TestMaskedSoftmax:
         assert bias.tolist() == [[0.0, -np.inf, 0.0], [-np.inf, 0.0, -np.inf]]
 
     def test_matches_plain_softmax_when_unmasked(self):
+        # the op with and without a bias, and the kernel it runs, in place
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 7)))
         full = softmax(x).data
-        masked = masked_softmax(x, mask_bias(np.ones(7, dtype=bool))).data
+        masked = softmax(x, mask_bias(np.ones(7, dtype=bool))).data
         assert np.array_equal(full, masked)
+        buffer = x.data.copy()
+        assert masked_softmax(buffer, None) is buffer
+        assert np.array_equal(buffer, full)
 
     def test_huge_logits_stay_finite(self):
         x = Tensor(np.array([[1e4, -1e4, 0.0]], dtype=np.float64))
@@ -431,9 +437,22 @@ class TestFormerOps:
         selected = np.zeros(logits.shape, dtype=bool)
         np.put_along_axis(selected, np.argsort(-logits, axis=-1, kind="stable")[:, :2], True, axis=-1)
         g = rng.normal(size=logits.shape).astype(dtype)
-        got = grads_of(masked_softmax, [logits], g, mask_bias(selected))
+        got = grads_of(softmax, [logits], g, mask_bias(selected))
         assert same_bytes(got, grads_of(former_masked_softmax, [logits], g, selected))
-        assert same_bytes(grads_of(softmax, [logits], g), grads_of(former_softmax, [logits], g))
+        assert same_bytes(got, grads_of(former_softmax_op, [logits], g, mask_bias(selected)))
+        got = grads_of(softmax, [logits], g)
+        assert same_bytes(got, grads_of(former_softmax, [logits], g))
+        assert same_bytes(got, grads_of(former_softmax_op, [logits], g))
+
+    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 0.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_residual_dropout(self, seed, hidden, dtype, p):
+        # x + Drop(a) as one op against the former add of the former dropout, on the same draws
+        rng = np.random.default_rng(seed)
+        x, a, g = (rng.normal(size=(9, hidden)).astype(dtype) for _ in range(3))
+        got = grads_of(dropout, [x, a], g, p, np.random.default_rng(seed), True)
+        want = grads_of(lambda x, a: add(x, former_dropout(a, p, np.random.default_rng(seed), True)), [x, a], g)
+        assert same_bytes(got, want)
 
     @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=30, deadline=None)
@@ -452,18 +471,20 @@ class TestFormerOps:
 
 
 class TestDropout:
-    def test_eval_mode_returns_same_object(self):
-        a = Tensor(np.ones(10))
-        assert dropout(a, 0.5, None, training=False) is a
+    def test_eval_mode_is_add(self):
+        x, a = np.random.default_rng(2).normal(size=(2, 10))
+        got = grads_of(dropout, [x, a], np.ones(10), 0.5, None, False)
+        assert same_bytes(got, grads_of(add, [x, a], np.ones(10)))
 
-    def test_zero_rate_returns_same_object(self):
-        a = Tensor(np.ones(10))
-        assert dropout(a, 0.0, np.random.default_rng(0), training=True) is a
+    def test_zero_rate_is_add(self):
+        x, a = np.random.default_rng(2).normal(size=(2, 10))
+        got = grads_of(dropout, [x, a], np.ones(10), 0.0, np.random.default_rng(0), True)
+        assert same_bytes(got, grads_of(add, [x, a], np.ones(10)))
 
     def test_training_scales_survivors(self):
         rng = np.random.default_rng(1)
-        a = Tensor(np.ones(100_000))
-        out = dropout(a, 0.25, rng, training=True).data
+        x, a = Tensor(np.full(100_000, 3.0)), Tensor(np.ones(100_000))
+        out = dropout(x, a, 0.25, rng, training=True).data - 3.0
         zeros = np.count_nonzero(out == 0.0)
         survivors = out[out != 0.0]
         assert np.allclose(survivors, 1.0 / 0.75)
@@ -471,15 +492,20 @@ class TestDropout:
         assert abs(zeros / out.size - 0.25) < 3 * sigma
 
     def test_bad_probability_raises(self):
-        a = Tensor(np.ones(3))
+        x, a = Tensor(np.ones(3)), Tensor(np.ones(3))
         with pytest.raises(ValueError):
-            dropout(a, 1.0, np.random.default_rng(0), training=True)
+            dropout(x, a, 1.0, np.random.default_rng(0), training=True)
         with pytest.raises(ValueError):
-            dropout(a, -0.1, np.random.default_rng(0), training=True)
+            dropout(x, a, -0.1, np.random.default_rng(0), training=True)
 
     def test_training_without_rng_raises(self):
         with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 0.5, None, training=True)
+            dropout(Tensor(np.ones(3)), Tensor(np.ones(3)), 0.5, None, training=True)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_operands_of_other_shapes_raise(self, training):
+        with pytest.raises(ValueError, match="differ in shape"):
+            dropout(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), 0.5, np.random.default_rng(0), training)
 
 
 class TestSmoothedLabels:
