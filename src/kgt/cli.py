@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .errors import ConfigError, KgtError, ParseError
+from .errors import CheckpointError, ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
 from .graph import (
@@ -70,8 +70,20 @@ def _load_dataset(args) -> SplitDataset:
     return load_split(dataset_dir)
 
 
-def _read_raw_tokens(path: Path) -> list[tuple[str, str, str]]:
-    return [(h, r, t) for _, (h, r, t) in triple_fields(path)]
+def _read_raw_tokens(path: Path) -> tuple[list[tuple[str, str, str]], np.ndarray]:
+    """The token triples of a file and the line number of each."""
+    rows = list(triple_fields(path))
+    return [tuple(fields) for _, fields in rows], np.array([lineno for lineno, _ in rows], dtype=np.int64)
+
+
+def _load_for(path: Path, split: SplitDataset) -> Model:
+    """The checkpoint at ``path``, which must have ``split``'s entity and relation counts."""
+    model = load_checkpoint(path)
+    have = (model.config.entity_count, model.config.relation_count)
+    want = (split.entity_count, split.relation_count)
+    if have != want:
+        raise CheckpointError(f"{path}: checkpoint has {have[0]} entities and {have[1]} relations, the dataset {want[0]} and {want[1]}")
+    return model
 
 
 def _is_int(token: str) -> bool:
@@ -92,7 +104,9 @@ def cmd_ingest(args) -> int:
         if (data_dir / "entities.txt").exists() or (data_dir / "relations.txt").exists():
             raise  # a token the given vocabulary lacks
         # token-valued triples without vocabulary files: build one
-        raw = {name: _read_raw_tokens(data_dir / f"{name}.txt") for name in SPLITS}
+        paths = {name: data_dir / f"{name}.txt" for name in SPLITS}
+        read = {name: _read_raw_tokens(path) for name, path in paths.items()}
+        raw = {name: rows for name, (rows, _) in read.items()}
         entity_tokens = sorted({tok for rows in raw.values() for h, _, t in rows for tok in (h, t)})
         relation_tokens = sorted({r for rows in raw.values() for _, r, _ in rows})
         if all(_is_int(tok) for tok in entity_tokens + relation_tokens):
@@ -102,7 +116,8 @@ def cmd_ingest(args) -> int:
         parts = {
             name: [(ent_map[h], rel_map[r], ent_map[t]) for h, r, t in rows] for name, rows in raw.items()
         }
-        split = build_split(parts, len(entity_tokens), len(relation_tokens), entity_tokens, relation_tokens)
+        sources = {name: (paths[name], lines) for name, (_, lines) in read.items()}
+        split = build_split(parts, len(entity_tokens), len(relation_tokens), entity_tokens, relation_tokens, sources)
 
     entities = split.entities or [str(i) for i in range(split.entity_count)]
     relations = split.relations or [str(i) for i in range(split.relation_count)]
@@ -184,7 +199,7 @@ def cmd_pretrain(args) -> int:
             model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
             inputs = []
         else:
-            model = load_checkpoint(stage1_path)
+            model = _load_for(stage1_path, split)
             inputs = [stage1_path]
         train_config = config.train_config(Stage.STAGE2)
         out_path = stage2_path
@@ -233,7 +248,7 @@ def cmd_finetune(args) -> int:
                     break
         if source is None:
             raise FileNotFoundError("no pre-trained checkpoint found; run pretrain or pass --fresh")
-        model = load_checkpoint(source)
+        model = _load_for(source, split)
         inputs = [source]
 
     train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES, split)

@@ -689,17 +689,16 @@ def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int, softm
     return former_reshape(out, (b * n, d))
 
 
-def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights=None, softmax=None) -> "Tensor":
+def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights, softmax=None) -> "Tensor":
     """Test oracle: the former attention layer, 19 tape ops (its residual an
     ``add`` of a :func:`former_dropout`) and the two ``former_reshape`` records
     of :func:`former_attention_rows`, over the projections by the leaves
-    ``weights`` (fresh :func:`qkv_leaves` when None)."""
+    ``weights`` (:func:`qkv_leaves`)."""
     from kgt import tensor as T
 
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
-    weights = qkv_leaves(model, layer) if weights is None else weights
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
     out = former_attention_rows(h, *(weights[name] for name in QKV), p[prefix + "wo"], attn_bias, cfg.heads, softmax)
     return T.add(x, former_dropout(out, cfg.dropout, rng, training))
@@ -727,14 +726,14 @@ def _moe_gate(model, layer: int, x, training: bool):
     return (h, *_gate_weights(model.config, T.matmul(h, p[prefix + "gate"]), training))
 
 
-def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts=None) -> "Tensor":
+def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> "Tensor":
     """Test oracle: the former routed expert loop, ten tape ops per expert.
 
-    Expert j runs on the leaves ``experts[j]`` (fresh :func:`expert_leaves`
-    when None): the input rows routed to it are gathered, its biases added by
-    the broadcasting ``former_add``, its output scaled by ``former_mul`` with
-    its ``[rows, 1]`` gate weights, and scattered into the output by
-    ``scatter_add_rows``, in expert order.
+    Expert j runs on the leaves ``experts[j]`` (:func:`expert_leaves`): the
+    input rows routed to it are gathered, its biases added by the broadcasting
+    ``former_add``, its output scaled by ``former_mul`` with its ``[rows, 1]``
+    gate weights, and scattered into the output by ``scatter_add_rows``, in
+    expert order.
     """
     from kgt import tensor as T
     from kgt.tensor import Tensor
@@ -743,7 +742,6 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows=None, experts
     m = x.shape[0]
     flat, weights, selected = _moe_gate(model, layer, x, training)
     rows = np.arange(m) if rows is None else rows
-    experts = expert_leaves(model, layer) if experts is None else experts
     combined = Tensor(np.zeros(x.shape, dtype=flat.dtype))
     flat_weights = former_reshape(weights, (m * cfg.experts, 1))
     for j, e in enumerate(experts):

@@ -472,9 +472,14 @@ def test_gradcheck_prints_one_line_per_check(capsys):
 
 
 class TestCliErrors:
-    @pytest.mark.parametrize("vocabulary", [False, True])
-    def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary):
-        # token triples (no vocabulary files) and id triples share one field splitter
+    @pytest.mark.parametrize(
+        "vocabulary, fault",
+        [(False, "expected 3 tab-separated fields, got 2"), (True, "expected 3 tab-separated fields, got 2"), (False, "duplicate triple (")],
+        ids=["False", "True", "tokens-duplicate"],
+    )
+    def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary, fault):
+        # token triples (no vocabulary files) and id triples share one field
+        # splitter, and both name the file and line of a bad triple
         raw = tmp_path / "raw"
         if vocabulary:
             write_toy_dataset(raw, toy_split(seed=30))
@@ -482,11 +487,28 @@ class TestCliErrors:
             write_token_dataset(raw, toy_split(seed=30))
         path = raw / "valid.txt"
         lines = path.read_text().splitlines()
-        lines[2] = lines[2].replace("\t", " ", 1)
+        lines[2] = lines[0] if fault.startswith("duplicate") else lines[2].replace("\t", " ", 1)
         path.write_text("\n".join(lines) + "\n")
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:3: expected 3 tab-separated fields, got 2")
+        assert err.startswith(f"error: {path}:3: {fault}")
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_checkpoint_of_another_vocabulary(self, pipeline, tmp_path, capsys, command):
+        # the pipeline's checkpoints score 50 entities; this dataset has 80
+        out = tmp_path / "wider"
+        write_toy_dataset(out / "dataset", toy_split(seed=30, entities=80))
+        ckpt = pipeline["out"] / "checkpoints" / "stage1.kgtc"
+        if command == "pretrain":
+            (out / "checkpoints").mkdir()
+            ckpt = shutil.copy(ckpt, out / "checkpoints" / "stage1.kgtc")
+            args = ["pretrain", "--stage", "2"]
+        else:
+            args = ["finetune", "--from", str(ckpt)]
+        assert main(["--config", str(pipeline["config"]), "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: checkpoint has 50 entities and 5 relations, the dataset 80 and 5")
+        assert sorted(p.name for p in out.rglob("*.kgtc")) == (["stage1.kgtc"] if command == "pretrain" else [])
 
     def test_evaluate_without_checkpoint(self, pipeline, tmp_path, capsys):
         out = tmp_path / "empty_out"

@@ -1,6 +1,7 @@
 """Every module under ``src/kgt`` uses each name it imports, every
 module-level private name is read somewhere in ``src/kgt``, and every public
 function, class and method is read somewhere in ``src/kgt`` or ``kgtbench/``.
+Every oracle and helper of the shared test modules is reached from a test.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -46,9 +47,9 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name.startswith("_") and not name.startswith("__")]
 
 
-def names_read(source: str) -> set[str]:
-    """Every name the module loads, as a bare name or as an attribute."""
-    tree = ast.parse(source)
+def names_read(source: str | ast.AST) -> set[str]:
+    """Every name the module (or syntax tree) loads, as a bare name or as an attribute."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return loads | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
@@ -117,3 +118,36 @@ def test_every_public_name_is_read():
         if name.rsplit(".", 1)[-1] not in read
     ]
     assert unread == []
+
+
+def unreached_definitions(shared: list[str], tests: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``shared`` sources that no ``tests``
+    source reaches, by name, directly or through other shared top-level statements."""
+    statements: dict[str, list] = {}
+    defined = []
+    for source in shared:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+                named = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                named = [n.id for target in targets if target is not None for n in ast.walk(target) if isinstance(n, ast.Name)]
+            for name in named:
+                statements.setdefault(name, []).append(node)
+    frontier, reached = set().union(*(names_read(source) for source in tests)), set()
+    while frontier:
+        name = frontier.pop()
+        if name in statements and name not in reached:
+            reached.add(name)
+            frontier |= set().union(*(names_read(node) for node in statements[name]))
+    return [name for name in defined if name not in reached]
+
+
+def test_every_shared_test_helper_is_reached():
+    # an oracle that lost its last test must be deleted or used
+    shared = "def a():\n    return b()\ndef b():\n    pass\ndef c():\n    pass\nROWS = (a,)\n"
+    assert unreached_definitions([shared], ["x = ROWS"]) == ["c"]
+    tests = ROOT / "tests"
+    sources = [(tests / name).read_text(encoding="utf-8") for name in ("helpers.py", "equivalence.py")]
+    assert unreached_definitions(sources, [path.read_text(encoding="utf-8") for path in tests.glob("test_*.py")]) == []

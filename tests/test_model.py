@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import struct
@@ -22,80 +21,14 @@ from kgt.model import (
     parameter_shapes,
     truncated_normal,
 )
-from kgt.queries import FREE_SLOT, QueryType, build_query, generate_queries
-from kgt.sampling import SampledSubgraph, sample_meta_graph, sample_stage1_batch
+from kgt.queries import FREE_SLOT, QueryType, build_query
+from kgt.sampling import SampledSubgraph, sample_stage1_batch
 from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from helpers import (
-    FORMER_OPS,
-    attention_mask,
-    dense_moe_ffn,
-    expert_leaves,
-    former_attention_layer,
-    former_decode,
-    former_moe_ffn,
-    former_scaled_masked_softmax,
-    fused_grads,
-    grid_forward,
-    heap_truncated_normal,
-    padded_encode_queries,
-    padded_encode_subgraphs,
-    qkv_leaves,
-    stacked_grads,
-    toy_split,
-    two_table_forward,
-    two_table_model,
-)
-
-
-def tiny_config(**overrides) -> ModelConfig:
-    defaults = dict(
-        entity_count=20,
-        relation_count=4,
-        layers=2,
-        hidden=16,
-        heads=2,
-        experts=4,
-        top_k=2,
-        dropout=0.0,
-    )
-    defaults.update(overrides)
-    return ModelConfig(**defaults)
-
-
-def np_layer_norm(x, gain, bias, eps=1e-5):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + bias
-
-
-def np_gelu(x):
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
-
-
-def moe_oracle(x, model: Model, layer: int, training: bool) -> np.ndarray:
-    """Node-at-a-time reference for the expert block on [M, d] rows, explicit top-k rule."""
-    cfg = model.config
-    p = {k: t.data for k, t in model.params.items()}
-    prefix = f"layer{layer}."
-    flat = np_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-    out = np.zeros_like(flat)
-    for node in range(flat.shape[0]):
-        g = flat[node] @ p[prefix + "gate"]
-        if training and cfg.top_k < cfg.experts:
-            chosen = sorted(range(cfg.experts), key=lambda j: (-g[j], j))[: cfg.top_k]
-        else:
-            chosen = list(range(cfg.experts))
-        e = np.exp(g[chosen] - np.max(g[chosen]))
-        w = e / e.sum()
-        ex = {name: p[f"{prefix}experts.{name}"] for name in ("w1", "b1", "w2", "b2")}
-        for weight, j in zip(w, chosen):
-            hidden = np_gelu(flat[node] @ ex["w1"][j] + ex["b1"][j])
-            out[node] += weight * (hidden @ ex["w2"][j] + ex["b2"][j])
-    return x + out
+from equivalence import RECORDS, bind, step, tiny_config, toy_batches, toy_stage1
+from helpers import attention_mask, toy_split
 
 
 class TestParameters:
@@ -156,30 +89,8 @@ class TestParameters:
         assert np.abs(draws).max() <= 0.04
         assert abs(draws.mean()) < 1e-3
 
-    def test_truncated_normal_matches_heap_oracle_bit_for_bit(self):
-        for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
-            got = truncated_normal(np.random.default_rng(seed), shape, std, np.float64)
-            want = heap_truncated_normal(np.random.default_rng(seed), shape, std, np.float64)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
-
-    def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
-        # after the first scan only the redrawn positions are checked again
-        class CountingRng:
-            def __init__(self, seed):
-                self.rng, self.rounds = np.random.default_rng(seed), 0
-
-            def standard_normal(self, **kwargs):
-                return self.rng.standard_normal(**kwargs)
-
-            def normal(self, *args, **kwargs):
-                self.rounds += 1
-                return self.rng.normal(*args, **kwargs)
-
-        rng = CountingRng(10)
-        got = truncated_normal(rng, (300, 1000), 0.02, np.float64)
-        want = heap_truncated_normal(np.random.default_rng(10), (300, 1000), 0.02, np.float64)
-        assert rng.rounds >= 3
-        assert got.tobytes() == want.tobytes()
+    test_truncated_normal_matches_heap_oracle_bit_for_bit = bind("truncated_normal/heap-draw")
+    test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds = bind("truncated_normal/heap-draw-redrawn")
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         shape = (20_001, 128)
@@ -220,25 +131,8 @@ class TestParameters:
 
 
 class TestMoe:
-    def test_matches_oracle_in_both_modes(self):
-        cfg = tiny_config()
-        model = Model.init(cfg, seed=3, dtype=np.float64)
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(scale=0.5, size=(8 * 25, cfg.hidden)))  # 200 nodes
-        for training in (True, False):
-            got = moe_ffn(model, 0, x, training, None).data
-            want = moe_oracle(x.data, model, 0, training)
-            assert np.max(np.abs(got - want)) <= 1e-5
-
-    def test_exact_ties_route_to_lower_index(self):
-        cfg = tiny_config()
-        model = Model.init(cfg, seed=5, dtype=np.float64)
-        model.params["layer0.gate"].data[:] = 0.0  # every expert ties at logit 0
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2 * 5, cfg.hidden)))
-        got = moe_ffn(model, 0, x, True, None).data
-        want = moe_oracle(x.data, model, 0, True)  # oracle picks experts 0 and 1
-        assert np.max(np.abs(got - want)) <= 1e-9
+    test_matches_oracle_in_both_modes = bind("moe_ffn/node-at-a-time")
+    test_exact_ties_route_to_lower_index = bind("moe_ffn/node-at-a-time-ties")
 
     def test_two_experts_train_eval_bitwise_equal(self):
         cfg = tiny_config(experts=2, top_k=2)
@@ -259,69 +153,11 @@ class TestMoe:
         assert not np.allclose(train_out, eval_out, atol=1e-7)
 
 
-def padded_rows(sizes, width) -> np.ndarray:
-    """Flat indexes of the real slots of a [len(sizes), width] grid."""
-    return np.flatnonzero(np.arange(width) < np.asarray(sizes)[:, None])
-
-
-def moe_grads(moe, model: Model, x: np.ndarray, real: np.ndarray, weights: np.ndarray, **kw) -> dict:
-    """Gradients of a fixed weighted sum of the block's output at the real rows."""
-    model = model.clone()
-    xt = Tensor(x.copy(), requires_grad=True)
-    with Tape() as tape:
-        out = moe(model, 0, xt, True, np.random.default_rng(5), **kw)
-        picked = T.gather_rows(out, real)
-        loss = sum_all(T.mul(picked, Tensor(weights)))
-    tape.backward(loss)
-    grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-    grads["x"] = xt.grad
-    return grads
-
-
 class TestSparseDispatch:
     """The routed expert loop against the dense every-expert-on-every-slot loop."""
 
-    # graphs of 7, 1, 12 and 3 real nodes padded to 12, and a lone one-node graph
-    CASES = (((7, 1, 12, 3), 12), ((1,), 3))
-
-    def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
-        # width 64: a one-row product there rounds differently under BLAS gemv
-        cfg = tiny_config(hidden=64, dropout=0.1)
-        for tied in (False, True):
-            model = Model.init(cfg, seed=11)
-            if tied:
-                model.params["layer0.gate"].data[:] = 0.0  # every node picks experts 0 and 1
-            for sizes, width in self.CASES:
-                real = padded_rows(sizes, width)
-                pad = np.setdiff1d(np.arange(len(sizes) * width), real)
-                x = np.random.default_rng(12).normal(size=(len(sizes) * width, cfg.hidden)).astype(np.float32)
-                for training in (True, False):
-                    got = moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13), real).data
-                    want = dense_moe_ffn(model, 0, Tensor(x), training, np.random.default_rng(13)).data
-                    assert np.array_equal(got[real], want[real]), (tied, sizes, training)
-                    # the block adds exactly 0 at padding, dropout or not
-                    assert np.array_equal(got[pad], x[pad])
-
-    def test_gradients_match_dense_loop_within_float32_bound(self):
-        # weight gradients sum over fewer rows in another order: bound each
-        # array by 1e-5 of its largest magnitude (about 84 float32 ulps)
-        cfg = tiny_config(hidden=64, dropout=0.1)
-        sizes = np.random.default_rng(14).integers(1, 31, size=16)
-        real = padded_rows(sizes, 30)
-        x = np.random.default_rng(15).normal(size=(16 * 30, cfg.hidden)).astype(np.float32)
-        weights = np.random.default_rng(16).normal(size=(real.size, cfg.hidden)).astype(np.float32)
-        for tied in (False, True):
-            model = Model.init(cfg, seed=17)
-            if tied:
-                model.params["layer0.gate"].data[:] = 0.0
-            got = moe_grads(moe_ffn, model, x, real, weights, rows=real)
-            leaves = expert_leaves(model, 0)
-            want = moe_grads(dense_moe_ffn, model, x, real, weights, experts=leaves)
-            want.update(stacked_grads(leaves, 0))
-            assert got.keys() == want.keys()
-            for name in want:
-                bound = 1e-5 * np.abs(want[name]).max()
-                assert np.abs(got[name] - want[name]).max() <= bound, (tied, name)
+    test_outputs_bit_exact_at_real_rows_and_padding_untouched = bind("moe_ffn/dense-expert-loop")
+    test_gradients_match_dense_loop_within_float32_bound = bind("moe_ffn/dense-expert-loop-gradients")
 
     def test_padding_slots_run_no_expert(self, monkeypatch):
         cfg = tiny_config()
@@ -375,280 +211,18 @@ class TestSparseDispatch:
 
 
 class TestStackedExperts:
-    """Bit-exact: ``moe_ffn``'s one ``moe_experts`` op over the stacked expert
-    weights against the former loop of ten tape ops per expert on per-expert
-    leaves (``helpers.former_moe_ffn``): the output and the bytes of every
-    gradient, the leaves' gradients stacked."""
-
-    @staticmethod
-    def block(moe, model: Model, x: np.ndarray, training: bool, rows: np.ndarray, **kw):
-        model = model.clone()
-        if moe is former_moe_ffn:
-            kw["experts"] = expert_leaves(model, 0)
-        xt = Tensor(x.copy(), requires_grad=True)
-        upstream = Tensor(np.random.default_rng(31).normal(size=x.shape).astype(x.dtype))
-        with Tape() as tape:
-            out = moe(model, 0, xt, training, np.random.default_rng(32), rows, **kw)
-            loss = sum_all(T.mul(out, upstream))
-        tape.backward(loss)
-        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-        if moe is former_moe_ffn:
-            grads.update(stacked_grads(kw["experts"], 0))
-        grads["x"] = xt.grad
-        return out.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
-
-    # packed graphs of 7, 1, 12 and 3 real nodes in rows of 12; one real node in a row of 3
-    @pytest.mark.parametrize("sizes, width", [((7, 1, 12, 3), 12), ((1,), 3)])
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("hidden", [16, 64])
-    def test_block_matches_former_loop(self, sizes, width, tied, training, hidden):
-        cfg = tiny_config(hidden=hidden, dropout=0.1)
-        model = Model.init(cfg, seed=33)
-        if tied:
-            model.params["layer0.gate"].data[:] = 0.0  # top-2 routing leaves experts 2 and 3 without rows
-        real = padded_rows(sizes, width)
-        x = np.random.default_rng(34).normal(size=(len(sizes) * width, hidden)).astype(np.float32)
-        got = self.block(moe_ffn, model, x, training, real)
-        want = self.block(former_moe_ffn, model, x, training, real)
-        assert got[0] == want[0]
-        assert got[1].keys() == want[1].keys()
-        assert [name for name in want[1] if got[1][name] != want[1][name]] == []
-
-    @staticmethod
-    def step(monkeypatch, model: Model, batch: Batch, loss, training: bool, former: bool):
-        import kgt.model
-
-        model = model.clone()
-        leaves = {}
-
-        def former_block(model, layer, x, training, rng, rows=None):
-            leaves[layer] = expert_leaves(model, layer)
-            return former_moe_ffn(model, layer, x, training, rng, rows, experts=leaves[layer])
-
-        with monkeypatch.context() as patch:
-            if former:
-                patch.setattr(kgt.model, "moe_ffn", former_block)
-            with Tape() as tape:
-                logits = forward(model, batch, training, np.random.default_rng(35) if training else None)
-                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
-            tape.backward(total)
-        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-        for layer, layer_leaves in leaves.items():
-            grads.update(stacked_grads(layer_leaves, layer))
-        return total.data.tobytes(), logits.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
-
-    @pytest.mark.parametrize("hidden", [16, 64])
-    def test_step_matches_former_loop(self, monkeypatch, hidden):
-        split = toy_split(seed=36)
-        cfg = ModelConfig(
-            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
-            heads=4, experts=4, top_k=2, dropout=0.1,
-        )
-        model = Model.init(cfg, seed=37)
-        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(38), batch_size=8), cfg)
-        instances = [
-            inst
-            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
-            for inst in generate_queries(split, qtype, 3, np.random.default_rng([39, i]))
-        ]
-        finetune = encode_queries([inst.query for inst in instances], cfg)
-        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-        cases = [
-            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
-            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
-        ]
-        for label, batch, loss in cases:
-            for training in (True, False):
-                got = self.step(monkeypatch, model, batch, loss, training, former=False)
-                want = self.step(monkeypatch, model, batch, loss, training, former=True)
-                assert got[:2] == want[:2], (label, training)
-                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
-                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
-
-
-def patch_former_attention(patch, softmax=None) -> dict:
-    """Patch ``kgt.model.attention_layer`` with ``helpers.former_attention_layer``;
-    returns the dict that collects each layer's :func:`qkv_leaves`."""
-    import kgt.model
-
-    leaves = {}
-
-    def former_layer(model, layer, x, attn_bias, training, rng):
-        leaves[layer] = qkv_leaves(model, layer)
-        return former_attention_layer(model, layer, x, attn_bias, training, rng, leaves[layer], softmax)
-
-    patch.setattr(kgt.model, "attention_layer", former_layer)
-    return leaves
-
-
-def with_fused_grads(grads: dict, leaves: dict) -> dict:
-    """``grads`` with the gradients of each layer's :func:`qkv_leaves` added under its ``wqkv`` name."""
-    for layer, layer_leaves in leaves.items():
-        grads.update(fused_grads(layer_leaves, layer))
-    return grads
+    test_block_matches_former_loop = bind("moe_experts/former-expert-loop")
+    test_step_matches_former_loop = bind("moe_ffn/former-expert-loop-step")
 
 
 class TestFusedAttention:
-    """Bit-exact: ``attention_layer``'s one ``attention`` op over the fused
-    ``wqkv`` against the former 19 tape ops on per-projection leaves
-    (``helpers.former_attention_layer``): the output and the bytes of every
-    gradient, the leaves' gradients side by side."""
-
-    @staticmethod
-    def block(monkeypatch, model: Model, x: np.ndarray, mask: np.ndarray, training: bool, former: bool):
-        import kgt.model
-
-        model = model.clone()
-        xt = Tensor(x.copy(), requires_grad=True)
-        upstream = Tensor(np.random.default_rng(41).normal(size=x.shape).astype(x.dtype))
-        with monkeypatch.context() as patch:
-            leaves = patch_former_attention(patch) if former else {}
-            with Tape() as tape:
-                out = kgt.model.attention_layer(model, 0, xt, T.mask_bias(mask), training, np.random.default_rng(42))
-                loss = sum_all(T.mul(out, upstream))
-            tape.backward(loss)
-        grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves)
-        grads["x"] = xt.grad
-        return out.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
-
-    # a one-node grid (b = n = 1: one-row products), a lone row, and packed rows
-    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 5), (4, 12)])
-    @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_block_matches_former_ops(self, monkeypatch, rows, width, heads, training, hidden):
-        model = Model.init(tiny_config(hidden=hidden, heads=heads, dropout=0.1), seed=43)
-        rng = np.random.default_rng(44)
-        x = rng.normal(size=(rows * width, hidden)).astype(np.float32)
-        mask = (rng.random((rows, 1, width, width)) < 0.4) | np.eye(width, dtype=bool)
-        got = self.block(monkeypatch, model, x, mask, training, former=False)
-        want = self.block(monkeypatch, model, x, mask, training, former=True)
-        assert got[0] == want[0]
-        assert got[1].keys() == want[1].keys()
-        assert [name for name in want[1] if got[1][name] != want[1][name]] == []
-
-    @staticmethod
-    def step(monkeypatch, model: Model, batch: Batch, loss, training: bool, former: bool):
-        model = model.clone()
-        with monkeypatch.context() as patch:
-            leaves = patch_former_attention(patch) if former else {}
-            with Tape() as tape:
-                logits = forward(model, batch, training, np.random.default_rng(45) if training else None)
-                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
-            tape.backward(total)
-        grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves)
-        return total.data.tobytes(), logits.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
-
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_step_matches_former_ops(self, monkeypatch, hidden, heads, tied):
-        split = toy_split(seed=46)
-        cfg = ModelConfig(
-            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
-            heads=heads, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
-        )
-        model = Model.init(cfg, seed=47)
-        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(48), batch_size=8), cfg)
-        rng = np.random.default_rng(49)
-        stage2 = encode_subgraphs([sample_meta_graph(split.train, rng) for _ in range(8)], cfg)
-        instances = [
-            inst
-            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
-            for inst in generate_queries(split, qtype, 3, np.random.default_rng([50, i]))
-        ]
-        finetune = encode_queries([inst.query for inst in instances], cfg)
-        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-        cases = [
-            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
-            ("stage2", stage2, lambda z: cross_entropy(z, stage2.targets, alpha=0.1)),
-            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
-        ]
-        for label, batch, loss in cases:
-            for training in (True, False):
-                got = self.step(monkeypatch, model, batch, loss, training, former=False)
-                want = self.step(monkeypatch, model, batch, loss, training, former=True)
-                assert got[:2] == want[:2], (label, training)
-                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
-                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
+    test_block_matches_former_ops = bind("attention_layer/former-ops")
+    test_step_matches_former_ops = bind("attention_layer/former-ops-step")
 
 
 class TestDecoderOp:
-    """Bit-exact: the decoder head as one ``decode`` op against the former
-    ``matmul(states, transpose(table))`` (``helpers.former_decode``): the
-    logits and the bytes of the states' and the table's gradients. An untied
-    table's gradient is written into its ``grad_view``; a tied one is the
-    gathered entity rows of ``embedding``, whose gradient the gather adds in.
-    The former head recorded one more tape op."""
-
-    @staticmethod
-    def block(model: Model, states: np.ndarray, former: bool):
-        model = model.clone()
-        st = Tensor(states.copy(), requires_grad=True)
-        upstream = Tensor(np.random.default_rng(52).normal(size=(len(states), model.config.entity_count)).astype(states.dtype))
-        with Tape() as tape:
-            logits = (former_decode if former else T.decode)(st, decoder_matrix(model))
-            loss = sum_all(T.mul(logits, upstream))
-        tape.backward(loss)
-        table = model.params["embedding" if model.config.tie_decoder else "decoder"]
-        assert table.grad is table.grad_view
-        return logits.data.tobytes(), st.grad.tobytes(), table.grad.tobytes(), len(tape)
-
-    # one target (a doubled-row gemm), an odd count, and an fb15k-sized count
-    @pytest.mark.parametrize("targets", [1, 7, 131])
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_block_matches_former_ops(self, targets, tied, hidden):
-        model = Model.init(tiny_config(entity_count=2000, hidden=hidden, layers=1, tie_decoder=tied), seed=53)
-        states = np.random.default_rng(54).normal(size=(targets, hidden)).astype(np.float32)
-        got = self.block(model, states, former=False)
-        want = self.block(model, states, former=True)
-        assert got[:3] == want[:3]
-        assert want[3] - got[3] == 1
-
-    @staticmethod
-    def step(monkeypatch, model: Model, batch: Batch, loss, former: bool):
-        model = model.clone()
-        with monkeypatch.context() as patch:
-            if former:
-                patch.setattr(T, "decode", former_decode)
-            with Tape() as tape:
-                logits = forward(model, batch, True, np.random.default_rng(55))
-                total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
-            tape.backward(total)
-        grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
-        return total.data.tobytes(), logits.data.tobytes(), grads, len(tape)
-
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_step_matches_former_ops(self, monkeypatch, hidden, tied):
-        split = toy_split(seed=56, entities=300, relations=8, train=900)
-        cfg = ModelConfig(
-            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
-            heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
-        )
-        model = Model.init(cfg, seed=57)
-        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(58), batch_size=32), cfg)
-        instances = [
-            inst
-            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2))
-            for inst in generate_queries(split, qtype, 3, np.random.default_rng([59, i]))
-        ]
-        finetune = encode_queries([inst.query for inst in instances], cfg)
-        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-        cases = [
-            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
-            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
-        ]
-        assert stage1.positions.size >= 100
-        for label, batch, loss in cases:
-            got = self.step(monkeypatch, model, batch, loss, former=False)
-            want = self.step(monkeypatch, model, batch, loss, former=True)
-            assert got[:2] == want[:2], label
-            assert got[2].keys() == want[2].keys() == set(model.params), label
-            assert [name for name in want[2] if got[2][name] != want[2][name]] == [], label
-            assert want[3] - got[3] == 1, label
+    test_block_matches_former_ops = bind("decode/former-decode")
+    test_step_matches_former_ops = bind("decode/former-decode-step")
 
 
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
@@ -826,248 +400,30 @@ class TestForward:
         assert np.abs(model.params["embedding"].grad[12]).max() > 0.0
 
 
-def logits_and_grads(model: Model, batch: Batch) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Training-mode logits (top-2 routing) and every parameter's gradient of the mean graph loss."""
-    model = model.clone()
-    with Tape() as tape:
-        logits = forward(model, batch, training=True)
-        loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
-    tape.backward(loss)
-    return logits.data, {name: t.grad for name, t in model.params.items()}
-
-
-def stage1_step(model: Model, batch: Batch, leaves: dict | None = None) -> tuple[bytes, dict[str, bytes], int]:
-    """One stage-1 training step's loss, parameter gradients and tape records, as ``train._train_step`` runs it.
-
-    ``leaves`` collects the per-projection leaves of a :func:`patch_former_attention`.
-    """
-    model = model.clone()
-    with Tape() as tape:
-        logits = forward(model, batch, training=True, rng=np.random.default_rng(5))
-        loss = T.mul(sum_all(cross_entropy(logits, batch.targets, alpha=0.1)), 1.0 / batch.graph_count)
-    tape.backward(loss)
-    grads = with_fused_grads({name: t.grad for name, t in model.params.items() if t.grad is not None}, leaves or {})
-    return loss.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}, len(tape)
-
-
 class TestFewerPasses:
-    """Bit-exact: a toy stage-1 step on the ops with fewer passes against the
-    same step on their former bodies (``helpers.FORMER_OPS``), attention
-    included (``helpers.former_attention_layer``, its scale a separate ``mul``)."""
-
-    @pytest.fixture(scope="class")
-    def toy_step(self):
-        cfg = ModelConfig(entity_count=50, relation_count=5, layers=4, hidden=64, heads=4, experts=4, top_k=2)
-        subs = sample_stage1_batch(toy_split(seed=0).train, np.random.default_rng(3), batch_size=32)
-        return Model.init(cfg, seed=7), encode_subgraphs(subs, cfg)
-
-    def test_step_matches_former_ops(self, toy_step, monkeypatch):
-        model, batch = toy_step
-        loss, grads, records = stage1_step(model, batch)
-        for name, op in FORMER_OPS.items():
-            monkeypatch.setattr(T, name, op)
-        leaves = patch_former_attention(monkeypatch, former_scaled_masked_softmax)
-        former_loss, former_grads, former_records = stage1_step(model, batch, leaves)
-        assert loss == former_loss
-        assert grads.keys() == former_grads.keys()
-        assert [name for name in grads if grads[name] != former_grads[name]] == []
-        # attention was 20 records per layer on the grid, with its scale as a
-        # mul, and 22 with the reshapes to and from it; it is 4. Each of the
-        # layer's two residuals was a dropout and an add; it is one dropout
-        assert former_records - records == (18 + 2) * model.config.layers
+    test_step_matches_former_ops = bind("forward/former-ops")
 
     @pytest.mark.parametrize("tied, records", [(False, 41), (True, 42)], ids=["untied", "tied"])
-    def test_stage1_step_tape_records(self, toy_step, tied, records):
+    def test_stage1_step_tape_records(self, tied, records):
         # the tied decoder gathers its table from the embedding: one more record
-        model, batch = toy_step
-        if tied:
-            model = Model.init(dataclasses.replace(model.config, tie_decoder=True), seed=7)
-        assert stage1_step(model, batch)[2] == records
-
-
-def spied_gathers(monkeypatch, model: Model, batch: Batch, flag: bool):
-    """``logits_and_grads`` with every ``gather_rows`` call recorded as (indexes,
-    unique flag); with ``flag`` False, every gather runs with its flag off."""
-    original = T.gather_rows
-    calls = []
-
-    def spy(a, indexes, unique=False):
-        calls.append((np.asarray(indexes).copy(), unique))
-        return original(a, indexes, unique=unique and flag)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(T, "gather_rows", spy)
-        logits, grads = logits_and_grads(model, batch)
-    return logits, grads, calls
+        model, batch = toy_stage1(tied)
+        assert step(model, batch, lambda z: cross_entropy(z, batch.targets, alpha=0.1), seed=5)[RECORDS] == records
 
 
 class TestStatesGather:
-    """The final ``states`` gather is flagged unique, a one-position batch included.
-
-    Bit-exact: for distinct indexes ``grad[idx] += g`` adds the same values
-    as ``np.add.at``. The reference run turns every gather's flag off.
-    """
-
-    @pytest.mark.parametrize("one_position", [False, True])
-    def test_flag_on_and_off_match(self, monkeypatch, one_position):
-        g = toy_split(seed=4).train
-        cfg = ModelConfig(
-            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
-            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0,
-        )
-        if one_position:
-            batch = encode_queries([build_query(QueryType.P1, (1,), (0,))], cfg)
-        else:
-            subs = sample_stage1_batch(g, np.random.default_rng(5), batch_size=8, budget=(3, 10))
-            batch = encode_subgraphs(subs, cfg)
-        assert (batch.positions.size == 1) == one_position
-        model = Model.init(cfg, seed=6)
-        on_logits, on, calls = spied_gathers(monkeypatch, model, batch, flag=True)
-        off_logits, off, _ = spied_gathers(monkeypatch, model, batch, flag=False)
-        # the states gather is the last one
-        idx, unique = calls[-1]
-        assert np.array_equal(idx, batch.positions)
-        assert unique
-        assert on_logits.tobytes() == off_logits.tobytes()
-        for name in off:
-            assert on[name].tobytes() == off[name].tobytes(), name
+    test_flag_on_and_off_match = bind("gather_rows/unique-states")
 
 
 class TestTiedDecoderGather:
-    """With ``tie_decoder``, the decoder's gather of the entity rows is flagged
-    unique, so its backward makes no ``np.add.at`` pass over all V rows.
-
-    Bit-exact: the indexes are ``arange(V)`` and never repeat. The reference
-    run turns every gather's flag off.
-    """
-
-    def test_flag_on_and_off_match(self, monkeypatch):
-        g = toy_split(seed=4).train
-        cfg = ModelConfig(
-            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
-            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0, tie_decoder=True,
-        )
-        batch = encode_subgraphs(sample_stage1_batch(g, np.random.default_rng(5), batch_size=8, budget=(3, 10)), cfg)
-        model = Model.init(cfg, seed=6)
-        on_logits, on, calls = spied_gathers(monkeypatch, model, batch, flag=True)
-        off_logits, off, _ = spied_gathers(monkeypatch, model, batch, flag=False)
-        # the decoder gather is the last one, after the states gather
-        idx, unique = calls[-1]
-        assert np.array_equal(idx, np.arange(cfg.entity_count))
-        assert unique
-        assert on_logits.tobytes() == off_logits.tobytes()
-        assert on.keys() == off.keys()
-        for name in off:
-            assert on[name].tobytes() == off[name].tobytes(), name
+    test_flag_on_and_off_match = bind("gather_rows/unique-tied-decoder")
 
 
 class TestOneTableLookup:
-    """Bit-exact: ``forward``'s one-table input lookup against the former
-    lookup, which gathered every slot from ``entity_in`` and ``relation_in``
-    and kept one row with ``where`` (``helpers.two_table_forward``), on a model
-    with the same arena bytes. The former ``entity_in`` and ``relation_in``
-    gradients, end to end, are ``embedding``'s."""
-
-    def cases(self, cfg):
-        split = toy_split(seed=9)
-        rng = np.random.default_rng(10)
-        stage1 = encode_subgraphs(sample_stage1_batch(split.train, rng, batch_size=8, budget=(3, 12)), cfg)
-        stage2 = encode_subgraphs([sample_meta_graph(split.train, rng, pattern_mix=1.0) for _ in range(8)], cfg)
-        instances = [
-            inst
-            for i, qtype in enumerate((QueryType.P1, QueryType.P2, QueryType.I2))
-            for inst in generate_queries(split, qtype, 3, np.random.default_rng([11, i]))
-        ]
-        finetune = encode_queries([inst.query for inst in instances], cfg)
-        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-        return [
-            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
-            ("stage2", stage2, lambda z: cross_entropy(z, stage2.targets, alpha=0.1)),
-            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
-        ]
-
-    @staticmethod
-    def step(run, model: Model, batch: Batch, loss) -> tuple[bytes, dict[str, bytes]]:
-        """Training-mode logits (dropout and top-2 routing) and every parameter's gradient, as bytes."""
-        for t in model.params.values():
-            t.grad = None
-        with Tape() as tape:
-            logits = run(model, batch, training=True, rng=np.random.default_rng(12))
-            total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
-        tape.backward(total)
-        return logits.data.tobytes(), {name: t.grad.tobytes() for name, t in model.params.items()}
-
-    @pytest.mark.parametrize("tie", [False, True])
-    def test_logits_and_gradients_match_two_table_oracle(self, tie):
-        cfg = ModelConfig(
-            entity_count=50, relation_count=5, layers=2, hidden=16, heads=4, experts=4, top_k=2,
-            dropout=0.1, tie_decoder=tie,
-        )
-        model = Model.init(cfg, seed=13)
-        former = two_table_model(model)
-        assert list(former.params)[:3] == ["entity_in", "relation_in", "node_type"]
-        for label, batch, loss in self.cases(cfg):
-            logits, grads = self.step(forward, model, batch, loss)
-            want_logits, want = self.step(two_table_forward, former, batch, loss)
-            assert logits == want_logits, label
-            assert grads.pop("embedding") == want.pop("entity_in") + want.pop("relation_in"), label
-            assert grads.keys() == want.keys()
-            for name in want:
-                assert grads[name] == want[name], (label, name)
+    test_logits_and_gradients_match_two_table_oracle = bind("forward/two-table-lookup")
 
 
 class TestFlatLayout:
-    """Bit-exact: ``forward`` on one flat [B * N, d] array of node states
-    against the former grid layout (``helpers.grid_forward``: [B, N, d] states,
-    the former rank-generic ``layer_norm`` and grid ``attention``, and a
-    reshape record at each change of layout, and the former decoder's
-    ``transpose`` record). The logits, the loss and the bytes of every
-    parameter gradient are equal, and the flat step records 3 + 2 * layers
-    fewer tape ops, 3 + 4 * layers in training, where the oracle's residuals
-    are a dropout and an add each."""
-
-    @staticmethod
-    def step(run, model: Model, batch: Batch, loss, training: bool):
-        model = model.clone()
-        with Tape() as tape:
-            logits = run(model, batch, training, np.random.default_rng(61) if training else None)
-            total = T.mul(sum_all(loss(logits)), 1.0 / batch.graph_count)
-        tape.backward(total)
-        grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
-        return logits.data.tobytes(), total.data.tobytes(), grads, len(tape)
-
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("hidden", [16, 64])
-    def test_logits_and_gradients_match_grid_oracle(self, hidden, tied):
-        split = toy_split(seed=62)
-        cfg = ModelConfig(
-            entity_count=split.entity_count, relation_count=split.relation_count, layers=2, hidden=hidden,
-            heads=4, experts=4, top_k=2, dropout=0.1, tie_decoder=tied,
-        )
-        model = Model.init(cfg, seed=63)
-        stage1 = encode_subgraphs(sample_stage1_batch(split.train, np.random.default_rng(64), batch_size=16), cfg)
-        # graphs share rows, and the rows end in padding
-        assert len(stage1.sizes) < stage1.graph_count and sum(stage1.sizes) < stage1.entity_ids.size
-        instances = [
-            inst
-            for i, qtype in enumerate((QueryType.P1, QueryType.P3, QueryType.I2, QueryType.U2))
-            for inst in generate_queries(split, qtype, 3, np.random.default_rng([65, i]))
-        ]
-        finetune = encode_queries([inst.query for inst in instances], cfg)
-        answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-        cases = [
-            ("stage1", stage1, lambda z: cross_entropy(z, stage1.targets, alpha=0.1)),
-            ("finetune", finetune, lambda z: T.answer_masked_cross_entropy(z, answers)),
-        ]
-        for label, batch, loss in cases:
-            for training in (True, False):
-                got = self.step(forward, model, batch, loss, training)
-                want = self.step(grid_forward, model, batch, loss, training)
-                assert got[:2] == want[:2], (label, training)
-                assert got[2].keys() == want[2].keys() == set(model.params), (label, training)
-                assert [name for name in want[2] if got[2][name] != want[2][name]] == [], (label, training)
-                # in training, each of a layer's two residuals was a dropout and an add
-                assert want[3] - got[3] == 3 + (4 if training else 2) * cfg.layers, (label, training)
+    test_logits_and_gradients_match_grid_oracle = bind("forward/grid-layout")
 
 
 class TestArena:
@@ -1161,37 +517,18 @@ class TestArena:
             entity_count=50, relation_count=5, layers=2, hidden=16, heads=4, experts=4, top_k=1,
             dropout=0.1, tie_decoder=tie,
         )
-        split = toy_split(seed=9)
-        rng = np.random.default_rng(10)
-        if stage == "finetune":
-            instances = [
-                inst
-                for i, qtype in enumerate((QueryType.P1, QueryType.I2))
-                for inst in generate_queries(split, qtype, 1, np.random.default_rng([11, i]))
-            ]
-            batch = encode_queries([inst.query for inst in instances], cfg)
-            answers = [np.asarray(sorted(inst.answers_train), dtype=np.int64) for inst in instances]
-            loss = lambda z: T.answer_masked_cross_entropy(z, answers)
-        else:
-            if stage == "stage1":
-                graphs = sample_stage1_batch(split.train, rng, batch_size=1, budget=(3, 6))
-            else:
-                graphs = [sample_meta_graph(split.train, rng, pattern_mix=1.0) for _ in range(2)]
-            batch = encode_subgraphs(graphs, cfg)
-            loss = lambda z: cross_entropy(z, batch.targets, alpha=0.1)
+        stage2 = (10, dict(pattern_mix=1.0), 2) if stage == "stage2" else None
+        batches = toy_batches(toy_split(seed=9), cfg, (10, dict(batch_size=1, budget=(3, 6))), (11, (QueryType.P1, QueryType.I2), 1), stage2)
+        batch, loss = batches[stage]
         routes = []
         moe_experts = T.moe_experts
         monkeypatch.setattr(T, "moe_experts", lambda *args: routes.append(args[-1]) or moe_experts(*args))
-        model = Model.init(cfg, seed=13)
-        TestOneTableLookup.step(forward, model, batch, loss)
+        grads = step(Model.init(cfg, seed=13), batch, loss, seed=12)  # every gradient is its parameter's grad_view
         empty = [(layer, j) for layer, per_expert in enumerate(routes) for j, rows in enumerate(per_expert) if rows.size == 0]
         assert empty, "every expert got rows"
-        for name, t in model.params.items():
-            assert t.grad is t.grad_view, name
         for layer, j in empty:
             for part in ("w1", "b1", "w2", "b2"):
-                grad = model.params[f"layer{layer}.experts.{part}"].grad
-                assert not grad[j].any(), (layer, j, part)
+                assert not grads[f"layer{layer}.experts.{part}"][j].any(), (layer, j, part)
 
     def test_gradient_outside_the_arena_is_rejected(self):
         model = Model.init(tiny_config(), seed=24)
@@ -1206,79 +543,10 @@ class TestArena:
 
 
 class TestPacking:
-    """Packed batches against the former one-graph-per-row padded encoders (tests/helpers.py).
-
-    At dropout 0 only the summation order changes, so logits and gradients
-    match within 1e-5 of each array's largest magnitude (about 84 float32
-    ulps); batches of one width pack one graph per row and are bit-identical.
-    """
-
-    def assert_close(self, got, want, what):
-        bound = 1e-5 * np.abs(want).max()
-        assert np.abs(got - want).max() <= bound, what
-
-    def check_against_padded(self, cfg, packed, padded):
-        assert packed.graph_count == padded.graph_count
-        assert packed.entity_ids.size < padded.entity_ids.size  # the case really packs
-        model = Model.init(cfg, seed=31)
-        got_logits, got = logits_and_grads(model, packed)
-        want_logits, want = logits_and_grads(model, padded)
-        self.assert_close(got_logits, want_logits, "logits")
-        for name in want:
-            assert (got[name] is None) == (want[name] is None), name
-            if want[name] is not None:
-                self.assert_close(got[name], want[name], name)
-
-    def graph_config(self, g):
-        return ModelConfig(
-            entity_count=g.entity_count, relation_count=g.relation_count, layers=2,
-            hidden=32, heads=4, experts=4, top_k=2, dropout=0.0,
-        )
-
-    def test_stage1_batches_match_padded(self):
-        g = toy_split(seed=4).train
-        cfg = self.graph_config(g)
-        subs = sample_stage1_batch(g, np.random.default_rng(5), batch_size=16, budget=(3, 14))
-        self.check_against_padded(cfg, encode_subgraphs(subs, cfg), padded_encode_subgraphs(subs, cfg))
-
-    def test_stage2_batches_match_padded(self):
-        g = toy_split(seed=6).train
-        cfg = self.graph_config(g)
-        rng = np.random.default_rng(7)
-        subs = [sample_meta_graph(g, rng, pattern_mix=1.0) for _ in range(16)]
-        self.check_against_padded(cfg, encode_subgraphs(subs, cfg), padded_encode_subgraphs(subs, cfg))
-
-    def test_mixed_width_query_batches_match_padded(self):
-        cfg = tiny_config(hidden=32, heads=4)
-        queries = [
-            build_query(QueryType.P1, (1,), (0,)),
-            build_query(QueryType.P3, (2,), (0, 1, 2)),
-            build_query(QueryType.I2, (3, 4), (1, 2)),
-            build_query(QueryType.P2, (5,), (2, 3)),
-            build_query(QueryType.P1, (6,), (3,)),
-            build_query(QueryType.I3, (7, 8, 9), (0, 1, 2)),
-            build_query(QueryType.P1, (10,), (1,)),
-        ]
-        packed = encode_queries(queries, cfg)
-        padded = padded_encode_queries(queries, cfg)
-        packed.targets = padded.targets = np.arange(len(queries), dtype=np.int64)
-        self.check_against_padded(cfg, packed, padded)
-
-    def test_same_width_query_batches_are_bit_identical(self):
-        cfg = tiny_config(hidden=32, heads=4)
-        model = Model.init(cfg, seed=32)
-        for qtype, anchors, relations in [
-            (QueryType.P2, (1,), (0, 1)),
-            (QueryType.I3, (1, 2, 3), (0, 1, 2)),
-        ]:
-            queries = [build_query(qtype, tuple(a + k for a in anchors), relations) for k in range(5)]
-            packed = encode_queries(queries, cfg)
-            padded = padded_encode_queries(queries, cfg)
-            for field in ("entity_ids", "attn_mask", "positions", "targets"):
-                got, want = getattr(packed, field), getattr(padded, field)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-            assert packed.sizes == padded.sizes and packed.graph_count == padded.graph_count
-            assert forward(model, packed).data.tobytes() == forward(model, padded).data.tobytes()
+    test_stage1_batches_match_padded = bind("encode_subgraphs/padded-stage1")
+    test_stage2_batches_match_padded = bind("encode_subgraphs/padded-stage2")
+    test_mixed_width_query_batches_match_padded = bind("encode_queries/padded-queries")
+    test_same_width_query_batches_are_bit_identical = bind("encode_queries/padded-same-width")
 
 
 def rewrite_header(path, edit) -> None:

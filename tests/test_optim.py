@@ -8,38 +8,8 @@ import pytest
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm, keep_freed_heap
 from kgt.tensor import Tensor
 
+from equivalence import LOOP_SHAPES, bind
 from helpers import LoopAdamW, arena_params, loop_clip_global_norm, set_grad
-
-
-def reference_adamw(theta, grads, cfg: AdamWConfig, epochs):
-    """Textbook AdamW, one parameter, one grad per step."""
-    theta = float(theta)
-    m = v = 0.0
-    t = 0
-    for epoch, g in zip(epochs, grads):
-        t += 1
-        lr_t = cfg.lr * cfg.lr_decay**epoch
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1**t)
-        vhat = v / (1 - cfg.beta2**t)
-        theta -= lr_t * (mhat / (math.sqrt(vhat) + cfg.eps) + cfg.weight_decay * theta)
-    return theta
-
-
-def former_adamw_step(p, g, m, v, cfg: AdamWConfig, step: int, epoch: int) -> None:
-    """The former out-of-place update expression, applied in place to numpy arrays."""
-    lr_t = cfg.lr_at(epoch)
-    bias1 = 1.0 - cfg.beta1**step
-    bias2 = 1.0 - cfg.beta2**step
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (g * g)
-    update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-    if cfg.weight_decay:
-        update = update + cfg.weight_decay * p
-    p -= (lr_t * update).astype(p.dtype)
 
 
 class TestConfig:
@@ -70,39 +40,8 @@ class TestConfig:
 
 
 class TestAdamW:
-    def test_matches_scalar_reference(self):
-        cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
-        rng = np.random.default_rng(0)
-        grads = rng.normal(size=6)
-        epochs = [0, 0, 1, 1, 2, 2]
-        params = arena_params({"p": [0.7]}, np.float64)
-        p = params["p"]
-        opt = AdamW(params, cfg)
-        for epoch, g in zip(epochs, grads):
-            set_grad(p, [g])
-            opt.step(epoch)
-        want = reference_adamw(0.7, grads, cfg, epochs)
-        assert np.allclose(p.data, want, atol=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bit_exact_against_former_expression(self, dtype):
-        # bit-exact: the in-place update keeps every operation and its order
-        cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
-        rng = np.random.default_rng(4)
-        shapes = {"w": (6, 5), "b": (5,)}
-        params = arena_params({name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()})
-        want = {name: t.data.copy() for name, t in params.items()}
-        moments = {name: (np.zeros(shape, dtype), np.zeros(shape, dtype)) for name, shape in shapes.items()}
-        opt = AdamW(params, cfg)
-        for step, epoch in enumerate([0, 0, 0, 1, 1], start=1):
-            for name, t in params.items():
-                g = rng.normal(scale=3.0, size=t.data.shape).astype(dtype)
-                set_grad(t, g)
-                former_adamw_step(want[name], g, *moments[name], cfg, step, epoch)
-            opt.step(epoch)
-            for name, t in params.items():
-                assert t.data.dtype == dtype
-                assert t.data.tobytes() == want[name].tobytes()
+    test_matches_scalar_reference = bind("AdamW.step/textbook-scalar")
+    test_bit_exact_against_former_expression = bind("AdamW.step/former-expression")
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes the very first unit-gradient step ~ lr
@@ -191,27 +130,7 @@ class TestClip:
         assert np.allclose(scaled, [3.0 / 5.0, 0.0, 0.0, 4.0 / 5.0])
         assert np.array_equal(a.grad, [3.0, 0.0]) and np.array_equal(b.grad, [0.0, 4.0])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scale_in_the_step_matches_scaling_the_gradient_first(self, dtype):
-        # bit-exact: np.multiply(g, scale, out=u) rounds as g *= scale
-        rng = np.random.default_rng(6)
-        start = {"w": rng.normal(size=(40, 9)).astype(dtype), "b": rng.normal(size=9).astype(dtype)}
-        folded, former = arena_params(start), arena_params(start)
-        opts = AdamW(folded, AdamWConfig(lr=0.01)), AdamW(former, AdamWConfig(lr=0.01))
-        for _ in range(3):
-            for name, t in folded.items():
-                g = (rng.normal(size=t.shape) * 30.0).astype(dtype)
-                set_grad(t, g)
-                set_grad(former[name], g)
-            norm = clip_global_norm(folded, 1.0)
-            assert norm > 1.0
-            opts[0].step(0, 1.0 / norm)
-            for t in former.values():
-                t.grad *= 1.0 / norm
-            opts[1].step(0)
-            for name, t in folded.items():
-                assert t.data.tobytes() == former[name].data.tobytes(), name
-            assert opts[0]._m.tobytes() == opts[1]._m.tobytes() and opts[0]._v.tobytes() == opts[1]._v.tobytes()
+    test_scale_in_the_step_matches_scaling_the_gradient_first = bind("AdamW.step/clip-scale-folded")
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_norm_raises_before_touching_anything(self, bad):
@@ -230,17 +149,7 @@ class TestClip:
         assert np.array_equal(a.data, np.ones(2))
         assert np.array_equal(b.data, np.ones(3))
 
-    def test_blocked_norm_matches_full_float64_sum(self):
-        # the blocked float64 sum adds in another order than the former
-        # full-array sum; bound the relative difference by 1e-12
-        rng = np.random.default_rng(5)
-        shapes = [(14506, 128), (128,), (3, 70001), (1,)]
-        params = arena_params({str(i): np.zeros(shape, dtype=np.float32) for i, shape in enumerate(shapes)})
-        for t in params.values():
-            set_grad(t, (rng.standard_normal(t.shape) * 10.0 ** int(rng.integers(-4, 3))).astype(np.float32))
-        want = math.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
-        got = clip_global_norm(params, 1e30)
-        assert abs(got - want) <= 1e-12 * want
+    test_blocked_norm_matches_full_float64_sum = bind("clip_global_norm/float64-full-sum")
 
     def test_second_call_allocates_no_scratch(self):
         # the 256 KiB float64 scratch is made once per process, not per call
@@ -315,21 +224,11 @@ class TestGradientContract:
 
 
 class TestArenaAgainstLoop:
-    """The whole-arena clip and AdamW against the former per-tensor loops (tests/helpers.py).
-
-    Bit-exact: the norm adds the same float64 block sums in the same order,
-    and the update applies the same elementwise operations in the same order.
-    The clip scale, folded into the step, rounds as the former clip's
-    in-place scaling, and the first step's moments, written into unwritten
-    arrays, as the former zero moments' update.
-    """
-
-    # (300, 130) spans two blocks; the small ones share blocks of the cast
-    SHAPES = {"w": (6, 5), "b": (5,), "big": (300, 130), "g": (7,), "e": (4, 3, 2)}
+    """The whole-arena clip and AdamW against the former per-tensor loops (tests/helpers.py)."""
 
     def test_loops_raise_naming_a_parameter_without_gradient(self):
         # the oracles keep the arena's contract: every parameter needs a gradient
-        params = {name: Tensor(np.ones(shape)) for name, shape in self.SHAPES.items()}
+        params = {name: Tensor(np.ones(shape)) for name, shape in LOOP_SHAPES.items()}
         for name, t in params.items():
             t.grad = None if name == "g" else np.ones(t.shape)
         loop = LoopAdamW(params, AdamWConfig())
@@ -340,47 +239,11 @@ class TestArenaAgainstLoop:
         assert loop.step_count == 0
         assert all((t.data == 1).all() and (t.grad is None or (t.grad == 1).all()) for t in params.values())
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
-    def test_bit_exact_over_five_steps(self, dtype, max_norm):
-        cfg = AdamWConfig(lr=0.01, weight_decay=0.05, lr_decay=0.9)
-        rng = np.random.default_rng(8)
-        start = {name: rng.normal(size=shape).astype(dtype) for name, shape in self.SHAPES.items()}
-        params = arena_params(start)
-        loop_params = {name: Tensor(a.copy()) for name, a in start.items()}
-        opt, loop = AdamW(params, cfg), LoopAdamW(loop_params, cfg)
-        # the moments start unwritten: the first step must not read them
-        opt._m.fill(np.nan)
-        opt._v.fill(np.nan)
-        for step, epoch in enumerate([0, 0, 1, 1, 2]):
-            raw = {}
-            for name, shape in self.SHAPES.items():
-                g = (rng.normal(size=shape) * 10.0 ** int(rng.integers(-2, 3))).astype(dtype)
-                g.reshape(-1)[:2] = -0.0  # the former zero moments turned -0.0 into +0.0
-                set_grad(params[name], g)
-                loop_params[name].grad = g.copy()
-                raw[name] = g
-            norm = clip_global_norm(params, max_norm)
-            assert norm == loop_clip_global_norm(loop_params, max_norm)
-            assert (norm > max_norm) == (max_norm == 1e-3)
-            assert opt.step(epoch, max_norm / norm if norm > max_norm else 1.0) == loop.step(epoch)
-            for name, t in params.items():
-                ref = loop_params[name]
-                assert t.data.dtype == dtype
-                assert t.data.tobytes() == ref.data.tobytes(), (step, name)
-                m, v = self.moments(opt, t)
-                assert m.tobytes() == loop.m[name].tobytes() and v.tobytes() == loop.v[name].tobytes(), (step, name)
-                # the gradient stays as the backward left it
-                assert t.grad.tobytes() == raw[name].tobytes(), (step, name)
-
-    @staticmethod
-    def moments(opt: AdamW, t: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        span = slice(t.offset, t.offset + t.data.size)
-        return opt._m[span].copy(), opt._v[span].copy()
+    test_bit_exact_over_five_steps = bind("AdamW.step/per-tensor-loop")
 
     def test_non_finite_norm_writes_nothing(self):
         rng = np.random.default_rng(9)
-        params = arena_params({name: rng.normal(size=shape).astype(np.float32) for name, shape in self.SHAPES.items()})
+        params = arena_params({name: rng.normal(size=shape).astype(np.float32) for name, shape in LOOP_SHAPES.items()})
         opt = AdamW(params, AdamWConfig(lr=0.1))
         for t in params.values():
             set_grad(t, rng.normal(size=t.shape))

@@ -3,39 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    _unbroadcast,
-    arena_params,
-    dense_cross_entropy,
-    former_add,
-    former_attention,
-    former_attention_rows,
-    former_dropout,
-    former_gelu,
-    former_layer_norm,
-    former_masked_softmax,
-    former_mul,
-    former_softmax,
-    former_softmax_op,
-    former_transpose,
-    loop_answer_masked_cross_entropy,
-    slice_last,
-    smoothed_labels,
-)
+from equivalence import bind, tape_ops
+from helpers import arena_params, former_transpose, smoothed_labels
 from kgt.tensor import (
     Tape,
     Tensor,
-    _accumulate,
-    _gelu_grad,
-    _record,
     add,
     answer_masked_cross_entropy,
-    attention,
     cross_entropy,
     decode,
     dropout,
     gather_rows,
-    gelu,
     layer_norm,
     mask_bias,
     masked_softmax,
@@ -45,21 +23,6 @@ from kgt.tensor import (
     softmax,
     sum_all,
 )
-
-
-def run_op(op, x: np.ndarray, upstream: np.ndarray, *args):
-    """Forward ``op`` on a leaf holding x, backpropagate ``upstream``; return (output, grad)."""
-    t = Tensor(x.copy(), requires_grad=True)
-    with Tape() as tape:
-        out = op(t, *args)
-        loss = sum_all(mul(out, Tensor(upstream.astype(x.dtype))))
-    tape.backward(loss)
-    return out.data, t.grad
-
-
-def scaled_error(got: np.ndarray, want: np.ndarray) -> float:
-    """Largest difference over the reference's largest magnitude (at least 1e-30)."""
-    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
 
 
 class TestTensorBasics:
@@ -214,111 +177,19 @@ class TestTensorBasics:
         tape.backward(out)
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
-    def test_gather_rows_unique_matches_add_at(self):
-        # bit-exact: each row gets one addition either way, here onto a gradient
-        # that an earlier use of ``a`` already wrote
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(6, 4)).astype(np.float32)
-        idx = np.array([4, 1, 5, 0])
-        weights = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-        grads = []
-        for unique in (False, True):
-            a = Tensor(data, requires_grad=True)
-            with Tape() as tape:
-                out = add(sum_all(mul(gather_rows(a, idx, unique=unique), weights)), sum_all(mul(a, a)))
-            tape.backward(out)
-            grads.append(a.grad)
-        assert np.array_equal(grads[0], grads[1])
-
-
-def gelu_op(a: Tensor) -> Tensor:
-    """The :func:`gelu` kernel and its backward, :func:`_gelu_grad`, as a tape op."""
-    y, th = gelu(a.data)
-    out = Tensor(y, requires_grad=a.requires_grad)
-
-    def backward(g):
-        _accumulate(a, _gelu_grad(a.data, th, g), owned=True)
-
-    return _record(out, backward)
+    test_gather_rows_unique_matches_add_at = bind("gather_rows/unique-is-add-at")
 
 
 class TestGelu:
-    def test_float32_matches_float64_formula(self):
-        # tolerance-bounded: float32 against the tanh formula and its
-        # derivative written out in float64, errors over max(1, |reference|);
-        # forward 4 float32 ulps, backward 64 ulps (1 - tanh^2 cancels for
-        # |x| past 3; measured 1.5e-7 and 3.1e-6 at |x| <= 8)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-8.0, 8.0, size=(200, 300)).astype(np.float32)
-        g = rng.normal(size=x.shape).astype(np.float32)
-        out, grad = run_op(gelu_op, x, g)
-        x64 = x.astype(np.float64)
-        c = np.sqrt(2.0 / np.pi)
-        th = np.tanh(c * (x64 + 0.044715 * x64**3))
-        want_out = 0.5 * x64 * (1.0 + th)
-        want_grad = g * (0.5 * (1.0 + th) + 0.5 * x64 * (1.0 - th**2) * c * (1.0 + 3 * 0.044715 * x64**2))
-        eps = np.finfo(np.float32).eps
-        assert out.dtype == grad.dtype == np.float32
-        assert (np.abs(out - want_out) / np.maximum(1.0, np.abs(want_out))).max() <= 4 * eps
-        assert (np.abs(grad - want_grad) / np.maximum(1.0, np.abs(want_grad))).max() <= 64 * eps
+    test_float32_matches_float64_formula = bind("gelu/float64-formula")
 
 
 class TestAttentionWeightGradient:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_stacked_product(self, dtype):
-        # oracle: the per-row products h[i].T @ g_qkv[i] summed by _unbroadcast,
-        # where g_qkv, the gradient of the projections, comes from the former
-        # ops on a leaf that holds h @ wqkv. The weight gradient is one GEMM
-        # over every grid row and sums in another order (tolerance-bounded:
-        # 16 ulps of the largest entry)
-        # (the op takes the grid's [B * N, d] rows; the oracle runs on the grid)
-        rng = np.random.default_rng(3)
-        b, n, d, heads = 5, 7, 16, 4
-        h = rng.normal(size=(b, n, d)).astype(dtype)
-        wqkv = rng.normal(size=(d, 3 * d)).astype(dtype)
-        wo = Tensor(rng.normal(size=(d, d)).astype(dtype))
-        bias = mask_bias((rng.random((b, 1, n, n)) < 0.5) | np.eye(n, dtype=bool))
-        g = rng.normal(size=(b, n, d)).astype(dtype)
-        tw = Tensor(wqkv, requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(mul(attention(Tensor(h.reshape(b * n, d)), tw, wo, bias, heads), Tensor(g.reshape(b * n, d))))
-        tape.backward(loss)
-        qkv = Tensor(h @ wqkv, requires_grad=True)
-        with Tape() as tape:
-            q, k, v = (slice_last(qkv, i * d, (i + 1) * d) for i in range(3))
-            loss = sum_all(mul(former_attention(q, k, v, wo, bias, heads), Tensor(g)))
-        tape.backward(loss)
-        want = _unbroadcast(np.swapaxes(h, -1, -2) @ qkv.grad, wqkv.shape)
-        assert tw.grad.shape == wqkv.shape and tw.grad.dtype == dtype
-        assert scaled_error(tw.grad, want) <= 16 * np.finfo(dtype).eps
+    test_matches_stacked_product = bind("attention/stacked-weight-gradient")
 
 
 class TestOneRowMatmul:
-    """A one-row product stays on BLAS gemm (gemv rounds differently)."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_matches_row_zero_of_two_row_product(self, dtype, transposed):
-        # bit-exact: row 0 of the doubled product, with a zero upstream row 1
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(1, 64)).astype(dtype)
-        w = rng.normal(size=(48, 64)).astype(dtype).T if transposed else rng.normal(size=(64, 48)).astype(dtype)
-        g = rng.normal(size=(1, 48)).astype(dtype)
-
-        def run(rows: np.ndarray, upstream: np.ndarray):
-            ta, tw = Tensor(rows, requires_grad=True), Tensor(w, requires_grad=True)
-            with Tape() as tape:
-                out = matmul(ta, tw)
-                loss = sum_all(mul(out, Tensor(upstream)))
-            tape.backward(loss)
-            return out.data, ta.grad, tw.grad
-
-        out, grad_x, grad_w = run(x, g)
-        out2, grad_x2, grad_w2 = run(np.repeat(x, 2, axis=0), np.concatenate([g, np.zeros_like(g)]))
-        assert out.shape == (1, 48) and grad_x.shape == x.shape
-        assert out.tobytes() == out2[:1].tobytes()
-        assert grad_x.tobytes() == grad_x2[:1].tobytes()
-        assert grad_w.tobytes() == grad_w2.tobytes()
+    test_matches_row_zero_of_two_row_product = bind("matmul/one-row")
 
 
 class TestMaskedSoftmax:
@@ -367,119 +238,18 @@ class TestMaskedSoftmax:
         assert np.allclose(p[0, 0], 1.0)
 
 
-def grads_of(op, inputs: list[np.ndarray], upstream: np.ndarray, *args):
-    """Output and input gradients of ``op`` on leaves holding ``inputs``, under a fixed upstream gradient."""
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
-    with Tape() as tape:
-        out = op(*leaves, *args)
-        loss = sum_all(mul(out, Tensor(upstream)))
-    tape.backward(loss)
-    return [out.data] + [t.grad for t in leaves]
-
-
-def same_bytes(got: list[np.ndarray], want: list[np.ndarray]) -> bool:
-    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
 class TestFormerOps:
-    """Bit-exact: the ops with fewer passes against their former bodies in
-    ``helpers``, outputs and gradients byte for byte, at the toy (64) and
-    fb15k (128) widths and at 48, where 1/width does not divide exactly, in
-    float32 and float64."""
-
-    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 40))
-    @settings(max_examples=30, deadline=None)
-    def test_gelu(self, seed, hidden, dtype, rows):
-        rng = np.random.default_rng(seed)
-        x = (rng.normal(size=(rows, 2 * hidden)) * rng.choice([0.02, 1.0, 4.0])).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
-        assert same_bytes(grads_of(gelu_op, [x], g), grads_of(former_gelu, [x], g))
-
-    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_layer_norm(self, seed, hidden, dtype, rows):
-        rng = np.random.default_rng(seed)
-        x = (rng.normal(size=(rows * 7, hidden)) * 3.0 + rng.normal()).astype(dtype)
-        gain = rng.normal(1.0, 0.1, size=hidden).astype(dtype)
-        bias = rng.normal(0.0, 0.1, size=hidden).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
-        inputs = [x, gain, bias]
-        assert same_bytes(grads_of(layer_norm, inputs, g), grads_of(former_layer_norm, inputs, g))
-
-    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.integers(1, 12))
-    @settings(max_examples=30, deadline=None)
-    def test_attention_softmax_folds_the_scale(self, seed, hidden, dtype, width):
-        # the former attention ops, with a mul by 1/sqrt(head_dim) and then
-        # the boolean-mask softmax, on leaves holding wqkv's column blocks
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(3 * width, hidden)).astype(dtype)
-        wqkv = (rng.normal(size=(hidden, 3 * hidden)) * 0.3).astype(dtype)
-        wo = rng.normal(size=(hidden, hidden)).astype(dtype)
-        mask = (rng.random((3, 1, width, width)) < 0.3) | np.eye(width, dtype=bool)
-        g = rng.normal(size=x.shape).astype(dtype)
-        got = grads_of(attention, [x, wqkv, wo], g, mask_bias(mask), 4)
-
-        def scaled_softmax(a, bias, scale):
-            return former_masked_softmax(former_mul(a, scale), mask)
-
-        def former(h, wq, wk, wv, wo):
-            return former_attention_rows(h, wq, wk, wv, wo, mask_bias(mask), 4, scaled_softmax)
-
-        want = grads_of(former, [x, *np.split(wqkv, 3, axis=1), wo], g)
-        assert same_bytes(got, want[:2] + [np.concatenate(want[2:5], axis=1), want[5]])
-
-    @given(st.integers(0, 10_000), st.sampled_from([np.float32, np.float64]), st.integers(1, 60))
-    @settings(max_examples=30, deadline=None)
-    def test_gate_softmaxes(self, seed, dtype, rows):
-        # top-2 of 4 routing weights in training, the full mixture at inference
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(size=(rows, 4)).astype(dtype)
-        selected = np.zeros(logits.shape, dtype=bool)
-        np.put_along_axis(selected, np.argsort(-logits, axis=-1, kind="stable")[:, :2], True, axis=-1)
-        g = rng.normal(size=logits.shape).astype(dtype)
-        got = grads_of(softmax, [logits], g, mask_bias(selected))
-        assert same_bytes(got, grads_of(former_masked_softmax, [logits], g, selected))
-        assert same_bytes(got, grads_of(former_softmax_op, [logits], g, mask_bias(selected)))
-        got = grads_of(softmax, [logits], g)
-        assert same_bytes(got, grads_of(former_softmax, [logits], g))
-        assert same_bytes(got, grads_of(former_softmax_op, [logits], g))
-
-    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 0.5]))
-    @settings(max_examples=30, deadline=None)
-    def test_residual_dropout(self, seed, hidden, dtype, p):
-        # x + Drop(a) as one op against the former add of the former dropout, on the same draws
-        rng = np.random.default_rng(seed)
-        x, a, g = (rng.normal(size=(9, hidden)).astype(dtype) for _ in range(3))
-        got = grads_of(dropout, [x, a], g, p, np.random.default_rng(seed), True)
-        want = grads_of(lambda x, a: add(x, former_dropout(a, p, np.random.default_rng(seed), True)), [x, a], g)
-        assert same_bytes(got, want)
-
-    @given(st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64]))
-    @settings(max_examples=30, deadline=None)
-    def test_add_and_mul(self, seed, hidden, dtype):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(5, hidden)).astype(dtype)
-        y = rng.normal(size=x.shape).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
-        for new, former in ((add, former_add), (mul, former_mul)):
-            assert same_bytes(grads_of(new, [x, y], g), grads_of(former, [x, y], g))
-            # a constant operand gets no gradient either way; the other one is unchanged
-            for const in (y, 0.125) if new is mul else (y,):
-                got = grads_of(lambda a: new(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
-                want = grads_of(lambda a: former(a, Tensor(np.asarray(const, dtype=dtype))), [x], g)
-                assert same_bytes(got, want)
+    test_gelu = bind("gelu/former")
+    test_layer_norm = bind("layer_norm/former")
+    test_attention_softmax_folds_the_scale = bind("attention/former-ops")
+    test_gate_softmaxes = bind("softmax/former-boolean-mask", "softmax/former-softmax-op")
+    test_residual_dropout = bind("dropout/former-add-of-dropout")
+    test_add_and_mul = bind("add/former", "mul/former")
 
 
 class TestDropout:
-    def test_eval_mode_is_add(self):
-        x, a = np.random.default_rng(2).normal(size=(2, 10))
-        got = grads_of(dropout, [x, a], np.ones(10), 0.5, None, False)
-        assert same_bytes(got, grads_of(add, [x, a], np.ones(10)))
-
-    def test_zero_rate_is_add(self):
-        x, a = np.random.default_rng(2).normal(size=(2, 10))
-        got = grads_of(dropout, [x, a], np.ones(10), 0.0, np.random.default_rng(0), True)
-        assert same_bytes(got, grads_of(add, [x, a], np.ones(10)))
+    test_eval_mode_is_add = bind("dropout/eval-is-add")
+    test_zero_rate_is_add = bind("dropout/zero-rate-is-add")
 
     def test_training_scales_survivors(self):
         rng = np.random.default_rng(1)
@@ -594,27 +364,7 @@ class TestCrossEntropy:
 
 
 class TestCrossEntropyOracle:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_dense_labels(self, dtype):
-        # oracle: the former dense [P, C] smoothed-label version. Bit-exact at
-        # alpha 0; otherwise tolerance-bounded, 64 ulps of the largest value
-        eps = np.finfo(dtype).eps
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            classes = int(rng.integers(2, 60))
-            z = rng.normal(scale=3.0, size=(7, classes)).astype(dtype)
-            z[0, :2] = [80.0, -80.0]
-            targets = rng.integers(classes, size=7)
-            g = rng.normal(size=7)
-            for alpha in (0.0, 0.1, 0.3):
-                loss, grad = run_op(cross_entropy, z, g, targets, alpha)
-                want_loss, want_grad = run_op(dense_cross_entropy, z, g, targets, alpha)
-                assert loss.dtype == grad.dtype == dtype
-                if alpha == 0.0:
-                    assert loss.tobytes() == want_loss.tobytes()
-                    assert grad.tobytes() == want_grad.tobytes()
-                assert scaled_error(loss, want_loss) <= 64 * eps
-                assert scaled_error(grad, want_grad) <= 64 * eps
+    test_matches_dense_labels = bind("cross_entropy/dense-labels", "cross_entropy/dense-labels-unsmoothed")
 
     def test_one_target_per_row(self):
         with pytest.raises(ValueError):
@@ -682,28 +432,7 @@ class TestAnswerMaskedCrossEntropy:
         loss = answer_masked_cross_entropy(Tensor(z), [np.array([0, 1])]).data
         assert np.allclose(loss, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_per_row_loop(self, dtype):
-        # oracle: the former per-row loop with [A, V] temporaries. Tolerance-
-        # bounded (sums reordered, closed-form backward): 64 ulps of the
-        # largest value. Row 1 is all answers, row 2 has one non-answer, and
-        # row 0 holds logits of +80 and -80
-        eps = np.finfo(dtype).eps
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            classes = int(rng.integers(2, 40))
-            z = rng.normal(scale=3.0, size=(6, classes)).astype(dtype)
-            z[0, :2] = [80.0, -80.0]
-            sets = [np.sort(rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)) for _ in range(6)]
-            sets[1] = np.arange(classes)
-            sets[2] = np.delete(np.arange(classes), int(rng.integers(classes)))
-            g = rng.normal(size=6)
-            loss, grad = run_op(answer_masked_cross_entropy, z, g, sets)
-            want_loss, want_grad = run_op(loop_answer_masked_cross_entropy, z, g, sets)
-            assert loss.dtype == grad.dtype == dtype
-            assert np.isfinite(grad).all()
-            assert scaled_error(loss, want_loss) <= 64 * eps
-            assert scaled_error(grad, want_grad) <= 64 * eps
+    test_matches_per_row_loop = bind("answer_masked_cross_entropy/per-row-loop")
 
     def test_validation(self):
         z = Tensor(np.zeros((2, 4)))
@@ -746,19 +475,9 @@ class TestGradcheckCoverage:
         # a recorder is a kgt.tensor function that calls _record; a row covers
         # each op whose backward it puts on the tape, so sum_all and mul are
         # covered through the _weighted reduction
-        import ast
-        import inspect
-
-        import kgt.tensor
         from kgt.gradcheck import OP_CASES, _weighted
 
-        tree = ast.parse(inspect.getsource(kgt.tensor))
-        recorders = {
-            node.name
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_record" for n in ast.walk(node))
-        }
+        recorders = tape_ops()
         assert {"add", "moe_experts", "answer_masked_cross_entropy"} <= recorders
         covered = set()
         rng = np.random.default_rng(0)
