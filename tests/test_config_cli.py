@@ -474,7 +474,11 @@ def test_gradcheck_prints_one_line_per_check(capsys):
 class TestCliErrors:
     @pytest.mark.parametrize(
         "vocabulary, fault",
-        [(False, "expected 3 tab-separated fields, got 2"), (True, "expected 3 tab-separated fields, got 2"), (False, "duplicate triple (")],
+        [
+            (False, "expected 3 tab-separated fields, got 2"),
+            (True, "expected 3 tab-separated fields, got 2"),
+            (False, "duplicate triple ("),
+        ],
         ids=["False", "True", "tokens-duplicate"],
     )
     def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary, fault):

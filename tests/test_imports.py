@@ -47,9 +47,9 @@ def private_definitions(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name.startswith("_") and not name.startswith("__")]
 
 
-def names_read(source: str | ast.AST) -> set[str]:
-    """Every name the module (or syntax tree) loads, as a bare name or as an attribute."""
-    tree = ast.parse(source) if isinstance(source, str) else source
+def names_read(source: str) -> set[str]:
+    """Every name the module loads, as a bare name or as an attribute."""
+    tree = ast.parse(source)
     loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return loads | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
@@ -120,6 +120,18 @@ def test_every_public_name_is_read():
     assert unread == []
 
 
+def names_used(tree: ast.AST) -> set[str]:
+    """The bare names a syntax tree loads, and the attributes it reads of the
+    shared test modules: ``helpers.x`` counts, ``opt.x`` does not."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("helpers", "equivalence"):
+            names.add(node.attr)
+    return names
+
+
 def unreached_definitions(shared: list[str], tests: list[str]) -> list[str]:
     """Top-level functions and classes of the ``shared`` sources that no ``tests``
     source reaches, by name, directly or through other shared top-level statements."""
@@ -131,23 +143,25 @@ def unreached_definitions(shared: list[str], tests: list[str]) -> list[str]:
                 defined.append(node.name)
                 named = [node.name]
             else:
-                targets = getattr(node, "targets", [getattr(node, "target", None)])
-                named = [n.id for target in targets if target is not None for n in ast.walk(target) if isinstance(n, ast.Name)]
+                targets = [t for t in getattr(node, "targets", [getattr(node, "target", None)]) if t is not None]
+                named = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
             for name in named:
                 statements.setdefault(name, []).append(node)
-    frontier, reached = set().union(*(names_read(source) for source in tests)), set()
+    frontier, reached = set().union(*(names_used(ast.parse(source)) for source in tests)), set()
     while frontier:
         name = frontier.pop()
         if name in statements and name not in reached:
             reached.add(name)
-            frontier |= set().union(*(names_read(node) for node in statements[name]))
+            frontier |= set().union(*(names_used(node) for node in statements[name]))
     return [name for name in defined if name not in reached]
 
 
 def test_every_shared_test_helper_is_reached():
     # an oracle that lost its last test must be deleted or used
-    shared = "def a():\n    return b()\ndef b():\n    pass\ndef c():\n    pass\nROWS = (a,)\n"
-    assert unreached_definitions([shared], ["x = ROWS"]) == ["c"]
+    shared = "def a():\n    return b()\ndef b():\n    pass\ndef c():\n    pass\ndef step():\n    pass\nROWS = (a,)\n"
+    # a method named like a helper reaches nothing; the module's attribute does
+    assert unreached_definitions([shared], ["x = ROWS\nopt.step(0)\n"]) == ["c", "step"]
+    assert unreached_definitions([shared], ["x = ROWS\nhelpers.step(0)\nequivalence.c()\n"]) == []
     tests = ROOT / "tests"
     sources = [(tests / name).read_text(encoding="utf-8") for name in ("helpers.py", "equivalence.py")]
     assert unreached_definitions(sources, [path.read_text(encoding="utf-8") for path in tests.glob("test_*.py")]) == []

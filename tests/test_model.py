@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -27,7 +28,7 @@ from kgt import tensor as T
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy, sum_all
 
-from equivalence import RECORDS, bind, step, tiny_config, toy_batches, toy_stage1
+from equivalence import RECORDS, check, step, tiny_config, toy_batches, toy_stage1
 from helpers import attention_mask, toy_split
 
 
@@ -89,8 +90,12 @@ class TestParameters:
         assert np.abs(draws).max() <= 0.04
         assert abs(draws.mean()) < 1e-3
 
-    test_truncated_normal_matches_heap_oracle_bit_for_bit = bind("truncated_normal/heap-draw")
-    test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds = bind("truncated_normal/heap-draw-redrawn")
+    def test_truncated_normal_matches_heap_oracle_bit_for_bit(self):
+        for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
+            check("truncated_normal/heap-draw", shape=shape, std=std, seed=seed)
+
+    def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
+        check("truncated_normal/heap-draw-redrawn", shape=(300, 1000), std=0.02, seed=10)
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         shape = (20_001, 128)
@@ -131,8 +136,12 @@ class TestParameters:
 
 
 class TestMoe:
-    test_matches_oracle_in_both_modes = bind("moe_ffn/node-at-a-time")
-    test_exact_ties_route_to_lower_index = bind("moe_ffn/node-at-a-time-ties")
+    def test_matches_oracle_in_both_modes(self):
+        for training in (True, False):
+            check("moe_ffn/node-at-a-time", training=training)
+
+    def test_exact_ties_route_to_lower_index(self):
+        check("moe_ffn/node-at-a-time-ties")
 
     def test_two_experts_train_eval_bitwise_equal(self):
         cfg = tiny_config(experts=2, top_k=2)
@@ -156,8 +165,15 @@ class TestMoe:
 class TestSparseDispatch:
     """The routed expert loop against the dense every-expert-on-every-slot loop."""
 
-    test_outputs_bit_exact_at_real_rows_and_padding_untouched = bind("moe_ffn/dense-expert-loop")
-    test_gradients_match_dense_loop_within_float32_bound = bind("moe_ffn/dense-expert-loop-gradients")
+    def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
+        # graphs of 7, 1, 12 and 3 real nodes in rows of 12, and one in a row of 3
+        layouts = [((7, 1, 12, 3), 12), ((1,), 3)]
+        for tied, layout, training in itertools.product((False, True), layouts, (True, False)):
+            check("moe_ffn/dense-expert-loop", tied=tied, layout=layout, training=training)
+
+    def test_gradients_match_dense_loop_within_float32_bound(self):
+        for tied in (False, True):
+            check("moe_ffn/dense-expert-loop-gradients", tied=tied)
 
     def test_padding_slots_run_no_expert(self, monkeypatch):
         cfg = tiny_config()
@@ -211,18 +227,49 @@ class TestSparseDispatch:
 
 
 class TestStackedExperts:
-    test_block_matches_former_loop = bind("moe_experts/former-expert-loop")
-    test_step_matches_former_loop = bind("moe_ffn/former-expert-loop-step")
+    # packed graphs of 7, 1, 12 and 3 real nodes in rows of 12; one real node in a row of 3
+    @pytest.mark.parametrize("sizes, width", [((7, 1, 12, 3), 12), ((1,), 3)])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_block_matches_former_loop(self, sizes, width, tied, training, hidden):
+        check("moe_experts/former-expert-loop", hidden=hidden, training=training, tied=tied, sizes=sizes, width=width)
+
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_step_matches_former_loop(self, hidden):
+        for stage, training in itertools.product(["stage1", "finetune"], [True, False]):
+            check("moe_ffn/former-expert-loop-step", stage=stage, training=training, hidden=hidden)
 
 
 class TestFusedAttention:
-    test_block_matches_former_ops = bind("attention_layer/former-ops")
-    test_step_matches_former_ops = bind("attention_layer/former-ops-step")
+    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 5), (4, 12)])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_block_matches_former_ops(self, rows, width, heads, training, hidden):
+        check("attention_layer/former-ops", hidden=hidden, training=training, heads=heads, rows=rows, width=width)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_step_matches_former_ops(self, hidden, heads, tied):
+        for stage, training in itertools.product(["stage1", "stage2", "finetune"], [True, False]):
+            values = dict(stage=stage, training=training, hidden=hidden, heads=heads, tie_decoder=tied)
+            check("attention_layer/former-ops-step", **values)
 
 
 class TestDecoderOp:
-    test_block_matches_former_ops = bind("decode/former-decode")
-    test_step_matches_former_ops = bind("decode/former-decode-step")
+    @pytest.mark.parametrize("targets", [1, 7, 131])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_block_matches_former_ops(self, targets, tied, hidden):
+        check("decode/former-decode", hidden=hidden, tied=tied, targets=targets)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64, 128])
+    def test_step_matches_former_ops(self, hidden, tied):
+        for stage in ("stage1", "finetune"):
+            check("decode/former-decode-step", stage=stage, hidden=hidden, tie_decoder=tied)
 
 
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
@@ -401,7 +448,8 @@ class TestForward:
 
 
 class TestFewerPasses:
-    test_step_matches_former_ops = bind("forward/former-ops")
+    def test_step_matches_former_ops(self):
+        check("forward/former-ops")
 
     @pytest.mark.parametrize("tied, records", [(False, 41), (True, 42)], ids=["untied", "tied"])
     def test_stage1_step_tape_records(self, tied, records):
@@ -411,19 +459,29 @@ class TestFewerPasses:
 
 
 class TestStatesGather:
-    test_flag_on_and_off_match = bind("gather_rows/unique-states")
+    @pytest.mark.parametrize("one_position", [False, True])
+    def test_flag_on_and_off_match(self, one_position):
+        check("gather_rows/unique-states", one_position=one_position)
 
 
 class TestTiedDecoderGather:
-    test_flag_on_and_off_match = bind("gather_rows/unique-tied-decoder")
+    def test_flag_on_and_off_match(self):
+        check("gather_rows/unique-tied-decoder")
 
 
 class TestOneTableLookup:
-    test_logits_and_gradients_match_two_table_oracle = bind("forward/two-table-lookup")
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_logits_and_gradients_match_two_table_oracle(self, tie):
+        for stage in ("stage1", "stage2", "finetune"):
+            check("forward/two-table-lookup", stage=stage, tie_decoder=tie)
 
 
 class TestFlatLayout:
-    test_logits_and_gradients_match_grid_oracle = bind("forward/grid-layout")
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_logits_and_gradients_match_grid_oracle(self, hidden, tied):
+        for stage, training in itertools.product(["stage1", "finetune"], [True, False]):
+            check("forward/grid-layout", stage=stage, training=training, hidden=hidden, tie_decoder=tied)
 
 
 class TestArena:
@@ -518,7 +576,8 @@ class TestArena:
             dropout=0.1, tie_decoder=tie,
         )
         stage2 = (10, dict(pattern_mix=1.0), 2) if stage == "stage2" else None
-        batches = toy_batches(toy_split(seed=9), cfg, (10, dict(batch_size=1, budget=(3, 6))), (11, (QueryType.P1, QueryType.I2), 1), stage2)
+        stage1, finetune = (10, dict(batch_size=1, budget=(3, 6))), (11, (QueryType.P1, QueryType.I2), 1)
+        batches = toy_batches(toy_split(seed=9), cfg, stage1, finetune, stage2)
         batch, loss = batches[stage]
         routes = []
         moe_experts = T.moe_experts
@@ -543,10 +602,18 @@ class TestArena:
 
 
 class TestPacking:
-    test_stage1_batches_match_padded = bind("encode_subgraphs/padded-stage1")
-    test_stage2_batches_match_padded = bind("encode_subgraphs/padded-stage2")
-    test_mixed_width_query_batches_match_padded = bind("encode_queries/padded-queries")
-    test_same_width_query_batches_are_bit_identical = bind("encode_queries/padded-same-width")
+    def test_stage1_batches_match_padded(self):
+        check("encode_subgraphs/padded-stage1")
+
+    def test_stage2_batches_match_padded(self):
+        check("encode_subgraphs/padded-stage2")
+
+    def test_mixed_width_query_batches_match_padded(self):
+        check("encode_queries/padded-queries")
+
+    def test_same_width_query_batches_are_bit_identical(self):
+        for shape in [(QueryType.P2, (1,), (0, 1)), (QueryType.I3, (1, 2, 3), (0, 1, 2))]:
+            check("encode_queries/padded-same-width", shape=shape)
 
 
 def rewrite_header(path, edit) -> None:

@@ -8,8 +8,10 @@ import pytest
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm, keep_freed_heap
 from kgt.tensor import Tensor
 
-from equivalence import LOOP_SHAPES, bind
+from equivalence import LOOP_SHAPES, check
 from helpers import LoopAdamW, arena_params, loop_clip_global_norm, set_grad
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
 class TestConfig:
@@ -40,8 +42,12 @@ class TestConfig:
 
 
 class TestAdamW:
-    test_matches_scalar_reference = bind("AdamW.step/textbook-scalar")
-    test_bit_exact_against_former_expression = bind("AdamW.step/former-expression")
+    def test_matches_scalar_reference(self):
+        check("AdamW.step/textbook-scalar")
+
+    @DTYPES
+    def test_bit_exact_against_former_expression(self, dtype):
+        check("AdamW.step/former-expression", dtype=dtype)
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes the very first unit-gradient step ~ lr
@@ -130,7 +136,9 @@ class TestClip:
         assert np.allclose(scaled, [3.0 / 5.0, 0.0, 0.0, 4.0 / 5.0])
         assert np.array_equal(a.grad, [3.0, 0.0]) and np.array_equal(b.grad, [0.0, 4.0])
 
-    test_scale_in_the_step_matches_scaling_the_gradient_first = bind("AdamW.step/clip-scale-folded")
+    @DTYPES
+    def test_scale_in_the_step_matches_scaling_the_gradient_first(self, dtype):
+        check("AdamW.step/clip-scale-folded", dtype=dtype)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_norm_raises_before_touching_anything(self, bad):
@@ -149,7 +157,8 @@ class TestClip:
         assert np.array_equal(a.data, np.ones(2))
         assert np.array_equal(b.data, np.ones(3))
 
-    test_blocked_norm_matches_full_float64_sum = bind("clip_global_norm/float64-full-sum")
+    def test_blocked_norm_matches_full_float64_sum(self):
+        check("clip_global_norm/float64-full-sum")
 
     def test_second_call_allocates_no_scratch(self):
         # the 256 KiB float64 scratch is made once per process, not per call
@@ -239,7 +248,10 @@ class TestArenaAgainstLoop:
         assert loop.step_count == 0
         assert all((t.data == 1).all() and (t.grad is None or (t.grad == 1).all()) for t in params.values())
 
-    test_bit_exact_over_five_steps = bind("AdamW.step/per-tensor-loop")
+    @DTYPES
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipping", "not-clipping"])
+    def test_bit_exact_over_five_steps(self, dtype, max_norm):
+        check("AdamW.step/per-tensor-loop", max_norm=max_norm, dtype=dtype)
 
     def test_non_finite_norm_writes_nothing(self):
         rng = np.random.default_rng(9)

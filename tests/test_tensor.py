@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivalence import bind, tape_ops
+from equivalence import check, tape_ops
 from helpers import arena_params, former_transpose, smoothed_labels
 from kgt.tensor import (
     Tape,
@@ -23,6 +23,10 @@ from kgt.tensor import (
     softmax,
     sum_all,
 )
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+SEED, HIDDEN, DTYPE = st.integers(0, 10_000), st.sampled_from([48, 64, 128]), st.sampled_from([np.float32, np.float64])
+EXAMPLES = settings(max_examples=30, deadline=None)
 
 
 class TestTensorBasics:
@@ -177,19 +181,26 @@ class TestTensorBasics:
         tape.backward(out)
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
-    test_gather_rows_unique_matches_add_at = bind("gather_rows/unique-is-add-at")
+    def test_gather_rows_unique_matches_add_at(self):
+        check("gather_rows/unique-is-add-at")
 
 
 class TestGelu:
-    test_float32_matches_float64_formula = bind("gelu/float64-formula")
+    def test_float32_matches_float64_formula(self):
+        check("gelu/float64-formula")
 
 
 class TestAttentionWeightGradient:
-    test_matches_stacked_product = bind("attention/stacked-weight-gradient")
+    @DTYPES
+    def test_matches_stacked_product(self, dtype):
+        check("attention/stacked-weight-gradient", dtype=dtype)
 
 
 class TestOneRowMatmul:
-    test_matches_row_zero_of_two_row_product = bind("matmul/one-row")
+    @DTYPES
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_row_zero_of_two_row_product(self, dtype, transposed):
+        check("matmul/one-row", transposed=transposed, dtype=dtype)
 
 
 class TestMaskedSoftmax:
@@ -239,17 +250,50 @@ class TestMaskedSoftmax:
 
 
 class TestFormerOps:
-    test_gelu = bind("gelu/former")
-    test_layer_norm = bind("layer_norm/former")
-    test_attention_softmax_folds_the_scale = bind("attention/former-ops")
-    test_gate_softmaxes = bind("softmax/former-boolean-mask", "softmax/former-softmax-op")
-    test_residual_dropout = bind("dropout/former-add-of-dropout")
-    test_add_and_mul = bind("add/former", "mul/former")
+    """Bit-exact: the ops with fewer passes against their former bodies in
+    ``helpers``, at the toy (64) and fb15k (128) widths and at 48, where
+    1/width does not divide exactly, in float32 and float64."""
+
+    @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE, rows=st.integers(1, 40))
+    @EXAMPLES
+    def test_gelu(self, seed, hidden, dtype, rows):
+        check("gelu/former", seed=seed, hidden=hidden, dtype=dtype, rows=rows)
+
+    @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE, rows=st.integers(1, 6))
+    @EXAMPLES
+    def test_layer_norm(self, seed, hidden, dtype, rows):
+        check("layer_norm/former", seed=seed, hidden=hidden, dtype=dtype, rows=rows)
+
+    @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE, width=st.integers(1, 12))
+    @EXAMPLES
+    def test_attention_softmax_folds_the_scale(self, seed, hidden, dtype, width):
+        check("attention/former-ops", seed=seed, hidden=hidden, dtype=dtype, width=width)
+
+    @given(seed=SEED, dtype=DTYPE, rows=st.integers(1, 60))
+    @EXAMPLES
+    def test_gate_softmaxes(self, seed, dtype, rows):
+        # top-2 of 4 routing weights in training, the full mixture at inference
+        check("softmax/former-boolean-mask", seed=seed, dtype=dtype, rows=rows)
+        check("softmax/former-softmax-op", seed=seed, dtype=dtype, rows=rows)
+
+    @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE, p=st.sampled_from([0.1, 0.5]))
+    @EXAMPLES
+    def test_residual_dropout(self, seed, hidden, dtype, p):
+        check("dropout/former-add-of-dropout", seed=seed, hidden=hidden, dtype=dtype, p=p)
+
+    @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE)
+    @EXAMPLES
+    def test_add_and_mul(self, seed, hidden, dtype):
+        check("add/former", seed=seed, hidden=hidden, dtype=dtype)
+        check("mul/former", seed=seed, hidden=hidden, dtype=dtype)
 
 
 class TestDropout:
-    test_eval_mode_is_add = bind("dropout/eval-is-add")
-    test_zero_rate_is_add = bind("dropout/zero-rate-is-add")
+    def test_eval_mode_is_add(self):
+        check("dropout/eval-is-add")
+
+    def test_zero_rate_is_add(self):
+        check("dropout/zero-rate-is-add")
 
     def test_training_scales_survivors(self):
         rng = np.random.default_rng(1)
@@ -364,7 +408,12 @@ class TestCrossEntropy:
 
 
 class TestCrossEntropyOracle:
-    test_matches_dense_labels = bind("cross_entropy/dense-labels", "cross_entropy/dense-labels-unsmoothed")
+    @DTYPES
+    def test_matches_dense_labels(self, dtype):
+        for seed in range(40):
+            check("cross_entropy/dense-labels-unsmoothed", dtype=dtype, seed=seed, alpha=0.0)
+            for alpha in (0.0, 0.1, 0.3):
+                check("cross_entropy/dense-labels", dtype=dtype, seed=seed, alpha=alpha)
 
     def test_one_target_per_row(self):
         with pytest.raises(ValueError):
@@ -432,7 +481,10 @@ class TestAnswerMaskedCrossEntropy:
         loss = answer_masked_cross_entropy(Tensor(z), [np.array([0, 1])]).data
         assert np.allclose(loss, 0.0, atol=1e-12)
 
-    test_matches_per_row_loop = bind("answer_masked_cross_entropy/per-row-loop")
+    @DTYPES
+    def test_matches_per_row_loop(self, dtype):
+        for seed in range(40):
+            check("answer_masked_cross_entropy/per-row-loop", dtype=dtype, seed=seed)
 
     def test_validation(self):
         z = Tensor(np.zeros((2, 4)))
