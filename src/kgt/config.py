@@ -216,4 +216,6 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("queries.max_answers must be at least 1")
     if not all(k >= 1 for k in config.eval_ks):
         raise ConfigError("eval.ks must be positive")
+    if repeated := [k for i, k in enumerate(config.eval_ks) if k in config.eval_ks[:i]]:
+        raise ConfigError(f"eval.ks repeats {repeated[0]}")
     config.combos()  # validates the combo syntax eagerly

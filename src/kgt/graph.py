@@ -167,15 +167,23 @@ def _repeats(keys: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
-def _first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
-    """Row and description of the first out-of-range id, else of the first repeated triple."""
+def _first_fault(
+    hrt: np.ndarray,
+    entity_count: int,
+    relation_count: int,
+    entities: Sequence[str] | None = None,
+    relations: Sequence[str] | None = None,
+) -> tuple[int, str] | None:
+    """Row and description of the first out-of-range id, else of the first
+    repeated triple, named by its tokens where a vocabulary is given."""
     fault = _bad_id(hrt, entity_count, relation_count)
     if fault is None and _repeats(keys := _triple_keys(hrt, entity_count, relation_count)):
         _, first = np.unique(keys, return_index=True)
         repeated = np.ones(len(hrt), dtype=bool)
         repeated[first] = False
         i = int(np.flatnonzero(repeated)[0])
-        fault = i, f"duplicate triple {tuple(hrt[i].tolist())}"
+        names = [v if vocab is None else vocab[v] for v, vocab in zip(hrt[i].tolist(), (entities, relations, entities))]
+        fault = i, f"duplicate triple ({', '.join(map(str, names))})"
     return fault
 
 
@@ -355,7 +363,7 @@ def build_split(
     # in-range ids and no repeated triple mean sound parts that are disjoint increments; else check part by part
     if _bad_id(store, entity_count, relation_count) is not None or _repeats(_triple_keys(store, entity_count, relation_count)):
         for name, hrt in arrays.items():
-            fault = _first_fault(hrt, entity_count, relation_count)
+            fault = _first_fault(hrt, entity_count, relation_count, entities, relations)
             if fault is None:
                 continue
             row, message = fault

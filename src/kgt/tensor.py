@@ -44,9 +44,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -71,20 +68,27 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(input) into the ``grad`` of every reachable leaf tensor.
+    def backward(self, out: Tensor, grad: np.ndarray | None = None) -> None:
+        """Accumulate the gradient of ``out`` into the ``grad`` of every reachable leaf tensor.
 
-        An op output's gradient is dropped once its backward has passed it on,
-        so the backward reuses that memory instead of growing the heap; only
-        the loss and the leaves (parameters and inputs) keep theirs.
+        ``grad`` is the upstream gradient that the backward starts from, of
+        ``out``'s shape and cast to its dtype; without one it is all ones. An
+        op output's gradient is dropped once its backward has passed it on, so
+        the backward reuses that memory instead of growing the heap; only
+        ``out`` and the leaves (parameters and inputs) keep theirs.
         """
-        loss.grad = np.ones_like(loss.data)
-        for out, backward in reversed(self._records):
-            if out.grad is None:
-                continue  # not on any path to the loss
-            backward(out.grad)
-            if out is not loss:
-                out.grad = None
+        if grad is None:
+            out.grad = np.ones_like(out.data)
+        elif np.shape(grad) != out.data.shape:
+            raise ValueError(f"upstream gradient of shape {np.shape(grad)} for an output of shape {out.data.shape}")
+        else:
+            out.grad = np.array(grad, dtype=out.data.dtype)
+        for node, backward in reversed(self._records):
+            if node.grad is None:
+                continue  # not on any path to out
+            backward(node.grad)
+            if node is not out:
+                node.grad = None
 
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -126,14 +130,7 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add operands differ in shape: {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
@@ -141,22 +138,6 @@ def add(a: Tensor, b) -> Tensor:
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
-
-    return _record(out, backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; ``b`` has ``a``'s shape, or is a constant scalar."""
-    b = _coerce(b, a)
-    if a.data.shape != b.data.shape and (b.data.ndim or b.requires_grad):
-        raise ValueError(f"mul operands differ in shape: {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data, owned=True)
-        if b.requires_grad:
-            _accumulate(b, g * a.data, owned=True)
 
     return _record(out, backward)
 
@@ -229,15 +210,6 @@ def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
             a.grad[idx] += g
         else:
             np.add.at(a.grad, idx, g)
-
-    return _record(out, backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype), requires_grad=a.requires_grad)
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype), owned=True)
 
     return _record(out, backward)
 

@@ -83,6 +83,13 @@ LogCallback = Callable[[dict], None]
 Loss = Callable[[Tensor], Tensor]
 
 
+def batch_mean(losses: Tensor, graph_count: int) -> tuple[np.floating, np.ndarray]:
+    """The mean over graphs of per-row losses, their sum over ``graph_count``,
+    and the upstream gradient that seeds their backward: that scale in every row."""
+    scale = losses.dtype.type(1.0 / graph_count)
+    return np.asarray(losses.data.sum(), losses.dtype) * scale, np.broadcast_to(scale, losses.shape)
+
+
 def _train_step(
     model: Model,
     optimizer: AdamW,
@@ -97,14 +104,14 @@ def _train_step(
     Returns the loss, the pre-clip gradient norm and the lr used.
     """
     with Tape() as tape:
-        logits = forward(model, batch, training=True, rng=rng)
+        losses = loss(forward(model, batch, training=True, rng=rng))
         # mean over graphs of the per-graph sums = sum / batch size
-        total = T.mul(T.sum_all(loss(logits)), 1.0 / batch.graph_count)
-        value = total.item()
+        mean, upstream = batch_mean(losses, batch.graph_count)
+        value = float(mean)
         if not math.isfinite(value):
             raise FloatingPointError(f"training loss diverged (loss={value})")
         optimizer.zero_grad()
-        tape.backward(total)
+        tape.backward(losses, upstream)
     norm = clip_global_norm(model.params, clip)
     lr = optimizer.step(epoch, clip / norm if norm > clip else 1.0)
     return value, norm, lr

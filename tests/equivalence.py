@@ -39,6 +39,7 @@ from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.queries import QueryType, build_query, generate_queries
 from kgt.sampling import sample_meta_graph, sample_stage1_batch
 from kgt.tensor import Tape, Tensor
+from kgt.train import batch_mean
 
 from helpers import (
     FORMER_OPS, LoopAdamW, _unbroadcast, arena_params, dense_cross_entropy, dense_moe_ffn, expert_leaves,
@@ -130,8 +131,7 @@ def run_op(op, inputs, upstream, *args) -> dict:
     leaves = [Tensor(np.array(x, order="K"), requires_grad=True) for x in inputs]
     with Tape() as tape:
         out = op(*leaves, *args)
-        loss = T.sum_all(T.mul(out, Tensor(np.asarray(upstream, dtype=out.dtype))))
-    tape.backward(loss)
+    tape.backward(out, upstream)
     assert out.dtype == leaves[0].dtype and all(t.grad.dtype == t.dtype for t in leaves)
     return {"out": out.data, **{f"grad {i}": t.grad for i, t in enumerate(leaves)}}
 
@@ -145,15 +145,17 @@ def merge(**runs: dict) -> dict:
     return {f"{label} {key}": v for label, run in runs.items() for key, v in run.items()}
 
 
-def run_step(model: Model, run, loss, inputs: dict | None = None, patches=(), extra_grads=None) -> dict:
-    """``loss(run(model, *leaves))`` and its backward on a clone of ``model``,
-    on leaves holding copies of ``inputs``, with each ``(target, attribute,
-    twin)`` of ``patches`` patched in.
+def run_step(model: Model, run, seed, inputs: dict | None = None, patches=(), extra_grads=None) -> dict:
+    """``run(model, *leaves)`` and the backward that ``seed(out)`` starts, on
+    a clone of ``model``, on leaves holding copies of ``inputs``, with each
+    ``(target, attribute, twin)`` of ``patches`` patched in. ``seed`` returns
+    the tensor the backward starts from and its upstream gradient.
 
-    Returns the loss, the output, every gradient under its parameter or input
-    name and the tape length. Every parameter gradient is the parameter's span
-    of the gradient arena; ``extra_grads()`` adds the gradients of a twin's
-    own leaves, re-stacked under their arena names.
+    Returns the output, the tensor the backward started from when it is not
+    the output, every gradient under its parameter or input name and the tape
+    length. Every parameter gradient is the parameter's span of the gradient
+    arena; ``extra_grads()`` adds the gradients of a twin's own leaves,
+    re-stacked under their arena names.
     """
     model = model.clone()
     leaves = {name: Tensor(np.array(x), requires_grad=True) for name, x in (inputs or {}).items()}
@@ -162,25 +164,28 @@ def run_step(model: Model, run, loss, inputs: dict | None = None, patches=(), ex
             patch.setattr(target, attribute, twin)
         with Tape() as tape:
             out = run(model, *leaves.values())
-            total = loss(out)
-        tape.backward(total)
+            start, upstream = seed(out)
+        tape.backward(start, upstream)
     grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
     assert all(g is model.params[name].grad_view for name, g in grads.items())
     if extra_grads is not None:
         grads.update(extra_grads())
     leaf_grads = {name: t.grad for name, t in leaves.items()}
-    return {"loss": total.data, "out": out.data, **grads, **leaf_grads, RECORDS: len(tape)}
+    started = {} if start is out else {"losses": start.data}
+    return {"out": out.data, **started, **grads, **leaf_grads, RECORDS: len(tape)}
 
 
 def step(model: Model, batch, loss, training: bool = True, seed: int | None = None, twin=None, run=forward) -> dict:
-    """A training step's loss, the mean over the batch's graphs as
-    ``train._train_step`` takes it; every parameter gets a gradient. ``twin()``
-    gives the patches and the extra gradients of :func:`run_step`."""
+    """A training step: the backward of ``loss``'s per-row losses, seeded as
+    ``train._train_step`` seeds it for their mean over the batch's graphs;
+    every parameter gets a gradient. ``twin()`` gives the patches and the
+    extra gradients of :func:`run_step`."""
     rng = None if seed is None else np.random.default_rng(seed)
     patches, extra_grads = twin() if twin else ((), None)
 
     def mean(z):
-        return T.mul(T.sum_all(loss(z)), 1.0 / batch.graph_count)
+        losses = loss(z)
+        return losses, batch_mean(losses, batch.graph_count)[1]
 
     result = run_step(model, lambda m: run(m, batch, training, rng), mean, patches=patches, extra_grads=extra_grads)
     assert set(model.params) <= result.keys()
@@ -197,11 +202,11 @@ def step_side(seed: int, twin=None, run=forward):
 
 
 def block_side(twin=None):
-    """The row's ``run`` on leaves holding its inputs, reduced by a fixed upstream gradient."""
+    """The row's ``run`` on leaves holding its inputs, under a fixed upstream gradient."""
 
     def side(model, run, inputs, upstream) -> dict:
         patches, extra_grads = twin() if twin else ((), None)
-        return run_step(model, run, lambda out: T.sum_all(T.mul(out, Tensor(upstream))), inputs, patches, extra_grads)
+        return run_step(model, run, lambda out: (out, upstream), inputs, patches, extra_grads)
 
     return side
 
@@ -353,14 +358,11 @@ def former_residual_add(leaves, g, p, seed) -> dict:
     return run_op(lambda x, a: T.add(x, former_dropout(a, p, rng, True)), leaves, g)
 
 
-def binary(fn, constants):
-    """``fn`` on two leaves, then on one leaf and each constant of ``constants(y)``."""
+def binary(fn):
+    """``fn`` on two leaves, then on one leaf and a constant that holds the second input."""
 
     def side(x, y, g) -> dict:
-        runs = {"leaves": run_op(fn, [x, y], g)}
-        for k, c in enumerate(constants(y)):
-            runs[f"constant {k}"] = run_op(lambda a: fn(a, Tensor(np.asarray(c, dtype=x.dtype))), [x], g)
-        return merge(**runs)
+        return merge(leaves=run_op(fn, [x, y], g), constant=run_op(lambda a: fn(a, Tensor(y)), [x], g))
 
     return side
 
@@ -440,27 +442,18 @@ def answer_inputs(dtype, seed):
 
 def gather_unique_inputs():
     rng = np.random.default_rng(5)
-    data, weights = rng.normal(size=(6, 4)).astype(np.float32), Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-    return data, np.array([4, 1, 5, 0]), weights
+    data, weights = rng.normal(size=(6, 4)).astype(np.float32), Tensor(rng.normal(size=(4, 6)).astype(np.float32))
+    return data, np.array([4, 1, 5, 0]), weights, rng.normal(size=(4, 4)).astype(np.float32)
 
 
 def gathered(unique: bool):
-    """Rows gathered and weighted, plus the sum of squares: each row gets one
-    addition either way, onto a gradient that the squares already wrote."""
+    """Rows gathered, plus a product of the whole array: each row gets one
+    addition either way, onto a gradient that the product already wrote."""
 
     def fn(a, idx, weights):
-        return T.add(T.sum_all(T.mul(T.gather_rows(a, idx, unique=unique), weights)), T.sum_all(T.mul(a, a)))
+        return T.add(T.gather_rows(a, idx, unique=unique), T.matmul(weights, a))
 
-    return lambda data, idx, weights: run_op(fn, [data], 1.0, idx, weights)
-
-
-def sum_inputs(seed, dtype):
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=(5, 7)).astype(dtype)], np.asarray(rng.normal(), dtype=dtype)
-
-
-def sum_definition(leaves, g) -> dict:
-    return {"out": np.asarray(leaves[0].sum()), "grad 0": np.full(leaves[0].shape, g)}
+    return lambda data, idx, weights, g: run_op(fn, [data], g, idx, weights)
 
 
 def scores_inputs(width, dtype):
@@ -964,8 +957,7 @@ CASES = (
     Case("dropout/former-add-of-dropout",
          lambda leaves, g, p, seed: run_op(T.dropout, leaves, g, p, np.random.default_rng(seed), True),
          former_residual_add, residual_inputs),
-    Case("add/former", binary(T.add, lambda y: (y,)), binary(former_add, lambda y: (y,)), normal_rows),
-    Case("mul/former", binary(T.mul, lambda y: (y, 0.125)), binary(former_mul, lambda y: (y, 0.125)), normal_rows),
+    Case("add/former", binary(T.add), binary(former_add), normal_rows),
     Case("dropout/eval-is-add", op(T.dropout, 0.5, None, False), op(T.add), dropout_inputs),
     Case("dropout/zero-rate-is-add", zero_rate_dropout, op(T.add), dropout_inputs),
     Case("attention/stacked-weight-gradient", weight_gradient, stacked_weight_gradient, weight_gradient_inputs, Bound(
@@ -985,7 +977,6 @@ CASES = (
          Bound(64, f"sums reordered and a closed-form backward against [A, V] temporaries; {ULP64}",
                ulps(scaled_error))),
     Case("gather_rows/unique-is-add-at", gathered(True), gathered(False), gather_unique_inputs),
-    Case("sum_all/definition", op(T.sum_all), sum_definition, sum_inputs),
     Case("masked_softmax/former-boolean-mask", lambda s, mask: {"out": T.masked_softmax(s.copy(), T.mask_bias(mask))},
          lambda s, mask: {"out": former_masked_softmax(Tensor(s), mask).data}, scores_inputs),
     # ---- model blocks and steps: moe_experts, attention, decode and gather_rows inside the model

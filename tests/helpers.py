@@ -1322,9 +1322,8 @@ def heap_truncated_normal(rng, shape, std: float, dtype) -> np.ndarray:
 
 def former_add(a, b) -> "Tensor":
     """Test oracle: the former ``add``, which reduced a gradient for a constant operand too."""
-    from kgt.tensor import Tensor, _accumulate, _coerce, _record
+    from kgt.tensor import Tensor, _accumulate, _record
 
-    b = _coerce(b, a)
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -1336,9 +1335,10 @@ def former_add(a, b) -> "Tensor":
 
 def former_mul(a, b) -> "Tensor":
     """Test oracle: the former ``mul``, which built a gradient for a constant operand too."""
-    from kgt.tensor import Tensor, _accumulate, _coerce, _record
+    from kgt.tensor import Tensor, _accumulate, _record
 
-    b = _coerce(b, a)
+    if not isinstance(b, Tensor):  # a constant scalar, in ``a``'s dtype
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -1505,7 +1505,6 @@ def former_gate_softmax(a, bias: np.ndarray | None = None) -> "Tensor":
 
 FORMER_OPS = {
     "add": former_add,
-    "mul": former_mul,
     "layer_norm": former_layer_norm,
     "softmax": former_gate_softmax,
     "dropout": former_residual_dropout,

@@ -109,18 +109,20 @@ class TestConfigParsing:
         assert excinfo.value.line == 2
 
     def test_validation_errors(self, tmp_path):
-        bad = [
-            "queries.max_answers = 0\n",
-            "stage1.budget_min = 9\nstage1.budget_max = 8\n",
-            "stage1.mask_rate = 0\n",
-            "grad_clip = 0\n",
-            "eval.ks = 0, 3\n",
-        ]
-        for text in bad:
+        bad = {
+            "queries.max_answers = 0\n": "queries.max_answers must be at least 1",
+            "stage1.budget_min = 9\nstage1.budget_max = 8\n": "bad stage1 settings: need 1 <= budget_min",
+            "stage1.mask_rate = 0\n": "bad stage1 settings: mask_rate",
+            "grad_clip = 0\n": "bad stage1 settings: grad_clip",
+            "eval.ks = 0, 3\n": "eval.ks must be positive",
+            "eval.ks = 3, 1, 3\n": "eval.ks repeats 3",  # else a hits@3 column is printed twice
+        }
+        for text, message in bad.items():
             path = tmp_path / "run.cfg"
             path.write_text(text)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError) as excinfo:
                 load_config(path)
+            assert str(excinfo.value).startswith(message), text
 
     @pytest.mark.parametrize(
         "key, value",
@@ -477,9 +479,10 @@ class TestCliErrors:
         [
             (False, "expected 3 tab-separated fields, got 2"),
             (True, "expected 3 tab-separated fields, got 2"),
-            (False, "duplicate triple ("),
+            (False, "duplicate triple (ent017, rel2, ent024)"),
+            (True, "duplicate triple (e17, r2, e24)"),
         ],
-        ids=["False", "True", "tokens-duplicate"],
+        ids=["False", "True", "tokens-duplicate", "vocabulary-duplicate"],
     )
     def test_bad_field_count_in_triples(self, tmp_path, capsys, vocabulary, fault):
         # token triples (no vocabulary files) and id triples share one field

@@ -28,12 +28,6 @@ def test_gemm_keeps_one_row_on_gemm(hidden, transposed, dtype):
 
 
 @DTYPES
-@pytest.mark.parametrize("seed", [0, 1])
-def test_sum_all_matches_its_definition(seed, dtype):
-    check("sum_all/definition", seed=seed, dtype=dtype)
-
-
-@DTYPES
 @pytest.mark.parametrize("width", [1, 5, 12])
 def test_masked_softmax_matches_boolean_mask(width, dtype):
     check("masked_softmax/former-boolean-mask", width=width, dtype=dtype)

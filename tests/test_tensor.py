@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,7 @@ from kgt.tensor import (
     masked_softmax,
     matmul,
     moe_experts,
-    mul,
     softmax,
-    sum_all,
 )
 
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -49,48 +49,50 @@ class TestTensorBasics:
     def test_gradients_accumulate_across_uses(self):
         a = Tensor([2.0, 3.0], requires_grad=True)
         with Tape() as tape:
-            out = sum_all(add(a, a))
+            out = add(a, a)
         tape.backward(out)
         assert np.allclose(a.grad, [2.0, 2.0])
 
     def test_only_leaves_and_loss_keep_grads(self):
         # an op output's gradient is dropped once its backward has used it
-        a = Tensor([2.0, 3.0], requires_grad=True)
-        b = Tensor([1.0, 4.0], requires_grad=True)
+        a = Tensor([[2.0, 3.0]], requires_grad=True)
+        b = Tensor([[1.0], [4.0]], requires_grad=True)
         with Tape() as tape:
-            ab = mul(a, b)
-            twice = add(ab, ab)
-            out = sum_all(twice)
+            ab = matmul(a, b)
+            out = add(ab, ab)
         tape.backward(out)
-        assert ab.grad is None and twice.grad is None
-        assert np.allclose(a.grad, [2.0, 8.0]) and np.allclose(b.grad, [4.0, 6.0])
+        assert ab.grad is None
+        assert np.allclose(a.grad, [[2.0, 8.0]]) and np.allclose(b.grad, [[4.0], [6.0]])
         assert out.grad == 1.0
 
     def test_constant_branch_gets_no_grad(self):
-        a = Tensor([1.0], requires_grad=True)
-        c = Tensor([5.0])
+        a = Tensor([[1.0]], requires_grad=True)
+        c = Tensor([[5.0]])
         with Tape() as tape:
-            out = sum_all(mul(a, c))
+            out = matmul(a, c)
         tape.backward(out)
         assert c.grad is None
-        assert np.allclose(a.grad, [5.0])
+        assert np.allclose(a.grad, [[5.0]])
 
     def test_unequal_shapes_raise(self):
-        # no op broadcasts: only a constant scalar may scale a tensor of another shape
+        # no op broadcasts
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         for b in (Tensor(np.ones(4)), Tensor(np.ones((3, 1))), Tensor(np.ones((1, 3, 4)))):
             with pytest.raises(ValueError, match="add operands differ in shape"):
                 add(a, b)
-            with pytest.raises(ValueError, match="mul operands differ in shape"):
-                mul(a, b)
-        with pytest.raises(ValueError, match="add operands differ in shape"):
-            add(a, 2.0)
-        with pytest.raises(ValueError, match="mul operands differ in shape"):
-            mul(a, Tensor(2.0, requires_grad=True))
+
+    def test_backward_starts_from_the_upstream_gradient(self):
+        # the seed is cast to the output's dtype; a seed of another shape would
+        # broadcast silently through cross_entropy's g[:, None]
+        z = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(mul(a, 2.0))
-        tape.backward(out)
-        assert a.grad.tolist() == [[2.0] * 4] * 3
+            losses = cross_entropy(z, np.array([0, 1, 2]))
+        for seed in (np.float32(0.5), np.full(1, 0.5), np.full((3, 1), 0.5)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(seed)} for an output of shape (3,)")):
+                tape.backward(losses, seed)
+        tape.backward(losses, np.full(3, 0.5))
+        assert losses.grad.dtype == np.float32 and losses.grad.tolist() == [0.5] * 3
+        assert z.grad.tolist() == (0.125 - 0.5 * np.eye(3, 4)).tolist()
 
     def test_matmul_is_2d_only(self):
         # stacked products run inside the ops that need them, such as attention
@@ -112,12 +114,13 @@ class TestTensorBasics:
         # bit-exact: the first product writes into the arena span, the second adds
         rng = np.random.default_rng(6)
         w0 = rng.normal(size=(4, 5)).astype(np.float32)
-        xs = [Tensor(rng.normal(size=(n, 4)).astype(np.float32)) for n in (3, 7)]
+        xs = [Tensor(rng.normal(size=(3, 4)).astype(np.float32)) for _ in range(2)]
+        upstream = rng.normal(size=(3, 5)).astype(np.float32)
         weights = arena_params({"w": w0})["w"], Tensor(w0.copy(), requires_grad=True)
         for w in weights:
             with Tape() as tape:
-                out = add(sum_all(mul(matmul(xs[0], w), Tensor(np.full((3, 5), 2.0)))), sum_all(matmul(xs[1], w)))
-            tape.backward(out)
+                out = add(matmul(xs[0], w), matmul(xs[1], w))
+            tape.backward(out, upstream)
         assert weights[0].grad is weights[0].grad_view
         assert weights[0].grad.tobytes() == weights[1].grad.tobytes()
 
@@ -142,7 +145,7 @@ class TestTensorBasics:
         # transpose hands down an F-ordered view; AdamW wants C order
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(mul(former_transpose(a, (1, 0)), Tensor(np.ones((4, 3)))))
+            out = former_transpose(a, (1, 0))
         tape.backward(out)
         assert a.grad.flags.c_contiguous
 
@@ -165,7 +168,7 @@ class TestTensorBasics:
             batch = encode_subgraphs(subs, cfg)
             with Tape() as tape:
                 logits = forward(model, batch, training=True, rng=np.random.default_rng(5))
-                loss = sum_all(cross_entropy(logits, batch.targets, alpha=0.1))
+                loss = cross_entropy(logits, batch.targets, alpha=0.1)
             tape.backward(loss)
             named = [(name, t.grad) for name, t in model.params.items()]
             assert all(grad is not None and grad.flags.c_contiguous for _, grad in named)
@@ -177,7 +180,7 @@ class TestTensorBasics:
     def test_gather_rows_repeats_sum(self):
         a = Tensor(np.eye(3), requires_grad=True)
         with Tape() as tape:
-            out = sum_all(gather_rows(a, np.array([0, 0, 2])))
+            out = gather_rows(a, np.array([0, 0, 2]))
         tape.backward(out)
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
@@ -283,9 +286,8 @@ class TestFormerOps:
 
     @given(seed=SEED, hidden=HIDDEN, dtype=DTYPE)
     @EXAMPLES
-    def test_add_and_mul(self, seed, hidden, dtype):
+    def test_add(self, seed, hidden, dtype):
         check("add/former", seed=seed, hidden=hidden, dtype=dtype)
-        check("mul/former", seed=seed, hidden=hidden, dtype=dtype)
 
 
 class TestDropout:
@@ -399,7 +401,7 @@ class TestCrossEntropy:
         z = Tensor(rng.normal(size=(3, 5)).astype(np.float64), requires_grad=True)
         targets = np.array([1, 1, 3])
         with Tape() as tape:
-            loss = sum_all(cross_entropy(z, targets))
+            loss = cross_entropy(z, targets)
         tape.backward(loss)
         p = np.exp(z.data - z.data.max(-1, keepdims=True))
         p /= p.sum(-1, keepdims=True)
@@ -506,7 +508,7 @@ class TestAnswerMaskedCrossEntropy:
         z = Tensor(rng.normal(size=(2, 6)).astype(np.float64), requires_grad=True)
         sets = [np.array([1, 4]), np.array([0])]
         with Tape() as tape:
-            loss = sum_all(answer_masked_cross_entropy(z, sets))
+            loss = answer_masked_cross_entropy(z, sets)
         tape.backward(loss)
         h = 1e-6
         numeric = np.zeros_like(z.data)
@@ -525,9 +527,8 @@ class TestAnswerMaskedCrossEntropy:
 class TestGradcheckCoverage:
     def test_every_tape_op_has_a_gradcheck_row(self):
         # a recorder is a kgt.tensor function that calls _record; a row covers
-        # each op whose backward it puts on the tape, so sum_all and mul are
-        # covered through the _weighted reduction
-        from kgt.gradcheck import OP_CASES, _weighted
+        # each op whose backward it puts on the tape
+        from kgt.gradcheck import OP_CASES
 
         recorders = tape_ops()
         assert {"add", "moe_experts", "answer_masked_cross_entropy"} <= recorders
@@ -536,6 +537,6 @@ class TestGradcheckCoverage:
         for case in OP_CASES:
             params = [case.draw(rng, *shape) for shape in case.shapes]
             with Tape() as tape:
-                _weighted(case.op(*params), rng)
+                case.op(*params)
             covered |= {backward.__qualname__.split(".")[0] for _, backward in tape._records}
         assert sorted(recorders - covered) == []
