@@ -2,8 +2,8 @@
 
 Config files are plain text: one ``section.key = value`` per line, ``#`` for
 comments. Every key has a typed default; unknown keys and malformed values
-raise :class:`ConfigError` naming the key. Ratios accept ``a:b`` or a plain
-float.
+raise :class:`ConfigError` naming the key, after its ``path:line`` when a
+file set it. Ratios accept ``a:b`` or a plain float.
 """
 
 from __future__ import annotations
@@ -153,40 +153,39 @@ _KEY_TYPES = {
 _PARSERS = {key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[kind] for key, kind in _KEY_TYPES.items()}
 
 
-def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
-    """Raw key -> value strings from config text; duplicates are errors.
+def parse_config_text(text: str, path: str = "<config>") -> dict[str, tuple[str, int]]:
+    """Raw key -> (value string, line number) from config text; duplicates are errors.
 
     Lines are split and numbered as :func:`kgt.graph.read_lines` numbers them.
     """
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(path, lineno, f"expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key in values:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
-        values[key] = value
+        values[key] = value, lineno
     return values
 
 
 def load_config(path: str | Path | None = None, overrides: dict[str, str] | None = None) -> PipelineConfig:
-    """Defaults, then file values, then explicit overrides."""
+    """Defaults, then file values, then explicit overrides; a file's bad key or value names its line."""
     merged = parse_config_text("\n".join(read_lines(path)), str(path)) if path is not None else {}
-    merged.update(overrides or {})
+    merged.update((key, (text, None)) for key, text in (overrides or {}).items())
     own: dict = {}
     sections: dict[str, dict] = {}
-    for key, text in merged.items():
+    for key, (text, lineno) in merged.items():
+        where = "" if lineno is None else f"{path}:{lineno}: "
         if key not in _PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{where}unknown config key {key!r}")
         try:
             value = _PARSERS[key](text)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
+            raise ConfigError(f"{where}bad value for {key!r}: {exc}") from None
         section, _, name = key.partition(".")
         if name in _SECTIONS.get(section, ()):
             sections.setdefault(section, {})[name] = value

@@ -18,6 +18,10 @@ class IntegrityError(KgtError):
     """Dataset violates a structural invariant (id ranges, duplicates, split nesting)."""
 
 
+class SplitFileError(ParseError, IntegrityError):
+    """A triple of a split file that breaks the dataset's integrity, at its line."""
+
+
 class ArityError(KgtError):
     """Anchors or relations do not match the query type's arity."""
 

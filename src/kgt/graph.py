@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, SplitFileError
 
 Triple = tuple[int, int, int]
 
@@ -246,16 +246,14 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def read_vocab(path: Path) -> list[str]:
-    tokens = []
-    seen = set()
+    tokens: dict[str, int] = {}  # token -> line, in file order
     for lineno, token in enumerate(read_lines(path), start=1):
         if not token:
             raise ParseError(path, lineno, "empty vocabulary token")
-        if token in seen:
+        if token in tokens:
             raise ParseError(path, lineno, f"duplicate vocabulary token {token!r}")
-        seen.add(token)
-        tokens.append(token)
-    return tokens
+        tokens[token] = lineno
+    return list(tokens)
 
 
 def _read_id_triples(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
@@ -330,8 +328,7 @@ def _parse_lines(
         except ValueError:
             raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
 
-    triples = []
-    lines = []
+    triples, lines = [], []
     for lineno, fields in triple_fields(path):
         h = resolve(fields[0], entity_ids, "entity", lineno)
         r = resolve(fields[1], relation_ids, "relation", lineno)
@@ -352,32 +349,36 @@ def build_split(
     """Assemble cumulative graphs from train/valid/test triple lists.
 
     Accepts either disjoint increments (each split adds new triples) or
-    already-cumulative lists (train subset of valid subset of test); anything
-    else raises :class:`IntegrityError`. ``sources`` maps a split to its file
-    and per-triple line numbers, so a bad triple raises :class:`ParseError`
-    naming its line instead.
+    already-cumulative lists (train subset of valid subset of test). Anything
+    else raises :class:`IntegrityError` at the split and row of the first bad
+    triple, or of the first that repeats an earlier split's; ``sources``, each
+    split's file and per-triple line numbers, make it a :class:`SplitFileError`.
     """
+
+    def fail(name: str, row: int, message: str):
+        if sources is not None:
+            path, lines = sources[name]
+            raise SplitFileError(path, int(lines[row]), message)
+        raise IntegrityError(f"{name} triple {row}: {message}")
+
     arrays = {name: _triple_array(parts[name]) for name in SPLITS}
     store = np.concatenate(list(arrays.values()))
     ends = np.cumsum([len(hrt) for hrt in arrays.values()]).tolist()
     # in-range ids and no repeated triple mean sound parts that are disjoint increments; else check part by part
     if _bad_id(store, entity_count, relation_count) is not None or _repeats(_triple_keys(store, entity_count, relation_count)):
         for name, hrt in arrays.items():
-            fault = _first_fault(hrt, entity_count, relation_count, entities, relations)
-            if fault is None:
-                continue
-            row, message = fault
-            if sources is not None:
-                path, lines = sources[name]
-                raise ParseError(path, int(lines[row]), message)
-            raise IntegrityError(f"{name} triple {row}: {message}")
+            if (fault := _first_fault(hrt, entity_count, relation_count, entities, relations)) is not None:
+                fail(name, *fault)
         train, valid, test = (_triple_keys(arrays[name], entity_count, relation_count) for name in SPLITS)
         valid_new = ~np.isin(valid, train)
         test_new = ~np.isin(test, valid)
         cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
         disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
         if not (cumulative or disjoint):
-            raise IntegrityError("split files are neither cumulative nor disjoint increments")
+            name, repeats = ("valid", ~valid_new) if not valid_new.all() else ("test", ~test_new | np.isin(test, train))
+            lacking = "valid lacks train" if not np.isin(train, valid).all() else "test lacks valid"
+            fail(name, int(np.flatnonzero(repeats)[0]), f"repeats an earlier split's triple, but {lacking} triples: "
+                 "the splits are neither cumulative nor disjoint increments")
         # either way the new triples of a split are those its predecessor lacks
         store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
         ends = (len(train), len(train) + int(valid_new.sum()), len(store))
@@ -390,17 +391,10 @@ def build_split(
 def load_split(directory: str | Path) -> SplitDataset:
     """Load train/valid/test triple files plus optional vocabularies."""
     d = Path(directory)
-    entities = relations = None
-    ent_map = rel_map = None
-    if (d / "entities.txt").exists():
-        entities = read_vocab(d / "entities.txt")
-        ent_map = {tok: i for i, tok in enumerate(entities)}
-    if (d / "relations.txt").exists():
-        relations = read_vocab(d / "relations.txt")
-        rel_map = {tok: i for i, tok in enumerate(relations)}
+    entities, relations = vocabs = [read_vocab(d / f) if (d / f).exists() else None for f in ("entities.txt", "relations.txt")]
+    ent_map, rel_map = ({tok: i for i, tok in enumerate(v)} if v is not None else None for v in vocabs)
 
-    parts = {}
-    sources = {}
+    parts, sources = {}, {}
     for name in SPLITS:
         path = d / f"{name}.txt"
         if not path.exists():
@@ -409,16 +403,10 @@ def load_split(directory: str | Path) -> SplitDataset:
         sources[name] = (path, lines)
 
     stacked = np.concatenate(list(parts.values()))
-    if entities is not None:
-        entity_count = len(entities)
-    else:
-        if not len(stacked):
-            raise IntegrityError("dataset has no triples and no entity vocabulary")
-        entity_count = int(stacked[:, [0, 2]].max()) + 1
-    if relations is not None:
-        relation_count = len(relations)
-    else:
-        relation_count = int(stacked[:, 1].max()) + 1 if len(stacked) else 0
+    if entities is None and not len(stacked):
+        raise IntegrityError(f"{d}: dataset has no triples and no entity vocabulary")
+    entity_count = len(entities) if entities is not None else int(stacked[:, [0, 2]].max()) + 1
+    relation_count = len(relations) if relations is not None else int(stacked[:, 1].max(initial=-1)) + 1
 
     return build_split(parts, entity_count, relation_count, entities, relations, sources)
 

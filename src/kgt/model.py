@@ -11,7 +11,6 @@ real nodes only, never on padding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import LeviGraph
-from .optim import _arena, _mapped_zeros, parameter_arena
+from .optim import _BLOCK, _arena, parameter_arena
 from .queries import FREE_SLOT, QueryGraph
 from .sampling import SampledSubgraph
 from .tensor import Tensor
@@ -72,77 +71,87 @@ class ModelConfig:
         return cls(**data)
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within 2 std.
+def truncated_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> None:
+    """Fill ``out`` with Normal(0, std) draws, each redrawn until it lies within 2 std.
 
-    Draws straight into a memory-mapped float64 array, so no heap block of
-    its size is left behind. ``std * z + 0.0`` is ``rng.normal(0, std)``'s
-    ``0 + std * z`` bit for bit, the sign of a zero draw included.
+    ``out`` starts as NaN. Each pass draws its NaNs in C order, whole rows and
+    at most ``_BLOCK`` values at a time through one float64 scratch array, and
+    writes out-of-range draws as NaN again: ``rng.normal``'s stream, bit for bit.
     """
-    out = _mapped_zeros(math.prod(shape), np.float64).reshape(shape)
-    rng.standard_normal(out=out)
-    out *= std
-    out += 0.0
-    limit = 2.0 * std
-    bad = out > limit
-    bad |= out < -limit
-    pos = np.flatnonzero(bad)
-    while pos.size:  # only the values just redrawn can be out of range
-        draws = rng.normal(0.0, std, size=pos.size)
-        out.flat[pos] = draws
-        pos = pos[np.abs(draws) > limit]
-    return out.astype(dtype, copy=False)
+    rows = np.atleast_1d(out)  # a view: a 0-d ``out`` is one row
+    step = max(1, _BLOCK // max(1, rows[:1].size))
+    scratch = np.empty(rows[:step].size)
+    out.fill(np.nan)
+    pending = True
+    while pending:
+        pending = False
+        for i in range(0, len(rows), step):
+            todo = np.isnan(rows[i : i + step])
+            z = scratch[: np.count_nonzero(todo)]
+            rng.standard_normal(out=z)
+            z *= std
+            z += 0.0  # std * z + 0.0 rounds as rng.normal's 0 + std * z, the sign of a zero included
+            z[np.abs(z) > 2.0 * std] = np.nan
+            rows[i : i + step][todo] = z
+            pending = pending or bool(np.isnan(z).any())
+
+
+def parameter_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | tuple[tuple[str, object], ...]]]:
+    """Name, shape and init of every parameter tensor, in arena order.
+
+    An init is a fill value or the (name, index) blocks that the row draws with
+    ``truncated_normal`` (std 0.02) in turn. A draw ends with its redraws, so a
+    tensor that replaced several draws their blocks in the former order: the
+    embedding's entity and mask rows, then its relation rows; ``wqkv``'s column
+    blocks; and in ``experts.w1``'s row a layer's ``w1[0], w2[0], w1[1], ...``.
+    """
+    d, h, e, split = config.hidden, config.expert_hidden, config.experts, config.mask_id + 1
+
+    def drawn(name: str, shape: tuple[int, ...]):
+        return name, shape, ((name, ...),)
+
+    def norm(name: str):  # a layer norm's gain and bias
+        return (name + "_gain", (d,), 1.0), (name + "_bias", (d,), 0.0)
+
+    table = [
+        # one row per input id: the entities, the mask token, then the relations
+        ("embedding", (split + config.relation_count, d), (("embedding", np.s_[:split]), ("embedding", np.s_[split:]))),
+        drawn("node_type", (2, d)),  # row 0: relation nodes, row 1: entity nodes
+        *norm("final_ln"),
+    ]
+    if not config.tie_decoder:
+        table.append(drawn("decoder", (config.entity_count, d)))
+    for i in range(config.layers):
+        p = f"layer{i}."
+        table += [
+            (p + "wqkv", (d, 3 * d), tuple((p + "wqkv", np.s_[:, k * d : (k + 1) * d]) for k in range(3))),  # [wq | wk | wv]
+            drawn(p + "wo", (d, d)),
+            *norm(p + "ln1"),
+            *norm(p + "ln2"),
+            drawn(p + "gate", (d, e)),
+            # expert j at index j
+            (p + "experts.w1", (e, d, h), tuple((p + "experts." + w, j) for j in range(e) for w in ("w1", "w2"))),
+            (p + "experts.b1", (e, h), 0.0),
+            (p + "experts.w2", (e, h, d), ()),
+            (p + "experts.b2", (e, d), 0.0),
+        ]
+    return table
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape for every parameter tensor, in initialization order."""
-    d = config.hidden
-    shapes: dict[str, tuple[int, ...]] = {
-        # one row per input id: the entities, the mask token, then the relations
-        "embedding": (config.mask_id + 1 + config.relation_count, d),
-        "node_type": (2, d),  # row 0: relation nodes, row 1: entity nodes
-        "final_ln_gain": (d,),
-        "final_ln_bias": (d,),
-    }
-    if not config.tie_decoder:
-        shapes["decoder"] = (config.entity_count, d)
-    for i in range(config.layers):
-        prefix = f"layer{i}."
-        shapes[prefix + "wqkv"] = (d, 3 * d)  # [wq | wk | wv]
-        shapes[prefix + "wo"] = (d, d)
-        shapes[prefix + "ln1_gain"] = (d,)
-        shapes[prefix + "ln1_bias"] = (d,)
-        shapes[prefix + "ln2_gain"] = (d,)
-        shapes[prefix + "ln2_bias"] = (d,)
-        shapes[prefix + "gate"] = (d, config.experts)
-        h = config.expert_hidden
-        for name, shape in (("w1", (d, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,))):
-            shapes[prefix + "experts." + name] = (config.experts, *shape)  # expert j at index j
-    return shapes
+    """Name -> shape for every parameter tensor, in arena order."""
+    return {name: shape for name, shape, _ in parameter_table(config)}
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Truncated-normal weights (std 0.02), unit LN gains, zero biases, in one parameter arena.
-
-    ``truncated_normal`` redraws out-of-range values per tensor, so a table
-    that replaced several tensors draws them as blocks, in their former order,
-    to keep every result: the embedding draws its entity and mask rows, then
-    its relation rows, a layer's ``wqkv`` draws its ``wq``, ``wk`` and ``wv``
-    column blocks, and a layer's experts draw ``w1[0], w2[0], w1[1], ...``
-    when ``experts.w1`` comes up.
-    """
+    """A new parameter arena, initialized row by row as :func:`parameter_table` says."""
     params = parameter_arena(parameter_shapes(config), dtype)
-    for name, t in params.items():
-        if name.endswith("gain"):
-            t.data.fill(1)
-        elif not name.endswith(("bias", "b1", "b2", "experts.w2")):  # biases stay 0; experts.w2 is drawn with w1
-            blocks = np.split(t.data, [config.mask_id + 1]) if name == "embedding" else [t.data]
-            if name.endswith("wqkv"):
-                blocks = np.split(t.data, 3, axis=1)
-            if name.endswith("experts.w1"):
-                blocks = [w for pair in zip(t.data, params[name[:-1] + "2"].data) for w in pair]
-            for block in blocks:
-                block[...] = truncated_normal(rng, block.shape, 0.02, np.float64)  # cast on the write
+    for name, _, init in parameter_table(config):
+        if isinstance(init, float):
+            params[name].data.fill(init)
+        else:
+            for block, index in init:
+                truncated_normal(rng, params[block].data[index], 0.02)
     return params
 
 

@@ -35,7 +35,7 @@ import kgt.model
 from kgt import tensor as T
 from kgt.model import Model, ModelConfig, decoder_matrix, encode_queries, encode_subgraphs, forward, moe_ffn
 from kgt.model import truncated_normal
-from kgt.optim import AdamW, AdamWConfig, clip_global_norm
+from kgt.optim import _BLOCK, AdamW, AdamWConfig, clip_global_norm
 from kgt.queries import QueryType, build_query, generate_queries
 from kgt.sampling import sample_meta_graph, sample_stage1_batch
 from kgt.tensor import Tape, Tensor
@@ -746,31 +746,59 @@ def dispatch_gradient_inputs(tied):
     return model, run, {"x": x}, weights
 
 
-def draw_inputs(shape, std, seed):
-    return shape, std, seed
+def draw_inputs(shape, std, seed, dtype=np.float32, column=None):
+    """A destination of ``shape``, or with ``column`` the column block ``column``
+    of a [rows, 3 * cols] array (not contiguous), as ``wqkv``'s are drawn."""
+    return shape, std, seed, dtype, column
 
 
-def truncated_draw(shape, std, seed) -> dict:
-    return {"draws": truncated_normal(np.random.default_rng(seed), shape, std, np.float64)}
+def _destination(shape, dtype, column) -> tuple[np.ndarray, np.ndarray]:
+    """The destination and the array it is a view of."""
+    if column is None:
+        out = np.empty(shape, dtype)
+        return out, out
+    rows, cols = shape
+    full = np.zeros((rows, 3 * cols), dtype)
+    return full[:, column * cols : (column + 1) * cols], full
 
 
-def heap_draw(shape, std, seed) -> dict:
-    return {"draws": heap_truncated_normal(np.random.default_rng(seed), shape, std, np.float64)}
+def _draw_result(out, full, column) -> dict:
+    if column is None:
+        return {"draws": out}
+    rest = np.delete(full, np.s_[column * out.shape[1] : (column + 1) * out.shape[1]], axis=1)
+    return {"draws": out.copy(), "rest": rest}  # the other columns stay untouched
 
 
-def counted_truncated_draw(shape, std, seed) -> dict:
-    """A draw over several redraw rounds (``normal`` calls): after the first
-    scan only the redrawn positions are checked again."""
-    rng, rounds = np.random.default_rng(seed), []
+def truncated_draw(shape, std, seed, dtype, column) -> dict:
+    out, full = _destination(shape, dtype, column)
+    truncated_normal(np.random.default_rng(seed), out, std)
+    return _draw_result(out, full, column)
 
-    def normal(*args, **kw):
-        rounds.append(args)
-        return rng.normal(*args, **kw)
 
-    counting = SimpleNamespace(standard_normal=rng.standard_normal, normal=normal)
-    draws = truncated_normal(counting, shape, std, np.float64)
-    assert len(rounds) >= 3
-    return {"draws": draws}
+def heap_draw(shape, std, seed, dtype, column) -> dict:
+    draws = heap_truncated_normal(np.random.default_rng(seed), shape, std, dtype)
+    return {"draws": draws} if column is None else {"draws": draws, "rest": np.zeros((shape[0], 2 * shape[1]), dtype)}
+
+
+def counted_truncated_draw(shape, std, seed, dtype, column) -> dict:
+    """A draw over several redraw passes, each one ``standard_normal`` call
+    per chunk of at most ``_BLOCK`` values: the first pass draws every value,
+    and the next redraws fall in more than one chunk, the last one included."""
+    rng, sizes = np.random.default_rng(seed), []
+
+    def standard_normal(out):
+        sizes.append(out.size)
+        rng.standard_normal(out=out)
+
+    out, full = _destination(shape, dtype, column)
+    truncated_normal(SimpleNamespace(standard_normal=standard_normal), out, std)
+    chunk = max(1, _BLOCK // math.prod(out.shape[1:])) * math.prod(out.shape[1:])  # whole rows, at most _BLOCK values
+    chunks = [min(chunk, out.size - i) for i in range(0, out.size, chunk)]
+    passes = [sizes[i : i + len(chunks)] for i in range(0, len(sizes), len(chunks))]
+    assert len(chunks) > 2 and chunks[-1] < chunks[0], chunks  # several chunks, the last one partial
+    assert passes[0] == chunks and len(passes) >= 4, passes  # the first draws, then at least three redraw passes
+    assert sum(map(bool, passes[1])) > 1 and passes[1][-1] > 0, passes[1]
+    return _draw_result(out, full, column)
 
 
 # ---- the optimizer

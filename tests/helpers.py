@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from kgt.errors import IntegrityError, ParseError
+from kgt.errors import IntegrityError, SplitFileError
 from kgt.graph import KnowledgeGraph, LeviGraph, SplitDataset, Triple, build_split, write_vocab
 
 
@@ -140,17 +140,20 @@ def former_first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) 
 
 def former_build_split(parts, entity_count: int, relation_count: int, sources=None) -> SplitDataset:
     """Test oracle: the former ``build_split``: each part checked in turn, then
-    four ``np.isin`` set tests decide between cumulative and disjoint parts."""
+    four ``np.isin`` set tests decide between cumulative and disjoint parts,
+    and a scan with Python sets finds the first line that repeats a triple."""
     arrays = {name: np.asarray(parts[name], dtype=np.int64).reshape(-1, 3) for name in ("train", "valid", "test")}
-    for name, hrt in arrays.items():
-        fault = former_first_fault(hrt, entity_count, relation_count)
-        if fault is None:
-            continue
-        row, message = fault
+
+    def fail(name, row, message):
         if sources is not None:
             path, lines = sources[name]
-            raise ParseError(path, int(lines[row]), message)
+            raise SplitFileError(path, int(lines[row]), message)
         raise IntegrityError(f"{name} triple {row}: {message}")
+
+    for name, hrt in arrays.items():
+        fault = former_first_fault(hrt, entity_count, relation_count)
+        if fault is not None:
+            fail(name, *fault)
 
     train, valid, test = ((a[:, 0] * relation_count + a[:, 1]) * entity_count + a[:, 2] for a in arrays.values())
     valid_new = ~np.isin(valid, train)
@@ -158,7 +161,16 @@ def former_build_split(parts, entity_count: int, relation_count: int, sources=No
     cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
     disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
     if not (cumulative or disjoint):
-        raise IntegrityError("split files are neither cumulative nor disjoint increments")
+        # the first valid line, else the first test line, that repeats an earlier split's triple
+        earlier = set(train.tolist())
+        for name, keys in (("valid", valid.tolist()), ("test", test.tolist())):
+            repeats = [row for row, key in enumerate(keys) if key in earlier]
+            if repeats:
+                break
+            earlier |= set(keys)
+        lacking = "test lacks valid" if set(train.tolist()) <= set(valid.tolist()) else "valid lacks train"
+        fail(name, repeats[0], f"repeats an earlier split's triple, but {lacking} triples: "
+                               "the splits are neither cumulative nor disjoint increments")
 
     store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
     store.flags.writeable = False

@@ -85,6 +85,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="stage1.epochs"):
             load_config(path)
 
+    def test_file_key_errors_name_their_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nstage1.epoch = 2\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}:2: unknown config key 'stage1.epoch'"
+        path.write_text("seed = 1\n\n# a comment\nstage1.epochs = two\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).startswith(f"{path}:4: bad value for 'stage1.epochs': ")
+        # an override replaces the file's value; its own errors name no line
+        assert load_config(path, {"stage1.epochs": "3"}).train_config(Stage.STAGE1).epochs == 3
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, {"stage1.epochs": "three"})
+        assert str(excinfo.value).startswith("bad value for 'stage1.epochs': ")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(None, {"stage1.epoch": "2"})
+        assert str(excinfo.value) == "unknown config key 'stage1.epoch'"
+
     def test_duplicate_key_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
             parse_config_text("seed = 1\nseed = 2\n")

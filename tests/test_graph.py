@@ -259,6 +259,36 @@ class TestLoadSplit:
         with pytest.raises(IntegrityError):
             load_split(tmp_path)
 
+    def test_split_nesting_error_names_its_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        write_triples(raw / "train.txt", [(0, 0, 1), (1, 0, 2), (2, 1, 3)])
+        write_triples(raw / "valid.txt", [(0, 0, 1), (3, 1, 4)])  # repeats a train triple, lacks two others
+        write_triples(raw / "test.txt", [(4, 0, 0)])
+        with pytest.raises(ParseError) as excinfo:
+            load_split(raw)
+        assert isinstance(excinfo.value, IntegrityError)
+        assert (excinfo.value.path, excinfo.value.line) == (str(raw / "valid.txt"), 1)
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw / 'valid.txt'}:1: repeats an earlier split's triple, but valid lacks train triples")
+        # valid is a disjoint increment, but test repeats a train triple
+        write_triples(raw / "valid.txt", [(3, 1, 4)])
+        write_triples(raw / "test.txt", [(4, 0, 0), (0, 0, 1)])
+        with pytest.raises(ParseError, match="valid lacks train triples") as excinfo:
+            load_split(raw)
+        assert (excinfo.value.path, excinfo.value.line) == (str(raw / "test.txt"), 2)
+        # without files, the split and row: cumulative train and valid, but test lacks a valid triple
+        parts = {"train": [(0, 0, 1)], "valid": [(0, 0, 1), (1, 0, 2)], "test": [(1, 0, 2)]}
+        with pytest.raises(IntegrityError, match=r"^valid triple 0: repeats .* but test lacks valid triples"):
+            build_split(parts, 3, 1)
+
+    def test_empty_dataset_error_names_its_directory(self, tmp_path, capsys):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.txt").write_text("")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: dataset has no triples and no entity vocabulary\n"
+
     def test_vocab_tokens_resolve(self, tmp_path):
         write_vocab(tmp_path / "entities.txt", ["alice", "bob"])
         write_vocab(tmp_path / "relations.txt", ["knows"])

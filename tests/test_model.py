@@ -1,8 +1,8 @@
 import itertools
 import json
-import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +20,13 @@ from kgt.model import (
     init_parameters,
     moe_ffn,
     parameter_shapes,
+    parameter_table,
     truncated_normal,
 )
 from kgt.queries import FREE_SLOT, QueryType, build_query
 from kgt.sampling import SampledSubgraph, sample_stage1_batch
 from kgt import tensor as T
-from kgt.optim import AdamW, AdamWConfig, clip_global_norm
+from kgt.optim import _BLOCK, AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy
 
 from equivalence import RECORDS, check, step, tiny_config, toy_batches, toy_stage1
@@ -85,29 +86,83 @@ class TestParameters:
                 assert t.data.std() > 0.005
 
     def test_truncated_normal_respects_bound(self):
-        rng = np.random.default_rng(1)
-        draws = truncated_normal(rng, (200_000,), 0.02, np.float64)
+        draws = np.empty(200_000)
+        truncated_normal(np.random.default_rng(1), draws, 0.02)
         assert np.abs(draws).max() <= 0.04
         assert abs(draws.mean()) < 1e-3
 
     def test_truncated_normal_matches_heap_oracle_bit_for_bit(self):
         for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
             check("truncated_normal/heap-draw", shape=shape, std=std, seed=seed)
+        # a float64 destination, as gradcheck's init_parameters(..., dtype=np.float64) draws
+        check("truncated_normal/heap-draw", shape=(20_001, 128), std=0.02, seed=4, dtype=np.float64)
+        # one column block of a [d, 3d] array, as wqkv's wq, wk and wv are drawn
+        for column in range(3):
+            check("truncated_normal/heap-draw", shape=(128, 128), std=0.02, seed=11, column=column)
 
     def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
         check("truncated_normal/heap-draw-redrawn", shape=(300, 1000), std=0.02, seed=10)
+        # rows of one value: chunks of exactly _BLOCK values, then a partial one
+        check("truncated_normal/heap-draw-redrawn", shape=(3 * _BLOCK + 500,), std=0.02, seed=12, dtype=np.float64)
+        check("truncated_normal/heap-draw-redrawn", shape=(700, 128), std=0.02, seed=13, column=1)
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
-        shape = (20_001, 128)
+        out = np.empty((20_001, 128))
         rng = np.random.default_rng(8)
         tracemalloc.start()
         try:
-            truncated_normal(rng, shape, 0.02, np.float64)
+            truncated_normal(rng, out, 0.02)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two boolean masks of one byte per element; the former draw held 18 bytes per element
-        assert peak / math.prod(shape) < 2.5
+        # one float64 scratch chunk and its temporaries; the former draw's two
+        # boolean masks took 2 bytes per element, 5 MiB here
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("tie_decoder", [False, True])
+    @pytest.mark.parametrize("experts", [2, 4])
+    def test_table_draws_each_element_once_in_the_documented_order(self, tie_decoder, experts):
+        cfg = tiny_config(tie_decoder=tie_decoder, experts=experts, top_k=2)
+        shapes = parameter_shapes(cfg)
+        table = parameter_table(cfg)
+        assert [(name, shape) for name, shape, _ in table] == list(shapes.items())
+        fills = {name: init for name, _, init in table if isinstance(init, float)}
+        assert fills == {
+            name: 1.0 if name.endswith("gain") else 0.0
+            for name in shapes
+            if name.endswith(("gain", "bias", "experts.b1", "experts.b2"))
+        }
+        # every element of every other parameter is in exactly one block
+        counts = {name: np.zeros(shape, dtype=np.int64) for name, shape in shapes.items() if name not in fills}
+        for _, _, init in table:
+            for name, index in () if isinstance(init, float) else init:
+                counts[name][index] += 1
+        assert all((c == 1).all() for c in counts.values())
+
+        # the k-th standard normal is k / total: in range, so never redrawn,
+        # and each drawn value tells its place in the stream
+        total = sum(c.size for c in counts.values())
+        drawn = 0
+
+        def standard_normal(out):
+            nonlocal drawn
+            out[...] = np.arange(drawn, drawn + out.size) / total
+            drawn += out.size
+
+        p = {name: t.data for name, t in init_parameters(cfg, SimpleNamespace(standard_normal=standard_normal), np.float64).items()}
+        assert drawn == total
+        for name, fill in fills.items():
+            assert (p[name] == fill).all(), name
+        e = cfg.entity_count + 1
+        d = cfg.hidden
+        order = [p["embedding"][:e], p["embedding"][e:], p["node_type"]] + ([] if tie_decoder else [p["decoder"]])
+        for i in range(cfg.layers):
+            layer = {name[len(f"layer{i}.") :]: a for name, a in p.items() if name.startswith(f"layer{i}.")}
+            order += [layer["wqkv"][:, :d], layer["wqkv"][:, d : 2 * d], layer["wqkv"][:, 2 * d :], layer["wo"], layer["gate"]]
+            order += [w[j] for j in range(experts) for w in (layer["experts.w1"], layer["experts.w2"])]
+        stream = np.concatenate([block.ravel() for block in order])
+        want = np.arange(total) / total * 0.02 + 0.0
+        assert stream.tobytes() == want.tobytes()
 
     def test_init_deterministic_and_clone_independent(self):
         cfg = tiny_config()
