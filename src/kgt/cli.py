@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .errors import CheckpointError, ConfigError, KgtError, ParseError
+from .errors import CheckpointError, ConfigError, KgtError, ParseError, SplitFileError
 from .evaluation import evaluate, interpret, merge_metrics, write_metrics
 from .gradcheck import run_all
 from .graph import (
@@ -86,31 +86,23 @@ def _load_for(path: Path, split: SplitDataset) -> Model:
     return model
 
 
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
-
-
 def cmd_ingest(args) -> int:
     data_dir = Path(args.data) if args.data else Path(args.resolved_config.data_dir)
     out_dir = Path(args.out) / "dataset"
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         split = load_split(data_dir)
+    except SplitFileError:
+        raise  # ids that parsed, or tokens the given vocabularies hold, that break the dataset's rules
     except ParseError:
         if (data_dir / "entities.txt").exists() or (data_dir / "relations.txt").exists():
             raise  # a token the given vocabulary lacks
-        # token-valued triples without vocabulary files: build one
+        # a token that is not an integer and no vocabulary files: build them from the tokens
         paths = {name: data_dir / f"{name}.txt" for name in SPLITS}
         read = {name: _read_raw_tokens(path) for name, path in paths.items()}
         raw = {name: rows for name, (rows, _) in read.items()}
         entity_tokens = sorted({tok for rows in raw.values() for h, _, t in rows for tok in (h, t)})
         relation_tokens = sorted({r for rows in raw.values() for _, r, _ in rows})
-        if all(_is_int(tok) for tok in entity_tokens + relation_tokens):
-            raise  # an id file: the error is about the ids, not about missing vocabularies
         ent_map = {tok: i for i, tok in enumerate(entity_tokens)}
         rel_map = {tok: i for i, tok in enumerate(relation_tokens)}
         parts = {
@@ -143,13 +135,11 @@ def cmd_gen_queries(args) -> int:
     out_dir = Path(args.out) / "queries"
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    jobs = [("train", TRAINABLE_TYPES, config.queries_train_count)]
-    jobs.append(("valid", tuple(QueryType), config.queries_valid_count))
-    jobs.append(("test", tuple(QueryType), config.queries_test_count))
-    split_ordinal = {"train": 0, "valid": 1, "test": 2}
-    for split_name, types, count in jobs:
+    for ordinal, split_name in enumerate(SPLITS):
+        types = TRAINABLE_TYPES if split_name == "train" else tuple(QueryType)
+        count = getattr(config, f"queries_{split_name}_count")
         for type_index, qtype in enumerate(types):
-            rng = np.random.default_rng([config.seed, 11, split_ordinal[split_name], type_index])
+            rng = np.random.default_rng([config.seed, 11, ordinal, type_index])
             instances = generate_queries(
                 split, qtype, count, rng, split_for=split_name, max_answers=config.queries_max_answers
             )
@@ -184,27 +174,19 @@ def cmd_pretrain(args) -> int:
     split = _load_dataset(args)
     ckpt_dir = Path(args.out) / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    stage1_path = ckpt_dir / "stage1.kgtc"
-    stage2_path = ckpt_dir / "stage2.kgtc"
-
-    if args.stage == 1:
-        model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
-        train_config = config.train_config(Stage.STAGE1)
-        out_path = stage1_path
-        inputs = []
-    else:
-        if args.fresh or not stage1_path.exists():
-            if not args.fresh:
-                print("no stage1 checkpoint found; starting stage 2 from fresh parameters")
-            model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
-            inputs = []
-        else:
-            model = _load_for(stage1_path, split)
-            inputs = [stage1_path]
-        train_config = config.train_config(Stage.STAGE2)
-        out_path = stage2_path
-
     stage_name = f"stage{args.stage}"
+    stage1_path = ckpt_dir / "stage1.kgtc"
+    out_path = ckpt_dir / f"{stage_name}.kgtc"
+
+    if args.stage == 2 and not args.fresh and stage1_path.exists():
+        model = _load_for(stage1_path, split)
+        inputs = [stage1_path]
+    else:
+        if args.stage == 2 and not args.fresh:
+            print("no stage1 checkpoint found; starting stage 2 from fresh parameters")
+        model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
+        inputs = []
+    train_config = config.train_config(Stage(stage_name))
     records = pretrain(model, split.train, train_config, log=_epoch_printer(stage_name, train_config.epochs))
     save_checkpoint(model, out_path)
     log_path = Path(args.out) / "logs" / f"{stage_name}.jsonl"
@@ -388,12 +370,10 @@ def cmd_interpret(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     results = run_all()
-    failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name:32s} max_err {result.max_error:.3e} tol {result.tolerance:.0e} {status}")
-        if not result.passed:
-            failed += 1
+    failed = sum(not result.passed for result in results)
     if failed:
         print(f"{failed} gradient checks failed")
         return 1

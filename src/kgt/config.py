@@ -165,7 +165,9 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, tuple[str,
             continue
         if "=" not in line:
             raise ParseError(path, lineno, f"expected key = value, got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
         if key in values:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
         values[key] = value, lineno

@@ -197,7 +197,6 @@ def model_check(tolerance: float = 1e-3) -> CheckResult:
         entity_count=6, relation_count=3, layers=2, hidden=8, heads=2, experts=2, top_k=2, dropout=0.0
     )
     params = init_parameters(config, rng, dtype=np.float64)
-    model = Model(config=config, params=params)
     subs = sample_stage1_batch(graph, rng, batch_size=2, budget=(4, 6))
     batch = encode_subgraphs(subs, config)
 

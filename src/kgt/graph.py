@@ -246,14 +246,16 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def read_vocab(path: Path) -> list[str]:
-    tokens: dict[str, int] = {}  # token -> line, in file order
+    tokens = []
+    seen = set()
     for lineno, token in enumerate(read_lines(path), start=1):
         if not token:
             raise ParseError(path, lineno, "empty vocabulary token")
-        if token in tokens:
+        if token in seen:
             raise ParseError(path, lineno, f"duplicate vocabulary token {token!r}")
-        tokens[token] = lineno
-    return list(tokens)
+        seen.add(token)
+        tokens.append(token)
+    return tokens
 
 
 def _read_id_triples(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
@@ -328,7 +330,8 @@ def _parse_lines(
         except ValueError:
             raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
 
-    triples, lines = [], []
+    triples = []
+    lines = []
     for lineno, fields in triple_fields(path):
         h = resolve(fields[0], entity_ids, "entity", lineno)
         r = resolve(fields[1], relation_ids, "relation", lineno)
@@ -351,8 +354,9 @@ def build_split(
     Accepts either disjoint increments (each split adds new triples) or
     already-cumulative lists (train subset of valid subset of test). Anything
     else raises :class:`IntegrityError` at the split and row of the first bad
-    triple, or of the first that repeats an earlier split's; ``sources``, each
-    split's file and per-triple line numbers, make it a :class:`SplitFileError`.
+    triple, or of the first that repeats an earlier split's in the split that
+    breaks the layout; ``sources``, each split's file and per-triple line
+    numbers, make it a :class:`SplitFileError`.
     """
 
     def fail(name: str, row: int, message: str):
@@ -375,10 +379,17 @@ def build_split(
         cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
         disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
         if not (cumulative or disjoint):
-            name, repeats = ("valid", ~valid_new) if not valid_new.all() else ("test", ~test_new | np.isin(test, train))
-            lacking = "valid lacks train" if not np.isin(train, valid).all() else "test lacks valid"
-            fail(name, int(np.flatnonzero(repeats)[0]), f"repeats an earlier split's triple, but {lacking} triples: "
-                 "the splits are neither cumulative nor disjoint increments")
+            # valid breaks the layout if it repeats some train triples but not all; else test does
+            valid_whole = np.isin(train, valid).all()
+            if valid_whole or valid_new.all():
+                name, repeats = "test", ~test_new | np.isin(test, train)
+            else:
+                name, repeats = "valid", ~valid_new
+            lacking = "test lacks valid" if valid_whole else "valid lacks train"
+            message = f"{lacking} triples: the splits are neither cumulative nor disjoint increments"
+            if not repeats.any():  # valid holds train's triples, test only new ones
+                raise IntegrityError(f"{sources[name][0] if sources else name}: {message}")
+            fail(name, int(np.flatnonzero(repeats)[0]), f"repeats an earlier split's triple, but {message}")
         # either way the new triples of a split are those its predecessor lacks
         store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
         ends = (len(train), len(train) + int(valid_new.sum()), len(store))
@@ -391,10 +402,17 @@ def build_split(
 def load_split(directory: str | Path) -> SplitDataset:
     """Load train/valid/test triple files plus optional vocabularies."""
     d = Path(directory)
-    entities, relations = vocabs = [read_vocab(d / f) if (d / f).exists() else None for f in ("entities.txt", "relations.txt")]
-    ent_map, rel_map = ({tok: i for i, tok in enumerate(v)} if v is not None else None for v in vocabs)
+    entities = relations = None
+    ent_map = rel_map = None
+    if (d / "entities.txt").exists():
+        entities = read_vocab(d / "entities.txt")
+        ent_map = {tok: i for i, tok in enumerate(entities)}
+    if (d / "relations.txt").exists():
+        relations = read_vocab(d / "relations.txt")
+        rel_map = {tok: i for i, tok in enumerate(relations)}
 
-    parts, sources = {}, {}
+    parts = {}
+    sources = {}
     for name in SPLITS:
         path = d / f"{name}.txt"
         if not path.exists():
@@ -403,10 +421,16 @@ def load_split(directory: str | Path) -> SplitDataset:
         sources[name] = (path, lines)
 
     stacked = np.concatenate(list(parts.values()))
-    if entities is None and not len(stacked):
-        raise IntegrityError(f"{d}: dataset has no triples and no entity vocabulary")
-    entity_count = len(entities) if entities is not None else int(stacked[:, [0, 2]].max()) + 1
-    relation_count = len(relations) if relations is not None else int(stacked[:, 1].max(initial=-1)) + 1
+    if entities is not None:
+        entity_count = len(entities)
+    else:
+        if not len(stacked):
+            raise IntegrityError(f"{d}: dataset has no triples and no entity vocabulary")
+        entity_count = int(stacked[:, [0, 2]].max()) + 1
+    if relations is not None:
+        relation_count = len(relations)
+    else:
+        relation_count = int(stacked[:, 1].max()) + 1 if len(stacked) else 0
 
     return build_split(parts, entity_count, relation_count, entities, relations, sources)
 

@@ -362,17 +362,16 @@ def generate_queries(
     graph = {"train": split.train, "valid": split.valid, "test": split.test}[split_for]
     budget = max_attempts if max_attempts is not None else max(2000, count * 400)
     out: list[QueryInstance] = []
-    seen: set[tuple] = set()
+    seen: set[QueryGraph] = set()  # a query hashes by its shape, anchors and relations
     for _ in range(budget):
         if len(out) == count:
             break
         query = _instantiate(graph, qtype, rng)
         if query is None:
             continue
-        key = (query.query_type.value, query.anchors, query.relations)
-        if key in seen:
+        if query in seen:
             continue
-        seen.add(key)
+        seen.add(query)
         inst = QueryInstance(
             query=query,
             answers_train=ground_answers(split.train, query),

@@ -275,10 +275,6 @@ def combinatorial_finetune(
     for qtype in eval_types:
         row = {label: float(validate(candidate, qtype)) for label, candidate in candidates.items()}
         scores[qtype.value] = row
-        best = max(row.items(), key=lambda kv: kv[1])[1]
-        for label in candidates:  # first candidate at the max wins ties
-            if row[label] == best:
-                chosen[qtype.value] = label
-                break
+        chosen[qtype.value] = max(row, key=row.get)  # max keeps the first candidate at the max: ties go to it
     return candidates, {"candidates": list(candidates), "scores": scores, "chosen": chosen}
 

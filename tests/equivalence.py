@@ -746,9 +746,10 @@ def dispatch_gradient_inputs(tied):
     return model, run, {"x": x}, weights
 
 
-def draw_inputs(shape, std, seed, dtype=np.float32, column=None):
+def draw_inputs(shape, std, seed, dtype=np.float64, column=None):
     """A destination of ``shape``, or with ``column`` the column block ``column``
-    of a [rows, 3 * cols] array (not contiguous), as ``wqkv``'s are drawn."""
+    of a [rows, 3 * cols] array (not contiguous), as ``wqkv``'s are drawn.
+    Float64 by default: the draws are compared before any rounding."""
     return shape, std, seed, dtype, column
 
 

@@ -161,16 +161,19 @@ def former_build_split(parts, entity_count: int, relation_count: int, sources=No
     cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
     disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
     if not (cumulative or disjoint):
-        # the first valid line, else the first test line, that repeats an earlier split's triple
-        earlier = set(train.tolist())
-        for name, keys in (("valid", valid.tolist()), ("test", test.tolist())):
-            repeats = [row for row, key in enumerate(keys) if key in earlier]
-            if repeats:
-                break
-            earlier |= set(keys)
-        lacking = "test lacks valid" if set(train.tolist()) <= set(valid.tolist()) else "valid lacks train"
-        fail(name, repeats[0], f"repeats an earlier split's triple, but {lacking} triples: "
-                               "the splits are neither cumulative nor disjoint increments")
+        # valid is at fault if it holds some train triples but not all, else test is;
+        # the error names the first line of that split that repeats an earlier split's triple
+        train_set, valid_set = set(train.tolist()), set(valid.tolist())
+        if train_set <= valid_set or not train_set & valid_set:
+            name, keys, earlier = "test", test.tolist(), train_set | valid_set
+        else:
+            name, keys, earlier = "valid", valid.tolist(), train_set
+        repeats = [row for row, key in enumerate(keys) if key in earlier]
+        lacking = "test lacks valid" if train_set <= valid_set else "valid lacks train"
+        message = f"{lacking} triples: the splits are neither cumulative nor disjoint increments"
+        if not repeats:
+            raise IntegrityError(f"{sources[name][0] if sources else name}: {message}")
+        fail(name, repeats[0], f"repeats an earlier split's triple, but {message}")
 
     store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
     store.flags.writeable = False

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgt.cli
 from kgt.cli import main
 from kgt.errors import IntegrityError, ParseError
 from kgt.graph import (
@@ -259,7 +260,7 @@ class TestLoadSplit:
         with pytest.raises(IntegrityError):
             load_split(tmp_path)
 
-    def test_split_nesting_error_names_its_line(self, tmp_path, capsys):
+    def test_split_nesting_error_names_its_line(self, tmp_path, capsys, monkeypatch):
         raw = tmp_path / "raw"
         raw.mkdir()
         write_triples(raw / "train.txt", [(0, 0, 1), (1, 0, 2), (2, 1, 3)])
@@ -269,6 +270,8 @@ class TestLoadSplit:
             load_split(raw)
         assert isinstance(excinfo.value, IntegrityError)
         assert (excinfo.value.path, excinfo.value.line) == (str(raw / "valid.txt"), 1)
+        # ingest reports it at once, without reading the files again as tokens
+        monkeypatch.setattr(kgt.cli, "_read_raw_tokens", lambda path: pytest.fail(f"{path} read again"))
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {raw / 'valid.txt'}:1: repeats an earlier split's triple, but valid lacks train triples")
@@ -278,9 +281,23 @@ class TestLoadSplit:
         with pytest.raises(ParseError, match="valid lacks train triples") as excinfo:
             load_split(raw)
         assert (excinfo.value.path, excinfo.value.line) == (str(raw / "test.txt"), 2)
-        # without files, the split and row: cumulative train and valid, but test lacks a valid triple
+        # cumulative train and valid: test is at fault, at its first line that repeats a valid triple
+        write_triples(raw / "valid.txt", [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4)])
+        write_triples(raw / "test.txt", [(4, 0, 0), (2, 1, 3), (0, 0, 1)])
+        with pytest.raises(ParseError, match="repeats an earlier split's triple, but test lacks valid") as excinfo:
+            load_split(raw)
+        assert (excinfo.value.path, excinfo.value.line) == (str(raw / "test.txt"), 2)
+        # ... or the file alone when test repeats none
+        write_triples(raw / "test.txt", [(4, 0, 0)])
+        with pytest.raises(IntegrityError) as excinfo:
+            load_split(raw)
+        assert str(excinfo.value).startswith(f"{raw / 'test.txt'}: test lacks valid triples")
+        # without files, the split and row
         parts = {"train": [(0, 0, 1)], "valid": [(0, 0, 1), (1, 0, 2)], "test": [(1, 0, 2)]}
-        with pytest.raises(IntegrityError, match=r"^valid triple 0: repeats .* but test lacks valid triples"):
+        with pytest.raises(IntegrityError, match=r"^test triple 0: repeats .* but test lacks valid triples"):
+            build_split(parts, 3, 1)
+        parts["test"] = [(2, 0, 0)]
+        with pytest.raises(IntegrityError, match=r"^test: test lacks valid triples"):
             build_split(parts, 3, 1)
 
     def test_empty_dataset_error_names_its_directory(self, tmp_path, capsys):

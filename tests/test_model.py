@@ -92,19 +92,20 @@ class TestParameters:
         assert abs(draws.mean()) < 1e-3
 
     def test_truncated_normal_matches_heap_oracle_bit_for_bit(self):
-        for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
-            check("truncated_normal/heap-draw", shape=shape, std=std, seed=seed)
-        # a float64 destination, as gradcheck's init_parameters(..., dtype=np.float64) draws
-        check("truncated_normal/heap-draw", shape=(20_001, 128), std=0.02, seed=4, dtype=np.float64)
-        # one column block of a [d, 3d] array, as wqkv's wq, wk and wv are drawn
+        # a float64 destination, as gradcheck's init_parameters(..., dtype=np.float64) draws, and a float32 one
+        for dtype in (np.float64, np.float32):
+            for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
+                check("truncated_normal/heap-draw", shape=shape, std=std, seed=seed, dtype=dtype)
+        # one column block of a [d, 3d] float32 array, as wqkv's wq, wk and wv are drawn
         for column in range(3):
-            check("truncated_normal/heap-draw", shape=(128, 128), std=0.02, seed=11, column=column)
+            check("truncated_normal/heap-draw", shape=(128, 128), std=0.02, seed=11, dtype=np.float32, column=column)
 
     def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
-        check("truncated_normal/heap-draw-redrawn", shape=(300, 1000), std=0.02, seed=10)
+        for dtype in (np.float64, np.float32):
+            check("truncated_normal/heap-draw-redrawn", shape=(300, 1000), std=0.02, seed=10, dtype=dtype)
         # rows of one value: chunks of exactly _BLOCK values, then a partial one
-        check("truncated_normal/heap-draw-redrawn", shape=(3 * _BLOCK + 500,), std=0.02, seed=12, dtype=np.float64)
-        check("truncated_normal/heap-draw-redrawn", shape=(700, 128), std=0.02, seed=13, column=1)
+        check("truncated_normal/heap-draw-redrawn", shape=(3 * _BLOCK + 500,), std=0.02, seed=12)
+        check("truncated_normal/heap-draw-redrawn", shape=(700, 128), std=0.02, seed=13, dtype=np.float32, column=1)
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         out = np.empty((20_001, 128))
