@@ -22,6 +22,8 @@ import os
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CheckpointError
 from .model import Model, ModelConfig, parameter_shapes
 from .optim import _arena, parameter_arena
@@ -90,4 +92,7 @@ def load_checkpoint(path: str | Path) -> Model:
         data, _ = _arena(params)
         if fh.readinto(data) != data.nbytes:
             raise CheckpointError(f"{path}: truncated while reading the parameter arena")
+    if not np.isfinite(data).all():
+        name = next(name for name, t in params.items() if not np.isfinite(t.data).all())
+        raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
     return Model(config=config, params=params)

@@ -49,6 +49,13 @@ def _parse_ratio(text: str) -> float:
     return value
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -150,7 +157,9 @@ _KEY_TYPES = {
     for f in fields(PipelineConfig)
     if f.name != "sections"
 } | {f"{section}.{name}": kind for section, keys in _SECTIONS.items() for name, kind in keys.items()}
-_PARSERS = {key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[kind] for key, kind in _KEY_TYPES.items()}
+_PARSERS = {key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[kind] for key, kind in _KEY_TYPES.items()} | {
+    key: _parse_count for key in ("seed", "queries.train_count", "queries.valid_count", "queries.test_count")
+}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict[str, tuple[str, int]]:
@@ -210,9 +219,6 @@ def _validate(config: PipelineConfig) -> None:
             build()
         except ValueError as exc:
             raise ConfigError(f"bad {section} settings: {exc}") from None
-    for key in ("queries.train_count", "queries.valid_count", "queries.test_count"):
-        if getattr(config, key.replace(".", "_")) < 0:
-            raise ConfigError(f"{key} must be non-negative")
     if config.queries_max_answers < 1:
         raise ConfigError("queries.max_answers must be at least 1")
     if not all(k >= 1 for k in config.eval_ks):

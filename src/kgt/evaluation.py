@@ -182,6 +182,10 @@ def evaluate(
             chunk = kept[start : start + EVAL_CHUNK]
             scored = score_chunk(model, [inst.query for inst, _ in chunk])
             for (inst, hard), branch_scores in zip(chunk, scored):
+                bad = next((s for s in branch_scores if not np.isfinite(s).all()), None)
+                if bad is not None:
+                    index = next(i for i, q in enumerate(datasets[qtype]) if q is inst)
+                    raise FloatingPointError(f"{qtype.value} query {index}: non-finite scores of shape {bad.shape}")
                 scores = _ranking_scores(branch_scores)
                 filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
                 lists.append([filtered_rank(scores, answer, filter_ids) for answer in hard])

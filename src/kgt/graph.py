@@ -326,9 +326,12 @@ def _parse_lines(
                 raise ParseError(path, lineno, f"unknown {kind} token {token!r}")
             return table[token]
         try:
-            return int(token)
+            value = int(token)
         except ValueError:
             raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
+        if not -(1 << 63) <= value < 1 << 63:
+            raise SplitFileError(path, lineno, f"{kind} id {value} out of range: past int64")
+        return value
 
     triples = []
     lines = []

@@ -226,7 +226,7 @@ def _int_list(record: dict, key: str, bound: int | None) -> list[int]:
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ValueError(f"{key} must be a list of integers")
     for v in values:
-        if v < 0 or (bound is not None and v >= bound):
+        if not 0 <= v < (1 << 63 if bound is None else bound):
             raise ValueError(f"{key}: id {v} is out of range")
     return values
 

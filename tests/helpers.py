@@ -416,20 +416,6 @@ def former_corrupted_inputs(entities, positions, entity_count, rng) -> np.ndarra
     return inputs
 
 
-def slice_last(a, start: int, stop: int) -> "Tensor":
-    """Test oracle op: ``a[..., start:stop]``; the gradient is zero outside the slice."""
-    from kgt.tensor import Tensor, _accumulate, _record
-
-    out = Tensor(a.data[..., start:stop], requires_grad=a.requires_grad)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[..., start:stop] = g
-        _accumulate(a, ga, owned=True)
-
-    return _record(out, backward)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` along the axes numpy broadcast it over (the former ``kgt.tensor`` helper)."""
     if g.shape == shape:
@@ -532,123 +518,6 @@ def former_decode(states, table) -> "Tensor":
     return T.matmul(states, former_transpose(table, (1, 0)))
 
 
-def grid_layer_norm(a, gain, bias, eps: float = 1e-5) -> "Tensor":
-    """Test oracle: the former ``kgt.tensor.layer_norm``, which took any rank
-    and summed the gain and bias gradients over every axis but the last."""
-    from kgt.tensor import Tensor, _accumulate, _record
-
-    x = a.data
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    xhat = np.square(centered)
-    var = xhat.sum(axis=-1, keepdims=True)
-    np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
-    var += eps
-    inv_std = np.sqrt(var, out=var)
-    np.divide(1.0, inv_std, out=inv_std)
-    np.multiply(centered, inv_std, out=xhat)
-    y = xhat * gain.data
-    y += bias.data
-    out = Tensor(y, requires_grad=a.requires_grad or gain.requires_grad or bias.requires_grad)
-
-    def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        scratch = g * xhat
-        _accumulate(gain, scratch.sum(axis=reduce_axes), owned=True)
-        _accumulate(bias, g.sum(axis=reduce_axes), owned=True)
-        gx = g * gain.data
-        mean_gx = gx.mean(axis=-1, keepdims=True)
-        np.multiply(gx, xhat, out=scratch)
-        mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
-        gx -= mean_gx
-        gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
-        gx *= inv_std
-        _accumulate(a, gx, owned=True)
-
-    return _record(out, backward)
-
-
-def former_softmax_rows(shifted: np.ndarray) -> np.ndarray:
-    """Test oracle: the former ``kgt.tensor._softmax_rows``, the softmax over
-    the last axis, in place, of ``shifted``: logits minus their row maximum."""
-    p = np.exp(shifted, out=shifted)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
-def grid_attention(h, wqkv, wo, bias: np.ndarray, heads: int) -> "Tensor":
-    """Test oracle: the former ``kgt.tensor.attention``, over a [B, N, d] grid ``h``."""
-    import math
-
-    from kgt.tensor import Tensor, _accumulate, _gemm, _record, _softmax_grad
-
-    b, n, d = h.shape
-    hd = d // heads
-    scale = h.dtype.type(1.0 / math.sqrt(hd))
-    q, k, v = ((h.data @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
-    x = q @ np.swapaxes(k, -1, -2) * scale
-    x += bias
-    x -= x.max(axis=-1, keepdims=True)
-    p = former_softmax_rows(x)
-    context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-    out = Tensor(context @ wo.data, requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
-
-    def backward(g):
-        g = g.reshape(b * n, d)
-        _accumulate(wo, context.reshape(b * n, d).T @ g, owned=True)
-        g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
-        g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
-        g_scores *= scale
-        g_kt = np.swapaxes(q, -1, -2) @ g_scores
-        g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
-        for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
-            g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)
-        _accumulate(wqkv, h.data.reshape(b * n, d).T @ g_qkv, owned=True)
-        gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
-        for i in (1, 0):
-            gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)
-        _accumulate(h, gh.reshape(b, n, d), owned=True)
-
-    return _record(out, backward)
-
-
-def grid_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
-    """Test oracle: the former ``kgt.model.forward``, which carried the node
-    states as a [B, N, d] grid: ``former_reshape`` to the grid after the input
-    lookup, :func:`grid_layer_norm` and :func:`grid_attention` on the grid,
-    and ``former_reshape`` to [B * N, d] rows and back around each MoE block's
-    gate and experts, and again before the final gather. That is 2 + 2 * layers
-    reshape records per step, and the decoder is :func:`former_decode`."""
-    from kgt import tensor as T
-    from kgt.model import decoder_matrix
-
-    cfg = model.config
-    p = model.params
-    b, n = batch.entity_ids.shape
-    d = cfg.hidden
-    ids = batch.entity_ids.reshape(-1)
-    is_entity = (ids <= cfg.mask_id).astype(np.int64)
-    x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
-    x = former_reshape(x, (b, n, d))
-    real_rows = np.flatnonzero(np.arange(n) < np.asarray(batch.sizes)[:, None])
-    attn_bias = T.mask_bias(batch.attn_mask)
-    for layer in range(cfg.layers):
-        prefix = f"layer{layer}."
-        h = grid_layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-        out = grid_attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
-        x = T.add(x, former_dropout(out, cfg.dropout, rng, training))
-        h = grid_layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-        flat = former_reshape(h, (b * n, d))
-        weights, selected = _gate_weights(cfg, T.matmul(flat, p[prefix + "gate"]), training)
-        routes = [real_rows if selected is None else real_rows[selected[real_rows, j]] for j in range(cfg.experts)]
-        stacked = (p[prefix + "experts." + name] for name in EXPERT_WEIGHTS)
-        out = former_reshape(T.moe_experts(flat, weights, *stacked, routes), (b, n, d))
-        x = T.add(x, former_dropout(out, cfg.dropout, rng, training))
-    x = grid_layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(former_reshape(x, (b * n, d)), batch.positions, unique=True)
-    return former_decode(states, decoder_matrix(model))
-
-
 def former_matmul(a, b) -> "Tensor":
     """Test oracle: the former ``kgt.tensor.matmul``, which also took stacked
     operands; with a 2-D ``b``, each gradient folds ``a``'s batch axes into rows."""
@@ -674,38 +543,36 @@ def former_matmul(a, b) -> "Tensor":
     return _record(out, backward)
 
 
-def former_attention(q, k, v, wo, bias: np.ndarray, heads: int, softmax=None) -> "Tensor":
+def former_attention(q, k, v, wo, bias: np.ndarray, heads: int) -> "Tensor":
     """Test oracle: the former attention ops after the projections ``q``, ``k``
     and ``v`` ([B, N, d] each): heads split by ``reshape`` and ``transpose``,
-    products by the former batched ``matmul``, and ``softmax(scores, bias,
-    scale)`` (the former scaled ``masked_softmax``,
-    :func:`scaled_masked_softmax`, when None)."""
+    products by the former batched ``matmul``, and the scores' ``former_mul``
+    by the scale before the boolean-mask softmax."""
     b, n, d = q.shape
-    softmax = scaled_masked_softmax if softmax is None else softmax
 
     def split_heads(m):
         return former_transpose(former_reshape(m, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     scores = former_matmul(q, former_transpose(k, (0, 1, 3, 2)))
-    probs = softmax(scores, bias, 1.0 / np.sqrt(d // heads))
+    probs = former_masked_softmax(former_mul(scores, 1.0 / np.sqrt(d // heads)), bias == 0)
     context = former_reshape(former_transpose(former_matmul(probs, v), (0, 2, 1, 3)), (b, n, d))
     return former_matmul(context, wo)
 
 
-def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int, softmax=None) -> "Tensor":
+def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int) -> "Tensor":
     """Test oracle: the former attention ops on [B * N, d] rows ``h``: a
     ``former_reshape`` to the grid that ``bias`` gives, one product per grid
     row and projection, :func:`former_attention`, and a ``former_reshape`` back."""
     b, n = bias.shape[0], bias.shape[-1]
     d = h.shape[-1]
     grid = former_reshape(h, (b, n, d))
-    out = former_attention(*(former_matmul(grid, w) for w in (wq, wk, wv)), wo, bias, heads, softmax)
+    out = former_attention(*(former_matmul(grid, w) for w in (wq, wk, wv)), wo, bias, heads)
     return former_reshape(out, (b * n, d))
 
 
-def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights, softmax=None) -> "Tensor":
-    """Test oracle: the former attention layer, 19 tape ops (its residual an
+def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights) -> "Tensor":
+    """Test oracle: the former attention layer, 20 tape ops (its residual an
     ``add`` of a :func:`former_dropout`) and the two ``former_reshape`` records
     of :func:`former_attention_rows`, over the projections by the leaves
     ``weights`` (:func:`qkv_leaves`)."""
@@ -715,30 +582,8 @@ def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng,
     p = model.params
     prefix = f"layer{layer}."
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-    out = former_attention_rows(h, *(weights[name] for name in QKV), p[prefix + "wo"], attn_bias, cfg.heads, softmax)
+    out = former_attention_rows(h, *(weights[name] for name in QKV), p[prefix + "wo"], attn_bias, cfg.heads)
     return T.add(x, former_dropout(out, cfg.dropout, rng, training))
-
-
-def _gate_weights(cfg, gate_logits, training: bool):
-    """``moe_ffn``'s routing weights of the gate logits, and the top-k choice (None when every expert mixes)."""
-    from kgt import tensor as T
-
-    if training and cfg.top_k < cfg.experts:
-        order = np.argsort(-gate_logits.data, axis=-1, kind="stable")
-        selected = np.zeros_like(gate_logits.data, dtype=bool)
-        np.put_along_axis(selected, order[:, : cfg.top_k], True, axis=-1)
-        return former_softmax_op(gate_logits, T.mask_bias(selected)), selected
-    return former_softmax_op(gate_logits), None
-
-
-def _moe_gate(model, layer: int, x, training: bool):
-    """``moe_ffn``'s gate on [M, d] rows ``x``: the normed rows, their routing weights, and the top-k choice."""
-    from kgt import tensor as T
-
-    p = model.params
-    prefix = f"layer{layer}."
-    h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
-    return (h, *_gate_weights(model.config, T.matmul(h, p[prefix + "gate"]), training))
 
 
 def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> "Tensor":
@@ -748,14 +593,21 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
     input rows routed to it are gathered, its biases added by the broadcasting
     ``former_add``, its output scaled by ``former_mul`` with its ``[rows, 1]``
     gate weights, and scattered into the output by ``scatter_add_rows``, in
-    expert order.
+    expert order. The gate's softmax is the boolean-mask one.
     """
     from kgt import tensor as T
     from kgt.tensor import Tensor
 
     cfg = model.config
+    p = model.params
     m = x.shape[0]
-    flat, weights, selected = _moe_gate(model, layer, x, training)
+    flat = T.layer_norm(x, p[f"layer{layer}.ln2_gain"], p[f"layer{layer}.ln2_bias"])
+    logits = T.matmul(flat, p[f"layer{layer}.gate"])
+    selected = None
+    if training and cfg.top_k < cfg.experts:
+        selected = np.zeros_like(logits.data, dtype=bool)
+        np.put_along_axis(selected, np.argsort(-logits.data, axis=-1, kind="stable")[:, : cfg.top_k], True, axis=-1)
+    weights = former_softmax(logits) if selected is None else former_masked_softmax(logits, selected)
     rows = np.arange(m) if rows is None else rows
     combined = Tensor(np.zeros(x.shape, dtype=flat.dtype))
     flat_weights = former_reshape(weights, (m * cfg.experts, 1))
@@ -766,27 +618,6 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
         term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
         combined = scatter_add_rows(combined, term, rows_j)
-    return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
-
-
-def dense_moe_ffn(model, layer: int, x, training: bool, rng, experts=None) -> "Tensor":
-    """Test oracle: the former dense expert loop, every expert on every slot, padding included.
-
-    Unselected experts enter the mix with a routing weight of exactly 0.
-    Expert j runs on the leaves ``experts[j]`` (fresh :func:`expert_leaves`
-    when None), and its weights are column j of the gate weights (``slice_last``).
-    """
-    from kgt import tensor as T
-
-    cfg = model.config
-    flat, weights, _ = _moe_gate(model, layer, x, training)
-    experts = expert_leaves(model, layer) if experts is None else experts
-    combined = None
-    for j, e in enumerate(experts):
-        pre = former_add(T.matmul(flat, e["w1"]), e["b1"])
-        out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
-        term = former_mul(out_j, slice_last(weights, j, j + 1))
-        combined = term if combined is None else T.add(combined, term)
     return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
 
 
@@ -853,75 +684,6 @@ def padded_encode_queries(queries, config) -> "Batch":
         sizes=[q.levi.node_count for q in queries],
         graph_count=b,
     )
-
-
-def former_where(condition: np.ndarray, a, b) -> "Tensor":
-    """Test oracle: the former ``where`` op, an elementwise select with a constant boolean condition."""
-    from kgt.tensor import Tensor, _accumulate, _record
-
-    cond = np.asarray(condition, dtype=bool)
-    out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
-
-    return _record(out, backward)
-
-
-def two_table_model(model) -> "Model":
-    """A copy of ``model`` in the former layout: ``embedding`` split into
-    ``entity_in`` (the entity and mask rows) and ``relation_in`` (the relation
-    rows) at its place in the arena, so the arena holds the same bytes."""
-    from kgt.model import Model
-    from kgt.optim import _arena, parameter_arena
-
-    split = model.config.mask_id + 1
-    shapes = {}
-    for name, t in model.params.items():
-        if name == "embedding":
-            shapes["entity_in"] = (split, t.shape[1])
-            shapes["relation_in"] = (t.shape[0] - split, t.shape[1])
-        else:
-            shapes[name] = t.shape
-    params = parameter_arena(shapes, model.params["embedding"].dtype)
-    _arena(params)[0][...] = _arena(model.params)[0]
-    return Model(config=model.config, params=params)
-
-
-def two_table_forward(model, batch, training: bool = False, rng=None) -> "Tensor":
-    """Test oracle: the former forward of a :func:`two_table_model`.
-
-    Every slot gathers a row of ``entity_in`` (the mask row at relation
-    nodes) and a row of ``relation_in`` (row 0 elsewhere), and
-    :func:`former_where` keeps one of the two; the tied decoder gathers the
-    entity rows without the ``unique`` flag. The rest is ``model.forward``.
-    """
-    from kgt import tensor as T
-    from kgt.model import attention_layer, moe_ffn
-
-    cfg = model.config
-    p = model.params
-    ids = batch.entity_ids.reshape(-1)
-    is_entity = ids <= cfg.mask_id
-    ent = T.gather_rows(p["entity_in"], np.where(is_entity, ids, cfg.mask_id))
-    rel = T.gather_rows(p["relation_in"], np.where(is_entity, 0, ids - (cfg.mask_id + 1)))
-    x = former_where(is_entity[:, None], ent, rel)
-    x = T.add(x, T.gather_rows(p["node_type"], is_entity.astype(np.int64)))
-    real_rows = np.flatnonzero(np.arange(batch.entity_ids.shape[1]) < np.asarray(batch.sizes)[:, None])
-    attn_bias = T.mask_bias(batch.attn_mask)
-    for layer in range(cfg.layers):
-        x = attention_layer(model, layer, x, attn_bias, training, rng)
-        x = moe_ffn(model, layer, x, training, rng, real_rows)
-    x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(x, batch.positions, unique=True)
-    if cfg.tie_decoder:
-        decoder = T.gather_rows(p["entity_in"], np.arange(cfg.entity_count))
-    else:
-        decoder = p["decoder"]
-    return former_decode(states, decoder)
 
 
 def dense_cross_entropy(logits, targets: np.ndarray, alpha: float = 0.0) -> "Tensor":
@@ -1432,26 +1194,6 @@ def former_residual_dropout(x, a, p: float, rng, training: bool) -> "Tensor":
     return former_add(x, former_dropout(a, p, rng, training))
 
 
-def former_softmax_op(a, bias: np.ndarray | None = None) -> "Tensor":
-    """Test oracle: the former ``kgt.tensor.softmax`` (``bias`` None) and
-    ``masked_softmax`` tape ops, on shifted logits in a new array:
-    ``a - max(a)``, or ``a + bias`` less its row maximum."""
-    from kgt.tensor import Tensor, _accumulate, _record, _softmax_grad
-
-    if bias is None:
-        x = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        x = a.data + bias
-        x -= x.max(axis=-1, keepdims=True)
-    p = former_softmax_rows(x)
-    out = Tensor(p, requires_grad=a.requires_grad)
-
-    def backward(g):
-        _accumulate(a, _softmax_grad(p, g), owned=True)
-
-    return _record(out, backward)
-
-
 def former_masked_softmax(a, mask: np.ndarray) -> "Tensor":
     """Test oracle: the former boolean-mask softmax, ``np.where`` and a row check on every call."""
     from kgt.tensor import Tensor, _accumulate, _record
@@ -1476,46 +1218,9 @@ def former_softmax(a) -> "Tensor":
     return former_masked_softmax(a, np.ones(a.data.shape[-1], dtype=bool))
 
 
-def scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
-    """Test oracle: the former ``kgt.tensor.masked_softmax``, the softmax of
-    ``a * scale + bias`` in one buffer, with the scale rounded to ``a``'s
-    dtype and the product rounded before the bias is added."""
-    from kgt.tensor import Tensor, _accumulate, _record
-
-    if scale == 1.0:
-        x = a.data + bias
-    else:
-        scale = a.data.dtype.type(scale)
-        x = a.data * scale
-        x += bias
-    x -= x.max(axis=-1, keepdims=True)
-    p = np.exp(x, out=x)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(p, requires_grad=a.requires_grad)
-
-    def backward(g):
-        gx = g * p
-        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-        gx *= p
-        if scale != 1.0:
-            gx *= scale
-        _accumulate(a, gx, owned=True)
-
-    return _record(out, backward)
-
-
-def former_scaled_masked_softmax(a, bias: np.ndarray, scale: float = 1.0) -> "Tensor":
-    """:func:`scaled_masked_softmax`'s signature over the former ops: ``mul`` by
-    the scale (skipped at 1, as the gate skipped it), then the boolean-mask
-    softmax. It stands in for the gate's and the attention's masked softmax."""
-    scaled = a if scale == 1.0 else former_mul(a, scale)
-    return former_masked_softmax(scaled, bias == 0)
-
-
 def former_gate_softmax(a, bias: np.ndarray | None = None) -> "Tensor":
-    """``kgt.tensor.softmax``'s signature over the former boolean-mask ops:
-    :func:`former_softmax`, or under a bias :func:`former_scaled_masked_softmax`."""
-    return former_softmax(a) if bias is None else former_scaled_masked_softmax(a, bias)
+    """``kgt.tensor.softmax``'s signature over the former boolean-mask softmax."""
+    return former_softmax(a) if bias is None else former_masked_softmax(a, bias == 0)
 
 
 FORMER_OPS = {

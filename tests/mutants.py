@@ -1,0 +1,178 @@
+"""The mutant matrix: small faults put into ``src/kgt`` one at a time, each with the tests that must kill it.
+
+A row of :data:`MUTANTS` names a fault, its file under ``src/kgt``, the exact
+text it replaces (found once there), the new text, and the test ids, as pytest
+takes them, of which at least one must fail (DeMillo, Lipton & Sayward, *Hints
+on Test Data Selection*, 1978; Jia & Harman, *An Analysis and Survey of the
+Development of Mutation Testing*, IEEE TSE 2011). A twin may leave the
+equivalence table only where every mutant it kills is killed by another test.
+
+``python tests/mutants.py`` copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a temporary directory, runs every listed id on the clean copy, then each
+mutant alone against its row's ids. It prints ``killed`` or ``survived`` per
+mutant, then one JSON line of the counts and the BLAS thread count, and exits
+0 only when the clean copy passes and every mutant is killed. pytest does not
+collect this file; ``tests/test_equivalence.py`` checks that the rows fit the code.
+
+Left out as an equivalent mutant: dropout's keep mask times ``1 / (1 - p)`` in
+place of divided by ``1 - p`` changes no value at p 0.1 and 0.5.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/kgt/
+    old: str  # occurs exactly once in the file
+    new: str
+    killers: tuple[str, ...]  # test ids; at least one must fail
+
+
+MODEL, TENSOR, OPTIM = "model.py", "tensor.py", "optim.py"
+T, M, O, E = (f"tests/test_{name}.py::" for name in ("tensor", "model", "optim", "equivalence"))
+TRACE = "tests/test_golden.py::test_training_trace"  # bit-exact losses and digests of short training runs
+GRADCHECK = "tests/test_acceptance.py::test_01_gradient_suite"
+FORMER, FUSED = T + "TestFormerOps::test_", M + "TestFusedAttention::test_block_matches_former_ops"
+STACKED = M + "TestStackedExperts::test_block_matches_former_loop"
+MOE = M + "TestMoe::test_matches_oracle_in_both_modes"
+DRAW = M + "TestParameters::test_truncated_normal_matches_heap_oracle_bit_for_bit"
+LOOP = O + "TestArenaAgainstLoop::test_bit_exact_over_five_steps"
+CROSS_ENTROPY = T + "TestCrossEntropyOracle::test_matches_dense_labels"
+EVAL_ADD = T + "TestDropout::test_eval_mode_is_add"
+
+MUTANTS = (
+    # ---- kernels and tape ops
+    Mutant("gelu coefficient 0.0447", TENSOR, "th *= 0.044715", "th *= 0.0447",
+           (T + "TestGelu::test_float32_matches_float64_formula", TRACE)),
+    Mutant("gelu scale distributed over x", TENSOR, "    y = x * 0.5\n    y *= th + 1.0\n",
+           "    y = x * 0.5 * th\n    y += x * 0.5\n", (STACKED, TRACE)),
+    Mutant("layer-norm variance times 1/n", TENSOR,
+           'np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")', "var *= 1.0 / x.shape[-1]",
+           (FORMER + "layer_norm",)),
+    Mutant("attention scale on q before q k^T", TENSOR, "masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, bias)",
+           "masked_softmax((q * scale) @ np.swapaxes(k, -1, -2), bias)",
+           (FORMER + "attention_softmax_folds_the_scale", FUSED, TRACE)),
+    Mutant("softmax by the reciprocal of the sum", TENSOR, "x /= x.sum(axis=-1, keepdims=True)",
+           "x *= 1.0 / x.sum(axis=-1, keepdims=True)",
+           (E + "test_masked_softmax_matches_boolean_mask", FORMER + "gate_softmaxes", TRACE)),
+    Mutant("dropout backward scales the residual's gradient too", TENSOR, "        _accumulate(x, g)\n",
+           "        _accumulate(x, g * keep, owned=True)\n", (FORMER + "residual_dropout", FUSED, GRADCHECK)),
+    Mutant("add drops its second gradient", TENSOR, "        _accumulate(a, g)\n        _accumulate(b, g)\n",
+           "        _accumulate(a, g)\n", (FORMER + "add", EVAL_ADD, GRADCHECK)),
+    Mutant("dropout off returns the residual alone", TENSOR, "        return add(x, a)", "        return x",
+           (EVAL_ADD, T + "TestDropout::test_zero_rate_is_add", MOE)),
+    Mutant("attention q and k gradient blocks swapped", TENSOR,
+           "enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2),", "enumerate((np.swapaxes(g_kt, -1, -2), g_scores @ k,",
+           (FORMER + "attention_softmax_folds_the_scale", T + "TestAttentionWeightGradient::test_matches_stacked_product",
+            GRADCHECK)),
+    Mutant("_gemm sends one row to gemv", TENSOR, "if x.shape[0] == 1:", "if x.shape[0] == -1:",
+           (E + "test_gemm_keeps_one_row_on_gemm", T + "TestOneRowMatmul::test_matches_row_zero_of_two_row_product",
+            TRACE)),
+    Mutant("cross-entropy smoothing mass alpha/(C+1)", TENSOR, "gz -= alpha / classes", "gz -= alpha / (classes + 1)",
+           (CROSS_ENTROPY, GRADCHECK)),
+    Mutant("cross-entropy gradient re-exponentiated from z - zmax", TENSOR, "gz = np.exp(logp)",
+           "gz = np.exp(z - zmax) / np.exp(z - zmax).sum(axis=-1, keepdims=True)", (CROSS_ENTROPY, TRACE)),
+    Mutant("answer-masked gradient without its 1/k", TENSOR, "scale = g / k", "scale = g",
+           (T + "TestAnswerMaskedCrossEntropy::test_matches_per_row_loop", GRADCHECK)),
+    Mutant("unique gather writes instead of adding", TENSOR, "a.grad[idx] += g", "a.grad[idx] = g",
+           (T + "TestTensorBasics::test_gather_rows_unique_matches_add_at", STACKED)),
+    Mutant("experts backward in forward order", TENSOR, "for j in reversed(range(len(saved))):",
+           "for j in range(len(saved)):", (STACKED,)),
+    Mutant("attention input-gradient terms in another order", TENSOR, "for i in (1, 0):", "for i in (0, 1):",
+           (FORMER + "attention_softmax_folds_the_scale", FUSED, TRACE)),
+    Mutant("decode table gradient in float64", TENSOR,
+           "_accumulate(table, np.matmul(g.T, states.data, out=_grad_out(table)), owned=True)",
+           "_accumulate(table, (g.T.astype(np.float64) @ states.data).astype(g.dtype), owned=True)",
+           (M + "TestDecoderOp::test_block_matches_former_ops", TRACE)),
+    # ---- the model
+    Mutant("states gather without unique", MODEL, "gather_rows(x, batch.positions, unique=True)",
+           "gather_rows(x, batch.positions)", (M + "TestStatesGather::test_flag_on_and_off_match",)),
+    Mutant("tied decoder gather without unique", MODEL, "np.arange(model.config.entity_count), unique=True)",
+           "np.arange(model.config.entity_count))", (M + "TestTiedDecoderGather::test_flag_on_and_off_match",)),
+    Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TRACE,)),
+    Mutant("one padding slot per grid row counted real", MODEL, "< np.asarray(batch.sizes)[:, None])",
+           "<= np.asarray(batch.sizes)[:, None])", (M + "TestSparseDispatch::test_padding_slots_run_no_expert", TRACE)),
+    Mutant("_pack links relation nodes one way", MODEL, "    attn[row, 0, ends, col] = True\n", "",
+           (M + "TestPacking::test_stage1_batches_match_padded", TRACE)),
+    Mutant("top-k takes the bottom experts", MODEL, "np.argsort(-gate_logits.data,", "np.argsort(gate_logits.data,",
+           (MOE, "tests/test_acceptance.py::test_03_moe_routing", TRACE)),
+    Mutant("exact ties route to the higher index", MODEL,
+           'order = np.argsort(-gate_logits.data, axis=-1, kind="stable")',
+           'order = cfg.experts - 1 - np.argsort(-gate_logits.data[:, ::-1], axis=-1, kind="stable")',
+           (M + "TestMoe::test_exact_ties_route_to_lower_index", STACKED)),
+    Mutant("truncation at 2.5 std", MODEL, "np.abs(z) > 2.0 * std", "np.abs(z) > 2.5 * std",
+           (DRAW, M + "TestParameters::test_truncated_normal_respects_bound", TRACE)),
+    Mutant("draws scaled by a float32 std", MODEL, "z *= std", "z *= np.float32(std)", (DRAW, TRACE)),
+    # ---- the optimizer
+    Mutant("AdamW bias correction by a reciprocal", OPTIM, "np.divide(m, bias1, out=u)",
+           "np.multiply(m, 1.0 / bias1, out=u)", (LOOP, TRACE)),
+    Mutant("clip scale applied by division", OPTIM, "g = np.multiply(g, scale, out=u)",
+           "g = np.divide(g, 1.0 / scale, out=u)", (LOOP, TRACE)),
+    Mutant("first step keeps -0.0 moments", OPTIM, "                m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0\n",
+           "", (LOOP,)),
+    Mutant("bias correction one step ahead", OPTIM, "bias1 = 1.0 - cfg.beta1**self.step_count",
+           "bias1 = 1.0 - cfg.beta1 ** (self.step_count + 1)", (O + "TestAdamW::test_matches_scalar_reference", TRACE)),
+    Mutant("clip block sums in float32", OPTIM, "_CLIP_SCRATCH = np.empty(_BLOCK, dtype=np.float64)",
+           "_CLIP_SCRATCH = np.empty(_BLOCK, dtype=np.float32)",
+           (O + "TestClip::test_blocked_norm_matches_full_float64_sum", TRACE)),
+)
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None where it has none."""
+    import numpy
+
+    for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            return int(get())
+    return None
+
+
+def pytest(root: Path, ids) -> subprocess.CompletedProcess:
+    """The tests ``ids`` run in the copy at ``root``, up to the first failure."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *ids]
+    return subprocess.run(command, cwd=root, capture_output=True, text=True)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        clean = pytest(root, sorted({i for m in MUTANTS for i in m.killers}))
+        if clean.returncode:
+            print(f"the clean copy fails a listed test:\n{clean.stdout[-3000:]}", file=sys.stderr)
+            return 1
+        survived = []
+        for mutant in MUTANTS:
+            path = root / "src" / "kgt" / mutant.file
+            text = path.read_text(encoding="utf-8")
+            assert text.count(mutant.old) == 1, mutant.name
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            killed = pytest(root, mutant.killers).returncode != 0
+            path.write_text(text, encoding="utf-8")
+            survived += [] if killed else [mutant.name]
+            print(f"{'killed' if killed else 'survived':8}  {mutant.name}", flush=True)
+    summary = {"mutants": len(MUTANTS), "killed": len(MUTANTS) - len(survived), "survived": survived}
+    print(json.dumps({**summary, "blas_threads": blas_threads()}))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,7 @@ from kgt.sampling import meta_tree_sample, sample_meta_graph, sample_stage1_batc
 from kgt.tensor import Tensor, cross_entropy
 from kgt.train import Stage, TrainConfig, finetune, pretrain
 
+from equivalence import check
 from helpers import has_triple, smoothed_labels, to_triples, write_triples
 
 
@@ -233,40 +234,9 @@ def test_02_levi_counts():
 # ---------------------------------------------------------------------------
 
 
-def moe_reference(x: np.ndarray, model: Model, layer: int) -> np.ndarray:
-    """Evaluate every expert per node, keep the top-2 gate logits, renormalize."""
-    p = {k: t.data for k, t in model.params.items()}
-    cfg = model.config
-    pre = f"layer{layer}."
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        row = x[i]
-        mu = row.mean()
-        sd = np.sqrt(row.var() + 1e-5)
-        normed = (row - mu) / sd * p[pre + "ln2_gain"] + p[pre + "ln2_bias"]
-        gate = normed @ p[pre + "gate"]
-        order = sorted(range(cfg.experts), key=lambda j: (-gate[j], j))[: cfg.top_k]
-        exp = np.exp(gate[order] - gate[order].max())
-        weights = exp / exp.sum()
-        mix = np.zeros_like(row)
-        for w, j in zip(weights, order):
-            act = normed @ p[pre + "experts.w1"][j] + p[pre + "experts.b1"][j]
-            act = 0.5 * act * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (act + 0.044715 * act**3)))
-            mix += w * (act @ p[pre + "experts.w2"][j] + p[pre + "experts.b2"][j])
-        out[i] = row + mix
-    return out
-
-
 @criterion("moe top-2 routing matches brute-force oracle; 2-expert train=eval")
 def test_03_moe_routing():
-    rng = np.random.default_rng(3)
-    config = ModelConfig(entity_count=10, relation_count=2, layers=1, hidden=16, heads=2, experts=4, top_k=2, dropout=0.0)
-    model = Model(config=config, params=init_parameters(config, rng, dtype=np.float64))
-    x = rng.normal(0.0, 1.0, size=(1000, 16))
-    got = moe_ffn(model, 0, Tensor(x), training=True, rng=None).data
-    want = moe_reference(x, model, 0)
-    assert np.abs(got - want).max() <= 1e-5
-
+    check("moe_ffn/node-at-a-time", training=True, rows=1000)  # the node-at-a-time oracle, within 1e-5
     two = ModelConfig(entity_count=10, relation_count=2, layers=1, hidden=16, heads=2, experts=2, top_k=2, dropout=0.0)
     model2 = Model(config=two, params=init_parameters(two, np.random.default_rng(4)))
     x2 = Tensor(np.random.default_rng(5).normal(size=(2 * 40, 16)).astype(np.float32))

@@ -103,6 +103,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             load_config(None, {"stage1.epoch": "2"})
         assert str(excinfo.value) == "unknown config key 'stage1.epoch'"
+        path.write_text("model.layers = 2\nseed = -1\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).startswith(f"{path}:2: bad value for 'seed': ")
 
     def test_duplicate_key_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
@@ -157,7 +161,7 @@ class TestConfigParsing:
         "key, value",
         [("stage1.steps_per_epoch", "-1"), ("stage1.steps_per_epoch", "0"), ("stage2.steps_per_epoch", "0"),
          ("stage1.ladies_depth", "0"), ("stage1.ladies_per_layer", "-3"),
-         ("queries.train_count", "-5"), ("queries.valid_count", "-1"), ("queries.test_count", "-1")],
+         ("queries.train_count", "-5"), ("queries.valid_count", "-1"), ("queries.test_count", "-1"), ("seed", "-1")],
     )
     def test_count_below_its_minimum_fails_at_load(self, key, value):
         # meta-tree sampling only: the layer-dependent sampler settings are still checked

@@ -1,6 +1,7 @@
 """The equivalence table (tests/equivalence.py): the rows that no former test
 held, and the checks that every required fast path has a row and that every
-row runs in a test."""
+row runs in a test; and the mutant table (tests/mutants.py), checked without
+running a mutant."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,9 @@ import kgt.model
 import kgt.optim
 import kgt.tensor
 from equivalence import CASES, ROWS, check, tape_ops
+from mutants import MUTANTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REQUIRED = {
     *("gelu", "masked_softmax", "_gemm"),  # the numpy kernels behind the tape ops
@@ -56,3 +60,27 @@ def test_every_row_runs_in_a_test():
                 checked.add(getattr(node.args[0], "value", None))
     assert len(ROWS) == len(CASES)  # no two rows share a name
     assert sorted(set(ROWS) ^ checked, key=str) == []
+
+
+def test_every_mutant_changes_text_found_once():
+    # a refactor that moves the mutated code must update its row
+    for mutant in MUTANTS:
+        text = (ROOT / "src" / "kgt" / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1 and mutant.new != mutant.old, mutant.name
+
+
+def test_every_mutant_killer_names_a_test():
+    """Each killer, its parametrize id stripped, is a test function of its module, in its class if it names one."""
+    defined = {}
+    for path in ROOT.glob("tests/test_*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}::" if isinstance(node, ast.ClassDef) else ""
+            names = {prefix + f.name for f in methods if isinstance(f, ast.FunctionDef) and f.name.startswith("test_")}
+            defined.setdefault(f"tests/{path.name}", set()).update(names)
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert mutant.killers, mutant.name
+        for killer in mutant.killers:
+            module, _, name = killer.partition("::")
+            assert name.partition("[")[0] in defined.get(module, ()), (mutant.name, killer)

@@ -227,6 +227,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, data, "dev")
 
+    def test_non_finite_scores_raise_naming_the_query(self):
+        # an all-NaN decoder ties every entity, which would rank each answer first
+        split = toy_split(seed=25)
+        data = sample_datasets(split, [QueryType.P1], 10, 6)
+        model = tiny_model(split)
+        model.params["decoder"].data[:] = np.nan
+        with pytest.raises(FloatingPointError, match=rf"1p query \d+: non-finite scores of shape \({split.entity_count},\)"):
+            evaluate(model, data, "valid")
+
     def test_perfect_model_scores_perfectly(self):
         # oracle model: logits one-hot on the true answers via a rigged decoder
         split = toy_split(seed=25)

@@ -355,11 +355,12 @@ class TestLoadSplit:
     def test_ingest_rejects_bad_ids_instead_of_reading_tokens(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         raw.mkdir()
-        (raw / "train.txt").write_text("0\t0\t1\n-1\t0\t1\n")
         (raw / "valid.txt").write_text("")
         (raw / "test.txt").write_text("")
-        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
-        assert "train.txt:2:" in capsys.readouterr().err
+        for bad in ("-1\t0\t1", "1\t0\t99999999999999999999"):  # the second does not fit int64
+            (raw / "train.txt").write_text(f"0\t0\t1\n{bad}\n")
+            assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+            assert "train.txt:2:" in capsys.readouterr().err
 
     def test_ingest_keeps_existing_vocabulary(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -102,10 +102,10 @@ class TestParameters:
 
     def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
         for dtype in (np.float64, np.float32):
-            check("truncated_normal/heap-draw-redrawn", shape=(300, 1000), std=0.02, seed=10, dtype=dtype)
+            check("truncated_normal/heap-draw", shape=(300, 1000), std=0.02, seed=10, dtype=dtype)
         # rows of one value: chunks of exactly _BLOCK values, then a partial one
-        check("truncated_normal/heap-draw-redrawn", shape=(3 * _BLOCK + 500,), std=0.02, seed=12)
-        check("truncated_normal/heap-draw-redrawn", shape=(700, 128), std=0.02, seed=13, dtype=np.float32, column=1)
+        check("truncated_normal/heap-draw", shape=(3 * _BLOCK + 500,), std=0.02, seed=12)
+        check("truncated_normal/heap-draw", shape=(700, 128), std=0.02, seed=13, dtype=np.float32, column=1)
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         out = np.empty((20_001, 128))
@@ -219,17 +219,19 @@ class TestMoe:
 
 
 class TestSparseDispatch:
-    """The routed expert loop against the dense every-expert-on-every-slot loop."""
+    """Experts run on the real rows of a packed grid only."""
 
     def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
         # graphs of 7, 1, 12 and 3 real nodes in rows of 12, and one in a row of 3
         layouts = [((7, 1, 12, 3), 12), ((1,), 3)]
         for tied, layout, training in itertools.product((False, True), layouts, (True, False)):
-            check("moe_ffn/dense-expert-loop", tied=tied, layout=layout, training=training)
+            check("moe_ffn/node-at-a-time", ties=tied, layout=layout, training=training)
 
     def test_gradients_match_dense_loop_within_float32_bound(self):
+        # 16 graphs in rows of 30
+        sizes = tuple(np.random.default_rng(14).integers(1, 31, size=16))
         for tied in (False, True):
-            check("moe_ffn/dense-expert-loop-gradients", tied=tied)
+            check("moe_experts/former-expert-loop", hidden=64, training=True, tied=tied, sizes=sizes, width=30)
 
     def test_padding_slots_run_no_expert(self, monkeypatch):
         cfg = tiny_config()
@@ -293,8 +295,10 @@ class TestStackedExperts:
 
     @pytest.mark.parametrize("hidden", [16, 64])
     def test_step_matches_former_loop(self, hidden):
-        for stage, training in itertools.product(["stage1", "finetune"], [True, False]):
-            check("moe_ffn/former-expert-loop-step", stage=stage, training=training, hidden=hidden)
+        # rows of 30 as a stage-1 batch packs them, two full
+        for training in (True, False):
+            values = dict(hidden=hidden, training=training, tied=False, sizes=(30, 17, 30, 4), width=30)
+            check("moe_experts/former-expert-loop", **values)
 
 
 class TestFusedAttention:
@@ -309,9 +313,10 @@ class TestFusedAttention:
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("hidden", [16, 64, 128])
     def test_step_matches_former_ops(self, hidden, heads, tied):
-        for stage, training in itertools.product(["stage1", "stage2", "finetune"], [True, False]):
-            values = dict(stage=stage, training=training, hidden=hidden, heads=heads, tie_decoder=tied)
-            check("attention_layer/former-ops-step", **values)
+        # a training batch's grid, one per tied setting: 8 rows of 20 and 16 rows of 9
+        rows, width = (8, 20) if tied else (16, 9)
+        for training in (True, False):
+            check("attention_layer/former-ops", hidden=hidden, training=training, heads=heads, rows=rows, width=width)
 
 
 class TestDecoderOp:
@@ -324,8 +329,8 @@ class TestDecoderOp:
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("hidden", [16, 64, 128])
     def test_step_matches_former_ops(self, hidden, tied):
-        for stage in ("stage1", "finetune"):
-            check("decode/former-decode-step", stage=stage, hidden=hidden, tie_decoder=tied)
+        for targets in (100, 256):  # the scored slots of a training batch
+            check("decode/former-decode", hidden=hidden, tied=tied, targets=targets)
 
 
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
@@ -505,7 +510,7 @@ class TestForward:
 
 class TestFewerPasses:
     def test_step_matches_former_ops(self):
-        check("forward/former-ops")
+        check("forward/former-ops", stage="stage1", hidden=64)
 
     @pytest.mark.parametrize("tied, records", [(False, 39), (True, 40)], ids=["untied", "tied"])
     def test_stage1_step_tape_records(self, tied, records):
@@ -517,19 +522,19 @@ class TestFewerPasses:
 class TestStatesGather:
     @pytest.mark.parametrize("one_position", [False, True])
     def test_flag_on_and_off_match(self, one_position):
-        check("gather_rows/unique-states", one_position=one_position)
+        check("gather_rows/unique-flag-off", one_position=one_position)
 
 
 class TestTiedDecoderGather:
     def test_flag_on_and_off_match(self):
-        check("gather_rows/unique-tied-decoder")
+        check("gather_rows/unique-flag-off", tied=True)
 
 
 class TestOneTableLookup:
     @pytest.mark.parametrize("tie", [False, True])
     def test_logits_and_gradients_match_two_table_oracle(self, tie):
         for stage in ("stage1", "stage2", "finetune"):
-            check("forward/two-table-lookup", stage=stage, tie_decoder=tie)
+            check("forward/former-ops", stage=stage, tie_decoder=tie)
 
 
 class TestFlatLayout:
@@ -537,7 +542,7 @@ class TestFlatLayout:
     @pytest.mark.parametrize("hidden", [16, 64])
     def test_logits_and_gradients_match_grid_oracle(self, hidden, tied):
         for stage, training in itertools.product(["stage1", "finetune"], [True, False]):
-            check("forward/grid-layout", stage=stage, training=training, hidden=hidden, tie_decoder=tied)
+            check("forward/former-ops", stage=stage, training=training, hidden=hidden, tie_decoder=tied)
 
 
 class TestArena:
@@ -659,10 +664,10 @@ class TestArena:
 
 class TestPacking:
     def test_stage1_batches_match_padded(self):
-        check("encode_subgraphs/padded-stage1")
+        check("encode_subgraphs/padded", kind="stage1")
 
     def test_stage2_batches_match_padded(self):
-        check("encode_subgraphs/padded-stage2")
+        check("encode_subgraphs/padded", kind="stage2")
 
     def test_mixed_width_query_batches_match_padded(self):
         check("encode_queries/padded-queries")
@@ -758,6 +763,15 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_bytes(raw[:8] + struct.pack("<Q", 1 << 62) + raw[16:])  # a corrupt header length
         with pytest.raises(CheckpointError, match=r"\.kgtc: truncated while reading header"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path):
+        model = Model.init(tiny_config(), seed=19)
+        model.params["layer0.gate"].data[1, 2] = np.nan
+        model.params["layer1.wo"].data[0, 0] = np.inf
+        path = tmp_path / "m.kgtc"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match=r"m\.kgtc: parameter 'layer0\.gate' holds a non-finite value"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -47,7 +47,7 @@ class TestAdamW:
 
     @DTYPES
     def test_bit_exact_against_former_expression(self, dtype):
-        check("AdamW.step/former-expression", dtype=dtype)
+        check("AdamW.step/per-tensor-loop", max_norm=1e6, dtype=dtype, seed=4)
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes the very first unit-gradient step ~ lr
@@ -138,7 +138,7 @@ class TestClip:
 
     @DTYPES
     def test_scale_in_the_step_matches_scaling_the_gradient_first(self, dtype):
-        check("AdamW.step/clip-scale-folded", dtype=dtype)
+        check("AdamW.step/per-tensor-loop", max_norm=1e-3, dtype=dtype, seed=6)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_norm_raises_before_touching_anything(self, bad):

@@ -260,8 +260,10 @@ class TestQueryIO:
             '["1p", [0], [0]]',
             '{"type": "1p", "anchors": [0, 1], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}',
             '{"type": "1p", "anchors": [0], "relations": [0], "answers_train": ["x"], "answers_valid": [], "answers_test": []}',
+            '{"type": "1p", "anchors": [99999999999999999999], "relations": [0], "answers_train": [], "answers_valid": [], '
+            '"answers_test": []}',
         ],
-        ids=["null_anchor", "list_record", "arity", "string_answer"],
+        ids=["null_anchor", "list_record", "arity", "string_answer", "anchor_past_int64"],
     )
     def test_malformed_record_reports_line(self, tmp_path, record):
         good = '{"type": "1p", "anchors": [0], "relations": [0], "answers_train": [], "answers_valid": [], "answers_test": []}'
