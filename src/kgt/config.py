@@ -135,6 +135,11 @@ class PipelineConfig:
                 if qtype not in TRAINABLE_TYPES:
                     raise ConfigError(f"finetune.combos: {name} is not a trainable type")
                 combo.append(qtype)
+            label = ",".join(names)
+            if len(set(combo)) < len(combo):
+                raise ConfigError(f"finetune.combos: {label} repeats a type")
+            if set(combo) in [set(c) for c in out]:  # finetune sorts a combo's types, so order names no new model
+                raise ConfigError(f"finetune.combos repeats {label}")
             out.append(tuple(combo))
         return out
 

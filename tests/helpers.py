@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from kgt.errors import IntegrityError, SplitFileError
 from kgt.graph import KnowledgeGraph, LeviGraph, SplitDataset, Triple, build_split, write_vocab
 
 
@@ -120,98 +119,6 @@ def former_group(entity_count: int, sources: np.ndarray, *columns: np.ndarray) -
     return (indptr, *(c[order] for c in columns))
 
 
-def former_first_fault(hrt: np.ndarray, entity_count: int, relation_count: int) -> tuple[int, str] | None:
-    """Test oracle: the former per-part check, which ran ``np.unique`` on every part."""
-    h, r, t = hrt[:, 0], hrt[:, 1], hrt[:, 2]
-    bad_entity = (h < 0) | (h >= entity_count) | (t < 0) | (t >= entity_count)
-    bad = np.flatnonzero(bad_entity | (r < 0) | (r >= relation_count))
-    if bad.size:
-        i = int(bad[0])
-        kind = "entity" if bad_entity[i] else "relation"
-        return i, f"{kind} id out of range in {tuple(hrt[i].tolist())}"
-    _, first = np.unique((h * relation_count + r) * entity_count + t, return_index=True)
-    if first.size < len(hrt):
-        repeated = np.ones(len(hrt), dtype=bool)
-        repeated[first] = False
-        i = int(np.flatnonzero(repeated)[0])
-        return i, f"duplicate triple {tuple(hrt[i].tolist())}"
-    return None
-
-
-def former_build_split(parts, entity_count: int, relation_count: int, sources=None) -> SplitDataset:
-    """Test oracle: the former ``build_split``: each part checked in turn, then
-    four ``np.isin`` set tests decide between cumulative and disjoint parts,
-    and a scan with Python sets finds the first line that repeats a triple."""
-    arrays = {name: np.asarray(parts[name], dtype=np.int64).reshape(-1, 3) for name in ("train", "valid", "test")}
-
-    def fail(name, row, message):
-        if sources is not None:
-            path, lines = sources[name]
-            raise SplitFileError(path, int(lines[row]), message)
-        raise IntegrityError(f"{name} triple {row}: {message}")
-
-    for name, hrt in arrays.items():
-        fault = former_first_fault(hrt, entity_count, relation_count)
-        if fault is not None:
-            fail(name, *fault)
-
-    train, valid, test = ((a[:, 0] * relation_count + a[:, 1]) * entity_count + a[:, 2] for a in arrays.values())
-    valid_new = ~np.isin(valid, train)
-    test_new = ~np.isin(test, valid)
-    cumulative = np.isin(train, valid).all() and np.isin(valid, test).all()
-    disjoint = valid_new.all() and test_new.all() and not np.isin(test, train).any()
-    if not (cumulative or disjoint):
-        # valid is at fault if it holds some train triples but not all, else test is;
-        # the error names the first line of that split that repeats an earlier split's triple
-        train_set, valid_set = set(train.tolist()), set(valid.tolist())
-        if train_set <= valid_set or not train_set & valid_set:
-            name, keys, earlier = "test", test.tolist(), train_set | valid_set
-        else:
-            name, keys, earlier = "valid", valid.tolist(), train_set
-        repeats = [row for row, key in enumerate(keys) if key in earlier]
-        lacking = "test lacks valid" if train_set <= valid_set else "valid lacks train"
-        message = f"{lacking} triples: the splits are neither cumulative nor disjoint increments"
-        if not repeats:
-            raise IntegrityError(f"{sources[name][0] if sources else name}: {message}")
-        fail(name, repeats[0], f"repeats an earlier split's triple, but {message}")
-
-    store = np.concatenate([arrays["train"], arrays["valid"][valid_new], arrays["test"][test_new]])
-    store.flags.writeable = False
-    ends = (len(train), len(train) + int(valid_new.sum()), len(store))
-    graphs = (KnowledgeGraph(entity_count, relation_count, store[:n], validate=False) for n in ends)
-    return SplitDataset(*graphs)
-
-
-@st.composite
-def split_parts(draw):
-    """``(parts, entity_count, relation_count)`` for ``build_split``: disjoint or
-    cumulative parts, parts that overlap or repeat a triple, empty parts, and
-    now and then an out-of-range id."""
-    n = draw(st.integers(1, 5))
-    r = draw(st.integers(1, 3))
-    triple = st.tuples(st.integers(0, n - 1), st.integers(0, r - 1), st.integers(0, n - 1))
-    pool = draw(st.lists(triple, unique=True, max_size=12))
-    a, b = sorted(draw(st.lists(st.integers(0, len(pool)), min_size=2, max_size=2)))
-    train, valid, test = pool[:a], pool[a:b], pool[b:]
-    layout = draw(st.sampled_from(("disjoint", "cumulative", "overlapping", "repeating")))
-    if layout == "cumulative":
-        valid = draw(st.permutations(train + valid))
-        test = draw(st.permutations(valid + test))
-    elif layout != "disjoint" and pool:
-        # overlapping parts hold each triple once; repeating parts may hold one twice
-        part = st.lists(st.sampled_from(pool), unique=layout == "overlapping", max_size=6)
-        train, valid, test = (draw(part) for _ in range(3))
-    parts = {"train": list(train), "valid": list(valid), "test": list(test)}
-    if draw(st.booleans()) and any(parts.values()):
-        name = draw(st.sampled_from([name for name, part in parts.items() if part]))
-        row = draw(st.integers(0, len(parts[name]) - 1))
-        column = draw(st.integers(0, 2))
-        bad = list(parts[name][row])
-        bad[column] = draw(st.sampled_from((-1, r if column == 1 else n)))
-        parts[name][row] = tuple(bad)
-    return parts, n, r
-
-
 def write_toy_dataset(directory: Path, split: SplitDataset, tokens: bool = True) -> Path:
     """Write a split as disjoint increment files, with vocabularies by default."""
     directory.mkdir(parents=True, exist_ok=True)
@@ -234,27 +141,6 @@ def small_graph(seed: int = 3, entities: int = 12, relations: int = 3, total: in
     return KnowledgeGraph(entities, relations, triples)
 
 
-class ListGraph:
-    """Test oracle: the former list-backed store, triple indexes per entity in triple order."""
-
-    def __init__(self, entity_count: int, triples: list[Triple]):
-        self.triples = list(triples)
-        self.out_index: list[list[int]] = [[] for _ in range(entity_count)]
-        self.in_index: list[list[int]] = [[] for _ in range(entity_count)]
-        for i, (h, _, t) in enumerate(self.triples):
-            self.out_index[h].append(i)
-            self.in_index[t].append(i)
-
-    def successors(self, head: int, relation: int) -> set[int]:
-        return {self.triples[i][2] for i in self.out_index[head] if self.triples[i][1] == relation}
-
-    def has_triple(self, h: int, r: int, t: int) -> bool:
-        return any(self.triples[i] == (h, r, t) for i in self.out_index[h])
-
-    def in_edges(self, node: int) -> list[tuple[int, int]]:
-        return [self.triples[i][:2] for i in self.in_index[node]]
-
-
 @st.composite
 def hub_multigraphs(draw):
     """Small multigraphs: entity 0 is a hub, the last entities are isolated, and
@@ -267,152 +153,21 @@ def hub_multigraphs(draw):
     pairs += [(0, t) if out else (t, 0) for t, out in draw(st.lists(st.tuples(ends, st.booleans()), max_size=15))]
     multiplicity = draw(st.lists(st.integers(1, relations), min_size=len(pairs), max_size=len(pairs)))
     triples = list(dict.fromkeys((h, r, t) for (h, t), m in zip(pairs, multiplicity) for r in range(m)))
-    graph = KnowledgeGraph(linked + isolated, relations, triples)
-    members = draw(st.lists(st.integers(0, graph.entity_count - 1), min_size=1, max_size=8))
-    return graph, members
-
-
-def meta_tree_kernel(indptr, nbrs, start, target, uniforms, visited, out_nodes):
-    """Test oracle: the former meta-tree loop kernel, two uniforms per step into out buffers."""
-    count = 1
-    out_nodes[0] = start
-    visited[start] = 1
-    steps = uniforms.shape[0] // 2
-    for step in range(steps):
-        if count >= target:
-            break
-        pick = int(uniforms[2 * step] * count)
-        if pick >= count:
-            pick = count - 1
-        cur = out_nodes[pick]
-        lo = indptr[cur]
-        hi = indptr[cur + 1]
-        degree = hi - lo
-        if degree == 0:
-            continue
-        j = lo + int(uniforms[2 * step + 1] * degree)
-        if j >= hi:
-            j = hi - 1
-        nxt = nbrs[j]
-        if visited[nxt] == 0:
-            visited[nxt] = 1
-            out_nodes[count] = nxt
-            count += 1
-    return count
-
-
-def frontier_counts_kernel(indptr, nbrs, members, member_flag, counts):
-    """Test oracle: the former loop counting each non-member's edges into the member set."""
-    for idx in range(members.shape[0]):
-        v = members[idx]
-        for j in range(indptr[v], indptr[v + 1]):
-            w = nbrs[j]
-            if member_flag[w] == 0:
-                counts[w] += 1
-
-
-def induced_positions_kernel(indptr, tails, members, member_flag, out_positions):
-    """Test oracle: the former loop collecting csr positions of triples inside the member set."""
-    count = 0
-    for idx in range(members.shape[0]):
-        h = members[idx]
-        for j in range(indptr[h], indptr[h + 1]):
-            if member_flag[tails[j]] == 1:
-                out_positions[count] = j
-                count += 1
-    return count
-
-
-def loop_meta_tree_sample(graph, start, target_size, rng):
-    """Test oracle: ``sampling.meta_tree_sample`` as it ran on the loop kernel."""
-    indptr, nbrs = graph.csr_undirected()
-    steps = 40 * target_size + 200
-    uniforms = rng.random(2 * steps)
-    visited = np.zeros(graph.entity_count, dtype=np.uint8)
-    out_nodes = np.zeros(target_size, dtype=np.int64)
-    count = meta_tree_kernel(indptr, nbrs, start, target_size, uniforms, visited, out_nodes)
-    return [int(v) for v in out_nodes[:count]]
-
-
-def loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng, max_total=None):
-    """Test oracle: ``sampling.layer_dependent_sample`` as it ran on the loop kernel."""
-    indptr, nbrs = graph.csr_undirected_multi()
-    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
-    sampled = list(dict.fromkeys(int(s) for s in seeds))
-    for s in sampled:
-        member_flag[s] = 1
-    for _ in range(depth):
-        budget = per_layer
-        if max_total is not None:
-            budget = min(budget, max_total - len(sampled))
-        if budget <= 0:
-            break
-        counts = np.zeros(graph.entity_count, dtype=np.int64)
-        frontier_counts_kernel(indptr, nbrs, np.asarray(sampled, dtype=np.int64), member_flag, counts)
-        candidates = np.nonzero(counts)[0]
-        if candidates.size == 0:
-            break
-        weights = counts[candidates].astype(np.float64)
-        for _ in range(min(budget, candidates.size)):
-            cumulative = np.cumsum(weights)
-            r = rng.random() * cumulative[-1]
-            k = min(int(np.searchsorted(cumulative, r, side="right")), candidates.size - 1)
-            sampled.append(int(candidates[k]))
-            member_flag[candidates[k]] = 1
-            weights[k] = 0.0
-    return sampled
-
-
-def loop_induce_subgraph(graph, nodes, edge_keep, rng):
-    """Test oracle: ``sampling.induce_subgraph`` as it ran on the loop kernel."""
-    indptr, tails, rels = graph.csr_out()
-    members = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-    member_flag = np.zeros(graph.entity_count, dtype=np.uint8)
-    member_flag[members] = 1
-    positions = np.zeros(max(len(graph), 1), dtype=np.int64)
-    found = induced_positions_kernel(indptr, tails, members, member_flag, positions)
-    if found == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    keep = rng.random(found) < edge_keep
-    heads = np.searchsorted(indptr, positions[:found], side="right") - 1
-    kept = [
-        (int(heads[i]), int(rels[positions[i]]), int(tails[positions[i]])) for i in range(found) if keep[i]
-    ]
-    return np.array(kept, dtype=np.int64).reshape(-1, 3)
-
-
-def former_draw_corruption(positions, entity_count, rng) -> dict[int, tuple[str, int | None]]:
-    """Test oracle: the former corruption draw, one ``(kind, replacement)`` per
-    masked position: 80% mask token, 10% unchanged, 10% a random entity."""
-    corruption = {}
-    for pos in positions:
-        u = rng.random()
-        if u < 0.8:
-            corruption[pos] = ("mask", None)
-        elif u < 0.9:
-            corruption[pos] = ("keep", None)
-        else:
-            corruption[pos] = ("random", int(rng.integers(entity_count)))
-    return corruption
-
-
-def former_masked_input_id(original: int, corruption: tuple[str, int | None], mask_id: int) -> int:
-    """Test oracle: the input id the former encoder gave a masked node."""
-    kind, replacement = corruption
-    if kind == "mask":
-        return mask_id
-    if kind == "keep":
-        return original
-    return int(replacement)
+    return KnowledgeGraph(linked + isolated, relations, triples)
 
 
 def former_corrupted_inputs(entities, positions, entity_count, rng) -> np.ndarray:
-    """Test oracle: input ids of ``entities`` through the former draw, ``FREE_SLOT`` for the mask token."""
+    """Test oracle: input ids of ``entities`` through the former per-node draw, in position order:
+    80% ``FREE_SLOT`` (the mask token), 10% unchanged, 10% a uniformly random entity."""
     from kgt.queries import FREE_SLOT
 
     inputs = entities.copy()
-    for pos, c in former_draw_corruption(positions, entity_count, rng).items():
-        inputs[pos] = former_masked_input_id(int(entities[pos]), c, FREE_SLOT)
+    for pos in positions:
+        u = rng.random()
+        if u < 0.8:
+            inputs[pos] = FREE_SLOT
+        elif u >= 0.9:
+            inputs[pos] = int(rng.integers(entity_count))
     return inputs
 
 
@@ -744,241 +499,6 @@ def loop_answer_masked_cross_entropy(logits, answer_sets) -> "Tensor":
     return _record(out, backward)
 
 
-def per_query_scores(model, query) -> list[np.ndarray]:
-    """Test oracle: entity scores for each DNF branch of one query, from its own forward."""
-    from kgt.model import encode_queries, forward
-    from kgt.queries import dnf_decompose
-
-    branches = dnf_decompose(query)
-    logits = forward(model, encode_queries(branches, model.config), training=False)
-    return [logits.data[i].copy() for i in range(len(branches))]
-
-
-def per_query_evaluate(model, datasets, split: str, ks=(1, 3, 10), rank_dump: list | None = None):
-    """Test oracle: the former ``evaluate``, one forward per query with hard answers."""
-    from kgt.evaluation import MetricsTable, filtered_rank, hits_at_k, mean_reciprocal_rank, union_combine
-
-    def rank_query(inst) -> list[int]:
-        hard = sorted(inst.hard_answers(split))
-        if not hard:
-            return []
-        branch_scores = per_query_scores(model, inst.query)
-        if len(branch_scores) == 1:
-            scores = branch_scores[0]
-        else:
-            scores = -union_combine(branch_scores).astype(np.float64)
-        filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)
-        return [filtered_rank(scores, answer, filter_ids) for answer in hard]
-
-    rows: dict[str, dict[str, float]] = {}
-    for qtype in sorted(datasets.keys(), key=lambda t: t.value):
-        instances = datasets[qtype]
-        rank_lists = [rank_query(inst) for inst in instances]
-        kept = [(inst, ranks) for inst, ranks in zip(instances, rank_lists) if ranks]
-        if rank_dump is not None:
-            for inst, ranks in kept:
-                for answer, rank in zip(sorted(inst.hard_answers(split)), ranks):
-                    rank_dump.append(
-                        {
-                            "type": inst.query.query_type.value,
-                            "anchors": list(inst.query.anchors),
-                            "relations": list(inst.query.relations),
-                            "answer": int(answer),
-                            "rank": int(rank),
-                        }
-                    )
-        if not kept:
-            continue
-        lists = [ranks for _, ranks in kept]
-        row = {f"hits@{k}": hits_at_k(lists, k) for k in ks}
-        row["mrr"] = mean_reciprocal_rank(lists)
-        row["queries"] = float(len(lists))
-        rows[qtype.value] = row
-    if rows:
-        mean_row = {}
-        for metric in list(next(iter(rows.values())).keys()):
-            if metric == "queries":
-                mean_row[metric] = float(sum(r[metric] for r in rows.values()))
-            else:
-                mean_row[metric] = float(np.mean([r[metric] for r in rows.values()]))
-        rows["mean"] = mean_row
-    return MetricsTable(split=split, ks=tuple(ks), rows=rows)
-
-
-def per_entity_project(graph, sources, relation) -> set[int]:
-    """Test oracle: projection of an entity set, one ``successors`` lookup per entity."""
-    out = set()
-    for e in sources:
-        out |= graph.successors(e, relation)
-    return out
-
-
-def per_shape_ground_answers(graph, query) -> frozenset[int]:
-    """Test oracle: the former per-shape grounding, unions via their DNF branches."""
-    from kgt.queries import QueryType, dnf_decompose
-
-    qt = query.query_type
-    a = query.anchors
-    r = query.relations
-    if qt is QueryType.P1:
-        return frozenset(graph.successors(a[0], r[0]))
-    if qt is QueryType.P2:
-        return frozenset(per_entity_project(graph, graph.successors(a[0], r[0]), r[1]))
-    if qt is QueryType.P3:
-        frontier = graph.successors(a[0], r[0])
-        frontier = per_entity_project(graph, frontier, r[1])
-        return frozenset(per_entity_project(graph, frontier, r[2]))
-    if qt is QueryType.I2:
-        return frozenset(graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]))
-    if qt is QueryType.I3:
-        return frozenset(
-            graph.successors(a[0], r[0]) & graph.successors(a[1], r[1]) & graph.successors(a[2], r[2])
-        )
-    if qt is QueryType.IP:
-        middle = graph.successors(a[0], r[0]) & graph.successors(a[1], r[1])
-        return frozenset(per_entity_project(graph, middle, r[2]))
-    if qt is QueryType.PI:
-        middle = graph.successors(a[0], r[0])
-        return frozenset(per_entity_project(graph, middle, r[1]) & graph.successors(a[1], r[2]))
-    answers: set[int] = set()
-    for branch in dnf_decompose(query):
-        answers |= per_shape_ground_answers(graph, branch)
-    return frozenset(answers)
-
-
-def per_shape_instantiate(graph, qtype, rng):
-    """Test oracle: the former per-shape backward draw of one query, or None."""
-    from kgt.queries import QueryType, _distinct_in_edges, _pick_in_edge, build_query
-
-    n = graph.entity_count
-    target = int(rng.integers(n))
-
-    if qtype in (QueryType.P1, QueryType.P2, QueryType.P3):
-        length = {QueryType.P1: 1, QueryType.P2: 2, QueryType.P3: 3}[qtype]
-        rels: list[int] = []
-        cur = target
-        for _ in range(length):
-            picked = _pick_in_edge(graph, cur, rng)
-            if picked is None:
-                return None
-            cur, r = picked
-            rels.append(r)
-        return build_query(qtype, (cur,), tuple(reversed(rels)))
-
-    if qtype in (QueryType.I2, QueryType.I3):
-        width = 2 if qtype is QueryType.I2 else 3
-        pairs = _distinct_in_edges(graph, target, width, rng)
-        if pairs is None:
-            return None
-        anchors, rels = zip(*pairs)
-        return build_query(qtype, anchors, rels)
-
-    if qtype is QueryType.IP:
-        picked = _pick_in_edge(graph, target, rng)
-        if picked is None:
-            return None
-        middle, r2 = picked
-        pairs = _distinct_in_edges(graph, middle, 2, rng)
-        if pairs is None:
-            return None
-        (a0, r0), (a1, r1) = pairs
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    if qtype is QueryType.PI:
-        pairs = _distinct_in_edges(graph, target, 2, rng)
-        if pairs is None:
-            return None
-        (middle, r1), (a1, r2) = pairs
-        picked = _pick_in_edge(graph, middle, rng)
-        if picked is None:
-            return None
-        a0, r0 = picked
-        if a0 == a1:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    if qtype is QueryType.U2:
-        first = _pick_in_edge(graph, target, rng)
-        if first is None:
-            return None
-        a0, r0 = first
-        second = _pick_in_edge(graph, int(rng.integers(n)), rng)
-        if second is None:
-            return None
-        a1, r1 = second
-        if a1 == a0:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1))
-
-    if qtype is QueryType.UP:
-        picked = _pick_in_edge(graph, target, rng)
-        if picked is None:
-            return None
-        m0, r2 = picked
-        first = _pick_in_edge(graph, m0, rng)
-        if first is None:
-            return None
-        a0, r0 = first
-        second = _pick_in_edge(graph, int(rng.integers(n)), rng)
-        if second is None:
-            return None
-        a1, r1 = second
-        if a1 == a0:
-            return None
-        return build_query(qtype, (a0, a1), (r0, r1, r2))
-
-    raise ValueError(f"unknown query type {qtype}")
-
-
-def _hand_built_meta_graph(entities, relations, heads_into, mask_positions):
-    """Levi graph with one relation node per (head slot, relation, tail slot) triple."""
-    from kgt.graph import LeviGraph
-    from kgt.queries import FREE_SLOT
-    from kgt.sampling import SampledSubgraph
-
-    triples = [(head, r, tail) for (head, tail), r in zip(heads_into, relations)]
-    levi = LeviGraph(np.array(entities, dtype=np.int64), np.array(triples, dtype=np.int64).reshape(-1, 3))
-    inputs = levi.entities.copy()
-    inputs[list(mask_positions)] = FREE_SLOT
-    return SampledSubgraph(levi=levi, inputs=inputs, prediction_targets=(len(entities) - 1,))
-
-
-def hand_built_chain_meta_graph(graph, rng):
-    """Test oracle: the former 1p/2p/3p meta-graph walk with its own Levi graph."""
-    from kgt.queries import _pick_in_edge
-
-    length = int(rng.integers(1, 4))
-    cur = int(rng.integers(graph.entity_count))
-    entities = [cur]
-    relations = []
-    for _ in range(length):
-        picked = _pick_in_edge(graph, cur, rng)
-        if picked is None:
-            return None
-        cur, r = picked
-        entities.append(cur)
-        relations.append(r)
-    entities.reverse()
-    relations.reverse()
-    links = [(i, i + 1) for i in range(length)]
-    return _hand_built_meta_graph(entities, relations, links, tuple(range(1, length + 1)))
-
-
-def hand_built_branch_meta_graph(graph, rng):
-    """Test oracle: the former 2i/3i meta-graph draw with its own Levi graph."""
-    from kgt.queries import _distinct_in_edges
-
-    width = int(rng.integers(2, 4))
-    target = int(rng.integers(graph.entity_count))
-    picked = _distinct_in_edges(graph, target, width, rng, least=2)
-    if picked is None:
-        return None
-    width = len(picked)
-    entities = [h for h, _ in picked] + [target]
-    links = [(i, width) for i in range(width)]
-    return _hand_built_meta_graph(entities, [r for _, r in picked], links, (width,))
-
-
 LOOP_BLOCK = 1 << 15  # the block size of kgt.optim, fixed here so the oracles stay independent of it
 
 
@@ -999,9 +519,6 @@ class LoopAdamW:
     def step(self, epoch: int = 0) -> float:
         import math
 
-        for name, t in self.params.items():
-            if t.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
         self.step_count += 1
         cfg = self.config
         lr_t = cfg.lr_at(epoch)
@@ -1042,11 +559,6 @@ def loop_clip_global_norm(params, max_norm: float) -> float:
     """
     import math
 
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    for name, t in params.items():
-        if t.grad is None:
-            raise ValueError(f"parameter {name!r} has no gradient")
     total = 0.0
     scratch = np.empty(LOOP_BLOCK, dtype=np.float64)
     for t in params.values():

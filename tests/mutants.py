@@ -4,15 +4,17 @@ A row of :data:`MUTANTS` names a fault, its file under ``src/kgt``, the exact
 text it replaces (found once there), the new text, and the test ids, as pytest
 takes them, of which at least one must fail (DeMillo, Lipton & Sayward, *Hints
 on Test Data Selection*, 1978; Jia & Harman, *An Analysis and Survey of the
-Development of Mutation Testing*, IEEE TSE 2011). A twin may leave the
-equivalence table only where every mutant it kills is killed by another test.
+Development of Mutation Testing*, IEEE TSE 2011). A twin, a row of the
+equivalence table or a ``Test oracle:`` helper of ``tests/helpers.py``, may go
+only where every mutant it kills is killed by another test.
 
 ``python tests/mutants.py`` copies ``src/``, ``tests/`` and ``pyproject.toml``
 into a temporary directory, runs every listed id on the clean copy, then each
 mutant alone against its row's ids. It prints ``killed`` or ``survived`` per
 mutant, then one JSON line of the counts and the BLAS thread count, and exits
 0 only when the clean copy passes and every mutant is killed. pytest does not
-collect this file; ``tests/test_equivalence.py`` checks that the rows fit the code.
+collect this file; ``tests/test_equivalence.py`` checks that the rows fit the code
+and that every test using a ``Test oracle:`` helper is the killer of some row.
 
 Left out as an equivalent mutant: dropout's keep mask times ``1 / (1 - p)`` in
 place of divided by ``1 - p`` changes no value at p 0.1 and 0.5.
@@ -43,16 +45,30 @@ class Mutant(NamedTuple):
 
 
 MODEL, TENSOR, OPTIM = "model.py", "tensor.py", "optim.py"
-T, M, O, E = (f"tests/test_{name}.py::" for name in ("tensor", "model", "optim", "equivalence"))
+GRAPH, SAMPLING, QUERIES, EVALUATION = "graph.py", "sampling.py", "queries.py", "evaluation.py"
+T, M, O, E, G, S, Q, V = (
+    f"tests/test_{name}.py::"
+    for name in ("tensor", "model", "optim", "equivalence", "graph", "sampling", "queries", "evaluation")
+)
 TRACE = "tests/test_golden.py::test_training_trace"  # bit-exact losses and digests of short training runs
+DIGESTS = "tests/test_golden.py::test_sampler_and_generator_outputs_match_golden_digests"
+DETERMINISM = "tests/test_acceptance.py::test_10_run_determinism"
 GRADCHECK = "tests/test_acceptance.py::test_01_gradient_suite"
 FORMER, FUSED = T + "TestFormerOps::test_", M + "TestFusedAttention::test_block_matches_former_ops"
 STACKED = M + "TestStackedExperts::test_block_matches_former_loop"
+TYPES = M + "TestForward::test_node_types_and_real_rows"
+PADDING = M + "TestSparseDispatch::test_padding_slots_run_no_expert"
 MOE = M + "TestMoe::test_matches_oracle_in_both_modes"
 DRAW = M + "TestParameters::test_truncated_normal_matches_heap_oracle_bit_for_bit"
 LOOP = O + "TestArenaAgainstLoop::test_bit_exact_over_five_steps"
 CROSS_ENTROPY = T + "TestCrossEntropyOracle::test_matches_dense_labels"
 EVAL_ADD = T + "TestDropout::test_eval_mode_is_add"
+KEY_WIDTH = G + "TestKnowledgeGraph::test_csr_matches_int64_group_at_every_key_width"
+NESTING = G + "TestLoadSplit::test_split_nesting_error_names_its_line"
+CORRUPTION = S + "TestCorruption::test_matches_former_draw"
+GROUNDING = Q + "TestGrounding::test_matches_quantifier_oracle"
+CHUNKED = V + "TestChunkedEvaluation::"
+RANK_DUMP = V + "TestEvaluate::test_rank_dump_records"
 
 MUTANTS = (
     # ---- kernels and tape ops
@@ -85,11 +101,12 @@ MUTANTS = (
     Mutant("cross-entropy smoothing mass alpha/(C+1)", TENSOR, "gz -= alpha / classes", "gz -= alpha / (classes + 1)",
            (CROSS_ENTROPY, GRADCHECK)),
     Mutant("cross-entropy gradient re-exponentiated from z - zmax", TENSOR, "gz = np.exp(logp)",
-           "gz = np.exp(z - zmax) / np.exp(z - zmax).sum(axis=-1, keepdims=True)", (CROSS_ENTROPY, TRACE)),
+           "gz = np.exp(z - zmax) / np.exp(z - zmax).sum(axis=-1, keepdims=True)",
+           (T + "TestCrossEntropyOracle::test_unsmoothed_matches_dense_labels_bit_for_bit", TRACE)),
     Mutant("answer-masked gradient without its 1/k", TENSOR, "scale = g / k", "scale = g",
            (T + "TestAnswerMaskedCrossEntropy::test_matches_per_row_loop", GRADCHECK)),
     Mutant("unique gather writes instead of adding", TENSOR, "a.grad[idx] += g", "a.grad[idx] = g",
-           (T + "TestTensorBasics::test_gather_rows_unique_matches_add_at", STACKED)),
+           (STACKED, M + "TestSparseDispatch::test_gradients_match_dense_loop_within_float32_bound")),
     Mutant("experts backward in forward order", TENSOR, "for j in reversed(range(len(saved))):",
            "for j in range(len(saved)):", (STACKED,)),
     Mutant("attention input-gradient terms in another order", TENSOR, "for i in (1, 0):", "for i in (0, 1):",
@@ -103,9 +120,11 @@ MUTANTS = (
            "gather_rows(x, batch.positions)", (M + "TestStatesGather::test_flag_on_and_off_match",)),
     Mutant("tied decoder gather without unique", MODEL, "np.arange(model.config.entity_count), unique=True)",
            "np.arange(model.config.entity_count))", (M + "TestTiedDecoderGather::test_flag_on_and_off_match",)),
-    Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TRACE,)),
+    Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TYPES, TRACE)),
     Mutant("one padding slot per grid row counted real", MODEL, "< np.asarray(batch.sizes)[:, None])",
-           "<= np.asarray(batch.sizes)[:, None])", (M + "TestSparseDispatch::test_padding_slots_run_no_expert", TRACE)),
+           "<= np.asarray(batch.sizes)[:, None])", (TYPES, PADDING, TRACE)),
+    Mutant("equal-size graphs packed in reverse order", MODEL, "key=lambda i: -counts[i])",
+           "key=lambda i: (-counts[i], -i))", (PADDING, TRACE)),
     Mutant("_pack links relation nodes one way", MODEL, "    attn[row, 0, ends, col] = True\n", "",
            (M + "TestPacking::test_stage1_batches_match_padded", TRACE)),
     Mutant("top-k takes the bottom experts", MODEL, "np.argsort(-gate_logits.data,", "np.argsort(gate_logits.data,",
@@ -125,10 +144,85 @@ MUTANTS = (
     Mutant("first step keeps -0.0 moments", OPTIM, "                m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0\n",
            "", (LOOP,)),
     Mutant("bias correction one step ahead", OPTIM, "bias1 = 1.0 - cfg.beta1**self.step_count",
-           "bias1 = 1.0 - cfg.beta1 ** (self.step_count + 1)", (O + "TestAdamW::test_matches_scalar_reference", TRACE)),
+           "bias1 = 1.0 - cfg.beta1 ** (self.step_count + 1)", (O + "TestAdamW::test_first_step_moves_by_lr", LOOP)),
     Mutant("clip block sums in float32", OPTIM, "_CLIP_SCRATCH = np.empty(_BLOCK, dtype=np.float64)",
            "_CLIP_SCRATCH = np.empty(_BLOCK, dtype=np.float32)",
            (O + "TestClip::test_blocked_norm_matches_full_float64_sum", TRACE)),
+    # ---- the graph store and split loading
+    Mutant("radix keys one width too narrow", GRAPH, "np.min_scalar_type(self.entity_count)",
+           "np.min_scalar_type(self.entity_count // 2)", (KEY_WIDTH,)),
+    Mutant("CSR groups sorted unstably", GRAPH, 'kind="stable"', 'kind="quicksort"', (KEY_WIDTH, DIGESTS)),
+    Mutant("successors ignore the relation", GRAPH, "set(tails[lo:hi][rels[lo:hi] == relation].tolist())",
+           "set(tails[lo:hi].tolist())", (G + "TestKnowledgeGraph::test_successor_sets", GROUNDING)),
+    Mutant("unique pairs drop a leading zero key", GRAPH, "np.diff(keys, prepend=-1) != 0",
+           "np.diff(keys, prepend=0) != 0", (G + "TestKnowledgeGraph::test_unique_pairs_match_np_unique", KEY_WIDTH)),
+    Mutant("build_split always runs the set tests", GRAPH, "if _bad_id(store, entity_count, relation_count) is not None or",
+           "if True or _bad_id(store, entity_count, relation_count) is not None or",
+           (G + "TestLoadSplit::test_normalized_dataset_loads_without_set_tests",)),
+    Mutant("build_split skips the id check of unrepeated parts", GRAPH,
+           "_bad_id(store, entity_count, relation_count) is not None or ", "",
+           (G + "TestLoadSplit::test_build_split_keeps_integrity_errors",
+            G + "TestLoadSplit::test_ingest_rejects_bad_ids_instead_of_reading_tokens")),
+    Mutant("test's new triples taken against train", GRAPH, "test_new = ~np.isin(test, valid)",
+           "test_new = ~np.isin(test, train)", (G + "TestLoadSplit::test_cumulative_files_verified", NESTING)),
+    Mutant("valid blamed when it adds only new triples", GRAPH, "if valid_whole or valid_new.all():",
+           "if valid_whole:", (NESTING,)),
+    Mutant("test's repeats of train triples not located", GRAPH, "~test_new | np.isin(test, train)", "~test_new",
+           (NESTING,)),
+    # ---- the samplers
+    Mutant("slice positions without each slice's own offset", SAMPLING, "starts - np.cumsum(lengths) + lengths",
+           "starts - np.cumsum(lengths)", (S + "TestInduce::test_keep_all_matches_brute_force", DIGESTS)),
+    Mutant("induced triples in walk order", SAMPLING, "members = np.unique(np.asarray(nodes, dtype=np.int64))",
+           "members = np.asarray(list(dict.fromkeys(nodes)), dtype=np.int64)", (DIGESTS,)),
+    Mutant("induced heads by a left search", SAMPLING, 'side="right") - 1', 'side="left") - 1',
+           (S + "TestInduce::test_keep_all_matches_brute_force", DIGESTS)),
+    Mutant("weight tail updated past the pick", SAMPLING, "cumulative[k:] -= weights[k]",
+           "cumulative[k + 1 :] -= weights[k]", (S + "TestLayerDependent::test_without_replacement_and_cap", DIGESTS)),
+    Mutant("frontier counts members too", SAMPLING, "counts = np.bincount(reached[~member_flag[reached]])",
+           "counts = np.bincount(reached)", (S + "TestLayerDependent::test_without_replacement_and_cap", DIGESTS)),
+    Mutant("meta-tree walk steps from its last node", SAMPLING,
+           "cur = nodes[min(int(uniforms[2 * step] * len(nodes)), len(nodes) - 1)]", "cur = nodes[-1]", (DIGESTS,)),
+    Mutant("corruption replaces 5% and keeps 15%", SAMPLING, "elif u >= 0.9:", "elif u >= 0.95:",
+           (S + "TestCorruption::test_distribution_80_10_10", CORRUPTION)),
+    Mutant("corruption replaces from one entity fewer", SAMPLING, "inputs[pos] = rng.integers(entity_count)",
+           "inputs[pos] = rng.integers(entity_count - 1)", (CORRUPTION, TRACE)),
+    Mutant("meta-graph target left visible", SAMPLING, "inputs[qtype.anchor_count :] = FREE_SLOT",
+           "inputs[qtype.anchor_count : -1] = FREE_SLOT", (S + "TestMetaGraphs::test_shapes_are_valid", DIGESTS)),
+    Mutant("branch shape from the drawn width", SAMPLING, "[len(picked) - 2]", "[width - 2]",
+           (S + "TestMetaGraphs::test_shapes_are_valid", DIGESTS)),
+    # ---- query templates and grounding
+    Mutant("equal anchors accepted", QUERIES, "if len(set(slots[: tpl.anchor_count])) < tpl.anchor_count:",
+           "if False:", (Q + "TestGeneration::test_multi_anchor_queries_use_distinct_anchors",)),
+    Mutant("a union's second in-edge from the same entity", QUERIES,
+           "node = int(rng.integers(graph.entity_count)) if picked else slots[slot]", "node = slots[slot]",
+           (DIGESTS, DETERMINISM)),
+    Mutant("unions drawn as distinct in-neighbors", QUERIES, "if len(in_edges) > 1 and not tpl.union:",
+           "if len(in_edges) > 1:", (DIGESTS, DETERMINISM)),
+    Mutant("distinct in-edges keep repeated heads", QUERIES, "if h in seen:", "if False:",
+           (S + "TestMetaGraphs::test_shapes_are_valid", DIGESTS)),
+    Mutant("in-edges taken in triple order", QUERIES, "order = rng.permutation(len(heads))",
+           "order = np.arange(len(heads))", (DIGESTS, Q + "TestGeneration::test_eval_queries_have_hard_answers")),
+    Mutant("unions grounded as intersections", QUERIES, "join = set.union if tpl.union else set.intersection",
+           "join = set.intersection", (GROUNDING,)),
+    # ---- evaluation
+    Mutant("branch rows read off by query index", EVALUATION, "list(logits[owner == i]) for i in range(len(queries))",
+           "list(logits[i : i + len(b)]) for i, b in enumerate(branches)",
+           (CHUNKED + "test_toy_width_scores_within_bound", CHUNKED + "test_chunk_size_does_not_change_outputs")),
+    Mutant("each chunk drops its last query", EVALUATION, "chunk = kept[start : start + EVAL_CHUNK]",
+           "chunk = kept[start : start + EVAL_CHUNK - 1]",
+           (CHUNKED + "test_one_forward_per_chunk_per_shape", CHUNKED + "test_chunk_size_does_not_change_outputs")),
+    Mutant("union ranks not negated", EVALUATION, "return -union_combine(branch_scores).astype(np.float64)",
+           "return union_combine(branch_scores).astype(np.float64)", (V + "TestEvaluate::test_union_scoring_uses_min_rank",)),
+    Mutant("ties counted against the answer", EVALUATION, "scores[allowed] > scores[answer]",
+           "scores[allowed] >= scores[answer]",
+           (V + "TestFilteredRank::test_ties_are_optimistic", "tests/test_acceptance.py::test_04_filtered_ranking")),
+    Mutant("ranks filtered by train answers only", EVALUATION,
+           "filter_ids = np.asarray(sorted(inst.filter_set), dtype=np.int64)",
+           "filter_ids = np.asarray(sorted(inst.answers_train), dtype=np.int64)", (RANK_DUMP,)),
+    Mutant("rank dump pairs answers in reverse", EVALUATION, "for answer, rank in zip(hard, ranks):",
+           "for answer, rank in zip(hard[::-1], ranks):", (RANK_DUMP,)),
+    Mutant("mean row sums MRR", EVALUATION, 'if metric == "queries"', 'if metric in ("queries", "mrr")',
+           (V + "TestEvaluate::test_table_shape_and_mean_row",)),
 )
 
 

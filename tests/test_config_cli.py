@@ -197,6 +197,10 @@ class TestConfigParsing:
         path.write_text("finetune.combos = 1p||2p\n")
         with pytest.raises(ConfigError, match="empty"):
             load_config(path)
+        for combos, message in [("1p|1p", "repeats 1p$"), ("1p,2p|2p,1p", "repeats 2p,1p$"), ("2i,2i", "2i,2i repeats a type")]:
+            path.write_text(f"finetune.combos = {combos}\n")
+            with pytest.raises(ConfigError, match=message):
+                load_config(path)
 
     def test_accepted_keys_are_pinned(self):
         sections = {

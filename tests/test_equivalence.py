@@ -69,18 +69,36 @@ def test_every_mutant_changes_text_found_once():
         assert text.count(mutant.old) == 1 and mutant.new != mutant.old, mutant.name
 
 
+def defined_tests():
+    """``(id, node)`` of each test function of ``tests/test_*.py``, its id as pytest takes it without parameters."""
+    for path in sorted(ROOT.glob("tests/test_*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            methods, prefix = (node.body, f"{node.name}::") if isinstance(node, ast.ClassDef) else ([node], "")
+            for f in methods:
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("test_"):
+                    yield f"tests/{path.name}::{prefix}{f.name}", f
+
+
 def test_every_mutant_killer_names_a_test():
     """Each killer, its parametrize id stripped, is a test function of its module, in its class if it names one."""
-    defined = {}
-    for path in ROOT.glob("tests/test_*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            methods = node.body if isinstance(node, ast.ClassDef) else [node]
-            prefix = f"{node.name}::" if isinstance(node, ast.ClassDef) else ""
-            names = {prefix + f.name for f in methods if isinstance(f, ast.FunctionDef) and f.name.startswith("test_")}
-            defined.setdefault(f"tests/{path.name}", set()).update(names)
+    defined = {name for name, _ in defined_tests()}
     assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
     for mutant in MUTANTS:
         assert mutant.killers, mutant.name
         for killer in mutant.killers:
-            module, _, name = killer.partition("::")
-            assert name.partition("[")[0] in defined.get(module, ()), (mutant.name, killer)
+            assert killer.partition("[")[0] in defined, (mutant.name, killer)
+
+
+def test_every_test_of_an_oracle_kills_a_mutant():
+    """A test that uses a ``Test oracle:`` helper of tests/helpers.py is a killer of some mutant, so that a
+    twin that no mutant shows to catch a fault cannot come back."""
+    helpers = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")).body
+    oracles = {
+        node.name
+        for node in helpers
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (ast.get_docstring(node) or "").startswith("Test oracle:")
+    }
+    killers = {killer.partition("[")[0] for mutant in MUTANTS for killer in mutant.killers}
+    for name, node in defined_tests():
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & oracles
+        assert not used or name in killers, (name, sorted(used))

@@ -22,7 +22,7 @@ import kgt.evaluation as ev
 from kgt.model import Model, ModelConfig, encode_queries, forward
 from kgt.queries import QueryType, build_query, generate_queries
 
-from helpers import per_query_evaluate, per_query_scores, toy_split
+from helpers import toy_split
 
 
 def rank_by_sort(scores: np.ndarray, answer: int, filter_out) -> int:
@@ -207,16 +207,19 @@ class TestEvaluate:
         assert [rec["rank"] for rec in dump] == want
 
     def test_rank_dump_records(self):
+        # each hard answer with its rank among the entities that answer in no split
         split = toy_split(seed=23)
         model = tiny_model(split)
-        data = sample_datasets(split, [QueryType.P1], 4, 4)
+        data = sample_datasets(split, [QueryType.P2], 8, 4)  # two queries with two hard answers each
         dump = []
         evaluate(model, data, "valid", rank_dump=dump)
-        hard_total = sum(len(i.hard_answers("valid")) for i in data[QueryType.P1])
-        assert len(dump) == hard_total
-        for rec in dump:
-            assert rec["type"] == "1p"
-            assert rec["rank"] >= 1
+        want = []
+        for inst in data[QueryType.P2]:
+            (scores,) = score_query(model, inst.query)
+            known = inst.answers_train | inst.answers_valid | inst.answers_test
+            head = {"type": "2p", "anchors": list(inst.query.anchors), "relations": list(inst.query.relations)}
+            want += [{**head, "answer": a, "rank": filtered_rank(scores, a, known)} for a in sorted(inst.hard_answers("valid"))]
+        assert dump == want
 
     def test_train_split_supported(self):
         split = toy_split(seed=24)
@@ -296,7 +299,7 @@ def dump_bytes(table, dump) -> bytes:
 
 
 class TestChunkedEvaluation:
-    """Chunked ``evaluate`` against the former one-forward-per-query code in tests/helpers.py.
+    """Chunked ``evaluate`` against one forward per query (``EVAL_CHUNK`` 1, ``score_query``).
 
     Scores are bit-exact only while every product row is independent of the
     row count. With OpenBLAS 0.3.31 that holds at width 16 over 50 entities,
@@ -304,24 +307,6 @@ class TestChunkedEvaluation:
     decoder product takes a small-matrix kernel whose rows depend on M (and
     at fb15k sizes, 14,505 x 128, only M = 1 differs).
     """
-
-    def test_matches_per_query_oracle(self):
-        split = toy_split(seed=40)
-        model = chunk_model(split, hidden=16)
-        data = all_shapes(split)
-        dump, want_dump = [], []
-        table = evaluate(model, data, "valid", rank_dump=dump)
-        want = per_query_evaluate(model, data, "valid", rank_dump=want_dump)
-        assert table.rows == want.rows
-        assert len(table.rows) == len(QueryType) + 1
-        assert dump == want_dump
-        for insts in data.values():
-            scored = ev.score_chunk(model, [inst.query for inst in insts])
-            for inst, branch_scores in zip(insts, scored):
-                oracle = per_query_scores(model, inst.query)
-                assert len(branch_scores) == len(oracle)
-                for got, exp in zip(branch_scores, oracle):
-                    assert got.dtype == exp.dtype and np.array_equal(got, exp)
 
     def test_toy_width_scores_within_bound(self):
         # measured at most 8 ulps of each row's largest magnitude (width 64, 4 layers, 3 seeds)
@@ -331,21 +316,24 @@ class TestChunkedEvaluation:
         for insts in data.values():
             scored = ev.score_chunk(model, [inst.query for inst in insts])
             for inst, branch_scores in zip(insts, scored):
-                for got, exp in zip(branch_scores, per_query_scores(model, inst.query)):
+                alone = score_query(model, inst.query)
+                assert len(branch_scores) == len(alone)
+                for got, exp in zip(branch_scores, alone):
                     bound = 64 * np.spacing(np.abs(exp).max())
                     assert np.abs(got.astype(np.float64) - exp).max() <= bound
 
     @pytest.mark.parametrize("chunk", [3, 128])
     def test_chunk_size_does_not_change_outputs(self, chunk, monkeypatch):
+        # bit-exact at width 16: the table, the text and the rank dump
         split = toy_split(seed=42)
         model = chunk_model(split, hidden=16)
         data = all_shapes(split)
-        want_dump = []
-        want = per_query_evaluate(model, data, "valid", rank_dump=want_dump)
-        monkeypatch.setattr(ev, "EVAL_CHUNK", chunk)
-        dump = []
-        table = evaluate(model, data, "valid", rank_dump=dump)
-        assert dump_bytes(table, dump) == dump_bytes(want, want_dump)
+        outputs = []
+        for size in (1, chunk):
+            monkeypatch.setattr(ev, "EVAL_CHUNK", size)
+            dump = []
+            outputs.append(dump_bytes(evaluate(model, data, "valid", rank_dump=dump), dump))
+        assert outputs[1] == outputs[0]
 
     def test_one_forward_per_chunk_per_shape(self, monkeypatch):
         split = toy_split(seed=43)

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +20,7 @@ from kgt.sampling import (
 
 from helpers import (
     former_corrupted_inputs,
-    hand_built_branch_meta_graph,
-    hand_built_chain_meta_graph,
     has_triple,
-    hub_multigraphs,
-    loop_induce_subgraph,
-    loop_layer_dependent_sample,
-    loop_meta_tree_sample,
     small_graph,
     to_triples,
     toy_split,
@@ -319,112 +312,3 @@ class TestMetaGraphs:
             if len(set(entities)) < n:
                 saw_revisit = True
         assert saw_revisit
-
-
-def hub_graph(entities: int = 200, triples: int = 1500, seed: int = 31) -> KnowledgeGraph:
-    """Zipf-like heads and tails: a few hubs carry most edges."""
-    rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, entities + 1) ** 1.1
-    weights /= weights.sum()
-    heads = rng.choice(entities, size=triples, p=weights)
-    tails = rng.permutation(entities)[rng.choice(entities, size=triples, p=weights)]
-    rels = rng.integers(4, size=triples)
-    rows = dict.fromkeys((int(h), int(r), int(t)) for h, r, t in zip(heads, rels, tails))
-    return KnowledgeGraph(entities, 4, list(rows))
-
-
-def subgraph_fields(sub: SampledSubgraph) -> tuple:
-    return (
-        sub.levi.entities.tolist(),
-        sub.levi.triples.tolist(),
-        sub.prediction_targets,
-        sub.inputs.tolist(),
-    )
-
-
-class TestLoopOracles:
-    """The numpy samplers match the former per-node loops bit for bit, random stream included."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(hub_multigraphs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_layer_dependent_matches_loop(self, case, per_layer, depth, seed):
-        graph, seeds = case
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = layer_dependent_sample(graph, seeds, per_layer, depth, rng_a)
-        want = loop_layer_dependent_sample(graph, seeds, per_layer, depth, rng_b)
-        assert got == want
-        assert rng_a.random() == rng_b.random()
-
-    @settings(max_examples=150, deadline=None)
-    @given(hub_multigraphs(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1))
-    def test_induce_matches_loop(self, case, edge_keep, seed):
-        graph, nodes = case
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = induce_subgraph(graph, nodes, edge_keep, rng_a)
-        want = loop_induce_subgraph(graph, nodes, edge_keep, rng_b)
-        assert got.dtype == want.dtype == np.int64
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert rng_a.random() == rng_b.random()
-
-    @settings(max_examples=150, deadline=None)
-    @given(hub_multigraphs(), st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_meta_tree_matches_loop(self, case, target, seed):
-        graph, members = case
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = meta_tree_sample(graph, members[0], target, rng_a)
-        want = loop_meta_tree_sample(graph, members[0], target, rng_b)
-        assert got == want
-        assert rng_a.random() == rng_b.random()
-
-    @pytest.mark.parametrize("method_mix", [0.0, math.inf], ids=["ladies", "meta_tree"])
-    def test_stage1_batch_matches_loops(self, monkeypatch, method_mix):
-        graph = hub_graph()
-        got = sample_stage1_batch(graph, np.random.default_rng(32), 24, method_mix=method_mix)
-        monkeypatch.setattr(sampling, "meta_tree_sample", loop_meta_tree_sample)
-        monkeypatch.setattr(sampling, "layer_dependent_sample", loop_layer_dependent_sample)
-        monkeypatch.setattr(sampling, "induce_subgraph", loop_induce_subgraph)
-        want = sample_stage1_batch(graph, np.random.default_rng(32), 24, method_mix=method_mix)
-        assert [subgraph_fields(sub) for sub in got] == [subgraph_fields(sub) for sub in want]
-
-
-class TestMetaGraphOracles:
-    """Stage-2 meta-graphs built from the query templates match the former
-    hand-built chain and branch graphs, random stream included."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(hub_multigraphs(), st.integers(0, 2**32 - 1))
-    def test_builders_match_hand_built(self, case, seed):
-        graph, _ = case
-        builders = [
-            (sampling._chain_meta_graph, hand_built_chain_meta_graph),
-            (sampling._branch_meta_graph, hand_built_branch_meta_graph),
-        ]
-        for build, oracle in builders:
-            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(20):
-                got, want = build(graph, rng_a), oracle(graph, rng_b)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert subgraph_fields(got) == subgraph_fields(want)
-                assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    @settings(max_examples=100, deadline=None)
-    @given(hub_multigraphs(), st.sampled_from([0.0, 1.0, 4.0, math.inf]), st.integers(0, 2**32 - 1))
-    def test_sample_meta_graph_matches_hand_built(self, case, pattern_mix, seed):
-        graph, _ = case
-
-        def draws(rng):
-            out = []
-            for _ in range(10):
-                try:
-                    out.append(subgraph_fields(sample_meta_graph(graph, rng, pattern_mix, max_attempts=20)))
-                except SamplingExhausted:
-                    out.append(None)
-            return out, rng.bit_generator.state
-
-        got = draws(np.random.default_rng(seed))
-        with mock.patch.object(sampling, "_chain_meta_graph", hand_built_chain_meta_graph), mock.patch.object(
-            sampling, "_branch_meta_graph", hand_built_branch_meta_graph
-        ):
-            want = draws(np.random.default_rng(seed))
-        assert got == want
