@@ -5,8 +5,10 @@ there are no positional encodings, the graph structure is the only geometry.
 Each layer is Pre-LN residual: ``x + Drop(Attn(LN(x)))`` then
 ``x + Drop(MoE(LN(x)))``. The MoE block routes every node through its top-2
 experts during training (softmax renormalized over the selected logits) and
-through the full softmax mixture of all experts at inference; experts run on
-real nodes only, never on padding.
+through the full softmax mixture of all experts at inference. Only the masked
+or target nodes are scored, and with L layers a node's scores read only nodes
+at most L hops away, so each layer's experts run only on the nodes whose output
+can still reach a scored node (:func:`field_rows`), never on padding.
 """
 
 from __future__ import annotations
@@ -322,9 +324,11 @@ def moe_ffn(
     selected logits; inference mixes all experts under the full softmax. With
     two experts the two paths coincide exactly.
 
-    ``x`` holds the [B * N, d] node states, and ``rows`` the indexes of its
-    real nodes (all of them when None). Each expert runs only on the real nodes
-    routed to it, so the block adds exactly 0 at padding slots.
+    ``x`` holds the [B * N, d] node states, and ``rows`` the ascending indexes
+    of the nodes the experts run on (all of them when None): in :func:`forward`
+    the layer's field, which holds no padding. Each expert runs only on those
+    rows routed to it, so the block adds exactly 0 at every other row; the layer
+    norm, the gate and its softmax still run on every row.
     """
     cfg = model.config
     p = model.params
@@ -357,6 +361,26 @@ def decoder_matrix(model: Model) -> Tensor:
     return model.params["decoder"]
 
 
+def field_rows(batch: Batch, layers: int) -> list[np.ndarray]:
+    """For each of ``layers`` layers, the ascending flat rows whose output of that layer can reach a scored slot.
+
+    The last layer's field is the rows of ``batch.positions``. A row is in the
+    field of the layer before when a row of this layer's field attends to it,
+    along query to key. Padding attends only to itself and is never scored, so
+    no field holds it. ``field_rows(batch, layers + 1)[0]`` are the rows whose
+    input can reach a scored slot: in a 3p query the anchor and its relation
+    node lie 6 and 5 hops from the target, past the reach of 4 layers.
+    """
+    mask = batch.attn_mask[:, 0]
+    reach = np.zeros(mask.shape[:2], dtype=bool)
+    reach.reshape(-1)[batch.positions] = True
+    fields = [np.flatnonzero(reach)]
+    for _ in range(layers - 1):
+        reach = np.einsum("rij,ri->rj", mask, reach)
+        fields.append(np.flatnonzero(reach))
+    return fields[::-1]
+
+
 def forward(
     model: Model,
     batch: Batch,
@@ -367,7 +391,8 @@ def forward(
 
     Returns [P, entity_count] logits, one row per entry of ``batch.positions``.
     The node states are one [B * N, d] array throughout; only attention sees
-    the grid, through the shape of the mask.
+    the grid, through the shape of the mask. Each layer's experts run on the
+    layer's :func:`field_rows` alone; the other rows cannot reach a score.
     """
     cfg = model.config
     p = model.params
@@ -375,12 +400,11 @@ def forward(
     is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's; padding is an entity
     x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
 
-    # padding slots attend only to themselves and are never scored
-    real_rows = np.flatnonzero(np.arange(batch.entity_ids.shape[1]) < np.asarray(batch.sizes)[:, None])
+    fields = field_rows(batch, cfg.layers)
     attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
         x = attention_layer(model, layer, x, attn_bias, training, rng)
-        x = moe_ffn(model, layer, x, training, rng, real_rows)
+        x = moe_ffn(model, layer, x, training, rng, fields[layer])
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
     states = T.gather_rows(x, batch.positions, unique=True)

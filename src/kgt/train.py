@@ -257,11 +257,17 @@ def combinatorial_finetune(
     a candidate on one evaluation shape (validation hits); ties keep the
     earlier candidate, with the multi-task base first. Returns the candidates
     by label and the selection ``{"candidates": labels, "scores": eval type ->
-    label -> score, "chosen": eval type -> label}``.
+    label -> score, "chosen": eval type -> label}``. Before any training, a combo
+    that names a shape without queries or repeats an earlier one's types, in
+    any order, raises ``ValueError``.
     """
     missing = sorted({t.value for combo in combos for t in combo if not datasets.get(t)})
     if missing:
         raise ValueError(f"combos name shapes with no fine-tune queries: {', '.join(missing)}")
+    seen = [set(combo) for combo in combos]
+    repeated = next((combo for i, combo in enumerate(combos) if seen[i] in seen[:i]), None)
+    if repeated is not None:  # finetune sorts a combo's types: a repeat would train the same model again
+        raise ValueError(f"combos repeat {','.join(t.value for t in repeated)}")
     candidates: dict[str, Model] = {"multi-task": base}
     for combo in combos:
         label = ",".join(t.value for t in combo)

@@ -376,6 +376,20 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
     return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
 
 
+def padded_rows(sizes, width) -> np.ndarray:
+    """Flat indexes of the real slots of a [len(sizes), width] grid."""
+    return np.flatnonzero(np.arange(width) < np.asarray(sizes)[:, None])
+
+
+def real_rows_field(batch, layers: int) -> list[np.ndarray]:
+    """Test oracle: the rows of the former forward's experts, every real slot of the grid at every layer.
+
+    Patched over ``kgt.model.field_rows``, it makes ``forward`` the former
+    forward, which ran each layer's experts on all real rows.
+    """
+    return [padded_rows(batch.sizes, batch.entity_ids.shape[1])] * layers
+
+
 def padded_encode_subgraphs(subs, config) -> "Batch":
     """Test oracle: the former stage-1/stage-2 encoder, one graph per row padded to the widest."""
     from kgt.model import Batch
@@ -521,7 +535,7 @@ class LoopAdamW:
 
         self.step_count += 1
         cfg = self.config
-        lr_t = cfg.lr_at(epoch)
+        lr_t = cfg.lr * cfg.lr_decay**epoch
         bias1 = 1.0 - cfg.beta1**self.step_count
         bias2 = 1.0 - cfg.beta2**self.step_count
         for name, t in self.params.items():

@@ -16,8 +16,10 @@ mutant, then one JSON line of the counts and the BLAS thread count, and exits
 collect this file; ``tests/test_equivalence.py`` checks that the rows fit the code
 and that every test using a ``Test oracle:`` helper is the killer of some row.
 
-Left out as an equivalent mutant: dropout's keep mask times ``1 / (1 - p)`` in
-place of divided by ``1 - p`` changes no value at p 0.1 and 0.5.
+Left out as equivalent mutants: dropout's keep mask times ``1 / (1 - p)`` in
+place of divided by ``1 - p`` changes no value at p 0.1 and 0.5; the field
+expanded from key to query (``"rij,rj->ri"``) gives the same rows, since every
+mask that ``_pack`` builds is symmetric.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ FORMER, FUSED = T + "TestFormerOps::test_", M + "TestFusedAttention::test_block_
 STACKED = M + "TestStackedExperts::test_block_matches_former_loop"
 TYPES = M + "TestForward::test_node_types_and_real_rows"
 PADDING = M + "TestSparseDispatch::test_padding_slots_run_no_expert"
+FIELD = M + "TestField::test_matches_experts_on_every_real_row"
 MOE = M + "TestMoe::test_matches_oracle_in_both_modes"
 DRAW = M + "TestParameters::test_truncated_normal_matches_heap_oracle_bit_for_bit"
 LOOP = O + "TestArenaAgainstLoop::test_bit_exact_over_five_steps"
@@ -66,6 +69,7 @@ EVAL_ADD = T + "TestDropout::test_eval_mode_is_add"
 KEY_WIDTH = G + "TestKnowledgeGraph::test_csr_matches_int64_group_at_every_key_width"
 NESTING = G + "TestLoadSplit::test_split_nesting_error_names_its_line"
 CORRUPTION = S + "TestCorruption::test_matches_former_draw"
+LAST_ENTITY = S + "TestCorruption::test_replacements_reach_the_last_entity"
 GROUNDING = Q + "TestGrounding::test_matches_quantifier_oracle"
 CHUNKED = V + "TestChunkedEvaluation::"
 RANK_DUMP = V + "TestEvaluate::test_rank_dump_records"
@@ -121,8 +125,11 @@ MUTANTS = (
     Mutant("tied decoder gather without unique", MODEL, "np.arange(model.config.entity_count), unique=True)",
            "np.arange(model.config.entity_count))", (M + "TestTiedDecoderGather::test_flag_on_and_off_match",)),
     Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TYPES, TRACE)),
-    Mutant("one padding slot per grid row counted real", MODEL, "< np.asarray(batch.sizes)[:, None])",
-           "<= np.asarray(batch.sizes)[:, None])", (TYPES, PADDING, TRACE)),
+    Mutant("the field expands one hop fewer", MODEL, "moe_ffn(model, layer, x, training, rng, fields[layer])",
+           "moe_ffn(model, layer, x, training, rng, fields[min(layer + 1, cfg.layers - 1)])", (TYPES, PADDING, FIELD)),
+    # the numbers of the former forward, which the field's match: only the spies see the rows
+    Mutant("the field starts from all real rows", MODEL, "reach.reshape(-1)[batch.positions] = True",
+           "reach[...] = np.arange(reach.shape[1]) < np.asarray(batch.sizes)[:, None]", (TYPES, PADDING, FIELD)),
     Mutant("equal-size graphs packed in reverse order", MODEL, "key=lambda i: -counts[i])",
            "key=lambda i: (-counts[i], -i))", (PADDING, TRACE)),
     Mutant("_pack links relation nodes one way", MODEL, "    attn[row, 0, ends, col] = True\n", "",
@@ -141,6 +148,8 @@ MUTANTS = (
            "np.multiply(m, 1.0 / bias1, out=u)", (LOOP, TRACE)),
     Mutant("clip scale applied by division", OPTIM, "g = np.multiply(g, scale, out=u)",
            "g = np.divide(g, 1.0 / scale, out=u)", (LOOP, TRACE)),
+    Mutant("learning rate decays only in the first epoch", OPTIM, "self.lr * self.lr_decay**epoch",
+           "self.lr * self.lr_decay ** min(epoch, 1)", (LOOP, O + "TestConfig::test_schedule")),
     Mutant("first step keeps -0.0 moments", OPTIM, "                m += 0.0  # 0 * beta1 + s: a -0.0 becomes +0.0\n",
            "", (LOOP,)),
     Mutant("bias correction one step ahead", OPTIM, "bias1 = 1.0 - cfg.beta1**self.step_count",
@@ -183,9 +192,9 @@ MUTANTS = (
     Mutant("meta-tree walk steps from its last node", SAMPLING,
            "cur = nodes[min(int(uniforms[2 * step] * len(nodes)), len(nodes) - 1)]", "cur = nodes[-1]", (DIGESTS,)),
     Mutant("corruption replaces 5% and keeps 15%", SAMPLING, "elif u >= 0.9:", "elif u >= 0.95:",
-           (S + "TestCorruption::test_distribution_80_10_10", CORRUPTION)),
+           (LAST_ENTITY, S + "TestCorruption::test_distribution_80_10_10", CORRUPTION)),
     Mutant("corruption replaces from one entity fewer", SAMPLING, "inputs[pos] = rng.integers(entity_count)",
-           "inputs[pos] = rng.integers(entity_count - 1)", (CORRUPTION, TRACE)),
+           "inputs[pos] = rng.integers(entity_count - 1)", (LAST_ENTITY, CORRUPTION, TRACE)),
     Mutant("meta-graph target left visible", SAMPLING, "inputs[qtype.anchor_count :] = FREE_SLOT",
            "inputs[qtype.anchor_count : -1] = FREE_SLOT", (S + "TestMetaGraphs::test_shapes_are_valid", DIGESTS)),
     Mutant("branch shape from the drawn width", SAMPLING, "[len(picked) - 2]", "[width - 2]",

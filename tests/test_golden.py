@@ -33,6 +33,13 @@ Two more runs, ``wide_trace``, pin the fb15k width: hidden 128 on a
 N and K than at the toy widths. Their steps cover P = 1, an odd P and P >= 100
 prediction slots, and each step's P is pinned too. They were pinned before the
 node states became one flat [B * N, d] array, and that change did not move them.
+
+Every arena digest, some losses in their last bits and the ``hidden128-untied``
+rank digest were taken again when each layer's experts came to run only on the
+rows that can reach a scored slot (``kgt.model.field_rows``). The logits of a
+forward are bit for bit the same; the backward's expert products sum over fewer
+rows, so BLAS rounds the weight gradients differently, and training drifts in
+the last bits from there.
 """
 
 import hashlib
@@ -172,7 +179,7 @@ TRACE = {
             "0x1.e841c00000000p+1",
             "0x1.ec7a5c0000000p+1"
         ],
-        "arena": "8bddf924765a29c2787fe501494c37c5bd0463fd68caa0f33faa075daf8c2c19",
+        "arena": "61baade5b84e4821183df5d6d56219b11e455aadab29768221fe1378075d9a93",
         "ranks": "7fda6298ecb941e0c10265b5d6a6c64f36a834e736f21d8905402640aa8e6fb6"
     },
     "hidden16-tied": {
@@ -182,7 +189,7 @@ TRACE = {
             "0x1.a49bcc0000000p+3",
             "0x1.640a020000000p+3",
             "0x1.f1b6640000000p+1",
-            "0x1.f4a0020000000p+1",
+            "0x1.f4a0040000000p+1",
             "0x1.f570800000000p+1",
             "0x1.fda8c00000000p+1",
             "0x1.efa7860000000p+1",
@@ -192,7 +199,7 @@ TRACE = {
             "0x1.ec7af40000000p+1",
             "0x1.ecac9e0000000p+1"
         ],
-        "arena": "4e50b89393ae234308ff414a128af15cdb732d8a19c5b8c3f5efca44d55f05ad",
+        "arena": "ef4f20a48e1d94df9ed8daca095c177a00fa33464cf25cf3a00e2985ff4a5acf",
         "ranks": "d4520e3afd276136cbea4dffcea92bb0e4e06e6f283aaeb043a080c3bb534f83"
     },
     "hidden64-untied": {
@@ -200,39 +207,39 @@ TRACE = {
             "0x1.a7d2ea0000000p+3",
             "0x1.58e26a0000000p+3",
             "0x1.9e6c720000000p+3",
-            "0x1.6acf340000000p+3",
+            "0x1.6acf360000000p+3",
             "0x1.f6ddd20000000p+1",
-            "0x1.f95b240000000p+1",
+            "0x1.f95b260000000p+1",
             "0x1.fbe2480000000p+1",
-            "0x1.fa80160000000p+1",
+            "0x1.fa80140000000p+1",
             "0x1.edc1f00000000p+1",
-            "0x1.f9151c0000000p+1",
+            "0x1.f9151e0000000p+1",
             "0x1.eb2e760000000p+1",
-            "0x1.b5d4ae0000000p+1",
+            "0x1.b5d4b00000000p+1",
             "0x1.cc278e0000000p+1",
-            "0x1.ca30000000000p+1"
+            "0x1.ca30040000000p+1"
         ],
-        "arena": "f964196c56a6a46df317764fbf18bdd102e47b880cef3ae70936090f99693f0b",
+        "arena": "34fce7a78c51ab080a7e1118873d6de2331bf0d1b629bfbef4f6d8c0f4948c05",
         "ranks": "2e47742bd2040cf7e6e2fef27473e5717b08df500ea8768d0a21051fc8825c7a"
     },
     "hidden64-tied": {
         "losses": [
             "0x1.a0f3e20000000p+3",
             "0x1.5333a60000000p+3",
-            "0x1.a2201c0000000p+3",
+            "0x1.a2201e0000000p+3",
             "0x1.61203c0000000p+3",
             "0x1.f75d140000000p+1",
             "0x1.fd62980000000p+1",
-            "0x1.fe87600000000p+1",
-            "0x1.01aaf60000000p+2",
+            "0x1.fe875e0000000p+1",
+            "0x1.01aaf40000000p+2",
             "0x1.ef794e0000000p+1",
             "0x1.0250c60000000p+2",
-            "0x1.f7f5d40000000p+1",
+            "0x1.f7f5d00000000p+1",
             "0x1.c4401c0000000p+1",
-            "0x1.e555440000000p+1",
+            "0x1.e555460000000p+1",
             "0x1.e0902c0000000p+1"
         ],
-        "arena": "1bf107147c1a8810d53ef4815fb2dd887e8a3a8d589f4d86cf907e939f7802f7",
+        "arena": "f13d8c1644459f504f66da164e0c48a1496e6f9888d020f912b21e2b93b5cb70",
         "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
     },
     "hidden128-untied": {
@@ -240,8 +247,8 @@ TRACE = {
             "0x1.8bd0340000000p+4",
             "0x1.905a360000000p+4",
             "0x1.f1e8f00000000p+2",
-            "0x1.f1f1cc0000000p+2",
-            "0x1.eb21680000000p+2"
+            "0x1.f1f1d40000000p+2",
+            "0x1.eb217a0000000p+2"
         ],
         "targets": [
             130,
@@ -250,14 +257,14 @@ TRACE = {
             3,
             1
         ],
-        "arena": "39b359dea8c0ac2c5bcab826dcda032f0f61b9e02a0855fcf9b2e3fb9621d624",
-        "ranks": "8ed013dfc081876586342eed8ab73351b97ef28dfe097392ed2912bb62ed5c7c"
+        "arena": "c2e65caa6246fbd0d4512a5d0810b17d85ffdba242156cb6677862275207ffdc",
+        "ranks": "bf43fadd54ebf4ad3d1aefc772b8bdc0e40f316f8c91d1663161602e3f454860"
     },
     "hidden128-tied": {
         "losses": [
             "0x1.88963a0000000p+4",
             "0x1.8f28900000000p+4",
-            "0x1.e053e00000000p+2",
+            "0x1.e053de0000000p+2",
             "0x1.de8a600000000p+2",
             "0x1.f476fe0000000p+2"
         ],
@@ -268,7 +275,7 @@ TRACE = {
             3,
             1
         ],
-        "arena": "e65b944b786f4742e81815579fcdb0f78d9cb0b7c64384cae2911ec7fc22e972",
+        "arena": "ba5d8b4d55e0597c80f9db9a1ad3b4333531d2f4e096f9692e815fedef98afb1",
         "ranks": "6ca1f2d94c6840b1b06011aad528217c9d5381baf36b8869d62d0df60fefebb5"
     }
 }

@@ -16,6 +16,7 @@ from kgt.model import (
     decoder_matrix,
     encode_queries,
     encode_subgraphs,
+    field_rows,
     forward,
     init_parameters,
     moe_ffn,
@@ -226,7 +227,7 @@ class TestMoe:
 
 
 class TestSparseDispatch:
-    """Experts run on the real rows of a packed grid only."""
+    """Experts run on the rows of a packed grid that can reach a scored slot, never on padding."""
 
     def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
         # graphs of 7, 1, 12 and 3 real nodes in rows of 12, and one in a row of 3
@@ -241,7 +242,7 @@ class TestSparseDispatch:
             check("moe_experts/former-expert-loop", hidden=64, training=True, tied=tied, sizes=sizes, width=30)
 
     def test_padding_slots_run_no_expert(self, monkeypatch):
-        cfg = tiny_config()
+        cfg = tiny_config(layers=3)
         model = Model.init(cfg, seed=20)
         queries = [
             build_query(QueryType.P1, (1,), (0,)),
@@ -253,21 +254,24 @@ class TestSparseDispatch:
         assert batch.graph_count == 3 and batch.entity_ids.shape == (2, 7) and batch.sizes == [7, 6]
         starts = check_packed_layout(batch, [q.levi for q in queries], [q.target_index for q in queries], cfg)
         assert starts == [7, 0, 10]
-        real = set(range(13))
+        # the 3p graph: entities 0-3 (target 3), relation nodes 4-6 linking 0-1, 1-2 and 2-3; the 1p graphs:
+        # entities 7-8 and 10-11 (targets 8 and 11), relation nodes 9 and 12; slot 13 is padding. The last
+        # layer's field is the targets; each layer before adds the neighbors of the one after.
+        fields = [[2, 3, 6, 7, 8, 9, 10, 11, 12], [3, 6, 8, 9, 11, 12], [3, 8, 11]]
         gelu_rows, routed = [], []
         gelu, moe_experts = T.gelu, T.moe_experts
         monkeypatch.setattr(T, "gelu", lambda x: gelu_rows.append(x.shape[0]) or gelu(x))
         monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
         forward(model, batch)
-        assert gelu_rows == [len(real)] * cfg.experts * cfg.layers  # every expert, real nodes only
-        assert all(rows.tolist() == sorted(real) for routes in routed for rows in routes)
+        assert gelu_rows == [len(rows) for rows in fields for _ in range(cfg.experts)]  # every expert, the field only
+        assert [[rows.tolist() for rows in routes] for routes in routed] == [[rows] * cfg.experts for rows in fields]
         gelu_rows.clear()
         routed.clear()
         forward(model, batch, training=True, rng=np.random.default_rng(0))
         assert len(routed) == cfg.layers
-        for routes in routed:
+        for routes, rows in zip(routed, fields):
             assert len(routes) == cfg.experts
-            assert sorted(np.concatenate(routes).tolist()) == sorted(list(real) * cfg.top_k)
+            assert sorted(np.concatenate(routes).tolist()) == sorted(rows * cfg.top_k)
         # the kernel runs once per expert, on the rows routed to it
         assert gelu_rows == [len(rows) for routes in routed for rows in routes]
 
@@ -469,7 +473,7 @@ class TestForward:
     def test_node_types_and_real_rows(self, monkeypatch):
         # rows: 3i (7 slots), 2p (5 and 2 padding), 1p (3 and 4 padding); anchors, targets and intermediates
         # are entity nodes, the last slots of each graph its relation nodes
-        cfg = tiny_config()
+        cfg = tiny_config(layers=3)
         model = Model.init(cfg, seed=0)
         queries = [build_query(QueryType.I3, (1, 2, 3), (0, 1, 2)), build_query(QueryType.P2, (4,), (1, 3)),
                    build_query(QueryType.P1, (5,), (2,))]
@@ -485,7 +489,25 @@ class TestForward:
         monkeypatch.setattr("kgt.model.moe_ffn", lambda *args: real_rows.append(args[-1]) or moe_ffn(*args))
         forward(model, encode_queries(queries, cfg))
         assert [t.tolist() for t in node_types] == [[1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1]]
-        assert [r.tolist() for r in real_rows] == [[*range(0, 7), *range(7, 12), *range(14, 17)]] * cfg.layers
+        # the experts' rows reach a target (3, 9 and 15) within the layers left: the 3i relation nodes 4-6 link
+        # anchors 0-2 to 3; the 2p's 10 and 11 link 7-8 and 8-9, so its anchor 7 and relation node 10 lie
+        # 4 and 3 hops out; the 1p's 16 links 14-15. Padding never enters.
+        assert [r.tolist() for r in real_rows] == [[*range(0, 7), 8, 9, 11, 14, 15, 16],
+                                                   [3, 4, 5, 6, 9, 11, 15, 16], [3, 9, 15]]
+
+    def test_3p_anchor_reaches_the_target_past_four_layers(self):
+        # the 3p chain anchor 0 - 4 - 1 - 5 - 2 - 6 - target 3: its anchor and first relation node lie 6 and 5
+        # hops from the target, so 4 layers read neither of them, and 6 layers read both
+        cfg = tiny_config()
+        query = build_query(QueryType.P3, (2,), (0, 1, 2))
+        batch = encode_queries([query], cfg)
+        for layers, reach in ((4, [1, 2, 3, 5, 6]), (6, list(range(7)))):
+            assert field_rows(batch, layers + 1)[0].tolist() == reach  # the rows whose input reaches a score
+            model = Model.init(tiny_config(layers=layers), seed=4)
+            logits = forward(model, batch).data
+            for anchor, relations in (((5,), (0, 1, 2)), ((2,), (3, 1, 2))):
+                moved = forward(model, encode_queries([build_query(QueryType.P3, anchor, relations)], cfg)).data
+                assert np.array_equal(moved, logits) == (layers == 4), (layers, anchor, relations)
 
     def test_batching_and_padding_do_not_change_scores(self):
         cfg = tiny_config()
@@ -534,6 +556,14 @@ class TestForward:
         # gradient reaches entity rows that never appeared as inputs
         assert model.params["embedding"].grad is not None
         assert np.abs(model.params["embedding"].grad[12]).max() > 0.0
+
+
+class TestField:
+    @pytest.mark.parametrize("kind", ["stage1", "stage2", "queries"])
+    def test_matches_experts_on_every_real_row(self, kind):
+        # packed rows that share graphs and end in padding, and one graph per row
+        for padded, training in itertools.product((False, True), (True, False)):
+            check("forward/field-rows", kind=kind, padded=padded, training=training)
 
 
 class TestFewerPasses:

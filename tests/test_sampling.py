@@ -220,6 +220,17 @@ class TestCorruption:
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(np.count_nonzero(kinds == kind) / n - p) < 3 * sigma, kind
 
+    def test_replacements_reach_the_last_entity(self):
+        # every entity enters past the vocabulary, so each draw shows as itself: a mask token, the entity kept,
+        # or a replacement in 0..entity_count - 1
+        n, e = 30_000, 3
+        inputs = sampling._draw_corruption(np.full(n, e), range(n), e, np.random.default_rng(21))
+        replaced = inputs[(inputs != FREE_SLOT) & (inputs != e)]
+        assert sorted(set(replaced.tolist())) == list(range(e))
+        for count, p in ((np.count_nonzero(inputs == FREE_SLOT), 0.8), (np.count_nonzero(inputs == e), 0.1),
+                         (replaced.size, 0.1)):
+            assert abs(count / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
     def test_random_replacements_in_range(self):
         entities, inputs = self.draw(5000, 15)
         replacements = inputs[input_kinds(entities, inputs) == "random"]

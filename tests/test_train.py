@@ -324,3 +324,18 @@ class TestCombinatorial:
                 eval_types=[QueryType.P1], log=epochs.append,
             )
         assert epochs == []
+
+    @pytest.mark.parametrize("combos, label", [
+        ([(QueryType.P1,), (QueryType.P1,)], "1p"),
+        ([(QueryType.P1, QueryType.P2), (QueryType.P1,), (QueryType.P2, QueryType.P1)], "2p,1p"),
+    ], ids=["same", "reordered"])
+    def test_repeated_combo_rejected_before_training(self, combos, label):
+        split = toy_split(seed=16)
+        data = query_sets(split, [QueryType.P1, QueryType.P2], 4, 6)
+        epochs = []
+        with pytest.raises(ValueError, match=f"combos repeat {label}$"):
+            combinatorial_finetune(
+                small_model(split), data, combos, stage_config(Stage.FINETUNE, epochs=1), lambda m, t: 0.0,
+                eval_types=[QueryType.P1], log=epochs.append,
+            )
+        assert epochs == []
