@@ -98,43 +98,37 @@ def truncated_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> N
             pending = pending or bool(np.isnan(z).any())
 
 
-def parameter_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | tuple[tuple[str, object], ...]]]:
+def parameter_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | None]]:
     """Name, shape and init of every parameter tensor, in arena order.
 
-    An init is a fill value or the (name, index) blocks that the row draws with
-    ``truncated_normal`` (std 0.02) in turn. A draw ends with its redraws, so a
-    tensor that replaced several draws their blocks in the former order: the
-    embedding's entity and mask rows, then its relation rows; ``wqkv``'s column
-    blocks; and in ``experts.w1``'s row a layer's ``w1[0], w2[0], w1[1], ...``.
+    An init is a fill value, or None for one ``truncated_normal`` draw (std
+    0.02) over the whole tensor; the draws follow one another in arena order.
     """
-    d, h, e, split = config.hidden, config.expert_hidden, config.experts, config.mask_id + 1
-
-    def drawn(name: str, shape: tuple[int, ...]):
-        return name, shape, ((name, ...),)
+    d, h, e = config.hidden, config.expert_hidden, config.experts
 
     def norm(name: str):  # a layer norm's gain and bias
         return (name + "_gain", (d,), 1.0), (name + "_bias", (d,), 0.0)
 
     table = [
         # one row per input id: the entities, the mask token, then the relations
-        ("embedding", (split + config.relation_count, d), (("embedding", np.s_[:split]), ("embedding", np.s_[split:]))),
-        drawn("node_type", (2, d)),  # row 0: relation nodes, row 1: entity nodes
+        ("embedding", (config.mask_id + 1 + config.relation_count, d), None),
+        ("node_type", (2, d), None),  # row 0: relation nodes, row 1: entity nodes
         *norm("final_ln"),
     ]
     if not config.tie_decoder:
-        table.append(drawn("decoder", (config.entity_count, d)))
+        table.append(("decoder", (config.entity_count, d), None))
     for i in range(config.layers):
         p = f"layer{i}."
         table += [
-            (p + "wqkv", (d, 3 * d), tuple((p + "wqkv", np.s_[:, k * d : (k + 1) * d]) for k in range(3))),  # [wq | wk | wv]
-            drawn(p + "wo", (d, d)),
+            (p + "wqkv", (d, 3 * d), None),  # [wq | wk | wv]
+            (p + "wo", (d, d), None),
             *norm(p + "ln1"),
             *norm(p + "ln2"),
-            drawn(p + "gate", (d, e)),
+            (p + "gate", (d, e), None),
             # expert j at index j
-            (p + "experts.w1", (e, d, h), tuple((p + "experts." + w, j) for j in range(e) for w in ("w1", "w2"))),
+            (p + "experts.w1", (e, d, h), None),
             (p + "experts.b1", (e, h), 0.0),
-            (p + "experts.w2", (e, h, d), ()),
+            (p + "experts.w2", (e, h, d), None),
             (p + "experts.b2", (e, d), 0.0),
         ]
     return table
@@ -149,11 +143,10 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator, dtype=np.floa
     """A new parameter arena, initialized row by row as :func:`parameter_table` says."""
     params = parameter_arena(parameter_shapes(config), dtype)
     for name, _, init in parameter_table(config):
-        if isinstance(init, float):
-            params[name].data.fill(init)
+        if init is None:
+            truncated_normal(rng, params[name].data, 0.02)
         else:
-            for block, index in init:
-                truncated_normal(rng, params[block].data[index], 0.02)
+            params[name].data.fill(init)
     return params
 
 
@@ -315,7 +308,7 @@ def moe_ffn(
     x: Tensor,
     training: bool,
     rng: np.random.Generator | None,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> Tensor:
     """Mixture-of-experts feed-forward block.
 
@@ -325,18 +318,16 @@ def moe_ffn(
     two experts the two paths coincide exactly.
 
     ``x`` holds the [B * N, d] node states, and ``rows`` the ascending indexes
-    of the nodes the experts run on (all of them when None): in :func:`forward`
-    the layer's field, which holds no padding. Each expert runs only on those
-    rows routed to it, so the block adds exactly 0 at every other row; the layer
-    norm, the gate and its softmax still run on every row.
+    of the nodes the experts run on: in :func:`forward` the layer's field,
+    which holds no padding. Each expert runs only on those rows routed to it,
+    so the block adds exactly 0 at every other row; the layer norm, the gate
+    and its softmax still run on every row.
     """
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
     h = T.layer_norm(x, p[prefix + "ln2_gain"], p[prefix + "ln2_bias"])
     gate_logits = T.matmul(h, p[prefix + "gate"])
-    if rows is None:
-        rows = np.arange(x.shape[0])
 
     selected = bias = None
     if training and cfg.top_k < cfg.experts:

@@ -580,13 +580,13 @@ def field_inputs(kind, padded, training):
 
 
 def moe_inputs(seed, x_seed, rows, training, scale=1.0, ties=False, layout=None):
-    """A float64 model and ``rows`` node states, or with ``layout`` (graph sizes, row width) the
+    """A float64 model and ``rows`` node states, all real, or with ``layout`` (graph sizes, row width) the
     [len(sizes) * width] slots of a packed grid and the indexes of its real ones."""
     model = Model.init(tiny_config(), seed=seed, dtype=np.float64)
     if ties:
         model.params["layer0.gate"].data[:] = 0.0  # every expert ties at logit 0; the oracle picks experts 0 and 1
-    real = None if layout is None else padded_rows(*layout)
     rows = rows if layout is None else len(layout[0]) * layout[1]
+    real = np.arange(rows) if layout is None else padded_rows(*layout)
     return model, np.random.default_rng(x_seed).normal(scale=scale, size=(rows, 16)), training, real
 
 
@@ -596,13 +596,13 @@ def routed_moe(model, x, training, real) -> dict:
 
 def moe_oracle(model, x, training, real) -> dict:
     """Node-at-a-time reference for layer 0's expert block on [M, d] rows, explicit top-k rule;
-    rows outside ``real`` (when given) are padding, which the block leaves as they are."""
+    rows outside ``real`` are padding, which the block leaves as they are."""
     cfg = model.config
     p = {k.removeprefix("layer0."): t.data for k, t in model.params.items()}
     mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
     flat = (x - mean) / np.sqrt(var + 1e-5) * p["ln2_gain"] + p["ln2_bias"]
     out = np.zeros_like(flat)
-    for node in range(flat.shape[0]) if real is None else real:
+    for node in real:
         g = flat[node] @ p["gate"]
         if training and cfg.top_k < cfg.experts:
             chosen = sorted(range(cfg.experts), key=lambda j: (-g[j], j))[: cfg.top_k]
@@ -618,39 +618,19 @@ def moe_oracle(model, x, training, real) -> dict:
     return {"out": x + out}
 
 
-def draw_inputs(shape, std, seed, dtype=np.float64, column=None):
-    """A destination of ``shape``, or with ``column`` the column block ``column``
-    of a [rows, 3 * cols] array (not contiguous), as ``wqkv``'s are drawn.
-    Float64 by default: the draws are compared before any rounding."""
-    return shape, std, seed, dtype, column
+def draw_inputs(shape, std, seed, dtype=np.float64):
+    """A destination of ``shape``; float64 by default: the draws are compared before any rounding."""
+    return shape, std, seed, dtype
 
 
-def _destination(shape, dtype, column) -> tuple[np.ndarray, np.ndarray]:
-    """The destination and the array it is a view of."""
-    if column is None:
-        out = np.empty(shape, dtype)
-        return out, out
-    rows, cols = shape
-    full = np.zeros((rows, 3 * cols), dtype)
-    return full[:, column * cols : (column + 1) * cols], full
-
-
-def _draw_result(out, full, column) -> dict:
-    if column is None:
-        return {"draws": out}
-    rest = np.delete(full, np.s_[column * out.shape[1] : (column + 1) * out.shape[1]], axis=1)
-    return {"draws": out.copy(), "rest": rest}  # the other columns stay untouched
-
-
-def truncated_draw(shape, std, seed, dtype, column) -> dict:
-    out, full = _destination(shape, dtype, column)
+def truncated_draw(shape, std, seed, dtype) -> dict:
+    out = np.empty(shape, dtype)
     truncated_normal(np.random.default_rng(seed), out, std)
-    return _draw_result(out, full, column)
+    return {"draws": out}
 
 
-def heap_draw(shape, std, seed, dtype, column) -> dict:
-    draws = heap_truncated_normal(np.random.default_rng(seed), shape, std, dtype)
-    return {"draws": draws} if column is None else {"draws": draws, "rest": np.zeros((shape[0], 2 * shape[1]), dtype)}
+def heap_draw(shape, std, seed, dtype) -> dict:
+    return {"draws": heap_truncated_normal(np.random.default_rng(seed), shape, std, dtype)}
 
 
 # ---- the optimizer

@@ -156,21 +156,6 @@ def hub_multigraphs(draw):
     return KnowledgeGraph(linked + isolated, relations, triples)
 
 
-def former_corrupted_inputs(entities, positions, entity_count, rng) -> np.ndarray:
-    """Test oracle: input ids of ``entities`` through the former per-node draw, in position order:
-    80% ``FREE_SLOT`` (the mask token), 10% unchanged, 10% a uniformly random entity."""
-    from kgt.queries import FREE_SLOT
-
-    inputs = entities.copy()
-    for pos in positions:
-        u = rng.random()
-        if u < 0.8:
-            inputs[pos] = FREE_SLOT
-        elif u >= 0.9:
-            inputs[pos] = int(rng.integers(entity_count))
-    return inputs
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` along the axes numpy broadcast it over (the former ``kgt.tensor`` helper)."""
     if g.shape == shape:
@@ -363,7 +348,6 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
         selected = np.zeros_like(logits.data, dtype=bool)
         np.put_along_axis(selected, np.argsort(-logits.data, axis=-1, kind="stable")[:, : cfg.top_k], True, axis=-1)
     weights = former_softmax(logits) if selected is None else former_masked_softmax(logits, selected)
-    rows = np.arange(m) if rows is None else rows
     combined = Tensor(np.zeros(x.shape, dtype=flat.dtype))
     flat_weights = former_reshape(weights, (m * cfg.experts, 1))
     for j, e in enumerate(experts):

@@ -1,13 +1,10 @@
-"""Fixed-seed golden digests of the samplers and the query generator.
+"""Fixed-seed golden digests of the samplers and the query generator, and short pinned training runs.
 
-The digests were taken from the list-backed graph store that the array store
-replaced. Equal digests mean the array store answers every lookup in the same
-order, so each sampler consumes its random stream exactly as before.
-
-The stage-1 digest was taken again when examples came to carry their input
-ids: a random replacement that drew the node's own id now records as ``keep``.
-It equals the digest of the former per-node corruption objects mapped to
-input ids through the former encoder.
+``golden_digests`` hashes, at fixed seeds, the queries that ``generate_queries``
+draws with their answer sets, and each sampled stage-1 example and stage-2
+meta-graph as its own arrays: ``levi.entities``, ``levi.triples``, ``inputs``
+and ``prediction_targets``. Equal digests mean each sampler consumes its random
+stream as before and returns the same examples.
 
 ``test_training_trace`` pins a short fixed-seed training run: a few steps each
 of stage 1, stage 2 and fine-tuning, then evaluation, at hidden 16 and 64 with
@@ -16,30 +13,15 @@ the sha256 of the final parameter arena and the sha256 of the rank dump. They
 hold bit for bit only on the platform they were taken on, ``PLATFORM``: the
 numpy version, the BLAS, and the SIMD extensions numpy found on the CPU. On any
 other platform BLAS may round differently, so the test compares the losses
-within ``LOSS_RTOL`` and does not compare the digests. A change that moves a
-pin says why, and reproduces the old value at its parent with
-``python tests/test_golden.py``, which prints the current values and platform.
-
-The arena digests were taken again when each layer's experts moved into
-stacked tensors: they are the digests of the former per-expert arena permuted
-into the stacked order. The losses and rank digests did not move. They were
-taken again when each layer's ``wq``, ``wk`` and ``wv`` became the column
-blocks of one ``wqkv``: they are the digests of the former arena with each
-layer's three projections permuted into ``wqkv``. Again no loss or rank
-digest moved.
+within ``LOSS_RTOL`` and does not compare the digests.
 
 Two more runs, ``wide_trace``, pin the fb15k width: hidden 128 on a
 2,000-entity graph, where BLAS rounds the decoder's [P, V] products at other M,
 N and K than at the toy widths. Their steps cover P = 1, an odd P and P >= 100
-prediction slots, and each step's P is pinned too. They were pinned before the
-node states became one flat [B * N, d] array, and that change did not move them.
+prediction slots, and each step's P is pinned too.
 
-Every arena digest, some losses in their last bits and the ``hidden128-untied``
-rank digest were taken again when each layer's experts came to run only on the
-rows that can reach a scored slot (``kgt.model.field_rows``). The logits of a
-forward are bit for bit the same; the backward's expert products sum over fewer
-rows, so BLAS rounds the weight gradients differently, and training drifts in
-the last bits from there.
+A change that moves a pin says why, and reproduces the old values at its parent
+with ``python tests/test_golden.py``, which prints every pin and the platform.
 """
 
 import hashlib
@@ -58,7 +40,7 @@ from kgt import train
 from kgt.evaluation import evaluate
 from kgt.model import Model, ModelConfig
 from kgt.optim import AdamWConfig, _arena
-from kgt.queries import FREE_SLOT, QueryType, generate_queries
+from kgt.queries import QueryType, generate_queries
 from kgt.sampling import sample_meta_graph, sample_stage1_batch
 from kgt.train import Stage, TrainConfig
 
@@ -66,8 +48,8 @@ from helpers import toy_split
 
 GOLDEN = {
     "queries": "bc5aa60bb5664e81dd896edf44281ed5dac8a1247ab6c1021af6195fdfa00e75",
-    "stage1": "a97357ffc022380f0f9a79797f118ae8f5ef9f613db4ea7f9fe0407e43f2dcbc",
-    "meta_graph": "a50b53564443b3ff48be3b059f1cd1869c4c29167fa1565373cb15e9b8aab6a8",
+    "stage1": "d9a9947a03107a9cca91885892cb39447248e1458e044cb05d71de78bd467959",
+    "meta_graph": "7defd7c473cb44008be0ebc5671e3713c2d6b2123e42ece638d10e038bb914d8",
 }
 
 
@@ -75,47 +57,8 @@ def _digest(records) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 
-def _subgraph_record(sub) -> dict:
-    """The record the digests were taken of, written out from the Levi arrays.
-
-    It keeps the shape the former node objects gave it: one ``[class, id]``
-    pair per node, two ``[u, v]`` edges per relation node, and -1 as the
-    entity of each relation node. The masked nodes are the targets and the
-    nodes that enter as anything but their own id. Each one's corruption
-    follows from its input id: ``mask`` at ``FREE_SLOT``, ``keep`` at its own
-    id, ``random`` (with the id) otherwise. The former node roles follow from
-    the masks: relation nodes past the entity nodes, targets where a loss
-    term sits, intermediates at the other masked nodes, sources elsewhere.
-    """
-    entities = sub.levi.entities.tolist()
-    inputs = sub.inputs.tolist()
-    triples = sub.levi.triples.tolist()
-    k = len(entities)
-    masked = sorted(set(sub.prediction_targets) | {i for i in range(k) if inputs[i] != entities[i]})
-
-    def role(i: int) -> str:
-        if i >= k:
-            return "relation"
-        if i in sub.prediction_targets:
-            return "target"
-        return "intermediate" if i in masked else "source"
-
-    def corruption(i: int) -> list:
-        if inputs[i] == FREE_SLOT:
-            return [i, "mask", None]
-        if inputs[i] == entities[i]:
-            return [i, "keep", None]
-        return [i, "random", inputs[i]]
-
-    return {
-        "nodes": [["EntityNode", e] for e in entities] + [["RelationNode", r] for _, r, _ in triples],
-        "edges": [edge for j, (h, _, t) in enumerate(triples, k) for edge in ([h, j], [j, t])],
-        "roles": [role(i) for i in range(k + len(triples))],
-        "entities": entities + [-1] * len(triples),
-        "masked": masked,
-        "targets": list(sub.prediction_targets),
-        "corruption": [corruption(i) for i in masked],
-    }
+def _example_arrays(sub) -> list:
+    return [sub.levi.entities.tolist(), sub.levi.triples.tolist(), sub.inputs.tolist(), list(sub.prediction_targets)]
 
 
 def golden_digests() -> dict[str, str]:
@@ -138,8 +81,8 @@ def golden_digests() -> dict[str, str]:
     metas = [sample_meta_graph(split.train, rng, pattern_mix=1.0) for _ in range(16)]
     return {
         "queries": _digest(queries),
-        "stage1": _digest([_subgraph_record(sub) for sub in batch]),
-        "meta_graph": _digest([_subgraph_record(sub) for sub in metas]),
+        "stage1": _digest([_example_arrays(sub) for sub in batch]),
+        "meta_graph": _digest([_example_arrays(sub) for sub in metas]),
     }
 
 
@@ -164,91 +107,91 @@ PLATFORM = {
 TRACE = {
     "hidden16-untied": {
         "losses": [
-            "0x1.a719d00000000p+3",
-            "0x1.5941460000000p+3",
-            "0x1.a512e80000000p+3",
-            "0x1.6763640000000p+3",
-            "0x1.f714dc0000000p+1",
-            "0x1.f5d9e00000000p+1",
-            "0x1.f5b8c60000000p+1",
-            "0x1.f684320000000p+1",
-            "0x1.f637a80000000p+1",
-            "0x1.f06a600000000p+1",
-            "0x1.f25a560000000p+1",
-            "0x1.eab3960000000p+1",
-            "0x1.e841c00000000p+1",
-            "0x1.ec7a5c0000000p+1"
+            "0x1.a7e4aa0000000p+3",
+            "0x1.5991120000000p+3",
+            "0x1.a5cc6c0000000p+3",
+            "0x1.6793440000000p+3",
+            "0x1.f7bbc20000000p+1",
+            "0x1.f4f9040000000p+1",
+            "0x1.f716b20000000p+1",
+            "0x1.f624440000000p+1",
+            "0x1.f621600000000p+1",
+            "0x1.f18aa80000000p+1",
+            "0x1.f177c00000000p+1",
+            "0x1.eb9ee80000000p+1",
+            "0x1.eac8780000000p+1",
+            "0x1.ecaaf40000000p+1"
         ],
-        "arena": "61baade5b84e4821183df5d6d56219b11e455aadab29768221fe1378075d9a93",
-        "ranks": "7fda6298ecb941e0c10265b5d6a6c64f36a834e736f21d8905402640aa8e6fb6"
+        "arena": "73173e74d90fb2516ac8546d47f393a28772d5b5791f5c3610811b7800da5ed6",
+        "ranks": "34a0e1db34f77897d892e96c6dd3bcfcb1d2d266b0be7b42270fb8a633010f81"
     },
     "hidden16-tied": {
         "losses": [
-            "0x1.a3ebc60000000p+3",
-            "0x1.56c7e80000000p+3",
-            "0x1.a49bcc0000000p+3",
-            "0x1.640a020000000p+3",
-            "0x1.f1b6640000000p+1",
-            "0x1.f4a0040000000p+1",
-            "0x1.f570800000000p+1",
-            "0x1.fda8c00000000p+1",
-            "0x1.efa7860000000p+1",
-            "0x1.f4bea80000000p+1",
-            "0x1.f2c5e60000000p+1",
-            "0x1.e5295e0000000p+1",
-            "0x1.ec7af40000000p+1",
-            "0x1.ecac9e0000000p+1"
+            "0x1.a4a5840000000p+3",
+            "0x1.55831a0000000p+3",
+            "0x1.a3c5e20000000p+3",
+            "0x1.63a0040000000p+3",
+            "0x1.f773140000000p+1",
+            "0x1.f2b98a0000000p+1",
+            "0x1.f45ad40000000p+1",
+            "0x1.fd13e80000000p+1",
+            "0x1.f1f95e0000000p+1",
+            "0x1.f61e580000000p+1",
+            "0x1.f6b1cc0000000p+1",
+            "0x1.e6f96c0000000p+1",
+            "0x1.ed24440000000p+1",
+            "0x1.ed22f60000000p+1"
         ],
-        "arena": "ef4f20a48e1d94df9ed8daca095c177a00fa33464cf25cf3a00e2985ff4a5acf",
-        "ranks": "d4520e3afd276136cbea4dffcea92bb0e4e06e6f283aaeb043a080c3bb534f83"
+        "arena": "3aaad7a39fb1542705fd9f4efff55aeda44ebb2528c2ff347438bf67c7dc9f91",
+        "ranks": "4d2c4d1c72ff13fc6c19732f83c82a8e5366c985726ef0897110a94f69161359"
     },
     "hidden64-untied": {
         "losses": [
-            "0x1.a7d2ea0000000p+3",
-            "0x1.58e26a0000000p+3",
-            "0x1.9e6c720000000p+3",
-            "0x1.6acf360000000p+3",
-            "0x1.f6ddd20000000p+1",
-            "0x1.f95b260000000p+1",
-            "0x1.fbe2480000000p+1",
-            "0x1.fa80140000000p+1",
-            "0x1.edc1f00000000p+1",
-            "0x1.f9151e0000000p+1",
-            "0x1.eb2e760000000p+1",
-            "0x1.b5d4b00000000p+1",
-            "0x1.cc278e0000000p+1",
-            "0x1.ca30040000000p+1"
+            "0x1.a5cc600000000p+3",
+            "0x1.5ab7ce0000000p+3",
+            "0x1.a11d8a0000000p+3",
+            "0x1.6c6bde0000000p+3",
+            "0x1.f527ca0000000p+1",
+            "0x1.fc084a0000000p+1",
+            "0x1.f999f20000000p+1",
+            "0x1.fe50500000000p+1",
+            "0x1.e096d60000000p+1",
+            "0x1.f4ff860000000p+1",
+            "0x1.ea6a460000000p+1",
+            "0x1.b8e0a80000000p+1",
+            "0x1.cb374c0000000p+1",
+            "0x1.cb84b40000000p+1"
         ],
-        "arena": "34fce7a78c51ab080a7e1118873d6de2331bf0d1b629bfbef4f6d8c0f4948c05",
-        "ranks": "2e47742bd2040cf7e6e2fef27473e5717b08df500ea8768d0a21051fc8825c7a"
+        "arena": "2ccd4fcb4d3379bc562129e15f356439d74a19782fff70e99038c9a5da53c849",
+        "ranks": "c89a922775edaa0cd1cd6705713e1e532b89e2c00e0aeab4fca84008040a2d03"
     },
     "hidden64-tied": {
         "losses": [
-            "0x1.a0f3e20000000p+3",
-            "0x1.5333a60000000p+3",
-            "0x1.a2201e0000000p+3",
-            "0x1.61203c0000000p+3",
-            "0x1.f75d140000000p+1",
-            "0x1.fd62980000000p+1",
-            "0x1.fe875e0000000p+1",
-            "0x1.01aaf40000000p+2",
-            "0x1.ef794e0000000p+1",
-            "0x1.0250c60000000p+2",
-            "0x1.f7f5d00000000p+1",
-            "0x1.c4401c0000000p+1",
-            "0x1.e555460000000p+1",
-            "0x1.e0902c0000000p+1"
+            "0x1.9ba2d60000000p+3",
+            "0x1.51b81a0000000p+3",
+            "0x1.9fcb1a0000000p+3",
+            "0x1.60dccc0000000p+3",
+            "0x1.fd51700000000p+1",
+            "0x1.ee17d40000000p+1",
+            "0x1.ffcd240000000p+1",
+            "0x1.ffa4580000000p+1",
+            "0x1.f38e880000000p+1",
+            "0x1.fd1bd60000000p+1",
+            "0x1.f64d780000000p+1",
+            "0x1.c8e4e60000000p+1",
+            "0x1.dc05de0000000p+1",
+            "0x1.e1aa0c0000000p+1"
         ],
-        "arena": "f13d8c1644459f504f66da164e0c48a1496e6f9888d020f912b21e2b93b5cb70",
-        "ranks": "16ccdce7f24e3654e910faee378cf504ca3132ed98752ae8183f713933528363"
+        "arena": "e9883ce48d547410566db1627c4054acc663be36a52ee9becb760a1fa113dc6d",
+        "ranks": "431fe4a53cfd61ab286c87ff7e93494e1f2fadfbf14a0f27962cc0aff5e84a2e"
     },
     "hidden128-untied": {
         "losses": [
-            "0x1.8bd0340000000p+4",
-            "0x1.905a360000000p+4",
-            "0x1.f1e8f00000000p+2",
-            "0x1.f1f1d40000000p+2",
-            "0x1.eb217a0000000p+2"
+            "0x1.8bdf320000000p+4",
+            "0x1.9089fe0000000p+4",
+            "0x1.ed51600000000p+2",
+            "0x1.f3d08e0000000p+2",
+            "0x1.e5c25e0000000p+2"
         ],
         "targets": [
             130,
@@ -257,16 +200,16 @@ TRACE = {
             3,
             1
         ],
-        "arena": "c2e65caa6246fbd0d4512a5d0810b17d85ffdba242156cb6677862275207ffdc",
-        "ranks": "bf43fadd54ebf4ad3d1aefc772b8bdc0e40f316f8c91d1663161602e3f454860"
+        "arena": "65dfb0d0bb60f1f401518080b1df9a5734c712dd50a20fb1f37a8d7c9d02908b",
+        "ranks": "e4ad2343ea2dc2a8dc966344b89a52c7b7bc2602ee1e59579f4cca5928af6567"
     },
     "hidden128-tied": {
         "losses": [
-            "0x1.88963a0000000p+4",
-            "0x1.8f28900000000p+4",
-            "0x1.e053de0000000p+2",
-            "0x1.de8a600000000p+2",
-            "0x1.f476fe0000000p+2"
+            "0x1.892b900000000p+4",
+            "0x1.8e08ec0000000p+4",
+            "0x1.e46f800000000p+2",
+            "0x1.e45a200000000p+2",
+            "0x1.e4fa5a0000000p+2"
         ],
         "targets": [
             130,
@@ -275,8 +218,8 @@ TRACE = {
             3,
             1
         ],
-        "arena": "ba5d8b4d55e0597c80f9db9a1ad3b4333531d2f4e096f9692e815fedef98afb1",
-        "ranks": "6ca1f2d94c6840b1b06011aad528217c9d5381baf36b8869d62d0df60fefebb5"
+        "arena": "361f9d16b761f7a33203546894526fc9f19fb201fab3af049dfcb9914e5cd1f9",
+        "ranks": "f505b61dcf226437617313cba3130d32569cfb8c5c39b30996d8f9d642ec2c89"
     }
 }
 
@@ -416,5 +359,6 @@ def test_training_trace():
 
 
 if __name__ == "__main__":
+    print("GOLDEN =", json.dumps(golden_digests(), indent=4))
     print("PLATFORM =", json.dumps(platform(), indent=4))
     print("TRACE =", json.dumps({key: run() for key, run in traced_runs()}, indent=4))

@@ -97,16 +97,12 @@ class TestParameters:
         for dtype in (np.float64, np.float32):
             for shape, std, seed in [((51, 16), 0.02, 3), ((20_001, 128), 0.02, 4), ((7,), 1.0, 5), ((), 0.5, 6)]:
                 check("truncated_normal/heap-draw", shape=shape, std=std, seed=seed, dtype=dtype)
-        # one column block of a [d, 3d] float32 array, as wqkv's wq, wk and wv are drawn
-        for column in range(3):
-            check("truncated_normal/heap-draw", shape=(128, 128), std=0.02, seed=11, dtype=np.float32, column=column)
 
     def test_truncated_normal_matches_heap_oracle_over_many_redraw_rounds(self):
         for dtype in (np.float64, np.float32):
             check("truncated_normal/heap-draw", shape=(300, 1000), std=0.02, seed=10, dtype=dtype)
         # rows of one value: chunks of exactly _BLOCK values, then a partial one
         check("truncated_normal/heap-draw", shape=(3 * _BLOCK + 500,), std=0.02, seed=12)
-        check("truncated_normal/heap-draw", shape=(700, 128), std=0.02, seed=13, dtype=np.float32, column=1)
 
     def test_truncated_normal_keeps_no_float64_array_on_the_heap(self):
         out = np.empty((20_001, 128))
@@ -128,22 +124,17 @@ class TestParameters:
         shapes = parameter_shapes(cfg)
         table = parameter_table(cfg)
         assert [(name, shape) for name, shape, _ in table] == list(shapes.items())
-        fills = {name: init for name, _, init in table if isinstance(init, float)}
+        fills = {name: init for name, _, init in table if init is not None}
         assert fills == {
             name: 1.0 if name.endswith("gain") else 0.0
             for name in shapes
             if name.endswith(("gain", "bias", "experts.b1", "experts.b2"))
         }
-        # every element of every other parameter is in exactly one block
-        counts = {name: np.zeros(shape, dtype=np.int64) for name, shape in shapes.items() if name not in fills}
-        for _, _, init in table:
-            for name, index in () if isinstance(init, float) else init:
-                counts[name][index] += 1
-        assert all((c == 1).all() for c in counts.values())
 
         # the k-th standard normal is k / total: in range, so never redrawn,
         # and each drawn value tells its place in the stream
-        total = sum(c.size for c in counts.values())
+        drawn_names = [name for name in shapes if name not in fills]
+        total = sum(int(np.prod(shapes[name])) for name in drawn_names)
         drawn = 0
 
         def standard_normal(out):
@@ -155,14 +146,7 @@ class TestParameters:
         assert drawn == total
         for name, fill in fills.items():
             assert (p[name] == fill).all(), name
-        e = cfg.entity_count + 1
-        d = cfg.hidden
-        order = [p["embedding"][:e], p["embedding"][e:], p["node_type"]] + ([] if tie_decoder else [p["decoder"]])
-        for i in range(cfg.layers):
-            layer = {name[len(f"layer{i}.") :]: a for name, a in p.items() if name.startswith(f"layer{i}.")}
-            order += [layer["wqkv"][:, :d], layer["wqkv"][:, d : 2 * d], layer["wqkv"][:, 2 * d :], layer["wo"], layer["gate"]]
-            order += [w[j] for j in range(experts) for w in (layer["experts.w1"], layer["experts.w2"])]
-        stream = np.concatenate([block.ravel() for block in order])
+        stream = np.concatenate([p[name].ravel() for name in drawn_names])
         want = np.arange(total) / total * 0.02 + 0.0
         assert stream.tobytes() == want.tobytes()
 
@@ -204,7 +188,8 @@ class TestMoe:
         model.params["layer0.gate"].data[:] = 0.0
         routed, moe_experts = [], T.moe_experts
         monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
-        moe_ffn(model, 0, Tensor(np.random.default_rng(6).normal(size=(10, cfg.hidden)).astype(np.float32)), True, None)
+        x = Tensor(np.random.default_rng(6).normal(size=(10, cfg.hidden)).astype(np.float32))
+        moe_ffn(model, 0, x, True, None, np.arange(10))
         assert [rows.tolist() for rows in routed[0]] == [list(range(10))] * 2 + [[]] * (cfg.experts - 2)
 
     def test_two_experts_train_eval_bitwise_equal(self):
@@ -212,8 +197,8 @@ class TestMoe:
         model = Model.init(cfg, seed=7)
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
-        train_out = moe_ffn(model, 1, x, True, None).data
-        eval_out = moe_ffn(model, 1, x, False, None).data
+        train_out = moe_ffn(model, 1, x, True, None, np.arange(18)).data
+        eval_out = moe_ffn(model, 1, x, False, None, np.arange(18)).data
         assert train_out.tobytes() == eval_out.tobytes()
 
     def test_four_experts_train_eval_differ(self):
@@ -221,8 +206,8 @@ class TestMoe:
         model = Model.init(cfg, seed=9)
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
-        train_out = moe_ffn(model, 0, x, True, None).data
-        eval_out = moe_ffn(model, 0, x, False, None).data
+        train_out = moe_ffn(model, 0, x, True, None, np.arange(18)).data
+        eval_out = moe_ffn(model, 0, x, False, None, np.arange(18)).data
         assert not np.allclose(train_out, eval_out, atol=1e-7)
 
 

@@ -310,6 +310,21 @@ class TestGeneration:
         for qtype in (QueryType.PI, QueryType.U2, QueryType.UP):
             assert all(walk_back(hub, qtype, rng) is None for _ in range(50)), qtype
 
+    def test_union_second_branch_starts_anywhere(self):
+        # a union's first in-edge ends at the target; its second comes from a random entity, so its
+        # successors may miss the target, which distinct in-neighbors of the target never do
+        g = toy_split(seed=8).train
+        rng = np.random.default_rng(4)
+        misses = 0
+        for _ in range(200):
+            walked = walk_back(g, QueryType.U2, rng)
+            if walked is None:
+                continue
+            (a0, a1, target), (r0, r1) = walked
+            assert target in g.successors(a0, r0)
+            misses += target not in g.successors(a1, r1)
+        assert misses
+
     def test_answer_cap_respected(self):
         split = toy_split(seed=9)
         rng = np.random.default_rng(4)
