@@ -1,9 +1,10 @@
 """Finite-difference gradient checking for every op and the full model.
 
 The oracle is central differences in float64: for each input element x,
-(f(x+h) - f(x-h)) / 2h with h = 1e-5. Errors are reported per element as
+(f(x+h) - f(x-h)) / 2h with h = ``STEP``. Errors are reported per element as
 |analytic - numeric| / max(|analytic|, |numeric|, 1), i.e. relative for large
-gradients and absolute near zero.
+gradients and absolute near zero. An op passes within ``OP_TOLERANCE``, the
+whole model within ``MODEL_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -19,20 +20,24 @@ from .sampling import sample_stage1_batch
 from .tensor import Tape, Tensor
 from .train import batch_mean
 
+STEP = 1e-5
+OP_TOLERANCE = 1e-4
+MODEL_TOLERANCE = 1e-3
 
-def numeric_gradient(f: Callable[[], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+
+def numeric_gradient(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of f with respect to x (mutated in place)."""
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + h
+        flat[i] = keep + STEP
         up = f()
-        flat[i] = keep - h
+        flat[i] = keep - STEP
         down = f()
         flat[i] = keep
-        gflat[i] = (up - down) / (2.0 * h)
+        gflat[i] = (up - down) / (2.0 * STEP)
     return grad
 
 
@@ -56,7 +61,7 @@ def check_function(
     name: str,
     f: Callable[[dict[str, Tensor]], tuple[Tensor, np.ndarray]],
     params: dict[str, Tensor],
-    tolerance: float = 1e-4,
+    tolerance: float,
 ) -> CheckResult:
     """Compare tape gradients against central differences for ``out, upstream = f(params)``:
     the backward starts from ``out`` under the fixed upstream gradient ``upstream``, the
@@ -116,7 +121,7 @@ OP_CASES = (
     OpCase("matmul", T.matmul, ((3, 4), (4, 5)), 2),
     OpCase("decode", T.decode, ((3, 4), (6, 4)), 3),
     # the tied decoder: the first 5 of 7 embedding rows
-    OpCase("decode_gathered", lambda s, e: T.decode(s, T.gather_rows(e, np.arange(5), unique=True)), ((3, 4), (7, 4)), 24),
+    OpCase("decode_gathered", lambda s, e: T.decode(s, T.gather_rows(e, np.arange(5))), ((3, 4), (7, 4)), 24),
     OpCase("gather_rows_repeats", lambda a: T.gather_rows(a, np.array([0, 2, 2, 1])), ((3, 5),), 4),
     OpCase("moe_experts", lambda *t: T.moe_experts(*t, _ROUTES), _MOE_SHAPES, 8),
     OpCase("layer_norm", T.layer_norm, ((4, 6), (6,), (6,)), 9),
@@ -134,13 +139,13 @@ OP_CASES = (
     ),
     OpCase("cross_entropy_hard", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.0), ((3, 4),), 20),
     # row 1 is never gathered
-    OpCase("gather_rows_unique", lambda a: T.gather_rows(a, np.array([2, 0, 3]), unique=True), ((4, 5),), 21),
+    OpCase("gather_rows_distinct", lambda a: T.gather_rows(a, np.array([2, 0, 3])), ((4, 5),), 21),
     OpCase("attention", lambda *t: T.attention(*t, _MASK_BIAS, 2), _ATTENTION_SHAPES, 22),
     OpCase("attention_one_head", lambda *t: T.attention(*t, _MASK_BIAS, 1), _ATTENTION_SHAPES, 23),
 )
 
 
-def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
+def op_suite() -> list[CheckResult]:
     """Gradcheck every differentiable op on small random instances."""
     results = []
     rng = np.random.default_rng(7)
@@ -150,12 +155,12 @@ def op_suite(tolerance: float = 1e-4) -> list[CheckResult]:
         def f(p, case=case):
             return _weighted(case.op(*p.values()), np.random.default_rng(case.seed))
 
-        results.append(check_function(case.name, f, params, tolerance))
-    results.append(moe_check(tolerance))
+        results.append(check_function(case.name, f, params, OP_TOLERANCE))
+    results.append(moe_check())
     return results
 
 
-def moe_check(tolerance: float = 1e-4) -> CheckResult:
+def moe_check() -> CheckResult:
     """Top-2-of-4 routed MoE block on the 6 rows of a padded 2 x 3 grid holding graphs with 3 and 1 real nodes."""
     rng = np.random.default_rng(15)
     config = ModelConfig(
@@ -173,10 +178,10 @@ def moe_check(tolerance: float = 1e-4) -> CheckResult:
         out = moe_ffn(model, 0, p["x"], training=True, rng=np.random.default_rng(16), rows=real)
         return _weighted(out, np.random.default_rng(17))
 
-    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 6, 4)}, tolerance)
+    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 6, 4)}, OP_TOLERANCE)
 
 
-def model_check(tolerance: float = 1e-3) -> CheckResult:
+def model_check() -> CheckResult:
     """End-to-end gradcheck of a small model in float64.
 
     Two layers, width 8, two heads, two experts, dropout off (the check layers
@@ -205,8 +210,8 @@ def model_check(tolerance: float = 1e-3) -> CheckResult:
         losses = T.cross_entropy(logits, batch.targets, alpha=0.1)
         return losses, batch_mean(losses, batch.graph_count)[1]
 
-    return check_function("model_end_to_end", f, params, tolerance)
+    return check_function("model_end_to_end", f, params, MODEL_TOLERANCE)
 
 
-def run_all(tolerance_ops: float = 1e-4, tolerance_model: float = 1e-3) -> list[CheckResult]:
-    return op_suite(tolerance_ops) + [model_check(tolerance_model)]
+def run_all() -> list[CheckResult]:
+    return op_suite() + [model_check()]

@@ -156,9 +156,9 @@ class Model:
     params: dict[str, Tensor]
 
     @classmethod
-    def init(cls, config: ModelConfig, seed: int = 0, dtype=np.float32) -> "Model":
+    def init(cls, config: ModelConfig, seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
-        return cls(config=config, params=init_parameters(config, rng, dtype))
+        return cls(config=config, params=init_parameters(config, rng))
 
     def clone(self) -> "Model":
         """A copy in a new parameter arena, written with one copy of the flat data."""
@@ -348,7 +348,7 @@ def moe_ffn(
 def decoder_matrix(model: Model) -> Tensor:
     """The [V, d] output table, either its own parameter or the tied entity rows of the embedding."""
     if model.config.tie_decoder:
-        return T.gather_rows(model.params["embedding"], np.arange(model.config.entity_count), unique=True)
+        return T.gather_rows(model.params["embedding"], np.arange(model.config.entity_count))
     return model.params["decoder"]
 
 
@@ -398,6 +398,6 @@ def forward(
         x = moe_ffn(model, layer, x, training, rng, fields[layer])
 
     x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(x, batch.positions, unique=True)
+    states = T.gather_rows(x, batch.positions)
     return T.decode(states, decoder_matrix(model))
 

@@ -238,24 +238,19 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     (``ValueError`` naming the first that is not). The squares are summed in
     float64, one dot product per block of at most ``_BLOCK`` elements, with
     blocks starting at each parameter's own offset: the sum adds the same
-    terms in the same order as one parameter at a time would. The arena is
-    cast to float64 ``_BLOCK`` elements at a time through one scratch array,
-    made once per process, so no temporary the size of a gradient is built.
+    terms in the same order as one parameter at a time would. Each block is
+    cast to float64 into one scratch array, made once per process, so no
+    temporary the size of a gradient is built.
     """
     if not 0 < max_norm < math.inf:
         raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     grad = _grad_arena(params)
     bounds = [t.offset for t in params.values()] + [grad.size]
     total = 0.0
-    scratch = _CLIP_SCRATCH
-    chunk = filled = 0  # scratch[k] holds grad[chunk + k] for chunk + k < filled
     for first, last in zip(bounds, bounds[1:]):
         for i in range(first, last, _BLOCK):
-            j = min(i + _BLOCK, last)
-            if j > filled:
-                chunk, filled = i, min(i + _BLOCK, grad.size)
-                scratch[: filled - chunk] = grad[chunk:filled]
-            block = scratch[i - chunk : j - chunk]
+            block = _CLIP_SCRATCH[: min(_BLOCK, last - i)]
+            block[:] = grad[i : i + block.size]
             total += float(np.dot(block, block))
     norm = math.sqrt(total)
     if not math.isfinite(norm):

@@ -345,7 +345,6 @@ def generate_queries(
     rng: np.random.Generator,
     split_for: str = "train",
     max_answers: int = 100,
-    max_attempts: int | None = None,
 ) -> list[QueryInstance]:
     """Sample ``count`` distinct queries whose ``split_for`` answers are usable.
 
@@ -360,7 +359,7 @@ def generate_queries(
     if count < 0:
         raise ValueError(f"query count must be non-negative, got {count}")
     graph = {"train": split.train, "valid": split.valid, "test": split.test}[split_for]
-    budget = max_attempts if max_attempts is not None else max(2000, count * 400)
+    budget = max(2000, count * 400)
     out: list[QueryInstance] = []
     seen: set[QueryGraph] = set()  # a query hashes by its shape, anchors and relations
     for _ in range(budget):

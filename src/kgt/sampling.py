@@ -29,6 +29,7 @@ from .graph import KnowledgeGraph, LeviGraph, triple_transform
 from .queries import FREE_SLOT, QueryType, _distinct_in_edges, template_levi, walk_back
 
 MAX_START_RETRIES = 20
+META_GRAPH_ATTEMPTS = 200
 
 
 def _slice_positions(indptr: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -74,7 +75,7 @@ def layer_dependent_sample(
     per_layer: int,
     depth: int,
     rng: np.random.Generator,
-    max_total: int | None = None,
+    max_total: int,
 ) -> list[int]:
     """Grow the seed set ``depth`` times by weighted frontier draws.
 
@@ -90,9 +91,7 @@ def layer_dependent_sample(
     sampled = list(dict.fromkeys(int(s) for s in seeds))
     member_flag[sampled] = True
     for _ in range(depth):
-        budget = per_layer
-        if max_total is not None:
-            budget = min(budget, max_total - len(sampled))
+        budget = min(per_layer, max_total - len(sampled))
         if budget <= 0:
             break
         # each non-member's incident edges into the member set
@@ -260,7 +259,6 @@ def sample_meta_graph(
     graph: KnowledgeGraph,
     rng: np.random.Generator,
     pattern_mix: float = 4.0,
-    max_attempts: int = 200,
 ) -> SampledSubgraph:
     """Draw one query-shaped meta-graph for sparse pre-training.
 
@@ -270,11 +268,11 @@ def sample_meta_graph(
     mirrors the query-time regime, where masked slots are always mask tokens.
     """
     p_chain = _mix_probability(pattern_mix)
-    for _ in range(max_attempts):
+    for _ in range(META_GRAPH_ATTEMPTS):
         if rng.random() < p_chain:
             sub = _chain_meta_graph(graph, rng)
         else:
             sub = _branch_meta_graph(graph, rng)
         if sub is not None:
             return sub
-    raise SamplingExhausted(f"no meta-graph found in {max_attempts} attempts")
+    raise SamplingExhausted(f"no meta-graph found in {META_GRAPH_ATTEMPTS} attempts")

@@ -188,11 +188,12 @@ def decode(states: Tensor, table: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
+def gather_rows(a: Tensor, indexes: np.ndarray) -> Tensor:
     """Fancy-index the first axis; gradients scatter-add back (repeats sum).
 
-    ``unique`` promises that no index repeats, so the backward can use a plain
-    indexed add (the same sums as ``np.add.at``, without its per-element cost).
+    The backward sorts the indexes once to find a repeat. Without one it adds
+    in one plain indexed add, which gives the same sums as ``np.add.at``
+    without its per-element cost.
     """
     idx = np.asarray(indexes, dtype=np.int64)
     out = Tensor(a.data[idx], requires_grad=a.requires_grad)
@@ -206,7 +207,8 @@ def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
             else:
                 a.grad = a.grad_view
                 a.grad.fill(0)
-        if unique:
+        ordered = np.sort(idx)
+        if (ordered[1:] != ordered[:-1]).all():
             a.grad[idx] += g
         else:
             np.add.at(a.grad, idx, g)
@@ -215,6 +217,7 @@ def gather_rows(a: Tensor, indexes: np.ndarray, unique: bool = False) -> Tensor:
 
 
 _GELU_COEFF = math.sqrt(2.0 / math.pi)
+_LAYER_NORM_EPS = 1e-5
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +305,7 @@ def moe_experts(x: Tensor, weights: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     return _record(out, backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of an [M, d] ``a`` to zero mean and unit variance, then affine.
 
     The variance is numpy's ``x.var(axis=-1)`` step for step (square, sum,
@@ -317,7 +320,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = np.square(centered)
     var = xhat.sum(axis=-1, keepdims=True)
     np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
-    var += eps
+    var += _LAYER_NORM_EPS
     inv_std = np.sqrt(var, out=var)
     np.divide(1.0, inv_std, out=inv_std)
     np.multiply(centered, inv_std, out=xhat)

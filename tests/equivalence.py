@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,8 +32,8 @@ import pytest
 
 import kgt.model
 from kgt import tensor as T
-from kgt.model import Model, ModelConfig, decoder_matrix, encode_queries, encode_subgraphs, forward, moe_ffn
-from kgt.model import truncated_normal
+from kgt.model import Model, ModelConfig, decoder_matrix, encode_queries, encode_subgraphs, forward, init_parameters
+from kgt.model import moe_ffn, truncated_normal
 from kgt.optim import AdamW, AdamWConfig, clip_global_norm
 from kgt.queries import QueryType, build_query, generate_queries
 from kgt.sampling import sample_meta_graph, sample_stage1_batch
@@ -41,9 +41,9 @@ from kgt.tensor import Tape, Tensor
 from kgt.train import batch_mean
 
 from helpers import (
-    FORMER_OPS, LoopAdamW, arena_params, dense_cross_entropy, expert_leaves, former_add, former_attention_layer,
-    former_attention_rows, former_decode, former_dropout, former_layer_norm, former_masked_softmax, former_moe_ffn,
-    fused_grads, heap_truncated_normal, loop_answer_masked_cross_entropy, loop_clip_global_norm,
+    LoopAdamW, arena_params, dense_cross_entropy, expert_leaves, former_add, former_attention_layer,
+    former_attention_rows, former_decode, former_dropout, former_gate_softmax, former_layer_norm, former_masked_softmax,
+    former_moe_ffn, fused_grads, heap_truncated_normal, loop_answer_masked_cross_entropy, loop_clip_global_norm,
     padded_encode_queries, padded_encode_subgraphs, padded_rows, qkv_leaves, real_rows_field, set_grad, stacked_grads,
     toy_split,
 )
@@ -237,12 +237,6 @@ def real_rows_twin():
     return [(kgt.model, "field_rows", real_rows_field)], None
 
 
-def former_ops_twin():
-    """Every op of ``helpers.FORMER_OPS``, and the former attention ops."""
-    patches, extra_grads = former_attention_twin()
-    return [*((T, name, fn) for name, fn in FORMER_OPS.items()), *patches], extra_grads
-
-
 # ---- tape ops and kernels
 
 
@@ -391,6 +385,32 @@ def answer_inputs(dtype, seed):
     return [z], rng.normal(size=6), sets
 
 
+GATHERED = {"distinct": [4, 0, 5, 2], "adjacent": [0, 2, 2, 1, 1, 1], "apart": [3, 0, 3, 1, 0, 3]}
+
+
+def gather_inputs(kind, dtype):
+    """A table, an upstream gradient and indexes: ``distinct`` ones, repeats next to each other (``adjacent``)
+    or apart (``apart``), a packed stage-1 batch's ``positions``, or the tied decoder's ``arange(E)``."""
+    rng = np.random.default_rng(9)
+    split = toy_split(4)
+    if kind == "positions":
+        subs = sample_stage1_batch(split.train, np.random.default_rng(5), batch_size=8, budget=(3, 10))
+        batch = encode_subgraphs(subs, split_config(split))
+        rows, idx = batch.entity_ids.size, batch.positions
+    elif kind == "tied":
+        rows, idx = split.entity_count + 1 + split.relation_count, np.arange(split.entity_count)
+    else:
+        rows, idx = 6, np.array(GATHERED[kind])
+    return [rng.normal(size=(rows, 16)).astype(dtype)], rng.normal(size=(idx.size, 16)).astype(dtype), idx
+
+
+def add_at_gather(leaves, g, idx) -> dict:
+    """The gather, and a backward that adds each upstream row into its index's row by ``np.add.at``."""
+    grad = np.zeros_like(leaves[0])
+    np.add.at(grad, idx, g)
+    return {"out": leaves[0][idx], "grad 0": grad}
+
+
 def scores_inputs(width, dtype):
     """Attention-shaped scores and a mask of 3 grid rows."""
     rng = np.random.default_rng(width)
@@ -413,7 +433,7 @@ def split_config(split, **overrides) -> ModelConfig:
     return ModelConfig(**vocabulary, **{**defaults, **overrides})
 
 
-P1, P2, P3, I2, U2 = QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2, QueryType.U2
+P1, P2, P3, I2 = QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2
 
 
 def toy_batches(split, cfg, stage1: tuple, finetune: tuple, stage2: tuple | None = None) -> dict:
@@ -481,59 +501,6 @@ def decode_block_inputs(hidden, tied, targets):
     return model, lambda m, s: T.decode(s, decoder_matrix(m)), {"states": states}, upstream
 
 
-def step_inputs(split_seed, model_seed, batches_kw, stage1=lambda batch: True, **cfg):
-    """``(stage, training, **params) -> (model, batch, loss, training)`` on
-    ``toy_split(split_seed)``; ``stage1`` says whether the stage-1 batch is one
-    the row needs. The model and batches of the last ``params`` are kept for
-    the next stage a test checks; the steps run on clones of the model."""
-
-    @lru_cache(maxsize=1)
-    def prepare(**params):
-        split = toy_split(split_seed)
-        config = split_config(split, **{**cfg, **params})
-        batches = toy_batches(split, config, **batches_kw)
-        assert stage1(batches["stage1"][0])
-        return Model.init(config, seed=model_seed), batches
-
-    def build(stage, training=True, **params):
-        model, batches = prepare(**params)
-        return model, *batches[stage], training
-
-    return build
-
-
-def spied_gathers(flag: bool):
-    """A step whose ``gather_rows`` calls keep their ``unique`` flag only when
-    ``flag`` is set; its last call must gather the given indexes, flagged unique."""
-
-    def side(model, batch, last) -> dict:
-        gather, calls = T.gather_rows, []
-
-        def spy(a, indexes, unique=False):
-            calls.append((np.asarray(indexes).copy(), unique))
-            return gather(a, indexes, unique=unique and flag)
-
-        def loss(z):
-            return T.cross_entropy(z, batch.targets, alpha=0.1)
-
-        result = step(model, batch, loss, twin=lambda: ([(T, "gather_rows", spy)], None))
-        assert calls[-1][1] and np.array_equal(calls[-1][0], last)
-        return result
-
-    return side
-
-
-def gather_inputs(one_position=False, tied=False):
-    g = toy_split(4).train
-    cfg = split_config(g, hidden=32, dropout=0.0, tie_decoder=tied)
-    if one_position:
-        batch = encode_queries([build_query(P1, (1,), (0,))], cfg)
-    else:
-        batch = encode_subgraphs(sample_stage1_batch(g, np.random.default_rng(5), batch_size=8, budget=(3, 10)), cfg)
-    assert (batch.positions.size == 1) == one_position
-    return Model.init(cfg, seed=6), batch, np.arange(cfg.entity_count) if tied else batch.positions
-
-
 def packing_inputs(kind, **overrides):
     """A model, with its config's ``overrides``, and one batch packed and padded one graph per row; the
     packed one is smaller."""
@@ -582,7 +549,8 @@ def field_inputs(kind, padded, training):
 def moe_inputs(seed, x_seed, rows, training, scale=1.0, ties=False, layout=None):
     """A float64 model and ``rows`` node states, all real, or with ``layout`` (graph sizes, row width) the
     [len(sizes) * width] slots of a packed grid and the indexes of its real ones."""
-    model = Model.init(tiny_config(), seed=seed, dtype=np.float64)
+    cfg = tiny_config()
+    model = Model(config=cfg, params=init_parameters(cfg, np.random.default_rng(seed), np.float64))
     if ties:
         model.params["layer0.gate"].data[:] = 0.0  # every expert ties at logit 0; the oracle picks experts 0 and 1
     rows = rows if layout is None else len(layout[0]) * layout[1]
@@ -721,7 +689,7 @@ CASES = (
     Case("layer_norm/former", op(T.layer_norm), op(former_layer_norm), layer_norm_inputs),
     Case("attention/former-ops", lambda leaves, g, mask: run_op(T.attention, leaves, g, T.mask_bias(mask), 4),
          former_attention_split, attention_inputs),
-    Case("softmax/former-boolean-mask", softmaxes(T.softmax), softmaxes(FORMER_OPS["softmax"]), gate_inputs),
+    Case("softmax/former-boolean-mask", softmaxes(T.softmax), softmaxes(former_gate_softmax), gate_inputs),
     # off (eval mode or p = 0) it is the add alone
     Case("dropout/add-of-dropout", residual_dropout, add_of_dropout, residual_inputs),
     Case("add/former", binary(T.add), binary(former_add), normal_rows),
@@ -736,23 +704,16 @@ CASES = (
          op(loop_answer_masked_cross_entropy), answer_inputs,
          Bound(64, f"sums reordered and a closed-form backward against [A, V] temporaries; {ULP64}",
                ulps(scaled_error))),
+    # without a repeat the backward adds in one indexed add, with repeats by np.add.at: the same sums
+    Case("gather_rows/add-at", op(T.gather_rows), add_at_gather, gather_inputs),
     Case("masked_softmax/former-boolean-mask", lambda s, mask: {"out": T.masked_softmax(s.copy(), T.mask_bias(mask))},
          lambda s, mask: {"out": former_masked_softmax(Tensor(s), mask).data}, scores_inputs),
-    # ---- model blocks and steps: moe_experts, attention, decode and gather_rows inside the model
+    # ---- model blocks and steps: moe_experts, attention and decode inside the model
     Case("moe_experts/former-expert-loop", block_side(), block_side(former_moe_twin), moe_block_inputs),
     Case("attention_layer/former-ops", block_side(), block_side(former_attention_twin), attention_block_inputs),
     # the former head recorded one more tape op; one target is a doubled-row gemm, 131 an fb15k-sized count
     Case("decode/former-decode", block_side(), block_side(former_decode_twin), decode_block_inputs,
          records=lambda **_: 1),
-    Case("gather_rows/unique-flag-off", spied_gathers(True), spied_gathers(False), gather_inputs),
-    # ---- forward against its former ops, two layers; graphs share rows, and the rows end in padding
-    # the former ops record 20 more per layer in training: the attention layer's 22 (two of them reshapes) against
-    # 3, and the MoE residual's dropout and add against one op; 18 in eval mode, where dropout records nothing
-    Case("forward/former-ops", step_side(61), step_side(61, former_ops_twin), step_inputs(
-        62, 63, dict(stage1=(64, dict(batch_size=16)), stage2=(None, dict(pattern_mix=1.0), 8),
-                     finetune=(65, (P1, P3, I2, U2), 3)),
-        stage1=lambda b: len(b.sizes) < b.graph_count and sum(b.sizes) < b.entity_ids.size,
-    ), records=lambda training=True, **_: (20 if training else 18) * 2),
     # ---- forward with each layer's experts on its field against the former forward, experts on every real row
     # logits and losses bit-exact: rows outside the field reach no score
     Case("forward/field-rows", step_side(71), step_side(71, real_rows_twin), field_inputs, Bound(

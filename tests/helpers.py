@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from kgt.graph import KnowledgeGraph, LeviGraph, SplitDataset, Triple, build_split, write_vocab
@@ -109,6 +113,28 @@ def toy_split(
         entities,
         relations,
     )
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@contextmanager
+def one_blas_thread_pool(workers: int):
+    """A pool of ``workers`` fresh (spawned) processes, each with one BLAS thread.
+
+    OpenBLAS rounds some products differently at other thread counts, so a
+    result that is pinned or compared bit for bit runs here, where it does not
+    depend on the machine's cores. The thread variables are set before a
+    worker imports numpy, and stay set while the pool can start one.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in BLAS_THREAD_VARS:
+            patch.setenv(name, "1")
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def former_group(entity_count: int, sources: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -352,10 +378,10 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
     flat_weights = former_reshape(weights, (m * cfg.experts, 1))
     for j, e in enumerate(experts):
         rows_j = rows if selected is None else rows[selected[rows, j]]
-        inputs = T.gather_rows(flat, rows_j, unique=True)
+        inputs = T.gather_rows(flat, rows_j)
         pre = former_add(T.matmul(inputs, e["w1"]), e["b1"])
         out_j = former_add(T.matmul(former_gelu(pre), e["w2"]), e["b2"])
-        term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j, unique=True))
+        term = former_mul(out_j, T.gather_rows(flat_weights, rows_j * cfg.experts + j))
         combined = scatter_add_rows(combined, term, rows_j)
     return T.add(x, former_dropout(combined, cfg.dropout, rng, training))
 
@@ -698,12 +724,6 @@ def former_dropout(a, p: float, rng, training: bool) -> "Tensor":
     return _record(out, backward)
 
 
-def former_residual_dropout(x, a, p: float, rng, training: bool) -> "Tensor":
-    """``kgt.tensor.dropout``'s signature over the former ops: :func:`former_add`
-    of ``x`` and the :func:`former_dropout` of ``a``, two records in training."""
-    return former_add(x, former_dropout(a, p, rng, training))
-
-
 def former_masked_softmax(a, mask: np.ndarray) -> "Tensor":
     """Test oracle: the former boolean-mask softmax, ``np.where`` and a row check on every call."""
     from kgt.tensor import Tensor, _accumulate, _record
@@ -731,11 +751,3 @@ def former_softmax(a) -> "Tensor":
 def former_gate_softmax(a, bias: np.ndarray | None = None) -> "Tensor":
     """``kgt.tensor.softmax``'s signature over the former boolean-mask softmax."""
     return former_softmax(a) if bias is None else former_masked_softmax(a, bias == 0)
-
-
-FORMER_OPS = {
-    "add": former_add,
-    "layer_norm": former_layer_norm,
-    "softmax": former_gate_softmax,
-    "dropout": former_residual_dropout,
-}

@@ -58,6 +58,7 @@ DETERMINISM = "tests/test_acceptance.py::test_10_run_determinism"
 GRADCHECK = "tests/test_acceptance.py::test_01_gradient_suite"
 FORMER, FUSED = T + "TestFormerOps::test_", M + "TestFusedAttention::test_block_matches_former_ops"
 STACKED = M + "TestStackedExperts::test_block_matches_former_loop"
+GATHER = T + "TestGatherRows::test_backward_matches_add_at"
 TYPES = M + "TestForward::test_node_types_and_real_rows"
 PADDING = M + "TestSparseDispatch::test_padding_slots_run_no_expert"
 FIELD = M + "TestField::test_matches_experts_on_every_real_row"
@@ -109,8 +110,12 @@ MUTANTS = (
            (T + "TestCrossEntropyOracle::test_unsmoothed_matches_dense_labels_bit_for_bit", TRACE)),
     Mutant("answer-masked gradient without its 1/k", TENSOR, "scale = g / k", "scale = g",
            (T + "TestAnswerMaskedCrossEntropy::test_matches_per_row_loop", GRADCHECK)),
-    Mutant("unique gather writes instead of adding", TENSOR, "a.grad[idx] += g", "a.grad[idx] = g",
+    Mutant("gather without repeats writes instead of adding", TENSOR, "a.grad[idx] += g", "a.grad[idx] = g",
            (STACKED, M + "TestSparseDispatch::test_gradients_match_dense_loop_within_float32_bound")),
+    Mutant("gather backward never sees a repeat", TENSOR, "if (ordered[1:] != ordered[:-1]).all():", "if True:",
+           (GATHER, GRADCHECK)),
+    Mutant("repeat check compares unsorted neighbours", TENSOR, "ordered = np.sort(idx)", "ordered = idx",
+           (GATHER, GRADCHECK)),
     Mutant("experts backward in forward order", TENSOR, "for j in reversed(range(len(saved))):",
            "for j in range(len(saved)):", (STACKED,)),
     Mutant("attention input-gradient terms in another order", TENSOR, "for i in (1, 0):", "for i in (0, 1):",
@@ -120,10 +125,13 @@ MUTANTS = (
            "_accumulate(table, (g.T.astype(np.float64) @ states.data).astype(g.dtype), owned=True)",
            (M + "TestDecoderOp::test_block_matches_former_ops", TRACE)),
     # ---- the model
-    Mutant("states gather without unique", MODEL, "gather_rows(x, batch.positions, unique=True)",
-           "gather_rows(x, batch.positions)", (M + "TestStatesGather::test_flag_on_and_off_match",)),
-    Mutant("tied decoder gather without unique", MODEL, "np.arange(model.config.entity_count), unique=True)",
-           "np.arange(model.config.entity_count))", (M + "TestTiedDecoderGather::test_flag_on_and_off_match",)),
+    Mutant("attention residual taken from the normalized input", MODEL,
+           "return T.dropout(x, out, cfg.dropout, rng, training)",
+           "return T.dropout(h, out, cfg.dropout, rng, training)",
+           (FUSED, M + "TestFusedAttention::test_step_matches_former_ops")),
+    Mutant("MoE residual taken from the normalized input", MODEL,
+           "return T.dropout(x, combined, cfg.dropout, rng, training)",
+           "return T.dropout(h, combined, cfg.dropout, rng, training)", (STACKED, MOE)),
     Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TYPES, TRACE)),
     Mutant("the field expands one hop fewer", MODEL, "moe_ffn(model, layer, x, training, rng, fields[layer])",
            "moe_ffn(model, layer, x, training, rng, fields[min(layer + 1, cfg.layers - 1)])", (TYPES, PADDING, FIELD)),

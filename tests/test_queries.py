@@ -345,4 +345,4 @@ class TestGeneration:
         degenerate = SplitDataset(train=tiny, valid=tiny, test=tiny)
         rng = np.random.default_rng(5)
         with pytest.raises(SamplingExhausted):
-            generate_queries(degenerate, QueryType.P1, 50, rng, split_for="train", max_attempts=500)
+            generate_queries(degenerate, QueryType.P1, 50, rng, split_for="train")

@@ -94,7 +94,7 @@ class TestLayerDependent:
         trials = 4000
         first = 0
         for _ in range(trials):
-            nodes = layer_dependent_sample(g, [0], per_layer=1, depth=1, rng=rng)
+            nodes = layer_dependent_sample(g, [0], per_layer=1, depth=1, rng=rng, max_total=3)
             assert len(nodes) == 2
             if nodes[1] == 1:
                 first += 1
@@ -111,13 +111,13 @@ class TestLayerDependent:
 
     def test_disconnected_stops_at_component(self):
         g = KnowledgeGraph(5, 1, [(0, 0, 1)])
-        nodes = layer_dependent_sample(g, [0], per_layer=4, depth=2, rng=np.random.default_rng(7))
+        nodes = layer_dependent_sample(g, [0], per_layer=4, depth=2, rng=np.random.default_rng(7), max_total=5)
         assert set(nodes) == {0, 1}
 
     def test_rejects_bad_arguments(self):
         g = small_graph()
         with pytest.raises(ValueError):
-            layer_dependent_sample(g, [0], per_layer=0, depth=1, rng=np.random.default_rng(0))
+            layer_dependent_sample(g, [0], per_layer=0, depth=1, rng=np.random.default_rng(0), max_total=5)
 
 
 class TestInduce:

@@ -185,6 +185,13 @@ class TestTensorBasics:
         assert np.allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
+class TestGatherRows:
+    @DTYPES
+    @pytest.mark.parametrize("kind", ["distinct", "adjacent", "apart", "positions", "tied"])
+    def test_backward_matches_add_at(self, kind, dtype):
+        check("gather_rows/add-at", kind=kind, dtype=dtype)
+
+
 class TestGelu:
     def test_float32_matches_float64_formula(self):
         check("gelu/float64-formula")
