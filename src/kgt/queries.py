@@ -273,13 +273,12 @@ def _pick_in_edge(graph: KnowledgeGraph, node: int, rng: np.random.Generator) ->
 
 
 def _distinct_in_edges(
-    graph: KnowledgeGraph, node: int, width: int, rng: np.random.Generator, least: int | None = None
+    graph: KnowledgeGraph, node: int, width: int, rng: np.random.Generator
 ) -> list[tuple[int, int]] | None:
-    """Up to ``width`` incoming (head, relation) pairs with pairwise-distinct heads,
-    first in a random order; None when fewer than ``least`` (default ``width``)."""
-    least = width if least is None else least
+    """``width`` incoming (head, relation) pairs with pairwise-distinct heads,
+    first in a random order; None when ``node`` has fewer distinct in-neighbors."""
     heads, rels = graph.in_edges(node)
-    if len(heads) < least:
+    if len(heads) < width:
         return None
     order = rng.permutation(len(heads))
     picked: list[tuple[int, int]] = []
@@ -291,7 +290,7 @@ def _distinct_in_edges(
         picked.append((h, r))
         if len(picked) == width:
             break
-    return picked if len(picked) >= least else None
+    return picked if len(picked) == width else None
 
 
 def walk_back(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> tuple[list[int], list[int]] | None:

@@ -4,12 +4,11 @@ Stage 1 draws node sets with meta-tree growth (restart-1.0 random walk that
 jumps to a uniformly random already-sampled node before every step) or
 simplified layer-dependent frontier sampling, induces edges between the
 sampled nodes with a keep ratio, then masks a fraction of entity nodes with
-80/10/10 corruption. Stage 2 meta-graphs are the 1p/2p/3p (chain) and 2i/3i
-(branch) query templates filled with true entities: ``queries.walk_back``
-draws a chain backward from a random target, a branch takes 2..3 distinct
-in-neighbors of one, and ``queries.template_levi`` builds the Levi graph the
-queries use. Intermediates and target are masked; only the target is
-supervised.
+80/10/10 corruption. Stage 2 meta-graphs are ``queries.walk_back`` draws of
+the 1p/2p/3p (chain) and 2i/3i (branch) query templates, the walk that query
+generation uses: true entities filled backward from a random target, in the
+Levi graph that ``queries.template_levi`` builds for queries. Intermediates
+and target are masked; only the target is supervised.
 
 Frontier counting and edge induction are numpy over the members' CSR slices.
 The meta-tree walk is a plain loop; it draws all of its uniforms up front, two
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import SamplingExhausted
 from .graph import KnowledgeGraph, LeviGraph, triple_transform
-from .queries import FREE_SLOT, QueryType, _distinct_in_edges, template_levi, walk_back
+from .queries import FREE_SLOT, QueryType, template_levi, walk_back
 
 MAX_START_RETRIES = 20
 META_GRAPH_ATTEMPTS = 200
@@ -234,27 +233,6 @@ def _meta_graph(qtype: QueryType, slots: list[int], relations: list[int]) -> Sam
     return SampledSubgraph(levi, inputs, (len(slots) - 1,))
 
 
-def _chain_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
-    """1p/2p/3p-shaped example walked backward from a random target.
-
-    Entity revisits are allowed (Markov walk), each occupying its own slot.
-    """
-    qtype = (QueryType.P1, QueryType.P2, QueryType.P3)[int(rng.integers(1, 4)) - 1]
-    walked = walk_back(graph, qtype, rng)
-    return None if walked is None else _meta_graph(qtype, *walked)
-
-
-def _branch_meta_graph(graph: KnowledgeGraph, rng: np.random.Generator) -> SampledSubgraph | None:
-    """2i/3i-shaped example: a target with 2..3 distinct in-neighbors."""
-    width = int(rng.integers(2, 4))
-    target = int(rng.integers(graph.entity_count))
-    picked = _distinct_in_edges(graph, target, width, rng, least=2)
-    if picked is None:
-        return None  # degenerate: fewer than two distinct in-neighbors
-    heads, relations = map(list, zip(*picked))
-    return _meta_graph((QueryType.I2, QueryType.I3)[len(picked) - 2], heads + [target], relations)
-
-
 def sample_meta_graph(
     graph: KnowledgeGraph,
     rng: np.random.Generator,
@@ -262,17 +240,19 @@ def sample_meta_graph(
 ) -> SampledSubgraph:
     """Draw one query-shaped meta-graph for sparse pre-training.
 
-    ``pattern_mix`` is the chain : branch ratio. Inputs keep the anchor
-    entities visible; intermediates and target enter as mask tokens and only
-    the target is supervised. No 80/10/10 corruption here: the sparse stage
-    mirrors the query-time regime, where masked slots are always mask tokens.
+    ``pattern_mix`` is the chain : branch ratio. Each attempt draws chain or
+    branch, a uniform shape of that kind, then ``walk_back`` fills its slots
+    from a random target; a dead end is retried. A chain may revisit an entity
+    (a Markov walk), each visit in its own slot. Inputs keep the anchors
+    visible; intermediates and target enter as mask tokens and only the target
+    is supervised. No 80/10/10 corruption here: the sparse stage mirrors the
+    query-time regime, where masked slots are always mask tokens.
     """
     p_chain = _mix_probability(pattern_mix)
     for _ in range(META_GRAPH_ATTEMPTS):
-        if rng.random() < p_chain:
-            sub = _chain_meta_graph(graph, rng)
-        else:
-            sub = _branch_meta_graph(graph, rng)
-        if sub is not None:
-            return sub
+        shapes = (QueryType.P1, QueryType.P2, QueryType.P3) if rng.random() < p_chain else (QueryType.I2, QueryType.I3)
+        qtype = shapes[int(rng.integers(len(shapes)))]
+        walked = walk_back(graph, qtype, rng)
+        if walked is not None:
+            return _meta_graph(qtype, *walked)
     raise SamplingExhausted(f"no meta-graph found in {META_GRAPH_ATTEMPTS} attempts")

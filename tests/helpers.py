@@ -137,14 +137,6 @@ def one_blas_thread_pool(workers: int):
             pool.shutdown(cancel_futures=True)
 
 
-def former_group(entity_count: int, sources: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Test oracle: the former ``KnowledgeGraph._group``, a stable argsort of the int64 sources."""
-    order = np.argsort(sources, kind="stable")
-    indptr = np.zeros(entity_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=entity_count), out=indptr[1:])
-    return (indptr, *(c[order] for c in columns))
-
-
 def write_toy_dataset(directory: Path, split: SplitDataset, tokens: bool = True) -> Path:
     """Write a split as disjoint increment files, with vocabularies by default."""
     directory.mkdir(parents=True, exist_ok=True)

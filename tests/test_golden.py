@@ -51,7 +51,7 @@ from helpers import one_blas_thread_pool, toy_split
 GOLDEN = {
     "queries": "bc5aa60bb5664e81dd896edf44281ed5dac8a1247ab6c1021af6195fdfa00e75",
     "stage1": "d9a9947a03107a9cca91885892cb39447248e1458e044cb05d71de78bd467959",
-    "meta_graph": "7defd7c473cb44008be0ebc5671e3713c2d6b2123e42ece638d10e038bb914d8",
+    "meta_graph": "e79c7569cf53987fa1e96457f0651eaa4194d4df13a3185d13668e4953ab1902",
 }
 
 

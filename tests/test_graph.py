@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from kgt.graph import (
 
 from helpers import (
     attention_mask,
-    former_group,
     hub_multigraphs,
     to_triples,
     toy_split,
@@ -155,26 +156,29 @@ class TestKnowledgeGraph:
 
     @pytest.mark.parametrize("entity_count", [1, 255, 256, 257, 65535, 65536, 65537])
     def test_csr_matches_int64_group_at_every_key_width(self, entity_count):
-        # bit-exact: a stable argsort is one permutation for any key type
+        # keys of every width: each entity's slice of every CSR against a plain loop over the triples in triple order
         rng = np.random.default_rng(entity_count)
         high = [entity_count - 1, entity_count - 2, entity_count // 2, 0]
         ends = rng.choice([e for e in high if e >= 0], size=(40, 2))
         triples = sorted({(int(h), int(r), int(t)) for (h, t), r in zip(ends, rng.integers(3, size=40))})
         g = KnowledgeGraph(entity_count, 3, triples)
-        h, r, t = g.hrt[:, 0], g.hrt[:, 1], g.hrt[:, 2]
-        src, dst = np.concatenate([h, t]), np.concatenate([t, h])
-        pairs = np.unique(src * entity_count + dst)
-        want = {
-            "csr_out": former_group(entity_count, h, t, r),
-            "csr_in": former_group(entity_count, t, h, r),
-            "csr_undirected": former_group(entity_count, pairs // entity_count, pairs % entity_count),
-            "csr_undirected_multi": former_group(entity_count, src, dst),
-        }
-        for name, arrays in want.items():
-            got = getattr(g, name)()
-            assert len(got) == len(arrays), name
-            for a, b in zip(got, arrays):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        rows = g.hrt.tolist()
+        want = {name: defaultdict(list) for name in ("csr_out", "csr_in", "csr_undirected_multi")}
+        for h, r, t in rows:
+            want["csr_out"][h].append((t, r))
+            want["csr_in"][t].append((h, r))
+            want["csr_undirected_multi"][h].append((t,))
+        for h, r, t in rows:
+            want["csr_undirected_multi"][t].append((h,))
+        want["csr_undirected"] = {e: sorted(set(nbrs)) for e, nbrs in want["csr_undirected_multi"].items()}
+        for name, slices in want.items():
+            indptr, *columns = getattr(g, name)()
+            assert all(a.dtype == np.int64 for a in (indptr, *columns)), name
+            lengths = np.zeros(entity_count, dtype=np.int64)
+            lengths[list(slices)] = [len(pairs) for pairs in slices.values()]
+            assert indptr[0] == 0 and np.array_equal(np.diff(indptr), lengths), name
+            for e, pairs in slices.items():
+                assert list(zip(*(c[indptr[e] : indptr[e + 1]].tolist() for c in columns))) == pairs, (name, e)
 
     def test_multigraph_multiplicity_kept_in_multi_csr(self):
         g = KnowledgeGraph(2, 2, [(0, 0, 1), (0, 1, 1)])

@@ -220,7 +220,7 @@ class TestSparseDispatch:
         for tied, layout, training in itertools.product((False, True), layouts, (True, False)):
             check("moe_ffn/node-at-a-time", ties=tied, layout=layout, training=training)
 
-    def test_gradients_match_dense_loop_within_float32_bound(self):
+    def test_gradients_match_former_expert_loop_bit_for_bit(self):
         # 16 graphs in rows of 30
         sizes = tuple(np.random.default_rng(14).integers(1, 31, size=16))
         for tied in (False, True):
@@ -281,52 +281,32 @@ class TestSparseDispatch:
 
 
 class TestStackedExperts:
-    # packed graphs of 7, 1, 12 and 3 real nodes in rows of 12; one real node in a row of 3
-    @pytest.mark.parametrize("sizes, width", [((7, 1, 12, 3), 12), ((1,), 3)])
+    # packed graphs of 7, 1, 12 and 3 real nodes in rows of 12; one real node in a row of 3; and rows of 30 as a
+    # stage-1 batch packs them, two full
+    @pytest.mark.parametrize("sizes, width", [((7, 1, 12, 3), 12), ((1,), 3), ((30, 17, 30, 4), 30)])
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("hidden", [16, 64])
     def test_block_matches_former_loop(self, sizes, width, tied, training, hidden):
         check("moe_experts/former-expert-loop", hidden=hidden, training=training, tied=tied, sizes=sizes, width=width)
 
-    @pytest.mark.parametrize("hidden", [16, 64])
-    def test_step_matches_former_loop(self, hidden):
-        # rows of 30 as a stage-1 batch packs them, two full
-        for training in (True, False):
-            values = dict(hidden=hidden, training=training, tied=False, sizes=(30, 17, 30, 4), width=30)
-            check("moe_experts/former-expert-loop", **values)
-
 
 class TestFusedAttention:
-    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 5), (4, 12)])
+    # the last two: the grids of two training batches, 8 rows of 20 and 16 rows of 9
+    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 5), (4, 12), (8, 20), (16, 9)])
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("hidden", [16, 64, 128])
     def test_block_matches_former_ops(self, rows, width, heads, training, hidden):
         check("attention_layer/former-ops", hidden=hidden, training=training, heads=heads, rows=rows, width=width)
 
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_step_matches_former_ops(self, hidden, heads, tied):
-        # a training batch's grid, one per tied setting: 8 rows of 20 and 16 rows of 9
-        rows, width = (8, 20) if tied else (16, 9)
-        for training in (True, False):
-            check("attention_layer/former-ops", hidden=hidden, training=training, heads=heads, rows=rows, width=width)
-
 
 class TestDecoderOp:
-    @pytest.mark.parametrize("targets", [1, 7, 131])
+    @pytest.mark.parametrize("targets", [1, 7, 131, 100, 256])  # 100 and 256: the scored slots of a training batch
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("hidden", [16, 64, 128])
     def test_block_matches_former_ops(self, targets, tied, hidden):
         check("decode/former-decode", hidden=hidden, tied=tied, targets=targets)
-
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("hidden", [16, 64, 128])
-    def test_step_matches_former_ops(self, hidden, tied):
-        for targets in (100, 256):  # the scored slots of a training batch
-            check("decode/former-decode", hidden=hidden, tied=tied, targets=targets)
 
 
 def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:

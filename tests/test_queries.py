@@ -310,6 +310,19 @@ class TestGeneration:
         for qtype in (QueryType.PI, QueryType.U2, QueryType.UP):
             assert all(walk_back(hub, qtype, rng) is None for _ in range(50)), qtype
 
+    def test_intersections_skip_repeated_heads(self):
+        # each entity t has in-edges from t+1 by two relations, from t+2 and from t+3: three distinct
+        # in-neighbors, so no 2i or 3i walk dead-ends, and each anchor is an in-neighbor of the target
+        n = 6
+        g = KnowledgeGraph(n, 2, [((t + d) % n, r, t) for t in range(n) for d, r in ((1, 0), (1, 1), (2, 0), (3, 0))])
+        rng = np.random.default_rng(5)
+        for qtype in (QueryType.I2, QueryType.I3):
+            for _ in range(50):
+                walked = walk_back(g, qtype, rng)
+                assert walked is not None, qtype
+                slots, relations = walked
+                assert all(slots[-1] in g.successors(a, r) for a, r in zip(slots[:-1], relations))
+
     def test_union_second_branch_starts_anywhere(self):
         # a union's first in-edge ends at the target; its second comes from a random entity, so its
         # successors may miss the target, which distinct in-neighbors of the target never do

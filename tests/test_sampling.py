@@ -6,7 +6,7 @@ import pytest
 from kgt import sampling
 from kgt.errors import SamplingExhausted
 from kgt.graph import KnowledgeGraph
-from kgt.queries import FREE_SLOT
+from kgt.queries import FREE_SLOT, QueryType, template_levi, walk_back
 from kgt.sampling import (
     SampledSubgraph,
     induce_subgraph,
@@ -301,6 +301,21 @@ class TestMetaGraphs:
         p = 10.0 / 11.0
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(chains / trials - p) < 3 * sigma
+
+    def test_branch_draws_are_walk_back_draws(self):
+        # each attempt: the chain-or-branch draw, the shape index, then one walk back; a dead end retries
+        g = toy_split(seed=0).train
+        rng, redo = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(300):
+            sub = sample_meta_graph(g, rng, pattern_mix=0.0)
+            walked = None
+            while walked is None:
+                redo.random()
+                qtype = (QueryType.I2, QueryType.I3)[int(redo.integers(2))]
+                walked = walk_back(g, qtype, redo)
+            want = template_levi(qtype, *walked)
+            assert np.array_equal(sub.levi.entities, want.entities) and np.array_equal(sub.levi.triples, want.triples)
+            assert rng.bit_generator.state == redo.bit_generator.state
 
     def test_edgeless_graph_exhausts(self):
         g = KnowledgeGraph(6, 1, [])

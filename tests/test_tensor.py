@@ -533,6 +533,24 @@ class TestAnswerMaskedCrossEntropy:
 
 
 class TestGradcheckCoverage:
+    def test_check_function_fails_a_backward_that_doubles_its_gradient(self):
+        from kgt.gradcheck import OP_TOLERANCE, check_function
+        from kgt.tensor import _accumulate, _record
+
+        def identity(factor):
+            # an identity op whose backward passes on ``factor`` times its gradient
+            def f(params):
+                x = params["x"]
+                out = _record(Tensor(x.data.copy(), requires_grad=True), lambda g: _accumulate(x, factor * g))
+                return out, np.ones(x.data.shape)
+
+            return f
+
+        x = Tensor(np.random.default_rng(22).normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+        assert check_function("identity", identity(1.0), {"x": x}, OP_TOLERANCE).passed
+        x.grad = None
+        assert not check_function("doubled", identity(2.0), {"x": x}, OP_TOLERANCE).passed
+
     def test_every_tape_op_has_a_gradcheck_row(self):
         # a recorder is a kgt.tensor function that calls _record; a row covers
         # each op whose backward it puts on the tape
