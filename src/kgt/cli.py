@@ -21,7 +21,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
 from .errors import CheckpointError, ConfigError, KgtError, ParseError, SplitFileError
-from .evaluation import evaluate, interpret, merge_metrics, write_metrics
+from .evaluation import evaluate, interpret, merge_metrics
 from .gradcheck import run_all
 from .graph import (
     SPLITS,
@@ -44,17 +44,11 @@ from .queries import (
 from .train import Stage, combinatorial_finetune, finetune, pretrain
 
 
-def _config_digest(path: str | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: list, outputs: list) -> None:
     manifest = {
         "command": command,
         "config": args.config,
-        "config_sha256": _config_digest(args.config),
+        "config_sha256": None if args.config is None else hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
         "seed": args.resolved_config.seed,
         "versions": {"kgt": __version__, "numpy": np.__version__},
         "inputs": [str(p) for p in inputs],
@@ -162,7 +156,7 @@ def _epoch_printer(stage: str, total: int):
     return log
 
 
-def _write_log(path: Path, records: list[dict]) -> None:
+def _write_jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -190,7 +184,7 @@ def cmd_pretrain(args) -> int:
     records = pretrain(model, split.train, train_config, log=_epoch_printer(stage_name, train_config.epochs))
     save_checkpoint(model, out_path)
     log_path = Path(args.out) / "logs" / f"{stage_name}.jsonl"
-    _write_log(log_path, records)
+    _write_jsonl(log_path, records)
     _write_manifest(ckpt_dir / f"{stage_name}.manifest.json", f"pretrain --stage {args.stage}", args, inputs, [out_path, log_path])
     print(f"saved {out_path}")
     return 0
@@ -221,7 +215,7 @@ def cmd_finetune(args) -> int:
         inputs = []
     else:
         source = None
-        if getattr(args, "from_checkpoint", None):
+        if args.from_checkpoint:
             source = Path(args.from_checkpoint)
         else:
             for candidate in (ckpt_dir / "stage2.kgtc", ckpt_dir / "stage1.kgtc"):
@@ -274,7 +268,7 @@ def cmd_finetune(args) -> int:
             print(f"best for {qtype.value}: {selection['chosen'][qtype.value]}")
 
     log_path = Path(args.out) / "logs" / "finetune.jsonl"
-    _write_log(log_path, records)
+    _write_jsonl(log_path, records)
     outputs.append(log_path)
     _write_manifest(ckpt_dir / "finetune.manifest.json", "finetune", args, inputs, outputs)
     print(f"saved {multi_path}")
@@ -332,13 +326,12 @@ def cmd_evaluate(args) -> int:
     metrics_dir.mkdir(parents=True, exist_ok=True)
     json_path = metrics_dir / f"{args.split}.json"
     text_path = metrics_dir / f"{args.split}.txt"
-    write_metrics(table, json_path, text_path)
+    json_path.write_text(table.to_json(), encoding="utf-8")
+    text_path.write_text(table.to_text(), encoding="utf-8")
     outputs = [json_path, text_path]
     if rank_dump is not None:
         dump_path = metrics_dir / f"ranks_{args.split}.jsonl"
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            for row in rank_dump:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        _write_jsonl(dump_path, rank_dump)
         outputs.append(dump_path)
     _write_manifest(metrics_dir / f"{args.split}.manifest.json", f"evaluate --split {args.split}", args, [], outputs)
     print(table.to_text(), end="")
@@ -356,9 +349,7 @@ def cmd_interpret(args) -> int:
             models[inst.query.query_type], inst.query, fill=args.fill, top=args.top
         )
         record = {
-            "type": inst.query.query_type.value,
-            "anchors": list(inst.query.anchors),
-            "relations": list(inst.query.relations),
+            **inst.query.record(),
             "fill": args.fill,
             "intermediates": [
                 [{"entity": e, "score": round(s, 6)} for e, s in slot] for slot in assignments

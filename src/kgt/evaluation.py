@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -192,15 +191,7 @@ def evaluate(
         if rank_dump is not None:
             for (inst, hard), ranks in zip(kept, lists):
                 for answer, rank in zip(hard, ranks):
-                    rank_dump.append(
-                        {
-                            "type": inst.query.query_type.value,
-                            "anchors": list(inst.query.anchors),
-                            "relations": list(inst.query.relations),
-                            "answer": int(answer),
-                            "rank": int(rank),
-                        }
-                    )
+                    rank_dump.append({**inst.query.record(), "answer": int(answer), "rank": int(rank)})
         if not kept:
             continue
         row = {f"hits@{k}": hits_at_k(lists, k) for k in ks}
@@ -224,11 +215,6 @@ def merge_metrics(tables: Sequence[MetricsTable]) -> MetricsTable:
             if qtype != "mean":
                 rows[qtype] = row
     return MetricsTable(split=split, ks=ks, rows=_with_mean(rows))
-
-
-def write_metrics(table: MetricsTable, json_path: str | Path, text_path: str | Path) -> None:
-    Path(json_path).write_text(table.to_json(), encoding="utf-8")
-    Path(text_path).write_text(table.to_text(), encoding="utf-8")
 
 
 def interpret(

@@ -51,7 +51,6 @@ class QueryType(Enum):
 
 
 TRAINABLE_TYPES = (QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2, QueryType.I3)
-EVAL_ONLY_TYPES = (QueryType.IP, QueryType.PI, QueryType.U2, QueryType.UP)
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,11 @@ class QueryGraph:
     @property
     def intermediate_indexes(self) -> tuple[int, ...]:
         return tuple(range(self.query_type.anchor_count, self.target_index))
+
+    def record(self) -> dict:
+        """The fields that name this query on every JSON line about it: query
+        files, rank dumps and ``kgt interpret`` output."""
+        return {"type": self.query_type.value, "anchors": list(self.anchors), "relations": list(self.relations)}
 
 
 def build_query(query_type: QueryType, anchors: Sequence[int], relations: Sequence[int]) -> QueryGraph:
@@ -211,9 +215,7 @@ def write_queries(path: str | Path, instances: Iterable[QueryInstance]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
             record = {
-                "type": inst.query.query_type.value,
-                "anchors": list(inst.query.anchors),
-                "relations": list(inst.query.relations),
+                **inst.query.record(),
                 "answers_train": sorted(inst.answers_train),
                 "answers_valid": sorted(inst.answers_valid),
                 "answers_test": sorted(inst.answers_test),
@@ -328,15 +330,6 @@ def walk_back(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator)
     return slots, relations
 
 
-def _instantiate(graph: KnowledgeGraph, qtype: QueryType, rng: np.random.Generator) -> QueryGraph | None:
-    """Draw one query of the given shape backward from a random target, or None."""
-    walked = walk_back(graph, qtype, rng)
-    if walked is None:
-        return None
-    slots, relations = walked
-    return build_query(qtype, slots[: qtype.anchor_count], relations)
-
-
 def generate_queries(
     split: SplitDataset,
     qtype: QueryType,
@@ -364,9 +357,11 @@ def generate_queries(
     for _ in range(budget):
         if len(out) == count:
             break
-        query = _instantiate(graph, qtype, rng)
-        if query is None:
+        walked = walk_back(graph, qtype, rng)
+        if walked is None:
             continue
+        slots, relations = walked
+        query = build_query(qtype, slots[: qtype.anchor_count], relations)
         if query in seen:
             continue
         seen.add(query)

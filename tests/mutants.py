@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 MODEL, TENSOR, OPTIM = "model.py", "tensor.py", "optim.py"
-TRAIN, CLI, CONFIG, GRADCHECK_PY = "train.py", "cli.py", "config.py", "gradcheck.py"
+TRAIN, CLI, CONFIG, GRADCHECK_PY, CHECKPOINT = "train.py", "cli.py", "config.py", "gradcheck.py", "checkpoint.py"
 GRAPH, SAMPLING, QUERIES, EVALUATION = "graph.py", "sampling.py", "queries.py", "evaluation.py"
 T, M, O, E, G, S, Q, V = (
     f"tests/test_{name}.py::"
@@ -76,6 +76,8 @@ GROUNDING = Q + "TestGrounding::test_matches_quantifier_oracle"
 UNION = Q + "TestGeneration::test_union_second_branch_starts_anywhere"
 CHUNKED = V + "TestChunkedEvaluation::"
 RANK_DUMP = V + "TestEvaluate::test_rank_dump_records"
+RELABELING = "tests/test_relations.py::test_entity_relabeling_permutes_logit_columns_bit_for_bit"
+CK = M + "TestCheckpoint::test_"
 
 MUTANTS = (
     # ---- kernels and tape ops
@@ -153,6 +155,8 @@ MUTANTS = (
     Mutant("truncation at 2.5 std", MODEL, "np.abs(z) > 2.0 * std", "np.abs(z) > 2.5 * std",
            (DRAW, M + "TestParameters::test_truncated_normal_respects_bound", TRACE)),
     Mutant("draws scaled by a float32 std", MODEL, "z *= std", "z *= np.float32(std)", (DRAW, TRACE)),
+    Mutant("entity 0 enters as the mask token", MODEL, "where=ids != FREE_SLOT", "where=ids > 0",
+           (RELABELING, M + "TestPacking::test_stage1_batches_match_padded")),
     Mutant("tensors drawn in reverse arena order", MODEL, "for name, _, init in parameter_table(config):",
            "for name, _, init in parameter_table(config)[::-1]:",
            (M + "TestParameters::test_table_draws_each_element_once_in_the_documented_order", TRACE)),
@@ -229,6 +233,9 @@ MUTANTS = (
            "order = np.arange(len(heads))", (DIGESTS, Q + "TestGeneration::test_eval_queries_have_hard_answers")),
     Mutant("unions grounded as intersections", QUERIES, "join = set.union if tpl.union else set.intersection",
            "join = set.intersection", (GROUNDING,)),
+    Mutant("query record sorts its relations", QUERIES, '"relations": list(self.relations)', '"relations": sorted(self.relations)',
+           (V + "TestQueryRecord::test_heads_query_file_rank_dump_and_interpret_lines", Q + "TestQueryIO::test_round_trip",
+            RANK_DUMP)),
     # ---- training, configuration, the CLI and the gradient check
     Mutant("selection keeps the worst candidate", TRAIN, "max(row, key=row.get)", "min(row, key=row.get)",
            (TR + "TestCombinatorial::test_selection_prefers_higher_score_and_first_on_ties",)),
@@ -244,6 +251,20 @@ MUTANTS = (
     Mutant("gradcheck compares the tape with itself", GRADCHECK_PY,
            "gradient_error(analytic[key], numeric_gradient(value, t.data))", "gradient_error(analytic[key], analytic[key])",
            (T + "TestGradcheckCoverage::test_check_function_fails_a_backward_that_doubles_its_gradient",)),
+    # ---- checkpoints
+    Mutant("trailing bytes accepted", CHECKPOINT, "if declared < left:", "if False:", (CK + "trailing_bytes_rejected",)),
+    Mutant("non-finite parameters load", CHECKPOINT, "if not np.isfinite(data).all():", "if False:",
+           (CK + "non_finite_parameter_rejected_by_name",)),
+    Mutant("any version accepted", CHECKPOINT, "if version != VERSION:", "if False:",
+           (CK + "bad_version_rejected", CK + "v1_file_rejected")),
+    Mutant("header parameter list not compared", CHECKPOINT, "if stored != list(expected.items()):", "if False:",
+           tuple(CK + name for name in ("missing_parameter_rejected", "extra_parameter_rejected", "wrong_shape_rejected",
+                                        "misordered_or_repeated_parameters_rejected", "per_qkv_layout_rejected",
+                                        "per_expert_layout_rejected"))),
+    Mutant("arena size checked only after mapping", CHECKPOINT, "if declared > left:", "if False:",
+           (CK + "huge_declared_arena_rejected_before_mapping",)),
+    Mutant("header read past the end of the file", CHECKPOINT, "fh.read(min(n, os.fstat(fh.fileno()).st_size))",
+           "fh.read(n)", (CK + "truncation_rejected",)),
     # ---- evaluation
     Mutant("branch rows read off by query index", EVALUATION, "list(logits[owner == i]) for i in range(len(queries))",
            "list(logits[i : i + len(b)]) for i, b in enumerate(branches)",

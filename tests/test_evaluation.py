@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgt.checkpoint import save_checkpoint
+from kgt.cli import main
 from kgt.evaluation import (
     MetricsTable,
     evaluate,
@@ -20,7 +22,7 @@ from kgt.evaluation import (
 )
 import kgt.evaluation as ev
 from kgt.model import Model, ModelConfig, encode_queries, forward
-from kgt.queries import QueryType, build_query, generate_queries
+from kgt.queries import QueryType, build_query, generate_queries, write_queries
 
 from helpers import toy_split
 
@@ -460,3 +462,32 @@ class TestInterpret:
         free = interpret(model, q, top=3)
         filled = interpret(model, q, fill=7, top=3)
         assert free != filled
+
+
+class TestQueryRecord:
+    def test_heads_query_file_rank_dump_and_interpret_lines(self, tmp_path, capsys):
+        # one valid query of each shape; interpret reads only shapes with intermediate slots
+        split = toy_split(seed=30)
+        model = tiny_model(split)
+        data = sample_datasets(split, list(QueryType), 1, 31)
+        assert any(list(inst.query.relations) != sorted(inst.query.relations) for (inst,) in data.values())
+        checkpoint = tmp_path / "model.kgtc"
+        save_checkpoint(model, checkpoint)
+        dump = []
+        evaluate(model, data, "valid", rank_dump=dump)
+
+        def head(line: dict) -> dict:
+            return {key: line[key] for key in ("type", "anchors", "relations")}
+
+        for qtype, (inst,) in data.items():
+            query = inst.query
+            record = query.record()
+            assert record == {"type": qtype.value, "anchors": list(query.anchors), "relations": list(query.relations)}
+            path = tmp_path / f"{qtype.value}.jsonl"
+            write_queries(path, [inst])
+            assert head(json.loads(path.read_text())) == record
+            rows = [row for row in dump if row["type"] == qtype.value]
+            assert len(rows) == len(inst.hard_answers("valid")) and all(head(row) == record for row in rows)
+            if query.intermediate_indexes and not qtype.is_union:
+                assert main(["--out", str(tmp_path), "interpret", "--query-file", str(path), "--checkpoint", str(checkpoint)]) == 0
+                assert head(json.loads(capsys.readouterr().out)) == record

@@ -1,6 +1,7 @@
 """Every module under ``src/kgt`` uses each name it imports, every
 module-level private name is read somewhere in ``src/kgt``, and every public
-function, class and method is read somewhere in ``src/kgt`` or ``kgtbench/``.
+function, class, method and module-level constant is read somewhere in
+``src/kgt`` or ``kgtbench/``.
 Every oracle and helper of the shared test modules is reached from a test.
 
 ``__init__.py`` is exempt from the import check: its imports are the
@@ -34,17 +35,26 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in used]
 
 
-def private_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each module-level ``_name`` (not a dunder) the module binds."""
-    tree = ast.parse(source)
+def module_bindings(source: str) -> list[tuple[int, str, bool]]:
+    """(line, name, whether by assignment) of each name the module binds at its top level."""
     bound = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound.append((node.lineno, node.name))
+            bound.append((node.lineno, node.name, False))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound += [(node.lineno, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [(line, name) for line, name in bound if name.startswith("_") and not name.startswith("__")]
+            bound += [(node.lineno, n.id, True) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return bound
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level ``_name`` (not a dunder) the module binds."""
+    return [(line, name) for line, name, _ in module_bindings(source) if name.startswith("_") and not name.startswith("__")]
+
+
+def public_constants(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each public name the module binds at its top level by assignment."""
+    return [(line, name) for line, name, assigned in module_bindings(source) if assigned and not name.startswith("_")]
 
 
 def names_read(source: str) -> set[str]:
@@ -107,6 +117,7 @@ def test_public_finder_sees_definitions_and_references():
     source = "class A:\n    def f(self):\n        pass\n    def _g(self):\n        pass\ndef h():\n    return 'A.f'\n"
     assert public_definitions(source) == [(1, "A"), (2, "A.f"), (6, "h")]
     assert {"A", "f"} <= names_referenced(source) and "h" not in names_referenced(source)
+    assert public_constants("A = 1\n_b = 2\nC: int = A\ndef d():\n    E = 4\nclass F:\n    G = 5\n") == [(1, "A"), (3, "C")]
 
 
 def test_every_public_name_is_read():
@@ -114,7 +125,8 @@ def test_every_public_name_is_read():
     unread = [
         (path.name, line, name)
         for path in PACKAGE
-        for line, name in public_definitions(path.read_text(encoding="utf-8"))
+        for source in [path.read_text(encoding="utf-8")]
+        for line, name in public_definitions(source) + public_constants(source)
         if name.rsplit(".", 1)[-1] not in read
     ]
     assert unread == []

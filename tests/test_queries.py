@@ -7,7 +7,6 @@ import pytest
 from kgt.errors import ArityError, ParseError, SamplingExhausted
 from kgt.graph import KnowledgeGraph
 from kgt.queries import (
-    EVAL_ONLY_TYPES,
     FREE_SLOT,
     TRAINABLE_TYPES,
     QueryInstance,
@@ -98,8 +97,7 @@ class TestQueryShapes:
 
     def test_trainable_partition(self):
         assert set(TRAINABLE_TYPES) == {QueryType.P1, QueryType.P2, QueryType.P3, QueryType.I2, QueryType.I3}
-        assert set(EVAL_ONLY_TYPES) == {QueryType.IP, QueryType.PI, QueryType.U2, QueryType.UP}
-        assert set(TRAINABLE_TYPES) | set(EVAL_ONLY_TYPES) == set(QueryType)
+        assert set(QueryType) - set(TRAINABLE_TYPES) == {QueryType.IP, QueryType.PI, QueryType.U2, QueryType.UP}
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ArityError):
