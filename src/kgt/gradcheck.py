@@ -108,6 +108,8 @@ class OpCase(NamedTuple):
 
 _MASK_BIAS = T.mask_bias((np.random.default_rng(22).random((2, 1, 4, 4)) < 0.5) | np.eye(4, dtype=bool))  # 7 of 8 rows masked in part
 _ATTENTION_SHAPES = ((8, 4), (4, 12), (4, 4))  # h (a 2 x 4 grid), wqkv, wo
+_KEY_ROWS = np.array([0, 1, 3, 5, 6])  # flat slots of the 2 x 4 grid
+_KEY_SHAPES = ((5, 4), (4, 12), (4, 4))
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
@@ -142,6 +144,10 @@ OP_CASES = (
     OpCase("gather_rows_distinct", lambda a: T.gather_rows(a, np.array([2, 0, 3])), ((4, 5),), 21),
     OpCase("attention", lambda *t: T.attention(*t, _MASK_BIAS, 2), _ATTENTION_SHAPES, 22),
     OpCase("attention_one_head", lambda *t: T.attention(*t, _MASK_BIAS, 1), _ATTENTION_SHAPES, 23),
+    # keys at 5 slots of the 2 x 4 grid; grid row 1 has keys but no query
+    OpCase("attention_query_rows", lambda *t: T.attention(*t, _MASK_BIAS, 2, _KEY_ROWS, np.array([0, 2])), _KEY_SHAPES, 25),
+    # one query row: its 2-D products take _gemm's doubled row
+    OpCase("attention_one_query", lambda *t: T.attention(*t, _MASK_BIAS, 2, _KEY_ROWS, np.array([3])), _KEY_SHAPES, 26),
 )
 
 
@@ -161,7 +167,7 @@ def op_suite() -> list[CheckResult]:
 
 
 def moe_check() -> CheckResult:
-    """Top-2-of-4 routed MoE block on the 6 rows of a padded 2 x 3 grid holding graphs with 3 and 1 real nodes."""
+    """Top-2-of-4 routed MoE block on 4 rows."""
     rng = np.random.default_rng(15)
     config = ModelConfig(
         entity_count=2, relation_count=1, layers=1, hidden=4, heads=2, experts=4, top_k=2, expert_hidden=6
@@ -171,14 +177,13 @@ def moe_check() -> CheckResult:
         for name, shape in parameter_shapes(config).items()
         if name.startswith(("layer0.ln2", "layer0.gate", "layer0.experts"))
     }
-    real = np.array([0, 1, 2, 3], dtype=np.int64)
 
     def f(p):
         model = Model(config=config, params=p)
-        out = moe_ffn(model, 0, p["x"], training=True, rng=np.random.default_rng(16), rows=real)
+        out = moe_ffn(model, 0, p["x"], training=True, rng=np.random.default_rng(16))
         return _weighted(out, np.random.default_rng(17))
 
-    return check_function("moe_ffn_top2_padded", f, {**moe_params, "x": _p(rng, 6, 4)}, OP_TOLERANCE)
+    return check_function("moe_ffn_top2", f, {**moe_params, "x": _p(rng, 4, 4)}, OP_TOLERANCE)
 
 
 def model_check() -> CheckResult:

@@ -7,8 +7,8 @@ Each layer is Pre-LN residual: ``x + Drop(Attn(LN(x)))`` then
 experts during training (softmax renormalized over the selected logits) and
 through the full softmax mixture of all experts at inference. Only the masked
 or target nodes are scored, and with L layers a node's scores read only nodes
-at most L hops away, so each layer's experts run only on the nodes whose output
-can still reach a scored node (:func:`field_rows`), never on padding.
+at most L hops away, so each layer runs only on the nodes whose output can
+still reach a scored node (:func:`field_rows`), never on padding.
 """
 
 from __future__ import annotations
@@ -288,40 +288,42 @@ def encode_queries(
     return _pack([q.levi for q in queries], inputs, slots, targets, config.mask_id)
 
 
-def attention_layer(model: Model, layer: int, x: Tensor, attn_bias: np.ndarray, training: bool, rng: np.random.Generator | None) -> Tensor:
+def attention_layer(
+    model: Model,
+    layer: int,
+    x: Tensor,
+    attn_bias: np.ndarray,
+    rows: np.ndarray,
+    queries: np.ndarray,
+    training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
     """Pre-LN multi-head attention restricted to graph neighbors.
 
-    ``x`` holds the [B * N, d] node states of the grid, and ``attn_bias`` is the
-    batch's attention mask as a :func:`kgt.tensor.mask_bias`, which gives the grid's shape.
+    ``x`` holds the [K, d] node states at the ascending flat grid rows
+    ``rows``, and ``queries`` the ascending indexes, among them, of the rows
+    the layer keeps. Every row is normalized and gives a key and a value; the
+    attention, the residual and its dropout run at the query rows alone, so
+    the layer returns their [Q, d] states. ``attn_bias`` is the batch's
+    attention mask as a :func:`kgt.tensor.mask_bias`, which gives the grid's shape.
     """
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-    out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads)
-    return T.dropout(x, out, cfg.dropout, rng, training)
+    out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads, rows, queries)
+    return T.dropout(T.gather_rows(x, queries), out, cfg.dropout, rng, training)
 
 
-def moe_ffn(
-    model: Model,
-    layer: int,
-    x: Tensor,
-    training: bool,
-    rng: np.random.Generator | None,
-    rows: np.ndarray,
-) -> Tensor:
-    """Mixture-of-experts feed-forward block.
+def moe_ffn(model: Model, layer: int, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
+    """Mixture-of-experts feed-forward block on the [M, d] node states ``x``.
 
     Training routes each node through its top-2 gate logits (ties broken
     toward the lower expert index) with the softmax renormalized over the
     selected logits; inference mixes all experts under the full softmax. With
-    two experts the two paths coincide exactly.
-
-    ``x`` holds the [B * N, d] node states, and ``rows`` the ascending indexes
-    of the nodes the experts run on: in :func:`forward` the layer's field,
-    which holds no padding. Each expert runs only on those rows routed to it,
-    so the block adds exactly 0 at every other row; the layer norm, the gate
-    and its softmax still run on every row.
+    two experts the two paths coincide exactly. Each expert runs only on the
+    rows routed to it; in :func:`forward` the rows are the layer's field,
+    which holds no padding.
     """
     cfg = model.config
     p = model.params
@@ -337,9 +339,10 @@ def moe_ffn(
         bias = T.mask_bias(selected)
     weights = T.softmax(gate_logits, bias)
 
-    # Expert j serves the real rows whose routing weight for it is live; an
-    # expert with no rows still takes part, so that it gets zero gradients
-    routes = [rows if selected is None else rows[selected[rows, j]] for j in range(cfg.experts)]
+    # Expert j serves the rows whose routing weight for it is live; an expert
+    # with no rows still takes part, so that it gets zero gradients
+    every = np.arange(len(h.data))
+    routes = [every if selected is None else np.flatnonzero(selected[:, j]) for j in range(cfg.experts)]
     stacked = (p[prefix + "experts." + name] for name in ("w1", "b1", "w2", "b2"))
     combined = T.moe_experts(h, weights, *stacked, routes)
     return T.dropout(x, combined, cfg.dropout, rng, training)
@@ -357,10 +360,11 @@ def field_rows(batch: Batch, layers: int) -> list[np.ndarray]:
 
     The last layer's field is the rows of ``batch.positions``. A row is in the
     field of the layer before when a row of this layer's field attends to it,
-    along query to key. Padding attends only to itself and is never scored, so
-    no field holds it. ``field_rows(batch, layers + 1)[0]`` are the rows whose
-    input can reach a scored slot: in a 3p query the anchor and its relation
-    node lie 6 and 5 hops from the target, past the reach of 4 layers.
+    along query to key; every row attends to itself, so each field holds the
+    next. Padding attends only to itself and is never scored, so no field
+    holds it. ``field_rows(batch, layers + 1)[0]`` are the rows whose input
+    can reach a scored slot: in a 3p query the anchor and its relation node
+    lie 6 and 5 hops from the target, past the reach of 4 layers.
     """
     mask = batch.attn_mask[:, 0]
     reach = np.zeros(mask.shape[:2], dtype=bool)
@@ -381,23 +385,26 @@ def forward(
     """Run the transformer and score entities at the batch's prediction slots.
 
     Returns [P, entity_count] logits, one row per entry of ``batch.positions``.
-    The node states are one [B * N, d] array throughout; only attention sees
-    the grid, through the shape of the mask. Each layer's experts run on the
-    layer's :func:`field_rows` alone; the other rows cannot reach a score.
+    The node states are the rows of the grid that can still reach a score,
+    ``fields = field_rows(batch, layers + 1)``: the input gathers take the rows
+    of ``fields[0]``, and layer l turns the states of ``fields[l]`` into those
+    of ``fields[l + 1]``, a [rows, d] array that shrinks layer by layer. Only
+    attention sees the grid, through the shape of the mask. The final layer
+    norm runs on the prediction rows, gathered in ``positions`` order.
     """
     cfg = model.config
     p = model.params
-    ids = batch.entity_ids.reshape(-1)
-    is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's; padding is an entity
+    fields = field_rows(batch, cfg.layers + 1)
+    ids = batch.entity_ids.reshape(-1)[fields[0]]
+    is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's
     x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
 
-    fields = field_rows(batch, cfg.layers)
     attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
-        x = attention_layer(model, layer, x, attn_bias, training, rng)
-        x = moe_ffn(model, layer, x, training, rng, fields[layer])
+        queries = np.searchsorted(fields[layer], fields[layer + 1])
+        x = attention_layer(model, layer, x, attn_bias, fields[layer], queries, training, rng)
+        x = moe_ffn(model, layer, x, training, rng)
 
-    x = T.layer_norm(x, p["final_ln_gain"], p["final_ln_bias"])
-    states = T.gather_rows(x, batch.positions)
+    states = T.gather_rows(x, np.searchsorted(fields[-1], batch.positions))
+    states = T.layer_norm(states, p["final_ln_gain"], p["final_ln_bias"])
     return T.decode(states, decoder_matrix(model))
-

@@ -415,34 +415,101 @@ def softmax(a: Tensor, bias: np.ndarray | None = None) -> Tensor:
     return _record(out, backward)
 
 
-def attention(h: Tensor, wqkv: Tensor, wo: Tensor, bias: np.ndarray, heads: int) -> Tensor:
-    """Masked multi-head attention over the [B * N, d] rows of a B x N grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+def _slots(grid_rows: np.ndarray, used: int, least: int = 1) -> tuple[np.ndarray, int]:
+    """The flat slot of each row in a [used, width] layout, given the ascending
+    index ``grid_rows`` of its grid row among the used ones: the rows of one
+    grid row take its slots from 0 in order. Also returns ``width``, the most
+    rows that one grid row holds, or ``least`` if that is more."""
+    counts = np.bincount(grid_rows, minlength=used)
+    width = max(least, int(counts.max()))
+    starts = np.cumsum(counts) - counts
+    return grid_rows * width + np.arange(len(grid_rows)) - starts[grid_rows], width
 
-    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`, which gives the grid's shape, and ``scale``
-    ``1/sqrt(d / heads)`` in ``h``'s dtype. Each product rounds as the former per-projection ops' did."""
+
+def attention(
+    h: Tensor,
+    wqkv: Tensor,
+    wo: Tensor,
+    bias: np.ndarray,
+    heads: int,
+    rows: np.ndarray | None = None,
+    queries: np.ndarray | None = None,
+) -> Tensor:
+    """Masked multi-head attention of query rows over key rows of a B x N grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+
+    ``h`` holds the [K, d] key rows at the ascending flat grid indexes ``rows``
+    (default: every slot), and ``queries`` the ascending indexes, among them,
+    of the rows whose output the op returns (default: every row), [Q, d].
+    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`,
+    which gives the grid's shape, and ``scale`` ``1/sqrt(d / heads)`` in
+    ``h``'s dtype. Keys and queries are laid out per used grid row, each row
+    in one slot of its own and the rest masked out, so the backward gathers
+    each row's gradient from its slot. The products are per grid row and
+    projection, as the former per-projection ops took them.
+    """
     b, n, d = bias.shape[0], bias.shape[-1], h.shape[1]
     hd = d // heads
     scale = h.dtype.type(1.0 / math.sqrt(hd))
-    # one [N, d] @ [d, d] product per grid row and projection: h @ wqkv ran slower on one OpenBLAS thread
-    grid = h.data.reshape(b, n, d)
-    q, k, v = ((grid @ w).reshape(b, n, heads, hd).transpose(0, 2, 1, 3) for w in np.split(wqkv.data, 3, axis=1))
-    p = masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, bias)
-    context = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-    out = Tensor((context @ wo.data).reshape(b * n, d), requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
+    rows = np.arange(b * n) if rows is None else rows
+    queries = np.arange(len(rows)) if queries is None else queries
+    used, key_row = np.unique(rows // n, return_inverse=True)
+    g = len(used)
+    key_slot, nk = _slots(key_row, g)
+    # a lone query takes two slots where its grid row has two keys, so that
+    # its products stay on BLAS gemm, which rounds as for more queries
+    query_slot, nq = _slots(key_row[queries], g, min(2, nk))
+    # a query slot left empty takes the column of its grid row's first key,
+    # which attends to itself, so that no softmax row is all masked
+    key_col = np.zeros(g * nk, dtype=np.int64)
+    key_col[key_slot] = rows % n
+    query_col = np.repeat(key_col[::nk], nq)
+    query_col[query_slot] = rows[queries] % n
+    empty_key = np.full(g * nk, -np.inf, dtype=np.float32)
+    empty_key[key_slot] = 0.0
+    index = (used[:, None, None] * n + query_col.reshape(g, nq, 1)) * n + key_col.reshape(g, 1, nk)
+    slot_bias = bias.reshape(-1).take(index)  # one flat take: indexing the four axes at once ran 2.5x slower
+    slot_bias += empty_key.reshape(g, 1, nk)
 
-    def backward(g):
-        _accumulate(wo, np.matmul(context.reshape(b * n, d).T, g, out=_grad_out(wo)), owned=True)
-        g_context = _gemm(g, wo.data.T).reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+    def lay_out(x: np.ndarray, slots: np.ndarray, width: int) -> np.ndarray:
+        grid = np.zeros((g * width, x.shape[1]), dtype=x.dtype)
+        grid[slots] = x
+        return grid.reshape(g, width, x.shape[1])
+
+    def split_heads(x: np.ndarray) -> np.ndarray:
+        return x.reshape(g, -1, heads, hd).transpose(0, 2, 1, 3)
+
+    # one product per grid row and projection: h @ wqkv ran slower on one OpenBLAS thread
+    key_grid = lay_out(h.data, key_slot, nk)
+    wq, wk, wv = wqkv.data[:, :d], wqkv.data[:, d : 2 * d], wqkv.data[:, 2 * d :]
+    hq = h.data[queries]
+    q = split_heads(lay_out(hq, query_slot, nq) @ wq)
+    k, v = split_heads(key_grid @ wk), split_heads(key_grid @ wv)
+    p = masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, slot_bias[:, None])
+    context = (p @ v).transpose(0, 2, 1, 3).reshape(g, nq, d)
+    out = Tensor((context @ wo.data).reshape(g * nq, d)[query_slot], requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
+    context = context.reshape(g * nq, d)[query_slot]
+
+    def backward(grad):
+        _accumulate(wo, np.matmul(context.T, grad, out=_grad_out(wo)), owned=True)
+        g_context = split_heads(lay_out(_gemm(grad, wo.data.T), query_slot, nq))
         g_scores = _softmax_grad(p, g_context @ np.swapaxes(v, -1, -2))
         g_scores *= scale
         g_kt = np.swapaxes(q, -1, -2) @ g_scores  # k's gradient, transposed, as the former tape took it
-        g_qkv = np.empty((b * n, 3 * d), dtype=h.dtype)
-        for i, m in enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2), np.swapaxes(p, -1, -2) @ g_context)):
-            g_qkv.reshape(b, n, 3, heads, hd)[:, :, i] = m.transpose(0, 2, 1, 3)  # not np.stack: 8x slower here
-        _accumulate(wqkv, np.matmul(h.data.T, g_qkv, out=_grad_out(wqkv)), owned=True)
-        gh = _gemm(g_qkv[:, 2 * d :], wqkv.data[:, 2 * d :].T)
-        for i in (1, 0):  # the value, key and query terms, summed in the former tape's order
-            gh += _gemm(g_qkv[:, i * d : (i + 1) * d], wqkv.data[:, i * d : (i + 1) * d].T)
+        g_kv = np.empty((g, nk, 2, heads, hd), dtype=h.dtype)
+        g_kv[:, :, 0] = np.swapaxes(g_kt, -1, -2).transpose(0, 2, 1, 3)  # not np.stack: 8x slower here
+        g_kv[:, :, 1] = (np.swapaxes(p, -1, -2) @ g_context).transpose(0, 2, 1, 3)
+        g_kv = g_kv.reshape(g * nk, 2 * d)
+        g_q = (g_scores @ k).transpose(0, 2, 1, 3).reshape(g * nq, d)[query_slot]
+        # the key and value columns of wqkv's gradient from the key grid, the query columns from the query rows
+        g_w = _grad_out(wqkv)
+        g_w = np.empty_like(wqkv.data) if g_w is None else g_w
+        g_w[:, :d] = hq.T @ g_q
+        g_w[:, d:] = key_grid.reshape(g * nk, d).T @ g_kv
+        _accumulate(wqkv, g_w, owned=True)
+        gh = _gemm(g_kv[:, d:], wv.T)  # the value, key and query terms, in the former tape's order
+        gh += _gemm(g_kv[:, :d], wk.T)
+        gh = gh[key_slot]
+        gh[queries] += _gemm(g_q, wq.T)
         _accumulate(h, gh, owned=True)
 
     return _record(out, backward)

@@ -329,12 +329,15 @@ def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int) -> "T
     return former_reshape(out, (b * n, d))
 
 
-def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng, weights) -> "Tensor":
+def former_attention_layer(model, layer: int, x, attn_bias, rows, queries, training: bool, rng, weights) -> "Tensor":
     """Test oracle: the former attention layer, 20 tape ops (its residual an
     ``add`` of a :func:`former_dropout`) and the two ``former_reshape`` records
     of :func:`former_attention_rows`, over the projections by the leaves
-    ``weights`` (:func:`qkv_leaves`)."""
+    ``weights`` (:func:`qkv_leaves`). It runs on every slot of the grid, each
+    a key and a query row."""
     from kgt import tensor as T
+
+    assert np.array_equal(rows, np.arange(x.shape[0])) and np.array_equal(queries, rows)
 
     cfg = model.config
     p = model.params
@@ -344,7 +347,7 @@ def former_attention_layer(model, layer: int, x, attn_bias, training: bool, rng,
     return T.add(x, former_dropout(out, cfg.dropout, rng, training))
 
 
-def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> "Tensor":
+def former_moe_ffn(model, layer: int, x, training: bool, rng, experts) -> "Tensor":
     """Test oracle: the former routed expert loop, ten tape ops per expert.
 
     Expert j runs on the leaves ``experts[j]`` (:func:`expert_leaves`): the
@@ -359,6 +362,7 @@ def former_moe_ffn(model, layer: int, x, training: bool, rng, rows, experts) -> 
     cfg = model.config
     p = model.params
     m = x.shape[0]
+    rows = np.arange(m)
     flat = T.layer_norm(x, p[f"layer{layer}.ln2_gain"], p[f"layer{layer}.ln2_bias"])
     logits = T.matmul(flat, p[f"layer{layer}.gate"])
     selected = None
@@ -384,10 +388,10 @@ def padded_rows(sizes, width) -> np.ndarray:
 
 
 def real_rows_field(batch, layers: int) -> list[np.ndarray]:
-    """Test oracle: the rows of the former forward's experts, every real slot of the grid at every layer.
+    """Test oracle: every real slot of the grid as the field of every layer.
 
-    Patched over ``kgt.model.field_rows``, it makes ``forward`` the former
-    forward, which ran each layer's experts on all real rows.
+    Patched over ``kgt.model.field_rows``, it makes ``forward`` run every op of
+    every layer on all real rows, as the forward before the fields did.
     """
     return [padded_rows(batch.sizes, batch.entity_ids.shape[1])] * layers
 

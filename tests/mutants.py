@@ -64,6 +64,7 @@ GATHER = T + "TestGatherRows::test_backward_matches_add_at"
 TYPES = M + "TestForward::test_node_types_and_real_rows"
 PADDING = M + "TestSparseDispatch::test_padding_slots_run_no_expert"
 FIELD = M + "TestField::test_matches_experts_on_every_real_row"
+DROPOUT_ROWS = M + "TestField::test_each_dropout_draws_its_fields_rows_in_row_order"
 MOE = M + "TestMoe::test_matches_oracle_in_both_modes"
 DRAW = M + "TestParameters::test_truncated_normal_matches_heap_oracle_bit_for_bit"
 LOOP = O + "TestArenaAgainstLoop::test_bit_exact_over_five_steps"
@@ -88,8 +89,9 @@ MUTANTS = (
     Mutant("layer-norm variance times 1/n", TENSOR,
            'np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")', "var *= 1.0 / x.shape[-1]",
            (FORMER + "layer_norm",)),
-    Mutant("attention scale on q before q k^T", TENSOR, "masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, bias)",
-           "masked_softmax((q * scale) @ np.swapaxes(k, -1, -2), bias)",
+    Mutant("attention scale on q before q k^T", TENSOR,
+           "masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, slot_bias[:, None])",
+           "masked_softmax((q * scale) @ np.swapaxes(k, -1, -2), slot_bias[:, None])",
            (FORMER + "attention_softmax_folds_the_scale", FUSED, TRACE)),
     Mutant("softmax by the reciprocal of the sum", TENSOR, "x /= x.sum(axis=-1, keepdims=True)",
            "x *= 1.0 / x.sum(axis=-1, keepdims=True)",
@@ -100,10 +102,20 @@ MUTANTS = (
            "        _accumulate(a, g)\n", (FORMER + "add", EVAL_ADD, GRADCHECK)),
     Mutant("dropout off returns the residual alone", TENSOR, "        return add(x, a)", "        return x",
            (EVAL_ADD, T + "TestDropout::test_zero_rate_is_add", MOE)),
-    Mutant("attention q and k gradient blocks swapped", TENSOR,
-           "enumerate((g_scores @ k, np.swapaxes(g_kt, -1, -2),", "enumerate((np.swapaxes(g_kt, -1, -2), g_scores @ k,",
+    Mutant("attention key gradient block takes the query gradient", TENSOR,
+           "g_kv[:, :, 0] = np.swapaxes(g_kt, -1, -2).transpose(0, 2, 1, 3)",
+           "g_kv[:, :, 0] = (g_scores @ k).transpose(0, 2, 1, 3)",
            (FORMER + "attention_softmax_folds_the_scale", T + "TestAttentionWeightGradient::test_matches_stacked_product",
             GRADCHECK)),
+    Mutant("dropout draws a second block past its rows", TENSOR, "keep = (rng.random(a.data.shape) >= p)",
+           "keep = (rng.random((2, *a.data.shape))[1] >= p)", (DROPOUT_ROWS, FORMER + "residual_dropout")),
+    Mutant("attention query gradient gathered from the key slots", TENSOR,
+           "g_q = (g_scores @ k).transpose(0, 2, 1, 3).reshape(g * nq, d)[query_slot]",
+           "g_q = (g_scores @ k).transpose(0, 2, 1, 3).reshape(g * nq, d)[key_slot[queries]]", (FIELD, GRADCHECK)),
+    Mutant("a lone query takes one slot", TENSOR, "_slots(key_row[queries], g, min(2, nk))",
+           "_slots(key_row[queries], g)", (V + "TestChunkedEvaluation::test_one_position_row_matches_two_position_batch",)),
+    Mutant("an empty query slot takes column 0", TENSOR, "query_col = np.repeat(key_col[::nk], nq)",
+           "query_col = np.zeros(g * nq, dtype=np.int64)", (FIELD, GRADCHECK)),
     Mutant("_gemm sends one row to gemv", TENSOR, "if x.shape[0] == 1:", "if x.shape[0] == -1:",
            (E + "test_gemm_keeps_one_row_on_gemm", T + "TestOneRowMatmul::test_matches_row_zero_of_two_row_product",
             TRACE)),
@@ -122,7 +134,9 @@ MUTANTS = (
            (GATHER, GRADCHECK)),
     Mutant("experts backward in forward order", TENSOR, "for j in reversed(range(len(saved))):",
            "for j in range(len(saved)):", (STACKED,)),
-    Mutant("attention input-gradient terms in another order", TENSOR, "for i in (1, 0):", "for i in (0, 1):",
+    Mutant("attention input-gradient terms in another order", TENSOR,
+           "        gh += _gemm(g_kv[:, :d], wk.T)\n        gh = gh[key_slot]\n        gh[queries] += _gemm(g_q, wq.T)\n",
+           "        gh = gh[key_slot]\n        gh[queries] += _gemm(g_q, wq.T)\n        gh += _gemm(g_kv[:, :d], wk.T)[key_slot]\n",
            (FORMER + "attention_softmax_folds_the_scale", FUSED, TRACE)),
     Mutant("decode table gradient in float64", TENSOR,
            "_accumulate(table, np.matmul(g.T, states.data, out=_grad_out(table)), owned=True)",
@@ -130,16 +144,23 @@ MUTANTS = (
            (M + "TestDecoderOp::test_block_matches_former_ops", TRACE)),
     # ---- the model
     Mutant("attention residual taken from the normalized input", MODEL,
-           "return T.dropout(x, out, cfg.dropout, rng, training)",
-           "return T.dropout(h, out, cfg.dropout, rng, training)",
+           "return T.dropout(T.gather_rows(x, queries), out, cfg.dropout, rng, training)",
+           "return T.dropout(T.gather_rows(h, queries), out, cfg.dropout, rng, training)",
            (FUSED,)),
     Mutant("MoE residual taken from the normalized input", MODEL,
            "return T.dropout(x, combined, cfg.dropout, rng, training)",
            "return T.dropout(h, combined, cfg.dropout, rng, training)", (STACKED, MOE)),
     Mutant("mask token typed as a relation node", MODEL, "(ids <= cfg.mask_id)", "(ids < cfg.mask_id)", (TYPES, TRACE)),
-    Mutant("the field expands one hop fewer", MODEL, "moe_ffn(model, layer, x, training, rng, fields[layer])",
-           "moe_ffn(model, layer, x, training, rng, fields[min(layer + 1, cfg.layers - 1)])", (TYPES, PADDING, FIELD)),
-    # the numbers of the former forward, which the field's match: only the spies see the rows
+    Mutant("the input field one hop short", MODEL, "    fields = field_rows(batch, cfg.layers + 1)\n",
+           "    fields = field_rows(batch, cfg.layers + 1)\n    fields[0] = fields[1]\n", (TYPES, FIELD)),
+    Mutant("keys taken at the layer's own field instead of the field before", MODEL,
+           "x = attention_layer(model, layer, x, attn_bias, fields[layer], queries, training, rng)",
+           "x = attention_layer(model, layer, T.gather_rows(x, queries), attn_bias, fields[layer + 1], "
+           "np.arange(len(queries)), training, rng)", (TYPES, FIELD)),
+    Mutant("prediction rows gathered in grid order", MODEL, "np.searchsorted(fields[-1], batch.positions)",
+           "np.searchsorted(fields[-1], np.sort(batch.positions))",
+           (M + "TestPacking::test_stage1_batches_match_padded", TRACE)),
+    # every layer on every real row, as the twin runs: only the spies see the rows
     Mutant("the field starts from all real rows", MODEL, "reach.reshape(-1)[batch.positions] = True",
            "reach[...] = np.arange(reach.shape[1]) < np.asarray(batch.sizes)[:, None]", (TYPES, PADDING, FIELD)),
     Mutant("equal-size graphs packed in reverse order", MODEL, "key=lambda i: -counts[i])",

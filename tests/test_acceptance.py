@@ -231,8 +231,8 @@ def test_03_moe_routing():
     two = ModelConfig(entity_count=10, relation_count=2, layers=1, hidden=16, heads=2, experts=2, top_k=2, dropout=0.0)
     model2 = Model(config=two, params=init_parameters(two, np.random.default_rng(4)))
     x2 = Tensor(np.random.default_rng(5).normal(size=(2 * 40, 16)).astype(np.float32))
-    train_out = moe_ffn(model2, 0, x2, training=True, rng=None, rows=np.arange(80)).data
-    eval_out = moe_ffn(model2, 0, x2, training=False, rng=None, rows=np.arange(80)).data
+    train_out = moe_ffn(model2, 0, x2, training=True, rng=None).data
+    eval_out = moe_ffn(model2, 0, x2, training=False, rng=None).data
     assert train_out.tobytes() == eval_out.tobytes()
 
 

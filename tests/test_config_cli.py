@@ -494,7 +494,7 @@ def test_gradcheck_prints_one_line_per_check(capsys):
     assert main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [line.split()[0] for line in lines[:-1]]
-    assert names == [case.name for case in OP_CASES] + ["moe_ffn_top2_padded", "model_end_to_end"]
+    assert names == [case.name for case in OP_CASES] + ["moe_ffn_top2", "model_end_to_end"]
     assert {"matmul", "attention", "attention_one_head"} <= set(names) and "matmul_batched" not in names
     assert all(line.endswith(" PASS") for line in lines[:-1])
     assert lines[-1] == f"all {len(names)} gradient checks passed"

@@ -109,91 +109,91 @@ PLATFORM = {
 TRACE = {
     "hidden16-untied": {
         "losses": [
-            "0x1.a7e4aa0000000p+3",
-            "0x1.5991120000000p+3",
-            "0x1.a5cc6c0000000p+3",
-            "0x1.6793440000000p+3",
-            "0x1.f7bbc20000000p+1",
-            "0x1.f4f9040000000p+1",
-            "0x1.f716b20000000p+1",
-            "0x1.f624440000000p+1",
-            "0x1.f621600000000p+1",
-            "0x1.f18aa80000000p+1",
-            "0x1.f177c00000000p+1",
-            "0x1.eb9ee80000000p+1",
-            "0x1.eac8780000000p+1",
-            "0x1.ecaaf40000000p+1"
+            "0x1.a7fb4a0000000p+3",
+            "0x1.59bab20000000p+3",
+            "0x1.a58a9a0000000p+3",
+            "0x1.67c9b80000000p+3",
+            "0x1.f865180000000p+1",
+            "0x1.f4cdb00000000p+1",
+            "0x1.f762c80000000p+1",
+            "0x1.f6d04c0000000p+1",
+            "0x1.f5eece0000000p+1",
+            "0x1.f25bb80000000p+1",
+            "0x1.f040a00000000p+1",
+            "0x1.eb74c00000000p+1",
+            "0x1.eae3e60000000p+1",
+            "0x1.eaca3c0000000p+1"
         ],
-        "arena": "73173e74d90fb2516ac8546d47f393a28772d5b5791f5c3610811b7800da5ed6",
-        "ranks": "34a0e1db34f77897d892e96c6dd3bcfcb1d2d266b0be7b42270fb8a633010f81"
+        "arena": "2fce924e8988e997009541cdd7605f0b858778c5929c96ec802e47eb6109dd6e",
+        "ranks": "b5b3028473e50b11f84fd810905987e11c9aa2bd6fc36bf458f89821ef70d2c4"
     },
     "hidden16-tied": {
         "losses": [
-            "0x1.a4a5840000000p+3",
-            "0x1.55831a0000000p+3",
-            "0x1.a3c5e20000000p+3",
-            "0x1.63a0040000000p+3",
-            "0x1.f773140000000p+1",
-            "0x1.f2b98a0000000p+1",
-            "0x1.f45ad40000000p+1",
-            "0x1.fd13e80000000p+1",
-            "0x1.f1f95e0000000p+1",
-            "0x1.f61e580000000p+1",
-            "0x1.f6b1cc0000000p+1",
-            "0x1.e6f96c0000000p+1",
-            "0x1.ed24440000000p+1",
-            "0x1.ed22f60000000p+1"
+            "0x1.a4de2a0000000p+3",
+            "0x1.55e55e0000000p+3",
+            "0x1.a417460000000p+3",
+            "0x1.63b2180000000p+3",
+            "0x1.f78a6a0000000p+1",
+            "0x1.f225fa0000000p+1",
+            "0x1.f427ea0000000p+1",
+            "0x1.fc63ae0000000p+1",
+            "0x1.f0e8c40000000p+1",
+            "0x1.f54e760000000p+1",
+            "0x1.f631b60000000p+1",
+            "0x1.e64b9e0000000p+1",
+            "0x1.eba8140000000p+1",
+            "0x1.ecb88c0000000p+1"
         ],
-        "arena": "3aaad7a39fb1542705fd9f4efff55aeda44ebb2528c2ff347438bf67c7dc9f91",
-        "ranks": "4d2c4d1c72ff13fc6c19732f83c82a8e5366c985726ef0897110a94f69161359"
+        "arena": "f77cab937e6daf8436d87500dbbc2274910d2f729a47575f085d0f3d2b830672",
+        "ranks": "d2764b4e6df17aff184960aeb897d1412d9609bacabab56db4984b4fe72a6bbe"
     },
     "hidden64-untied": {
         "losses": [
-            "0x1.a5cc600000000p+3",
-            "0x1.5ab7ce0000000p+3",
-            "0x1.a11d8a0000000p+3",
-            "0x1.6c6bde0000000p+3",
-            "0x1.f527ca0000000p+1",
-            "0x1.fc084a0000000p+1",
-            "0x1.f999f20000000p+1",
-            "0x1.fe50500000000p+1",
-            "0x1.e096d60000000p+1",
-            "0x1.f4ff860000000p+1",
-            "0x1.ea6a460000000p+1",
-            "0x1.b8e0a80000000p+1",
-            "0x1.cb374c0000000p+1",
-            "0x1.cb84b40000000p+1"
+            "0x1.a668300000000p+3",
+            "0x1.5beee00000000p+3",
+            "0x1.a34cf20000000p+3",
+            "0x1.6b51760000000p+3",
+            "0x1.f60c220000000p+1",
+            "0x1.fe98b60000000p+1",
+            "0x1.f2eb7c0000000p+1",
+            "0x1.fe1d940000000p+1",
+            "0x1.e8f4460000000p+1",
+            "0x1.fbc8c80000000p+1",
+            "0x1.edd67e0000000p+1",
+            "0x1.bfd7cc0000000p+1",
+            "0x1.ce6bd40000000p+1",
+            "0x1.d1c1280000000p+1"
         ],
-        "arena": "2ccd4fcb4d3379bc562129e15f356439d74a19782fff70e99038c9a5da53c849",
-        "ranks": "c89a922775edaa0cd1cd6705713e1e532b89e2c00e0aeab4fca84008040a2d03"
+        "arena": "581c0d19995ac92fd6ad661851969bf58c9da3ebca429568e4d1bf90c45365be",
+        "ranks": "ead1c8eea4a4866f238aee9b1f4fe0a36fe4b78f5444876ce7a9e36f195c5c37"
     },
     "hidden64-tied": {
         "losses": [
-            "0x1.9ba2d60000000p+3",
-            "0x1.51b81a0000000p+3",
-            "0x1.9fcb1a0000000p+3",
-            "0x1.60dccc0000000p+3",
-            "0x1.fd51700000000p+1",
-            "0x1.ee17d40000000p+1",
-            "0x1.ffcd240000000p+1",
-            "0x1.ffa4580000000p+1",
-            "0x1.f38e880000000p+1",
-            "0x1.fd1bd60000000p+1",
-            "0x1.f64d780000000p+1",
-            "0x1.c8e4e60000000p+1",
-            "0x1.dc05de0000000p+1",
-            "0x1.e1aa0c0000000p+1"
+            "0x1.9cb0960000000p+3",
+            "0x1.523b2c0000000p+3",
+            "0x1.9faa4a0000000p+3",
+            "0x1.61ec740000000p+3",
+            "0x1.f8a06c0000000p+1",
+            "0x1.f7803c0000000p+1",
+            "0x1.fd9c380000000p+1",
+            "0x1.fe2a5c0000000p+1",
+            "0x1.f409540000000p+1",
+            "0x1.fe55ac0000000p+1",
+            "0x1.f80c300000000p+1",
+            "0x1.c07ddc0000000p+1",
+            "0x1.d7808e0000000p+1",
+            "0x1.e0beb60000000p+1"
         ],
-        "arena": "e9883ce48d547410566db1627c4054acc663be36a52ee9becb760a1fa113dc6d",
-        "ranks": "431fe4a53cfd61ab286c87ff7e93494e1f2fadfbf14a0f27962cc0aff5e84a2e"
+        "arena": "12ae208cac98db42241c65feb14277309b51d8db6e1e0be623ee7a5048962a99",
+        "ranks": "a8000d815d4478ffcb1af8803a68d4684539b5e589f18ca9a85840ca0301642a"
     },
     "hidden128-untied": {
         "losses": [
-            "0x1.8bdf320000000p+4",
-            "0x1.9089fe0000000p+4",
-            "0x1.ed515e0000000p+2",
-            "0x1.f3d0900000000p+2",
-            "0x1.e5c25a0000000p+2"
+            "0x1.8c56de0000000p+4",
+            "0x1.905fe00000000p+4",
+            "0x1.f19d300000000p+2",
+            "0x1.ee47dc0000000p+2",
+            "0x1.e936300000000p+2"
         ],
         "targets": [
             130,
@@ -202,16 +202,16 @@ TRACE = {
             3,
             1
         ],
-        "arena": "7b6df6d948087b58eb2be43620d765a19dea6f7e4f2d7a96a37ae1f1a335ee0a",
-        "ranks": "e4ad2343ea2dc2a8dc966344b89a52c7b7bc2602ee1e59579f4cca5928af6567"
+        "arena": "0e59d5b9489b6df5d4d53cbaf6fe9f4936e004df486b6bc2cb202c18c840da60",
+        "ranks": "880127a87ebb67ee09e9ddbab0e5d2bad49ef41f92a423b31cb319058b824974"
     },
     "hidden128-tied": {
         "losses": [
-            "0x1.892b900000000p+4",
-            "0x1.8e08ee0000000p+4",
-            "0x1.e46f800000000p+2",
-            "0x1.e45a200000000p+2",
-            "0x1.e4fa5a0000000p+2"
+            "0x1.892b2a0000000p+4",
+            "0x1.8df2320000000p+4",
+            "0x1.ee89a80000000p+2",
+            "0x1.e4f78c0000000p+2",
+            "0x1.e384540000000p+2"
         ],
         "targets": [
             130,
@@ -220,8 +220,8 @@ TRACE = {
             3,
             1
         ],
-        "arena": "38aee409279268bae466cdc9474ef5ef36019af996c1743dbae328812bad8610",
-        "ranks": "f505b61dcf226437617313cba3130d32569cfb8c5c39b30996d8f9d642ec2c89"
+        "arena": "15ca2aef5ea339d5afbb97868838ceef2e8aaee4a399131c5639c0201395e382",
+        "ranks": "0b012ddbecbafdef6912c7dc7ec9356bf13bf567ea830b95632e615c12ea87cf"
     }
 }
 

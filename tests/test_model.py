@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kgt.model
 from kgt.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from kgt.errors import CheckpointError
 from kgt.model import (
@@ -189,7 +190,7 @@ class TestMoe:
         routed, moe_experts = [], T.moe_experts
         monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
         x = Tensor(np.random.default_rng(6).normal(size=(10, cfg.hidden)).astype(np.float32))
-        moe_ffn(model, 0, x, True, None, np.arange(10))
+        moe_ffn(model, 0, x, True, None)
         assert [rows.tolist() for rows in routed[0]] == [list(range(10))] * 2 + [[]] * (cfg.experts - 2)
 
     def test_two_experts_train_eval_bitwise_equal(self):
@@ -197,8 +198,8 @@ class TestMoe:
         model = Model.init(cfg, seed=7)
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
-        train_out = moe_ffn(model, 1, x, True, None, np.arange(18)).data
-        eval_out = moe_ffn(model, 1, x, False, None, np.arange(18)).data
+        train_out = moe_ffn(model, 1, x, True, None).data
+        eval_out = moe_ffn(model, 1, x, False, None).data
         assert train_out.tobytes() == eval_out.tobytes()
 
     def test_four_experts_train_eval_differ(self):
@@ -206,8 +207,8 @@ class TestMoe:
         model = Model.init(cfg, seed=9)
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(3 * 6, cfg.hidden)).astype(np.float32))
-        train_out = moe_ffn(model, 0, x, True, None, np.arange(18)).data
-        eval_out = moe_ffn(model, 0, x, False, None, np.arange(18)).data
+        train_out = moe_ffn(model, 0, x, True, None).data
+        eval_out = moe_ffn(model, 0, x, False, None).data
         assert not np.allclose(train_out, eval_out, atol=1e-7)
 
 
@@ -215,7 +216,8 @@ class TestSparseDispatch:
     """Experts run on the rows of a packed grid that can reach a scored slot, never on padding."""
 
     def test_outputs_bit_exact_at_real_rows_and_padding_untouched(self):
-        # graphs of 7, 1, 12 and 3 real nodes in rows of 12, and one in a row of 3
+        # the real slots of graphs of 7, 1, 12 and 3 nodes in rows of 12, and of one in a row of 3: forward hands
+        # the block a field, never padding
         layouts = [((7, 1, 12, 3), 12), ((1,), 3)]
         for tied, layout, training in itertools.product((False, True), layouts, (True, False)):
             check("moe_ffn/node-at-a-time", ties=tied, layout=layout, training=training)
@@ -243,20 +245,25 @@ class TestSparseDispatch:
         # entities 7-8 and 10-11 (targets 8 and 11), relation nodes 9 and 12; slot 13 is padding. The last
         # layer's field is the targets; each layer before adds the neighbors of the one after.
         fields = [[2, 3, 6, 7, 8, 9, 10, 11, 12], [3, 6, 8, 9, 11, 12], [3, 8, 11]]
-        gelu_rows, routed = [], []
-        gelu, moe_experts = T.gelu, T.moe_experts
+        layer_rows, gelu_rows, routed = [], [], []
+        attention_layer, gelu, moe_experts = kgt.model.attention_layer, T.gelu, T.moe_experts
+        # the grid rows of each layer's output: its key rows at its query indexes
+        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layer_rows.append(a[4][a[5]]) or attention_layer(*a))
         monkeypatch.setattr(T, "gelu", lambda x: gelu_rows.append(x.shape[0]) or gelu(x))
         monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
         forward(model, batch)
+        assert [rows.tolist() for rows in layer_rows] == fields
         assert gelu_rows == [len(rows) for rows in fields for _ in range(cfg.experts)]  # every expert, the field only
-        assert [[rows.tolist() for rows in routes] for routes in routed] == [[rows] * cfg.experts for rows in fields]
+        # the experts' rows index the layer's field
+        assert [[rows.tolist() for rows in routes] for routes in routed] == [[list(range(len(rows)))] * cfg.experts
+                                                                           for rows in fields]
         gelu_rows.clear()
         routed.clear()
         forward(model, batch, training=True, rng=np.random.default_rng(0))
         assert len(routed) == cfg.layers
         for routes, rows in zip(routed, fields):
             assert len(routes) == cfg.experts
-            assert sorted(np.concatenate(routes).tolist()) == sorted(rows * cfg.top_k)
+            assert sorted(np.concatenate(routes).tolist()) == sorted(list(range(len(rows))) * cfg.top_k)
         # the kernel runs once per expert, on the rows routed to it
         assert gelu_rows == [len(rows) for routes in routed for rows in routes]
 
@@ -442,8 +449,8 @@ class TestForward:
         model = Model.init(cfg, seed=0)
         queries = [build_query(QueryType.I3, (1, 2, 3), (0, 1, 2)), build_query(QueryType.P2, (4,), (1, 3)),
                    build_query(QueryType.P1, (5,), (2,))]
-        node_types, real_rows = [], []
-        gather_rows = T.gather_rows
+        node_types, layers, moe_rows = [], [], []
+        gather_rows, attention_layer = T.gather_rows, kgt.model.attention_layer
 
         def spy_gather(a, idx):
             if a is model.params["node_type"]:
@@ -451,14 +458,18 @@ class TestForward:
             return gather_rows(a, idx)
 
         monkeypatch.setattr(T, "gather_rows", spy_gather)
-        monkeypatch.setattr("kgt.model.moe_ffn", lambda *args: real_rows.append(args[-1]) or moe_ffn(*args))
+        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layers.append((a[4], a[4][a[5]])) or attention_layer(*a))
+        monkeypatch.setattr(kgt.model, "moe_ffn", lambda *args: moe_rows.append(args[2].shape[0]) or moe_ffn(*args))
         forward(model, encode_queries(queries, cfg))
-        assert [t.tolist() for t in node_types] == [[1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1]]
-        # the experts' rows reach a target (3, 9 and 15) within the layers left: the 3i relation nodes 4-6 link
-        # anchors 0-2 to 3; the 2p's 10 and 11 link 7-8 and 8-9, so its anchor 7 and relation node 10 lie
-        # 4 and 3 hops out; the 1p's 16 links 14-15. Padding never enters.
-        assert [r.tolist() for r in real_rows] == [[*range(0, 7), 8, 9, 11, 14, 15, 16],
-                                                   [3, 4, 5, 6, 9, 11, 15, 16], [3, 9, 15]]
+        # each layer's rows reach a target (3, 9 and 15) within the layers left: the 3i relation nodes 4-6 link
+        # anchors 0-2 to 3; the 2p's 10 and 11 link 7-8 and 8-9, so its relation node 10 lies 3 hops out and
+        # its anchor 7, 4 hops out, never enters; the 1p's 16 links 14-15. Nor does padding (12, 13 and 17-20).
+        fields = [[*range(0, 7), 8, 9, 10, 11, 14, 15, 16], [*range(0, 7), 8, 9, 11, 14, 15, 16],
+                  [3, 4, 5, 6, 9, 11, 15, 16], [3, 9, 15]]
+        assert [t.tolist() for t in node_types] == [[1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]]  # the input field
+        # layer l takes keys at its field and keeps the rows of the next field, where its experts run
+        assert [(keys.tolist(), kept.tolist()) for keys, kept in layers] == list(zip(fields, fields[1:]))
+        assert moe_rows == [len(rows) for rows in fields[1:]]
 
     def test_3p_anchor_reaches_the_target_past_four_layers(self):
         # the 3p chain anchor 0 - 4 - 1 - 5 - 2 - 6 - target 3: its anchor and first relation node lie 6 and 5
@@ -526,15 +537,42 @@ class TestForward:
 class TestField:
     @pytest.mark.parametrize("kind", ["stage1", "stage2", "queries"])
     def test_matches_experts_on_every_real_row(self, kind):
-        # packed rows that share graphs and end in padding, and one graph per row
+        # each layer on its field against every layer on every real row, on packed rows that share graphs and
+        # end in padding, and on one graph per row
         for padded, training in itertools.product((False, True), (True, False)):
             check("forward/field-rows", kind=kind, padded=padded, training=training)
 
 
+    def test_each_dropout_draws_its_fields_rows_in_row_order(self, monkeypatch):
+        # layer l's two residual dropouts, attention's then the experts', each draw a keep mask over the rows
+        # of fields[l + 1] alone, in row order, and nothing else draws from the generator
+        model, batch = toy_stage1()
+        cfg = model.config
+        fields = field_rows(batch, cfg.layers + 1)
+        calls, dropout = [], T.dropout
+
+        def spy(x, a, *args):
+            out = dropout(x, a, *args)
+            calls.append((x.data, a.data, out.data))
+            return out
+
+        monkeypatch.setattr(T, "dropout", spy)
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        forward(model, batch, training=True, rng=rng)
+        assert len(calls) == 2 * cfg.layers
+        for i, (x, a, out) in enumerate(calls):
+            rows = fields[i // 2 + 1]
+            assert x.shape == a.shape == (len(rows), cfg.hidden)
+            keep = (replay.random(a.shape) >= cfg.dropout).astype(a.dtype) / (1.0 - cfg.dropout)
+            assert out.tobytes() == (x + a * keep).tobytes()
+        assert rng.random() == replay.random()
+
+
 class TestFewerPasses:
-    @pytest.mark.parametrize("tied, records", [(False, 39), (True, 40)], ids=["untied", "tied"])
+    @pytest.mark.parametrize("tied, records", [(False, 43), (True, 44)], ids=["untied", "tied"])
     def test_stage1_step_tape_records(self, tied, records):
-        # the tied decoder gathers its table from the embedding: one more record
+        # 8 records per layer and its residual's gather, 3 for the input, 3 for the head and the loss; the
+        # tied decoder gathers its table from the embedding: one more record
         model, batch = toy_stage1(tied)
         assert step(model, batch, lambda z: cross_entropy(z, batch.targets, alpha=0.1), seed=5)[RECORDS] == records
 

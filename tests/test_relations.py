@@ -8,15 +8,27 @@ bit for bit: every node starts from the same vector as before, the batch
 packs into the same grid, and each logit is the product of the same state
 and decoder rows.
 
+Reach: a score reads only the nodes of its own graph within ``layers`` hops,
+the rows of ``field_rows(batch, layers + 1)[0]``. Changing the input id of any
+other slot of the grid, padding included, leaves every eval-mode logit as it
+was, bit for bit; so does changing a node of another graph in the same grid
+row, for every graph but the one changed, while a change inside a graph's
+field moves its own logits. The fields nest, each layer's inside the one
+before. Both hold for a forward that runs every layer on every grid slot too,
+since a masked key adds an exact zero to each of its queries' sums.
+
 Batch order is not such a relation: permuting the graphs of a mixed batch
 changes the grid's GEMM shapes, and the rows differ in rounding.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kgt.model import Model, ModelConfig, encode_queries, forward
+from kgt.model import Model, ModelConfig, encode_queries, encode_subgraphs, field_rows, forward
 from kgt.queries import QueryType, build_query, dnf_decompose, generate_queries
+from kgt.sampling import sample_stage1_batch
 
 from helpers import toy_split
 
@@ -56,3 +68,62 @@ def test_entity_relabeling_permutes_logit_columns_bit_for_bit(split_seed, hidden
         renamed, renamed_queries = relabeled(model, queries, sigma)
         got = forward(renamed, encode_queries(renamed_queries, config)).data
         assert got[:, sigma].tobytes() == logits.tobytes()
+
+
+def graph_of(batch) -> np.ndarray:
+    """A label per flat grid slot: the first slot of its graph, which is the
+    slot's component under the attention mask (a padding slot is its own)."""
+    mask = batch.attn_mask[:, 0]
+    reach = np.broadcast_to(np.eye(mask.shape[1], dtype=bool), mask.shape).copy()
+    for _ in range(mask.shape[1]):
+        reach = np.einsum("rij,rjk->rik", reach, mask) > 0
+    first = reach.argmax(axis=2)  # the lowest slot each slot reaches
+    return (first + np.arange(mask.shape[0])[:, None] * mask.shape[1]).reshape(-1)
+
+
+def with_inputs(batch, slots: np.ndarray, ids: np.ndarray):
+    entity_ids = batch.entity_ids.copy()
+    entity_ids.reshape(-1)[slots] = ids
+    return dataclasses.replace(batch, entity_ids=entity_ids)
+
+
+@pytest.mark.parametrize("name", ["stage1-5", "stage1-6", "mixed"])
+def test_reach_leaves_logits_outside_the_input_field_bit_for_bit(name):
+    # two packed stage-1 batches, and the nine shapes in one batch
+    split = toy_split(seed=3)
+    config = ModelConfig(split.entity_count, split.relation_count, hidden=32)
+    if name == "mixed":
+        batch = encode_queries(mixed_branches(split, 3), config)
+    else:
+        subs = sample_stage1_batch(split.train, np.random.default_rng(int(name[-1])), batch_size=16)
+        batch = encode_subgraphs(subs, config)
+    model = Model.init(config, seed=11)
+    fields = field_rows(batch, config.layers + 1)
+    for outer, inner in zip(fields, fields[1:]):
+        assert np.isin(inner, outer).all(), name
+    logits = forward(model, batch).data
+    rng = np.random.default_rng(12)
+    vocabulary = config.mask_id + 1 + config.relation_count
+    ids = batch.entity_ids.reshape(-1)
+
+    def moved(slots):
+        new = (ids[slots] + rng.integers(1, vocabulary, size=len(slots))) % vocabulary  # another id at each slot
+        return forward(model, with_inputs(batch, slots, new)).data
+
+    outside = np.setdiff1d(np.arange(ids.size), fields[0])
+    assert outside.size
+    assert moved(outside).tobytes() == logits.tobytes(), name
+    owner = graph_of(batch)
+    scored = owner[batch.positions]
+    rows = np.arange(ids.size) // batch.entity_ids.shape[1]
+    shared = 0
+    for slot in fields[0]:
+        same_row = owner[(rows == rows[slot]) & np.isin(np.arange(ids.size), fields[0])]
+        if len(np.unique(same_row)) < 2 or slot != owner[slot]:
+            continue  # one node per graph: its first slot, in a row with another graph's field
+        shared += 1
+        got = moved(np.array([slot]))
+        others = scored != owner[slot]
+        assert got[others].tobytes() == logits[others].tobytes(), (name, slot)
+        assert not np.array_equal(got[~others], logits[~others]), (name, slot)
+    assert shared, name
