@@ -107,9 +107,13 @@ class OpCase(NamedTuple):
 
 
 _MASK_BIAS = T.mask_bias((np.random.default_rng(22).random((2, 1, 4, 4)) < 0.5) | np.eye(4, dtype=bool))  # 7 of 8 rows masked in part
-_ATTENTION_SHAPES = ((8, 4), (4, 12), (4, 4))  # h (a 2 x 4 grid), wqkv, wo
+_PAIRS = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [4, 6], [4, 7]])  # slots of a 2 x 4 grid: 7 of 8 rows masked in part
+_ATTENTION_SHAPES = ((8, 4), (4, 12), (4, 4))  # h (the whole grid), wqkv, wo
+_PLAN = T.attention_plan(_PAIRS, (2, 4), np.arange(8), np.arange(8))
 _KEY_ROWS = np.array([0, 1, 3, 5, 6])  # flat slots of the 2 x 4 grid
 _KEY_SHAPES = ((5, 4), (4, 12), (4, 4))
+_QUERY_PLAN = T.attention_plan(_PAIRS, (2, 4), _KEY_ROWS, np.array([0, 3]))
+_ONE_QUERY_PLAN = T.attention_plan(_PAIRS, (2, 4), _KEY_ROWS, np.array([5]))
 _TARGETS = np.array([1, 0, 3])
 _ANSWERS = [np.array([0, 3]), np.array([5]), np.array([1, 2, 6])]
 _EDGE_ANSWERS = [np.arange(5), np.array([0, 1, 3, 4])]  # every class an answer; a single non-answer
@@ -142,12 +146,12 @@ OP_CASES = (
     OpCase("cross_entropy_hard", lambda z: T.cross_entropy(z, _TARGETS, alpha=0.0), ((3, 4),), 20),
     # row 1 is never gathered
     OpCase("gather_rows_distinct", lambda a: T.gather_rows(a, np.array([2, 0, 3])), ((4, 5),), 21),
-    OpCase("attention", lambda *t: T.attention(*t, _MASK_BIAS, 2), _ATTENTION_SHAPES, 22),
-    OpCase("attention_one_head", lambda *t: T.attention(*t, _MASK_BIAS, 1), _ATTENTION_SHAPES, 23),
-    # keys at 5 slots of the 2 x 4 grid; grid row 1 has keys but no query
-    OpCase("attention_query_rows", lambda *t: T.attention(*t, _MASK_BIAS, 2, _KEY_ROWS, np.array([0, 2])), _KEY_SHAPES, 25),
-    # one query row: its 2-D products take _gemm's doubled row
-    OpCase("attention_one_query", lambda *t: T.attention(*t, _MASK_BIAS, 2, _KEY_ROWS, np.array([3])), _KEY_SHAPES, 26),
+    OpCase("attention", lambda *t: T.attention(*t, _PLAN, 2), _ATTENTION_SHAPES, 22),
+    OpCase("attention_one_head", lambda *t: T.attention(*t, _PLAN, 1), _ATTENTION_SHAPES, 23),
+    # keys at 5 slots of the 2 x 4 grid, queries at slots 0 and 3; grid row 1 has keys but no query
+    OpCase("attention_query_rows", lambda *t: T.attention(*t, _QUERY_PLAN, 2), _KEY_SHAPES, 25),
+    # one query row, at slot 5: its 2-D products take _gemm's doubled row
+    OpCase("attention_one_query", lambda *t: T.attention(*t, _ONE_QUERY_PLAN, 2), _KEY_SHAPES, 26),
 )
 
 

@@ -173,14 +173,15 @@ class Batch:
     """Model input: graphs packed into the rows of a [R, N] node grid.
 
     A row holds one or more whole graphs end to end, so its real slots are a
-    prefix of the row. ``attn_mask`` is block diagonal over the graphs of a
-    row, and padding slots attend only to themselves. ``positions`` are flat
+    prefix of the row. ``edges`` are the Levi graphs' edges at their flat grid
+    slots, which attention follows both ways; every slot attends to itself,
+    so padding, on no edge, attends only to itself. ``positions`` are flat
     indexes into the [R * N] grid, in graph order; padding never appears in
     them, so it touches neither the loss nor any gradient.
     """
 
     entity_ids: np.ndarray  # [R, N] int64 embedding rows, mask token at masked/padded slots
-    attn_mask: np.ndarray  # [R, 1, N, N] bool
+    edges: np.ndarray  # [2T, 2] int64 flat slots: (relation node, head), (relation node, tail) per relation node
     positions: np.ndarray  # [P] int64 flat prediction slots
     targets: np.ndarray  # [P] int64 true entity ids at those slots
     sizes: list[int]  # real slots per grid row; the rest of each row is padding
@@ -204,7 +205,8 @@ def _pack(
     ``inputs[g]`` holds the input id of each of graph g's entity nodes, with
     ``FREE_SLOT`` for the mask token; padding enters as the mask token and a
     node of relation r as ``mask_id + 1 + r``. ``slots[g]`` are graph g's
-    prediction nodes, whose true ids ``targets`` lists in graph order.
+    prediction nodes, whose true ids ``targets`` lists in graph order. The
+    edges pair each relation node's slot with its head's and its tail's.
     """
     if not levis:
         raise ValueError("empty batch")
@@ -221,8 +223,6 @@ def _pack(
 
     rows = len(used)
     entity_ids = np.full(rows * width, mask_id, dtype=np.int64)
-    attn = np.zeros((rows, 1, width, width), dtype=bool)
-    attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
     link_nodes, link_ends = [], []  # flat index of each relation node and of its head and tail
     for levi, start, n, ids, predict in zip(levis, starts, counts, inputs, slots):
@@ -232,15 +232,9 @@ def _pack(
         np.copyto(entity_ids[start:k], ids, where=ids != FREE_SLOT)
         entity_ids[k : start + n] = levi.triples[:, 1] + (mask_id + 1)
         positions.extend(start + i for i in predict)
-    # each relation node and its two ends attend to each other
-    nodes = np.concatenate(link_nodes)[:, None]
-    ends = np.concatenate(link_ends) % width
-    row, col = nodes // width, nodes % width
-    attn[row, 0, col, ends] = True
-    attn[row, 0, ends, col] = True
     return Batch(
         entity_ids=entity_ids.reshape(rows, width),
-        attn_mask=attn,
+        edges=np.stack([np.repeat(np.concatenate(link_nodes), 2), np.concatenate(link_ends).reshape(-1)], axis=1),
         positions=np.asarray(positions, dtype=np.int64),
         targets=np.asarray(targets, dtype=np.int64),
         sizes=used,
@@ -292,27 +286,24 @@ def attention_layer(
     model: Model,
     layer: int,
     x: Tensor,
-    attn_bias: np.ndarray,
-    rows: np.ndarray,
-    queries: np.ndarray,
+    plan: T.AttentionPlan,
     training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """Pre-LN multi-head attention restricted to graph neighbors.
 
-    ``x`` holds the [K, d] node states at the ascending flat grid rows
-    ``rows``, and ``queries`` the ascending indexes, among them, of the rows
-    the layer keeps. Every row is normalized and gives a key and a value; the
-    attention, the residual and its dropout run at the query rows alone, so
-    the layer returns their [Q, d] states. ``attn_bias`` is the batch's
-    attention mask as a :func:`kgt.tensor.mask_bias`, which gives the grid's shape.
+    ``x`` holds the [K, d] node states at the key rows of ``plan``
+    (:func:`kgt.tensor.attention_plan`), and ``plan.queries`` the indexes,
+    among them, of the rows the layer keeps. Every row is normalized and
+    gives a key and a value; the attention, the residual and its dropout run
+    at the query rows alone, so the layer returns their [Q, d] states.
     """
     cfg = model.config
     p = model.params
     prefix = f"layer{layer}."
     h = T.layer_norm(x, p[prefix + "ln1_gain"], p[prefix + "ln1_bias"])
-    out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], attn_bias, cfg.heads, rows, queries)
-    return T.dropout(T.gather_rows(x, queries), out, cfg.dropout, rng, training)
+    out = T.attention(h, p[prefix + "wqkv"], p[prefix + "wo"], plan, cfg.heads)
+    return T.dropout(T.gather_rows(x, plan.queries), out, cfg.dropout, rng, training)
 
 
 def moe_ffn(model: Model, layer: int, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -358,20 +349,19 @@ def decoder_matrix(model: Model) -> Tensor:
 def field_rows(batch: Batch, layers: int) -> list[np.ndarray]:
     """For each of ``layers`` layers, the ascending flat rows whose output of that layer can reach a scored slot.
 
-    The last layer's field is the rows of ``batch.positions``. A row is in the
-    field of the layer before when a row of this layer's field attends to it,
-    along query to key; every row attends to itself, so each field holds the
-    next. Padding attends only to itself and is never scored, so no field
-    holds it. ``field_rows(batch, layers + 1)[0]`` are the rows whose input
-    can reach a scored slot: in a 3p query the anchor and its relation node
-    lie 6 and 5 hops from the target, past the reach of 4 layers.
+    The last layer's field is the rows of ``batch.positions``; each field
+    before adds one step of a frontier walk along ``batch.edges``, both ways,
+    so it holds the next. Padding is on no edge and is never scored, so no
+    field holds it. ``field_rows(batch, layers + 1)[0]`` are the rows whose
+    input can reach a scored slot: in a 3p query the anchor and its relation
+    node lie 6 and 5 hops from the target, past the reach of 4 layers.
     """
-    mask = batch.attn_mask[:, 0]
-    reach = np.zeros(mask.shape[:2], dtype=bool)
-    reach.reshape(-1)[batch.positions] = True
+    reach = np.zeros(batch.entity_ids.size, dtype=bool)
+    reach[batch.positions] = True
     fields = [np.flatnonzero(reach)]
     for _ in range(layers - 1):
-        reach = np.einsum("rij,ri->rj", mask, reach)
+        step = reach[batch.edges][:, ::-1]  # an edge's end is reached where its other end was, before this step
+        reach[batch.edges[step]] = True
         fields.append(np.flatnonzero(reach))
     return fields[::-1]
 
@@ -389,8 +379,9 @@ def forward(
     ``fields = field_rows(batch, layers + 1)``: the input gathers take the rows
     of ``fields[0]``, and layer l turns the states of ``fields[l]`` into those
     of ``fields[l + 1]``, a [rows, d] array that shrinks layer by layer. Only
-    attention sees the grid, through the shape of the mask. The final layer
-    norm runs on the prediction rows, gathered in ``positions`` order.
+    attention sees the grid, through each layer's :func:`kgt.tensor.attention_plan`
+    of the batch's edges and its two fields. The final layer norm runs on the
+    prediction rows, gathered in ``positions`` order.
     """
     cfg = model.config
     p = model.params
@@ -399,10 +390,9 @@ def forward(
     is_entity = (ids <= cfg.mask_id).astype(np.int64)  # relation rows follow the mask token's
     x = T.add(T.gather_rows(p["embedding"], ids), T.gather_rows(p["node_type"], is_entity))
 
-    attn_bias = T.mask_bias(batch.attn_mask)
     for layer in range(cfg.layers):
-        queries = np.searchsorted(fields[layer], fields[layer + 1])
-        x = attention_layer(model, layer, x, attn_bias, fields[layer], queries, training, rng)
+        plan = T.attention_plan(batch.edges, batch.entity_ids.shape, fields[layer], fields[layer + 1])
+        x = attention_layer(model, layer, x, plan, training, rng)
         x = moe_ffn(model, layer, x, training, rng)
 
     states = T.gather_rows(x, np.searchsorted(fields[-1], batch.positions))

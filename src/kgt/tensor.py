@@ -10,7 +10,7 @@ same code in float64.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -415,60 +415,66 @@ def softmax(a: Tensor, bias: np.ndarray | None = None) -> Tensor:
     return _record(out, backward)
 
 
-def _slots(grid_rows: np.ndarray, used: int, least: int = 1) -> tuple[np.ndarray, int]:
-    """The flat slot of each row in a [used, width] layout, given the ascending
-    index ``grid_rows`` of its grid row among the used ones: the rows of one
-    grid row take its slots from 0 in order. Also returns ``width``, the most
-    rows that one grid row holds, or ``least`` if that is more."""
-    counts = np.bincount(grid_rows, minlength=used)
-    width = max(least, int(counts.max()))
-    starts = np.cumsum(counts) - counts
-    return grid_rows * width + np.arange(len(grid_rows)) - starts[grid_rows], width
+class AttentionPlan(NamedTuple):
+    """One attention layer's layout: its key and query rows, each in a slot of
+    its own in a [g, nk] and a [g, nq] layout over the g used grid rows, and the
+    slot bias. :func:`attention_plan` builds it; :func:`attention` reads it."""
+
+    rows: np.ndarray  # [K] ascending flat grid slots of the key rows
+    queries: np.ndarray  # [Q] ascending indexes, among ``rows``, of the query rows
+    key_slot: np.ndarray  # [K] flat slot of each key row
+    query_slot: np.ndarray  # [Q] flat slot of each query row
+    bias: np.ndarray  # [g, nq, nk] float32: 0 where a query slot attends to a key slot, -inf elsewhere
 
 
-def attention(
-    h: Tensor,
-    wqkv: Tensor,
-    wo: Tensor,
-    bias: np.ndarray,
-    heads: int,
-    rows: np.ndarray | None = None,
-    queries: np.ndarray | None = None,
-) -> Tensor:
-    """Masked multi-head attention of query rows over key rows of a B x N grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+def attention_plan(pairs: np.ndarray, grid: tuple[int, int], rows: np.ndarray, kept: np.ndarray) -> AttentionPlan:
+    """The plan of attention from the query rows ``kept`` over the key rows ``rows`` of a ``grid`` of [B, N] slots.
 
-    ``h`` holds the [K, d] key rows at the ascending flat grid indexes ``rows``
-    (default: every slot), and ``queries`` the ascending indexes, among them,
-    of the rows whose output the op returns (default: every row), [Q, d].
-    ``wqkv`` is ``[wq | wk | wv]``, ``bias`` a [B, 1, N, N] :func:`mask_bias`,
-    which gives the grid's shape, and ``scale`` ``1/sqrt(d / heads)`` in
-    ``h``'s dtype. Keys and queries are laid out per used grid row, each row
-    in one slot of its own and the rest masked out, so the backward gathers
-    each row's gradient from its slot. The products are per grid row and
+    ``rows`` and ``kept`` are ascending flat grid slots, ``kept`` among
+    ``rows``. ``pairs`` [E, 2] lists flat slots of one grid row that attend
+    to each other; every slot attends to itself. Keys and queries are laid out
+    per used grid row, each row in a slot of its own, in order; a lone query
+    takes two slots where its grid row has two keys, so that its products stay
+    on BLAS gemm, which rounds as for more queries. A key slot left empty is
+    masked in every query slot, and a query slot left empty takes the bias of
+    its grid row's first key, which attends to itself, so that no softmax row
+    is all masked.
+    """
+    queries = np.searchsorted(rows, kept)
+    grid_row, query_row = rows // grid[1], rows[queries] // grid[1]
+    key_col = np.arange(len(rows)) - np.searchsorted(grid_row, grid_row)  # each row's slot in its grid row
+    query_col = np.arange(len(queries)) - np.searchsorted(query_row, query_row)
+    first = key_col == 0  # the first key of each used grid row
+    key_row = np.cumsum(first) - 1  # index among the used grid rows
+    nk = int(key_col.max()) + 1
+    nq = max(min(2, nk), int(query_col.max()) + 1)
+    index = np.full(grid[0] * grid[1], -1)  # each grid slot's index among the key rows, -1 for none
+    index[rows] = np.arange(len(rows))
+    # each key row's bias as a query; a pair with an end that is no key writes into the spare last row or column
+    key_bias = np.full((len(rows) + 1, nk + 1), -np.inf, dtype=np.float32)
+    links = index[np.concatenate([pairs, pairs[:, ::-1]])]  # both ways
+    key_bias[links[:, 0], np.append(key_col, nk)[links[:, 1]]] = 0.0
+    key_bias[np.arange(len(rows)), key_col] = 0.0
+    query_slot = key_row[queries] * nq + query_col
+    source = np.repeat(np.flatnonzero(first), nq)
+    source[query_slot] = queries
+    return AttentionPlan(rows, queries, key_row * nk + key_col, query_slot, key_bias[:, :nk][source].reshape(-1, nq, nk))
+
+
+def attention(h: Tensor, wqkv: Tensor, wo: Tensor, plan: AttentionPlan, heads: int) -> Tensor:
+    """Masked multi-head attention of query rows over key rows of a grid: ``softmax(q k^T * scale + bias) v`` per head, then ``@ wo``.
+
+    ``h`` holds the [K, d] key rows of ``plan`` (:func:`attention_plan`) and
+    the op returns the [Q, d] outputs of its query rows. ``wqkv`` is ``[wq |
+    wk | wv]``, and ``scale`` ``1/sqrt(d / heads)`` in ``h``'s dtype. Keys and
+    queries sit in the plan's slots, and the backward gathers each row's
+    gradient from its slot. The products are per used grid row and
     projection, as the former per-projection ops took them.
     """
-    b, n, d = bias.shape[0], bias.shape[-1], h.shape[1]
-    hd = d // heads
+    g, nq, nk = plan.bias.shape
+    d, hd = h.shape[1], h.shape[1] // heads
     scale = h.dtype.type(1.0 / math.sqrt(hd))
-    rows = np.arange(b * n) if rows is None else rows
-    queries = np.arange(len(rows)) if queries is None else queries
-    used, key_row = np.unique(rows // n, return_inverse=True)
-    g = len(used)
-    key_slot, nk = _slots(key_row, g)
-    # a lone query takes two slots where its grid row has two keys, so that
-    # its products stay on BLAS gemm, which rounds as for more queries
-    query_slot, nq = _slots(key_row[queries], g, min(2, nk))
-    # a query slot left empty takes the column of its grid row's first key,
-    # which attends to itself, so that no softmax row is all masked
-    key_col = np.zeros(g * nk, dtype=np.int64)
-    key_col[key_slot] = rows % n
-    query_col = np.repeat(key_col[::nk], nq)
-    query_col[query_slot] = rows[queries] % n
-    empty_key = np.full(g * nk, -np.inf, dtype=np.float32)
-    empty_key[key_slot] = 0.0
-    index = (used[:, None, None] * n + query_col.reshape(g, nq, 1)) * n + key_col.reshape(g, 1, nk)
-    slot_bias = bias.reshape(-1).take(index)  # one flat take: indexing the four axes at once ran 2.5x slower
-    slot_bias += empty_key.reshape(g, 1, nk)
+    queries, key_slot, query_slot = plan.queries, plan.key_slot, plan.query_slot
 
     def lay_out(x: np.ndarray, slots: np.ndarray, width: int) -> np.ndarray:
         grid = np.zeros((g * width, x.shape[1]), dtype=x.dtype)
@@ -484,7 +490,7 @@ def attention(
     hq = h.data[queries]
     q = split_heads(lay_out(hq, query_slot, nq) @ wq)
     k, v = split_heads(key_grid @ wk), split_heads(key_grid @ wv)
-    p = masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, slot_bias[:, None])
+    p = masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, plan.bias[:, None])
     context = (p @ v).transpose(0, 2, 1, 3).reshape(g, nq, d)
     out = Tensor((context @ wo.data).reshape(g * nq, d)[query_slot], requires_grad=h.requires_grad or wqkv.requires_grad or wo.requires_grad)
     context = context.reshape(g * nq, d)[query_slot]

@@ -43,9 +43,9 @@ from kgt.train import batch_mean
 from helpers import (
     LoopAdamW, arena_params, dense_cross_entropy, expert_leaves, former_add, former_attention_layer,
     former_attention_rows, former_decode, former_dropout, former_gate_softmax, former_layer_norm, former_masked_softmax,
-    former_moe_ffn, fused_grads, heap_truncated_normal, loop_answer_masked_cross_entropy, loop_clip_global_norm,
-    padded_encode_queries, padded_encode_subgraphs, padded_rows, qkv_leaves, real_rows_field, set_grad, stacked_grads,
-    toy_split,
+    former_moe_ffn, fused_grads, grid_plan, heap_truncated_normal, loop_answer_masked_cross_entropy,
+    loop_clip_global_norm, padded_encode_queries, padded_encode_subgraphs, padded_rows, qkv_leaves, real_rows_field,
+    set_grad, stacked_grads, toy_split,
 )
 
 RECORDS = "tape records"  # a side's tape length, compared only where a row states the difference
@@ -288,6 +288,12 @@ def attention_inputs(seed, hidden, dtype, width):
     return [x, wqkv, wo], rng.normal(size=x.shape).astype(dtype), mask
 
 
+def whole_grid_plan(mask) -> T.AttentionPlan:
+    """The plan of attention over every slot of the [B, 1, N, N] ``mask``'s grid, each a key and a query row."""
+    every = np.arange(mask.shape[0] * mask.shape[-1])
+    return grid_plan(T.mask_bias(mask), every, every)
+
+
 def former_attention_split(leaves, g, mask) -> dict:
     """The former attention ops, on leaves holding ``wqkv``'s column blocks, their gradients side by side."""
     x, wqkv, wo = leaves
@@ -485,11 +491,10 @@ def attention_block_inputs(hidden, training, heads, rows, width):
     model = Model.init(tiny_config(hidden=hidden, heads=heads, dropout=0.1), seed=43)
     rng = np.random.default_rng(44)
     x = rng.normal(size=(rows * width, hidden)).astype(np.float32)
-    bias = T.mask_bias((rng.random((rows, 1, width, width)) < 0.4) | np.eye(width, dtype=bool))
-    every = np.arange(rows * width)  # every slot is a key and a query row
+    plan = whole_grid_plan((rng.random((rows, 1, width, width)) < 0.4) | np.eye(width, dtype=bool))
 
     def run(m, x):
-        return kgt.model.attention_layer(m, 0, x, bias, every, every, training, np.random.default_rng(42))
+        return kgt.model.attention_layer(m, 0, x, plan, training, np.random.default_rng(42))
 
     return model, run, {"x": x}, np.random.default_rng(41).normal(size=x.shape).astype(np.float32)
 
@@ -687,7 +692,7 @@ CASES = (
         ulps(element_error),
     )),
     Case("layer_norm/former", op(T.layer_norm), op(former_layer_norm), layer_norm_inputs),
-    Case("attention/former-ops", lambda leaves, g, mask: run_op(T.attention, leaves, g, T.mask_bias(mask), 4),
+    Case("attention/former-ops", lambda leaves, g, mask: run_op(T.attention, leaves, g, whole_grid_plan(mask), 4),
          former_attention_split, attention_inputs),
     Case("softmax/former-boolean-mask", softmaxes(T.softmax), softmaxes(former_gate_softmax), gate_inputs),
     # off (eval mode or p = 0) it is the add alone

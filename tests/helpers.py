@@ -329,15 +329,17 @@ def former_attention_rows(h, wq, wk, wv, wo, bias: np.ndarray, heads: int) -> "T
     return former_reshape(out, (b * n, d))
 
 
-def former_attention_layer(model, layer: int, x, attn_bias, rows, queries, training: bool, rng, weights) -> "Tensor":
+def former_attention_layer(model, layer: int, x, plan, training: bool, rng, weights) -> "Tensor":
     """Test oracle: the former attention layer, 20 tape ops (its residual an
     ``add`` of a :func:`former_dropout`) and the two ``former_reshape`` records
     of :func:`former_attention_rows`, over the projections by the leaves
     ``weights`` (:func:`qkv_leaves`). It runs on every slot of the grid, each
-    a key and a query row."""
+    a key and a query row, so the plan's slot bias is the [B, N, N] grid bias."""
     from kgt import tensor as T
 
-    assert np.array_equal(rows, np.arange(x.shape[0])) and np.array_equal(queries, rows)
+    every = np.arange(x.shape[0])
+    assert all(np.array_equal(a, every) for a in (plan.rows, plan.queries, plan.key_slot, plan.query_slot))
+    attn_bias = plan.bias[:, None]
 
     cfg = model.config
     p = model.params
@@ -396,6 +398,85 @@ def real_rows_field(batch, layers: int) -> list[np.ndarray]:
     return [padded_rows(batch.sizes, batch.entity_ids.shape[1])] * layers
 
 
+def levi_edges(levis, starts) -> np.ndarray:
+    """The [2T, 2] edges of Levi graphs whose first slots are the flat grid slots ``starts``: each relation
+    node with its head, then with its tail, node by node, graph by graph."""
+    edges = []
+    for levi, start in zip(levis, starts):
+        for j, (head, _, tail) in enumerate(levi.triples.tolist()):
+            node = start + levi.entity_node_count + j
+            edges += [(node, start + head), (node, start + tail)]
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def grid_mask(levis, starts, shape) -> np.ndarray:
+    """Test oracle: the former packed attention mask, [R, 1, N, N] bool over a ``shape`` grid: every slot attends
+    to itself, and graph g's :func:`attention_mask` is the block at its first flat slot ``starts[g]``."""
+    rows, width = shape
+    mask = np.zeros((rows, 1, width, width), dtype=bool)
+    mask[:, 0] |= np.eye(width, dtype=bool)
+    for levi, start in zip(levis, starts):
+        r, c = divmod(start, width)
+        mask[r, 0, c : c + levi.node_count, c : c + levi.node_count] = attention_mask(levi)
+    return mask
+
+
+def pairs_mask(pairs, shape) -> np.ndarray:
+    """Test oracle: the [R, 1, N, N] mask of a ``shape`` grid where each pair of flat slots attends both ways
+    and every slot to itself."""
+    rows, width = shape
+    mask = np.zeros((rows, 1, width, width), dtype=bool)
+    mask[:, 0] |= np.eye(width, dtype=bool)
+    for a, b in np.asarray(pairs).tolist():
+        (r, i), j = divmod(a, width), b % width
+        assert b // width == r, "a pair across grid rows"
+        mask[r, 0, i, j] = mask[r, 0, j, i] = True
+    return mask
+
+
+def grid_field_rows(mask, positions, layers: int) -> list[np.ndarray]:
+    """Test oracle: the former ``kgt.model.field_rows``, one ``einsum`` over the [R, 1, N, N] mask per layer,
+    query to key."""
+    mask = mask[:, 0]
+    reach = np.zeros(mask.shape[:2], dtype=bool)
+    reach.reshape(-1)[positions] = True
+    fields = [np.flatnonzero(reach)]
+    for _ in range(layers - 1):
+        reach = np.einsum("rij,ri->rj", mask, reach)
+        fields.append(np.flatnonzero(reach))
+    return fields[::-1]
+
+
+def grid_plan(bias, rows, queries) -> "AttentionPlan":
+    """Test oracle: the former per-call layout of ``kgt.tensor.attention`` as a plan: the key rows at the flat
+    grid slots ``rows`` and the query rows at their indexes ``queries`` laid out per used grid row (``np.unique``
+    and two slot counts), and the slot bias taken out of the [B, 1, N, N] grid bias ``bias`` with one ``take``,
+    an empty key slot masked and an empty query slot at the column of its grid row's first key."""
+    from kgt.tensor import AttentionPlan
+
+    def slots(grid_rows, used, least=1):
+        counts = np.bincount(grid_rows, minlength=used)
+        width = max(least, int(counts.max()))
+        starts = np.cumsum(counts) - counts
+        return grid_rows * width + np.arange(len(grid_rows)) - starts[grid_rows], width
+
+    n = bias.shape[-1]
+    used, key_row = np.unique(rows // n, return_inverse=True)
+    g = len(used)
+    key_slot, nk = slots(key_row, g)
+    query_slot, nq = slots(key_row[queries], g, min(2, nk))
+    key_col = np.zeros(g * nk, dtype=np.int64)
+    key_col[key_slot] = rows % n
+    query_col = np.repeat(key_col[::nk], nq)
+    query_col[query_slot] = rows[queries] % n
+    empty_key = np.full(g * nk, -np.inf, dtype=np.float32)
+    empty_key[key_slot] = 0.0
+    index = (used[:, None, None] * n + query_col.reshape(g, nq, 1)) * n + key_col.reshape(g, 1, nk)
+    slot_bias = bias.reshape(-1).take(index)
+    slot_bias += empty_key.reshape(g, 1, nk)
+    return AttentionPlan(rows, queries, key_slot, query_slot, slot_bias)
+
+
 def padded_encode_subgraphs(subs, config) -> "Batch":
     """Test oracle: the former stage-1/stage-2 encoder, one graph per row padded to the widest."""
     from kgt.model import Batch
@@ -404,14 +485,11 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
     width = max(s.levi.node_count for s in subs)
     b = len(subs)
     entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    attn = np.zeros((b, 1, width, width), dtype=bool)
-    attn[:, 0] |= np.eye(width, dtype=bool)
     positions = []
     targets = []
     for gi, sub in enumerate(subs):
         levi = sub.levi
         n, k = levi.node_count, levi.entity_node_count
-        attn[gi, 0, :n, :n] = attention_mask(levi)
         for i in range(n):
             if i < k:
                 if sub.inputs[i] != FREE_SLOT:
@@ -423,7 +501,7 @@ def padded_encode_subgraphs(subs, config) -> "Batch":
             targets.append(int(levi.entities[pos]))
     return Batch(
         entity_ids=entity_ids,
-        attn_mask=attn,
+        edges=levi_edges([s.levi for s in subs], [gi * width for gi in range(b)]),
         positions=np.asarray(positions, dtype=np.int64),
         targets=np.asarray(targets, dtype=np.int64),
         sizes=[s.levi.node_count for s in subs],
@@ -439,12 +517,9 @@ def padded_encode_queries(queries, config) -> "Batch":
     width = max(q.levi.node_count for q in queries)
     b = len(queries)
     entity_ids = np.full((b, width), config.mask_id, dtype=np.int64)
-    attn = np.zeros((b, 1, width, width), dtype=bool)
-    attn[:, 0] |= np.eye(width, dtype=bool)
     for qi, q in enumerate(queries):
         levi = q.levi
         n, k = levi.node_count, levi.entity_node_count
-        attn[qi, 0, :n, :n] = attention_mask(levi)
         for i in range(n):
             if i < k:
                 if levi.entities[i] != FREE_SLOT:
@@ -453,7 +528,7 @@ def padded_encode_queries(queries, config) -> "Batch":
                 entity_ids[qi, i] = config.mask_id + 1 + levi.triples[i - k, 1]
     return Batch(
         entity_ids=entity_ids,
-        attn_mask=attn,
+        edges=levi_edges([q.levi for q in queries], [qi * width for qi in range(b)]),
         positions=np.asarray([qi * width + q.target_index for qi, q in enumerate(queries)], dtype=np.int64),
         targets=np.zeros(b, dtype=np.int64),
         sizes=[q.levi.node_count for q in queries],

@@ -16,10 +16,8 @@ mutant, then one JSON line of the counts and the BLAS thread count, and exits
 collect this file; ``tests/test_equivalence.py`` checks that the rows fit the code
 and that every test using a ``Test oracle:`` helper is the killer of some row.
 
-Left out as equivalent mutants: dropout's keep mask times ``1 / (1 - p)`` in
-place of divided by ``1 - p`` changes no value at p 0.1 and 0.5; the field
-expanded from key to query (``"rij,rj->ri"``) gives the same rows, since every
-mask that ``_pack`` builds is symmetric.
+Left out as an equivalent mutant: dropout's keep mask times ``1 / (1 - p)``
+in place of divided by ``1 - p`` changes no value at p 0.1 and 0.5.
 """
 
 from __future__ import annotations
@@ -64,6 +62,8 @@ GATHER = T + "TestGatherRows::test_backward_matches_add_at"
 TYPES = M + "TestForward::test_node_types_and_real_rows"
 PADDING = M + "TestSparseDispatch::test_padding_slots_run_no_expert"
 FIELD = M + "TestField::test_matches_experts_on_every_real_row"
+PLAN = M + "TestPlan::test_fields_and_plans_match_the_grid_mask"
+NO_QUERY = M + "TestPlan::test_grid_row_with_keys_but_no_query"
 DROPOUT_ROWS = M + "TestField::test_each_dropout_draws_its_fields_rows_in_row_order"
 MOE = M + "TestMoe::test_matches_oracle_in_both_modes"
 DRAW = M + "TestParameters::test_truncated_normal_matches_heap_oracle_bit_for_bit"
@@ -90,8 +90,8 @@ MUTANTS = (
            'np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")', "var *= 1.0 / x.shape[-1]",
            (FORMER + "layer_norm",)),
     Mutant("attention scale on q before q k^T", TENSOR,
-           "masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, slot_bias[:, None])",
-           "masked_softmax((q * scale) @ np.swapaxes(k, -1, -2), slot_bias[:, None])",
+           "masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, plan.bias[:, None])",
+           "masked_softmax((q * scale) @ np.swapaxes(k, -1, -2), plan.bias[:, None])",
            (FORMER + "attention_softmax_folds_the_scale", FUSED, TRACE)),
     Mutant("softmax by the reciprocal of the sum", TENSOR, "x /= x.sum(axis=-1, keepdims=True)",
            "x *= 1.0 / x.sum(axis=-1, keepdims=True)",
@@ -112,10 +112,19 @@ MUTANTS = (
     Mutant("attention query gradient gathered from the key slots", TENSOR,
            "g_q = (g_scores @ k).transpose(0, 2, 1, 3).reshape(g * nq, d)[query_slot]",
            "g_q = (g_scores @ k).transpose(0, 2, 1, 3).reshape(g * nq, d)[key_slot[queries]]", (FIELD, GRADCHECK)),
-    Mutant("a lone query takes one slot", TENSOR, "_slots(key_row[queries], g, min(2, nk))",
-           "_slots(key_row[queries], g)", (V + "TestChunkedEvaluation::test_one_position_row_matches_two_position_batch",)),
-    Mutant("an empty query slot takes column 0", TENSOR, "query_col = np.repeat(key_col[::nk], nq)",
-           "query_col = np.zeros(g * nq, dtype=np.int64)", (FIELD, GRADCHECK)),
+    Mutant("a lone query takes one slot", TENSOR, "nq = max(min(2, nk), int(query_col.max()) + 1)",
+           "nq = int(query_col.max()) + 1", (V + "TestChunkedEvaluation::test_one_position_row_matches_two_position_batch",
+                                            NO_QUERY)),
+    Mutant("an empty query slot takes the bias of the first used grid row's first key", TENSOR,
+           "source = np.repeat(np.flatnonzero(first), nq)", "source = np.zeros(nq * int(first.sum()), dtype=np.int64)",
+           (NO_QUERY, PLAN)),
+    Mutant("an edge written in one direction only", TENSOR, "index[np.concatenate([pairs, pairs[:, ::-1]])]",
+           "index[pairs]", (PLAN, TRACE)),
+    Mutant("a plan that leaves an empty key slot at bias 0", TENSOR,
+           "    key_bias[np.arange(len(rows)), key_col] = 0.0\n",
+           "    key_bias[np.arange(len(rows)), key_col] = 0.0\n"
+           "    key_bias[:-1, :nk][np.arange(nk) > np.maximum.reduceat(key_col, np.flatnonzero(first))[key_row][:, None]] = 0.0\n",
+           (NO_QUERY, PLAN, FIELD)),
     Mutant("_gemm sends one row to gemv", TENSOR, "if x.shape[0] == 1:", "if x.shape[0] == -1:",
            (E + "test_gemm_keeps_one_row_on_gemm", T + "TestOneRowMatmul::test_matches_row_zero_of_two_row_product",
             TRACE)),
@@ -144,8 +153,8 @@ MUTANTS = (
            (M + "TestDecoderOp::test_block_matches_former_ops", TRACE)),
     # ---- the model
     Mutant("attention residual taken from the normalized input", MODEL,
-           "return T.dropout(T.gather_rows(x, queries), out, cfg.dropout, rng, training)",
-           "return T.dropout(T.gather_rows(h, queries), out, cfg.dropout, rng, training)",
+           "return T.dropout(T.gather_rows(x, plan.queries), out, cfg.dropout, rng, training)",
+           "return T.dropout(T.gather_rows(h, plan.queries), out, cfg.dropout, rng, training)",
            (FUSED,)),
     Mutant("MoE residual taken from the normalized input", MODEL,
            "return T.dropout(x, combined, cfg.dropout, rng, training)",
@@ -154,19 +163,24 @@ MUTANTS = (
     Mutant("the input field one hop short", MODEL, "    fields = field_rows(batch, cfg.layers + 1)\n",
            "    fields = field_rows(batch, cfg.layers + 1)\n    fields[0] = fields[1]\n", (TYPES, FIELD)),
     Mutant("keys taken at the layer's own field instead of the field before", MODEL,
-           "x = attention_layer(model, layer, x, attn_bias, fields[layer], queries, training, rng)",
-           "x = attention_layer(model, layer, T.gather_rows(x, queries), attn_bias, fields[layer + 1], "
-           "np.arange(len(queries)), training, rng)", (TYPES, FIELD)),
+           "fields[layer], fields[layer + 1])\n        x = attention_layer(model, layer, x, plan, training, rng)",
+           "fields[layer + 1], fields[layer + 1])\n        x = attention_layer(model, layer, "
+           "T.gather_rows(x, np.searchsorted(fields[layer], fields[layer + 1])), plan, training, rng)", (TYPES, FIELD)),
     Mutant("prediction rows gathered in grid order", MODEL, "np.searchsorted(fields[-1], batch.positions)",
            "np.searchsorted(fields[-1], np.sort(batch.positions))",
            (M + "TestPacking::test_stage1_batches_match_padded", TRACE)),
     # every layer on every real row, as the twin runs: only the spies see the rows
-    Mutant("the field starts from all real rows", MODEL, "reach.reshape(-1)[batch.positions] = True",
-           "reach[...] = np.arange(reach.shape[1]) < np.asarray(batch.sizes)[:, None]", (TYPES, PADDING, FIELD)),
+    Mutant("the field starts from all real rows", MODEL, "reach[batch.positions] = True",
+           "reach[...] = (np.arange(batch.entity_ids.shape[1]) < np.asarray(batch.sizes)[:, None]).reshape(-1)",
+           (TYPES, PADDING, FIELD)),
+    Mutant("a frontier step that follows edges one way only", MODEL, "reach[batch.edges[step]] = True",
+           "reach[batch.edges[:, 1][step[:, 1]]] = True",
+           (PLAN, TYPES)),
     Mutant("equal-size graphs packed in reverse order", MODEL, "key=lambda i: -counts[i])",
            "key=lambda i: (-counts[i], -i))", (PADDING, TRACE)),
-    Mutant("_pack links relation nodes one way", MODEL, "    attn[row, 0, ends, col] = True\n", "",
-           (M + "TestPacking::test_stage1_batches_match_padded", TRACE)),
+    Mutant("a relation node linked one slot past its graph in _pack", MODEL,
+           "link_nodes.append(np.arange(k, start + n))", "link_nodes.append(np.arange(k + 1, start + n + 1))",
+           (M + "TestEncoding::test_padding_slots_are_inert_mask_tokens", M + "TestPacking::test_stage1_batches_match_padded")),
     Mutant("top-k takes the bottom experts", MODEL, "np.argsort(-gate_logits.data,", "np.argsort(gate_logits.data,",
            (MOE, "tests/test_acceptance.py::test_03_moe_routing", TRACE)),
     Mutant("exact ties route to the higher index", MODEL,

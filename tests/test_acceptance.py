@@ -90,8 +90,8 @@ TOY_MODEL = dict(entity_count=50, relation_count=5, layers=4, hidden=64, heads=4
 EVAL_TYPES = (QueryType.P1, QueryType.P2, QueryType.I2)
 
 
-@pytest.fixture(scope="module")
-def toy():
+def toy_data() -> dict:
+    """The toy split with its train queries of five shapes and its valid queries of the three evaluated ones."""
     split = structured_toy_split()
     counts = {QueryType.P1: 40, QueryType.P2: 40, QueryType.P3: 20, QueryType.I2: 40, QueryType.I3: 20}
     train_q = {
@@ -103,6 +103,11 @@ def toy():
         for i, qt in enumerate(EVAL_TYPES)
     }
     return {"split": split, "train_q": train_q, "valid_q": valid_q}
+
+
+@pytest.fixture(scope="module")
+def toy():
+    return toy_data()
 
 
 def run_toy_pipeline(toy, seed: int, pretrained: bool) -> Model:

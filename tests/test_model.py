@@ -25,14 +25,15 @@ from kgt.model import (
     parameter_table,
     truncated_normal,
 )
-from kgt.queries import FREE_SLOT, QueryType, build_query
-from kgt.sampling import SampledSubgraph, sample_stage1_batch
+from kgt.queries import FREE_SLOT, QueryType, build_query, dnf_decompose, generate_queries
+from kgt.sampling import SampledSubgraph, sample_meta_graph, sample_stage1_batch
+from kgt import gradcheck
 from kgt import tensor as T
 from kgt.optim import _BLOCK, AdamW, AdamWConfig, clip_global_norm
 from kgt.tensor import Tape, Tensor, cross_entropy
 
 from equivalence import RECORDS, check, step, tiny_config, toy_batches, toy_stage1
-from helpers import attention_mask, toy_split
+from helpers import grid_field_rows, grid_mask, grid_plan, levi_edges, padded_rows, pairs_mask, toy_split
 
 
 class TestParameters:
@@ -248,7 +249,8 @@ class TestSparseDispatch:
         layer_rows, gelu_rows, routed = [], [], []
         attention_layer, gelu, moe_experts = kgt.model.attention_layer, T.gelu, T.moe_experts
         # the grid rows of each layer's output: its key rows at its query indexes
-        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layer_rows.append(a[4][a[5]]) or attention_layer(*a))
+        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layer_rows.append(a[3].rows[a[3].queries])
+                            or attention_layer(*a))
         monkeypatch.setattr(T, "gelu", lambda x: gelu_rows.append(x.shape[0]) or gelu(x))
         monkeypatch.setattr(T, "moe_experts", lambda *args: routed.append(args[-1]) or moe_experts(*args))
         forward(model, batch)
@@ -321,9 +323,9 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
 
     A graph's first slot comes from its first prediction position, which is
     ``start + first_slots[g]``. Each graph must sit whole in one row, the
-    graphs of a row must fill its prefix without overlap, attention must stay
-    inside each graph, and padding must be an inert mask token that attends
-    only to itself.
+    graphs of a row must fill its prefix without overlap, the edges must be
+    each graph's Levi edges at its slots, so that attention stays inside each
+    graph, and padding must be an inert mask token on no edge.
     """
     rows, width = batch.entity_ids.shape
     sizes = [levi.node_count for levi in levis]
@@ -353,18 +355,14 @@ def check_packed_layout(batch: Batch, levis, first_slots, cfg) -> list[int]:
     pad = owner.reshape(-1) < 0
     assert np.all(entity_ids[pad] == cfg.mask_id)
     for levi, start, n in zip(levis, starts, sizes):
-        r, c = divmod(start, width)
-        assert np.array_equal(batch.attn_mask[r, 0, c : c + n, c : c + n], attention_mask(levi))
         k = levi.entity_node_count
         assert np.all(entity_ids[start : start + k] <= cfg.mask_id)
         assert entity_ids[start + k : start + n].tolist() == (levi.triples[:, 1] + cfg.mask_id + 1).tolist()
-    # no attention across graphs, and padding attends only to itself
-    for r in range(rows):
-        same = (owner[r][:, None] == owner[r][None, :]) & (owner[r][:, None] >= 0)
-        allowed = same | np.eye(width, dtype=bool)
-        assert not (batch.attn_mask[r, 0] & ~allowed).any()
-        for i in np.flatnonzero(owner[r] < 0):
-            assert batch.attn_mask[r, 0, i].tolist() == np.eye(width, dtype=bool)[i].tolist()
+    # the edges are the graphs' own, in graph order, so no edge leaves a graph or touches padding
+    assert np.array_equal(batch.edges, levi_edges(levis, starts))
+    linked = owner.reshape(-1)[batch.edges]
+    assert (linked[:, 0] == linked[:, 1]).all() and (linked >= 0).all()
+    assert np.array_equal(pairs_mask(batch.edges, (rows, width)), grid_mask(levis, starts, (rows, width)))
     return starts
 
 
@@ -458,7 +456,8 @@ class TestForward:
             return gather_rows(a, idx)
 
         monkeypatch.setattr(T, "gather_rows", spy_gather)
-        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layers.append((a[4], a[4][a[5]])) or attention_layer(*a))
+        monkeypatch.setattr(kgt.model, "attention_layer", lambda *a: layers.append((a[3].rows, a[3].rows[a[3].queries]))
+                            or attention_layer(*a))
         monkeypatch.setattr(kgt.model, "moe_ffn", lambda *args: moe_rows.append(args[2].shape[0]) or moe_ffn(*args))
         forward(model, encode_queries(queries, cfg))
         # each layer's rows reach a target (3, 9 and 15) within the layers left: the 3i relation nodes 4-6 link
@@ -566,6 +565,62 @@ class TestField:
             keep = (replay.random(a.shape) >= cfg.dropout).astype(a.dtype) / (1.0 - cfg.dropout)
             assert out.tobytes() == (x + a * keep).tobytes()
         assert rng.random() == replay.random()
+
+
+def plan_batches():
+    """(name, batch, levis, first prediction slots, config) of stage-1 batches of the toy graph and of a
+    2,000-entity graph at the fb15k width, a stage-2 meta-graph batch, the nine shapes in one batch, and one
+    3p query."""
+    toy, wide = toy_split(seed=0), toy_split(seed=0, entities=2000, relations=20, train=5000, valid=100, test=100)
+    for name, split, budget in (("toy stage-1", toy, {}), ("fb15k-width stage-1", wide, {"budget": (8, 40)})):
+        cfg = ModelConfig(split.entity_count, split.relation_count, hidden=128)
+        subs = sample_stage1_batch(split.train, np.random.default_rng(3), batch_size=32, **budget)
+        yield name, encode_subgraphs(subs, cfg), [s.levi for s in subs], [s.prediction_targets[0] for s in subs], cfg
+    cfg = ModelConfig(toy.entity_count, toy.relation_count)
+    rng = np.random.default_rng(4)
+    subs = [sample_meta_graph(toy.train, rng) for _ in range(24)]
+    yield "stage-2", encode_subgraphs(subs, cfg), [s.levi for s in subs], [s.prediction_targets[0] for s in subs], cfg
+    rng = np.random.default_rng(5)
+    queries = [branch for qtype in QueryType for inst in generate_queries(toy, qtype, 2, rng)
+               for branch in dnf_decompose(inst.query)]
+    yield "nine shapes", encode_queries(queries, cfg), [q.levi for q in queries], [q.target_index for q in queries], cfg
+    query = build_query(QueryType.P3, (2,), (0, 1, 2))
+    yield "one query", encode_queries([query], cfg), [query.levi], [query.target_index], cfg
+
+
+def assert_same_plan(got, want, where) -> None:
+    for a, b, field in zip(got, want, T.AttentionPlan._fields, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (where, field)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("index", range(5))
+    def test_fields_and_plans_match_the_grid_mask(self, index):
+        # the fields by a frontier walk over the edges and each layer's plan of slots and slot biases, against
+        # the einsum over the former dense mask and the former per-call layout, bit for bit, for 6 layers and
+        # for every real row as keys and queries, as the forward/field-rows twin runs
+        name, batch, levis, first, cfg = list(plan_batches())[index]
+        starts = check_packed_layout(batch, levis, first, cfg)
+        mask = grid_mask(levis, starts, batch.entity_ids.shape)
+        fields = field_rows(batch, 7)
+        want = grid_field_rows(mask, batch.positions, 7)
+        assert [f.dtype for f in fields] == [f.dtype for f in want], name
+        assert all(np.array_equal(f, w) for f, w in zip(fields, want, strict=True)), name
+        real = padded_rows(batch.sizes, batch.entity_ids.shape[1])
+        for rows, kept in [*zip(fields, fields[1:]), (real, real)]:
+            got = T.attention_plan(batch.edges, batch.entity_ids.shape, rows, kept)
+            assert_same_plan(got, grid_plan(T.mask_bias(mask), rows, np.searchsorted(rows, kept)), name)
+
+    def test_grid_row_with_keys_but_no_query(self):
+        # gradcheck's pairs and key rows: grid row 1 holds keys 5 and 6 and no query, so its two query slots
+        # take key 5's bias, not key 0's, and its third key slot is empty; one query alone, at slot 5, takes two
+        # slots in its row
+        pairs, grid, rows = gradcheck._PAIRS, (2, 4), gradcheck._KEY_ROWS
+        bias = T.mask_bias(pairs_mask(pairs, grid))
+        for kept in (np.array([0, 3]), np.array([5]), rows):
+            want = grid_plan(bias, rows, np.searchsorted(rows, kept))
+            assert_same_plan(T.attention_plan(pairs, grid, rows, kept), want, kept)
+        assert T.attention_plan(pairs, grid, rows, np.array([5])).bias.shape == (2, 2, 3)
 
 
 class TestFewerPasses:
