@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .graph import write_atomic
 from .model import Model, ModelConfig, parameter_shapes
 from .optim import _arena, parameter_arena
 
@@ -36,9 +37,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     data, _ = _arena(model.params)
     header = {"config": model.config.to_dict(), "params": [[name, list(t.shape)] for name, t in model.params.items()]}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes)
-        fh.write(data.astype("<f4", copy=False))
+    write_atomic(path, MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes, data.astype("<f4", copy=False))
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

@@ -30,6 +30,8 @@ from .graph import (
     load_split,
     read_lines,
     triple_fields,
+    write_atomic,
+    write_jsonl,
     write_token_triples,
     write_vocab,
 )
@@ -54,14 +56,12 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_dataset(args) -> SplitDataset:
+def _dataset_dir(args) -> Path:
     dataset_dir = Path(args.out) / "dataset"
-    if not (dataset_dir / "train.txt").exists():
-        dataset_dir = Path(args.resolved_config.data_dir)
-    return load_split(dataset_dir)
+    return dataset_dir if (dataset_dir / "train.txt").exists() else Path(args.resolved_config.data_dir)
 
 
 def _read_raw_tokens(path: Path) -> tuple[list[tuple[str, str, str]], np.ndarray]:
@@ -83,7 +83,6 @@ def _load_for(path: Path, split: SplitDataset) -> Model:
 def cmd_ingest(args) -> int:
     data_dir = Path(args.data) if args.data else Path(args.resolved_config.data_dir)
     out_dir = Path(args.out) / "dataset"
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         split = load_split(data_dir)
     except SplitFileError:
@@ -110,24 +109,21 @@ def cmd_ingest(args) -> int:
     write_vocab(out_dir / "entities.txt", entities)
     write_vocab(out_dir / "relations.txt", relations)
     # normalized layout: token triples next to their vocabularies, disjoint increments
-    train, valid_inc, test_inc = split.increments()
-    write_token_triples(out_dir / "train.txt", train, entities, relations)
-    write_token_triples(out_dir / "valid.txt", valid_inc, entities, relations)
-    write_token_triples(out_dir / "test.txt", test_inc, entities, relations)
-    outputs = ["entities.txt", "relations.txt", "train.txt", "valid.txt", "test.txt"]
-    _write_manifest(out_dir / "manifest.json", "ingest", args, [data_dir], [out_dir / o for o in outputs])
-    print(
-        f"ingested {split.entity_count} entities, {split.relation_count} relations, "
-        f"{len(train)}/{len(valid_inc)}/{len(test_inc)} train/valid/test triples -> {out_dir}"
-    )
+    increments = dict(zip(SPLITS, split.increments()))
+    for name, triples in increments.items():
+        write_token_triples(out_dir / f"{name}.txt", triples, entities, relations)
+    outputs = [out_dir / f"{name}.txt" for name in ("entities", "relations", *SPLITS)]
+    _write_manifest(out_dir / "manifest.json", "ingest", args, [data_dir], outputs)
+    counts = "/".join(str(len(triples)) for triples in increments.values())
+    print(f"ingested {split.entity_count} entities, {split.relation_count} relations, {counts} train/valid/test triples -> {out_dir}")
     return 0
 
 
 def cmd_gen_queries(args) -> int:
     config = args.resolved_config
-    split = _load_dataset(args)
+    data_dir = _dataset_dir(args)
+    split = load_split(data_dir)
     out_dir = Path(args.out) / "queries"
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for ordinal, split_name in enumerate(SPLITS):
         types = TRAINABLE_TYPES if split_name == "train" else tuple(QueryType)
@@ -141,7 +137,7 @@ def cmd_gen_queries(args) -> int:
             write_queries(path, instances)
             outputs.append(path)
             print(f"wrote {len(instances)} {qtype.value} queries for {split_name} -> {path}")
-    _write_manifest(out_dir / "manifest.json", "gen-queries", args, [], outputs)
+    _write_manifest(out_dir / "manifest.json", "gen-queries", args, [data_dir], outputs)
     return 0
 
 
@@ -156,18 +152,10 @@ def _epoch_printer(stage: str, total: int):
     return log
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def cmd_pretrain(args) -> int:
     config = args.resolved_config
-    split = _load_dataset(args)
+    split = load_split(_dataset_dir(args))
     ckpt_dir = Path(args.out) / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     stage_name = f"stage{args.stage}"
     stage1_path = ckpt_dir / "stage1.kgtc"
     out_path = ckpt_dir / f"{stage_name}.kgtc"
@@ -184,7 +172,7 @@ def cmd_pretrain(args) -> int:
     records = pretrain(model, split.train, train_config, log=_epoch_printer(stage_name, train_config.epochs))
     save_checkpoint(model, out_path)
     log_path = Path(args.out) / "logs" / f"{stage_name}.jsonl"
-    _write_jsonl(log_path, records)
+    write_jsonl(log_path, records)
     _write_manifest(ckpt_dir / f"{stage_name}.manifest.json", f"pretrain --stage {args.stage}", args, inputs, [out_path, log_path])
     print(f"saved {out_path}")
     return 0
@@ -206,9 +194,8 @@ def _load_query_dir(args, split_name: str, types, split: SplitDataset) -> dict[Q
 
 def cmd_finetune(args) -> int:
     config = args.resolved_config
-    split = _load_dataset(args)
+    split = load_split(_dataset_dir(args))
     ckpt_dir = Path(args.out) / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     if args.fresh:
         model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
@@ -239,6 +226,8 @@ def cmd_finetune(args) -> int:
     records = finetune(model, train_sets, train_config, log=_epoch_printer("finetune", train_config.epochs))
     multi_path = ckpt_dir / "finetune_multi.kgtc"
     save_checkpoint(model, multi_path)
+    for stale in [ckpt_dir / "selection.json", *ckpt_dir.glob("finetune_best_*.kgtc")]:
+        stale.unlink(missing_ok=True)  # an earlier run's picks, which no longer start from this model
     outputs = [multi_path]
 
     if combos:
@@ -262,31 +251,28 @@ def cmd_finetune(args) -> int:
             outputs.append(path)
         selection["checkpoints"] = checkpoints
         selection_path = ckpt_dir / "selection.json"
-        selection_path.write_text(json.dumps(selection, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_atomic(selection_path, json.dumps(selection, sort_keys=True, indent=2) + "\n")
         outputs.append(selection_path)
         for qtype in eval_types:
             print(f"best for {qtype.value}: {selection['chosen'][qtype.value]}")
 
     log_path = Path(args.out) / "logs" / "finetune.jsonl"
-    _write_jsonl(log_path, records)
+    write_jsonl(log_path, records)
     outputs.append(log_path)
     _write_manifest(ckpt_dir / "finetune.manifest.json", "finetune", args, inputs, outputs)
     print(f"saved {multi_path}")
     return 0
 
 
-def _models_for_evaluation(args, types) -> dict[QueryType, Model]:
-    """One model per query shape: ``--checkpoint`` for every shape, else the
-    shape's pick in ``selection.json``, else the first checkpoint found of
-    ``finetune_multi.kgtc`` (the candidate every selection starts from),
-    ``stage2.kgtc`` and ``stage1.kgtc``."""
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
-        return {qtype: model for qtype in types}
+def _models_for_evaluation(args, types) -> tuple[dict[QueryType, Model], list[Path]]:
+    """One model per query shape, and the checkpoints read: ``--checkpoint``
+    for every shape, else the shape's pick in ``selection.json``, else the
+    first checkpoint found of ``finetune_multi.kgtc`` (the candidate every
+    selection starts from), ``stage2.kgtc`` and ``stage1.kgtc``."""
     ckpt_dir = Path(args.out) / "checkpoints"
     selection_path = ckpt_dir / "selection.json"
     chosen = {}
-    if selection_path.exists():
+    if not args.checkpoint and selection_path.exists():
         try:
             selection = json.loads("\n".join(read_lines(selection_path)))
         except json.JSONDecodeError as exc:
@@ -294,19 +280,19 @@ def _models_for_evaluation(args, types) -> dict[QueryType, Model]:
         chosen = selection.get("checkpoints", {}) if isinstance(selection, dict) else None
         if not isinstance(chosen, dict) or not all(isinstance(name, str) for name in chosen.values()):
             raise ParseError(selection_path, 1, 'expected {"checkpoints": {shape: file name}}')
-    fallback = next(
-        (name for name in ("finetune_multi.kgtc", "stage2.kgtc", "stage1.kgtc") if (ckpt_dir / name).exists()), None
-    )
-    cache: dict[str, Model] = {}
+    names = ("finetune_multi.kgtc", "stage2.kgtc", "stage1.kgtc")
+    found = (ckpt_dir / name for name in names if (ckpt_dir / name).exists())
+    fallback = Path(args.checkpoint) if args.checkpoint else next(found, None)
+    cache: dict[Path, Model] = {fallback: load_checkpoint(fallback)} if args.checkpoint else {}
     models = {}
     for qtype in types:
-        name = chosen.get(qtype.value, fallback)
-        if name is None:
+        path = ckpt_dir / chosen[qtype.value] if qtype.value in chosen else fallback
+        if path is None:
             raise FileNotFoundError(f"no checkpoint found under {ckpt_dir}; pass --checkpoint")
-        if name not in cache:
-            cache[name] = load_checkpoint(ckpt_dir / name)
-        models[qtype] = cache[name]
-    return models
+        if path not in cache:
+            cache[path] = load_checkpoint(path)
+        models[qtype] = cache[path]
+    return models, list(cache)
 
 
 def cmd_evaluate(args) -> int:
@@ -315,7 +301,7 @@ def cmd_evaluate(args) -> int:
     types = sorted(paths, key=lambda t: t.value)
     for path in paths.values():
         read_queries(path)  # a malformed file is reported before the checkpoint lookup
-    models = _models_for_evaluation(args, types)
+    models, checkpoints = _models_for_evaluation(args, types)
     rank_dump: list | None = [] if args.dump_ranks else None
     tables = []
     for qtype, model in models.items():
@@ -323,24 +309,24 @@ def cmd_evaluate(args) -> int:
         tables.append(evaluate(model, {qtype: queries}, args.split, ks=config.eval_ks, rank_dump=rank_dump))
     table = merge_metrics(tables)
     metrics_dir = Path(args.out) / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
     json_path = metrics_dir / f"{args.split}.json"
     text_path = metrics_dir / f"{args.split}.txt"
-    json_path.write_text(table.to_json(), encoding="utf-8")
-    text_path.write_text(table.to_text(), encoding="utf-8")
+    write_atomic(json_path, table.to_json())
+    write_atomic(text_path, table.to_text())
     outputs = [json_path, text_path]
     if rank_dump is not None:
         dump_path = metrics_dir / f"ranks_{args.split}.jsonl"
-        _write_jsonl(dump_path, rank_dump)
+        write_jsonl(dump_path, rank_dump)
         outputs.append(dump_path)
-    _write_manifest(metrics_dir / f"{args.split}.manifest.json", f"evaluate --split {args.split}", args, [], outputs)
+    inputs = [*checkpoints, *(paths[qtype] for qtype in types)]
+    _write_manifest(metrics_dir / f"{args.split}.manifest.json", f"evaluate --split {args.split}", args, inputs, outputs)
     print(table.to_text(), end="")
     return 0
 
 
 def cmd_interpret(args) -> int:
     instances = read_queries(args.query_file)
-    models = _models_for_evaluation(args, [inst.query.query_type for inst in instances])
+    models, _ = _models_for_evaluation(args, [inst.query.query_type for inst in instances])
     if instances:  # again, with the checkpoint's vocabulary sizes
         config = next(iter(models.values())).config
         instances = read_queries(args.query_file, config.entity_count, config.relation_count)

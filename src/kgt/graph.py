@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -245,6 +247,30 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
+def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
+    """Write ``chunks`` (``str`` as UTF-8, bytes-like as they are) to ``path``,
+    making its directory: through ``.<name>.<pid>.tmp`` beside it, synced and
+    then ``os.replace``d over ``path``. A run killed midway leaves the former
+    file or the new one; a write that fails removes its temp file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object a line, keys sorted: query files, training logs and rank dumps."""
+    write_atomic(path, *(json.dumps(record, sort_keys=True) + "\n" for record in records))
+
+
 def read_vocab(path: Path) -> list[str]:
     tokens = []
     seen = set()
@@ -439,9 +465,7 @@ def load_split(directory: str | Path) -> SplitDataset:
 
 
 def write_vocab(path: Path, tokens: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in tokens:
-            fh.write(f"{token}\n")
+    write_atomic(path, *(f"{token}\n" for token in tokens))
 
 
 def write_token_triples(
@@ -449,6 +473,4 @@ def write_token_triples(
 ) -> None:
     """Write triples using vocabulary tokens, the form ``load_split`` resolves
     whenever vocabulary files sit next to the triple files."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{entities[h]}\t{relations[r]}\t{entities[t]}\n")
+    write_atomic(path, *(f"{entities[h]}\t{relations[r]}\t{entities[t]}\n" for h, r, t in triples))

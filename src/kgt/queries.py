@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, ParseError, SamplingExhausted
-from .graph import KnowledgeGraph, LeviGraph, SplitDataset, read_lines
+from .graph import KnowledgeGraph, LeviGraph, SplitDataset, read_lines, write_jsonl
 
 
 class QueryType(Enum):
@@ -212,15 +212,8 @@ class QueryInstance:
 
 
 def write_queries(path: str | Path, instances: Iterable[QueryInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            record = {
-                **inst.query.record(),
-                "answers_train": sorted(inst.answers_train),
-                "answers_valid": sorted(inst.answers_valid),
-                "answers_test": sorted(inst.answers_test),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    answers = ("answers_train", "answers_valid", "answers_test")
+    write_jsonl(path, ({**inst.query.record(), **{key: sorted(getattr(inst, key)) for key in answers}} for inst in instances))
 
 
 def _int_list(record: dict, key: str, bound: int | None) -> list[int]:

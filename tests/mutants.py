@@ -79,6 +79,7 @@ CHUNKED = V + "TestChunkedEvaluation::"
 RANK_DUMP = V + "TestEvaluate::test_rank_dump_records"
 RELABELING = "tests/test_relations.py::test_entity_relabeling_permutes_logit_columns_bit_for_bit"
 CK = M + "TestCheckpoint::test_"
+WRITE_FAILS = G + "TestWriteAtomic::test_failed_write_keeps_the_former_file_and_no_temp"
 
 MUTANTS = (
     # ---- kernels and tape ops
@@ -278,6 +279,10 @@ MUTANTS = (
            (TR + "TestPretrain::test_default_step_count_covers_graph",)),
     Mutant("default steps per epoch rounded down", TRAIN, "math.ceil(len(graph) / config.batch_size)",
            "len(graph) // config.batch_size", (TR + "TestPretrain::test_default_step_count_covers_graph",)),
+    Mutant("lr schedule one epoch late", TRAIN, "optimizer.step(epoch,", "optimizer.step(epoch + 1,",
+           (TR + "TestPretrain::test_lr_follows_schedule", TRACE)),
+    Mutant("a fine-tune round skips a shape", TRAIN, "for chunk in chunks:", "for chunk in chunks[1:]:",
+           (TR + "TestFinetune::test_round_robin_step_count",)),
     Mutant("checkpoint vocabulary check skipped", CLI, "if have != want:", "if False:",
            (C + "TestCliErrors::test_checkpoint_of_another_vocabulary[pretrain]",
             C + "TestCliErrors::test_checkpoint_of_another_vocabulary[finetune]")),
@@ -286,6 +291,12 @@ MUTANTS = (
     Mutant("gradcheck compares the tape with itself", GRADCHECK_PY,
            "gradient_error(analytic[key], numeric_gradient(value, t.data))", "gradient_error(analytic[key], analytic[key])",
            (T + "TestGradcheckCoverage::test_check_function_fails_a_backward_that_doubles_its_gradient",)),
+    # ---- artifact writers
+    Mutant("writes the destination in place", GRAPH, 'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
+           "tmp = path", (WRITE_FAILS, CK + "run_killed_mid_save_leaves_the_former_file")),
+    Mutant("temp file kept after a failed write", GRAPH, "        tmp.unlink(missing_ok=True)\n", "", (WRITE_FAILS,)),
+    Mutant("earlier selection kept", CLI, "stale.unlink(missing_ok=True)", "stale.exists()",
+           (C + "TestPipeline::test_finetune_rerun_drops_the_earlier_selection",)),
     # ---- checkpoints
     Mutant("trailing bytes accepted", CHECKPOINT, "if declared < left:", "if False:", (CK + "trailing_bytes_rejected",)),
     Mutant("non-finite parameters load", CHECKPOINT, "if not np.isfinite(data).all():", "if False:",

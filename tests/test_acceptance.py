@@ -7,7 +7,9 @@ the definitions, independently of the library code they check.
 """
 
 import functools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +521,9 @@ def test_10_run_determinism(tmp_path):
     assert compared >= 3  # both stages plus at least one fine-tuned candidate
     for rel in ("metrics/valid.json", "metrics/valid.txt"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+    # the tree holds what the manifests say it does, and no writer's temp file
+    for out in outs:
+        files = {str(p) for p in out.rglob("*") if p.is_file()}
+        manifests = {p for p in files if p.endswith("manifest.json")}
+        listed = {o for m in manifests for o in json.loads(Path(m).read_text(encoding="utf-8"))["outputs"]}
+        assert files - manifests == listed

@@ -427,6 +427,35 @@ class TestPipeline:
         assert manifest["versions"]["numpy"]
         assert "timestamp" not in manifest
 
+    def test_manifests_record_inputs(self, pipeline):
+        out = pipeline["out"]
+        manifest = json.loads((out / "queries" / "manifest.json").read_text())
+        assert manifest["inputs"] == [str(out / "dataset")]
+        manifest = json.loads((out / "metrics" / "valid.manifest.json").read_text())
+        selection = json.loads((out / "checkpoints" / "selection.json").read_text())
+        checkpoints = [str(out / "checkpoints" / name) for name in dict.fromkeys(selection["checkpoints"].values())]
+        queries = [str(out / "queries" / f"valid_{t}.jsonl") for t in sorted(q.value for q in QueryType)]
+        assert manifest["inputs"] == checkpoints + queries
+
+    def test_finetune_rerun_drops_the_earlier_selection(self, pipeline, tmp_path):
+        out = tmp_path / "rerun"
+        for part in ("dataset", "queries"):
+            shutil.copytree(pipeline["out"] / part, out / part)
+        base = ["--config", str(pipeline["config"]), "--out", str(out)]
+        ckpts = out / "checkpoints"
+        assert main(base + ["finetune", "--fresh", "--combos", "1p"]) == 0
+        assert (ckpts / "selection.json").exists() and list(ckpts.glob("finetune_best_*.kgtc"))
+        assert main(base + ["--seed", "5", "finetune", "--fresh", "--combos", ""]) == 0
+        assert not (ckpts / "selection.json").exists() and not list(ckpts.glob("finetune_best_*.kgtc"))
+        assert main(base + ["evaluate", "--split", "valid"]) == 0
+        manifest = json.loads((out / "metrics" / "valid.manifest.json").read_text())
+        assert [p for p in manifest["inputs"] if p.endswith(".kgtc")] == [str(ckpts / "finetune_multi.kgtc")]
+        rows = json.loads((out / "metrics" / "valid.json").read_text())["rows"]
+        explicit = tmp_path / "explicit"
+        assert main(["--config", str(pipeline["config"]), "--out", str(explicit), "evaluate", "--split", "valid",
+                     "--queries", str(out / "queries"), "--checkpoint", str(ckpts / "finetune_multi.kgtc")]) == 0
+        assert rows == json.loads((explicit / "metrics" / "valid.json").read_text())["rows"]
+
     def test_interpret_command(self, pipeline, capsys):
         base = ["--config", str(pipeline["config"]), "--out", str(pipeline["out"])]
         qfile = pipeline["out"] / "queries" / "valid_2p.jsonl"

@@ -1,3 +1,4 @@
+import os
 from collections import defaultdict
 
 import numpy as np
@@ -13,6 +14,7 @@ from kgt.graph import (
     build_split,
     load_split,
     triple_transform,
+    write_atomic,
     write_vocab,
 )
 
@@ -452,3 +454,22 @@ class TestLoadSplit:
         write_triples(tmp_path / "train.txt", [(0, 0, 1)])
         with pytest.raises(FileNotFoundError):
             load_split(tmp_path)
+
+
+class TestWriteAtomic:
+    def test_failed_write_keeps_the_former_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "entities.txt"
+        write_vocab(path, ["alice", "bob"])
+        with pytest.raises(UnicodeEncodeError):
+            write_vocab(path, ["ok", "\ud800"])  # a lone surrogate fails after the first chunk
+        assert path.read_bytes() == b"alice\nbob\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["entities.txt"]
+
+    def test_makes_the_directory_and_keeps_a_plain_files_mode(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.bin"
+        write_atomic(path, "x\u00e9", b"\x00", np.arange(2, dtype="<u2"))
+        assert path.read_bytes() == "x\u00e9".encode() + b"\x00\x00\x00\x01\x00"
+        plain = tmp_path / "plain"
+        plain.touch()
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.bin"]

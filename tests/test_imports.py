@@ -3,6 +3,7 @@ module-level private name is read somewhere in ``src/kgt``, and every public
 function, class, method and module-level constant is read somewhere in
 ``src/kgt`` or ``kgtbench/``.
 Every oracle and helper of the shared test modules is reached from a test.
+No code under ``src/kgt`` but ``graph.write_atomic`` writes a file.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -177,3 +178,50 @@ def test_every_shared_test_helper_is_reached():
     tests = ROOT / "tests"
     sources = [(tests / name).read_text(encoding="utf-8") for name in ("helpers.py", "equivalence.py")]
     assert unreached_definitions(sources, [path.read_text(encoding="utf-8") for path in tests.glob("test_*.py")]) == []
+
+
+def file_writes(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each call that can write a file: ``open``
+    with a mode that holds ``w``, ``a``, ``x`` or ``+`` or is not a literal,
+    ``write_text``, ``write_bytes``, ``tofile`` and ``np.save*``."""
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name == "open":  # open(file, mode) or path.open(mode)
+            modes = [*call.args[isinstance(func, ast.Name):][:1], *(k.value for k in call.keywords if k.arg == "mode")]
+            return any(not isinstance(m, ast.Constant) or not isinstance(m.value, str) or set(m.value) & set("wax+") for m in modes)
+        numpy = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("np", "numpy")
+        return name in ("write_text", "write_bytes", "tofile") or (numpy and name.startswith("save"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_write_finder_sees_every_idiom():
+    source = (
+        "def f(p, m):\n"
+        "    open(p)\n    open(p, 'rb')\n    p.open()\n    p.open(mode='r')\n    np.load(p)\n    obj.save(p)\n"
+        "    open(p, 'w')\n    open(p, mode='ab')\n    open(p, m)\n    p.open('r+')\n    p.open(mode='x')\n"
+        "    p.write_text('')\n    p.write_bytes(b'')\n    a.tofile(p)\n    np.save(p, a)\n    numpy.savez(p)\n"
+        "class C:\n    def g(self, p):\n        return [open(p, 'wb') for _ in ()]\n"
+        "open('x', 'w')\n"
+    )
+    assert file_writes(source) == [(line, "f") for line in range(8, 18)] + [(20, "g"), (21, "")]
+
+
+def test_only_write_atomic_writes_files():
+    found = [
+        (path.name, line, function)
+        for path in MODULES
+        for line, function in file_writes(path.read_text(encoding="utf-8"))
+        if (path.name, function) != ("graph.py", "write_atomic")
+    ]
+    assert found == []

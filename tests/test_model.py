@@ -1,7 +1,12 @@
 import itertools
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -791,6 +796,28 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_run_killed_mid_save_leaves_the_former_file(self, tmp_path):
+        # a child whose file-size limit is half a checkpoint dies by SIGXFSZ inside save_checkpoint
+        model, path = self.saved(tmp_path, 3)
+        former = path.read_bytes()
+        child = (
+            "import json, resource, signal, sys\n"
+            "from kgt.checkpoint import save_checkpoint\n"
+            "from kgt.model import Model, ModelConfig\n"
+            "model = Model.init(ModelConfig.from_dict(json.loads(sys.argv[1])), seed=4)\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_DFL)  # Python starts with it ignored\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "save_checkpoint(model, sys.argv[3])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kgt.model.__file__).parents[1])}
+        argv = [sys.executable, "-c", child, json.dumps(model.config.to_dict()), str(len(former) // 2), str(path)]
+        proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
+        _, err = proc.communicate()
+        assert proc.returncode == -signal.SIGXFSZ, err
+        assert path.read_bytes() == former
+        assert load_checkpoint(path).config == model.config
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f".m.kgtc.{proc.pid}.tmp", "m.kgtc"]
 
     def test_file_is_header_then_arena_in_one_block(self, tmp_path):
         model, path = self.saved(tmp_path, 17)
