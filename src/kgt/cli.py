@@ -26,7 +26,7 @@ from .gradcheck import run_all
 from .graph import (
     SPLITS,
     SplitDataset,
-    build_split,
+    _load_split,
     load_split,
     read_lines,
     triple_fields,
@@ -64,12 +64,6 @@ def _dataset_dir(args) -> Path:
     return dataset_dir if (dataset_dir / "train.txt").exists() else Path(args.resolved_config.data_dir)
 
 
-def _read_raw_tokens(path: Path) -> tuple[list[tuple[str, str, str]], np.ndarray]:
-    """The token triples of a file and the line number of each."""
-    rows = list(triple_fields(path))
-    return [tuple(fields) for _, fields in rows], np.array([lineno for lineno, _ in rows], dtype=np.int64)
-
-
 def _load_for(path: Path, split: SplitDataset) -> Model:
     """The checkpoint at ``path``, which must have ``split``'s entity and relation counts."""
     model = load_checkpoint(path)
@@ -90,19 +84,11 @@ def cmd_ingest(args) -> int:
     except ParseError:
         if (data_dir / "entities.txt").exists() or (data_dir / "relations.txt").exists():
             raise  # a token the given vocabulary lacks
-        # a token that is not an integer and no vocabulary files: build them from the tokens
-        paths = {name: data_dir / f"{name}.txt" for name in SPLITS}
-        read = {name: _read_raw_tokens(path) for name, path in paths.items()}
-        raw = {name: rows for name, (rows, _) in read.items()}
-        entity_tokens = sorted({tok for rows in raw.values() for h, _, t in rows for tok in (h, t)})
-        relation_tokens = sorted({r for rows in raw.values() for _, r, _ in rows})
-        ent_map = {tok: i for i, tok in enumerate(entity_tokens)}
-        rel_map = {tok: i for i, tok in enumerate(relation_tokens)}
-        parts = {
-            name: [(ent_map[h], rel_map[r], ent_map[t]) for h, r, t in rows] for name, rows in raw.items()
-        }
-        sources = {name: (paths[name], lines) for name, (_, lines) in read.items()}
-        split = build_split(parts, len(entity_tokens), len(relation_tokens), entity_tokens, relation_tokens, sources)
+        # a token that is not an integer and no vocabulary files: sort the tokens into vocabularies
+        rows = [fields for name in SPLITS for _, fields in triple_fields(data_dir / f"{name}.txt")]
+        entity_tokens = sorted({tok for h, _, t in rows for tok in (h, t)})
+        relation_tokens = sorted({r for _, r, _ in rows})
+        split = _load_split(data_dir, entity_tokens, relation_tokens)
 
     entities = split.entities or [str(i) for i in range(split.entity_count)]
     relations = split.relations or [str(i) for i in range(split.relation_count)]
@@ -154,7 +140,8 @@ def _epoch_printer(stage: str, total: int):
 
 def cmd_pretrain(args) -> int:
     config = args.resolved_config
-    split = load_split(_dataset_dir(args))
+    inputs = [_dataset_dir(args)]
+    split = load_split(inputs[0])
     ckpt_dir = Path(args.out) / "checkpoints"
     stage_name = f"stage{args.stage}"
     stage1_path = ckpt_dir / "stage1.kgtc"
@@ -162,12 +149,11 @@ def cmd_pretrain(args) -> int:
 
     if args.stage == 2 and not args.fresh and stage1_path.exists():
         model = _load_for(stage1_path, split)
-        inputs = [stage1_path]
+        inputs.append(stage1_path)
     else:
         if args.stage == 2 and not args.fresh:
             print("no stage1 checkpoint found; starting stage 2 from fresh parameters")
         model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
-        inputs = []
     train_config = config.train_config(Stage(stage_name))
     records = pretrain(model, split.train, train_config, log=_epoch_printer(stage_name, train_config.epochs))
     save_checkpoint(model, out_path)
@@ -187,19 +173,21 @@ def _query_paths(args, split_name: str, types) -> dict[QueryType, Path]:
     return paths
 
 
-def _load_query_dir(args, split_name: str, types, split: SplitDataset) -> dict[QueryType, list]:
+def _load_query_dir(args, split_name: str, types, split: SplitDataset, inputs: list) -> dict[QueryType, list]:
+    """The queries of each shape's file, whose paths join ``inputs``."""
     paths = _query_paths(args, split_name, types)
+    inputs.extend(paths.values())
     return {qtype: read_queries(path, split.entity_count, split.relation_count) for qtype, path in paths.items()}
 
 
 def cmd_finetune(args) -> int:
     config = args.resolved_config
-    split = load_split(_dataset_dir(args))
+    inputs = [_dataset_dir(args)]
+    split = load_split(inputs[0])
     ckpt_dir = Path(args.out) / "checkpoints"
 
     if args.fresh:
         model = Model.init(config.model_config(split.entity_count, split.relation_count), seed=config.seed)
-        inputs = []
     else:
         source = None
         if args.from_checkpoint:
@@ -212,9 +200,9 @@ def cmd_finetune(args) -> int:
         if source is None:
             raise FileNotFoundError("no pre-trained checkpoint found; run pretrain or pass --fresh")
         model = _load_for(source, split)
-        inputs = [source]
+        inputs.append(source)
 
-    train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES, split)
+    train_sets = _load_query_dir(args, "train", TRAINABLE_TYPES, split, inputs)
     combos = config.combos()
     if args.combos is not None:
         combos = dc_replace(config, finetune_combos=args.combos).combos()
@@ -231,7 +219,7 @@ def cmd_finetune(args) -> int:
     outputs = [multi_path]
 
     if combos:
-        valid_sets = _load_query_dir(args, "valid", tuple(QueryType), split)
+        valid_sets = _load_query_dir(args, "valid", tuple(QueryType), split, inputs)
         eval_types = sorted(valid_sets.keys(), key=lambda t: t.value)
 
         def validate(candidate: Model, qtype: QueryType) -> float:

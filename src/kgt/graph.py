@@ -329,13 +329,16 @@ def read_triples(
 
 def triple_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """The line number and the three tab-separated fields of each non-empty
-    line of a triple file; any other field count raises ``ParseError``."""
+    line of a triple file; any other field count, or an empty field, raises
+    ``ParseError``."""
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        if "" in fields:
+            raise ParseError(path, lineno, "empty field")
         yield lineno, fields
 
 
@@ -431,15 +434,15 @@ def build_split(
 def load_split(directory: str | Path) -> SplitDataset:
     """Load train/valid/test triple files plus optional vocabularies."""
     d = Path(directory)
-    entities = relations = None
-    ent_map = rel_map = None
-    if (d / "entities.txt").exists():
-        entities = read_vocab(d / "entities.txt")
-        ent_map = {tok: i for i, tok in enumerate(entities)}
-    if (d / "relations.txt").exists():
-        relations = read_vocab(d / "relations.txt")
-        rel_map = {tok: i for i, tok in enumerate(relations)}
+    entities, relations = (read_vocab(d / name) if (d / name).exists() else None for name in ("entities.txt", "relations.txt"))
+    return _load_split(d, entities, relations)
 
+
+def _load_split(d: Path, entities: list[str] | None, relations: list[str] | None) -> SplitDataset:
+    """The split files under ``d``, their tokens resolved in the vocabularies
+    given; without one, the ids are integer literals counted from the files."""
+    ent_map = None if entities is None else {tok: i for i, tok in enumerate(entities)}
+    rel_map = None if relations is None else {tok: i for i, tok in enumerate(relations)}
     parts = {}
     sources = {}
     for name in SPLITS:

@@ -260,12 +260,19 @@ def encode_queries(
     Anchors enter as their entity ids; intermediates and the target enter as
     mask tokens. ``predict`` chooses the scored slots: the target node
     ("target") or every intermediate node ("intermediates"). ``fill`` clamps
-    the target slot to a concrete entity instead of the mask token.
+    the target slot to a concrete entity instead of the mask token. An anchor
+    or relation id outside the model's tables raises ``ValueError``.
     """
     if predict not in ("target", "intermediates"):
         raise ValueError(f"unknown predict mode {predict!r}")
     if fill is not None and not 0 <= fill < config.entity_count:
         raise ValueError(f"fill entity {fill} is outside 0..{config.entity_count - 1}")
+    for i, q in enumerate(queries):
+        if not all(0 <= a < config.entity_count for a in q.anchors) or not all(0 <= r < config.relation_count for r in q.relations):
+            raise ValueError(
+                f"{q.query_type.value} query {i}: anchors {list(q.anchors)} or relations {list(q.relations)} lie outside "
+                f"the model's {config.entity_count} entities and {config.relation_count} relations"
+            )
     if predict == "target":
         slots = [(q.target_index,) for q in queries]
     else:

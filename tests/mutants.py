@@ -196,6 +196,10 @@ MUTANTS = (
     Mutant("tensors drawn in reverse arena order", MODEL, "for name, _, init in parameter_table(config):",
            "for name, _, init in parameter_table(config)[::-1]:",
            (M + "TestParameters::test_table_draws_each_element_once_in_the_documented_order", TRACE)),
+    Mutant("query ids not checked against the model's tables", MODEL,
+           "if not all(0 <= a < config.entity_count for a in q.anchors) or", "if False and",
+           (M + "TestEncoding::test_query_ids_outside_the_tables_rejected",
+            V + "TestEvaluate::test_anchor_outside_the_model_rejected")),
     # ---- the optimizer
     Mutant("AdamW bias correction by a reciprocal", OPTIM, "np.divide(m, bias1, out=u)",
            "np.multiply(m, 1.0 / bias1, out=u)", (LOOP, TRACE)),
@@ -231,6 +235,12 @@ MUTANTS = (
            "if valid_whole:", (NESTING,)),
     Mutant("test's repeats of train triples not located", GRAPH, "~test_new | np.isin(test, train)", "~test_new",
            (NESTING,)),
+    Mutant("an empty field accepted", GRAPH, 'if "" in fields:', "if False:",
+           tuple(C + f"TestCliErrors::test_empty_field_stops_at_its_line[{layout}]" for layout in ("ids", "vocabulary", "tokens"))),
+    Mutant("ingest's vocabulary in first-seen order", CLI, "entity_tokens = sorted({tok for h, _, t in rows for tok in (h, t)})",
+           "entity_tokens = list(dict.fromkeys(tok for h, _, t in rows for tok in (h, t)))",
+           (G + "TestLoadSplit::test_ingest_sorts_the_tokens_of_a_dataset_without_vocabularies",
+            C + "TestPipeline::test_dataset_normalized")),
     # ---- the samplers
     Mutant("slice positions without each slice's own offset", SAMPLING, "starts - np.cumsum(lengths) + lengths",
            "starts - np.cumsum(lengths)", (S + "TestInduce::test_keep_all_matches_brute_force", DIGESTS)),
@@ -295,6 +305,10 @@ MUTANTS = (
     Mutant("writes the destination in place", GRAPH, 'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
            "tmp = path", (WRITE_FAILS, CK + "run_killed_mid_save_leaves_the_former_file")),
     Mutant("temp file kept after a failed write", GRAPH, "        tmp.unlink(missing_ok=True)\n", "", (WRITE_FAILS,)),
+    Mutant("the dataset directory left out of the pretrain manifest", CLI,
+           'inputs = [_dataset_dir(args)]\n    split = load_split(inputs[0])\n    ckpt_dir = Path(args.out) / "checkpoints"\n    stage_name',
+           'inputs = []\n    split = load_split(_dataset_dir(args))\n    ckpt_dir = Path(args.out) / "checkpoints"\n    stage_name',
+           (C + "TestPipeline::test_training_manifests_record_what_they_read",)),
     Mutant("earlier selection kept", CLI, "stale.unlink(missing_ok=True)", "stale.exists()",
            (C + "TestPipeline::test_finetune_rerun_drops_the_earlier_selection",)),
     # ---- checkpoints

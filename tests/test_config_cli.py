@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from kgt.cli import main
 from kgt.config import _KEY_TYPES, _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
 from kgt.model import ModelConfig
-from kgt.queries import QueryType
+from kgt.queries import TRAINABLE_TYPES, QueryType
 from kgt.train import Stage, TrainConfig
 
 from helpers import toy_split, write_toy_dataset
@@ -437,6 +438,21 @@ class TestPipeline:
         queries = [str(out / "queries" / f"valid_{t}.jsonl") for t in sorted(q.value for q in QueryType)]
         assert manifest["inputs"] == checkpoints + queries
 
+    def test_training_manifests_record_what_they_read(self, pipeline):
+        out = pipeline["out"]
+        ckpts, queries = out / "checkpoints", out / "queries"
+        train = [str(queries / f"train_{t.value}.jsonl") for t in TRAINABLE_TYPES]
+        valid = [str(queries / f"valid_{t.value}.jsonl") for t in QueryType]  # finetune.combos is set
+        expected = {
+            "stage1": [str(out / "dataset")],
+            "stage2": [str(out / "dataset"), str(ckpts / "stage1.kgtc")],
+            "finetune": [str(out / "dataset"), str(ckpts / "stage2.kgtc"), *train, *valid],
+        }
+        for name, inputs in expected.items():
+            manifest = json.loads((ckpts / f"{name}.manifest.json").read_text())
+            assert manifest["inputs"] == inputs, name
+            assert all(Path(p).exists() for p in inputs), name
+
     def test_finetune_rerun_drops_the_earlier_selection(self, pipeline, tmp_path):
         out = tmp_path / "rerun"
         for part in ("dataset", "queries"):
@@ -555,6 +571,23 @@ class TestCliErrors:
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:3: {fault}")
+
+    @pytest.mark.parametrize("layout", ["tokens", "vocabulary", "ids"])
+    def test_empty_field_stops_at_its_line(self, tmp_path, capsys, layout):
+        # every layout is split by one parser, which stops at the line before anything is written
+        raw = tmp_path / "raw"
+        if layout == "tokens":
+            write_token_dataset(raw, toy_split(seed=30))
+        else:
+            write_toy_dataset(raw, toy_split(seed=30), tokens=layout == "vocabulary")
+        path = raw / "train.txt"
+        lines = path.read_text().splitlines()
+        head, _, tail = lines[2].split("\t")
+        lines[2] = f"{head}\t\t{tail}"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: empty field\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_checkpoint_of_another_vocabulary(self, pipeline, tmp_path, capsys, command):

@@ -22,7 +22,7 @@ from kgt.evaluation import (
 )
 import kgt.evaluation as ev
 from kgt.model import Model, ModelConfig, encode_queries, forward
-from kgt.queries import QueryType, build_query, generate_queries, write_queries
+from kgt.queries import QueryInstance, QueryType, build_query, generate_queries, write_queries
 
 from helpers import toy_split
 
@@ -192,6 +192,12 @@ class TestEvaluate:
             want = np.mean([table.rows[t][metric] for t in ("1p", "2p", "2u")])
             assert mean[metric] == pytest.approx(want)
         assert mean["queries"] == sum(table.rows[t]["queries"] for t in ("1p", "2p", "2u"))
+
+    def test_anchor_outside_the_model_rejected(self):
+        model = Model.init(ModelConfig(entity_count=10, relation_count=3, layers=1, hidden=8, heads=2))
+        inst = QueryInstance(build_query(QueryType.P1, (11,), (0,)), frozenset(), frozenset({1}), frozenset({1}))
+        with pytest.raises(ValueError, match=r"^1p query 0: anchors \[11\] or relations \[0\] lie outside"):
+            evaluate(model, {QueryType.P1: [inst]}, "valid")
 
     def test_union_scoring_uses_min_rank(self):
         split = toy_split(seed=22)

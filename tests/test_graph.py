@@ -256,7 +256,7 @@ class TestLoadSplit:
         assert isinstance(excinfo.value, IntegrityError)
         assert (excinfo.value.path, excinfo.value.line) == (str(raw / "valid.txt"), 1)
         # ingest reports it at once, without reading the files again as tokens
-        monkeypatch.setattr(kgt.cli, "_read_raw_tokens", lambda path: pytest.fail(f"{path} read again"))
+        monkeypatch.setattr(kgt.cli, "triple_fields", lambda path: pytest.fail(f"{path} read again"))
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {raw / 'valid.txt'}:1: repeats an earlier split's triple, but valid lacks train triples")
@@ -436,6 +436,19 @@ class TestLoadSplit:
             build_split({"train": [(0, 0, 1), (0, 0, 1)], "valid": [], "test": []}, 2, 1)
         with pytest.raises(IntegrityError):
             build_split({"train": [(0, 0, 1)], "valid": [(0, 0, 9)], "test": []}, 2, 1)
+
+    def test_ingest_sorts_the_tokens_of_a_dataset_without_vocabularies(self, tmp_path):
+        # once a token is not an integer, tokens that look like ids are tokens too
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        lines = {"train": ["b\tr:3\ta", "12\t12\tb", "a\tr:3\t12"], "valid": ["b\t12\ta"], "test": ["a\tzeta\tb"]}
+        for name, rows in lines.items():
+            (raw / f"{name}.txt").write_text("".join(row + "\n" for row in rows))
+        assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 0
+        dataset = tmp_path / "out" / "dataset"
+        assert (dataset / "entities.txt").read_text().splitlines() == ["12", "a", "b"]
+        assert (dataset / "relations.txt").read_text().splitlines() == ["12", "r:3", "zeta"]
+        assert {name: (dataset / f"{name}.txt").read_text().splitlines() for name in lines} == lines
 
     def test_normalized_dataset_loads_without_set_tests(self, tmp_path, monkeypatch):
         # disjoint increments, as ingest writes them, are checked by one sort

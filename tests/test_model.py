@@ -423,6 +423,17 @@ class TestEncoding:
         batch = encode_queries([q], cfg, fill=9)
         assert batch.entity_ids[0, q.target_index] == 9
 
+    def test_query_ids_outside_the_tables_rejected(self):
+        # anchor 12 would read relation 1's embedding row, -1 (FREE_SLOT) the
+        # mask token's, and relation 7 would index past the table
+        cfg = tiny_config(entity_count=10, relation_count=3)
+        sound = build_query(QueryType.P1, (9,), (2,))
+        encode_queries([sound], cfg)
+        for anchor, relation in [(12, 0), (FREE_SLOT, 0), (10, 0), (0, 7), (0, -1), (0, 3)]:
+            query = build_query(QueryType.P1, (anchor,), (relation,))
+            with pytest.raises(ValueError, match=r"^1p query 1: .* outside the model's 10 entities and 3 relations$"):
+                encode_queries([sound, query], cfg)
+
     def test_intermediate_prediction_slots(self):
         cfg = tiny_config()
         q = build_query(QueryType.P3, (5,), (0, 1, 2))
