@@ -9,7 +9,6 @@ inputs/outputs) next to whatever it produces.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace as dc_replace
@@ -20,21 +19,10 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .errors import CheckpointError, ConfigError, KgtError, ParseError, SplitFileError
+from .errors import CheckpointError, ConfigError, KgtError, ParseError
 from .evaluation import evaluate, interpret, merge_metrics
 from .gradcheck import run_all
-from .graph import (
-    SPLITS,
-    SplitDataset,
-    _load_split,
-    load_split,
-    read_lines,
-    triple_fields,
-    write_atomic,
-    write_jsonl,
-    write_token_triples,
-    write_vocab,
-)
+from .graph import SPLITS, SplitDataset, load_split, read_lines, write_atomic, write_jsonl, write_token_triples, write_vocab
 from .model import Model
 from .queries import (
     TRAINABLE_TYPES,
@@ -50,7 +38,7 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs: 
     manifest = {
         "command": command,
         "config": args.config,
-        "config_sha256": None if args.config is None else hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_sha256": args.resolved_config.sha256,
         "seed": args.resolved_config.seed,
         "versions": {"kgt": __version__, "numpy": np.__version__},
         "inputs": [str(p) for p in inputs],
@@ -77,19 +65,7 @@ def _load_for(path: Path, split: SplitDataset) -> Model:
 def cmd_ingest(args) -> int:
     data_dir = Path(args.data) if args.data else Path(args.resolved_config.data_dir)
     out_dir = Path(args.out) / "dataset"
-    try:
-        split = load_split(data_dir)
-    except SplitFileError:
-        raise  # ids that parsed, or tokens the given vocabularies hold, that break the dataset's rules
-    except ParseError:
-        if (data_dir / "entities.txt").exists() or (data_dir / "relations.txt").exists():
-            raise  # a token the given vocabulary lacks
-        # a token that is not an integer and no vocabulary files: sort the tokens into vocabularies
-        rows = [fields for name in SPLITS for _, fields in triple_fields(data_dir / f"{name}.txt")]
-        entity_tokens = sorted({tok for h, _, t in rows for tok in (h, t)})
-        relation_tokens = sorted({r for _, r, _ in rows})
-        split = _load_split(data_dir, entity_tokens, relation_tokens)
-
+    split = load_split(data_dir)
     entities = split.entities or [str(i) for i in range(split.entity_count)]
     relations = split.relations or [str(i) for i in range(split.relation_count)]
     write_vocab(out_dir / "entities.txt", entities)

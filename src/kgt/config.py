@@ -8,13 +8,14 @@ file set it. Ratios accept ``a:b`` or a plain float.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
-from .graph import read_lines, split_lines
+from .graph import _decode_lines, split_lines
 from .model import ModelConfig
 from .optim import AdamWConfig
 from .queries import TRAINABLE_TYPES, QueryType
@@ -98,6 +99,8 @@ class PipelineConfig:
     queries_max_answers: int = 100
     eval_ks: tuple[int, ...] = (1, 3, 10)
     sections: dict[str, dict] = field(default_factory=dict)
+    # the SHA-256 of the config file's bytes that ``load_config`` parsed; None without a file
+    sha256: str | None = field(default=None, init=False, compare=False)
 
     def model_config(self, entity_count: int, relation_count: int) -> ModelConfig:
         return ModelConfig(entity_count, relation_count, **self.sections.get("model", {}))
@@ -160,7 +163,7 @@ _TYPE_PARSERS = {
 _KEY_TYPES = {
     f.name.replace("_", ".", 1) if f.name.startswith(("data_", "finetune_", "queries_", "eval_")) else f.name: f.type
     for f in fields(PipelineConfig)
-    if f.name != "sections"
+    if f.name not in ("sections", "sha256")
 } | {f"{section}.{name}": kind for section, keys in _SECTIONS.items() for name, kind in keys.items()}
 _PARSERS = {key: _parse_ratio if key in _RATIOS else _TYPE_PARSERS[kind] for key, kind in _KEY_TYPES.items()} | {
     key: _parse_count for key in ("seed", "queries.train_count", "queries.valid_count", "queries.test_count")
@@ -190,7 +193,8 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, tuple[str,
 
 def load_config(path: str | Path | None = None, overrides: dict[str, str] | None = None) -> PipelineConfig:
     """Defaults, then file values, then explicit overrides; a file's bad key or value names its line."""
-    merged = parse_config_text("\n".join(read_lines(path)), str(path)) if path is not None else {}
+    data = None if path is None else Path(path).read_bytes()
+    merged = {} if data is None else parse_config_text("\n".join(_decode_lines(path, data)), str(path))
     merged.update((key, (text, None)) for key, text in (overrides or {}).items())
     own: dict = {}
     sections: dict[str, dict] = {}
@@ -209,6 +213,7 @@ def load_config(path: str | Path | None = None, overrides: dict[str, str] | None
             own[key.replace(".", "_")] = value
     config = PipelineConfig(**own, sections=sections)
     _validate(config)
+    config.sha256 = None if data is None else hashlib.sha256(data).hexdigest()
     return config
 
 

@@ -230,11 +230,8 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file without their line ends, split and
-    numbered by :func:`split_lines`. Bytes that are not UTF-8 raise
-    ``ParseError`` at their line."""
-    data = Path(path).read_bytes()
+def _decode_lines(path: str | Path, data: bytes) -> list[str]:
+    """``data``, the bytes of the file ``path``, as :func:`read_lines` gives its lines."""
     try:
         text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
@@ -247,11 +244,20 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file without their line ends, split and
+    numbered by :func:`split_lines`. Bytes that are not UTF-8 raise
+    ``ParseError`` at their line."""
+    return _decode_lines(path, Path(path).read_bytes())
+
+
 def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
     """Write ``chunks`` (``str`` as UTF-8, bytes-like as they are) to ``path``,
     making its directory: through ``.<name>.<pid>.tmp`` beside it, synced and
-    then ``os.replace``d over ``path``. A run killed midway leaves the former
-    file or the new one; a write that fails removes its temp file."""
+    then ``os.replace``d over ``path``, and the directory synced where the
+    platform can open one, so that the rename itself is durable. A run killed
+    midway leaves the former file or the new one; a write that fails removes
+    its temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -264,6 +270,12 @@ def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if hasattr(os, "O_DIRECTORY"):  # POSIX; Windows cannot open a directory
+        directory = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -284,23 +296,24 @@ def read_vocab(path: Path) -> list[str]:
     return tokens
 
 
-def _read_id_triples(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse a file of integer ids straight into int64 arrays, or None if it cannot.
+def _id_triples(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The triple file ``path`` of integer ids, whose bytes are ``data``, parsed
+    straight into int64 arrays by ``np.loadtxt``, with the line number of each
+    triple; None if it cannot.
 
-    Any file this rejects (a bad line, a carriage return, no triples) goes to
-    the line-by-line parser, which finds the failing line or gives the same
-    arrays.
+    Any file this rejects (a bad line, a carriage return, no triples, a token)
+    goes to the line parser, :func:`_line_triples`, which finds the failing
+    line or gives the same arrays.
     """
-    raw = path.read_bytes()
-    if b"\r" in raw:  # universal newlines would number the lines differently
+    if b"\r" in data:  # universal newlines would number the lines differently
         return None
-    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    breaks = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
     # line i runs from breaks[i - 1] + 1 to breaks[i]; empty lines are skipped
-    lengths = np.diff(breaks, prepend=-1, append=len(raw)) - 1
+    lengths = np.diff(breaks, prepend=-1, append=len(data)) - 1
     lines = np.flatnonzero(lengths > 0) + 1
     if not lines.size:
         return None
-    try:
+    try:  # from the path: measured faster than parsing ``data`` from memory
         hrt = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2, encoding="utf-8")
     except ValueError:
         return None
@@ -309,29 +322,11 @@ def _read_id_triples(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     return hrt, lines
 
 
-def read_triples(
-    path: Path,
-    entity_ids: dict[str, int] | None = None,
-    relation_ids: dict[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a head<TAB>relation<TAB>tail file.
-
-    Tokens are looked up in the vocabularies when given, otherwise they must be
-    integer literals. Returns the int64 ``[n, 3]`` triples and the line number
-    of each. A file without vocabularies is parsed by ``np.loadtxt`` first.
-    """
-    if entity_ids is None and relation_ids is None:
-        parsed = _read_id_triples(path)
-        if parsed is not None:
-            return parsed
-    return _parse_lines(path, entity_ids, relation_ids)
-
-
-def triple_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+def _fields(path: Path, data: bytes) -> Iterator[tuple[int, list[str]]]:
     """The line number and the three tab-separated fields of each non-empty
-    line of a triple file; any other field count, or an empty field, raises
-    ``ParseError``."""
-    for lineno, line in enumerate(read_lines(path), start=1):
+    line of the triple file ``path``, whose bytes are ``data``; any other
+    field count, or an empty field, raises ``ParseError``."""
+    for lineno, line in enumerate(_decode_lines(path, data), start=1):
         if not line:
             continue
         fields = line.split("\t")
@@ -342,33 +337,41 @@ def triple_fields(path: str | Path) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
-def _parse_lines(
-    path: Path,
-    entity_ids: dict[str, int] | None,
-    relation_ids: dict[str, int] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``read_triples`` one line at a time; raises ``ParseError`` at the first bad line."""
+def _tables(entities: list[str] | None, relations: list[str] | None) -> tuple[dict[str, int] | None, ...]:
+    """The token -> id map that a triple's head, relation and tail resolve in; None without a vocabulary."""
+    entity_ids = None if entities is None else {tok: i for i, tok in enumerate(entities)}
+    relation_ids = None if relations is None else {tok: i for i, tok in enumerate(relations)}
+    return entity_ids, relation_ids, entity_ids
 
-    def resolve(token: str, table: dict[str, int] | None, kind: str, lineno: int) -> int:
-        if table is not None:
-            if token not in table:
-                raise ParseError(path, lineno, f"unknown {kind} token {token!r}")
-            return table[token]
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
-        if not -(1 << 63) <= value < 1 << 63:
-            raise SplitFileError(path, lineno, f"{kind} id {value} out of range: past int64")
-        return value
 
+def _line_triples(
+    path: Path, rows: Iterable[tuple[int, list[str]]], tables: tuple[dict[str, int] | None, ...]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The int64 ``[n, 3]`` triples of ``rows``, the numbered fields of
+    ``path``, and the line number of each. A field resolves in its table, or
+    is an integer literal where its table is None. ``ParseError`` at the first
+    bad line, ``rows`` being taken one at a time; None at a field that is not
+    an integer when no table is given."""
     triples = []
     lines = []
-    for lineno, fields in triple_fields(path):
-        h = resolve(fields[0], entity_ids, "entity", lineno)
-        r = resolve(fields[1], relation_ids, "relation", lineno)
-        t = resolve(fields[2], entity_ids, "entity", lineno)
-        triples.append((h, r, t))
+    for lineno, fields in rows:
+        row = []
+        for token, table, kind in zip(fields, tables, ("entity", "relation", "entity")):
+            if table is not None:
+                if token not in table:
+                    raise ParseError(path, lineno, f"unknown {kind} token {token!r}")
+                row.append(table[token])
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                if tables == (None, None, None):
+                    return None
+                raise ParseError(path, lineno, f"{kind} token {token!r} is not an integer and no vocabulary was given") from None
+            if not -(1 << 63) <= value < 1 << 63:
+                raise SplitFileError(path, lineno, f"{kind} id {value} out of range: past int64")
+            row.append(value)
+        triples.append(row)
         lines.append(lineno)
     return _triple_array(triples), np.array(lines, dtype=np.int64)
 
@@ -432,39 +435,44 @@ def build_split(
 
 
 def load_split(directory: str | Path) -> SplitDataset:
-    """Load train/valid/test triple files plus optional vocabularies."""
+    """Load train/valid/test triple files plus optional vocabularies, reading each file once.
+
+    Tokens resolve in the vocabulary files found. Without either, they are
+    integer ids, and a file of plain ids goes through ``np.loadtxt``; but once
+    a field of any file is not an integer, the ids are the tokens' places in
+    the sorted entity and relation tokens, the vocabularies ``kgt ingest``
+    writes for such a dataset.
+    """
     d = Path(directory)
     entities, relations = (read_vocab(d / name) if (d / name).exists() else None for name in ("entities.txt", "relations.txt"))
-    return _load_split(d, entities, relations)
-
-
-def _load_split(d: Path, entities: list[str] | None, relations: list[str] | None) -> SplitDataset:
-    """The split files under ``d``, their tokens resolved in the vocabularies
-    given; without one, the ids are integer literals counted from the files."""
-    ent_map = None if entities is None else {tok: i for i, tok in enumerate(entities)}
-    rel_map = None if relations is None else {tok: i for i, tok in enumerate(relations)}
-    parts = {}
-    sources = {}
-    for name in SPLITS:
-        path = d / f"{name}.txt"
+    tables = _tables(entities, relations)
+    ids_only = entities is None and relations is None
+    paths = {name: d / f"{name}.txt" for name in SPLITS}
+    data = {}
+    parts = {}  # a split's triples and line numbers; None once a field is a token without a vocabulary
+    for name, path in paths.items():
         if not path.exists():
             raise FileNotFoundError(f"missing split file {path}")
-        parts[name], lines = read_triples(path, ent_map, rel_map)
-        sources[name] = (path, lines)
+        data[name] = path.read_bytes()
+        if None not in parts.values():
+            parsed = _id_triples(path, data[name]) if ids_only else None
+            parts[name] = parsed if parsed is not None else _line_triples(path, _fields(path, data[name]), tables)
+    if None in parts.values():
+        rows = {name: list(_fields(paths[name], raw)) for name, raw in data.items()}
+        fields = [row for numbered in rows.values() for _, row in numbered]
+        entities = sorted({tok for h, _, t in fields for tok in (h, t)})
+        relations = sorted({r for _, r, _ in fields})
+        tables = _tables(entities, relations)
+        parts = {name: _line_triples(paths[name], numbered, tables) for name, numbered in rows.items()}
 
-    stacked = np.concatenate(list(parts.values()))
-    if entities is not None:
-        entity_count = len(entities)
-    else:
-        if not len(stacked):
-            raise IntegrityError(f"{d}: dataset has no triples and no entity vocabulary")
-        entity_count = int(stacked[:, [0, 2]].max()) + 1
-    if relations is not None:
-        relation_count = len(relations)
-    else:
-        relation_count = int(stacked[:, 1].max()) + 1 if len(stacked) else 0
-
-    return build_split(parts, entity_count, relation_count, entities, relations, sources)
+    triples = {name: hrt for name, (hrt, _) in parts.items()}
+    stacked = np.concatenate(list(triples.values()))
+    if entities is None and not len(stacked):
+        raise IntegrityError(f"{d}: dataset has no triples and no entity vocabulary")
+    entity_count = len(entities) if entities is not None else int(stacked[:, [0, 2]].max()) + 1
+    relation_count = len(relations) if relations is not None else int(stacked[:, 1].max(initial=-1)) + 1
+    sources = {name: (paths[name], lines) for name, (_, lines) in parts.items()}
+    return build_split(triples, entity_count, relation_count, entities, relations, sources)
 
 
 def write_vocab(path: Path, tokens: Sequence[str]) -> None:

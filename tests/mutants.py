@@ -237,8 +237,8 @@ MUTANTS = (
            (NESTING,)),
     Mutant("an empty field accepted", GRAPH, 'if "" in fields:', "if False:",
            tuple(C + f"TestCliErrors::test_empty_field_stops_at_its_line[{layout}]" for layout in ("ids", "vocabulary", "tokens"))),
-    Mutant("ingest's vocabulary in first-seen order", CLI, "entity_tokens = sorted({tok for h, _, t in rows for tok in (h, t)})",
-           "entity_tokens = list(dict.fromkeys(tok for h, _, t in rows for tok in (h, t)))",
+    Mutant("ingest's vocabulary in first-seen order", GRAPH, "entities = sorted({tok for h, _, t in fields for tok in (h, t)})",
+           "entities = list(dict.fromkeys(tok for h, _, t in fields for tok in (h, t)))",
            (G + "TestLoadSplit::test_ingest_sorts_the_tokens_of_a_dataset_without_vocabularies",
             C + "TestPipeline::test_dataset_normalized")),
     # ---- the samplers
@@ -305,6 +305,8 @@ MUTANTS = (
     Mutant("writes the destination in place", GRAPH, 'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
            "tmp = path", (WRITE_FAILS, CK + "run_killed_mid_save_leaves_the_former_file")),
     Mutant("temp file kept after a failed write", GRAPH, "        tmp.unlink(missing_ok=True)\n", "", (WRITE_FAILS,)),
+    Mutant("directory not synced after the rename", GRAPH, "os.fsync(directory)", "os.fstat(directory)",
+           (G + "TestWriteAtomic::test_directory_synced_after_the_rename",)),
     Mutant("the dataset directory left out of the pretrain manifest", CLI,
            'inputs = [_dataset_dir(args)]\n    split = load_split(inputs[0])\n    ckpt_dir = Path(args.out) / "checkpoints"\n    stage_name',
            'inputs = []\n    split = load_split(_dataset_dir(args))\n    ckpt_dir = Path(args.out) / "checkpoints"\n    stage_name',

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgt.cli
 from kgt.cli import main
 from kgt.config import _KEY_TYPES, _PARSERS, load_config, parse_config_text
 from kgt.errors import ConfigError, ParseError
@@ -427,6 +428,29 @@ class TestPipeline:
         assert manifest["versions"]["kgt"]
         assert manifest["versions"]["numpy"]
         assert "timestamp" not in manifest
+
+    @pytest.mark.parametrize("change", ["edit", "remove"])
+    def test_manifest_hashes_the_config_that_ran(self, pipeline, tmp_path, monkeypatch, change):
+        # the config is read once, before the command runs: a change to its file
+        # mid-run neither fails the run nor reaches the manifest
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"] / "dataset", out / "dataset")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(PIPELINE_CONFIG)
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        real_pretrain = kgt.cli.pretrain
+
+        def pretrain(*args, **kwargs):
+            if change == "edit":
+                cfg.write_text(PIPELINE_CONFIG.replace("seed = 7", "seed = 8"))
+            else:
+                cfg.unlink()
+            return real_pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(kgt.cli, "pretrain", pretrain)
+        assert main(["--config", str(cfg), "--out", str(out), "pretrain", "--stage", "1"]) == 0
+        manifest = json.loads((out / "checkpoints" / "stage1.manifest.json").read_text())
+        assert (manifest["config_sha256"], manifest["seed"]) == (digest, 7)
 
     def test_manifests_record_inputs(self, pipeline):
         out = pipeline["out"]

@@ -1,16 +1,23 @@
+import builtins
+import io
 import os
-from collections import defaultdict
+import stat
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kgt.cli
 from kgt.cli import main
 from kgt.errors import IntegrityError, ParseError
 from kgt.graph import (
+    SPLITS,
     KnowledgeGraph,
+    _fields,
+    _id_triples,
+    _line_triples,
     build_split,
     load_split,
     triple_transform,
@@ -190,6 +197,37 @@ class TestKnowledgeGraph:
         assert (nbrs[indptr[0] : indptr[1]] == 1).sum() == 1
 
 
+@pytest.fixture
+def opens(monkeypatch):
+    """Counts of the files opened, by path: by ``open`` (``Path.read_bytes`` among its
+    callers) and by ``np.loadtxt``, which opens a path itself."""
+    counts = Counter()
+    real_open, real_loadtxt = io.open, np.loadtxt
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            counts[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counted_loadtxt(fname, *args, **kwargs):
+        if isinstance(fname, (str, os.PathLike)):
+            counts[Path(fname)] += 1
+        return real_loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted_open)
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    return counts
+
+
+def write_raw_tokens(directory: Path, lines: dict[str, list[str]]) -> Path:
+    """Split files of the given lines, with no vocabulary files."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, rows in lines.items():
+        (directory / f"{name}.txt").write_text("".join(row + "\n" for row in rows))
+    return directory
+
+
 class TestLoadSplit:
     def test_disjoint_increments_accumulate(self, tmp_path):
         split = toy_split(seed=5)
@@ -245,7 +283,7 @@ class TestLoadSplit:
         with pytest.raises(IntegrityError):
             load_split(tmp_path)
 
-    def test_split_nesting_error_names_its_line(self, tmp_path, capsys, monkeypatch):
+    def test_split_nesting_error_names_its_line(self, tmp_path, capsys, opens):
         raw = tmp_path / "raw"
         raw.mkdir()
         write_triples(raw / "train.txt", [(0, 0, 1), (1, 0, 2), (2, 1, 3)])
@@ -255,9 +293,15 @@ class TestLoadSplit:
             load_split(raw)
         assert isinstance(excinfo.value, IntegrityError)
         assert (excinfo.value.path, excinfo.value.line) == (str(raw / "valid.txt"), 1)
-        # ingest reports it at once, without reading the files again as tokens
-        monkeypatch.setattr(kgt.cli, "triple_fields", lambda path: pytest.fail(f"{path} read again"))
+        # ingest reports it at once, without reading the files again as tokens:
+        # each file's bytes once, and np.loadtxt's own open
+        opens.clear()
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 1
+        assert {path.name: count for path, count in opens.items() if path.parent == raw} == {
+            "train.txt": 2,
+            "valid.txt": 2,
+            "test.txt": 2,
+        }
         err = capsys.readouterr().err
         assert err.startswith(f"error: {raw / 'valid.txt'}:1: repeats an earlier split's triple, but valid lacks train triples")
         # valid is a disjoint increment, but test repeats a train triple
@@ -382,21 +426,24 @@ class TestLoadSplit:
     def test_id_file_fast_path_matches_line_parser(self, tmp_path, text):
         # the loadtxt path must give the line parser's arrays and line numbers
         # exactly, or fall back to it, so errors still name the line
-        from kgt.graph import _parse_lines, read_triples
-
         path = tmp_path / "train.txt"
-        path.write_bytes(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        path.write_bytes(data)
 
         def outcome(parse):
             try:
-                hrt, lines = parse()
+                parsed = parse()
             except ParseError as err:
                 return ("error", err.path, err.line)
             except OverflowError:
                 return ("overflow",)
+            if parsed is None:  # the fast path declines; the line parser has found a token
+                return None
+            hrt, lines = parsed
             return (hrt.dtype, hrt.shape, hrt.tolist(), lines.dtype, lines.tolist())
 
-        assert outcome(lambda: read_triples(path)) == outcome(lambda: _parse_lines(path, None, None))
+        fast = outcome(lambda: _id_triples(path, data))
+        assert fast is None or fast == outcome(lambda: _line_triples(path, _fields(path, data), (None, None, None)))
 
     @pytest.mark.parametrize("vocab", [False, True], ids=["ids", "tokens"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -439,16 +486,42 @@ class TestLoadSplit:
 
     def test_ingest_sorts_the_tokens_of_a_dataset_without_vocabularies(self, tmp_path):
         # once a token is not an integer, tokens that look like ids are tokens too
-        raw = tmp_path / "raw"
-        raw.mkdir()
         lines = {"train": ["b\tr:3\ta", "12\t12\tb", "a\tr:3\t12"], "valid": ["b\t12\ta"], "test": ["a\tzeta\tb"]}
-        for name, rows in lines.items():
-            (raw / f"{name}.txt").write_text("".join(row + "\n" for row in rows))
+        raw = write_raw_tokens(tmp_path / "raw", lines)
         assert main(["--out", str(tmp_path / "out"), "ingest", "--data", str(raw)]) == 0
         dataset = tmp_path / "out" / "dataset"
         assert (dataset / "entities.txt").read_text().splitlines() == ["12", "a", "b"]
         assert (dataset / "relations.txt").read_text().splitlines() == ["12", "r:3", "zeta"]
         assert {name: (dataset / f"{name}.txt").read_text().splitlines() for name in lines} == lines
+        # every other command loads the raw directory with the ids ingest wrote
+        loaded, ingested = load_split(raw), load_split(dataset)
+        assert (loaded.entities, loaded.relations) == (ingested.entities, ingested.relations)
+        assert loaded.test.hrt.tolist() == ingested.test.hrt.tolist()
+        assert (len(loaded.train), len(loaded.valid)) == (len(ingested.train), len(ingested.valid)) == (3, 4)
+
+    def test_tokens_after_an_id_file_number_every_file(self, tmp_path, opens):
+        # train parses as ids; valid's token makes every field a token, train's included
+        raw = write_raw_tokens(tmp_path, {"train": ["0\t0\t1", "1\t0\t2"], "valid": ["2\tr\t0"], "test": ["10\t0\t1"]})
+        opens.clear()
+        split = load_split(raw)
+        assert (split.entities, split.relations) == (["0", "1", "10", "2"], ["0", "r"])
+        assert split.test.hrt.tolist() == [[0, 0, 1], [1, 0, 3], [3, 1, 0], [2, 0, 1]]
+        assert opens == {raw / "train.txt": 2, raw / "valid.txt": 2, raw / "test.txt": 1}
+
+    def test_split_file_opens_per_load(self, tmp_path, opens):
+        raw = write_raw_tokens(tmp_path / "raw", {name: [f"ent{i}\trel\tent{i + 1}"] for i, name in enumerate(SPLITS)})
+        out = tmp_path / "out"
+        opens.clear()
+        assert main(["--out", str(out), "ingest", "--data", str(raw)]) == 0
+        # train's bytes, and np.loadtxt's try at it; no id parse is tried after the first token
+        assert {path.name: count for path, count in opens.items() if path.parent == raw} == {
+            "train.txt": 2,
+            "valid.txt": 1,
+            "test.txt": 1,
+        }
+        opens.clear()
+        load_split(out / "dataset")
+        assert opens == {out / "dataset" / f"{name}.txt": 1 for name in ("entities", "relations", *SPLITS)}
 
     def test_normalized_dataset_loads_without_set_tests(self, tmp_path, monkeypatch):
         # disjoint increments, as ingest writes them, are checked by one sort
@@ -477,6 +550,24 @@ class TestWriteAtomic:
             write_vocab(path, ["ok", "\ud800"])  # a lone surrogate fails after the first chunk
         assert path.read_bytes() == b"alice\nbob\n"
         assert [p.name for p in tmp_path.iterdir()] == ["entities.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="the platform cannot open a directory")
+    def test_directory_synced_after_the_rename(self, tmp_path, monkeypatch):
+        # the rename is durable only once its directory is synced (Pillai et al., OSDI 2014)
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+        monkeypatch.setattr(os, "replace", lambda src, dst: (events.append("replace"), real_replace(src, dst))[1])
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("directory" if stat.S_ISDIR(info.st_mode) else "file", info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / "logs" / "run.jsonl"
+        write_atomic(path, "{}\n")
+        directory = ("directory", os.stat(path.parent).st_ino)
+        assert events == [("file", os.stat(path).st_ino), "replace", directory]
 
     def test_makes_the_directory_and_keeps_a_plain_files_mode(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.bin"

@@ -2,6 +2,7 @@
 module-level private name is read somewhere in ``src/kgt``, and every public
 function, class, method and module-level constant is read somewhere in
 ``src/kgt`` or ``kgtbench/``.
+``kgt.cli`` imports no private name of another ``kgt`` module.
 Every oracle and helper of the shared test modules is reached from a test.
 No code under ``src/kgt`` but ``graph.write_atomic`` writes a file.
 
@@ -34,6 +35,27 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported if name not in used]
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_name`` (not a dunder) imported from a ``kgt`` module."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kgt")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_private_import_finder():
+    source = "from . import __version__\nfrom .graph import _a, b\nfrom kgt.config import _c\nfrom os import _exit\n"
+    assert private_imports(source) == [(2, "_a"), (3, "_c")]
+
+
+def test_cli_imports_only_public_names():
+    # the command line is built from what the library offers, not from its internals
+    assert private_imports((SOURCE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def module_bindings(source: str) -> list[tuple[int, str, bool]]:
